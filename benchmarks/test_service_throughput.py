@@ -8,9 +8,10 @@ architectures serve the same 18-job stream:
 1. **Sequential sessions** (the pre-service deployment): every job owns a
    private ``Session`` and runs alone — every submission recompiles and
    re-executes.
-2. **MitigationService**: jobs drain as one batch per wave; cross-job
-   coalescing merges content-identical executables, the store memoizes
-   the resubmission wave outright.
+2. **The job service**: a one-worker ``ServiceSupervisor`` fed the first
+   wave before it starts, so the wave drains as one batch; cross-job
+   coalescing merges content-identical executables, and the store
+   memoizes the resubmission wave outright at submission.
 
 Assertions: identical payloads job-for-job, and the service needs at
 least **2x fewer backend executions** (channel evaluations — the
@@ -26,7 +27,8 @@ import time
 from _shared import save_bench_json
 from repro.devices import ibmq_toronto
 from repro.runtime import Session
-from repro.service import JobSpec, MitigationService
+from repro.service import JobSpec
+from repro.service.tier import ServiceSupervisor
 from repro.workloads import workload_by_name
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -64,22 +66,33 @@ def test_service_halves_backend_executions():
             sequential_evals += session.execution_stats()["channel_evals"]
     sequential_seconds = time.perf_counter() - start
 
-    # --- The service: same stream, two drained waves. ------------------
-    with MitigationService(devices={"toronto": ibmq_toronto}) as service:
+    # --- The service: same stream, one drained wave + memo hits. ------
+    supervisor = ServiceSupervisor(
+        devices={"toronto": ibmq_toronto}, workers=1, max_batch=32
+    )
+    try:
         start = time.perf_counter()
-        first_wave = [service.submit(spec) for spec in specs[: len(specs) // 2]]
-        service.drain()
-        resubmission = [service.submit(spec) for spec in specs[len(specs) // 2:]]
-        service.drain()
+        first_wave = [
+            supervisor.submit(spec) for spec in specs[: len(specs) // 2]
+        ]
+        supervisor.start()
+        supervisor.stop(drain=True, timeout=600)
+        resubmission = [
+            supervisor.submit(spec) for spec in specs[len(specs) // 2:]
+        ]
         service_seconds = time.perf_counter() - start
         jobs = first_wave + resubmission
-        stats = service.service_stats()
+        stats = supervisor.tier_stats()
+    finally:
+        supervisor.close()
+    (worker,) = stats["workers"]
+    backend = worker["engine"]["backend"]
 
     # Identical results, job for job (the determinism contract).
     assert [job.result for job in jobs] == sequential_payloads
 
-    service_evals = stats["backend"]["channel_evals"]
-    requests = stats["backend"]["requests"]
+    service_evals = backend["channel_evals"]
+    requests = backend["requests"]
 
     # The resubmission wave is pure memoization...
     assert all(job.source == "memoized" for job in resubmission)
@@ -105,8 +118,8 @@ def test_service_halves_backend_executions():
             "reduction": reduction,
             "asserted_min_reduction": 2.0,
             "requests": requests,
-            "coalesced_requests": stats["backend"]["coalesced_requests"],
-            "statevector_evals": stats["backend"]["statevector_evals"],
+            "coalesced_requests": backend["coalesced_requests"],
+            "statevector_evals": backend["statevector_evals"],
             "jobs_memoized": stats["jobs"]["memoized"],
             "jobs_executed": stats["jobs"]["executed"],
         },
@@ -126,9 +139,9 @@ def test_service_halves_backend_executions():
             f"reduction:                    {reduction:.1f}x "
             "(>= 2x asserted)\n"
             f"service requests spliced:     {requests} "
-            f"({stats['backend']['coalesced_requests']} coalesced)\n"
+            f"({backend['coalesced_requests']} coalesced)\n"
             f"statevector evals:            "
-            f"{stats['backend']['statevector_evals']}\n"
+            f"{backend['statevector_evals']}\n"
             f"jobs memoized:                {stats['jobs']['memoized']}\n"
             f"jobs executed:                {stats['jobs']['executed']}\n"
             "(payloads bit-for-bit equal to sequential sessions; counts "

@@ -3,8 +3,9 @@
 A 3-tenant stream of unique jobs (distinct seeds — no memoization, no
 coalescing, so every job carries real work) is served twice:
 
-1. **PR 5 single-drain loop**: one ``MitigationService``, one drain —
-   every channel evaluation happens on one lane, back to back.
+1. **Single drain**: a one-worker ``ServiceSupervisor`` fed the whole
+   stream before it starts (``max_batch=32``, so it drains as one
+   batch) — every channel evaluation happens on one lane, back to back.
 2. **Serving tier at 4 workers**: one ``ServiceSupervisor`` with
    round-robin placement — submissions are dealt across 4 drain workers,
    each with a private engine, and the stream is arranged so every lane
@@ -31,7 +32,7 @@ import time
 
 from _shared import save_bench_json, save_result
 from repro.devices import ibmq_toronto
-from repro.service import JobSpec, MitigationService
+from repro.service import JobSpec
 from repro.service.tier import ServiceSupervisor
 
 SEED_BASE = 100
@@ -73,15 +74,19 @@ def test_tier_doubles_modeled_throughput():
     specs = job_stream()
     devices = {"toronto": ibmq_toronto}
 
-    # --- PR 5 single-drain loop. --------------------------------------
-    with MitigationService(devices=devices) as service:
+    # --- Single drain: one worker, the whole stream queued first. ------
+    single = ServiceSupervisor(devices=devices, workers=1, max_batch=32)
+    try:
         start = time.perf_counter()
-        solo_jobs = [service.submit(spec) for spec in specs]
-        service.drain()
+        solo_jobs = [single.submit(spec) for spec in specs]
+        single.start()
+        single.stop(drain=True, timeout=600)
         solo_seconds = time.perf_counter() - start
-        solo_stats = service.service_stats()
+        (solo_worker,) = single.tier_stats()["workers"]
+    finally:
+        single.close()
     solo_payloads = [job.result for job in solo_jobs]
-    serial_evals = solo_stats["backend"]["channel_evals"]
+    serial_evals = solo_worker["engine"]["backend"]["channel_evals"]
 
     # --- Serving tier: 4 drain workers, round-robin lanes. ------------
     supervisor = ServiceSupervisor(
@@ -132,7 +137,7 @@ def test_tier_doubles_modeled_throughput():
             "modeled_speedup": speedup,
             "asserted_min_speedup": 2.0,
             "retries": stats["jobs"]["retried"],
-            "worker_crashes": stats["latency"]["worker_crashes"],
+            "worker_crashes": stats["jobs"]["worker_crashes"],
         },
     )
     save_result(

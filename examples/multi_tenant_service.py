@@ -1,10 +1,13 @@
 """Walkthrough: serving many tenants' mitigation jobs from one service.
 
-Demonstrates the :class:`repro.service.MitigationService` lifecycle:
+Demonstrates the :class:`repro.service.tier.ServiceSupervisor` lifecycle
+with one drain worker:
 
 1. submit jobs from several tenants (overlapping programs, different
    trial budgets) as serializable :class:`JobSpec`s;
-2. drain them — one merged, cross-job-coalesced backend batch;
+2. start the worker and drain them — one merged, cross-job-coalesced
+   backend batch, because every job was queued before the worker
+   started;
 3. fetch results and confirm they are **bit-for-bit** what a solo
    ``Session`` produces for the same spec;
 4. resubmit and watch the result store serve everything instantly;
@@ -21,7 +24,8 @@ import json
 
 from repro.devices import ibmq_toronto
 from repro.runtime import Session
-from repro.service import JobSpec, JobStatus, MitigationService
+from repro.service import JobSpec, JobStatus
+from repro.service.tier import ServiceSupervisor
 from repro.workloads import workload_by_name
 
 CATALOG = ("GHZ-8", "BV-6")
@@ -29,20 +33,22 @@ TENANT_BUDGETS = {"alice": 8_192, "bob": 16_384, "carol": 32_768}
 
 
 def main() -> None:
-    with MitigationService() as service:
+    supervisor = ServiceSupervisor(workers=1, max_batch=32)
+    try:
         # --- 1. submit: three tenants, one shared workload catalog ----
         jobs = [
-            service.submit(
+            supervisor.submit(
                 JobSpec(tenant=tenant, workload=name, total_trials=budget,
                         seed=0, scheme="jigsaw")
             )
             for tenant, budget in TENANT_BUDGETS.items()
             for name in CATALOG
         ]
-        print(f"submitted {len(jobs)} jobs, {len(service.queue)} queued")
+        print(f"submitted {len(jobs)} jobs, {len(supervisor.queue)} queued")
 
         # --- 2. drain: one coalesced batch ----------------------------
-        service.drain()
+        supervisor.start()
+        supervisor.stop(drain=True)
         for job in jobs:
             assert job.status is JobStatus.DONE, job.error
         print("first wave:", {job.job_id: job.source for job in jobs})
@@ -61,21 +67,24 @@ def main() -> None:
         print(f"{probe.job_id}: service payload == solo Session.run payload")
 
         # --- 4. resubmission: served from the store, no execution -----
-        resubmitted = [service.submit(job.spec) for job in jobs]
+        resubmitted = [supervisor.submit(job.spec) for job in jobs]
         assert all(job.source == "memoized" for job in resubmitted)
         print(f"resubmitted {len(resubmitted)} jobs: all memoized instantly")
 
         # --- 5. the sharing, quantified -------------------------------
-        stats = service.service_stats()
+        stats = supervisor.tier_stats()
+        (worker,) = stats["workers"]
+        backend = worker["engine"]["backend"]
         print("\nservice stats:")
-        print(json.dumps({k: stats[k] for k in ("jobs", "backend")}, indent=2))
-        backend = stats["backend"]
+        print(json.dumps({"jobs": stats["jobs"], "backend": backend}, indent=2))
         print(
             f"\n{backend['requests']} requests collapsed to "
             f"{backend['channel_evals']} channel evaluations "
             f"({backend['coalesced_requests']} coalesced across jobs) and "
             f"{backend['statevector_evals']} statevector simulations."
         )
+    finally:
+        supervisor.close()
 
 
 if __name__ == "__main__":

@@ -25,6 +25,16 @@ Public API highlights::
 """
 
 from repro.circuits import Gate, Instruction, QuantumCircuit
+from repro.core import (
+    PMF,
+    JigSaw,
+    JigSawM,
+    Marginal,
+    bayesian_reconstruction,
+    bayesian_update,
+)
+from repro.runtime import CompilationCache, ExecutionPlan, Session
+from repro.service import JobSpec
 from repro.version import __version__
 
 __all__ = [
@@ -32,55 +42,14 @@ __all__ = [
     "Instruction",
     "QuantumCircuit",
     "__version__",
+    "PMF",
+    "Marginal",
+    "JigSaw",
+    "JigSawM",
+    "bayesian_reconstruction",
+    "bayesian_update",
+    "Session",
+    "ExecutionPlan",
+    "CompilationCache",
+    "JobSpec",
 ]
-
-try:  # High-level classes appear as the build progresses; keep imports soft.
-    from repro.core import (  # noqa: F401
-        PMF,
-        JigSaw,
-        JigSawM,
-        Marginal,
-        bayesian_reconstruction,
-        bayesian_update,
-    )
-
-    __all__ += [
-        "PMF",
-        "Marginal",
-        "JigSaw",
-        "JigSawM",
-        "bayesian_reconstruction",
-        "bayesian_update",
-    ]
-except ImportError:  # pragma: no cover - during incremental development
-    pass
-
-try:
-    from repro.runtime import (  # noqa: F401
-        CompilationCache,
-        ExecutionPlan,
-        Session,
-    )
-
-    __all__ += [
-        "Session",
-        "ExecutionPlan",
-        "CompilationCache",
-    ]
-except ImportError:  # pragma: no cover - during incremental development
-    pass
-
-try:
-    from repro.service import (  # noqa: F401
-        JobSpec,
-        MitigationService,
-        ResultStore,
-    )
-
-    __all__ += [
-        "JobSpec",
-        "MitigationService",
-        "ResultStore",
-    ]
-except ImportError:  # pragma: no cover - during incremental development
-    pass

@@ -4,7 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro run --workload GHZ-10 --device toronto --trials 65536
     python -m repro compare --workload QAOA-10\\ p2 --device paris
-    python -m repro serve --jobs jobs.json --store results.jsonl
+    python -m repro serve --jobs jobs.json --store-dir results/
     python -m repro devices
     python -m repro scalability
 
@@ -13,9 +13,9 @@ fidelity before and after reconstruction; ``compare`` additionally runs
 EDM and JigSaw-M; ``sweep`` evaluates a parameterized workload at K
 parameter points through one compiled plan template (compile once, bind
 many, execute one stacked batch); ``serve`` drives the multi-tenant
-:class:`~repro.service.MitigationService` over a JSON job file (with
-``--trace DIR`` it also writes one Perfetto-loadable trace file per
-job); ``trace`` renders a captured job trace as an ASCII flame tree;
+:class:`~repro.service.tier.ServiceSupervisor` over a JSON job file
+(with ``--trace DIR`` it also writes one Perfetto-loadable trace file
+per job); ``trace`` renders a captured job trace as an ASCII flame tree;
 ``stats`` renders a ``--stats-json`` snapshot (optionally as Prometheus
 text); ``devices`` prints the device library's calibration statistics;
 ``scalability`` prints the Table 7 cost model.
@@ -35,12 +35,8 @@ from repro.exceptions import AdmissionError, ReproError
 from repro.experiments import format_table
 from repro.metrics.success import probability_of_successful_trial
 from repro.runtime import Session
-from repro.service import SERVICE_SCHEMES, JobSpec, MitigationService, ResultStore
-from repro.service.tier import (
-    SegmentedResultStore,
-    ServiceSupervisor,
-    migrate_journal,
-)
+from repro.service import SERVICE_SCHEMES, JobSpec
+from repro.service.tier import SegmentedResultStore, ServiceSupervisor
 from repro.workloads import workload_by_name
 
 __all__ = ["main", "build_parser"]
@@ -160,12 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'seed': 0}",
     )
     serve.add_argument(
-        "--store", default=None,
-        help="JSONL result-store path: memoizes results across invocations",
-    )
-    serve.add_argument(
         "--exec-workers", type=int, default=None,
-        help="worker count for the service's sharded execution "
+        help="worker count for each drain worker's sharded execution "
         "(bit-for-bit identical to serial at any count)",
     )
     serve.add_argument(
@@ -181,26 +173,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of the queue one tenant may occupy",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
-        help="run the concurrent serving tier with N drain workers "
-        "(results stay bit-for-bit identical to --workers omitted)",
+        "--workers", type=int, default=1,
+        help="drain workers of the serving tier (results are bit-for-bit "
+        "identical at any count)",
     )
     serve.add_argument(
         "--store-dir", default=None,
-        help="segmented result-store directory (the serving tier's "
-        "sharded journal; alternative to --store)",
+        help="segmented result-store directory: memoizes results across "
+        "invocations",
     )
     serve.add_argument(
         "--stats-json", default=None,
-        help="write the tier/service stats snapshot (including the "
-        "unified telemetry registry and latency percentiles) as JSON to "
-        "this path ('-' for stdout)",
+        help="write the tier stats snapshot (including the unified "
+        "telemetry registry and latency percentiles) as JSON to this "
+        "path ('-' for stdout)",
     )
     serve.add_argument(
         "--trace", default=None, metavar="DIR",
-        help="capture a hierarchical trace per job (requires --workers) "
-        "and write <job-id>.trace.json files — Chrome trace-event JSON, "
-        "loadable in Perfetto — into DIR",
+        help="capture a hierarchical trace per job and write "
+        "<job-id>.trace.json files — Chrome trace-event JSON, loadable "
+        "in Perfetto — into DIR",
     )
 
     trace = sub.add_parser(
@@ -232,21 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     store = sub.add_parser("store", help="result-store maintenance")
     store_sub = store.add_subparsers(dest="store_command", required=True)
     compact = store_sub.add_parser(
-        "compact",
-        help="migrate a legacy JSONL journal to segments, or compact a "
-        "segmented store in place",
+        "compact", help="compact a segmented store in place"
     )
     compact.add_argument(
-        "--journal", default=None,
-        help="legacy single-file JSONL journal to migrate (read-only)",
-    )
-    compact.add_argument(
-        "--into", default=None,
-        help="segmented store directory the migration writes "
-        "(required with --journal)",
-    )
-    compact.add_argument(
-        "--dir", dest="store_dir", default=None,
+        "--dir", dest="store_dir", required=True,
         help="existing segmented store directory to compact in place",
     )
 
@@ -404,14 +385,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     )
 
 
-def _serve_store(args: argparse.Namespace):
-    if args.store and args.store_dir:
-        raise ReproError("--store and --store-dir are mutually exclusive")
-    if args.store_dir:
-        return SegmentedResultStore(root=args.store_dir)
-    return ResultStore(path=args.store) if args.store else None
-
-
 def _cmd_serve(args: argparse.Namespace) -> str:
     try:
         with open(args.jobs) as handle:
@@ -427,58 +400,41 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             "(or an object with a 'jobs' list)"
         )
 
-    store = _serve_store(args)
+    supervisor = ServiceSupervisor(
+        store=(
+            SegmentedResultStore(root=args.store_dir)
+            if args.store_dir else None
+        ),
+        workers=args.workers,
+        capacity=args.capacity,
+        fair_share=args.fair_share,
+        max_batch=args.max_batch,
+        backend_workers=args.exec_workers,
+        tracing=bool(args.trace),
+    )
     trace_files = 0
-    if args.workers:
-        # The concurrent serving tier: N drain workers, graceful drain.
-        supervisor = ServiceSupervisor(
-            store=store,
-            workers=args.workers,
-            capacity=args.capacity,
-            fair_share=args.fair_share,
-            max_batch=args.max_batch,
-            backend_workers=args.exec_workers,
-            tracing=bool(args.trace),
-        )
+    try:
+        # The whole file is queued before the workers start, so the
+        # batches they drain do not depend on thread timing.
+        jobs, rejections = _serve_submit(supervisor, entries)
         supervisor.start()
-        try:
-            jobs, rejections = _serve_submit(supervisor, entries)
-            supervisor.stop(drain=True)
-            stats = supervisor.tier_stats()
-            stats["telemetry"] = supervisor.telemetry_snapshot()
-            backend = {
-                name: sum(
-                    worker["engine"]["backend"][name]
-                    for worker in stats["workers"]
-                )
-                for name in (
-                    "requests", "channel_evals", "coalesced_requests",
-                    "statevector_evals",
-                )
-            }
-            if args.trace:
-                trace_files = _serve_write_traces(
-                    supervisor, jobs, args.trace
-                )
-        finally:
-            supervisor.close()
-    else:
-        if args.trace:
-            raise ReproError(
-                "--trace needs the serving tier; add --workers N"
+        supervisor.stop(drain=True, timeout=None)
+        stats = supervisor.tier_stats()
+        stats["telemetry"] = supervisor.telemetry_snapshot()
+        backend = {
+            name: sum(
+                worker["engine"]["backend"][name]
+                for worker in stats["workers"]
             )
-        with MitigationService(
-            store=store,
-            capacity=args.capacity,
-            fair_share=args.fair_share,
-            max_batch=args.max_batch,
-            workers=args.exec_workers,
-        ) as service:
-            jobs, rejections = _serve_submit(service, entries)
-            service.drain()
-            stats = service.service_stats()
-            stats["telemetry"] = service.telemetry_snapshot()
-            backend = stats["backend"]
+            for name in (
+                "requests", "channel_evals", "coalesced_requests",
+                "statevector_evals",
+            )
+        }
+        if args.trace:
+            trace_files = _serve_write_traces(supervisor, jobs, args.trace)
+    finally:
+        supervisor.close()
 
     if args.stats_json:
         payload = json.dumps(stats, indent=2, sort_keys=True)
@@ -513,7 +469,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         title=f"Service run over {args.jobs}",
     )
     store_stats = stats["store"]
-    store_where = store_stats.get("path") or store_stats.get("root")
     footer_lines = [
         "",
         f"jobs:    {stats['jobs']['submitted']} submitted, "
@@ -527,14 +482,11 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         f"{backend['statevector_evals']} statevectors",
         f"store:   {store_stats['hits']} hits / "
         f"{store_stats['misses']} misses"
-        + (f" @ {store_where}" if store_where else ""),
+        + (f" @ {store_stats['root']}" if store_stats["root"] else ""),
+        f"tier:    {args.workers} workers, "
+        f"{stats['jobs']['retried']} retries, "
+        f"{stats['jobs']['worker_crashes']} crashes",
     ]
-    if args.workers:
-        footer_lines.append(
-            f"tier:    {args.workers} workers, "
-            f"{stats['jobs']['retried']} retries, "
-            f"{stats['latency']['worker_crashes']} crashes"
-        )
     if trace_files:
         footer_lines.append(
             f"traces:  {trace_files} written to {args.trace} "
@@ -579,7 +531,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     except OSError as exc:
         raise ReproError(
             f"cannot read trace {path}: {exc} "
-            "(capture traces with 'repro serve --trace DIR --workers N')"
+            "(capture traces with 'repro serve --trace DIR')"
         ) from exc
     except json.JSONDecodeError as exc:
         raise ReproError(f"{path}: invalid JSON ({exc})") from exc
@@ -648,37 +600,26 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     return "\n".join(lines) if lines else "(empty snapshot)"
 
 
-def _serve_submit(front, entries):
+def _serve_submit(supervisor, entries):
     """Submit every job entry; returns (jobs, [(index, reason)])."""
     jobs, rejections = [], []
     for index, entry in enumerate(entries):
         try:
-            jobs.append(front.submit(JobSpec.from_dict(entry)))
+            jobs.append(supervisor.submit(JobSpec.from_dict(entry)))
         except AdmissionError as exc:
             rejections.append((index, str(exc)))
     return jobs, rejections
 
 
 def _cmd_store_compact(args: argparse.Namespace) -> str:
-    if args.journal:
-        if not args.into:
-            raise ReproError("--journal needs --into (the segment directory)")
-        summary = migrate_journal(args.journal, args.into)
-        return (
-            f"migrated {summary['records_read']} records "
-            f"({summary['records_live']} live) from {summary['legacy_path']} "
-            f"into {summary['root']} ({summary['shards']} shards)"
-        )
-    if args.store_dir:
-        store = SegmentedResultStore(root=args.store_dir, max_entries=None)
-        store.compact()
-        shards = store.stats()["shards"]
-        live = sum(shard["live"] for shard in shards.values())
-        return (
-            f"compacted {args.store_dir}: {live} live records across "
-            f"{len(shards)} shards, 1 segment each"
-        )
-    raise ReproError("store compact needs --journal/--into or --dir")
+    store = SegmentedResultStore(root=args.store_dir, max_entries=None)
+    store.compact()
+    shards = store.stats()["shards"]
+    live = sum(shard["live"] for shard in shards.values())
+    return (
+        f"compacted {args.store_dir}: {live} live records across "
+        f"{len(shards)} shards, 1 segment each"
+    )
 
 
 def _cmd_devices() -> str:

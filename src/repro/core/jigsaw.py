@@ -156,9 +156,8 @@ class JigSawResult:
         ``{codes, probs, num_bits}`` (see :meth:`PMF.to_payload`) — so a
         round-trip through JSON and :meth:`PMF.from_payload` never renders
         a bitstring.  The payload carries a ``payload_version`` (see
-        :mod:`repro.core.payload`) so persisted results — e.g. the service
-        :class:`~repro.service.store.ResultStore`'s on-disk records — can
-        evolve without silent misreads.
+        :mod:`repro.core.payload`) so persisted results — e.g. the job
+        service's journal records — can evolve without silent misreads.
         """
         return {
             "scheme": "jigsaw",

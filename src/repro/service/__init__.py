@@ -6,14 +6,16 @@ This package is the serving layer over the runtime API:
              content-fingerprinted requests;
 ``queue``    :class:`FairShareQueue` — bounded priority admission with
              per-tenant fair share and backpressure;
-``store``    :class:`ResultStore` — fingerprint-keyed memoization,
-             in-memory LRU + on-disk JSONL;
-``service``  :class:`MitigationService` — the worker loop that drains
-             jobs, groups them by device, compiles through the shared
-             stage cache, coalesces content-identical executables across
-             jobs, executes one merged batch, and fans results back.
+``engine``   the batch core: drains jobs, groups them by device,
+             compiles through the shared stage cache, coalesces
+             content-identical executables across jobs, executes one
+             merged batch, and fans results back;
+``tier``     :class:`~repro.service.tier.ServiceSupervisor`, the front
+             end (drain workers, quotas, retries, events), and
+             :class:`~repro.service.tier.SegmentedResultStore`, the
+             fingerprint-keyed result store.
 
-See the "Service layer" section of ``docs/ARCHITECTURE.md``.
+See the "Job service" section of ``docs/ARCHITECTURE.md``.
 """
 
 from repro.service.job import (
@@ -25,8 +27,6 @@ from repro.service.job import (
     job_fingerprint,
 )
 from repro.service.queue import FairShareQueue
-from repro.service.service import MitigationService
-from repro.service.store import ResultStore
 
 __all__ = [
     "Job",
@@ -36,6 +36,4 @@ __all__ = [
     "SERVICE_SCHEMES",
     "job_fingerprint",
     "FairShareQueue",
-    "MitigationService",
-    "ResultStore",
 ]

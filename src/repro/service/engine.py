@@ -1,44 +1,39 @@
 """The batch-execution engine: the splice-and-reconstruct core.
 
-PR 5's :class:`~repro.service.service.MitigationService` interleaved
-three concerns in one class: the *front end* (submission, admission,
-waiting), the *registries* (devices, per-device stage caches), and the
-*batch engine* (group a drained batch by device lane, plan every job
-through a per-job equally-parameterised ``Session``, splice everything
-into one merged ``ShardedBackend`` batch, reconstruct, store).  The
-serving tier (:mod:`repro.service.tier`) runs **many concurrent drain
-workers**, each of which needs its own engine — its own backend pool,
-its own work counters — while sharing the registries and the result
-store.  This module is that split:
+The serving tier (:mod:`repro.service.tier`) runs one or more concurrent
+drain workers, each of which needs its own engine — its own backend
+pool, its own work counters — while sharing the registries and the
+result store.  This module is that split:
 
 ``DeviceRegistry``
     Thread-safe name -> :class:`~repro.devices.device.Device` resolution
     plus the **shared per-device stage caches** — one
     :class:`~repro.runtime.cache.CompilationCache` per device
     fingerprint, shared by every engine so the route-once store works
-    across workers exactly as it did across jobs.
+    across workers exactly as it does across jobs.
 
 ``ExecutionEngine``
-    One drain lane's executor: owns a private pool of
-    :class:`~repro.runtime.parallel.ShardedBackend`\\ s (one per
-    ``(device, mode)``) and processes batches through the determinism
-    seam.  Results are reported through a :class:`BatchSink` — the
-    front end decides what "finished" and "failed" mean (the tier's
-    sink, for instance, turns retryable failures into re-queues instead
-    of terminal failures).
+    One drain lane's executor: groups a drained batch by device lane,
+    plans every job through a per-job equally-parameterised
+    ``Session``, splices everything into one merged
+    :class:`~repro.runtime.parallel.ShardedBackend` batch, reconstructs,
+    and stores.  Results are reported through a :class:`BatchSink` —
+    the front end decides what "finished" and "failed" mean (the
+    supervisor turns retryable failures into re-queues instead of
+    terminal failures).
 
-The determinism contract is unchanged from PR 5: every job gets its own
-``Session`` seeded from its spec, and the spliced execution spawns each
-job's per-request seed streams from that job's own backend — so payloads
-are bit-for-bit equal to solo ``Session.run`` regardless of batch
-composition, arrival order, worker count, or *which engine* ran the job.
+The determinism contract: every job gets its own ``Session`` seeded
+from its spec, and the spliced execution spawns each job's per-request
+seed streams from that job's own backend — so payloads are bit-for-bit
+equal to solo ``Session.run`` regardless of batch composition, arrival
+order, worker count, or *which engine* ran the job.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
 
 from repro.core.payload import PAYLOAD_VERSION
 from repro.core.pmf import PMF
@@ -59,6 +54,7 @@ from repro.service.job import (
     SweepJobSpec,
     resolve_spec_circuit,
 )
+from repro.sim.kernels import check_qubit_cap, default_max_qubits
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import get_tracer
 
@@ -185,14 +181,12 @@ class ExecutionEngine:
             :class:`ShardedBackend` pool (one backend per device+mode
             lane).  Engines never share backends, so concurrent drain
             workers never contend on a pool.
-        timers: optional ``observe(stage, seconds)`` callback for the
-            tier's latency histograms (stages: ``prepare``, ``execute``,
-            ``finish``).
-        metrics: the telemetry registry the engine counters live in
-            (``engine.batches`` ...); defaults to a private one.  The
-            shared :class:`DeviceRegistry` registry and every backend
-            pool's registry are attached, so one atomic snapshot covers
-            the whole lane.
+
+    The engine's counters (``engine.batches`` ...) and its stage latency
+    histograms (``tier.prepare``/``tier.execute``/``tier.finish``) live
+    in its private :attr:`metrics` registry, to which the shared
+    :class:`DeviceRegistry` registry and every backend pool's registry
+    are attached, so one atomic snapshot covers the whole lane.
     """
 
     def __init__(
@@ -204,8 +198,6 @@ class ExecutionEngine:
         ensemble_size: int = 4,
         workers: Optional[int] = None,
         executor: str = "thread",
-        timers: Optional[Any] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.registry = registry
         self.store = store
@@ -214,13 +206,12 @@ class ExecutionEngine:
         self.ensemble_size = ensemble_size
         self.workers = workers
         self.executor = executor
-        self.timers = timers
         self.config_salt = compiler_salt(
             compile_attempts, cpm_attempts, ensemble_size
         )
         self._executors: Dict[Tuple[str, bool], ShardedBackend] = {}
         self._lock = threading.RLock()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.metrics.attach(registry.metrics)
         # Cumulative engine counters (the sink owns job-level ones);
         # registry-backed, so concurrent readers get atomic values
@@ -228,6 +219,9 @@ class ExecutionEngine:
         self._batches = self.metrics.counter("engine.batches")
         self._memoized = self.metrics.counter("engine.memoized")
         self._executed = self.metrics.counter("engine.executed")
+        self._prepare_seconds = self.metrics.histogram("tier.prepare")
+        self._execute_seconds = self.metrics.histogram("tier.execute")
+        self._finish_seconds = self.metrics.histogram("tier.finish")
 
     @property
     def batches(self) -> int:
@@ -271,10 +265,6 @@ class ExecutionEngine:
                 self._executors[key] = executor
                 self.metrics.attach(executor.metrics)
             return executor
-
-    def _observe(self, stage: str, seconds: float) -> None:
-        if self.timers is not None:
-            self.timers.observe(stage, seconds)
 
     # ------------------------------------------------------------------
     # Batch processing
@@ -360,6 +350,13 @@ class ExecutionEngine:
                     try:
                         if job.workload is None:
                             job.workload = resolve_spec_circuit(job.spec)
+                        # Refuse an over-cap circuit here, where the
+                        # failure is this job's alone; inside the merged
+                        # batch it would fail every groupmate too.
+                        check_qubit_cap(
+                            job.workload.circuit.num_qubits,
+                            default_max_qubits(),
+                        )
                         device = self.registry.device(job.spec.device)
                         session = Session(
                             device,
@@ -391,14 +388,14 @@ class ExecutionEngine:
                             )
                     except Exception as exc:
                         # ReproError is the expected shape (bad scheme
-                        # inputs, MBM width, ...); anything else is a
-                        # defect — either way it fails this job
-                        # deterministically (retrying replays the same
-                        # inputs), never its groupmates.
+                        # inputs, MBM or simulator width, ...); anything
+                        # else is a defect — either way it fails this
+                        # job deterministically (retrying replays the
+                        # same inputs), never its groupmates.
                         sink.fail(job, str(exc) or repr(exc), retryable=False)
                         continue
                     prepared_jobs.append((job, prepared))
-            self._observe("prepare", time.perf_counter() - prepare_start)
+            self._prepare_seconds.observe(time.perf_counter() - prepare_start)
             if not prepared_jobs:
                 return
             executor = self._executor_for(device, exact)
@@ -414,16 +411,16 @@ class ExecutionEngine:
                 # The merged batch is all-or-nothing: a backend-level
                 # failure fails every job it carried — retryable, because
                 # re-running the jobs re-derives every input.
+                self._execute_seconds.observe(
+                    time.perf_counter() - execute_start
+                )
                 for job, _ in prepared_jobs:
-                    self._observe(
-                        "execute", time.perf_counter() - execute_start
-                    )
                     sink.fail(
                         job, f"batch execution failed: {exc}", retryable=True
                     )
                 return
             execute_elapsed = time.perf_counter() - execute_start
-            self._observe("execute", execute_elapsed)
+            self._execute_seconds.observe(execute_elapsed)
             if tracer.enabled:
                 # The merged batch runs once for the whole lane; each
                 # job's tree gets a post-hoc "execute" span covering it,
@@ -458,7 +455,7 @@ class ExecutionEngine:
                         sink.store_error(job)
                     self._executed.add(1)
                     sink.finish(job, payload, source="executed")
-            self._observe("finish", time.perf_counter() - finish_start)
+            self._finish_seconds.observe(time.perf_counter() - finish_start)
         finally:
             for session in sessions:
                 session.close()

@@ -1,22 +1,20 @@
-"""The serving tier: concurrent drain workers over the PR 5 primitives.
+"""The serving tier: the job service's front end and its parts.
 
-Where :class:`~repro.service.service.MitigationService` is one drain
-loop over one queue, this package is the production topology — a
-:class:`ServiceSupervisor` front end (submit/poll/watch, asyncio
-wrappers) over N :class:`DrainWorker` threads, per-tenant rate limiting
-and quotas, a sharded segmented result journal with crash replay, and a
-latency/counter observability surface.  The determinism contract is
-inherited unchanged: every result is bit-for-bit a solo ``Session.run``.
+A :class:`ServiceSupervisor` front end (submit/poll/watch, asyncio
+wrappers) runs N :class:`DrainWorker` threads (one is the single-drain
+deployment) behind per-tenant rate limits and quotas, over a sharded
+segmented result journal with crash replay and one telemetry registry.
+The determinism contract: every result is bit-for-bit a solo
+``Session.run``.
 """
 
 from repro.service.tier.events import JobEvent, JobEventLog, TERMINAL_EVENTS
-from repro.service.tier.journal import SegmentedResultStore, migrate_journal
+from repro.service.tier.journal import SegmentedResultStore
 from repro.service.tier.quota import (
     AdmissionController,
     TenantPolicy,
     TokenBucket,
 )
-from repro.service.tier.stats import LatencyHistogram, TierStats
 from repro.service.tier.supervisor import ServiceSupervisor
 from repro.service.tier.worker import DrainWorker
 
@@ -25,12 +23,9 @@ __all__ = [
     "DrainWorker",
     "JobEvent",
     "JobEventLog",
-    "LatencyHistogram",
     "SegmentedResultStore",
     "ServiceSupervisor",
     "TERMINAL_EVENTS",
     "TenantPolicy",
-    "TierStats",
     "TokenBucket",
-    "migrate_journal",
 ]

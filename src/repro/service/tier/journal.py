@@ -1,24 +1,26 @@
-"""The sharded, segmented result journal of the serving tier.
+"""The result store: sharded, segmented, compacting, memory-first.
 
-PR 5's :class:`~repro.service.store.ResultStore` journals every payload
-into **one** append-only JSONL file.  That is correct under one writer,
-but it compacts never (dead records accumulate forever) and serialises
-every drain worker through one file.  This module replaces it for the
-tier:
+Results are keyed by :func:`~repro.service.job.job_fingerprint` — a
+content hash over everything that can influence the output — so a stored
+payload can be served for *any* later job with the same fingerprint,
+from any tenant, bit for bit.  :class:`SegmentedResultStore` keeps them
+in a bounded in-memory LRU and, given a ``root`` directory, journals
+them to disk:
 
 * **Sharding** — the journal is partitioned into per-shard directories
   keyed by the *device fingerprint* (the ``shard`` hint
   :meth:`SegmentedResultStore.put` receives from the execution engine).
   Workers serving different devices append to different files; each
   shard has its own lock, its own segments, its own compaction clock.
-  Payloads with no hint (or legacy migrations) land in a prefix shard of
-  the fingerprint, so sharding never needs the device to exist.
+  Payloads with no hint land in a prefix shard of the fingerprint, so
+  sharding never needs the device to exist.
 * **Segments** — each shard is a sequence of JSONL segment files
-  (``seg-000001.jsonl``, monotonically numbered).  The highest-numbered
-  segment is the *active* one; it rolls when it exceeds
-  ``segment_bytes``.  Only the active segment can have a torn final line
-  (a crash mid-append); sealed segments are complete by construction, so
-  mid-file corruption anywhere is a real error
+  (``seg-000001.jsonl``, monotonically numbered), one
+  ``{"fingerprint", "payload_version", "payload"}`` record per line.
+  The highest-numbered segment is the *active* one; it rolls when it
+  exceeds ``segment_bytes``.  Only the active segment can have a torn
+  final line (a crash mid-append); sealed segments are complete by
+  construction, so mid-file corruption anywhere is a real error
   (:class:`~repro.exceptions.PayloadError`), not a crash artifact.
 * **Compaction** — when a shard accumulates enough sealed segments or
   enough *dead* records (older duplicates of a re-put fingerprint),
@@ -31,11 +33,6 @@ tier:
   order, later records winning, torn tail tolerated on the active
   segment only, payload versions checked
   (:mod:`repro.core.payload`).
-
-The class is ``put``/``get``/``stats`` duck-type compatible with
-:class:`ResultStore`, so the engine, the service, and the CLI accept
-either.  :func:`migrate_journal` rewrites a legacy single-file JSONL
-journal into this format (the ``repro store compact`` command).
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.core.payload import PAYLOAD_VERSION, check_payload_version
 from repro.exceptions import PayloadError, ServiceError
 
-__all__ = ["SegmentedResultStore", "migrate_journal"]
+__all__ = ["SegmentedResultStore"]
 
 _SEGMENT_RE = re.compile(r"^seg-(\d{6})\.jsonl$")
 
@@ -267,14 +264,10 @@ class _Shard:
 class SegmentedResultStore:
     """Sharded, segmented, compacting result store.
 
-    Duck-type compatible with :class:`~repro.service.store.ResultStore`
-    (``get``/``put``/``stats``/``len``/``in``); the differences are the
-    on-disk format (per-shard segment directories under ``root``) and
-    that ``put``'s ``shard`` hint actually routes.
-
     Args:
-        root: journal directory (created if missing).  ``None`` makes the
-            store memory-only — same behaviour, nothing persisted.
+        root: journal directory (created if missing).  ``None`` (the
+            serving tier's default) makes the store memory-only: nothing
+            is persisted and an evicted entry is gone.
         max_entries: memory-tier LRU bound (``None`` unbounded).
             Evictions only drop the fast path: a disk-backed entry
             reloads from its shard on the next ``get``.
@@ -306,7 +299,8 @@ class SegmentedResultStore:
         self.max_segments = max_segments
         self.max_dead_ratio = max_dead_ratio
         self._data: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        #: fingerprint -> shard key (to find evicted entries on disk).
+        #: fingerprint -> shard key (to find evicted entries on disk;
+        #: journaled stores only).
         self._shard_of: Dict[str, str] = {}
         self._shards: Dict[str, _Shard] = {}
         self._lock = threading.Lock()
@@ -358,7 +352,8 @@ class SegmentedResultStore:
     ) -> None:
         self._data[fingerprint] = payload
         self._data.move_to_end(fingerprint)
-        self._shard_of[fingerprint] = shard_key
+        if self.root is not None:
+            self._shard_of[fingerprint] = shard_key
         if self.max_entries is not None:
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
@@ -378,7 +373,7 @@ class SegmentedResultStore:
                 self.hits += 1
                 return json.loads(json.dumps(payload))
             shard_key = self._shard_of.get(fingerprint)
-        if shard_key is None or self.root is None:
+        if shard_key is None:
             with self._lock:
                 self.misses += 1
             return None
@@ -460,34 +455,3 @@ class SegmentedResultStore:
             f"shards={len(self._shards)}, root={self.root!r})"
         )
 
-
-def migrate_journal(legacy_path: str, root: str) -> Dict[str, Any]:
-    """Rewrite a legacy single-file JSONL journal into segment format.
-
-    The one-shot migration behind ``repro store compact``: replays the
-    legacy journal with the same tolerance rules as
-    :class:`~repro.service.store.ResultStore` (torn final line skipped,
-    mid-file corruption fatal, versions checked), routes each live record
-    into a fingerprint-prefix shard under ``root``, and compacts.  The
-    legacy file is left untouched — deleting it is the caller's call.
-
-    Returns a summary dict (records read, live records written, shards).
-    """
-    if not os.path.exists(legacy_path):
-        raise ServiceError(f"no journal at {legacy_path!r}")
-    store = SegmentedResultStore(root=root, max_entries=None)
-    read = 0
-    for fingerprint, payload in _read_segment(
-        legacy_path, tolerate_torn_tail=True
-    ):
-        store.put(fingerprint, payload)
-        read += 1
-    store.compact()
-    stats = store.stats()
-    return {
-        "legacy_path": legacy_path,
-        "root": root,
-        "records_read": read,
-        "records_live": len(store),
-        "shards": len(stats["shards"]),
-    }

@@ -1,8 +1,7 @@
-"""The serving-tier front end: N drain workers under one supervisor.
+"""The serving front end: N drain workers under one supervisor.
 
-:class:`ServiceSupervisor` is the concurrent big sibling of PR 5's
-single-drain :class:`~repro.service.service.MitigationService`.  One
-supervisor owns:
+:class:`ServiceSupervisor` is the job service's only front end (one
+worker is the single-drain deployment).  One supervisor owns:
 
 * the **admission path** — per-tenant rate limiting and trial-budget
   quotas (:mod:`repro.service.tier.quota`) in front of the fair-share
@@ -22,8 +21,9 @@ supervisor owns:
   re-queues when they come due;
 * the **status surface** — per-job event logs
   (:mod:`repro.service.tier.events`) streamed through ``watch()`` /
-  ``awatch()``, and :meth:`tier_stats` aggregating queue, admission,
-  store, per-worker engine, and latency-histogram counters.
+  ``awatch()``, :meth:`tier_stats` aggregating queue, admission, store,
+  and per-worker engine counters, and :meth:`telemetry_snapshot` with
+  every counter and latency histogram of the tier.
 
 Determinism: none of this machinery can change what a job computes.
 Every job runs through the same engine seam as a solo ``Session.run`` —
@@ -44,10 +44,9 @@ from repro.exceptions import ServiceError
 from repro.service.engine import DeviceRegistry, ExecutionEngine, compiler_salt
 from repro.service.job import Job, JobSpec, JobStatus, job_fingerprint, spec_circuit
 from repro.service.queue import FairShareQueue
-from repro.service.store import ResultStore
 from repro.service.tier.events import JobEvent, JobEventLog
+from repro.service.tier.journal import SegmentedResultStore
 from repro.service.tier.quota import AdmissionController, TenantPolicy
-from repro.service.tier.stats import TierStats
 from repro.service.tier.worker import DrainWorker, FaultInjector
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import NULL_TRACER, Span, Tracer
@@ -67,9 +66,9 @@ class ServiceSupervisor:
 
     Args:
         devices: device registry mapping (defaults to the library's).
-        store: shared result store — PR 5's :class:`ResultStore` or the
-            tier's :class:`~repro.service.tier.SegmentedResultStore`
-            (``put``/``get`` duck type).
+        store: shared result store; defaults to a memory-only
+            :class:`~repro.service.tier.SegmentedResultStore` (pass one
+            with a ``root`` directory to memoize across restarts).
         workers: drain-worker count.
         placement: ``"shared"`` (one lane, workers race) or
             ``"round_robin"`` (one lane per worker, submissions dealt in
@@ -130,7 +129,7 @@ class ServiceSupervisor:
         if max_retries < 0:
             raise ServiceError("max_retries must be >= 0")
         self.registry = registry or DeviceRegistry(devices)
-        self.store = store if store is not None else ResultStore()
+        self.store = store if store is not None else SegmentedResultStore()
         self.workers_count = workers
         self.placement = placement
         self.max_batch = max_batch
@@ -165,7 +164,6 @@ class ServiceSupervisor:
         #: :meth:`telemetry_snapshot` is one atomic view of the tier.
         self.metrics = MetricsRegistry()
         self.tracer = Tracer() if tracing else NULL_TRACER
-        self.stats = TierStats(metrics=self.metrics)
         self._jobs: Dict[str, Job] = {}
         self._events: Dict[str, JobEventLog] = {}
         self._lane_of: Dict[str, int] = {}
@@ -191,6 +189,13 @@ class ServiceSupervisor:
         self._failed = self.metrics.counter("tier.failed")
         self._retried = self.metrics.counter("tier.retried")
         self._store_errors = self.metrics.counter("tier.store_errors")
+        self._crashes = self.metrics.counter("tier.worker_crashes")
+        self._batches = self.metrics.counter("tier.batches")
+        self._batch_jobs = self.metrics.counter("tier.batch_jobs")
+        # The engines record prepare/execute/finish on their own
+        # registries; the waits that span threads are the supervisor's.
+        self._queue_wait = self.metrics.histogram("tier.queue_wait")
+        self._job_total = self.metrics.histogram("tier.job_total")
 
     @property
     def submitted(self) -> int:
@@ -222,12 +227,7 @@ class ServiceSupervisor:
 
     def _spawn_worker(self, index: int, generation: int = 0) -> DrainWorker:
         lane = index if self.placement == "round_robin" else 0
-        engine = ExecutionEngine(
-            self.registry,
-            self.store,
-            timers=self.stats,
-            **self._engine_kwargs,
-        )
+        engine = ExecutionEngine(self.registry, self.store, **self._engine_kwargs)
         # Fold the lane's counters (engine + backend pool + shared
         # caches) into the tier registry; the merge dedups the shared
         # DeviceRegistry child by identity across lanes.
@@ -496,13 +496,14 @@ class ServiceSupervisor:
 
     def _begin_batch(self, worker: DrainWorker, batch: List[Job]) -> None:
         now = self._clock()
-        self.stats.record_batch(len(batch))
+        self._batches.add(1)
+        self._batch_jobs.add(len(batch))
         with self._lock:
             self._inflight[worker.name] = list(batch)
         for job in batch:
             enqueued = self._enqueued_at.get(job.job_id)
             if enqueued is not None:
-                self.stats.observe("queue_wait", max(0.0, now - enqueued))
+                self._queue_wait.observe(max(0.0, now - enqueued))
             span, job.queue_span = job.queue_span, None
             self.tracer.end_span(span, worker=worker.name)
             log = self._events.get(job.job_id)
@@ -531,7 +532,7 @@ class ServiceSupervisor:
             self._deadline_of.pop(job.job_id, None)
             if enqueued is not None:
                 self._open_jobs -= 1
-                self.stats.observe("job_total", max(0.0, now - enqueued))
+                self._job_total.observe(max(0.0, now - enqueued))
             log = self._events.get(job.job_id)
             self._job_done.notify_all()
         self.tracer.end_span(job.trace, status="done", source=source)
@@ -579,7 +580,6 @@ class ServiceSupervisor:
             delay = self.backoff_base * (2 ** (job.attempts - 1))
             self._delayed.append((now + delay, job))
             self._retried.add(1)
-            self.stats.record_retry()
             job.status = JobStatus.QUEUED
             log = self._events.get(job.job_id)
         if log is not None:
@@ -623,7 +623,7 @@ class ServiceSupervisor:
         for position, worker in enumerate(list(self._workers)):
             if worker.alive or worker.crashed is None:
                 continue
-            self.stats.record_crash()
+            self._crashes.add(1)
             with self._lock:
                 stranded = self._inflight.pop(worker.name, [])
             for job in stranded:
@@ -661,6 +661,9 @@ class ServiceSupervisor:
                 "executed": registry_counters.get("tier.executed", 0),
                 "failed": registry_counters.get("tier.failed", 0),
                 "retried": registry_counters.get("tier.retried", 0),
+                "worker_crashes": registry_counters.get(
+                    "tier.worker_crashes", 0
+                ),
                 "store_errors": registry_counters.get("tier.store_errors", 0),
                 "delayed_requeues": len(self._delayed),
             }
@@ -670,7 +673,7 @@ class ServiceSupervisor:
                     "lane": worker.lane,
                     "alive": worker.alive,
                     "generation": worker.generation,
-                    "batches": worker.batches,
+                    "batches": worker.engine.batches,
                     "engine": worker.engine.stats(),
                 }
                 for worker in self._workers
@@ -683,7 +686,6 @@ class ServiceSupervisor:
             "admission": self.admission.stats(),
             "store": self.store.stats(),
             "compiler": self.registry.compiler_stats(),
-            "latency": self.stats.snapshot(),
             "registry": {"counters": registry_counters},
         }
 

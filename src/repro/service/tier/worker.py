@@ -74,9 +74,6 @@ class DrainWorker:
             else f"worker-{index}.r{generation}"
         )
         self.crashed: Optional[BaseException] = None
-        # Registry-backed so tier_stats never reads a torn count while
-        # the loop increments.
-        self._batches = engine.metrics.counter("worker.batches")
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name=f"tier-{self.name}", daemon=True
@@ -98,10 +95,6 @@ class DrainWorker:
     def alive(self) -> bool:
         return self._thread.is_alive()
 
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
@@ -113,7 +106,6 @@ class DrainWorker:
             )
             if not batch:
                 continue
-            self._batches.add(1)
             self.supervisor._begin_batch(self, batch)
             try:
                 if self.fault_injector is not None:

@@ -11,8 +11,8 @@ admission -> queue -> compile -> stacked-execute -> reconstruct:
   JSON (Perfetto flame graphs), Prometheus text snapshots.
 
 The legacy ``pipeline_stats()`` / ``execution_stats()`` /
-``service_stats()`` / ``tier_stats()`` surfaces remain as thin adapter
-views over this layer (see ARCHITECTURE.md, "Telemetry").
+``tier_stats()`` surfaces remain as thin adapter views over this layer
+(see ARCHITECTURE.md, "Telemetry").
 """
 
 from repro.telemetry.export import (

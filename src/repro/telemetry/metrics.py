@@ -36,8 +36,6 @@ __all__ = [
 ]
 
 #: Log-spaced upper bounds (seconds): 100us .. ~1.6e3 s, x4 per bucket.
-#: Shared with the serving tier's ``LatencyHistogram`` (which is now an
-#: alias of :class:`Histogram`).
 DEFAULT_LATENCY_BOUNDS = tuple(1e-4 * 4**i for i in range(13))
 
 #: The percentiles every histogram snapshot reports.
@@ -105,9 +103,9 @@ class Histogram:
     Buckets are non-cumulative (each observation lands in exactly one
     bucket, keyed by its upper bound; overflows land in ``inf``), which
     keeps snapshots human-readable in ``--stats-json`` output.  The
-    snapshot shape is the serving tier's historical ``LatencyHistogram``
-    shape plus a ``quantiles`` block (p50/p95/p99, linearly interpolated
-    within the landing bucket).
+    snapshot carries count, sum, mean, min/max, the buckets, and a
+    ``quantiles`` block (p50/p95/p99, linearly interpolated within the
+    landing bucket).
     """
 
     def __init__(

@@ -10,8 +10,8 @@ threads), so the stage store must keep two promises under contention:
   the compute exactly once (`stage_get_or_compute`'s per-key locks), the
   guarantee behind the route-once invariant at any worker count.
 
-The :class:`ResultStore` gets the same treatment for the service's
-memoization path.
+The :class:`SegmentedResultStore` gets the same treatment for the
+service's memoization path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.runtime import CompilationCache
-from repro.service import ResultStore
+from repro.service.tier import SegmentedResultStore
 
 THREADS = 16
 KEYS = 8
@@ -140,7 +140,7 @@ class TestStageStoreHammering:
 
 class TestResultStoreHammering:
     def test_concurrent_put_get_counters_consistent(self, tmp_path):
-        store = ResultStore(path=str(tmp_path / "store.jsonl"))
+        store = SegmentedResultStore(root=str(tmp_path / "store"))
         gets_per_thread = KEYS * ROUNDS
 
         def worker(thread_index: int) -> None:
@@ -157,7 +157,7 @@ class TestResultStoreHammering:
         assert stats["hits"] + stats["misses"] == THREADS * gets_per_thread
         assert stats["entries"] == KEYS
         # The journal replays to the same state (duplicates collapse).
-        reloaded = ResultStore(path=str(tmp_path / "store.jsonl"))
+        reloaded = SegmentedResultStore(root=str(tmp_path / "store"))
         for key_index in range(KEYS):
             assert reloaded.get(f"fp-{key_index}") == {
                 "value": key_index,
@@ -165,7 +165,7 @@ class TestResultStoreHammering:
             }
 
     def test_concurrent_eviction_keeps_bound(self):
-        store = ResultStore(max_entries=4)
+        store = SegmentedResultStore(max_entries=4)
 
         def worker(thread_index: int) -> None:
             for key_index in range(64):

@@ -1,13 +1,16 @@
 """The multi-tenant job service: determinism, admission, memoization.
 
-The load-bearing claim (ISSUE acceptance criteria): for fixed seeds, a
-result fetched from :class:`MitigationService` is **bit-for-bit** equal
-to a solo ``Session.run`` of the same spec — for every scheme, across
-arrival orders, batch compositions, and execution worker counts.
+The load-bearing claim: for fixed seeds, a result fetched from the
+:class:`ServiceSupervisor` is **bit-for-bit** equal to a solo
+``Session.run`` of the same spec — for every scheme, across arrival
+orders, batch compositions, and execution worker counts.  Most tests run
+the single-drain deployment: one drain worker, fed the whole stream
+before it starts, so the batches it drains are fixed by ``max_batch``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
@@ -16,33 +19,42 @@ import pytest
 from repro.devices import ibmq_toronto
 from repro.exceptions import AdmissionError, ServiceError
 from repro.runtime import Session
-from repro.service import (
-    FairShareQueue,
-    Job,
-    JobSpec,
-    JobStatus,
-    MitigationService,
-    ResultStore,
-)
+from repro.service import FairShareQueue, Job, JobSpec, JobStatus
+from repro.service.engine import ExecutionEngine
 from repro.service.job import job_fingerprint, resolve_spec_circuit
+from repro.service.tier import SegmentedResultStore, ServiceSupervisor
 from repro.workloads import workload_by_name
 
+#: The coalescing window of the drained tiers below: wide enough that
+#: every stream here drains as one batch.
+MAX_BATCH = 32
 
-def solo_payload(spec: JobSpec, service: MitigationService) -> dict:
+
+def solo_payload(spec: JobSpec) -> dict:
     """The payload a solo, equally-parameterised session produces."""
     with Session(
         ibmq_toronto(),
         seed=spec.seed,
         total_trials=spec.total_trials,
         exact=spec.exact,
-        compile_attempts=service.compile_attempts,
-        cpm_attempts=service.cpm_attempts,
-        ensemble_size=service.ensemble_size,
     ) as session:
         workload = workload_by_name(spec.workload)
         prepared = session.prepare_scheme(spec.scheme, workload)
         result = session._run_prepared(prepared)
-        return MitigationService._payload(spec, result)
+        return ExecutionEngine._payload(spec, result)
+
+
+@contextlib.contextmanager
+def drained_tier(specs, max_batch=MAX_BATCH, **kwargs):
+    """A one-worker tier fed every spec before it starts, then drained."""
+    supervisor = ServiceSupervisor(workers=1, max_batch=max_batch, **kwargs)
+    try:
+        jobs = [supervisor.submit(spec) for spec in specs]
+        supervisor.start()
+        supervisor.stop(drain=True, timeout=300)
+        yield supervisor, jobs
+    finally:
+        supervisor.close()
 
 
 class TestJobSpec:
@@ -129,8 +141,12 @@ class TestFairShareQueue:
 
 
 class TestResultStore:
+    """The service's store: memory-only by default, LRU-bounded, and
+    journaled under ``root`` in fingerprint-prefix shards when the
+    writer gives no device hint."""
+
     def test_roundtrip_and_counters(self):
-        store = ResultStore()
+        store = SegmentedResultStore()
         assert store.get("fp") is None
         store.put("fp", {"scheme": "jigsaw", "x": [1, 2]})
         payload = store.get("fp")
@@ -139,46 +155,48 @@ class TestResultStore:
         assert store.stats()["hits"] == 1 and store.stats()["misses"] == 1
 
     def test_lru_eviction(self):
-        store = ResultStore(max_entries=2)
+        store = SegmentedResultStore(max_entries=2)
         store.put("a", {"v": 1})
         store.put("b", {"v": 2})
         assert store.get("a")["v"] == 1  # refresh a
         store.put("c", {"v": 3})  # evicts b (LRU)
         assert "b" not in store and "a" in store and "c" in store
+        assert store.get("b") is None
         assert store.stats()["evictions"] == 1
 
     def test_disk_roundtrip(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        store = ResultStore(path=path)
+        root = str(tmp_path / "store")
+        store = SegmentedResultStore(root=root)
         store.put("fp1", {"scheme": "baseline", "v": 1})
         store.put("fp2", {"scheme": "jigsaw", "v": 2})
         store.put("fp1", {"scheme": "baseline", "v": 10})  # update wins
 
-        reloaded = ResultStore(path=path)
+        reloaded = SegmentedResultStore(root=root)
         assert reloaded.get("fp1")["v"] == 10
         assert reloaded.get("fp2")["v"] == 2
-        assert reloaded.stats()["loaded"] == 3
+        assert reloaded.stats()["loaded"] == 2
 
     def test_torn_final_line_is_ignored(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        store = ResultStore(path=path)
+        root = tmp_path / "store"
+        store = SegmentedResultStore(root=str(root))
         store.put("fp1", {"v": 1})
-        with open(path, "a") as handle:
+        (segment,) = (root / "fp-fp").glob("seg-*.jsonl")
+        with open(segment, "a") as handle:
             handle.write('{"fingerprint": "fp2", "payl')  # crash artifact
-        reloaded = ResultStore(path=path)
+        reloaded = SegmentedResultStore(root=str(root))
         assert reloaded.get("fp1")["v"] == 1
         assert "fp2" not in reloaded
 
     def test_refuses_future_payload_version(self, tmp_path):
-        path = str(tmp_path / "results.jsonl")
-        with open(path, "w") as handle:
-            handle.write(
-                '{"fingerprint": "fp", "payload_version": 99, "payload": {}}\n'
-            )
+        shard = tmp_path / "store" / "fp-fp"
+        shard.mkdir(parents=True)
+        (shard / "seg-000001.jsonl").write_text(
+            '{"fingerprint": "fp", "payload_version": 99, "payload": {}}\n'
+        )
         from repro.exceptions import PayloadError
 
         with pytest.raises(PayloadError, match="payload_version 99"):
-            ResultStore(path=path)
+            SegmentedResultStore(root=str(tmp_path / "store"))
 
 
 @pytest.fixture(scope="module")
@@ -196,15 +214,12 @@ def exact_specs():
 
 @pytest.fixture(scope="module")
 def solo_payloads(exact_specs):
-    service = MitigationService()  # only for knob defaults
-    return [solo_payload(spec, service) for spec in exact_specs]
+    return [solo_payload(spec) for spec in exact_specs]
 
 
 class TestServiceDeterminism:
     def run_service(self, specs, **kwargs):
-        with MitigationService(**kwargs) as service:
-            jobs = [service.submit(spec) for spec in specs]
-            service.drain()
+        with drained_tier(specs, **kwargs) as (_, jobs):
             for job in jobs:
                 assert job.status is JobStatus.DONE, job.error
             return [job.result for job in jobs]
@@ -225,7 +240,9 @@ class TestServiceDeterminism:
         )
 
     def test_worker_count_irrelevant(self, exact_specs, solo_payloads):
-        assert self.run_service(exact_specs, workers=4) == solo_payloads
+        assert (
+            self.run_service(exact_specs, backend_workers=4) == solo_payloads
+        )
 
     def test_sampled_mode_matches_solo(self):
         specs = [
@@ -234,9 +251,8 @@ class TestServiceDeterminism:
             JobSpec(tenant="b", workload="BV-4", total_trials=1024,
                     seed=5, exact=False, scheme="baseline"),
         ]
-        with MitigationService(workers=3) as service:
-            solos = [solo_payload(spec, service) for spec in specs]
-        assert self.run_service(specs, workers=3) == solos
+        solos = [solo_payload(spec) for spec in specs]
+        assert self.run_service(specs, backend_workers=3) == solos
         # And merged vs per-job batches agree in sampled mode too.
         assert self.run_service(specs, max_batch=1) == solos
 
@@ -249,26 +265,24 @@ class TestServiceDeterminism:
                 "mbm", "jigsaw_mbm",
             )
         ]
-        with MitigationService() as service:
-            solos = [solo_payload(spec, service) for spec in specs]
+        solos = [solo_payload(spec) for spec in specs]
         assert self.run_service(specs) == solos
 
 
 class TestServiceBehaviour:
     def test_memoization_within_and_across_drains(self):
         spec = JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
-        with MitigationService() as service:
-            first = service.submit(spec)
-            duplicate = service.submit(spec.with_tenant("b"))
-            service.drain()
+        with drained_tier([spec, spec.with_tenant("b")]) as (
+            supervisor, (first, duplicate)
+        ):
             assert first.source == "executed"
             assert duplicate.source == "memoized"
             assert duplicate.result == first.result
             # Resubmission after the drain returns instantly, no queueing.
-            instant = service.submit(spec)
+            instant = supervisor.submit(spec)
             assert instant.status is JobStatus.DONE
             assert instant.source == "memoized"
-            stats = service.service_stats()["jobs"]
+            stats = supervisor.tier_stats()["jobs"]
             assert stats["executed"] == 1 and stats["memoized"] == 2
 
     def test_cross_job_coalescing_reduces_executions(self):
@@ -278,11 +292,9 @@ class TestServiceBehaviour:
             JobSpec(tenant=t, workload="GHZ-4", total_trials=n, seed=0)
             for t, n in (("a", 1024), ("b", 2048), ("c", 4096))
         ]
-        with MitigationService() as service:
-            for spec in specs:
-                service.submit(spec)
-            service.drain()
-            backend = service.service_stats()["backend"]
+        with drained_tier(specs) as (supervisor, _):
+            (worker,) = supervisor.tier_stats()["workers"]
+            backend = worker["engine"]["backend"]
             assert backend["spliced_parts"] == 3
             assert backend["requests"] == 3 * backend["channel_evals"]
             assert backend["coalesced_requests"] == backend["requests"] - backend["channel_evals"]
@@ -298,22 +310,22 @@ class TestServiceBehaviour:
                     scheme=scheme)
             for scheme in ("baseline", "jigsaw", "jigsaw_m")
         ]
-        with MitigationService() as service:
-            jobs = [service.submit(spec) for spec in specs]
-            service.drain()
+        with drained_tier(specs) as (_, jobs):
             for job in jobs:
                 assert job.status is JobStatus.DONE, job.error
                 assert json.loads(json.dumps(job.result)) == job.result
 
     def test_disk_store_survives_service_restart(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
+        root = str(tmp_path / "store")
         spec = JobSpec(tenant="a", workload="BV-4", total_trials=1024)
-        with MitigationService(store=ResultStore(path=path)) as service:
-            job = service.submit(spec)
-            service.drain()
+        with drained_tier(
+            [spec], store=SegmentedResultStore(root=root)
+        ) as (_, (job,)):
             executed_payload = job.result
-        with MitigationService(store=ResultStore(path=path)) as service:
-            job = service.submit(spec)
+        with ServiceSupervisor(
+            workers=1, store=SegmentedResultStore(root=root)
+        ) as supervisor:
+            job = supervisor.submit(spec)
             assert job.status is JobStatus.DONE
             assert job.source == "memoized"
             assert job.result == executed_payload
@@ -323,43 +335,38 @@ class TestServiceBehaviour:
         # fires at preparation, before any compilation happens.
         spec = JobSpec(tenant="a", workload="GHZ-18", scheme="mbm",
                        total_trials=1024)
-        with MitigationService() as service:
-            job = service.submit(spec)
-            service.drain()
+        with drained_tier([spec]) as (supervisor, (job,)):
             assert job.status is JobStatus.FAILED
             assert "MBM" in job.error
             with pytest.raises(ServiceError, match="failed"):
-                service.result(job)
+                supervisor.result(job)
 
-    def test_store_failure_costs_memoization_not_results(self, tmp_path):
+    def test_store_failure_costs_memoization_not_results(self):
         # A store that cannot persist must not fail jobs or kill the
         # worker — the computed result still reaches the caller.
-        store = ResultStore(path=str(tmp_path / "store.jsonl"))
-        store.path = str(tmp_path / "no-such-dir" / "store.jsonl")
-        with MitigationService(store=store) as service:
-            job = service.submit(
-                JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
-            )
-            service.drain()
+        class FullDisk(SegmentedResultStore):
+            def put(self, fingerprint, payload, shard=None):
+                raise OSError("no space left on device")
+
+        spec = JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
+        with drained_tier([spec], store=FullDisk()) as (supervisor, (job,)):
             assert job.status is JobStatus.DONE, job.error
-            assert service.service_stats()["jobs"]["store_errors"] == 1
+            assert supervisor.tier_stats()["jobs"]["store_errors"] == 1
 
     def test_memoized_result_is_isolated_from_caller_mutation(self):
         spec = JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
-        with MitigationService() as service:
-            first = service.submit(spec)
-            service.drain()
-            pristine = service.submit(spec.with_tenant("b")).result
+        with drained_tier([spec]) as (supervisor, (first,)):
+            pristine = supervisor.submit(spec.with_tenant("b")).result
             # Vandalise the served copy; the store entry must not notice.
             pristine["output_pmf"]["probs"][0] = 123.0
-            again = service.submit(spec.with_tenant("c")).result
+            again = supervisor.submit(spec.with_tenant("c")).result
             assert again["output_pmf"]["probs"][0] != 123.0
             assert again == first.result
 
     def test_unknown_device_rejected_at_submit(self):
-        with MitigationService() as service:
+        with ServiceSupervisor(workers=1) as supervisor:
             with pytest.raises(ServiceError, match="unknown device"):
-                service.submit(
+                supervisor.submit(
                     JobSpec(tenant="a", workload="GHZ-4", device="nope")
                 )
 
@@ -371,53 +378,48 @@ class TestServiceBehaviour:
             "measure q -> c;\n"
         )
         spec = JobSpec(tenant="a", qasm=qasm, total_trials=1024)
-        with MitigationService() as service:
-            job = service.submit(spec)
-            service.drain()
+        with drained_tier([spec]) as (_, (job,)):
             assert job.status is JobStatus.DONE, job.error
             assert job.result["scheme"] == "jigsaw"
 
     def test_service_smoke_submit_poll_fetch(self):
         """The worker-loop smoke: submit -> poll -> fetch, hard timeout."""
-        with MitigationService() as service:
-            service.start()
-            job = service.submit(
+        with ServiceSupervisor(workers=1) as supervisor:
+            job = supervisor.submit(
                 JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
             )
             deadline = time.monotonic() + 60.0
             while not job.done and time.monotonic() < deadline:
                 time.sleep(0.01)
-            settled = service.wait(job.job_id, timeout=60.0)
+            settled = supervisor.wait(job.job_id, timeout=60.0)
             assert settled.status is JobStatus.DONE, settled.error
-            payload = service.result(job.job_id)
+            payload = supervisor.result(job.job_id)
             assert payload["scheme"] == "jigsaw"
-            service.stop()
-
-    def test_drain_refused_while_worker_runs(self):
-        with MitigationService() as service:
-            service.start()
-            with pytest.raises(ServiceError, match="worker thread"):
-                service.drain()
 
     def test_wait_timeout(self):
-        with MitigationService() as service:
-            job = service.submit(
+        # Never started: the job stays queued and wait() gives up.
+        supervisor = ServiceSupervisor(workers=1)
+        try:
+            job = supervisor.submit(
                 JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
             )
             with pytest.raises(ServiceError, match="timed out"):
-                service.wait(job, timeout=0.01)
+                supervisor.wait(job, timeout=0.01)
+        finally:
+            supervisor.close()
 
     def test_concurrent_submitters_one_worker(self):
         """Many submitting threads, one worker loop: all jobs settle and
         every result matches its fingerprint-identical peers."""
-        with MitigationService(capacity=64, fair_share=1.0) as service:
-            service.start()
+        with ServiceSupervisor(
+            workers=1, capacity=64, fair_share=1.0
+        ) as supervisor:
             jobs, errors = [], []
             lock = threading.Lock()
 
             def submit(tenant):
                 try:
-                    job = service.submit(
+                    job = supervisor.submit(
                         JobSpec(tenant=tenant, workload="GHZ-4",
                                 total_trials=1024, seed=0)
                     )
@@ -437,7 +439,7 @@ class TestServiceBehaviour:
                 t.join()
             assert not errors
             for job in jobs:
-                service.wait(job, timeout=120.0)
+                supervisor.wait(job, timeout=120.0)
             payloads = {id(j): j.result for j in jobs}
             reference = jobs[0].result
             assert all(p == reference for p in payloads.values())

@@ -31,7 +31,8 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.runtime import Session
-from repro.service import JobSpec, MitigationService
+from repro.service import JobSpec
+from repro.service.engine import ExecutionEngine
 from repro.service.job import SERVICE_SCHEMES, JobStatus
 from repro.service.queue import FairShareQueue
 from repro.service.tier import (
@@ -40,7 +41,6 @@ from repro.service.tier import (
     TenantPolicy,
     TokenBucket,
 )
-from repro.service.tier.stats import LatencyHistogram, TierStats
 from repro.workloads import workload_by_name
 
 DEVICES = {"toronto": ibmq_toronto}
@@ -62,7 +62,7 @@ def solo_payload(spec: JobSpec, supervisor: ServiceSupervisor) -> dict:
         workload = workload_by_name(spec.workload)
         prepared = session.prepare_scheme(spec.scheme, workload)
         result = session._run_prepared(prepared)
-        return MitigationService._payload(spec, result)
+        return ExecutionEngine._payload(spec, result)
 
 
 def spec(i=0, tenant="a", workload="GHZ-4", scheme="baseline", **kw):
@@ -156,7 +156,7 @@ class TestCrashReplay:
             assert "retrying" in kinds and "requeued" in kinds
             assert kinds[-1] == "done"
             stats = sup.tier_stats()
-            assert stats["latency"]["worker_crashes"] >= 1
+            assert stats["jobs"]["worker_crashes"] >= 1
             assert stats["jobs"]["retried"] >= 1
             # Crashed lanes were respawned: the pool is whole again.
             assert all(w["alive"] for w in stats["workers"])
@@ -202,6 +202,35 @@ class TestCrashReplay:
             assert "retrying" not in kinds
             with pytest.raises(ServiceError, match="failed"):
                 sup.result(job)
+
+    def test_over_cap_job_fails_alone(self):
+        """A job over the simulator's qubit cap fails terminally at its
+        own prepare step; its batch-mates run as if it were absent."""
+        small = [spec(0, tenant=t, scheme="baseline") for t in "abc"]
+        over_cap = spec(0, tenant="d", workload="GHZ-25", scheme="baseline")
+        sup = ServiceSupervisor(devices=DEVICES, workers=1, max_batch=32)
+        try:
+            jobs = [sup.submit(s) for s in small + [over_cap]]
+            sup.start()
+            sup.stop(drain=True, timeout=300)
+            *done, failed = jobs
+            assert failed.status is JobStatus.FAILED
+            assert "exceeds the 24-qubit limit" in failed.error
+            assert failed.attempts == 0
+            for s, job in zip(small, done):
+                assert job.status is JobStatus.DONE, job.error
+                with Session(
+                    DEVICES[s.device](), seed=s.seed,
+                    total_trials=s.total_trials, exact=s.exact,
+                ) as session:
+                    solo = session.run_scheme(
+                        s.scheme, workload_by_name(s.workload)
+                    )
+                assert job.result == ExecutionEngine._payload(s, solo)
+            counters = sup.telemetry_snapshot()["counters"]
+            assert counters["tier.retried"] == 0
+        finally:
+            sup.close()
 
     def test_graceful_drain_settles_everything(self):
         sup = ServiceSupervisor(devices=DEVICES, workers=2)
@@ -265,12 +294,17 @@ class TestEventsAndAsync:
             sup.wait(sup.submit(spec(8)), timeout=300)
             stats = sup.tier_stats()
             assert stats["jobs"]["executed"] == 1
+            assert stats["jobs"]["worker_crashes"] == 0
             assert len(stats["workers"]) == 2
-            latency = stats["latency"]
-            assert latency["batches"] >= 1
-            assert latency["avg_batch_occupancy"] >= 1
-            for stage in ("queue_wait", "prepare", "execute", "job_total"):
-                assert latency["stages"][stage]["count"] >= 1
+            assert sum(w["batches"] for w in stats["workers"]) >= 1
+            # Latency lives in the registry, one histogram per stage.
+            telemetry = sup.telemetry_snapshot()
+            counters = telemetry["counters"]
+            assert counters["tier.batch_jobs"] >= counters["tier.batches"] >= 1
+            for stage in (
+                "queue_wait", "prepare", "execute", "finish", "job_total"
+            ):
+                assert telemetry["histograms"][f"tier.{stage}"]["count"] >= 1
 
 
 class TestAdmission:
@@ -418,25 +452,44 @@ def _job(tenant, seed=0):
 
 
 class TestStats:
-    def test_histogram_buckets_and_moments(self):
-        histogram = LatencyHistogram(bounds=[0.1, 1.0])
-        for value in (0.05, 0.5, 5.0):
-            histogram.observe(value)
-        snap = histogram.snapshot()
-        assert snap["count"] == 3
-        assert snap["min_seconds"] == 0.05
-        assert snap["max_seconds"] == 5.0
-        assert snap["mean_seconds"] == pytest.approx(5.55 / 3)
-        assert snap["buckets"] == {"le_0.1": 1, "le_1": 1, "inf": 1}
+    """The tier's counters and stage histograms after one drained run."""
 
-    def test_tier_stats_counters(self):
-        stats = TierStats()
-        stats.record_batch(3)
-        stats.record_batch(1)
-        stats.record_retry()
-        stats.observe("execute", 0.25)
-        snap = stats.snapshot()
-        assert snap["batches"] == 2
-        assert snap["avg_batch_occupancy"] == 2.0
-        assert snap["retries"] == 1
-        assert snap["stages"]["execute"]["count"] == 1
+    @pytest.fixture(scope="class")
+    def drained(self):
+        # One worker fed four jobs before it starts, three per batch:
+        # two batches (3 + 1), each timed once per stage.
+        sup = ServiceSupervisor(devices=DEVICES, workers=1, max_batch=3)
+        try:
+            jobs = [sup.submit(spec(i)) for i in range(4)]
+            sup.start()
+            sup.stop(drain=True, timeout=300)
+            assert all(job.status is JobStatus.DONE for job in jobs)
+            return sup.tier_stats(), sup.telemetry_snapshot()
+        finally:
+            sup.close()
+
+    def test_histogram_buckets_and_moments(self, drained):
+        _, telemetry = drained
+        histograms = telemetry["histograms"]
+        for stage in ("prepare", "execute", "finish"):
+            snap = histograms[f"tier.{stage}"]
+            assert snap["count"] == 2
+            assert sum(snap["buckets"].values()) == 2
+            assert (
+                0.0
+                <= snap["min_seconds"]
+                <= snap["mean_seconds"]
+                <= snap["max_seconds"]
+            )
+        assert histograms["tier.queue_wait"]["count"] == 4
+        assert histograms["tier.job_total"]["count"] == 4
+
+    def test_tier_stats_counters(self, drained):
+        stats, telemetry = drained
+        counters = telemetry["counters"]
+        assert counters["tier.batches"] == 2
+        assert counters["tier.batch_jobs"] == 4
+        (worker,) = stats["workers"]
+        assert worker["batches"] == counters["engine.batches"] == 2
+        assert stats["jobs"]["retried"] == counters["tier.retried"] == 0
+        assert stats["jobs"]["worker_crashes"] == 0

@@ -12,7 +12,8 @@ import pytest
 
 from repro.exceptions import ExperimentError, ServiceError
 from repro.runtime import SCHEME_NAMES, Session
-from repro.service import JobSpec, MitigationService, SweepJobSpec, job_fingerprint
+from repro.service import JobSpec, SweepJobSpec, job_fingerprint
+from repro.service.tier import ServiceSupervisor
 from repro.workloads import ghz, ising, qaoa_maxcut
 from repro.workloads.probe import probe_circuit
 from repro.workloads.suite import workload_by_name
@@ -200,9 +201,8 @@ class TestSweepJobs:
         from repro.devices.library import DEVICE_FACTORIES
 
         spec = self.spec()
-        with MitigationService() as service:
-            job = service.submit(spec)
-            service.drain()
+        with ServiceSupervisor(workers=1) as supervisor:
+            job = supervisor.wait(supervisor.submit(spec), timeout=300)
         assert job.status.value == "done"
 
         session = Session(
@@ -216,18 +216,16 @@ class TestSweepJobs:
 
     def test_service_memoizes_sweeps(self):
         spec = self.spec()
-        with MitigationService() as service:
-            first = service.submit(spec)
-            service.drain()
-            second = service.submit(spec)
+        with ServiceSupervisor(workers=1) as supervisor:
+            first = supervisor.wait(supervisor.submit(spec), timeout=300)
+            second = supervisor.submit(spec)
         assert first.source == "executed"
         assert second.source == "memoized"
         assert second.result == first.result
 
     def test_unsweepable_workload_fails_job(self):
         spec = self.spec(workload="GHZ-8")
-        with MitigationService() as service:
-            job = service.submit(spec)
-            service.drain()
+        with ServiceSupervisor(workers=1) as supervisor:
+            job = supervisor.wait(supervisor.submit(spec), timeout=300)
         assert job.status.value == "failed"
         assert "template" in (job.error or "")

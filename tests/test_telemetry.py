@@ -22,7 +22,6 @@ import pytest
 
 from repro.devices import device_by_name
 from repro.runtime import Session
-from repro.service import MitigationService
 from repro.service.tier import ServiceSupervisor
 from repro.service.tier.events import JobEventLog
 from repro.telemetry import (
@@ -603,17 +602,17 @@ class TestTracedService:
             counters["cache.plan_misses"]
             == stats["compiler"]["plan_misses"]
         )
-        # Latency histograms come from the same registry instruments.
-        assert (
-            stats["latency"]["stages"]["job_total"]["count"]
-            == telemetry["histograms"]["tier.job_total"]["count"]
-        )
+        assert jobs["worker_crashes"] == counters["tier.worker_crashes"] == 0
+        # Only the executed job waited in the queue.
+        assert telemetry["histograms"]["tier.job_total"]["count"] == 1
 
     def test_worker_batches_registry_backed(self, traced_run):
         _, _, _, stats, telemetry = traced_run
-        assert telemetry["counters"]["worker.batches"] == sum(
+        counters = telemetry["counters"]
+        assert counters["engine.batches"] == sum(
             worker["batches"] for worker in stats["workers"]
         )
+        assert counters["engine.batches"] == counters["tier.batches"]
 
 
 class TestTracedSweep:
@@ -717,10 +716,11 @@ class TestStatsConsistency:
         )
         assert counters["backend.channel_evals"] == execution["channel_evals"]
 
-    def test_service_stats_agree_with_registry(self):
-        with MitigationService() as service:
+    def test_tier_stats_agree_with_registry(self):
+        supervisor = ServiceSupervisor(workers=1)
+        try:
             for seed in (0, 0, 1):
-                service.submit(
+                supervisor.submit(
                     {
                         "tenant": "t",
                         "workload": "GHZ-4",
@@ -729,17 +729,21 @@ class TestStatsConsistency:
                         "seed": seed,
                     }
                 )
-            service.drain()
-            stats = service.service_stats()
-            telemetry = service.telemetry_snapshot()
+            supervisor.start()
+            supervisor.stop(drain=True, timeout=120)
+            stats = supervisor.tier_stats()
+            telemetry = supervisor.telemetry_snapshot()
+        finally:
+            supervisor.close()
         counters = telemetry["counters"]
         jobs = stats["jobs"]
-        assert jobs["submitted"] == counters["service.submitted"] == 3
-        assert jobs["executed"] == counters["service.executed"]
-        assert jobs["memoized"] == counters["service.memoized"]
-        assert jobs["batches"] == counters["service.batches"]
+        assert jobs["submitted"] == counters["tier.submitted"] == 3
+        assert jobs["executed"] == counters["tier.executed"]
+        assert jobs["memoized"] == counters["tier.memoized"]
+        (worker,) = stats["workers"]
+        assert worker["batches"] == counters["tier.batches"] == 1
         assert stats["registry"]["counters"] == counters
-        for name, value in stats["backend"].items():
+        for name, value in worker["engine"]["backend"].items():
             if name == "coalesced_requests":
                 continue  # derived, not a registry counter
             assert counters[f"backend.{name}"] == value, name

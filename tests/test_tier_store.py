@@ -1,11 +1,10 @@
-"""The sharded segmented journal: rolling, compaction, replay, migration.
+"""The sharded segmented journal: rolling, compaction, replay.
 
 Covers the serving tier's :class:`SegmentedResultStore` durability
 contract: shard routing by device fingerprint, size-triggered segment
 rolls, compaction (count- and dead-ratio-triggered, and forced), restart
 replay with later-records-win, torn-tail tolerance on the active segment
-only, payload-version checks, and the ``migrate_journal`` path that
-``repro store compact`` exposes for legacy single-file journals.
+only, and payload-version checks.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ import pytest
 
 from repro.core.payload import PAYLOAD_VERSION
 from repro.exceptions import PayloadError, ServiceError
-from repro.service.store import ResultStore
-from repro.service.tier import SegmentedResultStore, migrate_journal
+from repro.service.tier import SegmentedResultStore
 
 
 def payload(i: int) -> dict:
@@ -207,60 +205,3 @@ class TestReplay:
                 "fp1", {"payload_version": PAYLOAD_VERSION + 1}, shard="devA"
             )
 
-
-class TestMigration:
-    def test_legacy_journal_roundtrip(self, tmp_path):
-        legacy_path = str(tmp_path / "legacy.jsonl")
-        legacy = ResultStore(path=legacy_path)
-        for i in range(12):
-            legacy.put(f"fp{i:02d}", payload(i))
-        for i in range(4):
-            legacy.put(f"fp{i:02d}", payload(i + 100))  # updates
-        root = str(tmp_path / "segmented")
-        summary = migrate_journal(legacy_path, root)
-        assert summary["records_read"] == 16
-        assert summary["records_live"] == 12
-        migrated = SegmentedResultStore(root=root)
-        # Bit-for-bit the legacy store's view, later records winning.
-        for i in range(12):
-            fingerprint = f"fp{i:02d}"
-            assert migrated.get(fingerprint) == legacy.get(fingerprint)
-        # Migration ends compacted: one segment per shard.
-        for shard in os.listdir(root):
-            assert len(segments_of(root, shard)) == 1
-
-    def test_migration_tolerates_torn_legacy_tail(self, tmp_path):
-        legacy_path = str(tmp_path / "legacy.jsonl")
-        legacy = ResultStore(path=legacy_path)
-        legacy.put("fp1", payload(1))
-        with open(legacy_path, "a") as handle:
-            handle.write('{"fingerprint": "torn')
-        summary = migrate_journal(legacy_path, str(tmp_path / "segmented"))
-        assert summary["records_read"] == 1
-
-    def test_migration_missing_journal(self, tmp_path):
-        with pytest.raises(ServiceError, match="no journal"):
-            migrate_journal(str(tmp_path / "nope.jsonl"), str(tmp_path / "s"))
-
-    def test_service_reads_what_migration_wrote(self, tmp_path):
-        """End to end: a tier store built on a migrated journal memoizes
-        the jobs the legacy store had finished."""
-        from repro.devices import ibmq_toronto
-        from repro.service import JobSpec, MitigationService
-
-        legacy_path = str(tmp_path / "legacy.jsonl")
-        spec = JobSpec(tenant="a", workload="GHZ-4", seed=1)
-        with MitigationService(
-            devices={"toronto": ibmq_toronto},
-            store=ResultStore(path=legacy_path),
-        ) as service:
-            executed = service.submit(spec)
-            service.drain()
-        migrate_journal(legacy_path, str(tmp_path / "segmented"))
-        with MitigationService(
-            devices={"toronto": ibmq_toronto},
-            store=SegmentedResultStore(root=str(tmp_path / "segmented")),
-        ) as service:
-            job = service.submit(spec)
-            assert job.source == "memoized"
-            assert job.result == executed.result

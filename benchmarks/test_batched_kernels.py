@@ -1,11 +1,11 @@
-"""Perf smoke for the array-API batched execution spine (PR 7).
+"""Perf smoke for the batched execution spine.
 
 Two measurements, one benchmark file:
 
 1. **Stacked vs per-circuit sweep** — the 3-workload x 3-budget coalesced
    sweep (the shape of `test_parallel_backend`) executed once through the
-   per-circuit oracle kernels (``exact_reference=True``, one eval chain
-   per request — the seed runtime's behaviour) and once as a single
+   per-circuit oracle kernels of ``tests/kernel_oracle.py`` (one eval
+   chain per request — the seed runtime's behaviour) and once as a single
    coalesced batch on the stacked spine.  Outputs are asserted bit-for-bit
    identical and the stacked path must be **at least 2x faster** in wall
    clock; the deterministic eval counters behind that win (one stacked
@@ -31,6 +31,7 @@ from repro.noise.model import NoiseModel
 from repro.runtime import LocalExactBackend, ShardedBackend
 from repro.sim import StatevectorSimulator
 from repro.workloads import workload_by_name
+from tests import kernel_oracle
 
 SEED = 0
 WORKLOAD_NAMES = ("BV-6", "GHZ-8", "QAOA-8 p1")
@@ -53,15 +54,18 @@ def sweep_plans(device):
     return plans
 
 
-def _run_reference(noise_model, device):
+def _run_reference(noise_model, device, monkeypatch):
     """Per-circuit oracle: each plan's batch on its own, unstacked."""
-    backend = LocalExactBackend(noise_model=noise_model, exact_reference=True)
+    backend = LocalExactBackend(noise_model=noise_model)
     plans = sweep_plans(device)
-    start = time.perf_counter()
-    pmfs = []
-    for plan in plans:
-        pmfs.extend(backend.execute(plan.requests()))
-    return time.perf_counter() - start, pmfs, backend
+    with monkeypatch.context() as patch:
+        kernel_oracle.install(patch)
+        start = time.perf_counter()
+        pmfs = []
+        for plan in plans:
+            pmfs.extend(backend.execute(plan.requests()))
+        seconds = time.perf_counter() - start
+    return seconds, pmfs, backend
 
 
 def _run_stacked(noise_model, device):
@@ -74,14 +78,16 @@ def _run_stacked(noise_model, device):
     return time.perf_counter() - start, pmfs, backend, len(requests)
 
 
-def test_stacked_spine_speedup_on_coalesced_sweep():
+def test_stacked_spine_speedup_on_coalesced_sweep(monkeypatch):
     device = ibmq_toronto()
     noise_model = NoiseModel.from_device(device)
 
     reference_seconds = []
     stacked_seconds = []
     for _ in range(TIMING_ROUNDS):
-        ref_s, ref_pmfs, ref_backend = _run_reference(noise_model, device)
+        ref_s, ref_pmfs, ref_backend = _run_reference(
+            noise_model, device, monkeypatch
+        )
         stk_s, stk_pmfs, stk_backend, total_requests = _run_stacked(
             noise_model, device
         )

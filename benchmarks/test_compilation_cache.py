@@ -8,20 +8,17 @@ runtime's :class:`~repro.runtime.cache.CompilationCache` plans each
 (program, config) once.
 
 Compilation is deterministic per seed, so instead of timing wall clock
-we count ``transpile()`` invocations — the dominant planning cost — and
-assert the cached sweep performs **strictly fewer** of them than the
-uncached legacy-equivalent sweep, with the savings visible in the
-cache's hit counters.
+we count ``transpile()`` / ``compile_cpm()`` invocations — the dominant
+planning cost, the session's ``compiler.compiles`` counter — and assert
+the cached sweep performs **strictly fewer** of them than the uncached
+legacy-equivalent sweep, with the savings visible in the cache's hit
+counters.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.compiler.transpile import (
-    reset_transpile_call_count,
-    transpile_call_count,
-)
 from repro.devices import ibmq_toronto
 from repro.runtime import CompilationCache, Session
 from repro.workloads import workload_by_name
@@ -39,12 +36,11 @@ SCHEMES = ("baseline", "jigsaw", "jigsaw_mbm", "mbm")
 def run_sweep(cache: CompilationCache) -> int:
     """Run the scheme-comparison sweep; returns transpile invocations."""
     session = Session(ibmq_toronto(), seed=SEED, exact=True, cache=cache)
-    reset_transpile_call_count()
     for name in WORKLOAD_NAMES:
         workload = workload_by_name(name)
         for scheme in SCHEMES:
             session.run_scheme(scheme, workload)
-    return transpile_call_count()
+    return session.telemetry_snapshot()["counters"]["compiler.compiles"]
 
 
 def test_cached_sweep_transpiles_strictly_less():

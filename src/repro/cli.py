@@ -54,12 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="JigSaw (MICRO 2021) reproduction toolkit",
     )
-    parser.add_argument(
-        "--array-api", default=None, metavar="NAMESPACE",
-        help="array-API namespace for the execution kernels "
-        "(numpy, cupy, jax, array_api_strict, or an importable module; "
-        "default: REPRO_ARRAY_API or numpy)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run JigSaw on one workload")
@@ -670,10 +664,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.array_api is not None:
-            from repro.sim.kernels import set_default_namespace
-
-            set_default_namespace(args.array_api)
         if args.command == "run":
             print(_cmd_run(args))
         elif args.command == "compare":

@@ -65,8 +65,6 @@ __all__ = [
     "PipelineStats",
     "STAGE_PLACE",
     "STAGE_ROUTE",
-    "aggregate_stats",
-    "reset_aggregate_stats",
 ]
 
 #: Stage names used for cache namespaces and counters.
@@ -233,21 +231,6 @@ class PipelineStats:
         return f"PipelineStats({self.snapshot()})"
 
 
-#: Process-wide aggregate over every pipeline, feeding the deprecated
-#: ``transpile_call_count`` shim and cross-session diagnostics.
-_AGGREGATE = PipelineStats()
-
-
-def aggregate_stats() -> Dict[str, int]:
-    """Process-wide pipeline counters (sum over every pipeline instance)."""
-    return _AGGREGATE.snapshot()
-
-
-def reset_aggregate_stats() -> None:
-    """Zero the process-wide pipeline counters."""
-    _AGGREGATE.reset()
-
-
 # ----------------------------------------------------------------------
 # Stages
 # ----------------------------------------------------------------------
@@ -260,7 +243,7 @@ class PlacementStage:
     name = STAGE_PLACE
 
     def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline._bump("place_runs")
+        pipeline.stats.bump("place_runs")
         if state.global_executable is not None:
             base = state.global_executable.initial_layout
             state.layouts = [base]
@@ -312,7 +295,7 @@ class MeasureRetargetStage:
         measures = state.circuit.measurements
         candidates = []
         for routed in state.routed:
-            pipeline._bump("retargets")
+            pipeline.stats.bump("retargets")
             candidates.append(
                 CompiledCandidate(
                     routed=routed,
@@ -338,7 +321,7 @@ class EpsScoreStage:
         if state.readout_emphasis < 0:
             raise CompilationError("readout_emphasis must be non-negative")
         for candidate in state.candidates:
-            pipeline._bump("eps_evals")
+            pipeline.stats.bump("eps_evals")
             readout = readout_eps_targets(
                 candidate.measured_qubits, pipeline.device
             )
@@ -354,7 +337,7 @@ class SelectStage:
     name = "select"
 
     def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline._bump("selects")
+        pipeline.stats.bump("selects")
         best: Optional[CompiledCandidate] = None
         for candidate in state.candidates:
             if best is None or candidate.score > best.score:
@@ -375,7 +358,7 @@ class CpmSelectStage:
     name = "select"
 
     def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline._bump("selects")
+        pipeline.stats.bump("selects")
         baseline = state.candidates[0]
         pool = state.candidates[1:]
         budget = state.global_executable.num_swaps
@@ -424,9 +407,7 @@ class CompilerPipeline:
             identical either way, because routing is a pure function of
             its content key.
         stats: per-stage counters; defaults to a fresh
-            :class:`PipelineStats`.  Every bump is mirrored into the
-            process-wide aggregate behind the deprecated
-            ``transpile_call_count`` shim.
+            :class:`PipelineStats`.
     """
 
     def __init__(
@@ -464,10 +445,6 @@ class CompilerPipeline:
             )
         return pipeline
 
-    def _bump(self, name: str, by: int = 1) -> None:
-        self.stats.bump(name, by)
-        _AGGREGATE.bump(name, by)
-
     def _stage_cached(self, stage: str, key: str, hit_counter: str, compute):
         """Per-key-locked stage-store lookup: compute at most once per key.
 
@@ -480,7 +457,7 @@ class CompilerPipeline:
         """
         value, hit = self.cache.stage_get_or_compute(stage, key, compute)
         if hit:
-            self._bump(hit_counter)
+            self.stats.bump(hit_counter)
         span = current_span()
         if span is not None:
             attr = "cache_hits" if hit else "cache_misses"
@@ -503,7 +480,7 @@ class CompilerPipeline:
         """Compile ``circuit`` maximising (emphasised) EPS — ``transpile``."""
         if attempts < 1:
             raise CompilationError("attempts must be >= 1")
-        self._bump("compiles")
+        self.stats.bump("compiles")
         state = CompilationState(
             circuit=circuit,
             body=circuit.remove_measurements(),
@@ -533,7 +510,7 @@ class CompilerPipeline:
         through the stage cache, so across a whole plan the pool is routed
         once and each CPM only pays retarget + EPS + select.
         """
-        self._bump("compiles")
+        self.stats.bump("compiles")
         vulnerable = (
             self.device.vulnerable_qubits(vulnerable_percentile)
             if recompile
@@ -583,7 +560,7 @@ class CompilerPipeline:
         key = routing_fingerprint(self.device_key, body_fingerprint, layout)
 
         def _route() -> RoutedBody:
-            self._bump("route_calls")
+            self.stats.bump("route_calls")
             routed = route(body, self.device, layout, seed=int(key[:16], 16))
             return RoutedBody(
                 body_fingerprint=body_fingerprint,

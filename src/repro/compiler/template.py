@@ -205,7 +205,7 @@ class PlanTemplate:
 
     def _bump(self, name: str, by: int = 1) -> None:
         if self.pipeline is not None:
-            self.pipeline._bump(name, by)
+            self.pipeline.stats.bump(name, by)
 
     def _should_rescore(self, point: np.ndarray) -> bool:
         if self._last_scored is None:

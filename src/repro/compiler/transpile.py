@@ -23,42 +23,11 @@ from typing import Optional, Sequence
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.layout import Layout
-from repro.compiler.pipeline import (
-    CompilerPipeline,
-    ExecutableCircuit,
-    aggregate_stats,
-    reset_aggregate_stats,
-)
+from repro.compiler.pipeline import CompilerPipeline, ExecutableCircuit
 from repro.devices.device import Device
 from repro.utils.random import SeedLike
 
-__all__ = [
-    "ExecutableCircuit",
-    "transpile",
-    "transpile_call_count",
-    "reset_transpile_call_count",
-]
-
-
-def transpile_call_count() -> int:
-    """Number of full compilations since the last reset.
-
-    .. deprecated:: use ``repro.compiler.pipeline.aggregate_stats()`` (or a
-       pipeline's own :class:`~repro.compiler.pipeline.PipelineStats`) for
-       per-stage counters.  This shim reports the process-wide ``compiles``
-       counter — one per ``transpile()``/``compile_cpm()`` invocation — so
-       existing cache benchmarks keep working.
-    """
-    return aggregate_stats().get("compiles", 0)
-
-
-def reset_transpile_call_count() -> None:
-    """Reset the process-wide compilation counters to zero.
-
-    .. deprecated:: counterpart of :func:`transpile_call_count`; resets
-       every aggregate pipeline counter.
-    """
-    reset_aggregate_stats()
+__all__ = ["ExecutableCircuit", "transpile"]
 
 
 def transpile(

@@ -290,8 +290,7 @@ class JigSaw:
         ``counters`` are this runner's pipeline counts (compiles, route
         calls/hits, retargets, EPS evaluations); ``stages`` are the
         stage-cache hit/miss/entry counters, which are shared whenever a
-        :class:`CompilationCache` is attached.  This replaces the old
-        process-wide ``transpile_call_count`` global.
+        :class:`CompilationCache` is attached.
         """
         return {
             "counters": self.pipeline.stats.snapshot(),

@@ -30,12 +30,7 @@ from repro.experiments.mbm_comparison import (
 from repro.experiments.qaoa_arg import run_table5, table5_text
 from repro.experiments.recompilation import figure10_per_qubit, figure10_text
 from repro.experiments.render import format_table
-from repro.experiments.runner import (
-    SCHEME_NAMES,
-    Metrics,
-    SchemeRunner,
-    geometric_mean,
-)
+from repro.experiments.runner import SCHEME_NAMES, Metrics, geometric_mean
 from repro.experiments.scalability_exp import (
     figure13_epsilon_sweep,
     figure13_text,
@@ -45,7 +40,6 @@ from repro.experiments.scalability_exp import (
 from repro.experiments.trials_sweep import figure7_text, run_trials_sweep
 
 __all__ = [
-    "SchemeRunner",
     "Metrics",
     "SCHEME_NAMES",
     "geometric_mean",

@@ -1,18 +1,10 @@
-"""Legacy scheme-runner entry point (now a thin wrapper over ``Session``).
+"""Shared helpers of the paper experiments.
 
 Every paper experiment compares some subset of the schemes — Baseline,
 EDM, JigSaw (± recompilation), JigSaw-M, MBM — on a (workload, device)
-pair with a shared trial budget.  That machinery now lives in
-:class:`repro.runtime.session.Session`, the first-class execution API
-(plan → compile → batch-execute → reconstruct, with a compilation
-cache).  :class:`SchemeRunner` remains as a deprecated alias so existing
-experiment code and notebooks keep working; under a fixed seed it is
-bit-for-bit identical to ``Session`` because it *is* a ``Session``.
-
-``exact=True`` (default) evaluates the closed-form noisy distributions —
-the infinite-trials limit.  The paper's own setup runs enough trials that
-fidelity saturates (Fig. 7), so this is the faithful deterministic mode;
-``exact=False`` samples the configured number of trials instead.
+pair with a shared trial budget, through
+:class:`repro.runtime.session.Session`.  This module re-exports the
+scheme names and metric record and adds the paper's geometric mean.
 """
 
 from __future__ import annotations
@@ -21,48 +13,10 @@ import math
 import warnings
 from typing import List
 
-from repro.devices.device import Device
 from repro.exceptions import ExperimentError
-from repro.runtime.session import SCHEME_NAMES, Metrics, Session
-from repro.utils.random import SeedLike
+from repro.runtime.session import SCHEME_NAMES, Metrics
 
-__all__ = ["SchemeRunner", "Metrics", "SCHEME_NAMES", "geometric_mean"]
-
-
-class SchemeRunner(Session):
-    """Deprecated: use :class:`repro.runtime.session.Session` instead.
-
-    A ``Session`` under its historical name and signature.  All methods
-    (``run_scheme``, ``run_jigsaw``, ``evaluate``, ...) are inherited
-    unchanged, so outputs match ``Session`` bit-for-bit under the same
-    seed.
-    """
-
-    def __init__(
-        self,
-        device: Device,
-        seed: SeedLike = 0,
-        total_trials: int = 32_768,
-        exact: bool = True,
-        compile_attempts: int = 4,
-        cpm_attempts: int = 3,
-        ensemble_size: int = 4,
-    ) -> None:
-        warnings.warn(
-            "SchemeRunner is deprecated; use repro.runtime.Session "
-            "(same behaviour, plus plan/cache/backend control)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(
-            device,
-            seed=seed,
-            total_trials=total_trials,
-            exact=exact,
-            compile_attempts=compile_attempts,
-            cpm_attempts=cpm_attempts,
-            ensemble_size=ensemble_size,
-        )
+__all__ = ["Metrics", "SCHEME_NAMES", "geometric_mean"]
 
 
 def geometric_mean(values: List[float]) -> float:

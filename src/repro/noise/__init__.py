@@ -1,11 +1,10 @@
 """Noise modelling: gate failures, crosstalk-aware readout, trial sampling."""
 
 from repro.noise.model import NoiseModel
-from repro.noise.sampler import NoisySampler, apply_confusions, clbit_probability_vector
+from repro.noise.sampler import NoisySampler, clbit_probability_vector
 
 __all__ = [
     "NoiseModel",
     "NoisySampler",
-    "apply_confusions",
     "clbit_probability_vector",
 ]

@@ -15,23 +15,21 @@ milliseconds:
    asymmetric readout rates at the circuit's simultaneous-measurement
    width.
 
-``exact_distribution`` evaluates the same channel in closed form (the
-"infinite shots" limit), which the experiments use for deterministic
+``exact_group_distributions`` evaluates the same channel in closed form
+(the "infinite shots" limit), which the experiments use for deterministic
 sweeps and the tests use to validate the sampler against the density-
 matrix oracle.
+
+Both bodies are stacked: sampling runs one coalesced group's allocations
+through one inverse CDF, and the exact channel evaluates every
+executable of one measured width as one ``(B, 2**k)`` contraction.  The
+per-circuit loops they replaced live on in the test suite as the oracle
+the stacked bodies are asserted bit-for-bit equal to.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +37,6 @@ from repro.core.pmf import PMF
 from repro.exceptions import SimulationError
 from repro.noise.model import NoiseModel
 from repro.sim import kernels
-from repro.sim.statevector import marginal_probabilities
-from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.bits import (
     bit_array_to_indices,
     codes_to_strings,
@@ -56,7 +52,6 @@ __all__ = [
     "CodeCounts",
     "NoisySampler",
     "clbit_probability_vector",
-    "apply_confusions",
     "DEFAULT_CHUNK_SHOTS",
 ]
 
@@ -114,7 +109,7 @@ def clbit_probability_vector(
     if clbits != list(range(k)):
         raise SimulationError("measurement clbits must form a contiguous range")
     keep_sorted = sorted(meas_map.keys())
-    marg = marginal_probabilities(probabilities, keep_sorted, num_qubits)
+    marg = kernels.marginal_probabilities(probabilities, keep_sorted, num_qubits)
     # marg bit j corresponds to qubit keep_sorted[j]; permute onto clbits.
     qubit_to_margbit = {q: j for j, q in enumerate(keep_sorted)}
     perm = [0] * k
@@ -122,19 +117,6 @@ def clbit_probability_vector(
         perm[k - 1 - clbit] = k - 1 - qubit_to_margbit[qubit]
     tensor = marg.reshape((2,) * k)
     return np.transpose(tensor, perm).reshape(-1)
-
-
-def apply_confusions(
-    outcome_probs: np.ndarray, confusions: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Apply per-clbit 2x2 confusion matrices to a ``2**k`` distribution.
-
-    ``confusions[c]`` acts on clbit ``c``; matrices are column-stochastic
-    with ``A[observed, actual]``.  Thin delegate of the batch-aware
-    :func:`repro.sim.kernels.apply_confusions` — the unbatched call runs
-    the identical moveaxis/matmul sequence as the historical kernel.
-    """
-    return kernels.apply_confusions(outcome_probs, confusions)
 
 
 class NoisySampler:
@@ -145,20 +127,12 @@ class NoisySampler:
         noise_model: NoiseModel,
         seed: SeedLike = None,
         chunk_shots: int = DEFAULT_CHUNK_SHOTS,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if chunk_shots < 1:
             raise SimulationError("chunk_shots must be positive")
         self.noise_model = noise_model
         self.chunk_shots = chunk_shots
         self._rng = as_generator(seed)
-        #: Work counters under ``sim.*`` (chunks drawn, exact channel
-        #: evaluations, stacked group contractions).  Telemetry only —
-        #: sampling never reads them, so RNG streams are unaffected.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._chunks = self.metrics.counter("sim.sample_chunks")
-        self._exact_evals = self.metrics.counter("sim.exact_evals")
-        self._stacked_groups = self.metrics.counter("sim.stacked_groups")
 
     # ------------------------------------------------------------------
 
@@ -189,44 +163,6 @@ class NoisySampler:
             raise SimulationError("physical circuit measurement count mismatch")
         return ideal, physical_by_clbit, k
 
-    # ------------------------------------------------------------------
-
-    def _sample_chunk(
-        self,
-        rng: np.random.Generator,
-        shots: int,
-        ideal: np.ndarray,
-        readout_rates,
-        k: int,
-        p_fail: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample one chunk of noisy trials; returns (codes, counts) arrays.
-
-        ``ideal`` must be normalised and ``readout_rates`` precomputed:
-        both are loop-invariant per executable, so callers hoist them out
-        of the chunk loop.  Trials are counted as integer outcome codes
-        with ``np.unique`` — no strings are built.
-        """
-        self._chunks.add(1)
-        failures = rng.random(shots) < p_fail
-        outcomes = rng.choice(len(ideal), size=shots, p=ideal)
-        bits = indices_to_bit_array(outcomes, k)
-        # Gate failures corrupt the outcome locally: each measured bit of a
-        # failing trial flips with the model's flip rate (see NoiseModel).
-        num_fail = int(failures.sum())
-        if num_fail:
-            flip_rate = self.noise_model.gate_failure_flip_rate
-            masks = (
-                rng.random((num_fail, k)) < flip_rate
-            ).astype(np.uint8)
-            bits[failures] ^= masks
-        p01, p10 = readout_rates
-        draws = rng.random(bits.shape)
-        flip = np.where(bits == 0, draws < p01[None, :], draws < p10[None, :])
-        bits = bits ^ flip.astype(np.uint8)
-
-        return np.unique(bit_array_to_indices(bits), return_counts=True)
-
     def run(
         self,
         executable: ExecutableCircuit,
@@ -249,12 +185,7 @@ class NoisySampler:
     ) -> CodeCounts:
         """Sample ``shots`` noisy trials; returns an array-native histogram.
 
-        Sampling streams in chunks of ``chunk_shots``: each chunk's trials
-        collapse to (code, count) pairs before the next chunk is drawn, so
-        peak memory is bounded by the chunk size plus the observed support
-        instead of the total shot count.  Requests at or below one chunk
-        draw the exact same RNG sequence as the historical unchunked
-        sampler.
+        :meth:`run_many_codes` with a single allocation.
         """
         (result,) = self.run_many_codes(executable, [shots], rng=rng)
         return result
@@ -279,67 +210,27 @@ class NoisySampler:
     ) -> List[CodeCounts]:
         """Sample several allocations of one executable from one stream.
 
-        The coalescing path of the sharded backend: requests whose
-        executables share a content fingerprint are merged so the
-        measurement setup (statevector marginalisation) happens once, then
-        each allocation is drawn sequentially — and chunked — from the
-        same stream.  Returns one array-native histogram per allocation,
-        in order.
+        Returns one array-native histogram per allocation, in order.  All
+        allocations share the measurement setup (statevector
+        marginalisation) and one inverse CDF, so the backends sample a
+        whole coalesced group here.
+
+        Each allocation is cut into chunks of at most ``chunk_shots``
+        trials, drawn from the stream in order: per chunk the failure
+        draws, the outcome uniforms, the failure masks, then the readout
+        draws.  Runs of consecutive chunks holding at most ``chunk_shots``
+        trials together form a *block*, whose deterministic transforms
+        (one ``searchsorted`` against the CDF, failure masks, readout
+        flips, code packing) run as one stacked pass.  A block bounds
+        peak memory by the chunk size whatever the total shot count, and
+        since blocks only batch row-independent transforms, the draws
+        and counts do not depend on how chunks are blocked.
         """
         for shots in shots_list:
             if shots <= 0:
                 raise SimulationError("shots must be positive")
-        rng = as_generator(rng) if rng is not None else self._rng
-        ideal, physical_by_clbit, k = self._measured_setup(executable)
-        ideal = ideal / ideal.sum()
-        p_fail = self.noise_model.circuit_failure_probability(executable.physical)
-        readout_rates = self.noise_model.readout_rates(physical_by_clbit, k)
-
-        results: List[CodeCounts] = []
-        for shots in shots_list:
-            parts: List[Tuple[np.ndarray, np.ndarray]] = []
-            remaining = shots
-            while remaining > 0:
-                chunk = min(remaining, self.chunk_shots)
-                parts.append(
-                    self._sample_chunk(
-                        rng, chunk, ideal, readout_rates, k, p_fail
-                    )
-                )
-                remaining -= chunk
-            if len(parts) == 1:
-                codes, counts = parts[0]
-            else:
-                merged = np.concatenate([codes for codes, _ in parts])
-                weights = np.concatenate([counts for _, counts in parts])
-                codes, counts = group_code_sums(merged, weights)
-                counts = counts.astype(np.int64)
-            results.append(CodeCounts(codes, counts, k))
-        return results
-
-    def sample_group_codes(
-        self,
-        executable: ExecutableCircuit,
-        shots_list: Sequence[int],
-        rng: SeedLike = None,
-    ) -> List[CodeCounts]:
-        """Batched chunked sampling of one coalesced group — stacked twin
-        of :meth:`run_many_codes`, bit-for-bit equal.
-
-        All allocations of the group share one ideal distribution, so the
-        whole group's outcome draw collapses to **one** ``searchsorted``
-        over the shared inverse CDF, and the bit-level noise transforms
-        (failure masks, readout flips, code packing) run once over the
-        concatenated ``(total_trials, k)`` bit matrix instead of once per
-        chunk.  Determinism boundary: the *random numbers* are still drawn
-        from the group's stream chunk by chunk in the oracle's exact
-        order — stacking only batches the deterministic transforms — so
-        per-request seed streams (and therefore sharded determinism) are
-        preserved exactly.
-        """
-        for shots in shots_list:
-            if shots <= 0:
-                raise SimulationError("shots must be positive")
+        if not shots_list:
+            return []
         rng = as_generator(rng) if rng is not None else self._rng
         ideal, physical_by_clbit, k = self._measured_setup(executable)
         ideal = ideal / ideal.sum()
@@ -351,60 +242,63 @@ class NoisySampler:
         cdf = ideal.cumsum()
         cdf /= cdf[-1]
 
-        # Chunk plan: one row per (allocation, chunk), in draw order.
-        rows: List[Tuple[int, int]] = []
+        # Chunk plan: (allocation, chunk) rows in draw order, cut into
+        # blocks of at most chunk_shots trials.
+        blocks: List[List[Tuple[int, int]]] = []
+        block_shots = self.chunk_shots
         for allocation, shots in enumerate(shots_list):
-            remaining = shots
-            while remaining > 0:
-                chunk = min(remaining, self.chunk_shots)
-                rows.append((allocation, chunk))
-                remaining -= chunk
+            for start in range(0, shots, self.chunk_shots):
+                chunk = min(shots - start, self.chunk_shots)
+                if block_shots + chunk > self.chunk_shots:
+                    blocks.append([])
+                    block_shots = 0
+                blocks[-1].append((allocation, chunk))
+                block_shots += chunk
 
-        self._chunks.add(len(rows))
-        if len(shots_list) > 1:
-            self._stacked_groups.add(1)
-        # Draw stage: per row, in the oracle's exact RNG order
-        # (failures, outcome uniforms, failure masks, readout draws).
-        failure_rows: List[np.ndarray] = []
-        uniform_rows: List[np.ndarray] = []
-        mask_rows: List[np.ndarray] = []
-        readout_rows: List[np.ndarray] = []
-        for _, chunk in rows:
-            failures = rng.random(chunk) < p_fail
-            uniform_rows.append(rng.random(chunk))
-            num_fail = int(failures.sum())
-            if num_fail:
-                mask_rows.append(
-                    (rng.random((num_fail, k)) < flip_rate).astype(np.uint8)
-                )
-            readout_rows.append(rng.random((chunk, k)))
-            failure_rows.append(failures)
-
-        # Transform stage: one stacked pass over the whole group.
-        outcomes = cdf.searchsorted(
-            np.concatenate(uniform_rows), side="right"
-        )
-        bits = indices_to_bit_array(outcomes, k)
-        failures_all = np.concatenate(failure_rows)
-        if mask_rows:
-            bits[failures_all] ^= np.vstack(mask_rows)
-        draws = np.concatenate(readout_rows)
-        flip = np.where(bits == 0, draws < p01[None, :], draws < p10[None, :])
-        bits = bits ^ flip.astype(np.uint8)
-        codes_all = bit_array_to_indices(bits)
-
-        # Count stage: per-chunk unique then the oracle's merge per
-        # allocation.
         parts_by_allocation: List[List[Tuple[np.ndarray, np.ndarray]]] = [
             [] for _ in shots_list
         ]
-        cursor = 0
-        for allocation, chunk in rows:
-            segment = codes_all[cursor : cursor + chunk]
-            cursor += chunk
-            parts_by_allocation[allocation].append(
-                np.unique(segment, return_counts=True)
+        for block in blocks:
+            size = sum(chunk for _, chunk in block)
+            failure_draws = np.empty(size)
+            uniforms = np.empty(size)
+            readout_draws = np.empty((size, k))
+            mask_rows: List[np.ndarray] = []
+            cursor = 0
+            for _, chunk in block:
+                rows = slice(cursor, cursor + chunk)
+                failures = rng.random(out=failure_draws[rows]) < p_fail
+                rng.random(out=uniforms[rows])
+                num_fail = int(failures.sum())
+                if num_fail:
+                    # Gate failures corrupt the outcome locally: each
+                    # measured bit of a failing trial flips with the
+                    # model's flip rate (see NoiseModel).
+                    mask_rows.append(
+                        (rng.random((num_fail, k)) < flip_rate).astype(np.uint8)
+                    )
+                rng.random(out=readout_draws[rows])
+                cursor += chunk
+
+            bits = indices_to_bit_array(
+                cdf.searchsorted(uniforms, side="right"), k
             )
+            if mask_rows:
+                bits[failure_draws < p_fail] ^= np.vstack(mask_rows)
+            flip = np.where(
+                bits == 0,
+                readout_draws < p01[None, :],
+                readout_draws < p10[None, :],
+            )
+            codes = bit_array_to_indices(bits ^ flip.astype(np.uint8))
+
+            cursor = 0
+            for allocation, chunk in block:
+                parts_by_allocation[allocation].append(
+                    np.unique(codes[cursor : cursor + chunk], return_counts=True)
+                )
+                cursor += chunk
+
         results: List[CodeCounts] = []
         for parts in parts_by_allocation:
             if len(parts) == 1:
@@ -420,22 +314,17 @@ class NoisySampler:
     # ------------------------------------------------------------------
 
     def exact_group_distributions(
-        self,
-        executables: Sequence[ExecutableCircuit],
-        threshold: float = 0.0,
-        xp=None,
+        self, executables: Sequence[ExecutableCircuit]
     ) -> List[Tuple[np.ndarray, np.ndarray, int]]:
         """Closed-form noisy distributions of several executables, stacked.
 
-        Executables measuring the same number of bits evaluate the full
-        noise channel (failure mixing + readout confusion) as **one**
-        batched contraction over a ``(B, 2**k)`` stack on the ``xp``
-        namespace; widths with a single member ride the per-circuit
-        oracle path unchanged.  Returns one ``(codes, probs, k)`` triple
-        per executable, in input order, each bit-for-bit equal to
-        :meth:`exact_distribution_arrays` of that executable.
+        The "infinite shots" limit of :meth:`run_many_codes`: executables
+        measuring the same number of bits evaluate the full noise channel
+        (failure mixing + readout confusion) as **one** batched
+        contraction over a ``(B, 2**k)`` stack, at any ``B`` including 1.
+        Returns one ``(codes, probs, k)`` triple per executable, in input
+        order, keeping every outcome of non-zero probability.
         """
-        xp = kernels.resolve_namespace(xp)
         results: List[Tuple[np.ndarray, np.ndarray, int]] = [None] * len(
             executables
         )
@@ -448,21 +337,9 @@ class NoisySampler:
             [[1.0 - flip_rate, flip_rate], [flip_rate, 1.0 - flip_rate]]
         )
         for k, indices in sorted(by_width.items()):
-            if len(indices) > 1:
-                self._stacked_groups.add(1)
-            if len(indices) == 1:
-                only = indices[0]
-                results[only] = self.exact_distribution_arrays(
-                    executables[only], threshold
-                )
-                continue
             batch = len(indices)
-            self._exact_evals.add(1)
-            ideal_rows = np.stack(
-                [
-                    setups[i][0] / setups[i][0].sum()
-                    for i in indices
-                ]
+            ideal = np.stack(
+                [setups[i][0] / setups[i][0].sum() for i in indices]
             )
             p_fail = np.array(
                 [
@@ -471,13 +348,9 @@ class NoisySampler:
                     )
                     for i in indices
                 ]
-            )
-            ideal = kernels.as_float64(xp, ideal_rows)
-            corrupted = kernels.apply_confusions(ideal, [flip] * k, xp=xp)
-            p_fail_col = xp.reshape(
-                kernels.as_float64(xp, p_fail), (batch, 1)
-            )
-            mixed = (1.0 - p_fail_col) * ideal + p_fail_col * corrupted
+            ).reshape(batch, 1)
+            corrupted = kernels.apply_confusions(ideal, [flip] * k)
+            mixed = (1.0 - p_fail) * ideal + p_fail * corrupted
             confusion_rows = [
                 self.noise_model.confusion_matrices(setups[i][1], k)
                 for i in indices
@@ -486,55 +359,23 @@ class NoisySampler:
                 np.stack([rows[c] for rows in confusion_rows])
                 for c in range(k)
             ]
-            noisy = kernels.apply_confusions(mixed, stacked_confusions, xp=xp)
-            totals = xp.sum(noisy, axis=1)
-            noisy = noisy / xp.reshape(totals, (batch, 1))
-            noisy_rows = kernels.asnumpy(noisy)
+            noisy = kernels.apply_confusions(mixed, stacked_confusions)
+            noisy = noisy / noisy.sum(axis=1).reshape(batch, 1)
             for row, i in enumerate(indices):
-                codes = np.flatnonzero(noisy_rows[row] > threshold).astype(
-                    np.int64
-                )
-                results[i] = (codes, noisy_rows[row][codes], k)
+                codes = np.flatnonzero(noisy[row] > 0).astype(np.int64)
+                results[i] = (codes, noisy[row][codes], k)
         return results
 
-    # ------------------------------------------------------------------
-
-    def exact_distribution_arrays(
-        self, executable: ExecutableCircuit, threshold: float = 0.0
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Closed-form noisy outcome distribution as ``(codes, probs, k)``.
-
-        The array-native twin of :meth:`exact_distribution` — backends
-        build PMFs from this directly, with no bitstrings in between.
-        """
-        self._exact_evals.add(1)
-        ideal, physical_by_clbit, k = self._measured_setup(executable)
-        ideal = ideal / ideal.sum()
-        p_fail = self.noise_model.circuit_failure_probability(executable.physical)
-        flip_rate = self.noise_model.gate_failure_flip_rate
-        flip = np.array(
-            [[1.0 - flip_rate, flip_rate], [flip_rate, 1.0 - flip_rate]]
-        )
-        corrupted = apply_confusions(ideal, [flip] * k)
-        mixed = (1.0 - p_fail) * ideal + p_fail * corrupted
-        confusions = self.noise_model.confusion_matrices(physical_by_clbit, k)
-        noisy = apply_confusions(mixed, confusions)
-        noisy = noisy / noisy.sum()
-        codes = np.flatnonzero(noisy > threshold).astype(np.int64)
-        return codes, noisy[codes], k
-
-    def exact_pmf(
-        self, executable: ExecutableCircuit, threshold: float = 0.0
-    ) -> PMF:
+    def exact_pmf(self, executable: ExecutableCircuit) -> PMF:
         """Closed-form noisy outcome PMF (infinite-shot limit)."""
-        codes, probs, k = self.exact_distribution_arrays(executable, threshold)
+        ((codes, probs, k),) = self.exact_group_distributions([executable])
         return PMF.from_codes(codes, probs, k)
 
     def exact_distribution(
-        self, executable: ExecutableCircuit, threshold: float = 0.0
+        self, executable: ExecutableCircuit
     ) -> Dict[str, float]:
-        """Bitstring-keyed wrapper over :meth:`exact_distribution_arrays`."""
-        codes, probs, k = self.exact_distribution_arrays(executable, threshold)
+        """Bitstring-keyed wrapper over :meth:`exact_group_distributions`."""
+        ((codes, probs, k),) = self.exact_group_distributions([executable])
         return {
             key: float(prob)
             for key, prob in zip(codes_to_strings(codes, k), probs)

@@ -26,7 +26,6 @@ same seed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -58,23 +57,25 @@ __all__ = [
     "LocalExactBackend",
     "LocalSamplingBackend",
     "local_backend",
-    "exact_reference_default",
 ]
 
 
-def exact_reference_default() -> bool:
-    """Process default of the ``exact_reference`` escape hatch.
+def stacked_channel_counts(
+    executables: Sequence[ExecutableCircuit],
+) -> Tuple[int, int]:
+    """Stacking counters of one exact-channel call over ``executables``.
 
-    ``REPRO_EXACT_REFERENCE=1`` forces every local backend onto the
-    historical per-circuit oracle kernels — the bit-for-bit reference the
-    stacked execution spine is asserted against in tests.
+    :meth:`NoisySampler.exact_group_distributions` contracts each measured
+    width as one stack; returns ``(stacked_evals, stacked_circuits)``:
+    the widths holding more than one executable, and how many
+    executables those cover.
     """
-    return os.environ.get("REPRO_EXACT_REFERENCE", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    widths: Dict[int, int] = {}
+    for executable in executables:
+        k = len(executable.logical.measurement_map)
+        widths[k] = widths.get(k, 0) + 1
+    stacked = [count for count in widths.values() if count > 1]
+    return len(stacked), sum(stacked)
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,7 @@ class _LocalBackend:
         sampler: Optional[NoisySampler] = None,
         noise_model: Optional[NoiseModel] = None,
         seed: SeedLike = None,
-        xp=None,
-        exact_reference: Optional[bool] = None,
-        metrics: Optional["MetricsRegistry"] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if sampler is None:
             if noise_model is None:
@@ -142,20 +141,6 @@ class _LocalBackend:
                 )
             sampler = NoisySampler(noise_model, seed=seed)
         self.sampler = sampler
-        #: Array-API namespace spec for the contraction kernels.  Kept as
-        #: the raw spec (``None``/name/module) and resolved at use, so
-        #: ``None`` follows the process default (``REPRO_ARRAY_API`` /
-        #: ``set_default_namespace``) and payloads stay picklable.
-        self.xp = xp
-        #: The per-circuit oracle escape hatch: ``True`` evaluates every
-        #: request through the historical unstacked kernels.  Defaults to
-        #: ``REPRO_EXACT_REFERENCE`` so whole pipelines can be pinned to
-        #: the reference path without plumbing a flag through every layer.
-        self.exact_reference = (
-            exact_reference_default()
-            if exact_reference is None
-            else exact_reference
-        )
         #: Cumulative statevector simulations / noisy-channel evaluations
         #: performed by this backend — the quantities batching and
         #: coalescing save; benchmarks assert on these instead of wall time.
@@ -194,33 +179,18 @@ class _LocalBackend:
 
     @classmethod
     def share_statevectors(
-        cls, requests: Sequence[ExecutionRequest], xp=None
-    ) -> int:
+        cls, requests: Sequence[ExecutionRequest]
+    ) -> Tuple[int, int, int]:
         """Compute the ideal statevectors of a batch, stacked where possible.
 
         Executables that already carry (shared) ideal probabilities are
         left untouched; the rest are grouped by unitary-body fingerprint
         (one simulation per unique body) and bodies sharing a gate
-        *structure* evolve as one stacked contraction.  Returns the
-        number of contractions actually performed — the batch saving is
-        ``len(requests) - n``.
-        """
-        return cls._share_statevectors_detail(requests, xp=xp)[0]
-
-    @classmethod
-    def _share_statevectors_detail(
-        cls,
-        requests: Sequence[ExecutionRequest],
-        xp=None,
-        exact_reference: bool = False,
-    ) -> Tuple[int, int, int]:
-        """Statevector sharing with stacking counters.
-
-        Returns ``(contractions, stacked_evals, stacked_circuits)``:
-        contractions is the number of simulator calls (one per gate
-        structure; equal to the number of unique bodies when every
-        structure is unique), stacked_evals of which ran with batch > 1,
-        covering stacked_circuits unique bodies in total.
+        *structure* evolve as one stacked contraction.  Returns
+        ``(contractions, stacked_evals, stacked_circuits)``: the number
+        of simulator calls (one per gate structure), how many of them ran
+        with batch > 1, and how many unique bodies those covered.  The
+        batch saving is ``len(requests) - contractions``.
         """
         pending: Dict[str, List[ExecutableCircuit]] = {}
         for request in requests:
@@ -229,31 +199,21 @@ class _LocalBackend:
                 continue
             key = unitary_body_fingerprint(executable.logical)
             pending.setdefault(key, []).append(executable)
-        simulator = StatevectorSimulator(xp=xp)
-        if exact_reference:
-            for group in pending.values():
-                shared = simulator.probabilities(group[0].logical)
-                for executable in group:
-                    executable.share_ideal_probabilities(shared)
-            return len(pending), 0, 0
         by_structure: Dict[tuple, List[List[ExecutableCircuit]]] = {}
         for group in pending.values():
             by_structure.setdefault(
                 structure_key(group[0].logical), []
             ).append(group)
+        simulator = StatevectorSimulator()
         stacked_evals = 0
         stacked_circuits = 0
         for body_groups in by_structure.values():
-            if len(body_groups) == 1:
-                shared = simulator.probabilities(body_groups[0][0].logical)
-                for executable in body_groups[0]:
-                    executable.share_ideal_probabilities(shared)
-                continue
             rows = simulator.probabilities_stacked(
                 [group[0].logical for group in body_groups]
             )
-            stacked_evals += 1
-            stacked_circuits += len(body_groups)
+            if len(body_groups) > 1:
+                stacked_evals += 1
+                stacked_circuits += len(body_groups)
             for row, group in zip(rows, body_groups):
                 for executable in group:
                     executable.share_ideal_probabilities(row)
@@ -265,9 +225,7 @@ class _LocalBackend:
 
     def execute(self, requests: Sequence[ExecutionRequest]) -> List[PMF]:
         requests = list(requests)
-        contractions, stacked, circuits = self._share_statevectors_detail(
-            requests, xp=self.xp, exact_reference=self.exact_reference
-        )
+        contractions, stacked, circuits = self.share_statevectors(requests)
         self._statevector_evals.add(contractions)
         self._stacked_evals.add(stacked)
         self._stacked_circuits.add(circuits)
@@ -315,21 +273,14 @@ class LocalExactBackend(_LocalBackend):
         requests: Sequence[ExecutionRequest],
         streams: Sequence[Optional[object]],
     ) -> List[PMF]:
-        if self.exact_reference:
-            return [self.sampler.exact_pmf(r.executable) for r in requests]
         executables = [r.executable for r in requests]
-        widths: Dict[int, int] = {}
-        for executable in executables:
-            k = len(executable.logical.measurement_map)
-            widths[k] = widths.get(k, 0) + 1
-        for count in widths.values():
-            if count > 1:
-                self._stacked_evals.add(1)
-                self._stacked_circuits.add(count)
+        stacked, circuits = stacked_channel_counts(executables)
+        self._stacked_evals.add(stacked)
+        self._stacked_circuits.add(circuits)
         return [
             PMF.from_codes(codes, probs, num_bits)
             for codes, probs, num_bits in self.sampler.exact_group_distributions(
-                executables, xp=self.xp
+                executables
             )
         ]
 
@@ -356,35 +307,22 @@ class LocalSamplingBackend(_LocalBackend):
         requests: Sequence[ExecutionRequest],
         streams: Sequence[Optional[object]],
     ) -> List[PMF]:
-        pmfs = []
-        for request, stream in zip(requests, streams):
-            if self.exact_reference:
-                counts = self.sampler.run_codes(
-                    request.executable, request.trials, rng=stream
-                )
-            else:
-                # Serial batches keep one stream (and therefore one
-                # sampling group) per request; the stacked sampler is
-                # bit-for-bit run_codes at group size one.
-                (counts,) = self.sampler.sample_group_codes(
-                    request.executable, [request.trials], rng=stream
-                )
-            pmfs.append(counts.to_pmf())
-        return pmfs
+        # Serial batches keep one stream (and therefore one sampling
+        # group) per request.
+        return [
+            self.sampler.run_codes(
+                request.executable, request.trials, rng=stream
+            ).to_pmf()
+            for request, stream in zip(requests, streams)
+        ]
 
 
 def local_backend(
     sampler: NoisySampler,
     exact: bool,
-    xp=None,
-    exact_reference: Optional[bool] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Backend:
     """The default local backend for a sampler: exact or sampling."""
     if exact:
-        return LocalExactBackend(
-            sampler, xp=xp, exact_reference=exact_reference, metrics=metrics
-        )
-    return LocalSamplingBackend(
-        sampler, xp=xp, exact_reference=exact_reference, metrics=metrics
-    )
+        return LocalExactBackend(sampler, metrics=metrics)
+    return LocalSamplingBackend(sampler, metrics=metrics)

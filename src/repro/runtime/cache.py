@@ -76,12 +76,14 @@ class CompilationCache:
         # Guards both stores: pipelines share a cache across the CPM
         # compilation thread fan-out (``compile_workers``).
         self._lock = threading.RLock()
-        # Per-(stage, key) in-flight locks for stage_get_or_compute: a
-        # concurrent miss storm on one key runs the compute once; peers
-        # block on the key lock and replay the stored value.  Entries are
-        # dropped once the compute settles, so the dict stays bounded by
-        # the number of keys currently being computed.
-        self._inflight: Dict[Tuple[str, str], threading.Lock] = {}
+        # Per-(stage, key) in-flight locks for stage_get_or_compute, as
+        # [lock, callers holding or waiting on it]: a concurrent miss
+        # storm on one key runs the compute once; peers block on the key
+        # lock and replay the stored value.  An entry is dropped when its
+        # last caller leaves — never earlier, or a late caller would get
+        # a fresh lock and compute beside a waiter on the old one — so
+        # the dict stays bounded by the keys currently being computed.
+        self._inflight: Dict[Tuple[str, str], list] = {}
         self._inflight_guard = threading.Lock()
         self._hits = self.metrics.counter("cache.plan_hits")
         self._misses = self.metrics.counter("cache.plan_misses")
@@ -216,11 +218,10 @@ class CompilationCache:
         if cached is not None:
             return cached, True
         with self._inflight_guard:
-            lock = self._inflight.get(pair)
-            if lock is None:
-                lock = self._inflight[pair] = threading.Lock()
+            entry = self._inflight.setdefault(pair, [threading.Lock(), 0])
+            entry[1] += 1
         try:
-            with lock:
+            with entry[0]:
                 with self._lock:
                     cached = self._stage_data.get(pair)
                 if cached is not None:
@@ -230,7 +231,9 @@ class CompilationCache:
                 return value, False
         finally:
             with self._inflight_guard:
-                self._inflight.pop(pair, None)
+                entry[1] -= 1
+                if entry[1] == 0:
+                    del self._inflight[pair]
 
     def stage_entries(self, stage: Optional[str] = None) -> int:
         """Number of stored artifacts, for one stage or all of them."""

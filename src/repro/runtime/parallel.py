@@ -40,12 +40,11 @@ from repro.noise.sampler import NoisySampler
 from repro.runtime.backend import (
     Backend,
     ExecutionRequest,
-    LocalExactBackend,
     _LocalBackend,
     local_backend,
+    stacked_channel_counts,
 )
 from repro.runtime.fingerprint import executable_fingerprint
-from repro.sim.kernels import namespace_name
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["ShardedBackend", "sharded_local_backend"]
@@ -55,8 +54,6 @@ def sharded_local_backend(
     sampler,
     exact: bool,
     workers: Optional[int] = None,
-    xp=None,
-    exact_reference: Optional[bool] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Backend:
     """The local backend for a sampler, sharded when a fan-out is set.
@@ -69,11 +66,10 @@ def sharded_local_backend(
     backend does the counting (the wrapper when sharded).
     """
     if workers is not None and workers > 1:
-        backend = local_backend(sampler, exact, xp=xp, exact_reference=exact_reference)
-        return ShardedBackend(backend, workers=workers, metrics=metrics)
-    return local_backend(
-        sampler, exact, xp=xp, exact_reference=exact_reference, metrics=metrics
-    )
+        return ShardedBackend(
+            local_backend(sampler, exact), workers=workers, metrics=metrics
+        )
+    return local_backend(sampler, exact, metrics=metrics)
 
 
 def _evaluate_shard(payload) -> Tuple[List[int], List[tuple], Dict[str, int]]:
@@ -84,14 +80,12 @@ def _evaluate_shard(payload) -> Tuple[List[int], List[tuple], Dict[str, int]]:
     sampler configuration evaluate the noise channel as one batched
     contraction per measured width (:meth:`NoisySampler.
     exact_group_distributions`); sampling shards run each group through
-    the group-stacked sampler, one searchsorted per group.  The
-    ``exact_reference`` escape hatch reroutes everything onto the
-    historical per-circuit oracle kernels.  Returns raw ``(codes,
-    values, num_bits)`` array triples, not PMFs, so the result crosses
-    process boundaries cheaply, plus the shard's stacking counters; the
-    parent rebuilds PMFs in batch order.
+    the group-stacked sampler (:meth:`NoisySampler.run_many_codes`).
+    Returns raw ``(codes, values, num_bits)`` array triples, not PMFs, so
+    the result crosses process boundaries cheaply, plus the shard's
+    stacking counters; the parent rebuilds PMFs in batch order.
     """
-    groups, exact, exact_reference, xp_spec = payload
+    groups, exact = payload
     indices_out: List[int] = []
     distributions: List[tuple] = []
     shard_stats = {"stacked_evals": 0, "stacked_circuits": 0}
@@ -120,23 +114,10 @@ def _evaluate_shard(payload) -> Tuple[List[int], List[tuple], Dict[str, int]]:
         for members in partitions.values():
             sampler = sampler_for(members[0][0], members[0][1])
             executables = [group[2] for group in members]
-            if exact_reference or len(executables) == 1:
-                triples = [
-                    sampler.exact_distribution_arrays(executable)
-                    for executable in executables
-                ]
-            else:
-                triples = sampler.exact_group_distributions(
-                    executables, xp=xp_spec
-                )
-                widths: Dict[int, int] = {}
-                for executable in executables:
-                    k = len(executable.logical.measurement_map)
-                    widths[k] = widths.get(k, 0) + 1
-                for count in widths.values():
-                    if count > 1:
-                        shard_stats["stacked_evals"] += 1
-                        shard_stats["stacked_circuits"] += count
+            triples = sampler.exact_group_distributions(executables)
+            stacked, circuits = stacked_channel_counts(executables)
+            shard_stats["stacked_evals"] += stacked
+            shard_stats["stacked_circuits"] += circuits
             for group, triple in zip(members, triples):
                 group_indices = group[3]
                 indices_out.extend(group_indices)
@@ -145,13 +126,10 @@ def _evaluate_shard(payload) -> Tuple[List[int], List[tuple], Dict[str, int]]:
 
     for noise_model, chunk_shots, executable, group_indices, trials, rng in groups:
         sampler = sampler_for(noise_model, chunk_shots)
-        if exact_reference:
-            histograms = sampler.run_many_codes(executable, trials, rng=rng)
-        else:
-            histograms = sampler.sample_group_codes(executable, trials, rng=rng)
-            if len(trials) > 1:
-                shard_stats["stacked_evals"] += 1
-                shard_stats["stacked_circuits"] += len(trials)
+        histograms = sampler.run_many_codes(executable, trials, rng=rng)
+        if len(trials) > 1:
+            shard_stats["stacked_evals"] += 1
+            shard_stats["stacked_circuits"] += len(trials)
         indices_out.extend(group_indices)
         distributions.extend(
             (chunk.codes, chunk.counts.astype(float), chunk.num_bits)
@@ -412,11 +390,8 @@ class ShardedBackend:
         fan out, rebuild PMFs in batch order."""
         self._batches.add(1)
         self._requests_seen.add(len(requests))
-        exact_reference = getattr(self.inner, "exact_reference", False)
-        contractions, stacked, circuits = (
-            self.inner._share_statevectors_detail(
-                requests, xp=self.inner.xp, exact_reference=exact_reference
-            )
+        contractions, stacked, circuits = self.inner.share_statevectors(
+            requests
         )
         self._statevector_evals.add(contractions)
         self._stacked_evals.add(stacked)
@@ -428,14 +403,7 @@ class ShardedBackend:
 
         shards = self._shards(group_payloads)
         self._shards_dispatched.add(len(shards))
-        xp = self.inner.xp
-        xp_spec = (
-            xp if xp is None or isinstance(xp, str) else namespace_name(xp)
-        )
-        payloads = [
-            (shard, self.inner.deterministic, exact_reference, xp_spec)
-            for shard in shards
-        ]
+        payloads = [(shard, self.inner.deterministic) for shard in shards]
         pool = self._get_pool()
         if pool is None:
             outcomes = [_evaluate_shard(payload) for payload in payloads]

@@ -22,10 +22,6 @@ Typical use::
     plan = session.plan(ghz(8))            # compile once, inspect, cache
     result = session.run(plan)             # batch-execute + reconstruct
     pmf = session.run_scheme("jigsaw_m", ghz(8))   # or by scheme name
-
-The legacy :class:`~repro.experiments.runner.SchemeRunner` is a thin
-deprecated subclass of :class:`Session`, so the two produce bit-for-bit
-identical outputs under the same seed.
 """
 
 from __future__ import annotations
@@ -146,8 +142,7 @@ class Session:
     Args:
         device: the target device.
         seed: root seed; fans out into per-scheme compilation streams and
-            the sampler stream exactly as the historical ``SchemeRunner``
-            did, so fixed-seed results are reproducible across both APIs.
+            the sampler stream, so fixed-seed results are reproducible.
         total_trials: default trial budget for scheme runs and plans.
         exact: evaluate closed-form noisy distributions (deterministic,
             the infinite-trials limit) instead of sampling.
@@ -190,10 +185,10 @@ class Session:
         self.ensemble_size = ensemble_size
         self.compile_workers = compile_workers
         self.workers = workers
-        #: The session's unified telemetry registry: the sampler, the
-        #: default backend, and the session pipeline record straight into
-        #: it; runner pipelines/backends and the (possibly shared) cache
-        #: are attached, so :meth:`telemetry_snapshot` is one tree.
+        #: The session's unified telemetry registry: the default backend
+        #: and the session pipeline record straight into it; runner
+        #: pipelines/backends and the (possibly shared) cache are
+        #: attached, so :meth:`telemetry_snapshot` is one tree.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._rng = as_generator(seed)
         (
@@ -205,9 +200,7 @@ class Session:
             self._sampler_seed,
         ) = spawn(self._rng, 6)
         self.noise_model = NoiseModel.from_device(device)
-        self.sampler = NoisySampler(
-            self.noise_model, seed=self._sampler_seed, metrics=self.metrics
-        )
+        self.sampler = NoisySampler(self.noise_model, seed=self._sampler_seed)
         self._backend_override = backend
         self.backend: Backend = backend or self._default_backend()
         if backend is not None:
@@ -737,8 +730,7 @@ class Session:
 
         Merges the session pipeline's counters (baseline/EDM compiles)
         with every scheme runner's, plus the shared stage-cache hit/miss
-        accounting — the replacement for the old process-wide
-        ``transpile_call_count`` global.
+        accounting.
         """
         counters: Dict[str, int] = dict(self.compile_pipeline.stats.snapshot())
         for runner in self._runners.values():
@@ -750,8 +742,8 @@ class Session:
         """One unified registry snapshot over every session component.
 
         Compiler counters (session pipeline + every runner's), backend
-        work counters, sampler counters, and the shared cache's hit/miss
-        accounting, all under their dotted telemetry names.  The legacy
+        work counters, and the shared cache's hit/miss accounting, all
+        under their dotted telemetry names.  The legacy
         ``pipeline_stats()``/``execution_stats()``/``cache_stats()``
         views are projections of the same instruments, so the two
         surfaces can never disagree.

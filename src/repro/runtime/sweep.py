@@ -13,7 +13,7 @@ cheapest correct shape the runtime offers:
 * **execute stacked** — all K iterations' requests are submitted as
   *one* backend batch, so the batched execution spine evaluates the
   whole optimizer wave in ``(K, 2^n)`` stacks
-  (``statevectors_stacked`` / ``sample_group_codes``).
+  (``statevectors_stacked`` / ``exact_group_distributions``).
 
 Determinism boundary: batch order is iteration order, and sampling
 backends spawn one RNG child per batch position with a *cumulative*

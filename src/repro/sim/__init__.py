@@ -1,61 +1,42 @@
 """Simulation engines: ideal statevector and Kraus density matrix.
 
-The shared contraction kernels (array-API ``xp`` seam, batch leading
-dimension, qubit caps) live in :mod:`repro.sim.kernels`; the engines here
-are thin orchestration over them.
+The shared contraction kernels (batch leading dimension, qubit caps)
+live in :mod:`repro.sim.kernels`; the engines here are thin
+orchestration over them.
 """
 
-from repro.sim.density_matrix import (
-    DensityMatrixSimulator,
-    apply_operator_to_density_matrix,
-    depolarizing_kraus,
-    expand_operator,
-)
+from repro.sim.density_matrix import DensityMatrixSimulator, depolarizing_kraus
 from repro.sim.kernels import (
     DEFAULT_MAX_QUBITS,
     apply_confusions,
     apply_gate,
     apply_operator_to_density,
-    asnumpy,
     check_qubit_cap,
     default_max_qubits,
-    namespace_name,
-    resolve_namespace,
-    set_default_namespace,
+    marginal_probabilities,
     state_memory_bytes,
     statevectors_stacked,
     structure_key,
     validate_max_qubits,
 )
 from repro.sim.trajectory import PauliTrajectorySimulator
-from repro.sim.statevector import (
-    StatevectorSimulator,
-    apply_gate_to_statevector,
-    marginal_probabilities,
-)
+from repro.sim.statevector import StatevectorSimulator
 
 __all__ = [
     "StatevectorSimulator",
     "PauliTrajectorySimulator",
     "DensityMatrixSimulator",
-    "apply_gate_to_statevector",
-    "apply_operator_to_density_matrix",
-    "marginal_probabilities",
-    "expand_operator",
     "depolarizing_kraus",
-    # kernels (array-API seam)
+    # kernels
     "DEFAULT_MAX_QUBITS",
     "default_max_qubits",
     "validate_max_qubits",
     "check_qubit_cap",
     "state_memory_bytes",
-    "resolve_namespace",
-    "set_default_namespace",
-    "namespace_name",
-    "asnumpy",
     "apply_gate",
     "apply_operator_to_density",
     "apply_confusions",
+    "marginal_probabilities",
     "statevectors_stacked",
     "structure_key",
 ]

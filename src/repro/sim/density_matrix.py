@@ -10,22 +10,20 @@ is exactly its role — unit tests cross-check the sampler against it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
-from repro.sim import kernels
-from repro.sim.kernels import check_qubit_cap, validate_max_qubits
+from repro.sim.kernels import (
+    apply_operator_to_density,
+    check_qubit_cap,
+    validate_max_qubits,
+)
 from repro.utils.bits import index_to_bitstring
 
-__all__ = [
-    "DensityMatrixSimulator",
-    "expand_operator",
-    "apply_operator_to_density_matrix",
-    "depolarizing_kraus",
-]
+__all__ = ["DensityMatrixSimulator", "depolarizing_kraus"]
 
 _PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -33,68 +31,6 @@ _PAULIS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def expand_operator(
-    matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Embed a k-qubit operator into the full ``2**n``-dimensional space.
-
-    Follows the same convention as the statevector engine: the first qubit
-    in ``qubits`` is the most significant bit of the operator's local index.
-
-    Vectorised: column indices are processed as one array, with a small
-    ``4**k`` Python loop over the operator's local entries instead of the
-    ``2**n`` columns.
-    """
-    k = len(qubits)
-    if matrix.shape != (1 << k, 1 << k):
-        raise SimulationError("operator dimension does not match qubit count")
-    dim = 1 << num_qubits
-    columns = np.arange(dim, dtype=np.int64)
-    # Local column index of every full column (gather the operator qubits).
-    local_cols = np.zeros(dim, dtype=np.int64)
-    touched = 0
-    for j, q in enumerate(qubits):
-        local_cols |= ((columns >> q) & 1) << (k - 1 - j)
-        touched |= 1 << q
-    # Full column with the operator qubits cleared; scattering a local row
-    # index onto the qubit positions then yields the full row index.
-    base = columns & ~touched
-    full = np.zeros((dim, dim), dtype=complex)
-    for row_local in range(1 << k):
-        scattered = 0
-        for j, q in enumerate(qubits):
-            scattered |= ((row_local >> (k - 1 - j)) & 1) << q
-        amps = matrix[row_local, local_cols]
-        nonzero = np.flatnonzero(amps)
-        if nonzero.size == 0:
-            continue
-        rows = base[nonzero] | scattered
-        full[rows, columns[nonzero]] += amps[nonzero]
-    return full
-
-
-def apply_operator_to_density_matrix(
-    rho: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Return ``K rho K^dagger`` for a k-qubit operator ``K``.
-
-    The statevector-style reshape/moveaxis kernel applied twice: once to
-    the row indices (``K rho``) and once, conjugated, to the column
-    indices (``... K^dagger``).  Cost is O(2^k * 4^n) instead of the
-    O(8^n) of embedding ``K`` via :func:`expand_operator` and taking full
-    matrix products — ``expand_operator`` remains as the test oracle.
-
-    Index convention matches the statevector engine: the first qubit in
-    ``qubits`` is the most significant bit of the operator's local index;
-    ``rho``'s element ``(i, j)`` encodes qubit ``q`` of the row as bit
-    ``(i >> q) & 1`` and likewise for the column.
-
-    Thin delegate of the shared, batch-aware
-    :func:`repro.sim.kernels.apply_operator_to_density` kernel.
-    """
-    return kernels.apply_operator_to_density(rho, matrix, qubits, num_qubits)
 
 
 def depolarizing_kraus(probability: float, num_qubits: int = 1) -> List[np.ndarray]:
@@ -163,7 +99,7 @@ class DensityMatrixSimulator:
         for ins in circuit.instructions:
             if not ins.is_gate:
                 continue
-            rho = apply_operator_to_density_matrix(
+            rho = apply_operator_to_density(
                 rho, ins.gate.matrix(), ins.qubits, n
             )
             error = gate_error_1q if len(ins.qubits) == 1 else gate_error_2q
@@ -178,7 +114,7 @@ class DensityMatrixSimulator:
         kraus = depolarizing_kraus(probability, len(qubits))
         out = np.zeros_like(rho)
         for op in kraus:
-            out += apply_operator_to_density_matrix(rho, op, qubits, num_qubits)
+            out += apply_operator_to_density(rho, op, qubits, num_qubits)
         return out
 
     # ------------------------------------------------------------------

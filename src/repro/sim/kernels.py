@@ -1,43 +1,32 @@
-"""Array-API batched execution kernels: the ``xp`` seam of the simulators.
+"""Batched execution kernels: the shared contraction code of the simulators.
 
 Every simulator in :mod:`repro.sim` used to carry its own copy of the
 reshape/moveaxis gate-application kernel (statevector, density matrix,
 and — via the statevector engine — trajectory simulation).  This module
-is the single home of those kernels, with two generalisations:
+is the single home of those kernels, on numpy.
 
-* **Array-API namespace parameter** — every kernel takes an ``xp``
-  namespace (numpy by default, resolved by :func:`resolve_namespace`
-  from the ``REPRO_ARRAY_API`` environment variable or an explicit
-  module).  The kernels restrict themselves to the array-API surface
-  (``reshape``/``moveaxis``/``matmul``/``sum``/``stack``), so a CuPy or
-  JAX namespace — or ``array_api_strict`` for conformance testing — is a
-  drop-in replacement.  No layer above :mod:`repro.sim` and
-  :mod:`repro.noise` may allocate device arrays; results cross back at
-  the kernel boundary via :func:`asnumpy`.
-* **Batch leading dimension** — state arguments accept arbitrary
-  leading (batch) dimensions: a stacked ``(B, 2**n)`` state evolves B
-  circuits as one contraction per gate position.  The batched path is
-  **bit-for-bit identical per slice** to the single-circuit path: the
-  contraction is ``xp.matmul`` with a broadcast/stacked operator, and
-  numpy's stacked matmul applies the same GEMM per slice as the 2-D
-  call, so stacking circuits together can never change any one
-  circuit's amplitudes.  That invariant is what lets the execution spine
-  (:mod:`repro.runtime.backend`) stack coalesced batches while staying
-  bit-for-bit equal to the per-circuit reference kernels.
+State arguments accept arbitrary leading (batch) dimensions: a stacked
+``(B, 2**n)`` state evolves B circuits as one contraction per gate
+position.  The batched path is **bit-for-bit identical per slice** to
+the single-circuit path: the contraction is ``np.matmul`` with a
+broadcast/stacked operator, and numpy's stacked matmul applies the same
+GEMM per slice as the 2-D call, so stacking circuits together can never
+change any one circuit's amplitudes.  That invariant is what lets the
+execution spine (:mod:`repro.runtime.backend`) stack coalesced batches
+while staying bit-for-bit equal to the per-circuit reference kernels
+kept in the test suite.
 
-Dtype policy: the namespace boundary enforces ``float64`` for
-probabilities and ``complex128`` for amplitudes (:func:`as_float64` /
-:func:`as_complex128`).  Mixed-precision execution is a deliberate
-non-goal — the oracle-equality contract of the stacked path is defined
-in double precision.
+Dtype policy: probabilities are ``float64`` and amplitudes
+``complex128`` (gate operators and confusion matrices are cast with
+``np.asarray(..., dtype=...)``).  Mixed-precision execution is a
+deliberate non-goal — the oracle-equality contract of the stacked path
+is defined in double precision.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
-import threading
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -49,12 +38,6 @@ __all__ = [
     "validate_max_qubits",
     "check_qubit_cap",
     "state_memory_bytes",
-    "resolve_namespace",
-    "set_default_namespace",
-    "namespace_name",
-    "asnumpy",
-    "as_float64",
-    "as_complex128",
     "apply_gate",
     "apply_operator_to_density",
     "marginal_probabilities",
@@ -142,123 +125,6 @@ def check_qubit_cap(
 
 
 # ----------------------------------------------------------------------
-# Namespace resolution
-# ----------------------------------------------------------------------
-
-#: Short names accepted by :func:`resolve_namespace`.
-_NAMESPACE_ALIASES = {
-    "numpy": "numpy",
-    "np": "numpy",
-    "cupy": "cupy",
-    "jax": "jax.numpy",
-    "jax.numpy": "jax.numpy",
-    "array_api_strict": "array_api_strict",
-    "strict": "array_api_strict",
-}
-
-#: The duck-typed array-API surface the kernels require.  Anything that
-#: provides these callables is accepted (``array_api_compat``-style
-#: duck typing, no hard dependency on the compat package).
-_REQUIRED_ATTRS = (
-    "asarray",
-    "reshape",
-    "moveaxis",
-    "matmul",
-    "sum",
-    "abs",
-    "stack",
-)
-
-_default_lock = threading.Lock()
-_default_namespace: Optional[object] = None
-
-
-def _validate_namespace(xp: object, origin: str) -> object:
-    missing = [name for name in _REQUIRED_ATTRS if not hasattr(xp, name)]
-    if missing:
-        raise SimulationError(
-            f"{origin} is not an array-API-compatible namespace "
-            f"(missing {', '.join(missing)})"
-        )
-    return xp
-
-
-def resolve_namespace(spec: Union[None, str, object] = None) -> object:
-    """Resolve an array-API namespace for the kernels.
-
-    ``None`` returns the process default: the namespace selected with
-    :func:`set_default_namespace`, else the module named by the
-    ``REPRO_ARRAY_API`` environment variable, else numpy.  A string is
-    resolved through the alias table (``numpy``, ``cupy``, ``jax``,
-    ``array_api_strict``) or imported verbatim; a module-like object is
-    duck-validated and returned as-is.
-    """
-    if spec is None:
-        with _default_lock:
-            if _default_namespace is not None:
-                return _default_namespace
-        env = os.environ.get("REPRO_ARRAY_API")
-        if env is None or env in ("", "numpy", "np"):
-            return np
-        spec = env
-    if isinstance(spec, str):
-        target = _NAMESPACE_ALIASES.get(spec, spec)
-        if target == "numpy":
-            return np
-        try:
-            module = importlib.import_module(target)
-        except ImportError as exc:
-            raise SimulationError(
-                f"array-API namespace {spec!r} is not importable: {exc}"
-            ) from exc
-        return _validate_namespace(module, f"module {target!r}")
-    return _validate_namespace(spec, f"namespace {spec!r}")
-
-
-def set_default_namespace(spec: Union[None, str, object]) -> object:
-    """Set (or with ``None`` clear) the process-default namespace.
-
-    Returns the namespace now in effect.  The CLI's ``--array-api`` flag
-    lands here; library code should keep taking ``xp`` parameters.
-    """
-    global _default_namespace
-    resolved = None if spec is None else resolve_namespace(spec)
-    with _default_lock:
-        _default_namespace = resolved
-    return resolve_namespace(None)
-
-
-def namespace_name(xp: object) -> str:
-    """A printable name for a namespace (stats / payload provenance)."""
-    return getattr(xp, "__name__", type(xp).__name__)
-
-
-def asnumpy(array: object) -> np.ndarray:
-    """Bring a kernel result back to host numpy (the spine's dtype home).
-
-    ``np.asarray`` covers numpy and anything exposing the buffer
-    protocol; device arrays (CuPy) and strict-API arrays fall back to
-    DLPack.
-    """
-    if isinstance(array, np.ndarray):
-        return array
-    try:
-        return np.asarray(array)
-    except (TypeError, ValueError):
-        return np.from_dlpack(array)
-
-
-def as_float64(xp: object, array: object) -> object:
-    """Enforce the float64 boundary dtype on a probability array."""
-    return xp.asarray(array, dtype=xp.float64)
-
-
-def as_complex128(xp: object, array: object) -> object:
-    """Enforce the complex128 boundary dtype on an amplitude array."""
-    return xp.asarray(array, dtype=xp.complex128)
-
-
-# ----------------------------------------------------------------------
 # Gate-application kernels
 # ----------------------------------------------------------------------
 
@@ -268,12 +134,11 @@ def _lead_dims(shape: Sequence[int], trailing: int) -> Tuple[int, ...]:
 
 
 def apply_gate(
-    states: object,
-    matrix: object,
+    states: np.ndarray,
+    matrix: np.ndarray,
     qubits: Sequence[int],
     num_qubits: int,
-    xp: object = np,
-) -> object:
+) -> np.ndarray:
     """Apply a k-qubit operator to one state or a stack of states.
 
     ``states`` has shape ``(..., 2**num_qubits)`` — any leading (batch)
@@ -294,27 +159,26 @@ def apply_gate(
         )
     lead = _lead_dims(states.shape, 1)
     nl = len(lead)
-    tensor = xp.reshape(states, lead + (2,) * num_qubits)
+    tensor = np.reshape(states, lead + (2,) * num_qubits)
     # Axis for qubit q is (num_qubits - 1 - q) past the batch dims,
     # because the first state axis is the most significant bit.
     axes = tuple(nl + num_qubits - 1 - q for q in qubits)
     front = tuple(range(nl, nl + k))
-    tensor = xp.moveaxis(tensor, axes, front)
-    shaped = xp.reshape(tensor, lead + (dim, -1))
-    shaped = xp.matmul(matrix, shaped)
-    tensor = xp.moveaxis(
-        xp.reshape(shaped, lead + (2,) * num_qubits), front, axes
+    tensor = np.moveaxis(tensor, axes, front)
+    shaped = np.reshape(tensor, lead + (dim, -1))
+    shaped = np.matmul(matrix, shaped)
+    tensor = np.moveaxis(
+        np.reshape(shaped, lead + (2,) * num_qubits), front, axes
     )
-    return xp.reshape(tensor, lead + (-1,))
+    return np.reshape(tensor, lead + (-1,))
 
 
 def apply_operator_to_density(
-    rho: object,
-    matrix: object,
+    rho: np.ndarray,
+    matrix: np.ndarray,
     qubits: Sequence[int],
     num_qubits: int,
-    xp: object = np,
-) -> object:
+) -> np.ndarray:
     """Return ``K rho K^dagger`` for a k-qubit operator ``K``.
 
     The statevector kernel applied twice — once to the row indices and
@@ -333,28 +197,27 @@ def apply_operator_to_density(
         raise SimulationError("density matrix dimension mismatch")
     lead = _lead_dims(rho.shape, 2)
     nl = len(lead)
-    tensor = xp.reshape(rho, lead + (2,) * (2 * num_qubits))
+    tensor = np.reshape(rho, lead + (2,) * (2 * num_qubits))
     # Row axis of qubit q is (num_qubits - 1 - q) past the batch dims;
     # its column axis sits num_qubits further along.
     row_axes = tuple(nl + num_qubits - 1 - q for q in qubits)
     col_axes = tuple(nl + 2 * num_qubits - 1 - q for q in qubits)
     front = tuple(range(nl, nl + k))
-    conjugate = xp.conj(matrix) if hasattr(xp, "conj") else matrix.conj()
+    conjugate = np.conj(matrix)
     for axes, op in ((row_axes, matrix), (col_axes, conjugate)):
-        tensor = xp.moveaxis(tensor, axes, front)
-        shaped = xp.matmul(op, xp.reshape(tensor, lead + (dim, -1)))
-        tensor = xp.moveaxis(
-            xp.reshape(shaped, lead + (2,) * (2 * num_qubits)), front, axes
+        tensor = np.moveaxis(tensor, axes, front)
+        shaped = np.matmul(op, np.reshape(tensor, lead + (dim, -1)))
+        tensor = np.moveaxis(
+            np.reshape(shaped, lead + (2,) * (2 * num_qubits)), front, axes
         )
-    return xp.reshape(tensor, lead + (full, full))
+    return np.reshape(tensor, lead + (full, full))
 
 
 def marginal_probabilities(
-    probabilities: object,
+    probabilities: np.ndarray,
     keep_qubits: Sequence[int],
     num_qubits: int,
-    xp: object = np,
-) -> object:
+) -> np.ndarray:
     """Marginalise ``(..., 2**n)`` probabilities onto ``keep_qubits``.
 
     The output indexes the kept qubits in ascending order: kept qubit
@@ -365,32 +228,30 @@ def marginal_probabilities(
     keep_sorted = sorted(keep_qubits)
     lead = _lead_dims(probabilities.shape, 1)
     nl = len(lead)
-    tensor = xp.reshape(probabilities, lead + (2,) * num_qubits)
+    tensor = np.reshape(probabilities, lead + (2,) * num_qubits)
     keep_set = set(keep_sorted)
     drop_axes = tuple(
         nl + num_qubits - 1 - q
         for q in range(num_qubits)
         if q not in keep_set
     )
-    marg = xp.sum(tensor, axis=drop_axes) if drop_axes else tensor
+    marg = np.sum(tensor, axis=drop_axes) if drop_axes else tensor
     # Remaining axes are ordered most-significant-first by original qubit
     # index descending, which is exactly "bit j = j-th smallest kept qubit".
-    return xp.reshape(marg, lead + (-1,))
+    return np.reshape(marg, lead + (-1,))
 
 
 def apply_confusions(
-    outcome_probs: object,
-    confusions: Sequence[object],
-    xp: object = np,
-) -> object:
+    outcome_probs: np.ndarray,
+    confusions: Sequence[np.ndarray],
+) -> np.ndarray:
     """Apply per-clbit 2x2 confusion matrices to ``(..., 2**k)`` probs.
 
     ``confusions[c]`` acts on clbit ``c`` and is either one ``(2, 2)``
     column-stochastic matrix (``A[observed, actual]``) shared across the
     stack or a ``(..., 2, 2)`` stack aligned with the leading batch
     dimensions (stacked groups mix executables with different measured
-    qubits, hence different readout channels).  The unbatched call is
-    bit-for-bit the historical :func:`repro.noise.sampler.apply_confusions`.
+    qubits, hence different readout channels).
     """
     k = len(confusions)
     lead = _lead_dims(outcome_probs.shape, 1)
@@ -399,18 +260,18 @@ def apply_confusions(
         raise SimulationError(
             "distribution size does not match confusion count"
         )
-    tensor = xp.reshape(outcome_probs, lead + (2,) * k)
+    tensor = np.reshape(outcome_probs, lead + (2,) * k)
     for clbit, matrix in enumerate(confusions):
-        matrix = as_float64(xp, matrix)
+        matrix = np.asarray(matrix, dtype=np.float64)
         if tuple(matrix.shape[-2:]) != (2, 2):
             raise SimulationError("confusion matrices must be 2x2")
         axis = nl + k - 1 - clbit
-        tensor = xp.moveaxis(tensor, (axis,), (nl,))
-        flat = xp.matmul(matrix, xp.reshape(tensor, lead + (2, -1)))
-        tensor = xp.moveaxis(
-            xp.reshape(flat, lead + (2,) * k), (nl,), (axis,)
+        tensor = np.moveaxis(tensor, (axis,), (nl,))
+        flat = np.matmul(matrix, np.reshape(tensor, lead + (2, -1)))
+        tensor = np.moveaxis(
+            np.reshape(flat, lead + (2,) * k), (nl,), (axis,)
         )
-    return xp.reshape(tensor, lead + (-1,))
+    return np.reshape(tensor, lead + (-1,))
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +297,7 @@ def structure_key(circuit) -> Tuple:
     )
 
 
-def statevectors_stacked(circuits: Sequence[object], xp: object = np) -> object:
+def statevectors_stacked(circuits: Sequence[object]) -> np.ndarray:
     """Final statevectors of structure-sharing circuits, one contraction
     per gate position.
 
@@ -456,9 +317,8 @@ def statevectors_stacked(circuits: Sequence[object], xp: object = np) -> object:
             )
     n = circuits[0].num_qubits
     batch = len(circuits)
-    initial = np.zeros((batch, 1 << n), dtype=complex)
-    initial[:, 0] = 1.0
-    states = as_complex128(xp, initial)
+    states = np.zeros((batch, 1 << n), dtype=np.complex128)
+    states[:, 0] = 1.0
     gate_streams = [
         [ins for ins in circuit.instructions if ins.is_gate]
         for circuit in circuits
@@ -466,10 +326,11 @@ def statevectors_stacked(circuits: Sequence[object], xp: object = np) -> object:
     for position, ins in enumerate(gate_streams[0]):
         gates = [stream[position].gate for stream in gate_streams]
         if all(gate == gates[0] for gate in gates[1:]):
-            matrix = as_complex128(xp, gates[0].matrix())
+            matrix = np.asarray(gates[0].matrix(), dtype=np.complex128)
         else:
-            matrix = as_complex128(
-                xp, np.stack([gate.matrix() for gate in gates])
+            matrix = np.asarray(
+                np.stack([gate.matrix() for gate in gates]),
+                dtype=np.complex128,
             )
-        states = apply_gate(states, matrix, ins.qubits, n, xp=xp)
+        states = apply_gate(states, matrix, ins.qubits, n)
     return states

@@ -15,9 +15,8 @@ roughly 24 qubits, which comfortably covers the paper's largest benchmark
   structure-sharing circuits (bit-for-bit equal, slice by slice, to the
   per-circuit path — see :mod:`repro.sim.kernels`).
 
-The gate-application kernel itself lives in :mod:`repro.sim.kernels`,
-parameterised by an array-API namespace (``xp``); this module keeps the
-historical entry points as thin delegates.
+The gate-application and marginalisation kernels live in
+:mod:`repro.sim.kernels`.
 
 State indexing convention: basis index ``i`` encodes qubit ``q`` as bit
 ``(i >> q) & 1`` — consistent with :mod:`repro.utils.bits`.
@@ -25,7 +24,7 @@ State indexing convention: basis index ``i`` encodes qubit ``q`` as bit
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -33,11 +32,8 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.exceptions import SimulationError
 from repro.sim import kernels
 from repro.sim.kernels import (
-    as_complex128,
-    asnumpy,
     check_qubit_cap,
     default_max_qubits,
-    resolve_namespace,
     validate_max_qubits,
 )
 from repro.utils.bits import codes_to_strings
@@ -45,32 +41,7 @@ from repro.utils.bits import codes_to_strings
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.pmf import PMF
 
-__all__ = ["StatevectorSimulator", "apply_gate_to_statevector", "marginal_probabilities"]
-
-
-def apply_gate_to_statevector(
-    state: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Apply ``matrix`` on ``qubits`` of ``state`` and return the new state.
-
-    ``matrix`` uses the convention that the *first* qubit in ``qubits`` is
-    the most significant bit of the gate's local index (so a CX matrix with
-    control first composes as expected).  Thin delegate of the shared
-    :func:`repro.sim.kernels.apply_gate` kernel at batch size one.
-    """
-    return kernels.apply_gate(state, matrix, qubits, num_qubits)
-
-
-def marginal_probabilities(
-    probabilities: np.ndarray, keep_qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Marginalise a ``2**n`` probability vector onto ``keep_qubits``.
-
-    The output vector indexes the kept qubits in ascending order: kept qubit
-    ``keep_qubits_sorted[j]`` becomes bit ``j`` of the marginal index.
-    Delegates to the batch-aware :func:`repro.sim.kernels.marginal_probabilities`.
-    """
-    return kernels.marginal_probabilities(probabilities, keep_qubits, num_qubits)
+__all__ = ["StatevectorSimulator"]
 
 
 class StatevectorSimulator:
@@ -82,21 +53,14 @@ class StatevectorSimulator:
             i.e. 24 or ``REPRO_MAX_QUBITS``).  Over-cap circuits raise a
             :class:`~repro.exceptions.SimulationError` that includes the
             estimated state memory.
-        xp: array-API namespace for the contraction kernels (``None``
-            resolves via ``REPRO_ARRAY_API``; numpy by default).
     """
 
-    def __init__(
-        self,
-        max_qubits: Optional[int] = None,
-        xp: Union[None, str, object] = None,
-    ) -> None:
+    def __init__(self, max_qubits: Optional[int] = None) -> None:
         self.max_qubits = (
             default_max_qubits()
             if max_qubits is None
             else validate_max_qubits(max_qubits)
         )
-        self.xp = resolve_namespace(xp)
 
     # ------------------------------------------------------------------
 
@@ -107,17 +71,18 @@ class StatevectorSimulator:
         """Return the final statevector, ignoring measurements and barriers."""
         self._check(circuit)
         n = circuit.num_qubits
-        xp = self.xp
-        initial = np.zeros(1 << n, dtype=complex)
-        initial[0] = 1.0
-        state = as_complex128(xp, initial)
+        state = np.zeros(1 << n, dtype=np.complex128)
+        state[0] = 1.0
         for ins in circuit.instructions:
             if not ins.is_gate:
                 continue
             state = kernels.apply_gate(
-                state, as_complex128(xp, ins.gate.matrix()), ins.qubits, n, xp=xp
+                state,
+                np.asarray(ins.gate.matrix(), dtype=np.complex128),
+                ins.qubits,
+                n,
             )
-        return asnumpy(state)
+        return state
 
     def probabilities(self, circuit: QuantumCircuit) -> np.ndarray:
         """Exact probabilities over all ``2**n`` computational basis states."""
@@ -144,7 +109,7 @@ class StatevectorSimulator:
         """
         for circuit in circuits:
             self._check(circuit)
-        return asnumpy(kernels.statevectors_stacked(circuits, xp=self.xp))
+        return kernels.statevectors_stacked(circuits)
 
     def probabilities_stacked(
         self, circuits: Sequence[QuantumCircuit]
@@ -192,7 +157,9 @@ class StatevectorSimulator:
             )
         probs = self.probabilities(circuit)
         keep_sorted = sorted(qubits)
-        marg = marginal_probabilities(probs, keep_sorted, circuit.num_qubits)
+        marg = kernels.marginal_probabilities(
+            probs, keep_sorted, circuit.num_qubits
+        )
         # Remap marginal bit j (qubit keep_sorted[j]) onto its clbit.
         qubit_to_margbit = {q: j for j, q in enumerate(keep_sorted)}
         indices = np.flatnonzero(marg > threshold)

@@ -1,16 +1,16 @@
-"""Property tests for the array-API batched execution spine.
+"""Property tests for the batched execution spine.
 
 The contract under test: every stacked/batched path — kernels, sampler,
-backends, full scheme runs — is **bit-for-bit** identical to the historical
-per-circuit oracle kernels (kept alive behind ``exact_reference=True``),
-for every scheme, batch composition, and worker count.  No ``allclose``
-anywhere: stacking batches only deterministic transforms, so exact
-equality is the specification, not an aspiration.
+backends, full scheme runs — is **bit-for-bit** identical to the
+per-circuit oracle kernels of :mod:`tests.kernel_oracle`, for every
+scheme, batch composition, and worker count.  No ``allclose`` anywhere:
+stacking batches only deterministic transforms, so exact equality is the
+specification, not an aspiration.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
@@ -29,6 +29,7 @@ from repro.runtime import (
 from repro.sim import kernels
 from repro.sim.statevector import StatevectorSimulator
 from repro.workloads import ghz
+from tests import kernel_oracle
 from tests.conftest import make_varied_line_device
 
 # ---------------------------------------------------------------------------
@@ -170,14 +171,6 @@ class TestKernelBatching:
             )
             assert np.array_equal(batched[b], single)
 
-    def test_float64_enforced_at_namespace_boundary(self):
-        xp = kernels.resolve_namespace("numpy")
-        assert kernels.as_float64(xp, np.arange(3, dtype=np.float32)).dtype \
-            == np.float64
-        assert kernels.as_complex128(
-            xp, np.arange(3, dtype=np.complex64)
-        ).dtype == np.complex128
-
 
 # ---------------------------------------------------------------------------
 # Stacked statevector evolution
@@ -241,7 +234,7 @@ class TestStackedStatevectors:
 
 
 # ---------------------------------------------------------------------------
-# Qubit cap (shared, configurable) and namespace resolution
+# Qubit cap (shared, configurable)
 # ---------------------------------------------------------------------------
 
 
@@ -273,34 +266,9 @@ class TestQubitCapAndNamespaces:
         assert kernels.state_memory_bytes(5, amplitude_exponent=2) \
             == 16 * 1024
 
-    def test_resolve_namespace_aliases(self):
-        assert kernels.resolve_namespace("numpy") is \
-            kernels.resolve_namespace("np")
-        assert kernels.namespace_name(
-            kernels.resolve_namespace(None)
-        ).startswith("numpy")
-
-    def test_resolve_namespace_unknown_module(self):
-        with pytest.raises(SimulationError):
-            kernels.resolve_namespace("no_such_array_module")
-
-    def test_env_selects_default_namespace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY_API", "numpy")
-        xp = kernels.resolve_namespace(None)
-        assert kernels.namespace_name(xp).startswith("numpy")
-
-    def test_set_default_namespace_round_trip(self):
-        try:
-            kernels.set_default_namespace("numpy")
-            assert kernels.namespace_name(
-                kernels.resolve_namespace(None)
-            ).startswith("numpy")
-        finally:
-            kernels.set_default_namespace(None)
-
 
 # ---------------------------------------------------------------------------
-# Sampler layer: stacked twins == oracle, bitwise
+# Sampler layer: stacked bodies == oracle, bitwise
 # ---------------------------------------------------------------------------
 
 
@@ -308,34 +276,52 @@ class TestSamplerStacking:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        shots_list=st.lists(st.integers(1, 4_000), min_size=1, max_size=5),
+        shots_list=st.lists(st.integers(1, 4_000), min_size=0, max_size=5),
         chunk_shots=st.sampled_from([257, 1_000, 1_000_000]),
     )
-    def test_sample_group_codes_matches_run_many_codes(
+    @example(seed=0, shots_list=[], chunk_shots=257)
+    @example(seed=1, shots_list=[4_000, 1, 257], chunk_shots=257)
+    def test_run_many_codes_matches_oracle(
         self, noise_model, executables, seed, shots_list, chunk_shots
     ):
         sampler = NoisySampler(
             noise_model, seed=0, chunk_shots=chunk_shots
         )
-        oracle = sampler.run_many_codes(
+        oracle = kernel_oracle.run_many_codes(
+            sampler,
+            executables[0],
+            shots_list,
+            rng=np.random.default_rng(seed),
+        )
+        stacked = sampler.run_many_codes(
             executables[0], shots_list, rng=np.random.default_rng(seed)
         )
-        stacked = sampler.sample_group_codes(
-            executables[0], shots_list, rng=np.random.default_rng(seed)
-        )
-        assert len(stacked) == len(oracle)
+        assert len(stacked) == len(oracle) == len(shots_list)
         for left, right in zip(stacked, oracle):
             assert_code_counts_equal(left, right)
+
+    def test_run_codes_draws_from_the_sampler_stream(
+        self, noise_model, executables
+    ):
+        stacked = NoisySampler(noise_model, seed=5, chunk_shots=1_000)
+        oracle = NoisySampler(noise_model, seed=5, chunk_shots=1_000)
+        for shots in (2_500, 700):
+            assert_code_counts_equal(
+                stacked.run_codes(executables[1], shots),
+                *kernel_oracle.run_many_codes(oracle, executables[1], [shots]),
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        size=st.integers(1, 8),
+        size=st.integers(0, 8),
     )
+    @example(seed=0, size=0)
+    @example(seed=0, size=1)
     def test_exact_group_distributions_matches_oracle(
         self, noise_model, executables, seed, size
     ):
-        # Random batch compositions: repeats and mixed widths included.
+        # Random batch compositions: repeats, mixed and singleton widths.
         rng = np.random.default_rng(seed)
         batch = [
             executables[i]
@@ -345,8 +331,8 @@ class TestSamplerStacking:
         stacked = sampler.exact_group_distributions(batch)
         assert len(stacked) == len(batch)
         for executable, (codes, probs, k) in zip(batch, stacked):
-            ref_codes, ref_probs, ref_k = sampler.exact_distribution_arrays(
-                executable
+            ref_codes, ref_probs, ref_k = kernel_oracle.exact_distribution(
+                sampler, executable
             )
             assert k == ref_k
             assert codes.dtype == np.int64
@@ -355,7 +341,7 @@ class TestSamplerStacking:
 
 
 # ---------------------------------------------------------------------------
-# Backend layer: stacked spine == exact_reference oracle at any worker count
+# Backend layer: stacked spine == oracle at any worker count
 # ---------------------------------------------------------------------------
 
 
@@ -364,18 +350,27 @@ def make_requests(executables, trials=400):
     return [ExecutionRequest(e, trials) for e in executables] * 2
 
 
+def on_oracle(monkeypatch, run):
+    """``run()`` with every sampler and simulator on the per-circuit oracle."""
+    with monkeypatch.context() as patch:
+        kernel_oracle.install(patch)
+        return run()
+
+
 class TestBackendOracleEquality:
     def test_exact_stacked_matches_reference_across_workers(
-        self, noise_model, executables
+        self, noise_model, executables, monkeypatch
     ):
         requests = make_requests(executables)
-        reference_backend = LocalExactBackend(
-            noise_model=noise_model, exact_reference=True
+        reference = on_oracle(
+            monkeypatch,
+            lambda: [
+                p.as_dict()
+                for p in LocalExactBackend(noise_model=noise_model).execute(
+                    requests
+                )
+            ],
         )
-        reference = [
-            p.as_dict() for p in reference_backend.execute(requests)
-        ]
-        assert reference_backend.stacked_evals == 0
 
         serial = LocalExactBackend(noise_model=noise_model)
         assert [p.as_dict() for p in serial.execute(requests)] == reference
@@ -399,41 +394,26 @@ class TestBackendOracleEquality:
             # Coalescing still collapses the duplicated batch.
             assert stats["channel_evals"] == len(requests) // 2
 
-    def test_exact_reference_escape_hatch_disables_stacking(
-        self, noise_model, executables
-    ):
-        requests = make_requests(executables)
-        backend = ShardedBackend(
-            LocalExactBackend(
-                noise_model=noise_model, exact_reference=True
-            ),
-            workers=2,
-        )
-        reference = LocalExactBackend(
-            noise_model=noise_model, exact_reference=True
-        ).execute(requests)
-        assert [p.as_dict() for p in backend.execute(requests)] == [
-            p.as_dict() for p in reference
-        ]
-        assert backend.stats()["stacked_evals"] == 0
-
     def test_sampled_stacked_matches_reference_across_workers(
-        self, noise_model, executables
+        self, noise_model, executables, monkeypatch
     ):
         requests = make_requests(executables, trials=300)
-        reference = [
-            p.as_dict()
-            for p in LocalSamplingBackend(
-                noise_model=noise_model, seed=11, exact_reference=True
-            ).execute(requests)
-        ]
+        reference = on_oracle(
+            monkeypatch,
+            lambda: [
+                p.as_dict()
+                for p in LocalSamplingBackend(
+                    noise_model=noise_model, seed=11
+                ).execute(requests)
+            ],
+        )
         assert [
             p.as_dict()
             for p in LocalSamplingBackend(
                 noise_model=noise_model, seed=11
             ).execute(requests)
         ] == reference
-        for workers in (1, 4):
+        for workers in (1, 2, 4):
             backend = ShardedBackend(
                 LocalSamplingBackend(noise_model=noise_model, seed=11),
                 workers=workers,
@@ -441,12 +421,6 @@ class TestBackendOracleEquality:
             assert [
                 p.as_dict() for p in backend.execute(requests)
             ] == reference, workers
-
-    def test_env_default_escape_hatch(self, noise_model, monkeypatch):
-        monkeypatch.setenv("REPRO_EXACT_REFERENCE", "1")
-        assert LocalExactBackend(noise_model=noise_model).exact_reference
-        monkeypatch.delenv("REPRO_EXACT_REFERENCE")
-        assert not LocalExactBackend(noise_model=noise_model).exact_reference
 
 
 # ---------------------------------------------------------------------------
@@ -477,45 +451,10 @@ class TestSchemeOracleEquality:
         self, device, exact, monkeypatch
     ):
         workload = ghz(5)
-        monkeypatch.setenv("REPRO_EXACT_REFERENCE", "1")
-        oracle = run_all_schemes(device, workload, exact, workers=None)
-        monkeypatch.delenv("REPRO_EXACT_REFERENCE")
+        oracle = on_oracle(
+            monkeypatch,
+            lambda: run_all_schemes(device, workload, exact, workers=None),
+        )
         for workers in (None, 2):
             stacked = run_all_schemes(device, workload, exact, workers)
             assert stacked == oracle, (exact, workers)
-
-
-# ---------------------------------------------------------------------------
-# Optional strict leg: exact paths on an array-api-strict namespace
-# ---------------------------------------------------------------------------
-
-
-class TestArrayApiStrict:
-    def test_exact_group_distributions_on_strict_namespace(
-        self, noise_model, executables
-    ):
-        pytest.importorskip("array_api_strict")
-        sampler = NoisySampler(noise_model, seed=0)
-        stacked = sampler.exact_group_distributions(
-            executables * 2, xp="array_api_strict"
-        )
-        for executable, (codes, probs, k) in zip(executables * 2, stacked):
-            ref_codes, ref_probs, ref_k = sampler.exact_distribution_arrays(
-                executable
-            )
-            assert k == ref_k
-            assert np.array_equal(codes, ref_codes)
-            assert np.allclose(probs, ref_probs, rtol=0, atol=1e-15)
-
-    def test_apply_gate_on_strict_namespace(self):
-        xp = pytest.importorskip("array_api_strict")
-        rng = np.random.default_rng(0)
-        states = random_states(rng, 3, 3)
-        matrix = (
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        ).astype(np.complex128)
-        strict = kernels.apply_gate(
-            xp.asarray(states), xp.asarray(matrix), [1], 3, xp=xp
-        )
-        reference = kernels.apply_gate(states, matrix, [1], 3)
-        assert np.array_equal(kernels.asnumpy(strict), reference)

@@ -8,11 +8,11 @@ from repro.exceptions import SimulationError
 from repro.sim import (
     DensityMatrixSimulator,
     StatevectorSimulator,
-    apply_operator_to_density_matrix,
+    apply_operator_to_density,
     depolarizing_kraus,
-    expand_operator,
 )
 from repro.circuits.gates import gate_matrix
+from tests.kernel_oracle import expand_operator
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ class TestApplyOperatorKernel:
         )
         full = expand_operator(op, qubits, n)
         want = full @ rho @ full.conj().T
-        got = apply_operator_to_density_matrix(rho, op, qubits, n)
+        got = apply_operator_to_density(rho, op, qubits, n)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_matches_oracle_on_gates(self):
@@ -78,15 +78,15 @@ class TestApplyOperatorKernel:
             op = gate_matrix(name)
             full = expand_operator(op, qubits, 3)
             want = full @ rho @ full.conj().T
-            got = apply_operator_to_density_matrix(rho, op, qubits, 3)
+            got = apply_operator_to_density(rho, op, qubits, 3)
             assert np.allclose(got, want, atol=1e-12), name
 
     def test_dimension_checks(self):
         rho = np.eye(4, dtype=complex) / 4
         with pytest.raises(SimulationError):
-            apply_operator_to_density_matrix(rho, np.eye(2), (0, 1), 2)
+            apply_operator_to_density(rho, np.eye(2), (0, 1), 2)
         with pytest.raises(SimulationError):
-            apply_operator_to_density_matrix(np.eye(3), np.eye(2), (0,), 2)
+            apply_operator_to_density(np.eye(3), np.eye(2), (0,), 2)
 
 
 class TestDepolarizingKraus:

@@ -1,4 +1,4 @@
-"""Tests for the experiments layer: scheme runner, sweeps, rendering."""
+"""Tests for the experiments layer: scheme runs, sweeps, rendering."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     SCHEME_NAMES,
-    SchemeRunner,
     figure3_spatial_variation,
     format_table,
     geometric_mean,
@@ -23,6 +22,7 @@ from repro.experiments.main_results import (
     table3_text,
     table4_text,
 )
+from repro.runtime import Session
 from repro.workloads import bv, ghz, qaoa_maxcut
 from tests.conftest import make_varied_line_device
 
@@ -34,10 +34,10 @@ def device():
 
 @pytest.fixture(scope="module")
 def runner(device):
-    return SchemeRunner(device, seed=0, exact=True)
+    return Session(device, seed=0, exact=True)
 
 
-class TestSchemeRunner:
+class TestSessionSchemes:
     def test_baseline_pmf_normalised(self, runner):
         pmf = runner.run_baseline(ghz(4))
         assert sum(pmf.values()) == pytest.approx(1.0)
@@ -81,20 +81,20 @@ class TestSchemeRunner:
         assert metrics.arg is None
 
     def test_deterministic_across_runners(self, device):
-        a = SchemeRunner(device, seed=3, exact=True)
-        b = SchemeRunner(device, seed=3, exact=True)
+        a = Session(device, seed=3, exact=True)
+        b = Session(device, seed=3, exact=True)
         workload = ghz(4)
         pa = a.run_jigsaw(workload).output_pmf
         pb = b.run_jigsaw(workload).output_pmf
         assert pa.as_dict() == pytest.approx(pb.as_dict())
 
     def test_sampled_mode(self, device):
-        runner = SchemeRunner(device, seed=1, exact=False, total_trials=8_192)
+        runner = Session(device, seed=1, exact=False, total_trials=8_192)
         pmf = runner.run_baseline(ghz(4))
         assert sum(pmf.values()) == pytest.approx(1.0)
 
     def test_mbm_width_guard(self, device):
-        runner = SchemeRunner(device, seed=1, exact=True)
+        runner = Session(device, seed=1, exact=True)
         # 8 bits is fine; the guard rejects beyond MAX_MBM_QUBITS which we
         # cannot build on this device, so just check dispatch works.
         pmf = runner.run_mbm(bv(4))

@@ -8,18 +8,18 @@ the paper's headline qualitative claims.
 import pytest
 
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
-from repro.experiments import SchemeRunner
 from repro.metrics import (
     fidelity,
     inference_strength,
     probability_of_successful_trial,
 )
+from repro.runtime import Session
 from repro.workloads import ghz, graycode, workload_by_name
 
 
 @pytest.fixture(scope="module")
 def runner(toronto):
-    return SchemeRunner(toronto, seed=2, exact=True)
+    return Session(toronto, seed=2, exact=True)
 
 
 class TestHeadlineClaims:

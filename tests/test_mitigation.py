@@ -13,7 +13,7 @@ from repro.mitigation import (
     mitigate_pmf,
     sampled_calibration_matrix,
 )
-from repro.noise import apply_confusions
+from repro.sim import apply_confusions
 
 
 def confusion(p01, p10):

@@ -10,13 +10,8 @@ import pytest
 from repro.circuits import QuantumCircuit
 from repro.compiler import Layout, transpile
 from repro.exceptions import NoiseModelError, SimulationError
-from repro.noise import (
-    NoiseModel,
-    NoisySampler,
-    apply_confusions,
-    clbit_probability_vector,
-)
-from repro.sim import DensityMatrixSimulator, StatevectorSimulator
+from repro.noise import NoiseModel, NoisySampler, clbit_probability_vector
+from repro.sim import DensityMatrixSimulator, StatevectorSimulator, apply_confusions
 from tests.conftest import make_line_device
 
 

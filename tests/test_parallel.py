@@ -28,7 +28,7 @@ from repro.runtime import (
     Session,
     ShardedBackend,
 )
-from repro.workloads import ghz
+from repro.workloads import ghz, workload_by_name
 from tests.conftest import make_varied_line_device
 
 
@@ -121,6 +121,37 @@ class TestShardedDeterminism:
             )
             by_executor.append(exact_dicts(backend.execute(requests)))
         assert by_executor[0] == by_executor[1]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_process_pool_matches_serial_on_jigsaw_batches(
+        self, toronto, exact
+    ):
+        # Jigsaw batches of two programs on a paper device, pickled to a
+        # two-process pool: every PMF equals the serial backend's.
+        noise_model = NoiseModel.from_device(toronto)
+
+        def requests():
+            batch = []
+            for name in ("BV-6", "GHZ-8"):
+                runner = JigSaw(toronto, JigSawConfig(exact=exact), seed=0)
+                plan = runner.plan(
+                    workload_by_name(name).circuit, total_trials=8_192
+                )
+                batch.extend(plan.requests())
+            return batch
+
+        def inner():
+            if exact:
+                return LocalExactBackend(noise_model=noise_model)
+            return LocalSamplingBackend(noise_model=noise_model, seed=17)
+
+        serial = exact_dicts(inner().execute(requests()))
+        with ShardedBackend(
+            inner(), workers=2, executor="process"
+        ) as backend:
+            sharded = exact_dicts(backend.execute(requests()))
+            assert backend.stats()["shards"] == 2
+        assert sharded == serial
 
     def test_sampled_jigsaw_run_with_execute_workers(self, device, ghz6):
         serial = JigSaw(device, JigSawConfig(exact=False), seed=7)

@@ -22,11 +22,7 @@ from repro.compiler import (
     pool_layouts,
     transpile,
 )
-from repro.compiler.pipeline import STAGE_ROUTE, aggregate_stats
-from repro.compiler.transpile import (
-    reset_transpile_call_count,
-    transpile_call_count,
-)
+from repro.compiler.pipeline import STAGE_ROUTE
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
 from repro.exceptions import CompilationError
 from repro.runtime import CompilationCache, executable_fingerprint
@@ -322,22 +318,27 @@ class TestDeviceContentKeys:
 
 
 class TestCounters:
-    def test_shim_counts_compiles(self, device):
-        reset_transpile_call_count()
-        transpile(ghz(6).circuit, device, seed=0)
-        assert transpile_call_count() == 1
-        global_exec = transpile(ghz(6).circuit, device, seed=0)
-        compile_cpm(
-            ghz(6).circuit.with_measured_subset([0, 1]), device, global_exec
+    def test_pipeline_stats_count_compiles(self, device):
+        pipeline = CompilerPipeline(device)
+        transpile(ghz(6).circuit, device, seed=0, pipeline=pipeline)
+        assert pipeline.stats.get("compiles") == 1
+        global_exec = transpile(
+            ghz(6).circuit, device, seed=0, pipeline=pipeline
         )
-        assert transpile_call_count() == 3
-        reset_transpile_call_count()
-        assert transpile_call_count() == 0
+        compile_cpm(
+            ghz(6).circuit.with_measured_subset([0, 1]),
+            device,
+            global_exec,
+            pipeline=pipeline,
+        )
+        assert pipeline.stats.get("compiles") == 3
+        pipeline.stats.reset()
+        assert pipeline.stats.get("compiles") == 0
 
-    def test_aggregate_has_per_stage_counters(self, device):
-        reset_transpile_call_count()
-        transpile(ghz(6).circuit, device, seed=0)
-        stats = aggregate_stats()
+    def test_pipeline_stats_have_per_stage_counters(self, device):
+        pipeline = CompilerPipeline(device)
+        transpile(ghz(6).circuit, device, seed=0, pipeline=pipeline)
+        stats = pipeline.stats.snapshot()
         for counter in ("compiles", "place_runs", "route_calls",
                         "retargets", "eps_evals", "selects"):
             assert stats.get(counter, 0) > 0, counter

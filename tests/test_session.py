@@ -1,12 +1,9 @@
-"""Tests for the Session API: parity with SchemeRunner, caching, budgets."""
-
-import warnings
+"""Tests for the Session API: scheme dispatch, caching, budgets."""
 
 import pytest
 
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
 from repro.exceptions import ExperimentError
-from repro.experiments import SCHEME_NAMES, SchemeRunner
 from repro.runtime import (
     CompilationCache,
     ExecutionRequest,
@@ -22,43 +19,8 @@ def device():
     return make_varied_line_device(num_qubits=8)
 
 
-def make_scheme_runner(device, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return SchemeRunner(device, **kwargs)
-
-
 class TestSchemeParity:
-    """Session.run_scheme == SchemeRunner bit-for-bit under a fixed seed."""
-
-    def test_all_schemes_bitforbit_exact(self, device):
-        workload = ghz(6)
-        session = Session(device, seed=0, exact=True)
-        legacy = make_scheme_runner(device, seed=0, exact=True)
-        for scheme in SCHEME_NAMES:
-            new = session.run_scheme(scheme, workload)
-            old = legacy.run_scheme(scheme, workload)
-            assert new.as_dict() == old.as_dict(), scheme
-
-    def test_all_schemes_bitforbit_sampled(self, device):
-        workload = ghz(6)
-        for scheme in SCHEME_NAMES:
-            # Fresh contexts per scheme: sampled mode consumes shared RNG
-            # streams, so run order matters (as it always has).
-            session = Session(
-                device, seed=3, exact=False, total_trials=4_096
-            )
-            legacy = make_scheme_runner(
-                device, seed=3, exact=False, total_trials=4_096
-            )
-            new = session.run_scheme(scheme, workload)
-            old = legacy.run_scheme(scheme, workload)
-            assert new.as_dict() == old.as_dict(), scheme
-
-    def test_scheme_runner_is_deprecated_session(self, device):
-        with pytest.warns(DeprecationWarning):
-            runner = SchemeRunner(device, seed=0)
-        assert isinstance(runner, Session)
+    """Scheme dispatch by name."""
 
     def test_unknown_scheme(self, device):
         with pytest.raises(ExperimentError):

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
 from repro.exceptions import SimulationError
-from repro.sim import (
-    StatevectorSimulator,
-    apply_gate_to_statevector,
-    marginal_probabilities,
-)
+from repro.sim import StatevectorSimulator, apply_gate, marginal_probabilities
 from repro.circuits.gates import gate_matrix
 
 
@@ -172,14 +168,14 @@ class TestApplyGateFunction:
     def test_two_qubit_gate_on_nonadjacent_qubits(self):
         state = np.zeros(8, dtype=complex)
         state[1] = 1.0  # qubit 0 set
-        out = apply_gate_to_statevector(state, gate_matrix("cx"), (0, 2), 3)
+        out = apply_gate(state, gate_matrix("cx"), (0, 2), 3)
         assert np.isclose(abs(out[5]), 1.0)  # qubits 0 and 2 set
 
     def test_dimension_mismatch(self):
         state = np.zeros(4, dtype=complex)
         state[0] = 1.0
         with pytest.raises(SimulationError):
-            apply_gate_to_statevector(state, gate_matrix("cx"), (0,), 2)
+            apply_gate(state, gate_matrix("cx"), (0,), 2)
 
 
 class TestIdealPmf:

@@ -716,6 +716,22 @@ class TestStatsConsistency:
         )
         assert counters["backend.channel_evals"] == execution["channel_evals"]
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_session_execution_counted_by_backends_only(self, workers):
+        # Sampling and the exact channel are counted once, by the
+        # backends (``backend.*``); the sampler keeps no counters of its
+        # own, so no ``sim.*`` name can sit in the snapshot stuck at 0.
+        device = device_by_name("toronto")
+        with Session(device, seed=0, workers=workers) as session:
+            for name in ("BV-6", "GHZ-8"):
+                workload = workload_by_name(name)
+                for scheme in ("baseline", "edm", "jigsaw"):
+                    session.run_scheme(scheme, workload)
+            counters = session.telemetry_snapshot()["counters"]
+        assert [name for name in counters if name.startswith("sim.")] == []
+        assert counters["backend.channel_evals"] > 0
+        assert counters["backend.stacked_evals"] >= 1
+
     def test_tier_stats_agree_with_registry(self):
         supervisor = ServiceSupervisor(workers=1)
         try:

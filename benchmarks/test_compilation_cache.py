@@ -83,5 +83,6 @@ def test_cache_hits_accounted():
         session.run_scheme("jigsaw_mbm", workload)
     # One miss (the first jigsaw plan) and one hit (jigsaw_mbm's replan)
     # per workload.
-    assert cache.misses == len(WORKLOAD_NAMES)
-    assert cache.hits == len(WORKLOAD_NAMES)
+    counters = session.telemetry_snapshot()["counters"]
+    assert counters["cache.plan_misses"] == len(WORKLOAD_NAMES)
+    assert counters["cache.plan_hits"] == len(WORKLOAD_NAMES)

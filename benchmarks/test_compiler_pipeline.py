@@ -48,14 +48,14 @@ def _plan_workloads(make_cache):
         plan = runner.plan(
             workload_by_name(name).circuit, total_trials=TOTAL_TRIALS
         )
-        stats = runner.pipeline.stats
+        counters = runner.metrics.snapshot()["counters"]
         rows.append(
             {
                 "workload": name,
                 "num_cpms": plan.num_cpms,
-                "route_calls": stats.get("route_calls"),
-                "route_hits": stats.get("route_hits"),
-                "retargets": stats.get("retargets"),
+                "route_calls": counters.get("compiler.route_calls", 0),
+                "route_hits": counters.get("compiler.route_hits", 0),
+                "retargets": counters.get("compiler.retargets", 0),
                 "route_entries": runner.pipeline.cache.stage_entries(
                     STAGE_ROUTE
                 ),

@@ -98,14 +98,21 @@ def test_coalescing_reduces_evaluations():
 
     total_requests = len(requests)
     unique_bodies = len(WORKLOAD_NAMES)
-    stats = sharded_backend.stats()
+    serial = serial_backend.metrics.snapshot()["counters"]
+    sharded = sharded_backend.metrics.snapshot()["counters"]
+    coalesced = sharded["backend.requests"] - sharded["backend.groups"]
     # The sweep repeats every program len(TRIAL_BUDGETS) times, so
     # coalescing must cut channel evaluations by that factor and
     # statevector simulations down to one per workload body.
-    assert stats["channel_evals"] == total_requests // len(TRIAL_BUDGETS)
-    assert stats["channel_evals"] < serial_backend.channel_evals
-    assert stats["statevector_evals"] == unique_bodies
-    assert stats["statevector_evals"] < serial_backend.statevector_evals
+    assert sharded["backend.channel_evals"] == total_requests // len(
+        TRIAL_BUDGETS
+    )
+    assert sharded["backend.channel_evals"] < serial["backend.channel_evals"]
+    assert sharded["backend.statevector_evals"] == unique_bodies
+    assert (
+        sharded["backend.statevector_evals"]
+        < serial["backend.statevector_evals"]
+    )
 
     # Wall clock is machine-dependent, so it goes to stdout only; the
     # checked-in artifact holds the deterministic counts and stays
@@ -120,11 +127,11 @@ def test_coalescing_reduces_evaluations():
             "workloads": list(WORKLOAD_NAMES),
             "trial_budgets": list(TRIAL_BUDGETS),
             "requests": total_requests,
-            "serial_statevector_evals": serial_backend.statevector_evals,
-            "serial_channel_evals": serial_backend.channel_evals,
-            "sharded_statevector_evals": stats["statevector_evals"],
-            "sharded_channel_evals": stats["channel_evals"],
-            "coalesced_requests": stats["coalesced_requests"],
+            "serial_statevector_evals": serial["backend.statevector_evals"],
+            "serial_channel_evals": serial["backend.channel_evals"],
+            "sharded_statevector_evals": sharded["backend.statevector_evals"],
+            "sharded_channel_evals": sharded["backend.channel_evals"],
+            "coalesced_requests": coalesced,
         },
     )
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -137,11 +144,13 @@ def test_coalescing_reduces_evaluations():
             f"budgets:   {', '.join(str(b) for b in TRIAL_BUDGETS)}\n"
             f"requests in sweep:           {total_requests}\n"
             "serial   statevector evals:   "
-            f"{serial_backend.statevector_evals}\n"
-            f"serial   channel evals:      {serial_backend.channel_evals}\n"
-            f"sharded  statevector evals:  {stats['statevector_evals']}\n"
-            f"sharded  channel evals:      {stats['channel_evals']}\n"
-            f"coalesced requests:          {stats['coalesced_requests']}\n"
+            f"{serial['backend.statevector_evals']}\n"
+            "serial   channel evals:      "
+            f"{serial['backend.channel_evals']}\n"
+            "sharded  statevector evals:  "
+            f"{sharded['backend.statevector_evals']}\n"
+            f"sharded  channel evals:      {sharded['backend.channel_evals']}\n"
+            f"coalesced requests:          {coalesced}\n"
             "(outputs bit-for-bit identical; counts asserted, wall clock "
             "measured to stdout)\n"
         )

@@ -63,7 +63,9 @@ def test_service_halves_backend_executions():
         ) as session:
             result = session.run_jigsaw(workload_by_name(spec.workload))
             sequential_payloads.append(result.to_dict())
-            sequential_evals += session.execution_stats()["channel_evals"]
+            sequential_evals += session.telemetry_snapshot()["counters"][
+                "backend.channel_evals"
+            ]
     sequential_seconds = time.perf_counter() - start
 
     # --- The service: same stream, one drained wave + memo hits. ------
@@ -82,21 +84,20 @@ def test_service_halves_backend_executions():
         ]
         service_seconds = time.perf_counter() - start
         jobs = first_wave + resubmission
-        stats = supervisor.tier_stats()
+        counters = supervisor.telemetry_snapshot()["counters"]
     finally:
         supervisor.close()
-    (worker,) = stats["workers"]
-    backend = worker["engine"]["backend"]
 
     # Identical results, job for job (the determinism contract).
     assert [job.result for job in jobs] == sequential_payloads
 
-    service_evals = backend["channel_evals"]
-    requests = backend["requests"]
+    service_evals = counters["backend.channel_evals"]
+    requests = counters["backend.requests"]
+    coalesced = requests - counters["backend.groups"]
 
     # The resubmission wave is pure memoization...
     assert all(job.source == "memoized" for job in resubmission)
-    assert stats["jobs"]["memoized"] == len(resubmission)
+    assert counters["tier.memoized"] == len(resubmission)
     # ...and the first wave coalesced 3 tenants onto one execution per
     # unique executable, so the whole stream needs >= 2x (here: 6x)
     # fewer backend executions than sequential sessions.
@@ -118,10 +119,10 @@ def test_service_halves_backend_executions():
             "reduction": reduction,
             "asserted_min_reduction": 2.0,
             "requests": requests,
-            "coalesced_requests": backend["coalesced_requests"],
-            "statevector_evals": backend["statevector_evals"],
-            "jobs_memoized": stats["jobs"]["memoized"],
-            "jobs_executed": stats["jobs"]["executed"],
+            "coalesced_requests": coalesced,
+            "statevector_evals": counters["backend.statevector_evals"],
+            "jobs_memoized": counters["tier.memoized"],
+            "jobs_executed": counters["tier.executed"],
         },
     )
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -139,11 +140,11 @@ def test_service_halves_backend_executions():
             f"reduction:                    {reduction:.1f}x "
             "(>= 2x asserted)\n"
             f"service requests spliced:     {requests} "
-            f"({backend['coalesced_requests']} coalesced)\n"
+            f"({coalesced} coalesced)\n"
             f"statevector evals:            "
-            f"{backend['statevector_evals']}\n"
-            f"jobs memoized:                {stats['jobs']['memoized']}\n"
-            f"jobs executed:                {stats['jobs']['executed']}\n"
+            f"{counters['backend.statevector_evals']}\n"
+            f"jobs memoized:                {counters['tier.memoized']}\n"
+            f"jobs executed:                {counters['tier.executed']}\n"
             "(payloads bit-for-bit equal to sequential sessions; counts "
             "asserted, wall clock measured to stdout)\n"
         )

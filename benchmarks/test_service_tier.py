@@ -82,11 +82,12 @@ def test_tier_doubles_modeled_throughput():
         single.start()
         single.stop(drain=True, timeout=600)
         solo_seconds = time.perf_counter() - start
-        (solo_worker,) = single.tier_stats()["workers"]
+        serial_evals = single.telemetry_snapshot()["counters"][
+            "backend.channel_evals"
+        ]
     finally:
         single.close()
     solo_payloads = [job.result for job in solo_jobs]
-    serial_evals = solo_worker["engine"]["backend"]["channel_evals"]
 
     # --- Serving tier: 4 drain workers, round-robin lanes. ------------
     supervisor = ServiceSupervisor(
@@ -98,7 +99,14 @@ def test_tier_doubles_modeled_throughput():
         tier_jobs = [supervisor.submit(spec) for spec in specs]
         supervisor.stop(drain=True, timeout=600)
         tier_seconds = time.perf_counter() - start
-        stats = supervisor.tier_stats()
+        counters = supervisor.telemetry_snapshot()["counters"]
+        # Per-lane counts live in each worker's engine registry.
+        lane_evals = [
+            worker.engine.metrics.snapshot()["counters"].get(
+                "backend.channel_evals", 0
+            )
+            for worker in supervisor.drain_workers
+        ]
     finally:
         supervisor.close()
 
@@ -106,10 +114,6 @@ def test_tier_doubles_modeled_throughput():
     assert [job.result for job in tier_jobs] == solo_payloads
     assert all(job.source == "executed" for job in tier_jobs)
 
-    lane_evals = [
-        worker["engine"]["backend"]["channel_evals"]
-        for worker in stats["workers"]
-    ]
     assert len(lane_evals) == TIER_WORKERS
     assert all(evals > 0 for evals in lane_evals)
     # Concurrency must add zero work: the lanes partition the stream.
@@ -136,8 +140,8 @@ def test_tier_doubles_modeled_throughput():
             "modeled_makespan_evals": makespan,
             "modeled_speedup": speedup,
             "asserted_min_speedup": 2.0,
-            "retries": stats["jobs"]["retried"],
-            "worker_crashes": stats["jobs"]["worker_crashes"],
+            "retries": counters["tier.retried"],
+            "worker_crashes": counters["tier.worker_crashes"],
         },
     )
     save_result(

@@ -72,7 +72,9 @@ def _naive_pass(device, workload, points, names):
             device, seed=SEED, exact=True, total_trials=TRIALS
         ) as session:
             pmfs.append(session.run_scheme("jigsaw", bound))
-            route_calls += session.pipeline_stats()["counters"]["route_calls"]
+            route_calls += session.telemetry_snapshot()["counters"][
+                "compiler.route_calls"
+            ]
     cpu = time.process_time() - cpu_start
     wall = time.perf_counter() - wall_start
     return cpu, wall, pmfs, route_calls
@@ -95,7 +97,7 @@ def _sweep_pass(device, workload, points, names):
         result = session.run_sweep("jigsaw", workload, ordered)
         cpu = time.process_time() - cpu_start
         wall = time.perf_counter() - wall_start
-        counters = dict(session.pipeline_stats()["counters"])
+        counters = session.telemetry_snapshot()["counters"]
     return cpu, wall, result, counters
 
 
@@ -126,9 +128,12 @@ def test_variational_sweep_compile_once_speedup():
         device, workload, points[:1], names
     )
     assert len(one_point_result) == 1
-    assert counters["route_calls"] == one_point_counters["route_calls"]
-    assert naive_route_calls == NUM_POINTS * counters["route_calls"]
-    assert counters["template_binds"] == NUM_POINTS
+    assert (
+        counters["compiler.route_calls"]
+        == one_point_counters["compiler.route_calls"]
+    )
+    assert naive_route_calls == NUM_POINTS * counters["compiler.route_calls"]
+    assert counters["compiler.template_binds"] == NUM_POINTS
 
     naive_cpu, sweep_cpu, naive_wall, sweep_wall = max(
         pairs, key=lambda pair: pair[0] / pair[1]
@@ -140,7 +145,8 @@ def test_variational_sweep_compile_once_speedup():
         f"{naive_wall:.3f}s wall, template {sweep_cpu:.3f}s cpu / "
         f"{sweep_wall:.3f}s wall, speedup {speedup:.2f}x cpu / "
         f"{wall_speedup:.2f}x wall, best of {REPS} paired passes "
-        f"({counters['route_calls']} route calls vs {naive_route_calls})"
+        f"({counters['compiler.route_calls']} route calls vs "
+        f"{naive_route_calls})"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"template sweep speedup {speedup:.2f}x below the "
@@ -153,11 +159,13 @@ def test_variational_sweep_compile_once_speedup():
             "workload": workload.name,
             "num_points": NUM_POINTS,
             "total_trials": TRIALS,
-            "sweep_route_calls": counters["route_calls"],
+            "sweep_route_calls": counters["compiler.route_calls"],
             "naive_route_calls": naive_route_calls,
-            "template_binds": counters["template_binds"],
-            "template_eps_rescores": counters["template_eps_rescores"],
-            "sweep_compiles": counters["compiles"],
+            "template_binds": counters["compiler.template_binds"],
+            "template_eps_rescores": counters[
+                "compiler.template_eps_rescores"
+            ],
+            "sweep_compiles": counters["compiler.compiles"],
             "asserted_min_speedup": MIN_SPEEDUP,
             "bitforbit": True,
         },
@@ -167,10 +175,10 @@ def test_variational_sweep_compile_once_speedup():
         "Compile-once/bind-many variational sweep benchmark (exact mode)\n"
         f"workload:  {workload.name} on {device.name}\n"
         f"points:    {NUM_POINTS} (one coalesced stacked batch)\n"
-        f"route calls: sweep {counters['route_calls']} "
+        f"route calls: sweep {counters['compiler.route_calls']} "
         f"vs naive {naive_route_calls} (O(1) vs O(K))\n"
-        f"template binds: {counters['template_binds']} "
-        f"({counters['template_eps_rescores']} EPS re-scores)\n"
+        f"template binds: {counters['compiler.template_binds']} "
+        f"({counters['compiler.template_eps_rescores']} EPS re-scores)\n"
         f"asserted wall-clock floor: {MIN_SPEEDUP:.1f}x\n"
         "(outputs bit-for-bit identical; wall clock to stdout)",
     )

@@ -72,16 +72,25 @@ def main() -> None:
         print(f"resubmitted {len(resubmitted)} jobs: all memoized instantly")
 
         # --- 5. the sharing, quantified -------------------------------
-        stats = supervisor.tier_stats()
-        (worker,) = stats["workers"]
-        backend = worker["engine"]["backend"]
-        print("\nservice stats:")
-        print(json.dumps({"jobs": stats["jobs"], "backend": backend}, indent=2))
+        counters = supervisor.telemetry_snapshot()["counters"]
+        print("\nservice counters:")
         print(
-            f"\n{backend['requests']} requests collapsed to "
-            f"{backend['channel_evals']} channel evaluations "
-            f"({backend['coalesced_requests']} coalesced across jobs) and "
-            f"{backend['statevector_evals']} statevector simulations."
+            json.dumps(
+                {
+                    name: value
+                    for name, value in counters.items()
+                    if name.startswith(("tier.", "backend."))
+                },
+                indent=2,
+            )
+        )
+        requests = counters["backend.requests"]
+        print(
+            f"\n{requests} requests collapsed to "
+            f"{counters['backend.channel_evals']} channel evaluations "
+            f"({requests - counters['backend.groups']} coalesced across "
+            f"jobs) and {counters['backend.statevector_evals']} statevector "
+            "simulations."
         )
     finally:
         supervisor.close()

@@ -65,9 +65,10 @@ def main() -> None:
         marker = " <- correct" if outcome in workload.correct_outcomes else ""
         print(f"  {outcome}  {probability:.4f}{marker}")
 
-    stats = session.cache_stats()
-    print(f"\nCompilation cache: {stats['hits']} hits, "
-          f"{stats['misses']} misses (rerun a plan and watch hits grow)")
+    counters = session.telemetry_snapshot()["counters"]
+    print(f"\nCompilation cache: {counters['cache.plan_hits']} hits, "
+          f"{counters['cache.plan_misses']} misses "
+          "(rerun a plan and watch hits grow)")
 
 
 if __name__ == "__main__":

@@ -71,12 +71,13 @@ def main() -> None:
                 f"({', '.join(f'{v:.3f}' for v in point)}), step {step:.3f}"
             )
 
-        counters = session.pipeline_stats()["counters"]
+        counters = session.telemetry_snapshot()["counters"]
         print(
-            f"\ncompile-once: {counters.get('route_calls', 0)} route calls "
-            f"for {counters.get('template_binds', 0)} parameter binds "
-            f"({counters.get('template_eps_rescores', 0)} EPS re-scores) — "
-            "the optimizer never recompiled."
+            f"\ncompile-once: {counters.get('compiler.route_calls', 0)} "
+            "route calls for "
+            f"{counters.get('compiler.template_binds', 0)} parameter binds "
+            f"({counters.get('compiler.template_eps_rescores', 0)} EPS "
+            "re-scores) — the optimizer never recompiled."
         )
 
 

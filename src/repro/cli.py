@@ -15,10 +15,12 @@ parameter points through one compiled plan template (compile once, bind
 many, execute one stacked batch); ``serve`` drives the multi-tenant
 :class:`~repro.service.tier.ServiceSupervisor` over a JSON job file
 (with ``--trace DIR`` it also writes one Perfetto-loadable trace file
-per job); ``trace`` renders a captured job trace as an ASCII flame tree;
-``stats`` renders a ``--stats-json`` snapshot (optionally as Prometheus
-text); ``devices`` prints the device library's calibration statistics;
-``scalability`` prints the Table 7 cost model.
+per job, and ``--stats-json`` writes the tier's
+``telemetry_snapshot()``); ``trace`` renders a captured job trace as an
+ASCII flame tree; ``stats`` renders a ``--stats-json`` snapshot
+(optionally as Prometheus text); ``devices`` prints the device
+library's calibration statistics; ``scalability`` prints the Table 7
+cost model.
 """
 
 from __future__ import annotations
@@ -178,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--stats-json", default=None,
-        help="write the tier stats snapshot (including the unified "
-        "telemetry registry and latency percentiles) as JSON to this "
-        "path ('-' for stdout)",
+        help="write the tier's telemetry snapshot (every counter and "
+        "latency histogram) as JSON to this path ('-' for stdout; the "
+        "job table then goes to stderr)",
     )
     serve.add_argument(
         "--trace", default=None, metavar="DIR",
@@ -286,17 +288,17 @@ def _cmd_compare(args: argparse.Namespace) -> str:
                     metrics.arg,
                 ]
             )
-        stats = session.cache_stats()
-        compiler = session.pipeline_stats()["counters"]
+        counters = session.telemetry_snapshot()["counters"]
     return format_table(
         ["Scheme", "PST", "Rel PST", "IST", "Fidelity", "ARG (%)"],
         rows,
         title=f"Scheme comparison on {workload.name} / {device.name}",
     ) + (
-        f"\nplan cache: {stats['hits']} hits / {stats['misses']} misses"
-        f"\ncompiler:   {compiler.get('route_calls', 0)} routings for "
-        f"{compiler.get('retargets', 0)} retargeted schedules "
-        f"({compiler.get('route_hits', 0)} route-cache hits)"
+        f"\nplan cache: {counters.get('cache.plan_hits', 0)} hits / "
+        f"{counters.get('cache.plan_misses', 0)} misses"
+        f"\ncompiler:   {counters.get('compiler.route_calls', 0)} routings "
+        f"for {counters.get('compiler.retargets', 0)} retargeted schedules "
+        f"({counters.get('compiler.route_hits', 0)} route-cache hits)"
     )
 
 
@@ -356,7 +358,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                     metrics.fidelity,
                 ]
             )
-        counters = session.pipeline_stats()["counters"]
+        counters = session.telemetry_snapshot()["counters"]
     if args.json_out:
         payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
         if args.json_out == "-":
@@ -373,9 +375,10 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             f"{len(points)} points"
         ),
     ) + (
-        f"\ncompile-once: {counters.get('route_calls', 0)} route calls "
-        f"for {counters.get('template_binds', 0)} binds "
-        f"({counters.get('template_eps_rescores', 0)} EPS re-scores)"
+        f"\ncompile-once: {counters.get('compiler.route_calls', 0)} route "
+        f"calls for {counters.get('compiler.template_binds', 0)} binds "
+        f"({counters.get('compiler.template_eps_rescores', 0)} EPS "
+        "re-scores)"
     )
 
 
@@ -413,25 +416,15 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         jobs, rejections = _serve_submit(supervisor, entries)
         supervisor.start()
         supervisor.stop(drain=True, timeout=None)
-        stats = supervisor.tier_stats()
-        stats["telemetry"] = supervisor.telemetry_snapshot()
-        backend = {
-            name: sum(
-                worker["engine"]["backend"][name]
-                for worker in stats["workers"]
-            )
-            for name in (
-                "requests", "channel_evals", "coalesced_requests",
-                "statevector_evals",
-            )
-        }
+        snapshot = supervisor.telemetry_snapshot()
+        drain_workers = len(supervisor.drain_workers)
         if args.trace:
             trace_files = _serve_write_traces(supervisor, jobs, args.trace)
     finally:
         supervisor.close()
 
     if args.stats_json:
-        payload = json.dumps(stats, indent=2, sort_keys=True)
+        payload = json.dumps(snapshot, indent=2, sort_keys=True)
         if args.stats_json == "-":
             print(payload)
         else:
@@ -462,24 +455,28 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         rows,
         title=f"Service run over {args.jobs}",
     )
-    store_stats = stats["store"]
+    counters = snapshot["counters"]
+
+    def count(name: str) -> int:
+        return counters.get(name, 0)
+
+    root = supervisor.store.root
     footer_lines = [
         "",
-        f"jobs:    {stats['jobs']['submitted']} submitted, "
-        f"{stats['jobs']['executed']} executed, "
-        f"{stats['jobs']['memoized']} memoized, "
-        f"{stats['jobs']['failed']} failed, "
+        f"jobs:    {count('tier.submitted')} submitted, "
+        f"{count('tier.executed')} executed, "
+        f"{count('tier.memoized')} memoized, "
+        f"{count('tier.failed')} failed, "
         f"{len(rejections)} rejected",
-        f"backend: {backend['requests']} requests -> "
-        f"{backend['channel_evals']} channel evals "
-        f"({backend['coalesced_requests']} coalesced), "
-        f"{backend['statevector_evals']} statevectors",
-        f"store:   {store_stats['hits']} hits / "
-        f"{store_stats['misses']} misses"
-        + (f" @ {store_stats['root']}" if store_stats["root"] else ""),
-        f"tier:    {args.workers} workers, "
-        f"{stats['jobs']['retried']} retries, "
-        f"{stats['jobs']['worker_crashes']} crashes",
+        f"backend: {count('backend.requests')} requests -> "
+        f"{count('backend.channel_evals')} channel evals "
+        f"({count('backend.requests') - count('backend.groups')} "
+        f"coalesced), {count('backend.statevector_evals')} statevectors",
+        f"store:   {count('store.hits')} hits / "
+        f"{count('store.misses')} misses" + (f" @ {root}" if root else ""),
+        f"tier:    {drain_workers} workers, "
+        f"{count('tier.retried')} retries, "
+        f"{count('tier.worker_crashes')} crashes",
     ]
     if trace_files:
         footer_lines.append(
@@ -553,19 +550,18 @@ def _cmd_stats(args: argparse.Namespace) -> str:
         raise ReproError(f"cannot read stats {args.file}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ReproError(f"{args.file}: invalid JSON ({exc})") from exc
-    telemetry = document.get("telemetry") or {}
-    if args.prometheus:
-        return prometheus_text(telemetry).rstrip("\n")
-    lines: List[str] = []
-    jobs = document.get("jobs", {})
-    if jobs:
-        lines.append(
-            "jobs: "
-            + ", ".join(f"{key}={jobs[key]}" for key in sorted(jobs))
+    if not isinstance(document, dict) or not isinstance(
+        document.get("counters"), dict
+    ):
+        raise ReproError(
+            f"{args.file}: not a telemetry snapshot (expected an object "
+            "with a 'counters' mapping, as written by "
+            "'repro serve --stats-json')"
         )
-    counters = telemetry.get("counters") or (
-        document.get("registry", {}).get("counters", {})
-    )
+    if args.prometheus:
+        return prometheus_text(document).rstrip("\n")
+    lines: List[str] = []
+    counters = document["counters"]
     if counters:
         lines.append("counters:")
         width = max(len(name) for name in counters)
@@ -573,7 +569,7 @@ def _cmd_stats(args: argparse.Namespace) -> str:
             f"  {name:<{width}}  {counters[name]}"
             for name in sorted(counters)
         )
-    histograms = telemetry.get("histograms", {})
+    histograms = document.get("histograms", {})
     if histograms:
         lines.append("latency:")
         for name in sorted(histograms):
@@ -608,11 +604,9 @@ def _serve_submit(supervisor, entries):
 def _cmd_store_compact(args: argparse.Namespace) -> str:
     store = SegmentedResultStore(root=args.store_dir, max_entries=None)
     store.compact()
-    shards = store.stats()["shards"]
-    live = sum(shard["live"] for shard in shards.values())
     return (
-        f"compacted {args.store_dir}: {live} live records across "
-        f"{len(shards)} shards, 1 segment each"
+        f"compacted {args.store_dir}: {len(store)} live records across "
+        f"{len(store.shards)} shards, 1 segment each"
     )
 
 
@@ -671,7 +665,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "sweep":
             print(_cmd_sweep(args))
         elif args.command == "serve":
-            print(_cmd_serve(args))
+            # With --stats-json -, stdout carries the JSON document alone.
+            out = sys.stderr if args.stats_json == "-" else sys.stdout
+            print(_cmd_serve(args), file=out)
         elif args.command == "trace":
             print(_cmd_trace(args))
         elif args.command == "stats":

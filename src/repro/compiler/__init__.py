@@ -12,7 +12,6 @@ from repro.compiler.layout import Layout
 from repro.compiler.pipeline import (
     CompilationState,
     CompilerPipeline,
-    PipelineStats,
     RoutedBody,
 )
 from repro.compiler.placement import (
@@ -35,7 +34,6 @@ __all__ = [
     "ExecutableCircuit",
     "CompilerPipeline",
     "CompilationState",
-    "PipelineStats",
     "RoutedBody",
     "expected_probability_of_success",
     "gate_eps",

@@ -27,15 +27,17 @@ explicit stages over a shared :class:`CompilationState`:
   no-extra-SWAPs rule against the global compilation, §4.2.2).
 
 ``JigSaw.plan``/``JigSawM.plan`` compile dozens of CPMs by reusing cached
-routed bodies and only re-running retarget+EPS per subset; per-stage
-hit/miss counters are surfaced via :class:`PipelineStats` and
-``CompilationCache.stage_stats()``.
+routed bodies and only re-running retarget+EPS per subset; the stages
+count into the pipeline's registry (``compiler.route_calls``,
+``compiler.retargets`` ...) and the stage store counts its hits and
+misses (``cache.stage.<stage>.hits``), all read through
+``Session.telemetry_snapshot()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +64,6 @@ __all__ = [
     "RoutedBody",
     "CompilationState",
     "CompilerPipeline",
-    "PipelineStats",
     "STAGE_PLACE",
     "STAGE_ROUTE",
 ]
@@ -188,50 +189,6 @@ class CompilationState:
 
 
 # ----------------------------------------------------------------------
-# Counters
-# ----------------------------------------------------------------------
-
-
-class PipelineStats:
-    """Thread-safe per-stage counters over the telemetry registry.
-
-    Historically a private dict; now a thin adapter over a
-    :class:`~repro.telemetry.MetricsRegistry` using ``compiler.``-prefixed
-    counter names (``compiler.route_calls``, ``compiler.eps_evals`` ...),
-    so a session or service can :meth:`~repro.telemetry.MetricsRegistry.attach`
-    the pipeline into its unified telemetry tree.  ``snapshot()`` keeps
-    the historical bare-name shape.
-    """
-
-    PREFIX = "compiler."
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    def bump(self, name: str, by: int = 1) -> None:
-        self.metrics.counter(self.PREFIX + name).add(by)
-
-    def get(self, name: str) -> int:
-        return self.metrics.counter(self.PREFIX + name).value
-
-    def snapshot(self) -> Dict[str, int]:
-        prefix = self.PREFIX
-        return {
-            name[len(prefix):]: counter.value
-            for name, counter in sorted(self.metrics.counters().items())
-            if name.startswith(prefix) and counter.value
-        }
-
-    def reset(self) -> None:
-        for name, counter in self.metrics.counters().items():
-            if name.startswith(self.PREFIX):
-                counter.reset()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PipelineStats({self.snapshot()})"
-
-
-# ----------------------------------------------------------------------
 # Stages
 # ----------------------------------------------------------------------
 
@@ -243,7 +200,7 @@ class PlacementStage:
     name = STAGE_PLACE
 
     def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline.stats.bump("place_runs")
+        pipeline.metrics.counter("compiler.place_runs").add()
         if state.global_executable is not None:
             base = state.global_executable.initial_layout
             state.layouts = [base]
@@ -295,7 +252,7 @@ class MeasureRetargetStage:
         measures = state.circuit.measurements
         candidates = []
         for routed in state.routed:
-            pipeline.stats.bump("retargets")
+            pipeline.metrics.counter("compiler.retargets").add()
             candidates.append(
                 CompiledCandidate(
                     routed=routed,
@@ -321,7 +278,7 @@ class EpsScoreStage:
         if state.readout_emphasis < 0:
             raise CompilationError("readout_emphasis must be non-negative")
         for candidate in state.candidates:
-            pipeline.stats.bump("eps_evals")
+            pipeline.metrics.counter("compiler.eps_evals").add()
             readout = readout_eps_targets(
                 candidate.measured_qubits, pipeline.device
             )
@@ -337,7 +294,7 @@ class SelectStage:
     name = "select"
 
     def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline.stats.bump("selects")
+        pipeline.metrics.counter("compiler.selects").add()
         best: Optional[CompiledCandidate] = None
         for candidate in state.candidates:
             if best is None or candidate.score > best.score:
@@ -358,7 +315,7 @@ class CpmSelectStage:
     name = "select"
 
     def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline.stats.bump("selects")
+        pipeline.metrics.counter("compiler.selects").add()
         baseline = state.candidates[0]
         pool = state.candidates[1:]
         budget = state.global_executable.num_swaps
@@ -406,15 +363,17 @@ class CompilerPipeline:
             legacy recompile-everything behaviour — results are bit-for-bit
             identical either way, because routing is a pure function of
             its content key.
-        stats: per-stage counters; defaults to a fresh
-            :class:`PipelineStats`.
+        metrics: the registry the stages count into (``compiler.*``);
+            defaults to a private one.  The cache's registry is attached
+            to it, so one snapshot covers the pipeline and its stage
+            store.
     """
 
     def __init__(
         self,
         device: Device,
         cache: Optional[CompilationCache] = None,
-        stats: Optional[PipelineStats] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.device = device
         #: Content fingerprint of the device (name + topology + full
@@ -423,7 +382,9 @@ class CompilerPipeline:
         #: never exchange routed bodies through a shared cache.
         self.device_key = device_fingerprint(device)
         self.cache = cache if cache is not None else CompilationCache()
-        self.stats = stats if stats is not None else PipelineStats()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        if self.cache.metrics is not self.metrics:
+            self.metrics.attach(self.cache.metrics)
 
     def matches_device(self, device: Device) -> bool:
         """Whether this pipeline can compile for ``device`` (by content)."""
@@ -457,7 +418,7 @@ class CompilerPipeline:
         """
         value, hit = self.cache.stage_get_or_compute(stage, key, compute)
         if hit:
-            self.stats.bump(hit_counter)
+            self.metrics.counter(hit_counter).add()
         span = current_span()
         if span is not None:
             attr = "cache_hits" if hit else "cache_misses"
@@ -480,7 +441,7 @@ class CompilerPipeline:
         """Compile ``circuit`` maximising (emphasised) EPS — ``transpile``."""
         if attempts < 1:
             raise CompilationError("attempts must be >= 1")
-        self.stats.bump("compiles")
+        self.metrics.counter("compiler.compiles").add()
         state = CompilationState(
             circuit=circuit,
             body=circuit.remove_measurements(),
@@ -510,7 +471,7 @@ class CompilerPipeline:
         through the stage cache, so across a whole plan the pool is routed
         once and each CPM only pays retarget + EPS + select.
         """
-        self.stats.bump("compiles")
+        self.metrics.counter("compiler.compiles").add()
         vulnerable = (
             self.device.vulnerable_qubits(vulnerable_percentile)
             if recompile
@@ -560,7 +521,7 @@ class CompilerPipeline:
         key = routing_fingerprint(self.device_key, body_fingerprint, layout)
 
         def _route() -> RoutedBody:
-            self.stats.bump("route_calls")
+            self.metrics.counter("compiler.route_calls").add()
             routed = route(body, self.device, layout, seed=int(key[:16], 16))
             return RoutedBody(
                 body_fingerprint=body_fingerprint,
@@ -571,7 +532,9 @@ class CompilerPipeline:
                 gate_eps=gate_eps(routed.physical, self.device),
             )
 
-        return self._stage_cached(STAGE_ROUTE, key, "route_hits", _route)
+        return self._stage_cached(
+            STAGE_ROUTE, key, "compiler.route_hits", _route
+        )
 
     def retarget(
         self, routed: RoutedBody, circuit: QuantumCircuit
@@ -612,7 +575,9 @@ class CompilerPipeline:
                 avoid_qubits=state.avoid_qubits,
             )
 
-        return self._stage_cached(STAGE_PLACE, key, "place_hits", _place)
+        return self._stage_cached(
+            STAGE_PLACE, key, "compiler.place_hits", _place
+        )
 
     def _finalize(
         self, candidate: CompiledCandidate, circuit: QuantumCircuit
@@ -628,12 +593,5 @@ class CompilerPipeline:
             eps=candidate.plain_eps,
         )
 
-    def stage_stats(self) -> Dict[str, Dict[str, int]]:
-        """This pipeline's cache-level per-stage counters."""
-        return self.cache.stage_stats()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CompilerPipeline(device={self.device.name!r}, "
-            f"stats={self.stats.snapshot()})"
-        )
+        return f"CompilerPipeline(device={self.device.name!r})"

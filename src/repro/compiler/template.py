@@ -20,9 +20,9 @@ selection made at compile time stays optimal for every binding.  The
 template still re-scores EPS when the parameter vector drifts further
 than ``eps_rescore_threshold`` from the last scored point — cheap
 insurance that keeps the machinery honest if a future noise model gains
-angle sensitivity — and counts epochs in the pipeline stats
-(``template_binds`` / ``template_eps_rescores``, surfaced through
-``Session.pipeline_stats()``).
+angle sensitivity — and counts epochs on the pipeline's registry
+(``compiler.template_binds`` / ``compiler.template_eps_rescores``, read
+through ``Session.telemetry_snapshot()``).
 """
 
 from __future__ import annotations
@@ -150,8 +150,9 @@ class PlanTemplate:
             template and every binding.
         eps_rescore_threshold: max per-parameter drift (radians) from the
             last scored point before a bind re-runs EPS scoring.
-        pipeline: the compiler pipeline whose stats record template
-            activity (``template_binds`` / ``template_eps_rescores``).
+        pipeline: the compiler pipeline whose registry counts template
+            activity (``compiler.template_binds`` /
+            ``compiler.template_eps_rescores``).
     """
 
     prototype: ExecutionPlan
@@ -160,8 +161,6 @@ class PlanTemplate:
     eps_rescore_threshold: float = DEFAULT_EPS_RESCORE_THRESHOLD
     pipeline: Optional[CompilerPipeline] = None
     _last_scored: Optional[np.ndarray] = field(default=None, repr=False)
-    _num_binds: int = field(default=0, repr=False)
-    _num_rescores: int = field(default=0, repr=False)
 
     @classmethod
     def from_plan(
@@ -193,19 +192,9 @@ class PlanTemplate:
     def scheme(self) -> str:
         return self.prototype.scheme
 
-    @property
-    def num_binds(self) -> int:
-        """Plans produced by this template so far."""
-        return self._num_binds
-
-    @property
-    def num_rescores(self) -> int:
-        """EPS re-score epochs triggered so far (always >= 1 after a bind)."""
-        return self._num_rescores
-
     def _bump(self, name: str, by: int = 1) -> None:
         if self.pipeline is not None:
-            self.pipeline.stats.bump(name, by)
+            self.pipeline.metrics.counter("compiler." + name).add(by)
 
     def _should_rescore(self, point: np.ndarray) -> bool:
         if self._last_scored is None:
@@ -248,10 +237,8 @@ class PlanTemplate:
             [by_name[p.name] for p in self.parameters], dtype=np.float64
         )
         rescore = self._should_rescore(point)
-        self._num_binds += 1
         self._bump("template_binds")
         if rescore:
-            self._num_rescores += 1
             self._bump("template_eps_rescores")
             self._last_scored = point
 
@@ -292,11 +279,10 @@ class PlanTemplate:
         return [self.bind(values) for values in parameter_sets]
 
     def describe(self) -> str:
-        """One-line human summary (used by the CLI)."""
+        """One-line human summary."""
         names = ",".join(p.name for p in self.parameters)
         return (
             f"{self.scheme} template [{names}] over "
             f"{self.prototype.num_cpms} CPMs "
-            f"(structure {self.structure_key[:12]}): "
-            f"{self._num_binds} binds, {self._num_rescores} EPS epochs"
+            f"(structure {self.structure_key[:12]})"
         )

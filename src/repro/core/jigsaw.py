@@ -57,6 +57,7 @@ from repro.runtime.fingerprint import (
     executable_fingerprint,
 )
 from repro.runtime.plan import ExecutionPlan, PlanLayer
+from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.random import SeedLike, as_generator, spawn
 
 __all__ = ["JigSawConfig", "JigSawResult", "JigSaw", "measured_positions_map"]
@@ -226,6 +227,10 @@ class JigSaw:
         self.backend = backend
         self.cache = cache
         self.cache_salt = cache_salt
+        #: The runner's telemetry registry: its pipeline and every
+        #: backend it resolves count into it (``compiler.*``,
+        #: ``backend.*``), so an owner attaches it once.
+        self.metrics = MetricsRegistry()
         # The staged compiler pipeline (see repro.compiler.pipeline).  Its
         # stage cache holds routed bodies: with an attached plan cache the
         # stage store is shared (sweeps reuse routings across runners);
@@ -233,7 +238,9 @@ class JigSaw:
         # guarantees the route-once invariant within and across this
         # runner's plans.  Routing is a pure function of content, so
         # sharing is always bit-for-bit safe.
-        self.pipeline = CompilerPipeline(device, cache=cache)
+        self.pipeline = CompilerPipeline(
+            device, cache=cache, metrics=self.metrics
+        )
         self._resolved_backend: Optional[Backend] = None
         self._resolved_backend_key = None
 
@@ -244,15 +251,18 @@ class JigSaw:
         in a :class:`~repro.runtime.parallel.ShardedBackend` — safe at
         any worker count because sharding is bit-for-bit identical to
         serial execution.  The resolved backend is cached (until the
-        relevant config knobs change) so its worker pool and ``stats()``
-        counters persist across runs.
+        relevant config knobs change) so its worker pool persists across
+        runs; every backend counts into the runner's :attr:`metrics`.
         """
         if self.backend is not None:
             return self.backend
         key = (self.config.exact, self.config.execute_workers)
         if self._resolved_backend is None or self._resolved_backend_key != key:
             self._resolved_backend = sharded_local_backend(
-                self.sampler, self.config.exact, self.config.execute_workers
+                self.sampler,
+                self.config.exact,
+                self.config.execute_workers,
+                metrics=self.metrics,
             )
             self._resolved_backend_key = key
         return self._resolved_backend
@@ -283,19 +293,6 @@ class JigSaw:
         backend = self._resolved_backend
         if backend is not None and hasattr(backend, "close"):
             backend.close()
-
-    def pipeline_stats(self) -> Dict[str, object]:
-        """Per-stage compiler counters for this runner (JSON-ready).
-
-        ``counters`` are this runner's pipeline counts (compiles, route
-        calls/hits, retargets, EPS evaluations); ``stages`` are the
-        stage-cache hit/miss/entry counters, which are shared whenever a
-        :class:`CompilationCache` is attached.
-        """
-        return {
-            "counters": self.pipeline.stats.snapshot(),
-            "stages": self.pipeline.stage_stats(),
-        }
 
     # ------------------------------------------------------------------
     # Planning helpers
@@ -507,50 +504,6 @@ class JigSaw:
         if key is not None:
             cache.put(key, built)
         return built
-
-    def plan_template(
-        self,
-        circuit: QuantumCircuit,
-        total_trials: int = 32_768,
-        global_executable: Optional[ExecutableCircuit] = None,
-        eps_rescore_threshold: Optional[float] = None,
-    ):
-        """Plan a *parameterized* circuit once, for bind-many sweeps.
-
-        Every compile stage is parameter independent, so the symbolic
-        circuit routes/retargets/scores exactly like any bound instance;
-        the returned :class:`~repro.compiler.template.PlanTemplate`
-        substitutes parameter points into the compiled executables.
-        """
-        from repro.compiler.template import (
-            DEFAULT_EPS_RESCORE_THRESHOLD,
-            PlanTemplate,
-        )
-
-        plan = self.plan(
-            circuit,
-            total_trials=total_trials,
-            global_executable=global_executable,
-        )
-        threshold = (
-            DEFAULT_EPS_RESCORE_THRESHOLD
-            if eps_rescore_threshold is None
-            else eps_rescore_threshold
-        )
-        return PlanTemplate.from_plan(
-            plan, self.pipeline, eps_rescore_threshold=threshold
-        )
-
-    def run_sweep(self, template, parameter_sets) -> List[JigSawResult]:
-        """Execute a whole parameter sweep as one coalesced batch.
-
-        Binds every parameter point of ``template`` (see
-        :meth:`plan_template`) and submits all of them through
-        :meth:`execute_many`, so the backend evaluates the sweep in
-        structure-shared stacks.  Results are in parameter-set order and
-        bit-for-bit equal to executing the bound plans one at a time.
-        """
-        return self.execute_many(template.bind_many(parameter_sets))
 
     # ------------------------------------------------------------------
     # Stage 2: batch-execute & reconstruct

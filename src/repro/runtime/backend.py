@@ -141,14 +141,12 @@ class _LocalBackend:
                 )
             sampler = NoisySampler(noise_model, seed=seed)
         self.sampler = sampler
-        #: Cumulative statevector simulations / noisy-channel evaluations
-        #: performed by this backend — the quantities batching and
-        #: coalescing save; benchmarks assert on these instead of wall time.
-        #: ``stacked_evals``/``stacked_circuits`` count the contractions
-        #: that ran stacked (batch > 1) and how many circuits rode them.
-        #: All live in a telemetry registry under ``backend.*`` so the
-        #: session/service snapshots fold them in; the attribute-style
-        #: reads below stay for back-compat.
+        #: Work counters — the quantities batching and coalescing save;
+        #: benchmarks assert on these instead of wall time:
+        #: ``backend.statevector_evals``/``backend.channel_evals``, and
+        #: ``backend.stacked_evals``/``backend.stacked_circuits`` for the
+        #: contractions that ran stacked (batch > 1) and the circuits
+        #: that rode them.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._statevector_evals = self.metrics.counter(
             "backend.statevector_evals"
@@ -158,22 +156,6 @@ class _LocalBackend:
         self._stacked_circuits = self.metrics.counter(
             "backend.stacked_circuits"
         )
-
-    @property
-    def statevector_evals(self) -> int:
-        return self._statevector_evals.value
-
-    @property
-    def channel_evals(self) -> int:
-        return self._channel_evals.value
-
-    @property
-    def stacked_evals(self) -> int:
-        return self._stacked_evals.value
-
-    @property
-    def stacked_circuits(self) -> int:
-        return self._stacked_circuits.value
 
     # ------------------------------------------------------------------
 
@@ -241,15 +223,6 @@ class _LocalBackend:
     ) -> List[PMF]:
         """Plan and evaluate one batch; one PMF per request, in order."""
         raise NotImplementedError  # pragma: no cover - abstract
-
-    def stats(self) -> dict:
-        """Cumulative work counters (JSON-ready)."""
-        return {
-            "statevector_evals": self.statevector_evals,
-            "channel_evals": self.channel_evals,
-            "stacked_evals": self.stacked_evals,
-            "stacked_circuits": self.stacked_circuits,
-        }
 
 
 class LocalExactBackend(_LocalBackend):

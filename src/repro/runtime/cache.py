@@ -14,11 +14,13 @@ kinds of artifacts, both keyed by **content**:
   (:mod:`repro.compiler.pipeline`): routed bodies keyed by
   :func:`~repro.runtime.fingerprint.routing_fingerprint`, layout pools
   keyed by placement inputs.  Stage entries have their own namespace and
-  their own hit/miss counters — they never perturb the plan-level
-  ``hits``/``misses`` that sweeps assert on.
+  their own hit/miss counters (``cache.stage.<stage>.hits``) — they never
+  perturb the plan-level ``cache.plan_hits``/``cache.plan_misses`` that
+  sweeps assert on.
 
-Both stores are bounded LRUs.  All counters are public so tests and
-benchmarks can assert reuse instead of guessing at it.
+Both stores are bounded LRUs.  Every counter lives in the cache's
+telemetry registry, so tests and benchmarks assert reuse on
+``telemetry_snapshot()`` instead of guessing at it.
 
 Determinism note: a cached plan replays the compilation of the *first*
 planning call for its key.  Planning is seeded, so sharing a cache across
@@ -35,7 +37,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.runtime.plan import ExecutionPlan
-from repro.telemetry.metrics import Counter, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["CompilationCache"]
 
@@ -71,8 +73,6 @@ class CompilationCache:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._plans: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
         self._stage_data: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
-        self._stage_hits: Dict[str, Counter] = {}
-        self._stage_misses: Dict[str, Counter] = {}
         # Guards both stores: pipelines share a cache across the CPM
         # compilation thread fan-out (``compile_workers``).
         self._lock = threading.RLock()
@@ -87,16 +87,6 @@ class CompilationCache:
         self._inflight_guard = threading.Lock()
         self._hits = self.metrics.counter("cache.plan_hits")
         self._misses = self.metrics.counter("cache.plan_misses")
-
-    @property
-    def hits(self) -> int:
-        """Plan-level cache hits (registry-backed, torn-read free)."""
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        """Plan-level cache misses (registry-backed, torn-read free)."""
-        return self._misses.value
 
     # ------------------------------------------------------------------
 
@@ -161,21 +151,11 @@ class CompilationCache:
         with self._lock:
             value = self._stage_data.get((stage, key))
             if value is None:
-                self._stage_counter(self._stage_misses, stage, "misses").add(1)
+                self.metrics.counter(f"cache.stage.{stage}.misses").add()
                 return None
             self._stage_data.move_to_end((stage, key))
-            self._stage_counter(self._stage_hits, stage, "hits").add(1)
+            self.metrics.counter(f"cache.stage.{stage}.hits").add()
             return value
-
-    def _stage_counter(
-        self, table: Dict[str, Counter], stage: str, kind: str
-    ) -> Counter:
-        counter = table.get(stage)
-        if counter is None:
-            counter = table[stage] = self.metrics.counter(
-                f"cache.stage.{stage}.{kind}"
-            )
-        return counter
 
     def stage_put(self, stage: str, key: str, value: Any) -> None:
         """Store a stage artifact (no-op on a disabled cache)."""
@@ -242,27 +222,6 @@ class CompilationCache:
                 return len(self._stage_data)
             return sum(1 for s, _ in self._stage_data if s == stage)
 
-    def stage_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-stage hit/miss/entry counters (JSON-ready)."""
-        with self._lock:
-            stages = sorted(set(self._stage_hits) | set(self._stage_misses))
-            return {
-                stage: {
-                    "hits": (
-                        self._stage_hits[stage].value
-                        if stage in self._stage_hits
-                        else 0
-                    ),
-                    "misses": (
-                        self._stage_misses[stage].value
-                        if stage in self._stage_misses
-                        else 0
-                    ),
-                    "entries": sum(1 for s, _ in self._stage_data if s == stage),
-                }
-                for stage in stages
-            }
-
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -274,26 +233,8 @@ class CompilationCache:
         with self._lock:
             return key in self._plans
 
-    def stats(self) -> dict:
-        """Hit/miss/size counters, plan-level plus per-stage (JSON-ready).
-
-        Taken under the lock (it is re-entrant), so a snapshot is
-        internally consistent even while compile workers mutate the
-        stores.
-        """
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._plans),
-                "max_entries": self.max_entries,
-                "stage_entries": len(self._stage_data),
-                "stages": self.stage_stats(),
-            }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompilationCache(entries={len(self._plans)}, "
-            f"hits={self.hits}, misses={self.misses}, "
             f"stage_entries={len(self._stage_data)})"
         )

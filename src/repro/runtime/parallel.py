@@ -24,9 +24,10 @@ without changing a single bit of its output:
   but a differently-seeded (equally valid) sample than the serial
   backend's.
 
-Work counters (``stats()``) expose requests, groups, and statevector /
-channel evaluations so benchmarks can assert the coalescing win instead
-of guessing at it from wall clock.
+Work counters (``backend.requests``, ``backend.groups``,
+``backend.statevector_evals``, ``backend.channel_evals`` ...) live in the
+backend's telemetry registry, so benchmarks assert the coalescing win on
+a snapshot instead of guessing at it from wall clock.
 """
 
 from __future__ import annotations
@@ -190,10 +191,9 @@ class ShardedBackend:
         # to respawn per execute().  close() (or the context manager)
         # releases it.
         self._pool = None
-        #: Cumulative work counters (see :meth:`stats`), registry-backed
-        #: under ``backend.*`` so snapshots are torn-read free.  The
-        #: inner backend's registry is attached: whichever side counts an
-        #: event (the wrapper on sharded paths, the inner on direct
+        #: Work counters under ``backend.*``.  The inner backend's
+        #: registry is attached: whichever side counts an event (the
+        #: wrapper on sharded paths, the inner on direct
         #: ``inner.execute`` calls), the merged view sums correctly.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if self.metrics is not inner.metrics:
@@ -211,42 +211,6 @@ class ShardedBackend:
         self._stacked_circuits = self.metrics.counter(
             "backend.stacked_circuits"
         )
-
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
-    @property
-    def requests_seen(self) -> int:
-        return self._requests_seen.value
-
-    @property
-    def groups_evaluated(self) -> int:
-        return self._groups_evaluated.value
-
-    @property
-    def statevector_evals(self) -> int:
-        return self._statevector_evals.value
-
-    @property
-    def channel_evals(self) -> int:
-        return self._channel_evals.value
-
-    @property
-    def spliced_parts(self) -> int:
-        return self._spliced_parts.value
-
-    @property
-    def shards_dispatched(self) -> int:
-        return self._shards_dispatched.value
-
-    @property
-    def stacked_evals(self) -> int:
-        return self._stacked_evals.value
-
-    @property
-    def stacked_circuits(self) -> int:
-        return self._stacked_circuits.value
 
     # ------------------------------------------------------------------
 
@@ -459,24 +423,6 @@ class ShardedBackend:
             pass
 
     # ------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Cumulative shard/coalescing counters (JSON-ready)."""
-        return {
-            "batches": self.batches,
-            "requests": self.requests_seen,
-            "groups": self.groups_evaluated,
-            "coalesced_requests": self.requests_seen - self.groups_evaluated,
-            "statevector_evals": self.statevector_evals,
-            "channel_evals": self.channel_evals,
-            "spliced_parts": self.spliced_parts,
-            "shards": self.shards_dispatched,
-            "stacked_evals": self.stacked_evals,
-            "stacked_circuits": self.stacked_circuits,
-            "workers": self.workers,
-            "executor": self.executor,
-            "coalesce": self.coalesce,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.edm import ensemble_of_diverse_mappings
-from repro.compiler.pipeline import CompilerPipeline, PipelineStats
+from repro.compiler.pipeline import CompilerPipeline
 from repro.compiler.template import (
     DEFAULT_EPS_RESCORE_THRESHOLD,
     ParameterValues,
@@ -186,8 +186,8 @@ class Session:
         self.compile_workers = compile_workers
         self.workers = workers
         #: The session's unified telemetry registry: the default backend
-        #: and the session pipeline record straight into it; runner
-        #: pipelines/backends and the (possibly shared) cache are
+        #: and the session pipeline record straight into it; each
+        #: runner's registry and the (possibly shared) cache's are
         #: attached, so :meth:`telemetry_snapshot` is one tree.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._rng = as_generator(seed)
@@ -208,15 +208,14 @@ class Session:
             if backend_metrics is not None and backend_metrics is not self.metrics:
                 self.metrics.attach(backend_metrics)
         self.cache = CompilationCache() if cache is None else cache
-        if self.cache.metrics is not self.metrics:
-            self.metrics.attach(self.cache.metrics)
         self._cache_salt = f"session:{seed!r}"
         # Session-level staged compiler pipeline, bound to the session
         # cache: the baseline compilation, EDM mappings, and every JigSaw
         # runner (they receive the same cache) share one routed-body store,
         # so a (body, layout) pair is routed at most once per session.
+        # The pipeline attaches the cache's registry to the session's.
         self.compile_pipeline = CompilerPipeline(
-            device, cache=self.cache, stats=PipelineStats(self.metrics)
+            device, cache=self.cache, metrics=self.metrics
         )
         # The shared baseline mapping per program (methodology, §5.2: the
         # global mode "is identical to the baseline policy").  Keyed by
@@ -320,7 +319,7 @@ class Session:
                 cache=self.cache,
                 cache_salt=self._cache_salt,
             )
-            self.metrics.attach(self._runners[key].pipeline.stats.metrics)
+            self.metrics.attach(self._runners[key].metrics)
         return self._runners[key]
 
     def _jigsawm_runner(self) -> JigSawM:
@@ -333,9 +332,7 @@ class Session:
                 cache=self.cache,
                 cache_salt=self._cache_salt,
             )
-            self.metrics.attach(
-                self._runners["jigsaw_m"].pipeline.stats.metrics
-            )
+            self.metrics.attach(self._runners["jigsaw_m"].metrics)
         runner: JigSawM = self._runners["jigsaw_m"]  # type: ignore[assignment]
         return runner
 
@@ -699,67 +696,19 @@ class Session:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def execution_stats(self) -> dict:
-        """Cumulative backend work counters across this session's engines.
-
-        Merges the session backend's counters (baseline/EDM/MBM
-        executions) with every scheme runner's resolved backend —
-        ``channel_evals`` is the number the paper's cost model (and the
-        service-throughput benchmark) cares about: one noisy-channel
-        evaluation per executed circuit.
-        """
-        totals: Dict[str, int] = {}
-        backends = [self.backend] + [
-            runner._resolved_backend
-            for runner in self._runners.values()
-            if runner._resolved_backend is not None
-        ]
-        for backend in backends:
-            stats = backend.stats() if hasattr(backend, "stats") else {}
-            for name in ("statevector_evals", "channel_evals", "requests"):
-                if name in stats:
-                    totals[name] = totals.get(name, 0) + int(stats[name])
-        return totals
-
-    def cache_stats(self) -> dict:
-        """Plan- and stage-cache counters (see :class:`CompilationCache`)."""
-        return self.cache.stats()
-
-    def pipeline_stats(self) -> dict:
-        """Per-stage compiler counters across this session's runners.
-
-        Merges the session pipeline's counters (baseline/EDM compiles)
-        with every scheme runner's, plus the shared stage-cache hit/miss
-        accounting.
-        """
-        counters: Dict[str, int] = dict(self.compile_pipeline.stats.snapshot())
-        for runner in self._runners.values():
-            for name, value in runner.pipeline.stats.snapshot().items():
-                counters[name] = counters.get(name, 0) + value
-        return {"counters": counters, "stages": self.cache.stage_stats()}
-
     def telemetry_snapshot(self) -> dict:
-        """One unified registry snapshot over every session component.
+        """Every counter and histogram of the session, merged.
 
-        Compiler counters (session pipeline + every runner's), backend
-        work counters, and the shared cache's hit/miss accounting, all
-        under their dotted telemetry names.  The legacy
-        ``pipeline_stats()``/``execution_stats()``/``cache_stats()``
-        views are projections of the same instruments, so the two
-        surfaces can never disagree.
+        Compiler counters (session pipeline + every runner's,
+        ``compiler.*``), backend work counters (``backend.*`` — one
+        ``channel_evals`` per noisy-channel evaluation, the quantity the
+        paper's cost model counts) and the shared cache's hit/miss
+        accounting (``cache.*``), under their dotted names.
         """
-        # Runner backends materialise lazily; attach any that appeared
-        # since the last snapshot (attach is idempotent).
-        for runner in self._runners.values():
-            resolved = runner._resolved_backend
-            registry = getattr(resolved, "metrics", None)
-            if registry is not None and registry is not self.metrics:
-                self.metrics.attach(registry)
         return self.metrics.snapshot()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Session(device={self.device.name!r}, "
-            f"backend={self.backend.name!r}, exact={self.exact}, "
-            f"cache={self.cache.stats()})"
+            f"backend={self.backend.name!r}, exact={self.exact})"
         )

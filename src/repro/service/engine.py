@@ -156,16 +156,6 @@ class DeviceRegistry:
                 self.metrics.attach(cache.metrics)
             return cache
 
-    def compiler_stats(self) -> Dict[str, int]:
-        """Plan/stage cache counters summed across devices (JSON-ready)."""
-        with self._lock:
-            caches = list(self._caches.values())
-        return {
-            "plan_hits": sum(c.hits for c in caches),
-            "plan_misses": sum(c.misses for c in caches),
-            "stage_entries": sum(c.stage_entries() for c in caches),
-        }
-
 
 class ExecutionEngine:
     """One drain lane's splice-execution core.
@@ -213,30 +203,13 @@ class ExecutionEngine:
         self._lock = threading.RLock()
         self.metrics = MetricsRegistry()
         self.metrics.attach(registry.metrics)
-        # Cumulative engine counters (the sink owns job-level ones);
-        # registry-backed, so concurrent readers get atomic values
-        # instead of torn plain-int reads.
+        # Cumulative engine counters (the sink owns job-level ones).
         self._batches = self.metrics.counter("engine.batches")
         self._memoized = self.metrics.counter("engine.memoized")
         self._executed = self.metrics.counter("engine.executed")
         self._prepare_seconds = self.metrics.histogram("tier.prepare")
         self._execute_seconds = self.metrics.histogram("tier.execute")
         self._finish_seconds = self.metrics.histogram("tier.finish")
-
-    @property
-    def batches(self) -> int:
-        """Batches processed (registry-backed, torn-read free)."""
-        return self._batches.value
-
-    @property
-    def memoized(self) -> int:
-        """Jobs served from the result store or a batch primary."""
-        return self._memoized.value
-
-    @property
-    def executed(self) -> int:
-        """Jobs executed on the backend by this engine."""
-        return self._executed.value
 
     # ------------------------------------------------------------------
 
@@ -253,10 +226,9 @@ class ExecutionEngine:
             executor = self._executors.get(key)
             if executor is None:
                 sampler = NoisySampler(NoiseModel.from_device(device), seed=0)
-                # Each pool keeps its own registry (per-executor stats
-                # stay single-writer); attaching folds it into the
-                # engine's snapshot, where merge sums same-named
-                # counters across lanes.
+                # Each pool keeps its own single-writer registry;
+                # attaching folds it into the engine's snapshot, where
+                # merge sums same-named counters across lanes.
                 executor = ShardedBackend(
                     local_backend(sampler, exact),
                     workers=self.workers,
@@ -478,41 +450,8 @@ class ExecutionEngine:
         return result.to_dict()
 
     # ------------------------------------------------------------------
-    # Introspection / lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-
-    def backend_stats(self) -> Dict[str, int]:
-        """Work counters summed over this engine's backend pool."""
-        counter_names = (
-            "batches",
-            "requests",
-            "groups",
-            "coalesced_requests",
-            "statevector_evals",
-            "channel_evals",
-            "spliced_parts",
-            "shards",
-            "stacked_evals",
-            "stacked_circuits",
-        )
-        totals: Dict[str, int] = {name: 0 for name in counter_names}
-        with self._lock:
-            executors = list(self._executors.values())
-        for executor in executors:
-            stats = executor.stats()
-            for name in counter_names:
-                totals[name] += int(stats.get(name, 0))
-        return totals
-
-    def stats(self) -> Dict[str, Any]:
-        """Engine counters + backend totals (JSON-ready)."""
-        counters: Dict[str, Any] = {
-            "batches": self.batches,
-            "memoized": self.memoized,
-            "executed": self.executed,
-        }
-        counters["backend"] = self.backend_stats()
-        return counters
 
     def close(self) -> None:
         """Release every backend worker pool this engine created."""

@@ -13,8 +13,12 @@ not accepted and starved.  Two rules:
 
 Drain order is priority-descending, FIFO within a priority.  Note that
 drain order affects *latency only*: job results are a pure function of
-each job's own seed stream (see :mod:`repro.service.service`), so
+each job's own seed stream (see :mod:`repro.service.engine`), so
 reordering the queue can never change what any job computes.
+
+Admissions and rejections count into the queue's registry
+(``queue.admitted``, ``queue.rejected_full``,
+``queue.rejected_fair_share``); the serving tier attaches it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.exceptions import AdmissionError, ServiceError
 from repro.service.job import Job
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["FairShareQueue"]
 
@@ -69,10 +74,12 @@ class FairShareQueue:
         self._not_empty = [
             threading.Condition(self._lock) for _ in range(lanes)
         ]
-        #: Cumulative admission counters (see :meth:`stats`).
-        self.admitted = 0
-        self.rejected_full = 0
-        self.rejected_fair_share = 0
+        self.metrics = MetricsRegistry()
+        self._admitted = self.metrics.counter("queue.admitted")
+        self._rejected_full = self.metrics.counter("queue.rejected_full")
+        self._rejected_fair_share = self.metrics.counter(
+            "queue.rejected_fair_share"
+        )
 
     # ------------------------------------------------------------------
 
@@ -88,13 +95,13 @@ class FairShareQueue:
             pending = sum(len(heap) for heap in self._heaps)
             if not force:
                 if pending >= self.capacity:
-                    self.rejected_full += 1
+                    self._rejected_full.add()
                     raise AdmissionError(
                         f"queue full ({self.capacity} pending); retry later"
                     )
                 held = self._pending_by_tenant.get(tenant, 0)
                 if held >= self.tenant_cap:
-                    self.rejected_fair_share += 1
+                    self._rejected_fair_share.add()
                     raise AdmissionError(
                         f"tenant {tenant!r} holds {held} of its "
                         f"{self.tenant_cap} fair-share slots; retry later"
@@ -107,7 +114,7 @@ class FairShareQueue:
             self._pending_by_tenant[tenant] = (
                 self._pending_by_tenant.get(tenant, 0) + 1
             )
-            self.admitted += 1
+            self._admitted.add()
             self._not_empty[lane].notify()
             return job
 
@@ -147,19 +154,6 @@ class FairShareQueue:
         """Pending-slot usage per tenant (a snapshot)."""
         with self._lock:
             return dict(self._pending_by_tenant)
-
-    def stats(self) -> dict:
-        """Admission/backpressure counters (JSON-ready)."""
-        with self._lock:
-            return {
-                "pending": sum(len(heap) for heap in self._heaps),
-                "pending_per_lane": [len(heap) for heap in self._heaps],
-                "capacity": self.capacity,
-                "tenant_cap": self.tenant_cap,
-                "admitted": self.admitted,
-                "rejected_full": self.rejected_full,
-                "rejected_fair_share": self.rejected_fair_share,
-            }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -46,6 +46,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.payload import PAYLOAD_VERSION, check_payload_version
 from repro.exceptions import PayloadError, ServiceError
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["SegmentedResultStore"]
 
@@ -96,7 +97,7 @@ def _read_segment(
 
 
 class _Shard:
-    """One shard: its directory, segments, live map, and counters.
+    """One shard: its directory, segments, and live map.
 
     All access is serialised by the shard's own lock — two workers
     writing different shards never contend.
@@ -111,7 +112,6 @@ class _Shard:
         self._dead = 0
         self._active_number = 0
         self._active_bytes = 0
-        self.compactions = 0
         os.makedirs(self.dir, exist_ok=True)
         self._replay()
 
@@ -160,8 +160,9 @@ class _Shard:
         segment_bytes: int,
         max_segments: int,
         max_dead_ratio: float,
-    ) -> None:
-        """Append one record; roll and compact by the shard's triggers."""
+    ) -> bool:
+        """Append one record; roll and compact by the shard's triggers.
+        Returns whether the append compacted the shard."""
         line = (
             json.dumps(
                 {
@@ -188,15 +189,17 @@ class _Shard:
             if len(self._segments()) > max_segments or (
                 live and self._dead / (live + self._dead) > max_dead_ratio
             ):
-                self._compact_locked()
+                return self._compact_locked()
+            return False
 
-    def compact(self) -> None:
+    def compact(self) -> bool:
         """Force a compaction (the ``repro store compact`` path)."""
         with self._lock:
-            self._compact_locked()
+            return self._compact_locked()
 
-    def _compact_locked(self) -> None:
-        """Merge every segment into one next-numbered snapshot.
+    def _compact_locked(self) -> bool:
+        """Merge every segment into one next-numbered snapshot; returns
+        whether there was anything to compact.
 
         The snapshot is written *before* the inputs are deleted: a crash
         in between leaves both on disk, and replay's later-wins rule
@@ -204,7 +207,7 @@ class _Shard:
         """
         numbers = self._segments()
         if not numbers:
-            return
+            return False
         payloads = self._replay()
         snapshot = numbers[-1] + 1
         path = self._segment_path(snapshot)
@@ -231,7 +234,7 @@ class _Shard:
         self._dead = 0
         self._active_number = snapshot
         self._active_bytes = os.path.getsize(path)
-        self.compactions += 1
+        return True
 
     # -- reads ----------------------------------------------------------
 
@@ -251,15 +254,6 @@ class _Shard:
                     found = payload  # later duplicates in-segment win
             return found
 
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "segments": len(self._segments()),
-                "live": len(self._live),
-                "dead": self._dead,
-                "compactions": self.compactions,
-            }
-
 
 class SegmentedResultStore:
     """Sharded, segmented, compacting result store.
@@ -275,6 +269,11 @@ class SegmentedResultStore:
         max_segments: per-shard sealed+active segment count that triggers
             compaction.
         max_dead_ratio: dead-record fraction that triggers compaction.
+
+    Events count into the store's registry (``store.hits``,
+    ``store.misses``, ``store.evictions``, ``store.loaded``,
+    ``store.reloads``, ``store.compactions``); the serving tier attaches
+    it.  :attr:`shards` maps each shard key to its shard.
     """
 
     def __init__(
@@ -302,13 +301,15 @@ class SegmentedResultStore:
         #: fingerprint -> shard key (to find evicted entries on disk;
         #: journaled stores only).
         self._shard_of: Dict[str, str] = {}
-        self._shards: Dict[str, _Shard] = {}
+        self.shards: Dict[str, _Shard] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.loaded = 0
-        self.reloads = 0
+        self.metrics = MetricsRegistry()
+        self._hits = self.metrics.counter("store.hits")
+        self._misses = self.metrics.counter("store.misses")
+        self._evictions = self.metrics.counter("store.evictions")
+        self._loaded = self.metrics.counter("store.loaded")
+        self._reloads = self.metrics.counter("store.reloads")
+        self._compactions = self.metrics.counter("store.compactions")
         if root is not None:
             os.makedirs(root, exist_ok=True)
             self._replay_all()
@@ -326,11 +327,11 @@ class SegmentedResultStore:
             shard = _Shard(self.root, name)
             # The directory name *is* the shard key on replay (it was
             # sanitised at creation; routing only needs consistency).
-            self._shards[name] = shard
+            self.shards[name] = shard
             for fingerprint, payload in shard._replay().items():
                 with self._lock:
                     self._remember(fingerprint, payload, name)
-                    self.loaded += 1
+                    self._loaded.add()
 
     # ------------------------------------------------------------------
 
@@ -342,9 +343,9 @@ class SegmentedResultStore:
 
     def _shard_for(self, key: str) -> _Shard:
         with self._lock:
-            shard = self._shards.get(key)
+            shard = self.shards.get(key)
             if shard is None:
-                shard = self._shards[key] = _Shard(self.root, key)
+                shard = self.shards[key] = _Shard(self.root, key)
             return shard
 
     def _remember(
@@ -357,7 +358,7 @@ class SegmentedResultStore:
         if self.max_entries is not None:
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
-                self.evictions += 1
+                self._evictions.add()
 
     # ------------------------------------------------------------------
     # The store interface
@@ -370,20 +371,19 @@ class SegmentedResultStore:
             payload = self._data.get(fingerprint)
             if payload is not None:
                 self._data.move_to_end(fingerprint)
-                self.hits += 1
+                self._hits.add()
                 return json.loads(json.dumps(payload))
             shard_key = self._shard_of.get(fingerprint)
         if shard_key is None:
-            with self._lock:
-                self.misses += 1
+            self._misses.add()
             return None
         payload = self._shard_for(shard_key).load(fingerprint)
         with self._lock:
             if payload is None:
-                self.misses += 1
+                self._misses.add()
                 return None
-            self.reloads += 1
-            self.hits += 1
+            self._reloads.add()
+            self._hits.add()
             self._remember(fingerprint, payload, shard_key)
             return json.loads(json.dumps(payload))
 
@@ -400,23 +400,24 @@ class SegmentedResultStore:
         check_payload_version(record, what="result payload")
         canonical = json.loads(json.dumps(record, sort_keys=True))
         shard_key = self._shard_key(shard, fingerprint)
-        if self.root is not None:
-            self._shard_for(shard_key).append(
-                fingerprint,
-                canonical,
-                segment_bytes=self.segment_bytes,
-                max_segments=self.max_segments,
-                max_dead_ratio=self.max_dead_ratio,
-            )
+        if self.root is not None and self._shard_for(shard_key).append(
+            fingerprint,
+            canonical,
+            segment_bytes=self.segment_bytes,
+            max_segments=self.max_segments,
+            max_dead_ratio=self.max_dead_ratio,
+        ):
+            self._compactions.add()
         with self._lock:
             self._remember(fingerprint, canonical, shard_key)
 
     def compact(self) -> None:
         """Force-compact every shard (one segment each afterwards)."""
         with self._lock:
-            shards = list(self._shards.values())
+            shards = list(self.shards.values())
         for shard in shards:
-            shard.compact()
+            if shard.compact():
+                self._compactions.add()
 
     # ------------------------------------------------------------------
 
@@ -430,28 +431,9 @@ class SegmentedResultStore:
                 return True
             return fingerprint in self._shard_of
 
-    def stats(self) -> Dict[str, Any]:
-        """Memory-tier counters + per-shard segment stats (JSON-ready)."""
-        with self._lock:
-            counters = {
-                "entries": len(self._data),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "loaded": self.loaded,
-                "reloads": self.reloads,
-                "root": self.root,
-            }
-            shards = dict(self._shards)
-        counters["shards"] = {
-            key: shard.stats() for key, shard in sorted(shards.items())
-        }
-        return counters
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SegmentedResultStore(entries={len(self)}, "
-            f"shards={len(self._shards)}, root={self.root!r})"
+            f"shards={len(self.shards)}, root={self.root!r})"
         )
 

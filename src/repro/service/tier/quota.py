@@ -31,11 +31,12 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import QuotaExceededError, RateLimitError, ServiceError
 from repro.service.job import Job
 from repro.service.queue import FairShareQueue
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["TokenBucket", "TenantPolicy", "AdmissionController"]
 
@@ -135,11 +136,16 @@ class AdmissionController:
         self.default_policy = default_policy or TenantPolicy()
         self._clock = clock
         self._buckets: Dict[str, TokenBucket] = {}
-        self._trials_used: Dict[str, int] = {}
+        #: Trials charged per tenant (admitted for execution, not refunded).
+        self.trials_used: Dict[str, int] = {}
         self._lock = threading.Lock()
-        #: Cumulative rejection counters by cause (see :meth:`stats`).
-        self.rejected_rate = 0
-        self.rejected_quota = 0
+        #: Rejections by cause: ``admission.rejected_rate`` and
+        #: ``admission.rejected_quota``.
+        self.metrics = MetricsRegistry()
+        self._rejected_rate = self.metrics.counter("admission.rejected_rate")
+        self._rejected_quota = self.metrics.counter(
+            "admission.rejected_quota"
+        )
 
     def policy_for(self, tenant: str) -> TenantPolicy:
         return self.policies.get(tenant, self.default_policy)
@@ -170,8 +176,7 @@ class AdmissionController:
         try:
             bucket.consume()
         except RateLimitError:
-            with self._lock:
-                self.rejected_rate += 1
+            self._rejected_rate.add()
             raise
 
     def admit(self, job: Job, lane: int = 0) -> Job:
@@ -185,39 +190,24 @@ class AdmissionController:
         policy = self.policy_for(tenant)
         if policy.trial_budget is not None:
             with self._lock:
-                used = self._trials_used.get(tenant, 0)
+                used = self.trials_used.get(tenant, 0)
                 if used + trials > policy.trial_budget:
-                    self.rejected_quota += 1
+                    self._rejected_quota.add()
                     raise QuotaExceededError(
                         f"tenant {tenant!r} trial budget exhausted: "
                         f"{used} used + {trials} requested > "
                         f"{policy.trial_budget} budget"
                     )
-                self._trials_used[tenant] = used + trials
+                self.trials_used[tenant] = used + trials
         try:
             return self.queue.push(job, lane=lane)
         except Exception:
             if policy.trial_budget is not None:
                 with self._lock:
-                    self._trials_used[tenant] -= trials
+                    self.trials_used[tenant] -= trials
             raise
 
     def requeue(self, job: Job, lane: int = 0) -> Job:
         """Re-admit an already-charged job (the retry path): no rate
         token, no quota charge, and the queue's checks are forced."""
         return self.queue.push(job, lane=lane, force=True)
-
-    # ------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        """Admission counters + per-tenant quota usage (JSON-ready)."""
-        with self._lock:
-            return {
-                "rejected_rate": self.rejected_rate,
-                "rejected_quota": self.rejected_quota,
-                "trials_used": dict(self._trials_used),
-                "buckets": {
-                    tenant: bucket.available()
-                    for tenant, bucket in self._buckets.items()
-                },
-            }

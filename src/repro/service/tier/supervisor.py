@@ -21,9 +21,9 @@ worker is the single-drain deployment).  One supervisor owns:
   re-queues when they come due;
 * the **status surface** — per-job event logs
   (:mod:`repro.service.tier.events`) streamed through ``watch()`` /
-  ``awatch()``, :meth:`tier_stats` aggregating queue, admission, store,
-  and per-worker engine counters, and :meth:`telemetry_snapshot` with
-  every counter and latency histogram of the tier.
+  ``awatch()``, and :meth:`telemetry_snapshot` with every counter and
+  latency histogram of the tier (job, queue, admission, store, engine,
+  backend and cache counts under their dotted names).
 
 Determinism: none of this machinery can change what a job computes.
 Every job runs through the same engine seam as a solo ``Session.run`` —
@@ -160,9 +160,12 @@ class ServiceSupervisor:
             clock=clock,
         )
         #: Unified telemetry root: tier counters + latency histograms
-        #: live here; every worker engine's registry is attached, so
+        #: live here; the queue's, admission's and store's registries and
+        #: every worker engine's are attached, so
         #: :meth:`telemetry_snapshot` is one atomic view of the tier.
         self.metrics = MetricsRegistry()
+        for part in (self.queue, self.admission, self.store):
+            self.metrics.attach(part.metrics)
         self.tracer = Tracer() if tracing else NULL_TRACER
         self._jobs: Dict[str, Job] = {}
         self._events: Dict[str, JobEventLog] = {}
@@ -175,14 +178,16 @@ class ServiceSupervisor:
         self._lock = threading.RLock()
         self._job_done = threading.Condition(self._lock)
         self._placement_counter = 0
-        self._open_jobs = 0
-        self._workers: List[DrainWorker] = []
+        #: Jobs admitted to the queue and not yet settled.
+        self.open_jobs = 0
+        #: The drain workers (a crashed one is respawned in place); each
+        #: lane's counts are in its ``engine.metrics``.
+        self.drain_workers: List[DrainWorker] = []
         self._monitor: Optional[threading.Thread] = None
         self._stop_flag = threading.Event()
         self._started = False
         self._closed = False
-        # Job-level counters — registry-backed, so concurrent readers
-        # (tier_stats from another thread) never see torn counts.
+        # Job-level counters.
         self._submitted = self.metrics.counter("tier.submitted")
         self._memoized = self.metrics.counter("tier.memoized")
         self._executed = self.metrics.counter("tier.executed")
@@ -196,30 +201,6 @@ class ServiceSupervisor:
         # registries; the waits that span threads are the supervisor's.
         self._queue_wait = self.metrics.histogram("tier.queue_wait")
         self._job_total = self.metrics.histogram("tier.job_total")
-
-    @property
-    def submitted(self) -> int:
-        return self._submitted.value
-
-    @property
-    def memoized(self) -> int:
-        return self._memoized.value
-
-    @property
-    def executed(self) -> int:
-        return self._executed.value
-
-    @property
-    def failed(self) -> int:
-        return self._failed.value
-
-    @property
-    def retried(self) -> int:
-        return self._retried.value
-
-    @property
-    def store_errors(self) -> int:
-        return self._store_errors.value
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -253,7 +234,7 @@ class ServiceSupervisor:
                 raise ServiceError("supervisor is closed")
             self._started = True
             self._stop_flag.clear()
-        self._workers = [
+        self.drain_workers = [
             self._spawn_worker(index) for index in range(self.workers_count)
         ]
         self._monitor = threading.Thread(
@@ -275,15 +256,15 @@ class ServiceSupervisor:
         if drain:
             with self._job_done:
                 if not self._job_done.wait_for(
-                    lambda: self._open_jobs == 0, timeout=timeout
+                    lambda: self.open_jobs == 0, timeout=timeout
                 ):
                     raise ServiceError(
-                        f"drain timed out with {self._open_jobs} open jobs"
+                        f"drain timed out with {self.open_jobs} open jobs"
                     )
         self._stop_flag.set()
-        for worker in self._workers:
+        for worker in self.drain_workers:
             worker.stop()
-        for worker in self._workers:
+        for worker in self.drain_workers:
             worker.join()
         if self._monitor is not None:
             self._monitor.join()
@@ -294,9 +275,9 @@ class ServiceSupervisor:
     def close(self) -> None:
         """Graceful stop + release every worker engine's backend pools."""
         self.stop(drain=True)
-        for worker in self._workers:
+        for worker in self.drain_workers:
             worker.engine.close()
-        self._workers = []
+        self.drain_workers = []
         self._closed = True
 
     def __enter__(self) -> "ServiceSupervisor":
@@ -374,7 +355,7 @@ class ServiceSupervisor:
             self._lane_of[job.job_id] = lane
             self._enqueued_at[job.job_id] = now
             self._deadline_of[job.job_id] = now + self.retry_timeout
-            self._open_jobs += 1
+            self.open_jobs += 1
         self._submitted.add(1)
         tracer.end_span(admission_span, memoized=False, lane=lane)
         # Cross-thread interval: opened here, closed by the drain
@@ -531,7 +512,7 @@ class ServiceSupervisor:
             enqueued = self._enqueued_at.pop(job.job_id, None)
             self._deadline_of.pop(job.job_id, None)
             if enqueued is not None:
-                self._open_jobs -= 1
+                self.open_jobs -= 1
                 self._job_total.observe(max(0.0, now - enqueued))
             log = self._events.get(job.job_id)
             self._job_done.notify_all()
@@ -550,7 +531,7 @@ class ServiceSupervisor:
             job.error = error
             job.status = JobStatus.FAILED
             if self._enqueued_at.pop(job.job_id, None) is not None:
-                self._open_jobs -= 1
+                self.open_jobs -= 1
             self._deadline_of.pop(job.job_id, None)
             log = self._events.get(job.job_id)
             self._job_done.notify_all()
@@ -620,7 +601,7 @@ class ServiceSupervisor:
                 log.append("requeued", lane=lane, attempt=job.attempts)
 
     def _reap_crashed_workers(self) -> None:
-        for position, worker in enumerate(list(self._workers)):
+        for position, worker in enumerate(list(self.drain_workers)):
             if worker.alive or worker.crashed is None:
                 continue
             self._crashes.add(1)
@@ -635,7 +616,7 @@ class ServiceSupervisor:
                     retryable=True,
                 )
             worker.engine.close()
-            self._workers[position] = self._spawn_worker(
+            self.drain_workers[position] = self._spawn_worker(
                 worker.index, generation=worker.generation + 1
             )
 
@@ -643,56 +624,13 @@ class ServiceSupervisor:
     # Introspection
     # ------------------------------------------------------------------
 
-    def tier_stats(self) -> Dict[str, Any]:
-        """The whole tier, one JSON-ready snapshot.
-
-        Job-level and per-worker counts come from the unified metrics
-        registry (atomic per-counter reads — no torn counts while
-        workers drain), so this surface and
-        :meth:`telemetry_snapshot` agree by construction.
-        """
-        registry_counters = self.metrics.counter_values()
-        with self._lock:
-            jobs = {
-                "submitted": registry_counters.get("tier.submitted", 0),
-                "queued": len(self.queue),
-                "open": self._open_jobs,
-                "memoized": registry_counters.get("tier.memoized", 0),
-                "executed": registry_counters.get("tier.executed", 0),
-                "failed": registry_counters.get("tier.failed", 0),
-                "retried": registry_counters.get("tier.retried", 0),
-                "worker_crashes": registry_counters.get(
-                    "tier.worker_crashes", 0
-                ),
-                "store_errors": registry_counters.get("tier.store_errors", 0),
-                "delayed_requeues": len(self._delayed),
-            }
-            workers = [
-                {
-                    "name": worker.name,
-                    "lane": worker.lane,
-                    "alive": worker.alive,
-                    "generation": worker.generation,
-                    "batches": worker.engine.batches,
-                    "engine": worker.engine.stats(),
-                }
-                for worker in self._workers
-            ]
-        return {
-            "workers": workers,
-            "placement": self.placement,
-            "jobs": jobs,
-            "queue": self.queue.stats(),
-            "admission": self.admission.stats(),
-            "store": self.store.stats(),
-            "compiler": self.registry.compiler_stats(),
-            "registry": {"counters": registry_counters},
-        }
-
     def telemetry_snapshot(self) -> Dict[str, Any]:
-        """The unified registry view: every counter, gauge, and
-        histogram of the tier (supervisor + workers' engines + backend
-        pools + shared caches), merged."""
+        """The unified registry view: every counter and histogram of the
+        tier (supervisor + queue + admission + store + workers' engines
+        + backend pools + shared caches), merged.  State that is not an
+        event count (queue depth, open jobs, worker liveness) is read
+        from the object holding it; per-lane counts from each worker's
+        ``engine.metrics``."""
         return self.metrics.snapshot()
 
     def job_trace(self, job_or_id: Union[Job, str]) -> List[Span]:
@@ -709,6 +647,5 @@ class ServiceSupervisor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ServiceSupervisor(workers={self.workers_count}, "
-            f"placement={self.placement!r}, submitted={self.submitted}, "
-            f"executed={self.executed}, failed={self.failed})"
+            f"placement={self.placement!r})"
         )

@@ -5,13 +5,13 @@ admission -> queue -> compile -> stacked-execute -> reconstruct:
 
 * :mod:`repro.telemetry.trace` — hierarchical spans with contextvar
   propagation and a near-zero-cost disabled path.
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms in one
+* :mod:`repro.telemetry.metrics` — counters/histograms in one
   labeled namespace, composed across components by registry attachment.
 * :mod:`repro.telemetry.export` — JSONL span logs, Chrome trace-event
   JSON (Perfetto flame graphs), Prometheus text snapshots.
 
-The legacy ``pipeline_stats()`` / ``execution_stats()`` /
-``tier_stats()`` surfaces remain as thin adapter views over this layer
+Every count lives in a registry and is read through one surface,
+``Session.telemetry_snapshot()`` / ``ServiceSupervisor.telemetry_snapshot()``
 (see ARCHITECTURE.md, "Telemetry").
 """
 
@@ -26,7 +26,6 @@ from repro.telemetry.export import (
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -42,7 +41,6 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BOUNDS",

@@ -10,8 +10,8 @@ Three wire formats over the same in-memory telemetry:
   are encoded positionally (Perfetto nests by time containment per
   track), and each span's ``args`` carries its ids and attributes.
 * :func:`prometheus_text` — the Prometheus text exposition format for a
-  :class:`~repro.telemetry.metrics.MetricsRegistry` snapshot: counters,
-  gauges, and histograms with cumulative ``_bucket{le=...}`` series.
+  :class:`~repro.telemetry.metrics.MetricsRegistry` snapshot: counters
+  and histograms with cumulative ``_bucket{le=...}`` series.
 
 Plus :func:`render_trace_tree`, the ``repro trace`` CLI's ASCII view.
 """
@@ -141,8 +141,7 @@ def prometheus_text(
 ) -> str:
     """A registry snapshot in the Prometheus text exposition format.
 
-    Counters emit ``# TYPE ... counter``; gauges ``gauge``; histograms
-    the conventional cumulative ``_bucket{le="..."}`` series plus
+    Counters emit ``# TYPE ... counter``; histograms the conventional cumulative ``_bucket{le="..."}`` series plus
     ``_sum`` and ``_count``.  Dotted metric names flatten to
     underscores under a ``repro_`` namespace.
     """
@@ -151,10 +150,6 @@ def prometheus_text(
         metric = _prom_name(name, prefix)
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {value}")
-    for name, value in snapshot.get("gauges", {}).items():
-        metric = _prom_name(name, prefix)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_prom_number(value)}")
     for name, hist in snapshot.get("histograms", {}).items():
         metric = _prom_name(name, prefix)
         lines.append(f"# TYPE {metric} histogram")

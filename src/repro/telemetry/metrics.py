@@ -1,23 +1,21 @@
-"""The central metrics registry: counters, gauges, histograms.
+"""The central metrics registry: counters and histograms.
 
-One labeled namespace for every number the stack produces.  Components
-(compiler pipeline, stage cache, sharded backend, sampler, engine,
-supervisor, sweep) each own a private :class:`MetricsRegistry` and bump
+The one place every count the stack produces lives.  Components
+(compiler pipeline, stage cache, backends, engine, queue, admission,
+result store, supervisor) each own a :class:`MetricsRegistry` and bump
 dotted-name metrics into it (``compiler.route_calls``,
 ``backend.stacked_evals``, ``tier.queue_wait`` ...).  Owners compose
 views by *attaching* child registries: ``snapshot()`` walks the tree and
-merges same-named metrics (counters and gauges sum, histograms
-bucket-merge), so a supervisor's snapshot is the sum over its workers'
-engines without any shared mutable counters — each component keeps
-single-writer semantics and the legacy ``*_stats()`` adapters keep their
-exact historical shapes.
+merges same-named metrics (counters sum, histograms bucket-merge), so a
+supervisor's snapshot is the sum over its workers' engines without any
+shared mutable counters.  ``Session.telemetry_snapshot()`` and
+``ServiceSupervisor.telemetry_snapshot()`` are the read side.
 
-Everything is thread-safe.  Counters and gauges take one lock per
-update; histograms reuse the serving tier's log-spaced bucket scheme
-(:data:`DEFAULT_LATENCY_BOUNDS`) and add quantile interpolation and
-cross-worker :meth:`Histogram.merge`.  ``snapshot()`` reads every metric
-under its own lock, so consumers (``--stats-json``) can never observe a
-torn count.
+Everything is thread-safe.  Counters take one lock per update;
+histograms use log-spaced buckets (:data:`DEFAULT_LATENCY_BOUNDS`) with
+quantile interpolation and cross-worker :meth:`Histogram.merge`.
+``snapshot()`` reads every metric under its own lock, so consumers
+(``--stats-json``) can never observe a torn count.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BOUNDS",
@@ -56,11 +53,6 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def reset(self) -> None:
-        """Zero the counter (diagnostic resets, e.g. between test runs)."""
-        with self._lock:
-            self._value = 0
-
     @property
     def value(self) -> int:
         with self._lock:
@@ -68,33 +60,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Counter({self.name!r}, value={self.value})"
-
-
-class Gauge:
-    """A point-in-time numeric metric (set/add; merges by sum)."""
-
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def add(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Gauge({self.name!r}, value={self.value})"
 
 
 class Histogram:
@@ -251,24 +216,22 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of counters, gauges, and histograms.
+    """A named collection of counters and histograms.
 
-    ``counter()``/``gauge()``/``histogram()`` are get-or-create (the
-    instrument for a name is a singleton within its registry), so call
-    sites can look instruments up by name without plumbing objects.
+    ``counter()``/``histogram()`` are get-or-create (the instrument for a
+    name is a singleton within its registry), so call sites can look
+    instruments up by name without plumbing objects.
 
     Registries compose by :meth:`attach`\\ ing children under an optional
-    prefix.  A snapshot then *merges* the tree: counters and gauges sum,
-    histograms bucket-merge.  Attachment shares no mutable state — each
-    registry keeps single-writer semantics, which is what makes the
-    legacy per-component ``stats()`` views and the unified snapshot
-    consistent by construction.
+    prefix.  A snapshot then *merges* the tree: counters sum, histograms
+    bucket-merge.  Attachment shares no mutable state — each registry
+    keeps single-writer semantics, and a registry reached twice (two
+    engines attaching one shared cache registry) merges once.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._children: List[Tuple[str, "MetricsRegistry"]] = []
 
@@ -279,13 +242,6 @@ class MetricsRegistry:
             instrument = self._counters.get(name)
             if instrument is None:
                 instrument = self._counters[name] = Counter(name)
-            return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
             return instrument
 
     def histogram(
@@ -316,22 +272,12 @@ class MetricsRegistry:
                     return
             self._children.append((prefix, child))
 
-    def children(self) -> List[Tuple[str, "MetricsRegistry"]]:
-        with self._lock:
-            return list(self._children)
-
-    def counters(self) -> Dict[str, Counter]:
-        """This registry's own counter instruments (no children)."""
-        with self._lock:
-            return dict(self._counters)
-
     # -- snapshots ------------------------------------------------------
 
     def _merge_into(
         self,
         prefix: str,
         counters: Dict[str, int],
-        gauges: Dict[str, float],
         histograms: Dict[str, Histogram],
         seen: set,
     ) -> None:
@@ -340,16 +286,12 @@ class MetricsRegistry:
         seen.add(id(self))
         with self._lock:
             own_counters = list(self._counters.items())
-            own_gauges = list(self._gauges.items())
             own_histograms = list(self._histograms.items())
             children = list(self._children)
         dot = prefix + "." if prefix else ""
         for name, counter in own_counters:
             key = dot + name
             counters[key] = counters.get(key, 0) + counter.value
-        for name, gauge in own_gauges:
-            key = dot + name
-            gauges[key] = gauges.get(key, 0.0) + gauge.value
         for name, histogram in own_histograms:
             key = dot + name
             merged = histograms.get(key)
@@ -362,38 +304,20 @@ class MetricsRegistry:
             child._merge_into(
                 dot + child_prefix if child_prefix else prefix,
                 counters,
-                gauges,
                 histograms,
                 seen,
             )
 
-    def merged_histograms(self) -> Dict[str, Histogram]:
-        """Name -> merged histogram over this registry and its children."""
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Histogram] = {}
-        self._merge_into("", counters, gauges, histograms, set())
-        return histograms
-
     def snapshot(self) -> Dict[str, Any]:
-        """One atomic, JSON-ready view of the whole attached tree."""
+        """One atomic, JSON-ready view of the whole attached tree:
+        ``{"counters": {name: int}, "histograms": {name: {...}}}``."""
         counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
         histograms: Dict[str, Histogram] = {}
-        self._merge_into("", counters, gauges, histograms, set())
+        self._merge_into("", counters, histograms, set())
         return {
             "counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
             "histograms": {
                 name: histogram.snapshot()
                 for name, histogram in sorted(histograms.items())
             },
         }
-
-    def counter_values(self) -> Dict[str, int]:
-        """Merged counter values only (cheap adapter-view helper)."""
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Histogram] = {}
-        self._merge_into("", counters, gauges, histograms, set())
-        return counters

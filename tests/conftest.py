@@ -9,6 +9,13 @@ from repro.circuits import QuantumCircuit
 from repro.devices import Calibration, Device, ibmq_toronto, line_topology, ring_topology
 
 
+def counts(owner) -> dict:
+    """The merged counters of an object's telemetry registry
+    (``owner.metrics``): a cache, store, queue, backend, pipeline or
+    runner."""
+    return owner.metrics.snapshot()["counters"]
+
+
 def make_line_device(
     num_qubits: int = 6,
     readout: float = 0.03,

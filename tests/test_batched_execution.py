@@ -382,17 +382,20 @@ class TestBackendOracleEquality:
             assert [
                 p.as_dict() for p in backend.execute(requests)
             ] == reference, workers
-            stats = backend.stats()
+            counters = backend.metrics.snapshot()["counters"]
             # Stacking engages whenever a shard holds several same-width
             # groups; at workers=4 the four coalesced groups land one per
             # shard, so there is nothing left to stack — equality above is
             # the invariant, stacking the optimisation.
             if workers < 4:
-                assert stats["stacked_evals"] >= 1, workers
-                assert stats["stacked_circuits"] > stats["stacked_evals"]
-            assert stats["shards"] >= 1
+                assert counters["backend.stacked_evals"] >= 1, workers
+                assert (
+                    counters["backend.stacked_circuits"]
+                    > counters["backend.stacked_evals"]
+                )
+            assert counters["backend.shards"] >= 1
             # Coalescing still collapses the duplicated batch.
-            assert stats["channel_evals"] == len(requests) // 2
+            assert counters["backend.channel_evals"] == len(requests) // 2
 
     def test_sampled_stacked_matches_reference_across_workers(
         self, noise_model, executables, monkeypatch

@@ -26,6 +26,7 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.runtime import CompilationCache
 from repro.service.tier import SegmentedResultStore
+from tests.conftest import counts
 
 THREADS = 16
 KEYS = 8
@@ -48,9 +49,13 @@ class TestStageStoreHammering:
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             list(pool.map(worker, range(THREADS)))
 
-        stats = cache.stage_stats()["route"]
-        assert stats["hits"] + stats["misses"] == THREADS * lookups_per_thread
-        assert stats["entries"] == KEYS
+        counters = counts(cache)
+        assert (
+            counters["cache.stage.route.hits"]
+            + counters["cache.stage.route.misses"]
+            == THREADS * lookups_per_thread
+        )
+        assert cache.stage_entries("route") == KEYS
         # Every key ends up storing exactly one value, readable by all.
         for key_index in range(KEYS):
             assert cache.stage_get("route", f"key-{key_index}") == (
@@ -89,10 +94,14 @@ class TestStageStoreHammering:
         # The whole point: one compute per key, no matter how many
         # threads missed concurrently.
         assert computes == Counter({k: 1 for k in range(KEYS)})
-        stats = cache.stage_stats()["route"]
+        counters = counts(cache)
         total_lookups = THREADS * ROUNDS * KEYS
-        assert stats["hits"] + stats["misses"] == total_lookups
-        assert stats["entries"] == KEYS
+        assert (
+            counters["cache.stage.route.hits"]
+            + counters["cache.stage.route.misses"]
+            == total_lookups
+        )
+        assert cache.stage_entries("route") == KEYS
         # Waiters that replayed a peer's in-flight compute return hit=False
         # only for the single computing call per key.
         assert hits >= total_lookups - THREADS * KEYS
@@ -153,9 +162,12 @@ class TestResultStoreHammering:
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             list(pool.map(worker, range(THREADS)))
 
-        stats = store.stats()
-        assert stats["hits"] + stats["misses"] == THREADS * gets_per_thread
-        assert stats["entries"] == KEYS
+        counters = counts(store)
+        assert (
+            counters["store.hits"] + counters["store.misses"]
+            == THREADS * gets_per_thread
+        )
+        assert len(store) == KEYS
         # The journal replays to the same state (duplicates collapse).
         reloaded = SegmentedResultStore(root=str(tmp_path / "store"))
         for key_index in range(KEYS):
@@ -175,4 +187,4 @@ class TestResultStoreHammering:
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             list(pool.map(worker, range(THREADS)))
         assert len(store) <= 4
-        assert store.stats()["evictions"] == THREADS * 64 - len(store)
+        assert counts(store)["store.evictions"] == THREADS * 64 - len(store)

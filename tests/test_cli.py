@@ -1,8 +1,23 @@
 """End-to-end smoke tests for the ``repro`` command line."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def repro_command(*args):
+    """``python -m repro ARGS`` and an environment that imports ``src/``."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return [sys.executable, "-m", "repro", *args], env
 
 
 class TestParser:
@@ -234,24 +249,15 @@ class TestServe:
     def test_serve_subprocess_hard_timeout(self, tmp_path):
         """The end-to-end smoke the CI workflow mirrors: drive the real
         process (submit -> drain/poll -> fetch) under a hard timeout."""
-        import json
-        import os
-        import subprocess
-        import sys
-
         jobs = tmp_path / "jobs.json"
         jobs.write_text(
             json.dumps(
                 [{"tenant": "ci", "workload": "GHZ-4", "total_trials": 1024}]
             )
         )
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        command, env = repro_command("serve", "--jobs", str(jobs))
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--jobs", str(jobs)],
+            command,
             capture_output=True,
             text=True,
             timeout=120,  # the hard timeout: a hung service fails loudly
@@ -291,19 +297,18 @@ class TestServeTier:
         assert single.count("done") == tier.count("done") == 3
 
     def test_tier_serve_stats_json(self, tmp_path, capsys):
-        import json
-
         stats_path = tmp_path / "stats.json"
         code = main(
             ["serve", "--jobs", str(self._jobs_file(tmp_path)),
              "--workers", "2", "--stats-json", str(stats_path)]
         )
         assert code == 0
-        stats = json.loads(stats_path.read_text())
-        assert stats["jobs"]["executed"] == 3
-        assert len(stats["workers"]) == 2
-        assert stats["telemetry"]["counters"]["tier.batches"] >= 1
-        assert "tier.queue_wait" in stats["telemetry"]["histograms"]
+        assert "tier:    2 workers" in capsys.readouterr().out
+        snapshot = json.loads(stats_path.read_text())
+        assert set(snapshot) == {"counters", "histograms"}
+        assert snapshot["counters"]["tier.executed"] == 3
+        assert snapshot["counters"]["tier.batches"] >= 1
+        assert "tier.queue_wait" in snapshot["histograms"]
 
     def test_tier_serve_with_segmented_store(self, tmp_path, capsys):
         jobs = str(self._jobs_file(tmp_path))
@@ -320,11 +325,6 @@ class TestServeTier:
     def test_tier_serve_subprocess_hard_timeout(self, tmp_path):
         """CI's tier e2e smoke: submit -> watch -> fetch through a real
         multi-worker process under a hard timeout."""
-        import json
-        import os
-        import subprocess
-        import sys
-
         jobs = tmp_path / "jobs.json"
         jobs.write_text(
             json.dumps(
@@ -335,22 +335,57 @@ class TestServeTier:
                 ]
             )
         )
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        command, env = repro_command(
+            "serve", "--jobs", str(jobs), "--workers", "2",
+            "--stats-json", "-",
         )
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--jobs", str(jobs),
-             "--workers", "2", "--stats-json", "-"],
+            command,
             capture_output=True,
             text=True,
             timeout=120,  # hard timeout: a hung tier fails loudly
             env=env,
         )
         assert completed.returncode == 0, completed.stderr
-        assert "done" in completed.stdout
-        assert '"placement"' in completed.stdout  # the stats snapshot
+        # With --stats-json -, the job table goes to stderr and stdout
+        # carries the telemetry snapshot alone.
+        assert "done" in completed.stderr
+        snapshot = json.loads(completed.stdout)
+        assert snapshot["counters"]["tier.executed"] == 3
+
+    def test_serve_stats_json_stdout_pipes_into_stats(self, tmp_path):
+        """``repro serve --stats-json - | repro stats -`` renders the
+        snapshot: stdout carries nothing but the JSON document."""
+        serve_command, env = repro_command(
+            "serve", "--jobs", str(self._jobs_file(tmp_path)),
+            "--stats-json", "-",
+        )
+        stats_command, _ = repro_command("stats", "-")
+        serve = subprocess.Popen(
+            serve_command,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            rendered = subprocess.run(
+                stats_command,
+                stdin=serve.stdout,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=env,
+            )
+            serve.stdout.close()
+            table = serve.stderr.read()
+            assert serve.wait(timeout=120) == 0, table
+        finally:
+            serve.kill()
+        assert "Service run over" in table
+        assert rendered.returncode == 0, rendered.stderr
+        assert "tier.executed" in rendered.stdout
+        assert "tier.job_total" in rendered.stdout
 
 
 class TestTraceCLI:
@@ -472,18 +507,13 @@ class TestTraceCLI:
         assert len(self._job_ids(trace_dir)) == 2
 
     def test_stats_json_carries_telemetry(self, tmp_path, capsys):
-        import json
-
         _, stats_path = self._serve_traced(tmp_path, capsys)
-        stats = json.loads(stats_path.read_text())
-        counters = stats["telemetry"]["counters"]
+        snapshot = json.loads(stats_path.read_text())
+        counters = snapshot["counters"]
         assert counters["tier.submitted"] == 2
         assert counters["tier.executed"] == 2
         assert counters["tier.memoized"] == 0
-        assert stats["registry"]["counters"] == counters
-        quantiles = stats["telemetry"]["histograms"]["tier.job_total"][
-            "quantiles"
-        ]
+        quantiles = snapshot["histograms"]["tier.job_total"]["quantiles"]
         assert set(quantiles) == {"p50", "p95", "p99"}
 
     def test_stats_command_renders_summary(self, tmp_path, capsys):
@@ -502,21 +532,36 @@ class TestTraceCLI:
         assert "# TYPE repro_tier_submitted counter" in out
         assert 'repro_tier_job_total_bucket{le="+Inf"} 2' in out
 
-    def test_single_drain_stats_json_telemetry(self, tmp_path, capsys):
-        import json
+    @pytest.mark.parametrize(
+        "document",
+        [
+            # The old tier-stats layout: counts nested under keys that
+            # are not a snapshot's top-level 'counters' mapping.
+            {"jobs": {"submitted": 2}, "workers": [],
+             "telemetry": {"counters": {"tier.submitted": 2}}},
+            [{"counters": {}}],
+        ],
+        ids=["tier-stats-layout", "list"],
+    )
+    def test_stats_command_rejects_non_snapshot(
+        self, tmp_path, capsys, document
+    ):
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(document))
+        assert main(["stats", str(path)]) == 1
+        assert "not a telemetry snapshot" in capsys.readouterr().err
 
+    def test_single_drain_stats_json_telemetry(self, tmp_path, capsys):
         stats_path = tmp_path / "stats.json"
         code = main(
             ["serve", "--jobs", str(self._jobs_file(tmp_path)),
              "--stats-json", str(stats_path)]
         )
         assert code == 0
-        capsys.readouterr()
-        stats = json.loads(stats_path.read_text())
-        counters = stats["telemetry"]["counters"]
+        assert "tier:    1 workers" in capsys.readouterr().out
+        counters = json.loads(stats_path.read_text())["counters"]
         assert counters["tier.submitted"] == 2
         assert counters["tier.executed"] == 2
-        assert len(stats["workers"]) == 1
 
 
 class TestStoreCompact:

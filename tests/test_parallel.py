@@ -29,7 +29,7 @@ from repro.runtime import (
     ShardedBackend,
 )
 from repro.workloads import ghz, workload_by_name
-from tests.conftest import make_varied_line_device
+from tests.conftest import counts, make_varied_line_device
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,8 @@ class TestShardedDeterminism:
             assert backend.coalesce  # auto-on for deterministic inners
             sharded = backend.execute(requests)
             assert exact_dicts(sharded) == exact_dicts(serial), workers
-            assert backend.groups_evaluated < backend.requests_seen
+            counters = counts(backend)
+            assert counters["backend.groups"] < counters["backend.requests"]
 
     def test_sampled_coalescing_deterministic_across_workers(
         self, device, noise_model, ghz6
@@ -150,7 +151,7 @@ class TestShardedDeterminism:
             inner(), workers=2, executor="process"
         ) as backend:
             sharded = exact_dicts(backend.execute(requests()))
-            assert backend.stats()["shards"] == 2
+            assert counts(backend)["backend.shards"] == 2
         assert sharded == serial
 
     def test_sampled_jigsaw_run_with_execute_workers(self, device, ghz6):
@@ -224,7 +225,7 @@ class TestShardedValidation:
         runner.run(ghz6, total_trials=8_192)
         runner.run(ghz6, total_trials=8_192)
         backend = runner._resolve_backend()
-        assert backend.stats()["batches"] == 2
+        assert counts(runner)["backend.batches"] == 2
         assert backend is runner._resolve_backend()
 
     def test_stats_counters(self, device, noise_model, ghz6):
@@ -233,11 +234,10 @@ class TestShardedValidation:
             LocalExactBackend(noise_model=noise_model), workers=2
         )
         backend.execute(requests)
-        stats = backend.stats()
-        assert stats["requests"] == 8
-        assert stats["groups"] == 4  # duplicates coalesced
-        assert stats["coalesced_requests"] == 4
-        assert stats["channel_evals"] == 4
+        counters = counts(backend)
+        assert counters["backend.requests"] == 8
+        assert counters["backend.groups"] == 4  # duplicates coalesced
+        assert counters["backend.channel_evals"] == 4
 
 
 class TestExecuteMany:

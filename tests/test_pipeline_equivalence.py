@@ -28,12 +28,16 @@ from repro.exceptions import CompilationError
 from repro.runtime import CompilationCache, executable_fingerprint
 from repro.runtime.fingerprint import body_fingerprint, device_fingerprint
 from repro.workloads import bv, ghz, qaoa_maxcut
-from tests.conftest import make_line_device, make_varied_line_device
+from tests.conftest import counts, make_line_device, make_varied_line_device
 
 
 @pytest.fixture(scope="module")
 def device():
     return make_varied_line_device(num_qubits=8)
+
+
+def route_calls(owner):
+    return counts(owner).get("compiler.route_calls", 0)
 
 
 @pytest.fixture(scope="module")
@@ -99,12 +103,12 @@ class TestStageCacheEquivalence:
         pipeline = CompilerPipeline(device, cache=CompilationCache())
         circuit = ghz(6).circuit
         first = pipeline.compile(circuit, seed=11, attempts=4)
-        calls_after_first = pipeline.stats.get("route_calls")
+        calls_after_first = route_calls(pipeline)
         second = pipeline.compile(circuit, seed=11, attempts=4)
         assert executable_fingerprint(first) == executable_fingerprint(second)
         # Same seed -> same layouts -> every routing replays from cache.
-        assert pipeline.stats.get("route_calls") == calls_after_first
-        assert pipeline.stats.get("route_hits") > 0
+        assert route_calls(pipeline) == calls_after_first
+        assert counts(pipeline)["compiler.route_hits"] > 0
 
 
 class TestPlanEquivalence:
@@ -150,15 +154,17 @@ class TestRouteOnce:
     def test_each_body_layout_pair_routed_at_most_once(self, device):
         runner = JigSawM(device, JigSawMConfig(exact=True), seed=0)
         runner.plan(ghz(6).circuit, total_trials=16_384)
-        stats = runner.pipeline.stats
+        counters = counts(runner)
         # Every route call created a distinct stage entry: no key was
         # ever routed twice.
-        assert stats.get("route_calls") == runner.pipeline.cache.stage_entries(
-            STAGE_ROUTE
-        )
+        assert counters[
+            "compiler.route_calls"
+        ] == runner.pipeline.cache.stage_entries(STAGE_ROUTE)
         # 24 CPMs retargeted onto a handful of routings.
-        assert stats.get("retargets") > 4 * stats.get("route_calls")
-        assert stats.get("route_hits") > 0
+        assert counters["compiler.retargets"] > 4 * counters[
+            "compiler.route_calls"
+        ]
+        assert counters["compiler.route_hits"] > 0
 
     def test_replanning_only_routes_new_layouts(self, device):
         # A second plan re-explores global placement from its own seeds
@@ -168,13 +174,13 @@ class TestRouteOnce:
         config = JigSawMConfig(exact=True)
         runner = JigSawM(device, config, seed=0)
         runner.plan(ghz(6).circuit, total_trials=16_384)
-        calls = runner.pipeline.stats.get("route_calls")
+        calls = route_calls(runner)
         runner.plan(ghz(6).circuit, total_trials=4_096)
-        new_calls = runner.pipeline.stats.get("route_calls") - calls
+        new_calls = route_calls(runner) - calls
         assert new_calls <= config.compile_attempts
-        assert runner.pipeline.stats.get(
-            "route_calls"
-        ) == runner.pipeline.cache.stage_entries(STAGE_ROUTE)
+        assert route_calls(runner) == runner.pipeline.cache.stage_entries(
+            STAGE_ROUTE
+        )
 
     def test_legacy_path_routes_strictly_more(self, device):
         cached = JigSawM(device, JigSawMConfig(exact=True), seed=0)
@@ -184,10 +190,7 @@ class TestRouteOnce:
         )
         cached.plan(ghz(6).circuit, total_trials=16_384)
         legacy.plan(ghz(6).circuit, total_trials=16_384)
-        assert (
-            legacy.pipeline.stats.get("route_calls")
-            >= 3 * cached.pipeline.stats.get("route_calls")
-        )
+        assert route_calls(legacy) >= 3 * route_calls(cached)
 
 
 _GATE_NAMES = st.sampled_from(["h", "x", "t", "s", "cx", "cz"])
@@ -321,7 +324,7 @@ class TestCounters:
     def test_pipeline_stats_count_compiles(self, device):
         pipeline = CompilerPipeline(device)
         transpile(ghz(6).circuit, device, seed=0, pipeline=pipeline)
-        assert pipeline.stats.get("compiles") == 1
+        assert counts(pipeline)["compiler.compiles"] == 1
         global_exec = transpile(
             ghz(6).circuit, device, seed=0, pipeline=pipeline
         )
@@ -331,33 +334,34 @@ class TestCounters:
             global_exec,
             pipeline=pipeline,
         )
-        assert pipeline.stats.get("compiles") == 3
-        pipeline.stats.reset()
-        assert pipeline.stats.get("compiles") == 0
+        assert counts(pipeline)["compiler.compiles"] == 3
 
     def test_pipeline_stats_have_per_stage_counters(self, device):
         pipeline = CompilerPipeline(device)
         transpile(ghz(6).circuit, device, seed=0, pipeline=pipeline)
-        stats = pipeline.stats.snapshot()
+        counters = counts(pipeline)
         for counter in ("compiles", "place_runs", "route_calls",
                         "retargets", "eps_evals", "selects"):
-            assert stats.get(counter, 0) > 0, counter
+            assert counters.get(f"compiler.{counter}", 0) > 0, counter
 
     def test_runner_surfaces_stage_stats(self, device):
         runner = JigSaw(device, JigSawConfig(exact=True), seed=1)
         runner.plan(ghz(6).circuit, total_trials=8_192)
-        stats = runner.pipeline_stats()
-        assert stats["counters"]["route_calls"] > 0
-        assert stats["stages"]["route"]["hits"] > 0
-        assert stats["stages"]["route"]["entries"] > 0
+        # The runner's registry carries its pipeline's counters and the
+        # stage cache's.
+        counters = counts(runner)
+        assert counters["compiler.route_calls"] > 0
+        assert counters["cache.stage.route.hits"] > 0
+        assert runner.pipeline.cache.stage_entries(STAGE_ROUTE) > 0
 
     def test_cache_stats_namespace_is_separate(self, device):
         cache = CompilationCache()
         runner = JigSaw(device, JigSawConfig(exact=True), seed=1, cache=cache)
         runner.plan(ghz(6).circuit, total_trials=8_192)
-        stats = cache.stats()
+        counters = counts(cache)
         # Stage traffic never perturbs the plan-level hit/miss counters.
-        assert stats["misses"] == 1 and stats["hits"] == 0
-        assert stats["stages"]["route"]["misses"] > 0
-        assert stats["stage_entries"] > 0
+        assert counters["cache.plan_misses"] == 1
+        assert counters["cache.plan_hits"] == 0
+        assert counters["cache.stage.route.misses"] > 0
+        assert cache.stage_entries() > 0
         assert len(cache) == 1

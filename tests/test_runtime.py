@@ -228,6 +228,12 @@ class TestExecutionPlan:
             jigsaw_m.execute(plan)
 
 
+def plan_counts(cache):
+    """(plan hits, plan misses) from the cache's telemetry registry."""
+    counters = cache.metrics.snapshot()["counters"]
+    return counters["cache.plan_hits"], counters["cache.plan_misses"]
+
+
 class TestCompilationCache:
     def test_hit_returns_same_executables(self, device, ghz6):
         cache = CompilationCache()
@@ -235,7 +241,7 @@ class TestCompilationCache:
         again = JigSaw(device, JigSawConfig(exact=True), seed=5, cache=cache)
         plan_a = first.plan(ghz6, total_trials=16_384)
         plan_b = again.plan(ghz6, total_trials=16_384)
-        assert cache.hits == 1 and cache.misses == 1
+        assert plan_counts(cache) == (1, 1)
         assert plan_b.cpm_executables == plan_a.cpm_executables
 
     def test_hit_avoids_transpile_calls(self, device, ghz6):
@@ -244,8 +250,12 @@ class TestCompilationCache:
         first.plan(ghz6, total_trials=16_384)
         again = JigSaw(device, JigSawConfig(exact=True), seed=5, cache=cache)
         again.plan(ghz6, total_trials=16_384)
-        assert first.pipeline.stats.get("compiles") > 0
-        assert again.pipeline.stats.get("compiles") == 0
+        compiles = [
+            runner.metrics.snapshot()["counters"].get("compiler.compiles", 0)
+            for runner in (first, again)
+        ]
+        assert compiles[0] > 0
+        assert compiles[1] == 0
 
     def test_hit_result_identical_to_miss(self, device, ghz6):
         cache = CompilationCache()
@@ -258,7 +268,7 @@ class TestCompilationCache:
         cached = JigSaw(
             device, JigSawConfig(exact=True), seed=5, cache=cache
         ).run(ghz6, total_trials=16_384)
-        assert cache.hits == 1
+        assert plan_counts(cache)[0] == 1
         assert cached.output_pmf.as_dict() == pytest.approx(
             uncached.output_pmf.as_dict()
         )
@@ -278,7 +288,7 @@ class TestCompilationCache:
             seed=5,
             cache=cache,
         ).plan(ghz6, total_trials=16_384)
-        assert cache.hits == 1
+        assert plan_counts(cache)[0] == 1
         # The hit carries the *current* runner's config snapshot.
         assert swept.config.tolerance == 0.5
         assert swept.config.exact is False
@@ -294,13 +304,13 @@ class TestCompilationCache:
             seed=5,
             cache=cache,
         ).plan(ghz6, total_trials=16_384)
-        assert cache.hits == 0 and cache.misses == 2
+        assert plan_counts(cache) == (0, 2)
 
     def test_random_subsets_never_cached(self, device, ghz6):
         cache = CompilationCache()
         config = JigSawConfig(exact=True, subset_method="random")
         JigSaw(device, config, seed=5, cache=cache).plan(ghz6, 16_384)
-        assert len(cache) == 0 and cache.misses == 0
+        assert len(cache) == 0 and plan_counts(cache)[1] == 0
 
     def test_disabled_cache_stores_nothing(self, device, ghz6):
         cache = CompilationCache.disabled()
@@ -308,7 +318,7 @@ class TestCompilationCache:
             JigSaw(device, JigSawConfig(exact=True), seed=5, cache=cache).plan(
                 ghz6, total_trials=16_384
             )
-        assert cache.hits == 0 and cache.misses == 2 and len(cache) == 0
+        assert plan_counts(cache) == (0, 2) and len(cache) == 0
 
     def test_lru_eviction(self, device):
         cache = CompilationCache(max_entries=1)
@@ -324,7 +334,7 @@ class TestCompilationCache:
         JigSaw(device, config, seed=5, cache=cache).plan(
             ghz(5).circuit, 16_384
         )
-        assert cache.hits == 0 and cache.misses == 3
+        assert plan_counts(cache) == (0, 3)
 
     def test_make_key_escapes_separator(self):
         # Regression: components containing "|" used to collide — two
@@ -362,7 +372,7 @@ class TestCompilationCache:
         plan = JigSaw(
             device, JigSawConfig(exact=True), seed=5, cache=cache
         ).plan(ghz6, total_trials=32_768)
-        assert cache.hits == 1
+        assert plan_counts(cache)[0] == 1
         assert plan.total_trials == 32_768
         assert plan.allocated_trials == 32_768
 

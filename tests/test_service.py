@@ -24,6 +24,7 @@ from repro.service.engine import ExecutionEngine
 from repro.service.job import job_fingerprint, resolve_spec_circuit
 from repro.service.tier import SegmentedResultStore, ServiceSupervisor
 from repro.workloads import workload_by_name
+from tests.conftest import counts
 
 #: The coalescing window of the drained tiers below: wide enough that
 #: every stream here drains as one batch.
@@ -118,7 +119,7 @@ class TestFairShareQueue:
         queue.push(self._job("b"))
         with pytest.raises(AdmissionError, match="queue full"):
             queue.push(self._job("c"))
-        assert queue.stats()["rejected_full"] == 1
+        assert counts(queue)["queue.rejected_full"] == 1
 
     def test_fair_share_caps_one_tenant(self):
         queue = FairShareQueue(capacity=4, fair_share=0.5)
@@ -128,7 +129,7 @@ class TestFairShareQueue:
             queue.push(self._job("greedy"))
         # Other tenants still fit: the greedy tenant never fills the queue.
         queue.push(self._job("patient"))
-        assert queue.stats()["rejected_fair_share"] == 1
+        assert counts(queue)["queue.rejected_fair_share"] == 1
         assert queue.pending_by_tenant() == {"greedy": 2, "patient": 1}
 
     def test_pop_releases_fair_share_slots(self):
@@ -152,7 +153,8 @@ class TestResultStore:
         payload = store.get("fp")
         assert payload["x"] == [1, 2]
         assert payload["payload_version"] == 1
-        assert store.stats()["hits"] == 1 and store.stats()["misses"] == 1
+        assert counts(store)["store.hits"] == 1
+        assert counts(store)["store.misses"] == 1
 
     def test_lru_eviction(self):
         store = SegmentedResultStore(max_entries=2)
@@ -162,7 +164,7 @@ class TestResultStore:
         store.put("c", {"v": 3})  # evicts b (LRU)
         assert "b" not in store and "a" in store and "c" in store
         assert store.get("b") is None
-        assert store.stats()["evictions"] == 1
+        assert counts(store)["store.evictions"] == 1
 
     def test_disk_roundtrip(self, tmp_path):
         root = str(tmp_path / "store")
@@ -174,7 +176,7 @@ class TestResultStore:
         reloaded = SegmentedResultStore(root=root)
         assert reloaded.get("fp1")["v"] == 10
         assert reloaded.get("fp2")["v"] == 2
-        assert reloaded.stats()["loaded"] == 2
+        assert counts(reloaded)["store.loaded"] == 2
 
     def test_torn_final_line_is_ignored(self, tmp_path):
         root = tmp_path / "store"
@@ -282,8 +284,9 @@ class TestServiceBehaviour:
             instant = supervisor.submit(spec)
             assert instant.status is JobStatus.DONE
             assert instant.source == "memoized"
-            stats = supervisor.tier_stats()["jobs"]
-            assert stats["executed"] == 1 and stats["memoized"] == 2
+            counters = supervisor.telemetry_snapshot()["counters"]
+            assert counters["tier.executed"] == 1
+            assert counters["tier.memoized"] == 2
 
     def test_cross_job_coalescing_reduces_executions(self):
         # Three tenants, identical program content -> one evaluation per
@@ -293,11 +296,14 @@ class TestServiceBehaviour:
             for t, n in (("a", 1024), ("b", 2048), ("c", 4096))
         ]
         with drained_tier(specs) as (supervisor, _):
-            (worker,) = supervisor.tier_stats()["workers"]
-            backend = worker["engine"]["backend"]
-            assert backend["spliced_parts"] == 3
-            assert backend["requests"] == 3 * backend["channel_evals"]
-            assert backend["coalesced_requests"] == backend["requests"] - backend["channel_evals"]
+            counters = supervisor.telemetry_snapshot()["counters"]
+            assert counters["backend.spliced_parts"] == 3
+            assert counters["backend.requests"] == 3 * counters[
+                "backend.channel_evals"
+            ]
+            assert counters["backend.groups"] == counters[
+                "backend.channel_evals"
+            ]
 
     def test_payloads_survive_json_roundtrip_byte_identically(self):
         # The disk store round-trips payloads through JSON; every scheme's
@@ -351,7 +357,8 @@ class TestServiceBehaviour:
         spec = JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
         with drained_tier([spec], store=FullDisk()) as (supervisor, (job,)):
             assert job.status is JobStatus.DONE, job.error
-            assert supervisor.tier_stats()["jobs"]["store_errors"] == 1
+            counters = supervisor.telemetry_snapshot()["counters"]
+            assert counters["tier.store_errors"] == 1
 
     def test_memoized_result_is_isolated_from_caller_mutation(self):
         spec = JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)

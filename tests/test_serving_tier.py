@@ -155,11 +155,11 @@ class TestCrashReplay:
             kinds = [e.kind for e in sup.events(job)]
             assert "retrying" in kinds and "requeued" in kinds
             assert kinds[-1] == "done"
-            stats = sup.tier_stats()
-            assert stats["jobs"]["worker_crashes"] >= 1
-            assert stats["jobs"]["retried"] >= 1
+            counters = sup.telemetry_snapshot()["counters"]
+            assert counters["tier.worker_crashes"] >= 1
+            assert counters["tier.retried"] >= 1
             # Crashed lanes were respawned: the pool is whole again.
-            assert all(w["alive"] for w in stats["workers"])
+            assert all(worker.alive for worker in sup.drain_workers)
 
     def test_retry_exhaustion_fails_terminally(self):
         def injector(worker, batch):
@@ -238,7 +238,7 @@ class TestCrashReplay:
         jobs = [sup.submit(spec(i, tenant=f"t{i % 3}")) for i in range(6)]
         sup.stop(drain=True, timeout=300)
         assert all(job.done for job in jobs)
-        assert sup.tier_stats()["jobs"]["open"] == 0
+        assert sup.open_jobs == 0
         sup.close()
 
 
@@ -292,14 +292,16 @@ class TestEventsAndAsync:
     def test_tier_stats_shape(self):
         with ServiceSupervisor(devices=DEVICES, workers=2) as sup:
             sup.wait(sup.submit(spec(8)), timeout=300)
-            stats = sup.tier_stats()
-            assert stats["jobs"]["executed"] == 1
-            assert stats["jobs"]["worker_crashes"] == 0
-            assert len(stats["workers"]) == 2
-            assert sum(w["batches"] for w in stats["workers"]) >= 1
-            # Latency lives in the registry, one histogram per stage.
             telemetry = sup.telemetry_snapshot()
             counters = telemetry["counters"]
+            assert counters["tier.executed"] == 1
+            assert counters["tier.worker_crashes"] == 0
+            assert len(sup.drain_workers) == 2
+            assert sum(
+                worker.engine.metrics.snapshot()["counters"]["engine.batches"]
+                for worker in sup.drain_workers
+            ) >= 1
+            # Latency lives in the registry, one histogram per stage.
             assert counters["tier.batch_jobs"] >= counters["tier.batches"] >= 1
             for stage in (
                 "queue_wait", "prepare", "execute", "finish", "job_total"
@@ -344,9 +346,9 @@ class TestAdmission:
             fake["t"] += 1e6  # time cannot refill a quota
             with pytest.raises(QuotaExceededError):
                 sup.submit(spec(15))
-            stats = sup.tier_stats()["admission"]
-            assert stats["rejected_quota"] == 2
-            assert stats["trials_used"]["a"] == 32_768
+            counters = sup.telemetry_snapshot()["counters"]
+            assert counters["admission.rejected_quota"] == 2
+            assert sup.admission.trials_used["a"] == 32_768
         finally:
             sup.stop(drain=True, timeout=300)
             sup.close()
@@ -363,9 +365,7 @@ class TestAdmission:
             # Identical resubmission is served from the store: free.
             for _ in range(3):
                 assert sup.submit(spec(16)).source == "memoized"
-            assert (
-                sup.tier_stats()["admission"]["trials_used"]["a"] == 32_768
-            )
+            assert sup.admission.trials_used["a"] == 32_768
         finally:
             sup.stop(drain=True, timeout=300)
             sup.close()
@@ -464,7 +464,8 @@ class TestStats:
             sup.start()
             sup.stop(drain=True, timeout=300)
             assert all(job.status is JobStatus.DONE for job in jobs)
-            return sup.tier_stats(), sup.telemetry_snapshot()
+            (worker,) = sup.drain_workers
+            return worker.engine.metrics.snapshot(), sup.telemetry_snapshot()
         finally:
             sup.close()
 
@@ -485,11 +486,11 @@ class TestStats:
         assert histograms["tier.job_total"]["count"] == 4
 
     def test_tier_stats_counters(self, drained):
-        stats, telemetry = drained
+        lane, telemetry = drained
         counters = telemetry["counters"]
         assert counters["tier.batches"] == 2
         assert counters["tier.batch_jobs"] == 4
-        (worker,) = stats["workers"]
-        assert worker["batches"] == counters["engine.batches"] == 2
-        assert stats["jobs"]["retried"] == counters["tier.retried"] == 0
-        assert stats["jobs"]["worker_crashes"] == 0
+        assert lane["counters"]["engine.batches"] == 2
+        assert counters["engine.batches"] == 2
+        assert counters["tier.retried"] == 0
+        assert counters["tier.worker_crashes"] == 0

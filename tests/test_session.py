@@ -74,21 +74,25 @@ class TestPlanRunAPI:
         assert session.global_executable(a) is session.global_executable(b)
 
 
+def plan_hits(session):
+    return session.telemetry_snapshot()["counters"]["cache.plan_hits"]
+
+
 class TestSessionCache:
     def test_jigsaw_plan_reused_by_jigsaw_mbm(self, device):
         workload = ghz(6)
         session = Session(device, seed=0, exact=True)
         session.run_scheme("jigsaw", workload)
-        assert session.cache.hits == 0
+        assert plan_hits(session) == 0
         session.run_scheme("jigsaw_mbm", workload)
-        assert session.cache.hits == 1
+        assert plan_hits(session) == 1
 
     def test_repeated_scheme_hits_cache(self, device):
         workload = ghz(6)
         session = Session(device, seed=0, exact=True)
         first = session.run_scheme("jigsaw", workload)
         second = session.run_scheme("jigsaw", workload)
-        assert session.cache.hits == 1
+        assert plan_hits(session) == 1
         assert first.as_dict() == second.as_dict()
 
     def test_disabled_cache_still_correct(self, device):
@@ -108,12 +112,14 @@ class TestSessionCache:
                 cached.run_scheme(scheme, workload).as_dict()
                 == uncached.run_scheme(scheme, workload).as_dict()
             ), scheme
-            assert uncached.cache.hits == 0
+            assert plan_hits(uncached) == 0
 
     def test_cache_stats_exposed(self, device):
         session = Session(device, seed=0, exact=True)
-        stats = session.cache_stats()
-        assert {"hits", "misses", "entries"} <= set(stats)
+        counters = session.telemetry_snapshot()["counters"]
+        assert counters["cache.plan_hits"] == 0
+        assert counters["cache.plan_misses"] == 0
+        assert len(session.cache) == 0
 
 
 class TestBudgetConservation:

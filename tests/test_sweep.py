@@ -86,9 +86,9 @@ class TestSweepMechanics:
             session = Session(device, seed=13, exact=True, total_trials=TRIALS)
             points = [[0.1 + 0.05 * i, 0.2] for i in range(k)]
             session.run_sweep("jigsaw", workload, points)
-            counters = session.pipeline_stats()["counters"]
-            counts[k] = counters["route_calls"]
-            assert counters["template_binds"] == k
+            counters = session.telemetry_snapshot()["counters"]
+            counts[k] = counters["compiler.route_calls"]
+            assert counters["compiler.template_binds"] == k
         assert counts[1] == counts[6]
 
     def test_sweep_result_to_dict(self, device, workload):

@@ -2,7 +2,7 @@
 
 Four layers under test:
 
-* the instruments (`Counter`/`Gauge`/`Histogram`) and their registry
+* the instruments (`Counter`/`Histogram`) and their registry
   composition (attach/merge, thread safety);
 * the tracer (hierarchy, contextvar propagation, cross-thread spans,
   the disabled null path);
@@ -10,12 +10,13 @@ Four layers under test:
   ASCII tree);
 * the integration seams: a traced service job yields one connected
   span tree from admission to finish, a traced sweep nests its
-  compile-once/bind-many spans, the legacy ``*_stats()`` surfaces agree
-  with the unified registry snapshot, and tracing never changes
-  payloads.
+  compile-once/bind-many spans, ``telemetry_snapshot()`` carries every
+  count under a dotted name, and tracing never changes payloads.
 """
 
 import json
+import pathlib
+import re
 import threading
 
 import pytest
@@ -27,7 +28,6 @@ from repro.service.tier.events import JobEventLog
 from repro.telemetry import (
     DEFAULT_LATENCY_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_TRACER,
@@ -56,14 +56,6 @@ class TestInstruments:
         counter.add()
         counter.add(4)
         assert counter.value == 5
-        counter.reset()
-        assert counter.value == 0
-
-    def test_gauge(self):
-        gauge = Gauge("g")
-        gauge.set(2.5)
-        gauge.add(0.5)
-        assert gauge.value == 3.0
 
     def test_histogram_snapshot_shape(self):
         hist = Histogram(bounds=[0.1, 1.0])
@@ -132,7 +124,6 @@ class TestRegistry:
     def test_instruments_are_singletons_per_name(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")
-        assert registry.gauge("y") is registry.gauge("y")
         assert registry.histogram("z") is registry.histogram("z")
 
     def test_snapshot_merges_children_by_sum(self):
@@ -152,7 +143,7 @@ class TestRegistry:
         child = MetricsRegistry()
         child.counter("hits").add(2)
         parent.attach(child, prefix="cache")
-        assert parent.counter_values() == {"cache.hits": 2}
+        assert parent.snapshot()["counters"] == {"cache.hits": 2}
 
     def test_attach_dedups_and_rejects_self(self):
         parent = MetricsRegistry()
@@ -160,7 +151,7 @@ class TestRegistry:
         child.counter("n").add(1)
         parent.attach(child)
         parent.attach(child)  # second attach is a no-op
-        assert parent.counter_values()["n"] == 1
+        assert parent.snapshot()["counters"]["n"] == 1
         with pytest.raises(ValueError):
             parent.attach(parent)
 
@@ -174,7 +165,7 @@ class TestRegistry:
             engine = MetricsRegistry()
             engine.attach(shared)
             top.attach(engine)
-        assert top.counter_values()["cache.hits"] == 5
+        assert top.snapshot()["counters"]["cache.hits"] == 5
 
     def test_thread_hammer(self):
         registry = MetricsRegistry()
@@ -188,7 +179,6 @@ class TestRegistry:
             hist = registry.histogram("hammer.lat", bounds=[0.5])
             for i in range(per_thread):
                 counter.add(1)
-                registry.gauge("hammer.gauge").add(1.0)
                 hist.observe(0.25 if i % 2 else 0.75)
 
         pool = [threading.Thread(target=work) for _ in range(threads)]
@@ -199,7 +189,6 @@ class TestRegistry:
         snap = registry.snapshot()
         total = threads * per_thread
         assert snap["counters"]["hammer.count"] == total
-        assert snap["gauges"]["hammer.gauge"] == pytest.approx(total)
         assert snap["histograms"]["hammer.lat"]["count"] == total
 
 
@@ -369,7 +358,6 @@ class TestExporters:
     def test_prometheus_text(self):
         registry = MetricsRegistry()
         registry.counter("engine.batches").add(2)
-        registry.gauge("queue.depth").set(3)
         hist = registry.histogram("tier.execute", bounds=[0.1, 1.0])
         hist.observe(0.05)
         hist.observe(0.5)
@@ -378,7 +366,6 @@ class TestExporters:
         lines = text.splitlines()
         assert "# TYPE repro_engine_batches counter" in lines
         assert "repro_engine_batches 2" in lines
-        assert "repro_queue_depth 3.0" in lines
         # Cumulative buckets, ending at +Inf == count.
         assert 'repro_tier_execute_bucket{le="0.1"} 1' in lines
         assert 'repro_tier_execute_bucket{le="1.0"} 2' in lines
@@ -483,9 +470,12 @@ class TestTracedService:
             supervisor.wait(resubmit, timeout=120)
             spans = supervisor.job_trace(job)
             memo_spans = supervisor.job_trace(resubmit)
-            stats = supervisor.tier_stats()
+            lanes = [
+                worker.engine.metrics.snapshot()["counters"]
+                for worker in supervisor.drain_workers
+            ]
             telemetry = supervisor.telemetry_snapshot()
-        return job, spans, memo_spans, stats, telemetry
+        return job, spans, memo_spans, lanes, telemetry
 
     def test_single_connected_tree(self, traced_run):
         job, spans, _, _, _ = traced_run
@@ -574,43 +564,36 @@ class TestTracedService:
 
     def test_event_log_carries_trace_id(self, traced_run):
         job, spans, _, _, _ = traced_run
-        # tier_stats/telemetry captured while the supervisor was open;
-        # the event log keeps the trace id for the CLI to join on.
+        # Telemetry captured while the supervisor was open; the event
+        # log keeps the trace id for the CLI to join on.
         assert spans[0].trace_id is not None
 
-    def test_tier_stats_consistent_with_registry(self, traced_run):
-        _, _, _, stats, telemetry = traced_run
+    def test_snapshot_counts_the_traced_run(self, traced_run):
+        _, _, _, lanes, telemetry = traced_run
         counters = telemetry["counters"]
-        jobs = stats["jobs"]
-        assert jobs["submitted"] == counters["tier.submitted"] == 2
-        assert jobs["executed"] == counters["tier.executed"] == 1
-        assert jobs["memoized"] == counters["tier.memoized"] == 1
-        assert jobs["failed"] == counters["tier.failed"] == 0
-        assert stats["registry"]["counters"] == counters
-        # Worker engine counters sum to the registry's engine.* totals.
-        engine_executed = sum(
-            worker["engine"]["executed"] for worker in stats["workers"]
+        assert counters["tier.submitted"] == 2
+        assert counters["tier.executed"] == 1
+        assert counters["tier.memoized"] == 1
+        assert counters["tier.failed"] == 0
+        assert counters["tier.worker_crashes"] == 0
+        # Per-lane engine counters sum to the tier's engine.* totals.
+        assert counters["engine.executed"] == sum(
+            lane["engine.executed"] for lane in lanes
         )
-        assert counters["engine.executed"] == engine_executed
-        backend_requests = sum(
-            worker["engine"]["backend"]["requests"]
-            for worker in stats["workers"]
+        # (A lane that never executed built no backend pool.)
+        assert counters["backend.requests"] == sum(
+            lane.get("backend.requests", 0) for lane in lanes
         )
-        assert counters["backend.requests"] == backend_requests
         # The shared compiler cache folds in exactly once.
-        assert (
-            counters["cache.plan_misses"]
-            == stats["compiler"]["plan_misses"]
-        )
-        assert jobs["worker_crashes"] == counters["tier.worker_crashes"] == 0
+        assert counters["cache.plan_misses"] == lanes[0]["cache.plan_misses"]
         # Only the executed job waited in the queue.
         assert telemetry["histograms"]["tier.job_total"]["count"] == 1
 
     def test_worker_batches_registry_backed(self, traced_run):
-        _, _, _, stats, telemetry = traced_run
+        _, _, _, lanes, telemetry = traced_run
         counters = telemetry["counters"]
         assert counters["engine.batches"] == sum(
-            worker["batches"] for worker in stats["workers"]
+            lane["engine.batches"] for lane in lanes
         )
         assert counters["engine.batches"] == counters["tier.batches"]
 
@@ -692,30 +675,6 @@ class TestDisabledPath:
 
 
 class TestStatsConsistency:
-    def test_session_surfaces_agree_with_registry(self):
-        device = device_by_name("toronto")
-        workload = workload_by_name("GHZ-4")
-        with Session(device, total_trials=1024) as session:
-            session.run_scheme("jigsaw", workload)
-            session.run_scheme("baseline", workload)
-            pipeline = session.pipeline_stats()["counters"]
-            execution = session.execution_stats()
-            cache = session.cache_stats()
-            telemetry = session.telemetry_snapshot()
-        counters = telemetry["counters"]
-        for name, value in pipeline.items():
-            assert counters[f"compiler.{name}"] == value, name
-        assert counters["cache.plan_hits"] == cache["hits"]
-        assert counters["cache.plan_misses"] == cache["misses"]
-        for stage, row in cache["stages"].items():
-            assert counters[f"cache.stage.{stage}.hits"] == row["hits"]
-            assert counters[f"cache.stage.{stage}.misses"] == row["misses"]
-        assert (
-            counters["backend.statevector_evals"]
-            == execution["statevector_evals"]
-        )
-        assert counters["backend.channel_evals"] == execution["channel_evals"]
-
     @pytest.mark.parametrize("workers", [None, 2])
     def test_session_execution_counted_by_backends_only(self, workers):
         # Sampling and the exact channel are counted once, by the
@@ -732,7 +691,7 @@ class TestStatsConsistency:
         assert counters["backend.channel_evals"] > 0
         assert counters["backend.stacked_evals"] >= 1
 
-    def test_tier_stats_agree_with_registry(self):
+    def test_lane_counts_agree_with_snapshot(self):
         supervisor = ServiceSupervisor(workers=1)
         try:
             for seed in (0, 0, 1):
@@ -747,25 +706,19 @@ class TestStatsConsistency:
                 )
             supervisor.start()
             supervisor.stop(drain=True, timeout=120)
-            stats = supervisor.tier_stats()
+            (worker,) = supervisor.drain_workers
+            lane = worker.engine.metrics.snapshot()["counters"]
             telemetry = supervisor.telemetry_snapshot()
         finally:
             supervisor.close()
         counters = telemetry["counters"]
-        jobs = stats["jobs"]
-        assert jobs["submitted"] == counters["tier.submitted"] == 3
-        assert jobs["executed"] == counters["tier.executed"]
-        assert jobs["memoized"] == counters["tier.memoized"]
-        (worker,) = stats["workers"]
-        assert worker["batches"] == counters["tier.batches"] == 1
-        assert stats["registry"]["counters"] == counters
-        for name, value in worker["engine"]["backend"].items():
-            if name == "coalesced_requests":
-                continue  # derived, not a registry counter
-            assert counters[f"backend.{name}"] == value, name
-        assert (
-            stats["compiler"]["plan_misses"] == counters["cache.plan_misses"]
-        )
+        assert counters["tier.submitted"] == 3
+        assert counters["tier.executed"] + counters["tier.memoized"] == 3
+        assert lane["engine.batches"] == counters["tier.batches"] == 1
+        # One lane: every engine, backend and cache count is the lane's.
+        for name, value in lane.items():
+            assert counters[name] == value, name
+        assert counters["backend.requests"] > 0
 
     def test_service_payloads_identical_with_tracing_on(self):
         spec = {
@@ -785,3 +738,63 @@ class TestStatsConsistency:
             traced_payload = traced.result(job)
             assert traced.job_trace(job)
         assert untraced == traced_payload
+
+
+class TestCounterNames:
+    """The counter names perfbench reads with ``.get(name, 0)``: a rename
+    would silently zero its per-layer metrics, so they are pinned here."""
+
+    SESSION_NAMES = (
+        "backend.channel_evals",
+        "backend.statevector_evals",
+        "cache.stage.place.hits",
+        "cache.stage.place.misses",
+        "cache.stage.route.hits",
+        "cache.stage.route.misses",
+    )
+    TIER_NAMES = SESSION_NAMES + (
+        "tier.batch_jobs",
+        "tier.batches",
+        "tier.memoized",
+        "tier.submitted",
+    )
+
+    @staticmethod
+    def documented_namespaces():
+        """The namespace list of ARCHITECTURE.md "Telemetry -> Metrics"."""
+        path = pathlib.Path(__file__).parents[1] / "docs" / "ARCHITECTURE.md"
+        section = path.read_text().split("### Metrics", 1)[1]
+        section = section.split("\n### ", 1)[0]
+        return set(re.findall(r"^- `([a-z]+)\.\*`", section, re.MULTILINE))
+
+    def test_perfbench_counter_names_in_snapshots(self):
+        workload = workload_by_name("GHZ-4")
+        with Session(device_by_name("toronto"), total_trials=1024) as session:
+            session.run_scheme("jigsaw", workload)
+            session_counters = session.telemetry_snapshot()["counters"]
+        spec = {
+            "tenant": "t",
+            "workload": "GHZ-4",
+            "scheme": "jigsaw",
+            "total_trials": 1024,
+            "seed": 0,
+        }
+        supervisor = ServiceSupervisor(workers=1)
+        try:
+            jobs = [supervisor.submit(dict(spec)) for _ in range(2)]
+            supervisor.start()
+            supervisor.stop(drain=True, timeout=120)
+            tier_counters = supervisor.telemetry_snapshot()["counters"]
+        finally:
+            supervisor.close()
+        assert sorted(job.source for job in jobs) == ["executed", "memoized"]
+        for names, counters in (
+            (self.SESSION_NAMES, session_counters),
+            (self.TIER_NAMES, tier_counters),
+        ):
+            for name in names:
+                assert counters.get(name, 0) > 0, name
+        namespaces = self.documented_namespaces()
+        assert {"compiler", "cache", "backend", "tier"} <= namespaces
+        for name in {**session_counters, **tier_counters}:
+            assert name.split(".", 1)[0] in namespaces and "." in name, name

@@ -17,6 +17,7 @@ import pytest
 from repro.core.payload import PAYLOAD_VERSION
 from repro.exceptions import PayloadError, ServiceError
 from repro.service.tier import SegmentedResultStore
+from tests.conftest import counts
 
 
 def payload(i: int) -> dict:
@@ -62,10 +63,10 @@ class TestRoundtrip:
         store = SegmentedResultStore(root=str(tmp_path / "j"), max_entries=2)
         for i in range(5):
             store.put(f"fp{i}", payload(i), shard="devA")
-        assert len(store) == 2 and store.evictions == 3
+        assert len(store) == 2 and counts(store)["store.evictions"] == 3
         # Evicted entries reload from their shard's segments.
         assert store.get("fp0")["value"] == 0
-        assert store.reloads == 1
+        assert counts(store)["store.reloads"] == 1
 
     def test_rejects_bad_knobs(self, tmp_path):
         with pytest.raises(ServiceError):
@@ -95,9 +96,9 @@ class TestSegments:
         )
         for i in range(30):
             store.put(f"fp{i:02d}", payload(i), shard="devA")
-        stats = store.stats()["shards"]["devA"]
-        assert stats["compactions"] >= 1
-        assert stats["segments"] <= 4  # snapshot + at most a few fresh
+        assert counts(store)["store.compactions"] >= 1
+        # The snapshot + at most a few fresh segments.
+        assert len(segments_of(root, "devA")) <= 4
         assert all(store.get(f"fp{i:02d}")["value"] == i for i in range(30))
 
     def test_dead_ratio_triggered_compaction(self, tmp_path):
@@ -109,11 +110,10 @@ class TestSegments:
         store.put("fp0", payload(0), shard="devA")
         for i in range(1, 6):
             store.put("fp0", payload(i), shard="devA")  # dead duplicates
-        stats = store.stats()["shards"]["devA"]
-        assert stats["compactions"] >= 1
+        assert counts(store)["store.compactions"] >= 1
         # Duplicates put after the last compaction may still be dead, but
         # compaction keeps the ratio bounded below the trigger.
-        assert stats["dead"] <= 1
+        assert store.shards["devA"]._dead <= 1
         assert store.get("fp0")["value"] == 5  # later records won
 
     def test_forced_compaction_leaves_one_segment(self, tmp_path):
@@ -138,7 +138,7 @@ class TestReplay:
         assert reloaded.get("fp0")["value"] == 9
         assert reloaded.get("fp1")["value"] == 7
         assert reloaded.get("fp2")["value"] == 8
-        assert reloaded.loaded == 3
+        assert counts(reloaded)["store.loaded"] == 3
 
     def test_torn_tail_tolerated_on_active_segment(self, tmp_path):
         root = str(tmp_path / "j")

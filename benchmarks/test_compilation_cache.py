@@ -8,11 +8,11 @@ runtime's :class:`~repro.runtime.cache.CompilationCache` plans each
 (program, config) once.
 
 Compilation is deterministic per seed, so instead of timing wall clock
-we count ``transpile()`` / ``compile_cpm()`` invocations — the dominant
-planning cost, the session's ``compiler.compiles`` counter — and assert
-the cached sweep performs **strictly fewer** of them than the uncached
-legacy-equivalent sweep, with the savings visible in the cache's hit
-counters.
+we count ``CompilerPipeline.compile`` / ``compile_cpm`` invocations — the
+dominant planning cost, the session's ``compiler.compiles`` counter — and
+assert the cached sweep performs **strictly fewer** of them than the
+same sweep on ``CompilationCache.disabled()``, with the savings visible
+in the cache's hit counters.
 """
 
 from __future__ import annotations

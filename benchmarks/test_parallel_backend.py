@@ -2,15 +2,15 @@
 
 Two claims, one benchmark:
 
-1. **Determinism invariant** — a :class:`ShardedBackend` at ``workers=4``
-   produces bit-for-bit the PMFs of the serial backend under a fixed
+1. **Determinism invariant** — a :class:`LocalBackend` at ``workers=4``
+   produces bit-for-bit the PMFs of the in-process backend under a fixed
    seed (sampled mode, where the claim is strongest: per-request seed
    streams make draws independent of worker scheduling).
 2. **Coalescing win** — a multi-workload sweep (several workloads x
    several trial budgets, the shape where programs repeat) submitted as
    one combined batch performs strictly fewer statevector simulations
-   *and* noisy-channel evaluations than executing each plan's batch
-   serially, with identical outputs.  Counts are asserted (wall clock is
+   *and* noisy-channel evaluations than executing each plan's batch on
+   its own ("serial"), with identical outputs.  Counts are asserted (wall clock is
    measured and recorded, not asserted — evaluation counts are the
    deterministic cost model).
 """
@@ -24,7 +24,7 @@ from _shared import save_bench_json
 from repro.core import JigSaw, JigSawConfig
 from repro.devices import ibmq_toronto
 from repro.noise.model import NoiseModel
-from repro.runtime import LocalExactBackend, LocalSamplingBackend, ShardedBackend
+from repro.runtime import LocalBackend
 from repro.workloads import workload_by_name
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -57,11 +57,11 @@ def test_sharded_sampled_bitforbit_with_serial():
     plan = JigSaw(device, JigSawConfig(exact=False), seed=SEED).plan(
         circuit, total_trials=8_192
     )
-    serial = LocalSamplingBackend(noise_model=noise_model, seed=SEED).execute(
-        plan.requests()
-    )
-    sharded = ShardedBackend(
-        LocalSamplingBackend(noise_model=noise_model, seed=SEED), workers=4
+    serial = LocalBackend(
+        exact=False, noise_model=noise_model, seed=SEED
+    ).execute(plan.requests())
+    sharded = LocalBackend(
+        exact=False, workers=4, noise_model=noise_model, seed=SEED
     ).execute(plan.requests())
     assert [p.as_dict() for p in sharded] == [p.as_dict() for p in serial]
 
@@ -72,7 +72,7 @@ def test_coalescing_reduces_evaluations():
 
     # Serial path: each plan's batch executed on its own, as the seed
     # runtime did.  Fresh plans so no statevector is pre-shared.
-    serial_backend = LocalExactBackend(noise_model=noise_model)
+    serial_backend = LocalBackend(noise_model=noise_model)
     serial_plans = sweep_plans(device)
     start = time.perf_counter()
     serial_pmfs = []
@@ -82,9 +82,7 @@ def test_coalescing_reduces_evaluations():
 
     # Sharded path: the whole sweep as ONE coalesced batch across 4
     # workers (again on fresh plans).
-    sharded_backend = ShardedBackend(
-        LocalExactBackend(noise_model=noise_model), workers=4
-    )
+    sharded_backend = LocalBackend(workers=4, noise_model=noise_model)
     sharded_plans = sweep_plans(device)
     requests = [r for plan in sharded_plans for r in plan.requests()]
     start = time.perf_counter()

@@ -1,6 +1,5 @@
 """Compiler substrate: staged pipeline, placement, SABRE routing, EPS, EDM."""
 
-from repro.compiler.cpm_compile import compile_cpm
 from repro.compiler.decompose import NATIVE_BASIS, decompose_to_native, zyz_angles
 from repro.compiler.edm import ensemble_of_diverse_mappings
 from repro.compiler.eps import (
@@ -12,6 +11,7 @@ from repro.compiler.layout import Layout
 from repro.compiler.pipeline import (
     CompilationState,
     CompilerPipeline,
+    ExecutableCircuit,
     RoutedBody,
 )
 from repro.compiler.placement import (
@@ -21,7 +21,6 @@ from repro.compiler.placement import (
     pool_layouts,
 )
 from repro.compiler.sabre import RoutedCircuit, route
-from repro.compiler.transpile import ExecutableCircuit, transpile
 
 __all__ = [
     "Layout",
@@ -30,7 +29,6 @@ __all__ = [
     "NATIVE_BASIS",
     "route",
     "RoutedCircuit",
-    "transpile",
     "ExecutableCircuit",
     "CompilerPipeline",
     "CompilationState",
@@ -43,5 +41,4 @@ __all__ = [
     "embed_in_region",
     "pool_layouts",
     "ensemble_of_diverse_mappings",
-    "compile_cpm",
 ]

@@ -12,12 +12,10 @@ budget split evenly (§5.2, §5.4) — this module reproduces that policy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Set
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.pipeline import CompilerPipeline
-from repro.compiler.transpile import ExecutableCircuit, transpile
-from repro.devices.device import Device
+from repro.compiler.pipeline import CompilerPipeline, ExecutableCircuit
 from repro.exceptions import CompilationError
 from repro.utils.random import SeedLike, as_generator, spawn
 
@@ -26,14 +24,14 @@ __all__ = ["ensemble_of_diverse_mappings"]
 
 def ensemble_of_diverse_mappings(
     circuit: QuantumCircuit,
-    device: Device,
+    pipeline: CompilerPipeline,
     ensemble_size: int = 4,
     attempts: int = 4,
     seed: SeedLike = None,
-    pipeline: Optional[CompilerPipeline] = None,
 ) -> List[ExecutableCircuit]:
     """Compile ``ensemble_size`` diverse mappings of ``circuit``.
 
+    Every mapping compiles on ``pipeline`` (and so for its device).
     Diversity is enforced by penalising, for each successive mapping, the
     physical qubits already used by earlier mappings.  On devices too small
     for disjoint copies the penalty is soft — mappings overlap but still
@@ -47,13 +45,11 @@ def ensemble_of_diverse_mappings(
     executables: List[ExecutableCircuit] = []
     used_qubits: Set[int] = set()
     for child in child_rngs:
-        executable = transpile(
+        executable = pipeline.compile(
             circuit,
-            device,
             seed=child,
             attempts=attempts,
             avoid_qubits=sorted(used_qubits),
-            pipeline=pipeline,
         )
         executables.append(executable)
         used_qubits.update(executable.final_layout.physical_qubits)

@@ -1,10 +1,12 @@
 """Staged compiler pipeline: route-once/retarget-many CPM compilation.
 
-The monolithic ``transpile()``/``compile_cpm()`` flow recompiled every
-Circuit with Partial Measurements from scratch even though all CPMs of a
-program share the *same unitary body* and differ only in which qubits are
+:class:`CompilerPipeline` is the one compile entry: ``compile`` is the
+paper's baseline flow (Noise-Aware SABRE — several noise-aware initial
+layouts, each routed, the best by Expected Probability of Success kept)
+and ``compile_cpm`` the CPM recompiler (§4.2.2).  Every CPM of a program
+shares the *same unitary body* and differs only in which qubits are
 measured — and SABRE emits measurements as a final layer on each logical
-qubit's resting position anyway.  This module factors compilation into
+qubit's resting position anyway — so compilation is factored into
 explicit stages over a shared :class:`CompilationState`:
 
 ``Placement -> Route -> MeasureRetarget -> EpsScore -> Select``
@@ -308,8 +310,7 @@ class CpmSelectStage:
     Candidate 0 is always the global-layout baseline.  Pool candidates
     within the global SWAP budget compete with the baseline on the
     readout-emphasised EPS; when none is SWAP-neutral, the fallback picks
-    whichever candidate maximises plain EPS, exactly as the monolithic
-    ``compile_cpm`` did.
+    whichever candidate maximises plain EPS.
     """
 
     name = "select"
@@ -359,10 +360,9 @@ class CompilerPipeline:
         cache: the :class:`CompilationCache` whose *stage store* holds
             routed bodies and layout pools.  Defaults to a private cache;
             pass a shared one (e.g. a session's) to share routings across
-            runners, or ``CompilationCache.disabled()`` to reproduce the
-            legacy recompile-everything behaviour — results are bit-for-bit
-            identical either way, because routing is a pure function of
-            its content key.
+            runners, or ``CompilationCache.disabled()`` to route every
+            candidate afresh — results are bit-for-bit identical either
+            way, because routing is a pure function of its content key.
         metrics: the registry the stages count into (``compiler.*``);
             defaults to a private one.  The cache's registry is attached
             to it, so one snapshot covers the pipeline and its stage
@@ -385,26 +385,6 @@ class CompilerPipeline:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if self.cache.metrics is not self.metrics:
             self.metrics.attach(self.cache.metrics)
-
-    def matches_device(self, device: Device) -> bool:
-        """Whether this pipeline can compile for ``device`` (by content)."""
-        return device is self.device or device_fingerprint(device) == self.device_key
-
-    @classmethod
-    def for_device(
-        cls, device: Device, pipeline: Optional["CompilerPipeline"]
-    ) -> "CompilerPipeline":
-        """Validate a caller-supplied pipeline against ``device``, or build
-        a one-shot pipeline (the legacy monolithic behaviour) when none is
-        given.  The single guard behind ``transpile()``/``compile_cpm()``."""
-        if pipeline is None:
-            return cls(device)
-        if not pipeline.matches_device(device):
-            raise CompilationError(
-                f"pipeline is bound to {pipeline.device.name!r} (by content), "
-                f"cannot compile for {device.name!r}"
-            )
-        return pipeline
 
     def _stage_cached(self, stage: str, key: str, hit_counter: str, compute):
         """Per-key-locked stage-store lookup: compute at most once per key.
@@ -438,7 +418,21 @@ class CompilerPipeline:
         avoid_qubits: Sequence[int] = (),
         initial_layouts: Optional[Sequence[Layout]] = None,
     ) -> ExecutableCircuit:
-        """Compile ``circuit`` maximising (emphasised) EPS — ``transpile``."""
+        """Compile ``circuit`` maximising (emphasised) EPS.
+
+        Args:
+            circuit: logical program; must end in measurements for
+                execution.
+            seed: RNG seed controlling placement exploration (routing is
+                a pure function of content).
+            attempts: number of placement+routing candidates to evaluate.
+            readout_emphasis: exponent on the readout term of EPS; > 1
+                steers the measurements onto strong readout qubits.
+            avoid_qubits: physical qubits to penalise during placement
+                (EDM diversity, vulnerable-qubit avoidance).
+            initial_layouts: optional explicit layouts to route
+                (bypasses placement; still selects by EPS).
+        """
         if attempts < 1:
             raise CompilationError("attempts must be >= 1")
         self.metrics.counter("compiler.compiles").add()
@@ -470,6 +464,20 @@ class CompilerPipeline:
         baseline) plus the deterministic layout pool; all of them route
         through the stage cache, so across a whole plan the pool is routed
         once and each CPM only pays retarget + EPS + select.
+
+        Args:
+            cpm_circuit: the program body with a measured subset.
+            global_executable: the global-mode compilation; its initial
+                layout is the no-recompilation fallback and its SWAP
+                count the budget no candidate may exceed.
+            recompile: ``False`` reuses the global layout (the paper's
+                "JigSaw w/o recompilation" ablation, Fig. 11).
+            pool_size: size of the candidate layout pool.
+            readout_emphasis: readout-EPS exponent of the objective;
+                measurement fidelity dominates, since a CPM reads only
+                2-5 qubits.
+            vulnerable_percentile: readout-error percentile above which
+                a physical qubit is avoided.
         """
         self.metrics.counter("compiler.compiles").add()
         vulnerable = (

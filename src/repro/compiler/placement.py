@@ -9,8 +9,9 @@ Chooses which physical qubits host the program, balancing three pressures:
   "avoid vulnerable qubit" rule for CPMs).
 
 Placement generates several candidate layouts (grown from good-readout
-seeds and random seeds); the transpiler routes each and keeps the one with
-the best EPS, mirroring how Noise-Aware SABRE evaluates candidates.
+seeds and random seeds); the compiler pipeline routes each and keeps the
+one with the best EPS, mirroring how Noise-Aware SABRE evaluates
+candidates.
 """
 
 from __future__ import annotations

@@ -15,10 +15,12 @@
    global PMF with every local PMF until convergence.
 
 :meth:`JigSaw.run` chains the two and remains the convenient entry
-point.  The default backend is local simulation: exact mode evaluates
-the closed-form noisy distributions (the infinite-trials limit; the
-paper notes fidelity saturates in trials, Fig. 7), sampling mode draws
-the allocated trials.
+point.  The default backend is the one local engine,
+:class:`~repro.runtime.backend.LocalBackend`: exact mode evaluates the
+closed-form noisy distributions (the infinite-trials limit; the paper
+notes fidelity saturates in trials, Fig. 7), sampling mode draws the
+allocated trials.  Compilation runs on the runner's
+:class:`~repro.compiler.pipeline.CompilerPipeline`.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.cpm_compile import compile_cpm
-from repro.compiler.pipeline import CompilerPipeline
-from repro.compiler.transpile import ExecutableCircuit, transpile
+from repro.compiler.pipeline import CompilerPipeline, ExecutableCircuit
 from repro.core.payload import PAYLOAD_VERSION
 from repro.core.pmf import PMF, Marginal
 from repro.core.reconstruction import (
@@ -48,9 +48,8 @@ from repro.devices.device import Device
 from repro.exceptions import ReconstructionError
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
-from repro.runtime.backend import Backend
+from repro.runtime.backend import Backend, LocalBackend
 from repro.runtime.cache import CompilationCache
-from repro.runtime.parallel import sharded_local_backend
 from repro.runtime.fingerprint import (
     circuit_fingerprint,
     config_fingerprint,
@@ -99,9 +98,9 @@ class JigSawConfig:
     recompile_cpms: bool = True
     #: Fraction of trials spent in global mode (§5.4 uses an even split).
     global_fraction: float = 0.5
-    #: Transpiler candidates for the global compilation.
+    #: Placement+routing candidates for the global compilation.
     compile_attempts: int = 4
-    #: Transpiler candidates per CPM recompilation.
+    #: Candidate layout pool size per CPM recompilation.
     cpm_attempts: int = 3
     #: Readout-error percentile above which qubits count as vulnerable.
     vulnerable_percentile: float = 75.0
@@ -116,8 +115,8 @@ class JigSawConfig:
     #: are identical either way: every CPM compiles from its own
     #: pre-spawned seed.
     compile_workers: Optional[int] = None
-    #: Worker count for sharding *execution* batches (see
-    #: :class:`~repro.runtime.parallel.ShardedBackend`); ``None``/``1``
+    #: Worker count for sharding *execution* batches (the ``workers`` of
+    #: :class:`~repro.runtime.backend.LocalBackend`); ``None``/``1``
     #: evaluates in-process.  Results are bit-for-bit identical at any
     #: worker count: every request draws from its own per-index stream.
     execute_workers: Optional[int] = None
@@ -247,10 +246,9 @@ class JigSaw:
     def _resolve_backend(self) -> Backend:
         """The configured backend, or the local default for this config.
 
-        With ``config.execute_workers`` set, the local backend is wrapped
-        in a :class:`~repro.runtime.parallel.ShardedBackend` — safe at
-        any worker count because sharding is bit-for-bit identical to
-        serial execution.  The resolved backend is cached (until the
+        The default is a :class:`~repro.runtime.backend.LocalBackend`
+        sharded over ``config.execute_workers`` — bit-for-bit identical
+        at any worker count.  The resolved backend is cached (until the
         relevant config knobs change) so its worker pool persists across
         runs; every backend counts into the runner's :attr:`metrics`.
         """
@@ -258,10 +256,10 @@ class JigSaw:
             return self.backend
         key = (self.config.exact, self.config.execute_workers)
         if self._resolved_backend is None or self._resolved_backend_key != key:
-            self._resolved_backend = sharded_local_backend(
+            self._resolved_backend = LocalBackend(
                 self.sampler,
-                self.config.exact,
-                self.config.execute_workers,
+                exact=self.config.exact,
+                workers=self.config.execute_workers,
                 metrics=self.metrics,
             )
             self._resolved_backend_key = key
@@ -271,7 +269,7 @@ class JigSaw:
         """The backend :meth:`execute` would use right now (public view).
 
         The service layer uses this to collect a plan's requests and the
-        runner's (serial) local backend, then splice many jobs' batches
+        runner's local backend, then splice many jobs' batches
         into one merged execution — spawning each job's seed streams from
         its own backend exactly as a solo :meth:`execute` would.
         """
@@ -290,9 +288,8 @@ class JigSaw:
 
     def close(self) -> None:
         """Release the resolved backend's worker pool, if it has one."""
-        backend = self._resolved_backend
-        if backend is not None and hasattr(backend, "close"):
-            backend.close()
+        if self._resolved_backend is not None:
+            self._resolved_backend.close()
 
     # ------------------------------------------------------------------
     # Planning helpers
@@ -333,12 +330,10 @@ class JigSaw:
 
     def compile_global(self, circuit: QuantumCircuit) -> ExecutableCircuit:
         """Noise-aware baseline compilation of the full program (§4.1)."""
-        return transpile(
+        return self.pipeline.compile(
             circuit,
-            self.device,
             seed=spawn(self._rng, 1)[0],
             attempts=self.config.compile_attempts,
-            pipeline=self.pipeline,
         )
 
     def build_cpm_circuit(
@@ -365,31 +360,26 @@ class JigSaw:
         onto them.  CPM compilation is content-deterministic, so the
         optional thread fan-out (``config.compile_workers``) produces
         bit-identical executables in the same order as the serial loop.
-        The per-CPM seeds are still spawned to keep this runner's seed
-        stream (and cached plans' ``compile_spawns`` replay) aligned with
-        the historical discipline.
+        One seed per CPM is still spawned (and never drawn) to keep this
+        runner's seed stream, and cached plans' ``compile_spawns``
+        replay, aligned with the historical discipline.
         """
-        seeds = spawn(self._rng, len(subsets))
+        spawn(self._rng, len(subsets))
 
-        def _compile_one(subset_and_seed) -> ExecutableCircuit:
-            subset, seed = subset_and_seed
-            cpm_circuit = self.build_cpm_circuit(circuit, subset)
-            return compile_cpm(
-                cpm_circuit,
-                self.device,
+        def _compile_one(subset: Tuple[int, ...]) -> ExecutableCircuit:
+            return self.pipeline.compile_cpm(
+                self.build_cpm_circuit(circuit, subset),
                 global_executable,
                 recompile=self.config.recompile_cpms,
-                attempts=self.config.cpm_attempts,
+                pool_size=self.config.cpm_attempts,
                 vulnerable_percentile=self.config.vulnerable_percentile,
-                seed=seed,
-                pipeline=self.pipeline,
             )
 
         workers = self.config.compile_workers
         if workers and workers > 1 and len(subsets) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_compile_one, zip(subsets, seeds)))
-        return [_compile_one(pair) for pair in zip(subsets, seeds)]
+                return list(pool.map(_compile_one, subsets))
+        return [_compile_one(subset) for subset in subsets]
 
     # ------------------------------------------------------------------
     # Stage 1: plan & compile
@@ -516,14 +506,14 @@ class JigSaw:
     def execute_many(self, plans: Sequence[ExecutionPlan]) -> List[JigSawResult]:
         """Evaluate several plans as **one** backend batch, then reconstruct.
 
-        This is the sharded-execution submission path for sweeps: all
-        plans' requests are concatenated into a single batch, so a
-        :class:`~repro.runtime.parallel.ShardedBackend` can spread the
-        whole sweep across its workers and coalesce duplicate
-        executables *across plans* (scheme/budget sweeps repeat
-        programs).  Request order is plan order, so per-request seed
-        streams — and therefore sampled results — are a deterministic
-        function of the submitted sequence.
+        This is the multi-plan submission path for sweeps: all plans'
+        requests are concatenated into a single batch, so the
+        :class:`~repro.runtime.backend.LocalBackend` can spread the whole
+        sweep across its workers and coalesce duplicate executables
+        *across plans* (scheme/budget sweeps repeat programs).  Request
+        order is plan order, so per-request seed streams — and therefore
+        sampled results — are a deterministic function of the submitted
+        sequence.
         """
         plans = list(plans)
         for plan in plans:
@@ -572,14 +562,6 @@ class JigSaw:
     # ------------------------------------------------------------------
     # Convenience: the historical one-call pipeline
     # ------------------------------------------------------------------
-
-    def _pmf_from_executable(
-        self, executable: ExecutableCircuit, trials: int
-    ) -> PMF:
-        """Single-circuit evaluation (legacy helper; batches via backend)."""
-        if self.config.exact:
-            return self.sampler.exact_pmf(executable)
-        return self.sampler.run_codes(executable, trials).to_pmf()
 
     def run(
         self,

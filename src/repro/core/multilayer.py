@@ -14,7 +14,8 @@ marginals then sharpen the result.
 Like :class:`~repro.core.jigsaw.JigSaw`, the runner factors into
 :meth:`JigSawM.plan` (compile one plan layer per subset size) and
 :meth:`JigSawM.execute` (batch-evaluate on a backend, reconstruct
-largest-first); ``run`` chains the two.  Planning rides the staged
+largest-first); ``run``, inherited from ``JigSaw``, chains the two and
+returns a :class:`JigSawMResult`.  Planning rides the staged
 compiler pipeline: all layers share one measurement-free body, so the
 multiplied CPM count (sizes 2..5 each contribute a full subset sweep)
 costs one routing of the global layout plus one of the deterministic
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.transpile import ExecutableCircuit
+from repro.compiler.pipeline import ExecutableCircuit
 from repro.core.jigsaw import JigSaw, JigSawConfig, measured_positions_map
 from repro.core.payload import PAYLOAD_VERSION
 from repro.core.pmf import PMF, Marginal
@@ -202,7 +203,7 @@ class JigSawM(JigSaw):
     def _reconstruct(self, plan: ExecutionPlan, pmfs: List[PMF]) -> JigSawMResult:
         """Reconstruct one JigSaw-M plan largest-first from its batch PMFs.
 
-        ``execute`` and ``execute_many`` (sharded multi-plan submission)
+        ``run``, ``execute`` and ``execute_many`` (multi-plan submission)
         are inherited from :class:`~repro.core.jigsaw.JigSaw`.
         """
         global_pmf = pmfs[0]
@@ -231,20 +232,4 @@ class JigSawM(JigSaw):
             global_trials=plan.global_trials,
             trials_per_cpm=plan.trials_per_cpm,
             plan=plan,
-        )
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        total_trials: int = 32_768,
-        subsets: Optional[Sequence[Sequence[int]]] = None,
-        global_executable: Optional[ExecutableCircuit] = None,
-    ) -> JigSawMResult:
-        return self.execute(
-            self.plan(
-                circuit,
-                total_trials=total_trials,
-                subsets=subsets,
-                global_executable=global_executable,
-            )
         )

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compiler.layout import Layout
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import CompilerPipeline
 from repro.devices.device import Device
 from repro.devices.library import google_sycamore, ibmq_paris, ibmq_toronto
 from repro.metrics.distances import total_variation_distance
@@ -67,7 +67,7 @@ class ProbePoint:
 
 
 def _probe_fidelity(
-    device: Device,
+    pipeline: CompilerPipeline,
     sampler: NoisySampler,
     probe_physical: int,
     probe_state: str,
@@ -76,14 +76,14 @@ def _probe_fidelity(
 ) -> float:
     """Probe-qubit marginal fidelity (1 - TVD) for one configuration."""
     workload = probe_circuit(num_measured, probe_state)
-    others = [q for q in range(device.num_qubits) if q != probe_physical]
+    num_qubits = pipeline.device.num_qubits
+    others = [q for q in range(num_qubits) if q != probe_physical]
     spectators = rng.choice(others, size=num_measured - 1, replace=False)
     mapping = {0: probe_physical}
     for logical, physical in enumerate(spectators, start=1):
         mapping[logical] = int(physical)
-    executable = transpile(
+    executable = pipeline.compile(
         workload.circuit,
-        device,
         attempts=1,
         initial_layouts=[Layout(mapping)],
         seed=rng,
@@ -117,6 +117,7 @@ def figure2_crosstalk_sweep(
     sampler = NoisySampler(
         NoiseModel.from_device(device), seed=spawn(rng, 1)[0]
     )
+    pipeline = CompilerPipeline(device)
     points: List[ProbePoint] = []
     for probe_state in probe_states:
         if probe_state not in PROBE_STATES:
@@ -125,7 +126,7 @@ def figure2_crosstalk_sweep(
             samples = 1 if num_measured == 1 else samples_per_point
             values = [
                 _probe_fidelity(
-                    device, sampler, probe_physical, probe_state,
+                    pipeline, sampler, probe_physical, probe_state,
                     num_measured, rng,
                 )
                 for _ in range(samples)

@@ -7,7 +7,8 @@
 
 Both studies use a 12-qubit QAOA program on IBMQ-Paris, as in the paper.
 The expensive pieces (global PMF, the 66 possible pair-CPM marginals) are
-computed once; each selection then only re-runs reconstruction.
+computed once, as one backend batch; each selection then only re-runs
+reconstruction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.cpm_compile import compile_cpm
 from repro.core.jigsaw import JigSaw, JigSawConfig
 from repro.core.pmf import PMF, Marginal
 from repro.core.reconstruction import bayesian_reconstruction
@@ -26,7 +26,7 @@ from repro.devices.device import Device
 from repro.devices.library import ibmq_paris
 from repro.experiments.render import format_table
 from repro.metrics.success import probability_of_successful_trial, relative
-from repro.sim.statevector import StatevectorSimulator
+from repro.runtime.backend import ExecutionRequest
 from repro.utils.random import SeedLike, as_generator, spawn
 from repro.workloads.qaoa import qaoa_maxcut
 from repro.workloads.workload import Workload
@@ -58,35 +58,32 @@ def build_cpm_pool(
     exact: bool = True,
     total_trials: int = 65_536,
 ) -> CpmPool:
-    """Compile and execute every possible size-2 CPM once."""
+    """Compile every possible size-2 CPM and execute them all once.
+
+    The pairs compile on the runner's pipeline, and the global circuit
+    plus every pair run as one batch on the runner's backend.
+    """
     device = device or ibmq_paris()
     workload = workload or qaoa_maxcut(12, depth=1)
     rng = as_generator(seed)
     jigsaw = JigSaw(device, JigSawConfig(exact=exact), seed=spawn(rng, 1)[0])
     circuit = workload.circuit
     global_executable = jigsaw.compile_global(circuit)
-    shared = StatevectorSimulator().probabilities(circuit)
-    global_executable.share_ideal_probabilities(shared)
 
     pairs = all_pair_subsets(len(circuit.measurement_map))
     per_cpm = max(256, total_trials // (2 * len(pairs)))
-    global_pmf = jigsaw._pmf_from_executable(global_executable, total_trials // 2)
-
-    marginals: Dict[Tuple[int, ...], Marginal] = {}
-    for pair, cpm_seed in zip(pairs, spawn(rng, len(pairs))):
-        cpm_circuit = jigsaw.build_cpm_circuit(circuit, pair)
-        executable = compile_cpm(
-            cpm_circuit,
-            device,
+    requests = [ExecutionRequest(global_executable, total_trials // 2)]
+    for pair in pairs:
+        executable = jigsaw.pipeline.compile_cpm(
+            jigsaw.build_cpm_circuit(circuit, pair),
             global_executable,
-            recompile=True,
-            attempts=2,
-            seed=cpm_seed,
+            pool_size=2,
         )
-        executable.share_ideal_probabilities(shared)
-        marginals[pair] = Marginal(
-            pair, jigsaw._pmf_from_executable(executable, per_cpm)
-        )
+        requests.append(ExecutionRequest(executable, per_cpm))
+    global_pmf, *pair_pmfs = jigsaw.execution_backend().execute(requests)
+    marginals: Dict[Tuple[int, ...], Marginal] = {
+        pair: Marginal(pair, pmf) for pair, pmf in zip(pairs, pair_pmfs)
+    }
 
     baseline_pst = probability_of_successful_trial(
         global_pmf, workload.correct_outcomes

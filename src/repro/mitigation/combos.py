@@ -9,7 +9,7 @@ measures.
 
 These functions consume :class:`~repro.core.jigsaw.JigSawResult` /
 :class:`~repro.core.multilayer.JigSawMResult` objects — whether produced
-by the legacy one-call runners or by the runtime API's plan/execute path
+by a runner's one-call ``run`` or by the runtime API's plan/execute path
 (:class:`~repro.runtime.session.Session` routes its ``jigsaw_mbm``
 scheme through here).  When the result carries its
 :class:`~repro.runtime.plan.ExecutionPlan`, the reconstruction knobs
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.compiler.transpile import ExecutableCircuit
+from repro.compiler.pipeline import ExecutableCircuit
 from repro.core.jigsaw import JigSawResult
 from repro.core.multilayer import JigSawMResult, ordered_reconstruction
 from repro.core.pmf import PMF, Marginal

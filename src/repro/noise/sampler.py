@@ -46,7 +46,7 @@ from repro.utils.bits import (
 from repro.utils.random import SeedLike, as_generator, spawn
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.compiler.transpile import ExecutableCircuit
+    from repro.compiler.pipeline import ExecutableCircuit
 
 __all__ = [
     "CodeCounts",
@@ -139,11 +139,11 @@ class NoisySampler:
     def spawn_streams(self, count: int) -> List[np.random.Generator]:
         """``count`` independent child RNG streams off this sampler's stream.
 
-        The backends use this to give every request in a batch its own
-        stream (spawned per request *index*), which is what makes sharded
-        execution bit-for-bit identical to serial execution: a request's
-        draws depend only on its position in the batch, never on which
-        worker evaluates it.  Spawning advances the generator's spawn
+        The local backend uses this to give every request in a batch its
+        own stream (spawned per request *index*), which is what makes
+        every worker count bit-for-bit identical: a request's draws
+        depend only on its position in the batch, never on which worker
+        evaluates it.  Spawning advances the generator's spawn
         counter, not its draw stream, so it is deterministic per seed.
         """
         return spawn(self._rng, count)

@@ -8,22 +8,16 @@ pipeline factored into first-class, cacheable stages —
 ``cache``   reuse plans across runs via
             :class:`~repro.runtime.cache.CompilationCache`;
 ``execute`` evaluate a plan's batch on a
-            :class:`~repro.runtime.backend.Backend`;
+            :class:`~repro.runtime.backend.Backend` — by default the one
+            local engine, :class:`~repro.runtime.backend.LocalBackend`;
 ``session`` bind device + backend + cache in a
             :class:`~repro.runtime.session.Session`.
 
 See ``docs/ARCHITECTURE.md`` for the full design.
 """
 
-from repro.runtime.backend import (
-    Backend,
-    ExecutionRequest,
-    LocalExactBackend,
-    LocalSamplingBackend,
-    local_backend,
-)
+from repro.runtime.backend import Backend, ExecutionRequest, LocalBackend
 from repro.runtime.cache import CompilationCache
-from repro.runtime.parallel import ShardedBackend, sharded_local_backend
 from repro.runtime.fingerprint import (
     circuit_fingerprint,
     config_fingerprint,
@@ -57,11 +51,7 @@ def __getattr__(name: str):
 __all__ = [
     "Backend",
     "ExecutionRequest",
-    "LocalExactBackend",
-    "LocalSamplingBackend",
-    "local_backend",
-    "ShardedBackend",
-    "sharded_local_backend",
+    "LocalBackend",
     "CompilationCache",
     "ExecutionPlan",
     "PlanLayer",

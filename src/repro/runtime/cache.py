@@ -1,6 +1,6 @@
 """The compilation cache: compile once, execute many.
 
-Transpilation (placement search + SABRE routing + EPS scoring, times one
+Compilation (placement search + SABRE routing + EPS scoring, times one
 global circuit plus every CPM) dominates the cost of a JigSaw run on a
 simulator and is pure overhead when a sweep or a scheme comparison
 re-plans an identical program.  :class:`CompilationCache` stores two
@@ -48,8 +48,9 @@ class CompilationCache:
     Args:
         max_entries: maximum plans kept; ``None`` means unbounded and
             ``0`` disables storage entirely (every lookup misses, for
-            plans *and* stage artifacts), which is how benchmarks emulate
-            the uncached legacy path.
+            plans *and* stage artifacts), which is how tests and
+            benchmarks compare cached compilation against compiling
+            from scratch.
         max_stage_entries: maximum per-stage artifacts kept (routed
             bodies dominate; they are small relative to plans).
         metrics: the telemetry registry the hit/miss counters live in

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.circuits.circuit import QuantumCircuit
     from repro.compiler.layout import Layout
-    from repro.compiler.transpile import ExecutableCircuit
+    from repro.compiler.pipeline import ExecutableCircuit
     from repro.devices.device import Device
 
 __all__ = [

@@ -28,7 +28,7 @@ from repro.exceptions import ReconstructionError
 from repro.runtime.backend import ExecutionRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.compiler.transpile import ExecutableCircuit
+    from repro.compiler.pipeline import ExecutableCircuit
 
 __all__ = ["PlanLayer", "ExecutionPlan"]
 

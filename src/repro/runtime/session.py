@@ -3,8 +3,8 @@
 A :class:`Session` is the front door of the runtime API.  It owns
 
 * the **device** and its noise model,
-* a **backend** (local exact simulation by default) that evaluates
-  batches of compiled circuits,
+* a **backend** (a :class:`~repro.runtime.backend.LocalBackend`, exact
+  by default) that evaluates batches of compiled circuits,
 * a **compilation cache** so that sweeps and scheme comparisons stop
   recompiling identical programs, and
 * the **seed discipline** of the paper's methodology: one root seed
@@ -33,13 +33,12 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.edm import ensemble_of_diverse_mappings
-from repro.compiler.pipeline import CompilerPipeline
+from repro.compiler.pipeline import CompilerPipeline, ExecutableCircuit
 from repro.compiler.template import (
     DEFAULT_EPS_RESCORE_THRESHOLD,
     ParameterValues,
     PlanTemplate,
 )
-from repro.compiler.transpile import ExecutableCircuit, transpile
 from repro.core.jigsaw import JigSaw, JigSawConfig, JigSawResult
 from repro.core.multilayer import JigSawM, JigSawMConfig, JigSawMResult
 from repro.core.pmf import PMF
@@ -56,9 +55,8 @@ from repro.mitigation.mbm import MAX_MBM_QUBITS
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
 from repro.telemetry.metrics import MetricsRegistry
-from repro.runtime.backend import Backend, ExecutionRequest
+from repro.runtime.backend import Backend, ExecutionRequest, LocalBackend
 from repro.runtime.cache import CompilationCache
-from repro.runtime.parallel import sharded_local_backend
 from repro.runtime.fingerprint import circuit_fingerprint, structure_fingerprint
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.sweep import (
@@ -146,20 +144,21 @@ class Session:
         total_trials: default trial budget for scheme runs and plans.
         exact: evaluate closed-form noisy distributions (deterministic,
             the infinite-trials limit) instead of sampling.
-        compile_attempts / cpm_attempts: transpiler candidate counts.
+        compile_attempts / cpm_attempts: compiler candidate counts.
         ensemble_size: mappings in the EDM comparison scheme.
         compile_workers: optional thread fan-out for CPM compilation.
-        workers: optional worker fan-out for *execution* batches: wraps
-            the local backend in a
-            :class:`~repro.runtime.parallel.ShardedBackend` and threads
-            the knob into every JigSaw runner.  Bit-for-bit identical to
-            serial execution at any worker count (per-request seed
-            streams); ignored when a custom ``backend`` is supplied.
+        workers: optional worker fan-out for *execution* batches: the
+            ``workers`` of the default
+            :class:`~repro.runtime.backend.LocalBackend`, threaded into
+            every JigSaw runner.  Bit-for-bit identical at any worker
+            count (per-request seed streams); ignored when a custom
+            ``backend`` is supplied.  A negative count raises
+            :class:`~repro.exceptions.SimulationError`.
         backend: custom execution engine; default is local simulation
             matching ``exact``.  JigSaw runs inherit it.
         cache: the plan cache; defaults to a fresh
             :class:`CompilationCache`.  Pass ``CompilationCache.disabled()``
-            to reproduce the uncached legacy behaviour.
+            to compile every plan from scratch.
     """
 
     def __init__(
@@ -238,8 +237,11 @@ class Session:
 
     def _default_backend(self) -> Backend:
         """Local simulation, sharded when a worker fan-out is configured."""
-        return sharded_local_backend(
-            self.sampler, self.exact, self.workers, metrics=self.metrics
+        return LocalBackend(
+            self.sampler,
+            exact=self.exact,
+            workers=self.workers,
+            metrics=self.metrics,
         )
 
     def global_executable(
@@ -253,12 +255,10 @@ class Session:
         circuit = workload.circuit if isinstance(workload, Workload) else workload
         key = circuit_fingerprint(circuit)
         if key not in self._global_executables:
-            executable = transpile(
+            executable = self.compile_pipeline.compile(
                 circuit,
-                self.device,
                 seed=self._baseline_seed,
                 attempts=self.compile_attempts,
-                pipeline=self.compile_pipeline,
             )
             self._global_executables[key] = executable
         return self._global_executables[key]
@@ -279,11 +279,10 @@ class Session:
         if key not in self._edm_ensembles:
             self._edm_ensembles[key] = ensemble_of_diverse_mappings(
                 circuit,
-                self.device,
+                self.compile_pipeline,
                 ensemble_size=self.ensemble_size,
                 attempts=self.compile_attempts,
                 seed=self._edm_seed,
-                pipeline=self.compile_pipeline,
             )
         return self._edm_ensembles[key]
 
@@ -552,11 +551,10 @@ class Session:
         if scheme == "edm":
             executables = ensemble_of_diverse_mappings(
                 workload.circuit,
-                self.device,
+                self.compile_pipeline,
                 ensemble_size=self.ensemble_size,
                 attempts=self.compile_attempts,
                 seed=self._edm_seed,
-                pipeline=self.compile_pipeline,
             )
             per_mapping = self.total_trials // len(executables)
             allocations = [per_mapping] * len(executables)
@@ -687,8 +685,8 @@ class Session:
     def __enter__(self) -> "Session":
         """Sessions are context managers: ``with Session(...) as s: ...``.
 
-        ``__exit__`` delegates to :meth:`close`, so `ShardedBackend`
-        worker pools can never leak on error paths; the session itself
+        ``__exit__`` delegates to :meth:`close`, so backend worker pools
+        can never leak on error paths; the session itself
         stays usable afterwards (pools re-materialise lazily).
         """
         return self

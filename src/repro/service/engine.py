@@ -16,8 +16,9 @@ result store.  This module is that split:
     One drain lane's executor: groups a drained batch by device lane,
     plans every job through a per-job equally-parameterised
     ``Session``, splices everything into one merged
-    :class:`~repro.runtime.parallel.ShardedBackend` batch, reconstructs,
-    and stores.  Results are reported through a :class:`BatchSink` —
+    :meth:`~repro.runtime.backend.LocalBackend.execute_spliced` batch —
+    the same execution body a solo session runs — reconstructs, and
+    stores.  Results are reported through a :class:`BatchSink` —
     the front end decides what "finished" and "failed" mean (the
     supervisor turns retryable failures into re-queues instead of
     terminal failures).
@@ -41,11 +42,9 @@ from repro.devices.device import Device
 from repro.devices.library import DEVICE_FACTORIES
 from repro.exceptions import ServiceError
 from repro.noise.model import NoiseModel
-from repro.noise.sampler import NoisySampler
-from repro.runtime.backend import local_backend
+from repro.runtime.backend import LocalBackend
 from repro.runtime.cache import CompilationCache
 from repro.runtime.fingerprint import device_fingerprint
-from repro.runtime.parallel import ShardedBackend
 from repro.runtime.session import Session
 from repro.service.job import (
     Job,
@@ -168,7 +167,7 @@ class ExecutionEngine:
         compile_attempts / cpm_attempts / ensemble_size: compiler knobs
             applied to every job's session.
         workers / executor: fan-out of this engine's **private**
-            :class:`ShardedBackend` pool (one backend per device+mode
+            :class:`LocalBackend` pools (one backend per device+mode
             lane).  Engines never share backends, so concurrent drain
             workers never contend on a pool.
 
@@ -199,7 +198,7 @@ class ExecutionEngine:
         self.config_salt = compiler_salt(
             compile_attempts, cpm_attempts, ensemble_size
         )
-        self._executors: Dict[Tuple[str, bool], ShardedBackend] = {}
+        self._executors: Dict[Tuple[str, bool], LocalBackend] = {}
         self._lock = threading.RLock()
         self.metrics = MetricsRegistry()
         self.metrics.attach(registry.metrics)
@@ -213,26 +212,26 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
 
-    def _executor_for(self, device: Device, exact: bool) -> ShardedBackend:
+    def _executor_for(self, device: Device, exact: bool) -> LocalBackend:
         """The spliced-batch executor of one (device, mode) lane.
 
-        Its inner backend only supplies the mode and a representative
-        sampler — spliced parts bring their own seed streams — so one
-        executor (and its worker pool, and its work counters) serves
-        every batch of the lane.
+        It only supplies the mode, the worker pool and the work counters
+        — spliced parts bring their own samplers and seed streams — so
+        one executor serves every batch of the lane.
         """
         key = (device_fingerprint(device), exact)
         with self._lock:
             executor = self._executors.get(key)
             if executor is None:
-                sampler = NoisySampler(NoiseModel.from_device(device), seed=0)
                 # Each pool keeps its own single-writer registry;
                 # attaching folds it into the engine's snapshot, where
                 # merge sums same-named counters across lanes.
-                executor = ShardedBackend(
-                    local_backend(sampler, exact),
+                executor = LocalBackend(
+                    exact=exact,
                     workers=self.workers,
                     executor=self.executor,
+                    noise_model=NoiseModel.from_device(device),
+                    seed=0,
                 )
                 self._executors[key] = executor
                 self.metrics.attach(executor.metrics)

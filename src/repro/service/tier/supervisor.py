@@ -41,6 +41,7 @@ import time
 from typing import Any, AsyncIterator, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import ServiceError
+from repro.runtime.backend import EXECUTORS
 from repro.service.engine import DeviceRegistry, ExecutionEngine, compiler_salt
 from repro.service.job import Job, JobSpec, JobStatus, job_fingerprint, spec_circuit
 from repro.service.queue import FairShareQueue
@@ -84,7 +85,8 @@ class ServiceSupervisor:
         compile_attempts / cpm_attempts / ensemble_size: compiler knobs,
             applied identically by every worker's engine.
         backend_workers / executor: each engine's private backend
-            fan-out.
+            fan-out (``backend_workers >= 0``; ``executor`` one of
+            ``"thread"``/``"process"``).
         fault_injector: test hook, see :mod:`repro.service.tier.worker`.
         clock: injectable monotonic clock (rate limiter + backoff
             schedule; tests step it deterministically).
@@ -128,6 +130,12 @@ class ServiceSupervisor:
             )
         if max_retries < 0:
             raise ServiceError("max_retries must be >= 0")
+        if backend_workers is not None and backend_workers < 0:
+            raise ServiceError("backend_workers must be >= 0")
+        if executor not in EXECUTORS:
+            raise ServiceError(
+                f"unknown executor {executor!r}; options: {EXECUTORS}"
+            )
         self.registry = registry or DeviceRegistry(devices)
         self.store = store if store is not None else SegmentedResultStore()
         self.workers_count = workers

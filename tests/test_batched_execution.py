@@ -14,18 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
-from repro.compiler.transpile import transpile
+from repro.compiler import CompilerPipeline
 from repro.exceptions import SimulationError
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
-from repro.runtime import (
-    SCHEME_NAMES,
-    ExecutionRequest,
-    LocalExactBackend,
-    LocalSamplingBackend,
-    Session,
-    ShardedBackend,
-)
+from repro.runtime import SCHEME_NAMES, ExecutionRequest, LocalBackend, Session
 from repro.sim import kernels
 from repro.sim.statevector import StatevectorSimulator
 from repro.workloads import ghz
@@ -55,11 +48,12 @@ def ghz6(device):
 @pytest.fixture(scope="module")
 def executables(device, ghz6):
     """A mixed-width pool: one 6-bit body plus three 2-bit subsets."""
+    pipeline = CompilerPipeline(device)
     return [
-        transpile(ghz6, device, seed=0),
-        transpile(ghz6.with_measured_subset([0, 1]), device, seed=1),
-        transpile(ghz6.with_measured_subset([2, 3]), device, seed=2),
-        transpile(ghz6.with_measured_subset([4, 5]), device, seed=3),
+        pipeline.compile(ghz6, seed=0),
+        pipeline.compile(ghz6.with_measured_subset([0, 1]), seed=1),
+        pipeline.compile(ghz6.with_measured_subset([2, 3]), seed=2),
+        pipeline.compile(ghz6.with_measured_subset([4, 5]), seed=3),
     ]
 
 
@@ -366,19 +360,14 @@ class TestBackendOracleEquality:
             monkeypatch,
             lambda: [
                 p.as_dict()
-                for p in LocalExactBackend(noise_model=noise_model).execute(
+                for p in LocalBackend(noise_model=noise_model).execute(
                     requests
                 )
             ],
         )
 
-        serial = LocalExactBackend(noise_model=noise_model)
-        assert [p.as_dict() for p in serial.execute(requests)] == reference
-
-        for workers in (1, 2, 4):
-            backend = ShardedBackend(
-                LocalExactBackend(noise_model=noise_model), workers=workers
-            )
+        for workers in (None, 1, 2, 4):
+            backend = LocalBackend(workers=workers, noise_model=noise_model)
             assert [
                 p.as_dict() for p in backend.execute(requests)
             ] == reference, workers
@@ -387,7 +376,7 @@ class TestBackendOracleEquality:
             # groups; at workers=4 the four coalesced groups land one per
             # shard, so there is nothing left to stack — equality above is
             # the invariant, stacking the optimisation.
-            if workers < 4:
+            if workers != 4:
                 assert counters["backend.stacked_evals"] >= 1, workers
                 assert (
                     counters["backend.stacked_circuits"]
@@ -405,21 +394,14 @@ class TestBackendOracleEquality:
             monkeypatch,
             lambda: [
                 p.as_dict()
-                for p in LocalSamplingBackend(
-                    noise_model=noise_model, seed=11
+                for p in LocalBackend(
+                    exact=False, noise_model=noise_model, seed=11
                 ).execute(requests)
             ],
         )
-        assert [
-            p.as_dict()
-            for p in LocalSamplingBackend(
-                noise_model=noise_model, seed=11
-            ).execute(requests)
-        ] == reference
-        for workers in (1, 2, 4):
-            backend = ShardedBackend(
-                LocalSamplingBackend(noise_model=noise_model, seed=11),
-                workers=workers,
+        for workers in (None, 1, 2, 4):
+            backend = LocalBackend(
+                exact=False, workers=workers, noise_model=noise_model, seed=11
             )
             assert [
                 p.as_dict() for p in backend.execute(requests)

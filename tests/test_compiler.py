@@ -1,17 +1,17 @@
-"""Tests for layout, placement, SABRE routing, EPS, and transpile."""
+"""Tests for layout, placement, SABRE routing, EPS, and compilation."""
 
 import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.compiler import (
+    CompilerPipeline,
     Layout,
     candidate_layouts,
     expected_probability_of_success,
     gate_eps,
     readout_eps,
     route,
-    transpile,
 )
 from repro.exceptions import CompilationError
 from repro.sim import StatevectorSimulator
@@ -21,6 +21,11 @@ from tests.conftest import make_line_device
 @pytest.fixture
 def device():
     return make_line_device(num_qubits=6)
+
+
+@pytest.fixture
+def pipeline(device):
+    return CompilerPipeline(device)
 
 
 class TestLayout:
@@ -175,42 +180,42 @@ class TestRouting:
 
 
 class TestTranspile:
-    def test_executable_fields(self, device, ghz4):
-        executable = transpile(ghz4, device, seed=0)
+    def test_executable_fields(self, pipeline, device, ghz4):
+        executable = pipeline.compile(ghz4, seed=0)
         assert executable.logical is ghz4
         assert executable.physical.num_qubits == device.num_qubits
         assert 0.0 < executable.eps <= 1.0
         assert len(executable.measured_physical_qubits) == 4
 
-    def test_explicit_layouts_path(self, device, ghz4):
-        executable = transpile(
-            ghz4, device, initial_layouts=[Layout.trivial(4)], seed=0
+    def test_explicit_layouts_path(self, pipeline, ghz4):
+        executable = pipeline.compile(
+            ghz4, initial_layouts=[Layout.trivial(4)], seed=0
         )
         assert executable.initial_layout == Layout.trivial(4)
 
-    def test_empty_layout_list_rejected(self, device, ghz4):
+    def test_empty_layout_list_rejected(self, pipeline, ghz4):
         with pytest.raises(CompilationError):
-            transpile(ghz4, device, initial_layouts=[])
+            pipeline.compile(ghz4, initial_layouts=[])
 
-    def test_invalid_attempts(self, device, ghz4):
+    def test_invalid_attempts(self, pipeline, ghz4):
         with pytest.raises(CompilationError):
-            transpile(ghz4, device, attempts=0)
+            pipeline.compile(ghz4, attempts=0)
 
-    def test_deterministic_for_seed(self, device, ghz4):
-        a = transpile(ghz4, device, seed=11)
-        b = transpile(ghz4, device, seed=11)
+    def test_deterministic_for_seed(self, pipeline, ghz4):
+        a = pipeline.compile(ghz4, seed=11)
+        b = pipeline.compile(ghz4, seed=11)
         assert a.final_layout == b.final_layout
         assert a.eps == pytest.approx(b.eps)
 
-    def test_ideal_probabilities_cached_and_shared(self, device, ghz4):
-        executable = transpile(ghz4, device, seed=0)
+    def test_ideal_probabilities_cached_and_shared(self, pipeline, ghz4):
+        executable = pipeline.compile(ghz4, seed=0)
         probs = executable.ideal_probabilities()
         assert probs.shape == (16,)
         shared = np.ones(16) / 16
         executable.share_ideal_probabilities(shared)
         assert executable.ideal_probabilities() is shared
 
-    def test_share_wrong_size_rejected(self, device, ghz4):
-        executable = transpile(ghz4, device, seed=0)
+    def test_share_wrong_size_rejected(self, pipeline, ghz4):
+        executable = pipeline.compile(ghz4, seed=0)
         with pytest.raises(CompilationError):
             executable.share_ideal_probabilities(np.ones(8) / 8)

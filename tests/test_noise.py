@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.compiler import Layout, transpile
+from repro.compiler import CompilerPipeline, Layout
 from repro.exceptions import NoiseModelError, SimulationError
 from repro.noise import NoiseModel, NoisySampler, clbit_probability_vector
 from repro.sim import DensityMatrixSimulator, StatevectorSimulator, apply_confusions
@@ -27,7 +27,9 @@ def noise(device):
 
 def compile_identity(circuit, device):
     layout = Layout.trivial(circuit.num_qubits)
-    return transpile(circuit, device, attempts=1, initial_layouts=[layout], seed=0)
+    return CompilerPipeline(device).compile(
+        circuit, attempts=1, initial_layouts=[layout], seed=0
+    )
 
 
 class TestNoiseModel:

@@ -1,10 +1,10 @@
 """Tests for sharded execution: determinism, coalescing, budget accounting.
 
-The contract under test (the tentpole invariant): a
-:class:`~repro.runtime.parallel.ShardedBackend` produces **bit-for-bit**
-the PMFs of the serial local backend under a fixed seed, at any worker
-count, because seed streams are spawned per request index — never per
-worker.
+The contract under test: :class:`~repro.runtime.backend.LocalBackend`
+runs every batch through one body, and produces **bit-for-bit** the same
+PMFs under a fixed seed in-process (``workers`` None/1) and at any
+sharded worker count, because seed streams are spawned per request
+index — never per worker.
 """
 
 import pytest
@@ -18,16 +18,10 @@ from repro.core import (
     plan_trial_budget,
     split_trial_budget,
 )
-from repro.compiler.transpile import transpile
+from repro.compiler import CompilerPipeline
 from repro.exceptions import SimulationError
 from repro.noise.model import NoiseModel
-from repro.runtime import (
-    ExecutionRequest,
-    LocalExactBackend,
-    LocalSamplingBackend,
-    Session,
-    ShardedBackend,
-)
+from repro.runtime import ExecutionRequest, LocalBackend, Session
 from repro.workloads import ghz, workload_by_name
 from tests.conftest import counts, make_varied_line_device
 
@@ -48,11 +42,12 @@ def ghz6():
 
 
 def make_requests(device, ghz6, trials=400):
+    pipeline = CompilerPipeline(device)
     executables = [
-        transpile(ghz6, device, seed=0),
-        transpile(ghz6.with_measured_subset([0, 1]), device, seed=1),
-        transpile(ghz6.with_measured_subset([2, 3]), device, seed=2),
-        transpile(ghz6.with_measured_subset([4, 5]), device, seed=3),
+        pipeline.compile(ghz6, seed=0),
+        pipeline.compile(ghz6.with_measured_subset([0, 1]), seed=1),
+        pipeline.compile(ghz6.with_measured_subset([2, 3]), seed=2),
+        pipeline.compile(ghz6.with_measured_subset([4, 5]), seed=3),
     ]
     return [ExecutionRequest(e, trials) for e in executables]
 
@@ -62,19 +57,18 @@ def exact_dicts(pmfs):
 
 
 class TestShardedDeterminism:
-    """serial == workers=1 == workers=4, bit-for-bit (no approx)."""
+    """in-process == workers=1 == workers=4, bit-for-bit (no approx)."""
 
     def test_sampled_serial_vs_sharded_worker_counts(
         self, device, noise_model, ghz6
     ):
         requests = make_requests(device, ghz6)
-        serial = LocalSamplingBackend(
-            noise_model=noise_model, seed=11
+        serial = LocalBackend(
+            exact=False, noise_model=noise_model, seed=11
         ).execute(requests)
         for workers in (1, 4):
-            sharded = ShardedBackend(
-                LocalSamplingBackend(noise_model=noise_model, seed=11),
-                workers=workers,
+            sharded = LocalBackend(
+                exact=False, workers=workers, noise_model=noise_model, seed=11
             ).execute(requests)
             assert exact_dicts(sharded) == exact_dicts(serial), workers
 
@@ -84,41 +78,58 @@ class TestShardedDeterminism:
         requests = make_requests(device, ghz6)
         # Duplicate the batch so coalescing has something to merge.
         requests = requests + make_requests(device, ghz6)
-        serial = LocalExactBackend(noise_model=noise_model).execute(requests)
+        serial = LocalBackend(noise_model=noise_model).execute(requests)
         for workers in (1, 4):
-            backend = ShardedBackend(
-                LocalExactBackend(noise_model=noise_model), workers=workers
-            )
-            assert backend.coalesce  # auto-on for deterministic inners
+            backend = LocalBackend(workers=workers, noise_model=noise_model)
             sharded = backend.execute(requests)
             assert exact_dicts(sharded) == exact_dicts(serial), workers
             counters = counts(backend)
             assert counters["backend.groups"] < counters["backend.requests"]
 
-    def test_sampled_coalescing_deterministic_across_workers(
-        self, device, noise_model, ghz6
-    ):
-        # Opt-in sampled coalescing is a *different* (merged) stream than
-        # serial, but still a pure function of seed and batch order.
-        requests = make_requests(device, ghz6) + make_requests(device, ghz6)
+    def test_worker_counts_record_equal_counters(self, device):
+        # One execution body at every worker count: a session's backend
+        # coalesces, counts requests/groups/batches and evaluates the
+        # same work whether it runs in-process or sharded.  Only the
+        # shard and stacking counters follow the shard count.
+        parity = (
+            "backend.requests",
+            "backend.groups",
+            "backend.channel_evals",
+            "backend.statevector_evals",
+            "backend.batches",
+        )
         runs = []
-        for workers in (1, 4):
-            backend = ShardedBackend(
-                LocalSamplingBackend(noise_model=noise_model, seed=5),
-                workers=workers,
-                coalesce=True,
+        for workers in (None, 1, 2):
+            with Session(device, seed=4, workers=workers) as session:
+                # Every request of the plan twice; fresh plans per
+                # session, so no statevector is pre-shared.
+                requests = session.plan(ghz(6)).requests() * 2
+                pmfs = session.backend.execute(requests)
+                counters = session.telemetry_snapshot()["counters"]
+            runs.append(
+                (
+                    exact_dicts(pmfs),
+                    {name: counters.get(name, 0) for name in parity},
+                )
             )
-            runs.append(exact_dicts(backend.execute(requests)))
-        assert runs[0] == runs[1]
+        reference_pmfs, reference_counters = runs[0]
+        # The in-process session coalesces the duplicated plan as well.
+        assert reference_counters["backend.requests"] == len(requests)
+        assert reference_counters["backend.groups"] * 2 == len(requests)
+        for pmfs, counters in runs[1:]:
+            assert pmfs == reference_pmfs
+            assert counters == reference_counters
 
     def test_process_executor_matches_thread(self, device, noise_model, ghz6):
         requests = make_requests(device, ghz6, trials=100)
         by_executor = []
         for executor in ("thread", "process"):
-            backend = ShardedBackend(
-                LocalSamplingBackend(noise_model=noise_model, seed=13),
+            backend = LocalBackend(
+                exact=False,
                 workers=2,
                 executor=executor,
+                noise_model=noise_model,
+                seed=13,
             )
             by_executor.append(exact_dicts(backend.execute(requests)))
         assert by_executor[0] == by_executor[1]
@@ -128,7 +139,7 @@ class TestShardedDeterminism:
         self, toronto, exact
     ):
         # Jigsaw batches of two programs on a paper device, pickled to a
-        # two-process pool: every PMF equals the serial backend's.
+        # two-process pool: every PMF equals the in-process backend's.
         noise_model = NoiseModel.from_device(toronto)
 
         def requests():
@@ -141,17 +152,15 @@ class TestShardedDeterminism:
                 batch.extend(plan.requests())
             return batch
 
-        def inner():
-            if exact:
-                return LocalExactBackend(noise_model=noise_model)
-            return LocalSamplingBackend(noise_model=noise_model, seed=17)
+        def backend(**sharding):
+            return LocalBackend(
+                exact=exact, noise_model=noise_model, seed=17, **sharding
+            )
 
-        serial = exact_dicts(inner().execute(requests()))
-        with ShardedBackend(
-            inner(), workers=2, executor="process"
-        ) as backend:
-            sharded = exact_dicts(backend.execute(requests()))
-            assert counts(backend)["backend.shards"] == 2
+        serial = exact_dicts(backend().execute(requests()))
+        with backend(workers=2, executor="process") as pooled:
+            sharded = exact_dicts(pooled.execute(requests()))
+            assert counts(pooled)["backend.shards"] == 2
         assert sharded == serial
 
     def test_sampled_jigsaw_run_with_execute_workers(self, device, ghz6):
@@ -194,26 +203,27 @@ class TestShardedDeterminism:
 
 
 class TestShardedValidation:
-    def test_rejects_non_local_inner(self):
+    def test_rejects_non_local_inner(self, noise_model):
+        # A splice takes local-backend parts only: their samplers and
+        # seed streams are what keep every part bit-for-bit solo.
+        backend = LocalBackend(noise_model=noise_model)
         with pytest.raises(SimulationError):
-            ShardedBackend(object())
+            backend.execute_spliced([(object(), [])])
 
     def test_rejects_unknown_executor(self, noise_model):
         with pytest.raises(SimulationError):
-            ShardedBackend(
-                LocalExactBackend(noise_model=noise_model), executor="rayon"
-            )
+            LocalBackend(noise_model=noise_model, executor="rayon")
 
     def test_zero_trials_sampled_rejected(self, device, noise_model, ghz6):
-        executable = transpile(ghz6, device, seed=0)
-        backend = ShardedBackend(
-            LocalSamplingBackend(noise_model=noise_model, seed=1), workers=2
+        executable = CompilerPipeline(device).compile(ghz6, seed=0)
+        backend = LocalBackend(
+            exact=False, workers=2, noise_model=noise_model, seed=1
         )
         with pytest.raises(SimulationError):
             backend.execute([ExecutionRequest(executable, 0)])
 
     def test_empty_batch(self, noise_model):
-        backend = ShardedBackend(LocalExactBackend(noise_model=noise_model))
+        backend = LocalBackend(noise_model=noise_model)
         assert backend.execute([]) == []
 
     def test_runner_backend_stats_persist_across_runs(self, device, ghz6):
@@ -230,9 +240,7 @@ class TestShardedValidation:
 
     def test_stats_counters(self, device, noise_model, ghz6):
         requests = make_requests(device, ghz6) + make_requests(device, ghz6)
-        backend = ShardedBackend(
-            LocalExactBackend(noise_model=noise_model), workers=2
-        )
+        backend = LocalBackend(workers=2, noise_model=noise_model)
         backend.execute(requests)
         counters = counts(backend)
         assert counters["backend.requests"] == 8
@@ -296,17 +304,3 @@ class TestBudgetConservation:
         # Size-aware: each layer is checked against its own minimum.
         minima = [layer["min_trials_needed"] for layer in report["layers"]]
         assert minima == sorted(minima) and len(set(minima)) == len(minima)
-
-    def test_edm_weights_sum_to_budget(self, device):
-        recorded = []
-
-        class RecordingBackend(LocalExactBackend):
-            def execute(self, requests):
-                recorded.extend(requests)
-                return super().execute(requests)
-
-        total = 4_099  # not divisible by the 4-mapping ensemble
-        session = Session(device, seed=0, exact=True, total_trials=total)
-        session.backend = RecordingBackend(sampler=session.sampler)
-        session.run_edm(ghz(6))
-        assert sum(r.trials for r in recorded) == total

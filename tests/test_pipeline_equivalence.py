@@ -2,9 +2,9 @@
 
 The load-bearing invariants:
 
-* stage-cached compilation is **bit-for-bit identical** to the uncached
-  (legacy monolithic) path — routing is a pure function of its content
-  key, so reuse can never change a plan;
+* stage-cached compilation is **bit-for-bit identical** to compiling on
+  a ``CompilationCache.disabled()`` pipeline — routing is a pure function
+  of its content key, so reuse can never change a plan;
 * within a plan, a ``(body, initial layout)`` pair is routed at most
   once, no matter how many CPMs retarget onto it;
 * ``MeasureRetarget`` never alters the routed body it retargets.
@@ -15,16 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit
-from repro.compiler import (
-    CompilerPipeline,
-    Layout,
-    compile_cpm,
-    pool_layouts,
-    transpile,
-)
+from repro.compiler import CompilerPipeline, Layout, pool_layouts
 from repro.compiler.pipeline import STAGE_ROUTE
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
-from repro.exceptions import CompilationError
 from repro.runtime import CompilationCache, executable_fingerprint
 from repro.runtime.fingerprint import body_fingerprint, device_fingerprint
 from repro.workloads import bv, ghz, qaoa_maxcut
@@ -65,16 +58,12 @@ class TestStageCacheEquivalence:
 
     def test_transpile_bit_for_bit(self, device, workload_circuits):
         for circuit in workload_circuits:
-            cached = transpile(
-                circuit, device, seed=7,
-                pipeline=CompilerPipeline(device, cache=CompilationCache()),
+            cached = CompilerPipeline(device, cache=CompilationCache()).compile(
+                circuit, seed=7
             )
-            uncached = transpile(
-                circuit, device, seed=7,
-                pipeline=CompilerPipeline(
-                    device, cache=CompilationCache.disabled()
-                ),
-            )
+            uncached = CompilerPipeline(
+                device, cache=CompilationCache.disabled()
+            ).compile(circuit, seed=7)
             assert executable_fingerprint(cached) == executable_fingerprint(
                 uncached
             )
@@ -83,15 +72,14 @@ class TestStageCacheEquivalence:
 
     def test_compile_cpm_bit_for_bit(self, device, workload_circuits):
         for circuit in workload_circuits:
-            global_exec = transpile(circuit, device, seed=3)
+            global_exec = CompilerPipeline(device).compile(circuit, seed=3)
             cpm = circuit.with_measured_subset([1, 2])
             results = []
             for cache in (CompilationCache(), CompilationCache.disabled()):
                 pipeline = CompilerPipeline(device, cache=cache)
                 results.append(
-                    compile_cpm(
-                        cpm, device, global_exec, recompile=True,
-                        attempts=3, pipeline=pipeline,
+                    pipeline.compile_cpm(
+                        cpm, global_exec, recompile=True, pool_size=3
                     )
                 )
             assert executable_fingerprint(results[0]) == executable_fingerprint(
@@ -112,7 +100,7 @@ class TestStageCacheEquivalence:
 
 
 class TestPlanEquivalence:
-    """JigSaw/JigSaw-M plans: pipeline path == legacy recompute path."""
+    """JigSaw/JigSaw-M plans: stage-cached == recompute-everything."""
 
     @pytest.mark.parametrize("scheme", ["jigsaw", "jigsaw_m"])
     def test_plans_bit_for_bit(self, device, workload_circuits, scheme):
@@ -292,53 +280,31 @@ class TestDeviceContentKeys:
         quiet = make_line_device(num_qubits=6, gate_2q=0.001, name="twin")
         assert device_fingerprint(noisy) != device_fingerprint(quiet)
         shared = CompilationCache()
-        exe_a = transpile(
-            ghz(4).circuit, noisy, seed=0,
-            pipeline=CompilerPipeline(noisy, cache=shared),
+        exe_a = CompilerPipeline(noisy, cache=shared).compile(
+            ghz(4).circuit, seed=0
         )
-        exe_b = transpile(
-            ghz(4).circuit, quiet, seed=0,
-            pipeline=CompilerPipeline(quiet, cache=shared),
+        exe_b = CompilerPipeline(quiet, cache=shared).compile(
+            ghz(4).circuit, seed=0
         )
         # Same routing problem modulo calibration: the cached gate-EPS of
         # one device must not leak into the other through the shared store.
         assert exe_a.eps != exe_b.eps
 
-    def test_pipeline_rejects_content_mismatched_device(self):
-        noisy = make_line_device(num_qubits=6, gate_2q=0.01, name="twin")
-        quiet = make_line_device(num_qubits=6, gate_2q=0.001, name="twin")
-        pipeline = CompilerPipeline(noisy)
-        with pytest.raises(CompilationError):
-            transpile(ghz(4).circuit, quiet, seed=0, pipeline=pipeline)
-
-    def test_equal_content_is_accepted(self):
-        a = make_line_device(num_qubits=6)
-        b = make_line_device(num_qubits=6)
-        pipeline = CompilerPipeline(a)
-        assert pipeline.matches_device(b)
-        exe = transpile(ghz(4).circuit, b, seed=0, pipeline=pipeline)
-        assert exe.eps > 0
-
 
 class TestCounters:
     def test_pipeline_stats_count_compiles(self, device):
         pipeline = CompilerPipeline(device)
-        transpile(ghz(6).circuit, device, seed=0, pipeline=pipeline)
+        pipeline.compile(ghz(6).circuit, seed=0)
         assert counts(pipeline)["compiler.compiles"] == 1
-        global_exec = transpile(
-            ghz(6).circuit, device, seed=0, pipeline=pipeline
-        )
-        compile_cpm(
-            ghz(6).circuit.with_measured_subset([0, 1]),
-            device,
-            global_exec,
-            pipeline=pipeline,
+        global_exec = pipeline.compile(ghz(6).circuit, seed=0)
+        pipeline.compile_cpm(
+            ghz(6).circuit.with_measured_subset([0, 1]), global_exec
         )
         assert counts(pipeline)["compiler.compiles"] == 3
 
     def test_pipeline_stats_have_per_stage_counters(self, device):
         pipeline = CompilerPipeline(device)
-        transpile(ghz(6).circuit, device, seed=0, pipeline=pipeline)
+        pipeline.compile(ghz(6).circuit, seed=0)
         counters = counts(pipeline)
         for counter in ("compiles", "place_runs", "route_calls",
                         "retargets", "eps_evals", "selects"):

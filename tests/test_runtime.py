@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.compiler.transpile import transpile
+from repro.compiler import CompilerPipeline
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
 from repro.exceptions import ReconstructionError, SimulationError
 from repro.noise.model import NoiseModel
@@ -12,8 +12,7 @@ from repro.noise.sampler import NoisySampler
 from repro.runtime import (
     CompilationCache,
     ExecutionRequest,
-    LocalExactBackend,
-    LocalSamplingBackend,
+    LocalBackend,
     circuit_fingerprint,
     config_fingerprint,
     executable_fingerprint,
@@ -36,6 +35,11 @@ def noise_model(device):
 @pytest.fixture(scope="module")
 def ghz6():
     return ghz(6).circuit
+
+
+@pytest.fixture(scope="module")
+def pipeline(device):
+    return CompilerPipeline(device)
 
 
 class TestFingerprints:
@@ -66,33 +70,33 @@ class TestFingerprints:
             JigSawMConfig()
         )
 
-    def test_executable_fingerprint_deterministic(self, device, ghz6):
-        a = transpile(ghz6, device, seed=3)
-        b = transpile(ghz6, device, seed=3)
+    def test_executable_fingerprint_deterministic(self, pipeline, ghz6):
+        a = pipeline.compile(ghz6, seed=3)
+        b = pipeline.compile(ghz6, seed=3)
         assert executable_fingerprint(a) == executable_fingerprint(b)
 
 
 class TestBackends:
-    def test_exact_matches_sampler_closed_form(self, device, noise_model, ghz6):
-        executable = transpile(ghz6, device, seed=0)
-        backend = LocalExactBackend(noise_model=noise_model)
+    def test_exact_matches_sampler_closed_form(self, pipeline, noise_model, ghz6):
+        executable = pipeline.compile(ghz6, seed=0)
+        backend = LocalBackend(noise_model=noise_model)
         (pmf,) = backend.execute([ExecutionRequest(executable, 1024)])
         expected = NoisySampler(noise_model).exact_distribution(executable)
         assert pmf.as_dict() == pytest.approx(expected)
 
     def test_sampling_bitforbit_with_per_request_streams(
-        self, device, noise_model, ghz6
+        self, pipeline, noise_model, ghz6
     ):
         # The batch seed discipline: one child stream per request index,
         # spawned off the sampler stream before any evaluation.  This is
-        # what makes sharded execution bit-for-bit equal to serial.
-        executable = transpile(ghz6, device, seed=0)
-        cpm = transpile(ghz6.with_measured_subset([0, 1]), device, seed=1)
+        # what makes every worker count bit-for-bit equal.
+        executable = pipeline.compile(ghz6, seed=0)
+        cpm = pipeline.compile(ghz6.with_measured_subset([0, 1]), seed=1)
         requests = [
             ExecutionRequest(executable, 500),
             ExecutionRequest(cpm, 300),
         ]
-        backend = LocalSamplingBackend(noise_model=noise_model, seed=7)
+        backend = LocalBackend(exact=False, noise_model=noise_model, seed=7)
         batch = backend.execute(requests)
 
         reference_sampler = NoisySampler(noise_model, seed=7)
@@ -106,54 +110,54 @@ class TestBackends:
             assert pmf.as_dict() == pytest.approx(expected)
 
     def test_sampling_request_streams_independent_of_batch_shape(
-        self, device, noise_model, ghz6
+        self, pipeline, noise_model, ghz6
     ):
         # Request i's draws depend on its batch position only: executing
         # [a, b] yields the same PMF for a as executing [a, c].
-        a = transpile(ghz6, device, seed=0)
-        b = transpile(ghz6.with_measured_subset([0, 1]), device, seed=1)
-        c = transpile(ghz6.with_measured_subset([2, 3]), device, seed=2)
-        first = LocalSamplingBackend(noise_model=noise_model, seed=9).execute(
-            [ExecutionRequest(a, 400), ExecutionRequest(b, 200)]
-        )
-        second = LocalSamplingBackend(noise_model=noise_model, seed=9).execute(
-            [ExecutionRequest(a, 400), ExecutionRequest(c, 200)]
-        )
+        a = pipeline.compile(ghz6, seed=0)
+        b = pipeline.compile(ghz6.with_measured_subset([0, 1]), seed=1)
+        c = pipeline.compile(ghz6.with_measured_subset([2, 3]), seed=2)
+        first = LocalBackend(
+            exact=False, noise_model=noise_model, seed=9
+        ).execute([ExecutionRequest(a, 400), ExecutionRequest(b, 200)])
+        second = LocalBackend(
+            exact=False, noise_model=noise_model, seed=9
+        ).execute([ExecutionRequest(a, 400), ExecutionRequest(c, 200)])
         assert first[0].as_dict() == second[0].as_dict()
 
-    def test_one_statevector_per_unitary_body(self, device, noise_model, ghz6):
+    def test_one_statevector_per_unitary_body(self, pipeline, noise_model, ghz6):
         executables = [
-            transpile(ghz6, device, seed=0),
-            transpile(ghz6.with_measured_subset([0, 1]), device, seed=1),
-            transpile(ghz6.with_measured_subset([2, 3]), device, seed=2),
+            pipeline.compile(ghz6, seed=0),
+            pipeline.compile(ghz6.with_measured_subset([0, 1]), seed=1),
+            pipeline.compile(ghz6.with_measured_subset([2, 3]), seed=2),
         ]
         requests = [ExecutionRequest(e, 64) for e in executables]
         # One body across global + both CPMs: one contraction, unstacked.
-        assert LocalExactBackend.share_statevectors(requests) == (1, 0, 0)
+        assert LocalBackend.share_statevectors(requests) == (1, 0, 0)
         first = executables[0]._ideal_probabilities
         for executable in executables[1:]:
             assert executable._ideal_probabilities is first
 
-    def test_share_skips_preshared(self, device, noise_model, ghz6):
-        executable = transpile(ghz6, device, seed=0)
+    def test_share_skips_preshared(self, pipeline, noise_model, ghz6):
+        executable = pipeline.compile(ghz6, seed=0)
         executable.ideal_probabilities()  # populate
-        assert LocalExactBackend.share_statevectors(
+        assert LocalBackend.share_statevectors(
             [ExecutionRequest(executable, 64)]
         ) == (0, 0, 0)
 
-    def test_rejects_negative_trials(self, device, ghz6):
-        executable = transpile(ghz6, device, seed=0)
+    def test_rejects_negative_trials(self, pipeline, ghz6):
+        executable = pipeline.compile(ghz6, seed=0)
         with pytest.raises(SimulationError):
             ExecutionRequest(executable, -1)
 
-    def test_zero_trials_ok_in_exact_mode(self, device, noise_model, ghz6):
+    def test_zero_trials_ok_in_exact_mode(self, pipeline, noise_model, ghz6):
         # A starved allocation (e.g. extreme global_fraction) must not
         # crash exact mode, which ignores trial counts.
-        executable = transpile(ghz6, device, seed=0)
-        backend = LocalExactBackend(noise_model=noise_model)
+        executable = pipeline.compile(ghz6, seed=0)
+        backend = LocalBackend(noise_model=noise_model)
         (pmf,) = backend.execute([ExecutionRequest(executable, 0)])
         assert pmf.num_bits == 6
-        sampling = LocalSamplingBackend(noise_model=noise_model, seed=1)
+        sampling = LocalBackend(exact=False, noise_model=noise_model, seed=1)
         with pytest.raises(SimulationError):
             sampling.execute([ExecutionRequest(executable, 0)])
 

@@ -377,6 +377,15 @@ class TestServiceBehaviour:
                     JobSpec(tenant="a", workload="GHZ-4", device="nope")
                 )
 
+    @pytest.mark.parametrize(
+        "knobs", [{"backend_workers": -1}, {"executor": "rayon"}]
+    )
+    def test_bad_backend_knobs_rejected_at_construction(self, knobs):
+        # Refused up front, not as a backend error that every job then
+        # retries max_retries times.
+        with pytest.raises(ServiceError):
+            ServiceSupervisor(workers=1, **knobs)
+
     def test_inline_qasm_job(self):
         qasm = (
             'OPENQASM 2.0;\ninclude "qelib1.inc";\n'

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, SimulationError
 from repro.runtime import (
     CompilationCache,
     ExecutionRequest,
-    LocalExactBackend,
+    LocalBackend,
     Session,
 )
 from repro.workloads import ghz, qaoa_maxcut
@@ -157,7 +157,7 @@ class TestBudgetConservation:
     def test_edm_spends_whole_budget(self, device):
         recorded = []
 
-        class RecordingBackend(LocalExactBackend):
+        class RecordingBackend(LocalBackend):
             def execute(self, requests):
                 recorded.extend(requests)
                 return super().execute(requests)
@@ -237,6 +237,12 @@ class TestSessionContextManager:
         # Pools re-materialise lazily; the session still works.
         again = session.run_scheme("baseline", ghz(6))
         assert first.as_dict() == again.as_dict()
+
+    def test_negative_workers_rejected_at_construction(self, device):
+        # The default backend validates its fan-out when the session
+        # builds it, instead of silently running in-process.
+        with pytest.raises(SimulationError, match="workers"):
+            Session(device, seed=0, workers=-1)
 
 
 class TestPayloadVersioning:

@@ -1,7 +1,7 @@
 """Inspect a JigSaw run: marginal quality, convergence, support growth.
 
-Uses the analysis toolkit to answer three practitioner questions about a
-run on the synthetic IBMQ-Toronto model:
+Answers three practitioner questions about a run on the synthetic
+IBMQ-Toronto model, using only the public PMF and reconstruction API:
 
 1. Are the CPM marginals really better than marginals derived from the
    global PMF?  (The paper's §4.2 premise.)
@@ -12,14 +12,16 @@ run on the synthetic IBMQ-Toronto model:
 Run:  python examples/reconstruction_diagnostics.py
 """
 
-from repro.analysis import (
-    marginal_quality_report,
-    reconstruction_trace,
-    support_statistics,
-)
 from repro.circuits import draw
-from repro.core import JigSaw, JigSawConfig
+from repro.core import (
+    PMF,
+    JigSaw,
+    JigSawConfig,
+    bayesian_reconstruction_round,
+    hellinger_distance,
+)
 from repro.devices import ibmq_toronto
+from repro.metrics import total_variation_distance
 from repro.workloads import ghz
 
 
@@ -35,28 +37,37 @@ def main() -> None:
 
     print("\n1. CPM marginal quality (TVD to the ideal marginal):")
     print(f"   {'subset':10s} {'CPM':>8s} {'from global':>12s}  verdict")
-    report = marginal_quality_report(result, workload.ideal_distribution())
-    for entry in report:
-        verdict = "CPM wins" if entry.cpm_wins else "global wins"
+    ideal = PMF(workload.ideal_distribution())
+    for marginal in result.marginals:
+        ideal_marginal = ideal.marginal(marginal.qubits)
+        cpm = total_variation_distance(marginal.pmf, ideal_marginal)
+        derived = total_variation_distance(
+            result.global_pmf.marginal(marginal.qubits), ideal_marginal
+        )
+        verdict = "CPM wins" if cpm <= derived else "global wins"
         print(
-            f"   {str(entry.qubits):10s} {entry.tvd_cpm_vs_ideal:8.4f} "
-            f"{entry.tvd_global_vs_ideal:12.4f}  {verdict}"
+            f"   {str(marginal.qubits):10s} {cpm:8.4f} {derived:12.4f}  "
+            f"{verdict}"
         )
 
     print("\n2. Reconstruction convergence (Hellinger distance per round):")
-    trace = reconstruction_trace(result.global_pmf, result.marginals)
-    for round_index, distance in enumerate(trace, start=1):
+    current = result.global_pmf
+    for round_index in range(1, 17):
+        updated = bayesian_reconstruction_round(current, result.marginals)
+        distance = hellinger_distance(current, updated)
         bar = "#" * max(1, int(distance * 200))
         print(f"   round {round_index}: {distance:.6f} {bar}")
+        current = updated
+        if distance < 1e-12:
+            break
 
     print("\n3. Global-PMF sparsity:")
-    stats = support_statistics(
-        result.global_pmf.as_dict(), trials=result.global_trials
-    )
-    print(f"   support {stats['support']:.0f} of "
-          f"{stats['max_outcomes']:.0f} possible outcomes "
-          f"({100 * stats['occupancy']:.1f} %)")
-    print(f"   epsilon = support / trials = {stats['epsilon']:.4f}")
+    support = result.global_pmf.support_size
+    outcomes = 1 << result.global_pmf.num_bits
+    print(f"   support {support} of {outcomes} possible outcomes "
+          f"({100 * support / outcomes:.1f} %)")
+    print(f"   epsilon = support / trials = "
+          f"{support / result.global_trials:.4f}")
 
 
 if __name__ == "__main__":

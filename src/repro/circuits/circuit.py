@@ -127,15 +127,6 @@ class Instruction:
     def is_two_qubit_gate(self) -> bool:
         return self.kind == "gate" and len(self.qubits) == 2
 
-    def remap(self, mapping: Dict[int, int]) -> "Instruction":
-        """Return a copy with qubit indices translated through ``mapping``."""
-        return Instruction(
-            kind=self.kind,
-            gate=self.gate,
-            qubits=tuple(mapping[q] for q in self.qubits),
-            clbits=self.clbits,
-        )
-
 
 class QuantumCircuit:
     """An ordered sequence of instructions over qubits and classical bits.
@@ -383,15 +374,6 @@ class QuantumCircuit:
             depth = max(depth, start + 1)
         return depth
 
-    def active_qubits(self) -> Tuple[int, ...]:
-        """Qubits touched by at least one gate or measurement, sorted."""
-        touched = set()
-        for ins in self._instructions:
-            if ins.kind == "barrier":
-                continue
-            touched.update(ins.qubits)
-        return tuple(sorted(touched))
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -528,17 +510,6 @@ class QuantumCircuit:
         out._instructions = [ins for ins in self._instructions if not ins.is_measure]
         for clbit, qubit in enumerate(subset):
             out.measure(qubit, clbit)
-        return out
-
-    def remap_qubits(self, mapping: Dict[int, int], num_qubits: int) -> "QuantumCircuit":
-        """Return a copy with every qubit index translated through ``mapping``.
-
-        Used by the compiler to express a circuit on physical qubits.
-        ``num_qubits`` is the size of the target register (the device).
-        """
-        out = QuantumCircuit(num_qubits, self.num_clbits, self.name)
-        for ins in self._instructions:
-            out.append(ins.remap(mapping))
         return out
 
     # ------------------------------------------------------------------

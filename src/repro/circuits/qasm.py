@@ -74,18 +74,28 @@ def _format_angle(value: float) -> str:
 
 
 def _parse_angle(text: str) -> float:
-    """Parse an angle expression such as ``pi/2``, ``-3*pi/4`` or ``0.5``."""
+    """Parse an angle expression such as ``pi/2``, ``-3*pi/4`` or ``0.5``.
+
+    A zero denominator or a non-finite value (``1e999``, ``inf``,
+    ``nan``) raises :class:`~repro.exceptions.CircuitError`.
+    """
     text = text.strip().replace(" ", "")
     match = re.fullmatch(r"(-?)(?:(\d+)\*)?pi(?:/(\d+))?", text)
     if match:
         sign = -1.0 if match.group(1) == "-" else 1.0
         num = float(match.group(2)) if match.group(2) else 1.0
         den = float(match.group(3)) if match.group(3) else 1.0
-        return sign * num * math.pi / den
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise CircuitError(f"cannot parse angle: {text!r}") from exc
+        if den == 0.0:
+            raise CircuitError(f"zero denominator in angle: {text!r}")
+        value = sign * num * math.pi / den
+    else:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise CircuitError(f"cannot parse angle: {text!r}") from exc
+    if not math.isfinite(value):
+        raise CircuitError(f"angle is not finite: {text!r}")
+    return value
 
 
 def _split_args(arglist: str) -> List[str]:

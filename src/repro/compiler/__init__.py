@@ -1,6 +1,5 @@
 """Compiler substrate: staged pipeline, placement, SABRE routing, EPS, EDM."""
 
-from repro.compiler.decompose import NATIVE_BASIS, decompose_to_native, zyz_angles
 from repro.compiler.edm import ensemble_of_diverse_mappings
 from repro.compiler.eps import (
     expected_probability_of_success,
@@ -24,9 +23,6 @@ from repro.compiler.sabre import RoutedCircuit, route
 
 __all__ = [
     "Layout",
-    "decompose_to_native",
-    "zyz_angles",
-    "NATIVE_BASIS",
     "route",
     "RoutedCircuit",
     "ExecutableCircuit",

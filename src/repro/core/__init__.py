@@ -12,11 +12,7 @@ from repro.core.multilayer import (
     JigSawMResult,
     ordered_reconstruction,
 )
-from repro.core.payload import (
-    PAYLOAD_VERSION,
-    check_payload_version,
-    stamp_payload,
-)
+from repro.core.payload import PAYLOAD_VERSION, check_payload_version
 from repro.core.pmf import PMF, Marginal
 from repro.core.reconstruction import (
     bayesian_reconstruction,
@@ -49,7 +45,6 @@ __all__ = [
     "Marginal",
     "PAYLOAD_VERSION",
     "check_payload_version",
-    "stamp_payload",
     "bayesian_update",
     "bayesian_reconstruction",
     "bayesian_reconstruction_round",

@@ -17,11 +17,11 @@ Version history:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, MutableMapping
+from typing import Any, Mapping
 
 from repro.exceptions import PayloadError
 
-__all__ = ["PAYLOAD_VERSION", "check_payload_version", "stamp_payload"]
+__all__ = ["PAYLOAD_VERSION", "check_payload_version"]
 
 #: The payload format this library writes (and the newest it reads).
 PAYLOAD_VERSION = 1
@@ -47,9 +47,3 @@ def check_payload_version(payload: Mapping[str, Any], what: str = "payload") -> 
             f"versions 1..{PAYLOAD_VERSION}"
         )
     return version
-
-
-def stamp_payload(payload: MutableMapping[str, Any]) -> Dict[str, Any]:
-    """Stamp ``payload`` with the current version (in place) and return it."""
-    payload["payload_version"] = PAYLOAD_VERSION
-    return dict(payload)

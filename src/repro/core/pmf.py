@@ -20,6 +20,7 @@ covers — the paper's "marginal" object ``m = [{outcome: prob}, [i0..ik]]``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -36,7 +37,7 @@ from typing import (
 import numpy as np
 
 from repro.core.payload import check_payload_version
-from repro.exceptions import PMFError
+from repro.exceptions import PayloadError, PMFError
 from repro.utils.bits import (
     MAX_CODE_BITS,
     codes_to_strings,
@@ -46,6 +47,19 @@ from repro.utils.bits import (
 )
 
 __all__ = ["PMF", "Marginal", "aligned_probs", "hellinger_pmfs"]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_real(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class PMF(Mapping[str, float]):
@@ -184,10 +198,6 @@ class PMF(Mapping[str, float]):
         """Probabilities aligned with :attr:`codes` (float64, read-only)."""
         return self._probs
 
-    def to_arrays(self) -> Tuple[np.ndarray, np.ndarray, int]:
-        """The native ``(codes, probs, num_bits)`` triple (read-only views)."""
-        return self._codes, self._probs, self._num_bits
-
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready serialization: ``{codes, probs, num_bits}`` lists."""
         return {
@@ -203,23 +213,46 @@ class PMF(Mapping[str, float]):
         Accepts an optional ``payload_version`` field (result payloads and
         the service's on-disk store stamp one; see
         :mod:`repro.core.payload`) and refuses unknown future versions.
+        Decoded data comes from outside the process (a journal, a file),
+        so a payload that is not a mapping, lacks a key, carries a
+        non-integer code or width, or a non-finite probability raises
+        :class:`~repro.exceptions.PayloadError`.
         """
+        if not isinstance(payload, Mapping):
+            raise PayloadError(
+                f"PMF payload must be a mapping, got {type(payload).__name__}"
+            )
         check_payload_version(payload, what="PMF payload")
+        keys = ("codes", "probs", "num_bits")
+        missing = [key for key in keys if key not in payload]
+        if missing:
+            raise PayloadError(f"PMF payload lacks {', '.join(missing)}")
+        codes, probs, num_bits = (
+            payload["codes"], payload["probs"], payload["num_bits"]
+        )
+        if not _is_int(num_bits) or not 1 <= num_bits <= MAX_CODE_BITS:
+            raise PayloadError(f"PMF payload has a bad num_bits: {num_bits!r}")
+        if not isinstance(codes, list) or not isinstance(probs, list):
+            raise PayloadError("PMF payload codes and probs must be lists")
+        if not all(_is_int(c) and 0 <= c < 1 << num_bits for c in codes):
+            raise PayloadError(
+                f"PMF payload has a code that is not a {num_bits}-bit integer"
+            )
+        if not all(_is_finite_real(p) for p in probs):
+            raise PayloadError(
+                "PMF payload has a probability that is not a finite number"
+            )
+        probs = np.asarray(probs, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(probs.sum()):
+                raise PayloadError("PMF payload probabilities overflow")
         return cls.from_codes(
-            np.asarray(payload["codes"], dtype=np.int64),
-            np.asarray(payload["probs"], dtype=np.float64),
-            int(payload["num_bits"]),
-            normalize=True,
+            np.asarray(codes, dtype=np.int64), probs, num_bits, normalize=True
         )
 
     # ------------------------------------------------------------------
     # Constructors (string edges)
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[str, int]) -> "PMF":
-        """Build a PMF from a counts histogram."""
-        return cls(counts)
 
     @classmethod
     def uniform(cls, outcomes: Iterable[str]) -> "PMF":
@@ -267,13 +300,6 @@ class PMF(Mapping[str, float]):
         """Probability of ``key`` (0.0 when unobserved)."""
         index = self._lookup(key)
         return float(self._probs[index]) if index >= 0 else 0.0
-
-    def prob_of_code(self, code: int) -> float:
-        """Probability of an integer outcome code (0.0 when unobserved)."""
-        index = int(np.searchsorted(self._codes, code))
-        if index < len(self._codes) and self._codes[index] == code:
-            return float(self._probs[index])
-        return 0.0
 
     # ------------------------------------------------------------------
     # Queries
@@ -446,13 +472,3 @@ class Marginal:
     @property
     def subset_size(self) -> int:
         return len(self.qubits)
-
-    def agrees_with(self, global_pmf: PMF) -> float:
-        """Total variation distance to the same marginal of ``global_pmf``.
-
-        Diagnostic used in tests: a perfect global PMF has TVD 0 against
-        every exact marginal.  Computed on the merged code supports.
-        """
-        derived = global_pmf.marginal(self.qubits)
-        ours, theirs = aligned_probs(self.pmf, derived)
-        return float(0.5 * np.abs(ours - theirs).sum())

@@ -90,44 +90,6 @@ class Device:
             return self.calibration.two_qubit_error(qubits[0], qubits[1])
         raise DeviceError("gates on more than two physical qubits are not native")
 
-    # ------------------------------------------------------------------
-
-    def connected_subgraphs_greedy(
-        self, size: int, seeds: Sequence[int]
-    ) -> List[List[int]]:
-        """Grow one connected subgraph of ``size`` qubits from each seed.
-
-        Growth is greedy by ascending readout error; used by the noise-aware
-        placement pass as candidate regions.
-        """
-        if size > self.num_qubits:
-            raise DeviceError(
-                f"cannot place {size} qubits on a {self.num_qubits}-qubit device"
-            )
-        readout = self.calibration.readout_error
-        results: List[List[int]] = []
-        for seed_qubit in seeds:
-            region = [int(seed_qubit)]
-            chosen = {int(seed_qubit)}
-            while len(region) < size:
-                frontier = sorted(
-                    {
-                        nbr
-                        for q in region
-                        for nbr in self.graph.neighbors(q)
-                        if nbr not in chosen
-                    },
-                    key=lambda q: (readout[q], q),
-                )
-                if not frontier:
-                    break
-                best = frontier[0]
-                region.append(int(best))
-                chosen.add(int(best))
-            if len(region) == size:
-                results.append(region)
-        return results
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.readout_stats().as_percent()
         return (

@@ -1,9 +1,8 @@
-"""Figures of merit: PST, IST, fidelity/TVD, Hellinger, KL, QAOA ARG."""
+"""Figures of merit: PST, IST, fidelity/TVD, Hellinger, QAOA ARG."""
 
 from repro.metrics.distances import (
     fidelity,
     hellinger,
-    kl_divergence,
     total_variation_distance,
 )
 from repro.metrics.qaoa_metrics import (
@@ -23,7 +22,6 @@ __all__ = [
     "total_variation_distance",
     "fidelity",
     "hellinger",
-    "kl_divergence",
     "probability_of_successful_trial",
     "inference_strength",
     "relative",

@@ -1,4 +1,4 @@
-"""Distribution distances: TVD, fidelity, Hellinger, KL (paper §5.5).
+"""Distribution distances: TVD, fidelity, Hellinger (paper §5.5).
 
 The paper's Equation 3 defines program fidelity as ``1 - TVD`` between the
 noise-free distribution and the measured one, with fidelity in [0, 1]; we
@@ -23,13 +23,11 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.pmf import PMF, aligned_probs, hellinger_pmfs
-from repro.exceptions import ReproError
 
 __all__ = [
     "total_variation_distance",
     "fidelity",
     "hellinger",
-    "kl_divergence",
 ]
 
 
@@ -84,25 +82,3 @@ def hellinger(p: Mapping[str, float], q: Mapping[str, float]) -> float:
         diff = math.sqrt(p.get(key, 0.0)) - math.sqrt(q.get(key, 0.0))
         total += diff * diff
     return math.sqrt(total / 2.0)
-
-
-def kl_divergence(
-    p: Mapping[str, float], q: Mapping[str, float], epsilon: float = 1e-12
-) -> float:
-    """KL divergence D(P || Q) with epsilon-smoothing of Q's zeros."""
-    if epsilon <= 0.0:
-        raise ReproError("epsilon must be positive")
-    pair = _as_pmf_pair(p, q)
-    if pair is not None:
-        pa, qa = aligned_probs(*pair)
-        mask = pa > 0.0
-        pa = pa[mask]
-        qa = np.maximum(qa[mask], epsilon)
-        return float(np.sum(pa * np.log(pa / qa)))
-    total = 0.0
-    for key, p_val in p.items():
-        if p_val <= 0.0:
-            continue
-        q_val = max(q.get(key, 0.0), epsilon)
-        total += p_val * math.log(p_val / q_val)
-    return total

@@ -17,8 +17,8 @@ milliseconds:
 
 ``exact_group_distributions`` evaluates the same channel in closed form
 (the "infinite shots" limit), which the experiments use for deterministic
-sweeps and the tests use to validate the sampler against the density-
-matrix oracle.
+sweeps; the test suite checks its readout part against a full-register
+unitary-evolution oracle.
 
 Both bodies are stacked: sampling runs one coalesced group's allocations
 through one inverse CDF, and the exact channel evaluates every
@@ -190,18 +190,6 @@ class NoisySampler:
         (result,) = self.run_many_codes(executable, [shots], rng=rng)
         return result
 
-    def run_many(
-        self,
-        executable: ExecutableCircuit,
-        shots_list: Sequence[int],
-        rng: SeedLike = None,
-    ) -> List[Dict[str, int]]:
-        """Bitstring-keyed wrapper over :meth:`run_many_codes`."""
-        return [
-            counts.to_dict()
-            for counts in self.run_many_codes(executable, shots_list, rng=rng)
-        ]
-
     def run_many_codes(
         self,
         executable: ExecutableCircuit,
@@ -366,11 +354,6 @@ class NoisySampler:
                 results[i] = (codes, noisy[row][codes], k)
         return results
 
-    def exact_pmf(self, executable: ExecutableCircuit) -> PMF:
-        """Closed-form noisy outcome PMF (infinite-shot limit)."""
-        ((codes, probs, k),) = self.exact_group_distributions([executable])
-        return PMF.from_codes(codes, probs, k)
-
     def exact_distribution(
         self, executable: ExecutableCircuit
     ) -> Dict[str, float]:
@@ -379,13 +362,4 @@ class NoisySampler:
         return {
             key: float(prob)
             for key, prob in zip(codes_to_strings(codes, k), probs)
-        }
-
-    def expected_counts(
-        self, executable: ExecutableCircuit, shots: int
-    ) -> Dict[str, float]:
-        """Exact distribution scaled to ``shots`` (fractional counts)."""
-        return {
-            key: probability * shots
-            for key, probability in self.exact_distribution(executable).items()
         }

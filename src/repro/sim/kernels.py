@@ -1,9 +1,8 @@
-"""Batched execution kernels: the shared contraction code of the simulators.
+"""Batched execution kernels: the contraction code of the execution spine.
 
-Every simulator in :mod:`repro.sim` used to carry its own copy of the
-reshape/moveaxis gate-application kernel (statevector, density matrix,
-and — via the statevector engine — trajectory simulation).  This module
-is the single home of those kernels, on numpy.
+This module is the single home of the reshape/moveaxis gate-application
+kernel of :mod:`repro.sim.statevector` and the marginalisation and
+readout-confusion kernels of :mod:`repro.noise.sampler`, on numpy.
 
 State arguments accept arbitrary leading (batch) dimensions: a stacked
 ``(B, 2**n)`` state evolves B circuits as one contraction per gate
@@ -39,7 +38,6 @@ __all__ = [
     "check_qubit_cap",
     "state_memory_bytes",
     "apply_gate",
-    "apply_operator_to_density",
     "marginal_probabilities",
     "apply_confusions",
     "structure_key",
@@ -47,7 +45,7 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Qubit caps (shared by all three simulators)
+# Qubit cap (statevector width)
 # ----------------------------------------------------------------------
 
 #: Default cap on statevector width.  ``2**24`` complex amplitudes is
@@ -85,13 +83,9 @@ def validate_max_qubits(max_qubits: int) -> int:
     return max_qubits
 
 
-def state_memory_bytes(num_qubits: int, amplitude_exponent: int = 1) -> int:
-    """Estimated memory of one complex128 state of ``num_qubits`` qubits.
-
-    ``amplitude_exponent=1`` sizes a statevector (``2**n`` amplitudes),
-    ``2`` a density matrix (``4**n``).
-    """
-    return 16 * (1 << (amplitude_exponent * num_qubits))
+def state_memory_bytes(num_qubits: int) -> int:
+    """Estimated memory of one complex128 statevector (``2**n`` amplitudes)."""
+    return 16 * (1 << num_qubits)
 
 
 def _format_bytes(size: int) -> str:
@@ -103,22 +97,17 @@ def _format_bytes(size: int) -> str:
     return f"{value:.1f} PiB"  # pragma: no cover - unreachable
 
 
-def check_qubit_cap(
-    num_qubits: int,
-    max_qubits: int,
-    what: str = "statevector",
-    amplitude_exponent: int = 1,
-) -> None:
-    """Raise a typed :class:`SimulationError` when a state exceeds the cap.
+def check_qubit_cap(num_qubits: int, max_qubits: int) -> None:
+    """Raise a typed :class:`SimulationError` for an over-cap statevector.
 
     The error includes the estimated state memory, so an over-cap request
     in a log explains *why* it was refused.
     """
     if num_qubits <= max_qubits:
         return
-    estimated = state_memory_bytes(num_qubits, amplitude_exponent)
+    estimated = state_memory_bytes(num_qubits)
     raise SimulationError(
-        f"{num_qubits}-qubit {what} exceeds the {max_qubits}-qubit limit "
+        f"{num_qubits}-qubit statevector exceeds the {max_qubits}-qubit limit "
         f"(estimated state memory {_format_bytes(estimated)}; raise "
         f"max_qubits or REPRO_MAX_QUBITS to override)"
     )
@@ -127,10 +116,6 @@ def check_qubit_cap(
 # ----------------------------------------------------------------------
 # Gate-application kernels
 # ----------------------------------------------------------------------
-
-
-def _lead_dims(shape: Sequence[int], trailing: int) -> Tuple[int, ...]:
-    return tuple(shape[:-trailing]) if trailing else tuple(shape)
 
 
 def apply_gate(
@@ -157,7 +142,7 @@ def apply_gate(
             f"matrix of shape {tuple(matrix.shape)} does not act on "
             f"{k} qubit(s)"
         )
-    lead = _lead_dims(states.shape, 1)
+    lead = tuple(states.shape[:-1])
     nl = len(lead)
     tensor = np.reshape(states, lead + (2,) * num_qubits)
     # Axis for qubit q is (num_qubits - 1 - q) past the batch dims,
@@ -173,46 +158,6 @@ def apply_gate(
     return np.reshape(tensor, lead + (-1,))
 
 
-def apply_operator_to_density(
-    rho: np.ndarray,
-    matrix: np.ndarray,
-    qubits: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """Return ``K rho K^dagger`` for a k-qubit operator ``K``.
-
-    The statevector kernel applied twice — once to the row indices and
-    once, conjugated, to the column indices.  ``rho`` has shape
-    ``(..., 2**n, 2**n)``; leading batch dimensions are carried through,
-    and ``matrix`` may be batched like :func:`apply_gate`.  Cost is
-    O(2^k * 4^n) per state instead of the O(8^n) of embedding ``K`` in
-    the full space.
-    """
-    k = len(qubits)
-    dim = 1 << k
-    if tuple(matrix.shape[-2:]) != (dim, dim):
-        raise SimulationError("operator dimension does not match qubit count")
-    full = 1 << num_qubits
-    if tuple(rho.shape[-2:]) != (full, full):
-        raise SimulationError("density matrix dimension mismatch")
-    lead = _lead_dims(rho.shape, 2)
-    nl = len(lead)
-    tensor = np.reshape(rho, lead + (2,) * (2 * num_qubits))
-    # Row axis of qubit q is (num_qubits - 1 - q) past the batch dims;
-    # its column axis sits num_qubits further along.
-    row_axes = tuple(nl + num_qubits - 1 - q for q in qubits)
-    col_axes = tuple(nl + 2 * num_qubits - 1 - q for q in qubits)
-    front = tuple(range(nl, nl + k))
-    conjugate = np.conj(matrix)
-    for axes, op in ((row_axes, matrix), (col_axes, conjugate)):
-        tensor = np.moveaxis(tensor, axes, front)
-        shaped = np.matmul(op, np.reshape(tensor, lead + (dim, -1)))
-        tensor = np.moveaxis(
-            np.reshape(shaped, lead + (2,) * (2 * num_qubits)), front, axes
-        )
-    return np.reshape(tensor, lead + (full, full))
-
-
 def marginal_probabilities(
     probabilities: np.ndarray,
     keep_qubits: Sequence[int],
@@ -226,7 +171,7 @@ def marginal_probabilities(
     equal to the unbatched reduction.
     """
     keep_sorted = sorted(keep_qubits)
-    lead = _lead_dims(probabilities.shape, 1)
+    lead = tuple(probabilities.shape[:-1])
     nl = len(lead)
     tensor = np.reshape(probabilities, lead + (2,) * num_qubits)
     keep_set = set(keep_sorted)
@@ -254,7 +199,7 @@ def apply_confusions(
     qubits, hence different readout channels).
     """
     k = len(confusions)
-    lead = _lead_dims(outcome_probs.shape, 1)
+    lead = tuple(outcome_probs.shape[:-1])
     nl = len(lead)
     if tuple(outcome_probs.shape[nl:]) != (1 << k,):
         raise SimulationError(

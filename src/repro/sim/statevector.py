@@ -48,9 +48,9 @@ class StatevectorSimulator:
     """Exact statevector execution of the unitary part of a circuit.
 
     Args:
-        max_qubits: constructor-validated width cap shared with the other
-            simulators (default: :func:`repro.sim.kernels.default_max_qubits`,
-            i.e. 24 or ``REPRO_MAX_QUBITS``).  Over-cap circuits raise a
+        max_qubits: constructor-validated width cap (default:
+            :func:`repro.sim.kernels.default_max_qubits`, i.e. 24 or
+            ``REPRO_MAX_QUBITS``).  Over-cap circuits raise a
             :class:`~repro.exceptions.SimulationError` that includes the
             estimated state memory.
     """
@@ -65,7 +65,7 @@ class StatevectorSimulator:
     # ------------------------------------------------------------------
 
     def _check(self, circuit: QuantumCircuit) -> None:
-        check_qubit_cap(circuit.num_qubits, self.max_qubits, "statevector")
+        check_qubit_cap(circuit.num_qubits, self.max_qubits)
 
     def statevector(self, circuit: QuantumCircuit) -> np.ndarray:
         """Return the final statevector, ignoring measurements and barriers."""
@@ -179,16 +179,6 @@ class StatevectorSimulator:
         bitstrings of length ``len(measured qubits)`` to probabilities.
         """
         return self.ideal_pmf(circuit, threshold).as_dict()
-
-    def expectation_diagonal(
-        self, circuit: QuantumCircuit, diagonal: np.ndarray
-    ) -> float:
-        """Expectation of a diagonal observable over the final state."""
-        probs = self.probabilities(circuit)
-        diagonal = np.asarray(diagonal, dtype=float)
-        if diagonal.shape != probs.shape:
-            raise SimulationError("diagonal observable has wrong dimension")
-        return float(probs @ diagonal)
 
     def sample(
         self,

@@ -10,7 +10,6 @@ from repro.utils.bits import (
     hamming_distance,
     index_to_bitstring,
     indices_to_bit_array,
-    project_bitstring,
 )
 from repro.utils.random import SeedLike, as_generator, spawn
 
@@ -18,7 +17,6 @@ __all__ = [
     "index_to_bitstring",
     "bitstring_to_index",
     "extract_bits",
-    "project_bitstring",
     "bit_positions",
     "all_bitstrings",
     "hamming_distance",

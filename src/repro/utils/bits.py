@@ -18,7 +18,6 @@ __all__ = [
     "index_to_bitstring",
     "bitstring_to_index",
     "extract_bits",
-    "project_bitstring",
     "bit_positions",
     "all_bitstrings",
     "hamming_distance",
@@ -72,11 +71,6 @@ def extract_bits(bits: str, positions: Sequence[int]) -> str:
             raise ValueError(f"bit position {pos} out of range for {n} bits")
         chars.append(bits[n - 1 - pos])
     return "".join(chars)
-
-
-def project_bitstring(bits: str, positions: Sequence[int]) -> str:
-    """Alias of :func:`extract_bits` with the paper's terminology."""
-    return extract_bits(bits, positions)
 
 
 def all_bitstrings(num_bits: int) -> List[str]:

@@ -14,7 +14,6 @@ from repro.workloads.suite import (
     paper_suite,
     register_workload,
     registered_workloads,
-    small_suite,
     workload_by_name,
 )
 from repro.workloads.workload import Workload
@@ -32,7 +31,6 @@ __all__ = [
     "probe_circuit",
     "PROBE_STATES",
     "paper_suite",
-    "small_suite",
     "workload_by_name",
     "PAPER_SUITE_NAMES",
     "from_qasm_file",

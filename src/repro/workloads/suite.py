@@ -24,7 +24,6 @@ from repro.workloads.workload import Workload
 
 __all__ = [
     "paper_suite",
-    "small_suite",
     "workload_by_name",
     "PAPER_SUITE_NAMES",
     "from_qasm_file",
@@ -175,13 +174,3 @@ def modal_outcomes(circuit) -> tuple:
 def paper_suite() -> List[Workload]:
     """The full nine-benchmark suite of Figure 8."""
     return [workload_by_name(name) for name in PAPER_SUITE_NAMES]
-
-
-def small_suite() -> List[Workload]:
-    """A fast subset used by unit tests and the quickstart example."""
-    return [
-        bv(4),
-        ghz(6),
-        qaoa_maxcut(6, depth=1),
-        graycode(8),
-    ]

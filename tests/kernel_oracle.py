@@ -1,4 +1,4 @@
-"""Per-circuit reference kernels: the oracle of the stacked execution spine.
+"""Reference kernels: the oracles of the execution spine.
 
 The production sampler, exact channel and statevector sharing evaluate
 whole groups as stacks (:mod:`repro.noise.sampler`,
@@ -13,11 +13,17 @@ duration only.
 The functions taking ``sampler``/``simulator`` first have the signatures
 of the methods they stand in for, so :func:`install` can patch them onto
 the classes as-is.
+
+Beside them sits a slower, independent reference: :func:`expand_operator`
+embeds an operator in the full ``2**n`` space, and
+:func:`readout_distribution` builds the measured distribution from it by
+plain matrix-vector products, with none of the kernels' reshape/moveaxis
+tricks.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +31,12 @@ from repro.exceptions import SimulationError
 from repro.noise.sampler import CodeCounts, NoisySampler, clbit_probability_vector
 from repro.sim import kernels
 from repro.sim.statevector import StatevectorSimulator
-from repro.utils.bits import bit_array_to_indices, group_code_sums, indices_to_bit_array
+from repro.utils.bits import (
+    bit_array_to_indices,
+    group_code_sums,
+    index_to_bitstring,
+    indices_to_bit_array,
+)
 from repro.utils.random import as_generator
 
 # ---------------------------------------------------------------------------
@@ -39,8 +50,8 @@ def expand_operator(
     """Embed a k-qubit operator into the full ``2**n``-dimensional space.
 
     Same convention as the kernels: the first qubit in ``qubits`` is the
-    most significant bit of the operator's local index.  The O(8^n)
-    reference of :func:`repro.sim.kernels.apply_operator_to_density`.
+    most significant bit of the operator's local index.  The O(4^n)
+    reference of :func:`repro.sim.kernels.apply_gate`.
     """
     k = len(qubits)
     if matrix.shape != (1 << k, 1 << k):
@@ -68,6 +79,34 @@ def expand_operator(
         rows = base[nonzero] | scattered
         full[rows, columns[nonzero]] += amps[nonzero]
     return full
+
+
+def readout_distribution(
+    circuit, confusions: Dict[int, np.ndarray]
+) -> Dict[str, float]:
+    """Measured distribution of ``circuit`` under readout noise only.
+
+    Evolves ``|0..0>`` through every gate embedded in the full space,
+    sums basis-state probabilities into the classical register, then
+    applies each measured qubit's ``2x2`` confusion matrix
+    (``A[observed, actual]``, keyed by qubit) embedded over the register.
+    The reference of the sampler's exact channel with gate noise off.
+    """
+    n = circuit.num_qubits
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    for ins in circuit.instructions:
+        if ins.is_gate:
+            state = expand_operator(ins.gate.matrix(), ins.qubits, n) @ state
+    meas_map = circuit.measurement_map
+    k = len(meas_map)
+    probs = np.zeros(1 << k)
+    for index, prob in enumerate(np.abs(state) ** 2):
+        clbits = sum(((index >> q) & 1) << c for q, c in meas_map.items())
+        probs[clbits] += prob
+    for qubit, clbit in meas_map.items():
+        probs = expand_operator(confusions[qubit], (clbit,), k).real @ probs
+    return {index_to_bitstring(i, k): float(p) for i, p in enumerate(probs)}
 
 
 # ---------------------------------------------------------------------------

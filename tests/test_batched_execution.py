@@ -257,8 +257,6 @@ class TestQubitCapAndNamespaces:
 
     def test_state_memory_bytes(self):
         assert kernels.state_memory_bytes(10) == 16 * 1024
-        assert kernels.state_memory_bytes(5, amplitude_exponent=2) \
-            == 16 * 1024
 
 
 # ---------------------------------------------------------------------------

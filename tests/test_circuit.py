@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuits import Gate, Instruction, QuantumCircuit
+from repro.circuits import Gate, Instruction, QuantumCircuit, draw
 from repro.exceptions import CircuitError
 
 
@@ -34,11 +34,6 @@ class TestInstruction:
     def test_unknown_kind(self):
         with pytest.raises(CircuitError):
             Instruction("reset", None, (0,))
-
-    def test_remap(self):
-        ins = Instruction("gate", Gate("cx"), (0, 1))
-        remapped = ins.remap({0: 5, 1: 3})
-        assert remapped.qubits == (5, 3)
 
 
 class TestConstruction:
@@ -102,10 +97,6 @@ class TestQueries:
         qc = QuantumCircuit(2).h(0).barrier().h(0)
         assert qc.depth() == 2
 
-    def test_active_qubits(self):
-        qc = QuantumCircuit(5).h(1).cx(1, 3)
-        assert qc.active_qubits() == (1, 3)
-
 
 class TestTransformations:
     def test_copy_is_independent(self, ghz4):
@@ -137,13 +128,6 @@ class TestTransformations:
         stripped = ghz4.remove_measurements()
         assert stripped.num_measurements == 0
         assert len(stripped.gates()) == len(ghz4.gates())
-
-    def test_remap_qubits(self):
-        qc = QuantumCircuit(2).cx(0, 1).measure(0, 0)
-        remapped = qc.remap_qubits({0: 4, 1: 2}, num_qubits=5)
-        assert remapped.instructions[0].qubits == (4, 2)
-        assert remapped.instructions[1].qubits == (4,)
-        assert remapped.instructions[1].clbits == (0,)
 
 
 class TestWithMeasuredSubset:
@@ -187,3 +171,19 @@ class TestEquality:
 
     def test_different_instructions(self):
         assert QuantumCircuit(2).h(0) != QuantumCircuit(2).x(0)
+
+
+class TestDraw:
+    def test_draw_renders_all_rows(self, ghz4):
+        art = draw(ghz4)
+        lines = art.splitlines()
+        assert len(lines) == 4
+        assert lines[0].startswith("q0:")
+        assert "[h]" in art
+        assert "M3" in art
+
+    def test_draw_swap_and_barrier(self):
+        qc = QuantumCircuit(2).swap(0, 1).barrier().rx(0.5, 0)
+        art = draw(qc)
+        assert "x" in art
+        assert "|" in art

@@ -50,14 +50,6 @@ class TestDeviceBasics:
         with pytest.raises(DeviceError):
             Device("bad", line_topology(4), line_device.calibration)
 
-    def test_connected_subgraphs(self, line_device):
-        regions = line_device.connected_subgraphs_greedy(3, [0, 5])
-        assert all(len(r) == 3 for r in regions)
-
-    def test_region_too_large(self, line_device):
-        with pytest.raises(DeviceError):
-            line_device.connected_subgraphs_greedy(99, [0])
-
 
 class TestDeviceLibrary:
     """The synthetic calibrations must match the paper's reported stats."""

@@ -27,7 +27,6 @@ from repro.exceptions import PMFError
 from repro.metrics import (
     fidelity,
     hellinger,
-    kl_divergence,
     total_variation_distance,
 )
 from repro.noise import NoiseModel, NoisySampler
@@ -152,14 +151,6 @@ def dict_hellinger(p, q):
     return math.sqrt(total / 2.0)
 
 
-def dict_kl(p, q, epsilon=1e-12):
-    total = 0.0
-    for key, p_val in p.items():
-        if p_val > 0.0:
-            total += p_val * math.log(p_val / max(q.get(key, 0.0), epsilon))
-    return total
-
-
 def dict_bayesian_update(prior, marginal):
     """Per-key Algorithm 1 reference: group, coefficients, odds, normalise."""
     groups = {}
@@ -197,7 +188,6 @@ def test_metrics_match_dict_reference(seed):
     pd, qd = p.as_dict(), q.as_dict()
     assert total_variation_distance(p, q) == pytest.approx(dict_tvd(pd, qd))
     assert hellinger(p, q) == pytest.approx(dict_hellinger(pd, qd))
-    assert kl_divergence(p, q) == pytest.approx(dict_kl(pd, qd))
     assert fidelity(p, q) == pytest.approx(1.0 - dict_tvd(pd, qd))
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.core import (
+    PMF,
     JigSaw,
     JigSawConfig,
     JigSawM,
@@ -11,7 +12,10 @@ from repro.core import (
     measured_positions_map,
 )
 from repro.exceptions import ReconstructionError
-from repro.metrics import probability_of_successful_trial
+from repro.metrics import (
+    probability_of_successful_trial,
+    total_variation_distance,
+)
 from tests.conftest import make_line_device, make_varied_line_device
 
 
@@ -154,6 +158,25 @@ class TestJigSawEndToEnd:
         a = JigSaw(device, JigSawConfig(exact=True), seed=7).run(ghz6, 16_384)
         b = JigSaw(device, JigSawConfig(exact=True), seed=7).run(ghz6, 16_384)
         assert a.output_pmf.as_dict() == pytest.approx(b.output_pmf.as_dict())
+
+    def test_cpm_marginals_beat_global_derived(self, device):
+        """The paper's §4.2 premise: each CPM marginal is at least as close
+        to the ideal marginal as the same marginal derived from the
+        global PMF."""
+        from repro.workloads import ghz
+
+        workload = ghz(6)
+        jigsaw = JigSaw(device, JigSawConfig(exact=True), seed=30)
+        result = jigsaw.run(workload.circuit, total_trials=32_768)
+        ideal = PMF(workload.ideal_distribution())
+        wins = 0
+        for marginal in result.marginals:
+            ideal_marginal = ideal.marginal(marginal.qubits)
+            derived = result.global_pmf.marginal(marginal.qubits)
+            wins += total_variation_distance(
+                marginal.pmf, ideal_marginal
+            ) <= total_variation_distance(derived, ideal_marginal)
+        assert wins >= len(result.marginals) - 1  # one loss to routing luck
 
     def test_bv_single_answer(self, device):
         from repro.workloads import bv

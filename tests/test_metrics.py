@@ -15,7 +15,6 @@ from repro.metrics import (
     fidelity,
     hellinger,
     inference_strength,
-    kl_divergence,
     probability_of_successful_trial,
     relative,
     total_variation_distance,
@@ -81,17 +80,6 @@ class TestDistances:
     def test_hellinger_bounds(self):
         assert hellinger({"0": 1.0}, {"1": 1.0}) == pytest.approx(1.0)
         assert hellinger({"0": 1.0}, {"0": 1.0}) == pytest.approx(0.0)
-
-    def test_kl_zero_for_identical(self):
-        dist = {"0": 0.3, "1": 0.7}
-        assert kl_divergence(dist, dist) == pytest.approx(0.0)
-
-    def test_kl_positive(self):
-        assert kl_divergence({"0": 1.0}, {"0": 0.5, "1": 0.5}) > 0.0
-
-    def test_kl_invalid_epsilon(self):
-        with pytest.raises(ReproError):
-            kl_divergence({"0": 1.0}, {"0": 1.0}, epsilon=0.0)
 
     @given(
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=4, max_size=4),

@@ -1,11 +1,15 @@
 """Tests for the sparse PMF and Marginal types."""
 
+import json
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PMF, Marginal
-from repro.exceptions import PMFError
+from repro.exceptions import PayloadError, PMFError, ReproError
 
 
 class TestConstruction:
@@ -47,7 +51,7 @@ class TestConstruction:
             PMF({"01": 1.0}, num_bits=3)
 
     def test_from_counts(self):
-        pmf = PMF.from_counts({"00": 750, "11": 250})
+        pmf = PMF({"00": 750, "11": 250})
         assert pmf["00"] == pytest.approx(0.75)
 
     def test_uniform(self):
@@ -143,12 +147,64 @@ class TestMarginalType:
         with pytest.raises(PMFError):
             Marginal((1, 1), PMF({"00": 1.0}))
 
-    def test_agrees_with_exact_marginal(self):
-        global_pmf = PMF({"000": 0.5, "111": 0.5})
-        marginal = Marginal((0, 1), PMF({"00": 0.5, "11": 0.5}))
-        assert marginal.agrees_with(global_pmf) == pytest.approx(0.0)
 
-    def test_disagreement_measured(self):
-        global_pmf = PMF({"000": 1.0})
-        marginal = Marginal((0, 1), PMF({"11": 1.0}))
-        assert marginal.agrees_with(global_pmf) == pytest.approx(1.0)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_PAYLOADS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {
+            "codes": st.lists(st.integers(-2, 2**64) | _JSON, max_size=6),
+            "probs": st.lists(st.floats() | st.integers() | _JSON, max_size=6),
+            "num_bits": st.integers(-1, 70) | _JSON,
+        },
+        optional={"payload_version": st.integers(0, 2) | _JSON},
+    ),
+    st.builds(
+        lambda codes, probs, num_bits: {
+            "codes": codes, "probs": probs[: len(codes)], "num_bits": num_bits
+        },
+        st.lists(st.integers(0, 7), min_size=1, max_size=6),
+        st.lists(st.floats(min_value=0.0), min_size=6, max_size=6),
+        st.integers(1, 3),
+    ),
+)
+
+
+class TestPayload:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [0, 1],
+            {"codes": [0], "probs": [1.0]},
+            {"codes": [0], "probs": [math.inf], "num_bits": 1},
+            {"codes": [0], "probs": [math.nan], "num_bits": 1},
+            {"codes": [0.7, 1], "probs": [0.5, 0.5], "num_bits": 1},
+            {"codes": [0], "probs": [1.0], "num_bits": 1.0},
+            {"codes": [0], "probs": ["1"], "num_bits": 1},
+            {"codes": [2**70], "probs": [1.0], "num_bits": 63},
+            {"codes": [0, 1], "probs": [1e308, 1e308], "num_bits": 1},
+        ],
+    )
+    def test_malformed_payload_rejected(self, payload):
+        with pytest.raises(PayloadError):
+            PMF.from_payload(payload)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PAYLOADS)
+    def test_any_json_payload_decodes_or_raises(self, payload):
+        payload = json.loads(json.dumps(payload))
+        try:
+            pmf = PMF.from_payload(payload)
+        except ReproError:
+            return
+        assert np.all(np.isfinite(pmf.probs))
+        assert pmf.probs.sum() == pytest.approx(1.0)

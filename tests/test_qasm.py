@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit, from_qasm, to_qasm
-from repro.exceptions import CircuitError
+from repro.exceptions import CircuitError, ReproError
 from repro.sim import StatevectorSimulator
 
 
@@ -74,6 +76,33 @@ class TestImport:
     def test_bad_angle_rejected(self):
         with pytest.raises(CircuitError):
             from_qasm("OPENQASM 2.0;\nqreg q[1];\nrx(two) q[0];\n")
+
+    @pytest.mark.parametrize(
+        "angle", ["pi/0", "2*pi/0", "1e999", "inf", "-inf", "nan"]
+    )
+    def test_degenerate_angle_rejected(self, angle):
+        with pytest.raises(CircuitError):
+            from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrx({angle}) q[0];\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angle=st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789 +-*/.eEpinaf", max_size=16),
+            st.from_regex(r"-?(\d+\*)?pi(/\d+)?", fullmatch=True),
+        )
+    )
+    @example(angle="pi/0")
+    @example(angle="nan")
+    @example(angle="1e999")
+    def test_any_angle_text_parses_finite_or_raises(self, angle):
+        text = f"OPENQASM 2.0;\nqreg q[1];\nrx({angle}) q[0];\n"
+        try:
+            circuit = from_qasm(text)
+        except ReproError:
+            return
+        for ins in circuit.gates():
+            assert all(math.isfinite(p) for p in ins.gate.params)
 
     def test_comments_ignored(self):
         text = "OPENQASM 2.0;\nqreg q[1]; // register\nx q[0]; // flip\n"

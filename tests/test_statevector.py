@@ -9,6 +9,7 @@ from repro.circuits import QuantumCircuit
 from repro.exceptions import SimulationError
 from repro.sim import StatevectorSimulator, apply_gate, marginal_probabilities
 from repro.circuits.gates import gate_matrix
+from tests.kernel_oracle import expand_operator
 
 
 @pytest.fixture
@@ -154,15 +155,6 @@ class TestSampling:
         b = sim.sample(bell, 500, rng=np.random.default_rng(42))
         assert a == b
 
-    def test_expectation_diagonal(self, sim):
-        qc = QuantumCircuit(1).x(0)
-        value = sim.expectation_diagonal(qc, np.array([0.0, 3.0]))
-        assert np.isclose(value, 3.0)
-
-    def test_expectation_dimension_check(self, sim):
-        with pytest.raises(SimulationError):
-            sim.expectation_diagonal(QuantumCircuit(1), np.zeros(4))
-
 
 class TestApplyGateFunction:
     def test_two_qubit_gate_on_nonadjacent_qubits(self):
@@ -176,6 +168,65 @@ class TestApplyGateFunction:
         state[0] = 1.0
         with pytest.raises(SimulationError):
             apply_gate(state, gate_matrix("cx"), (0,), 2)
+
+
+class TestExpandOperator:
+    """The full-space embedding the oracles in tests/kernel_oracle.py use."""
+
+    def test_expand_single_qubit(self):
+        x = gate_matrix("x")
+        full = expand_operator(x, (1,), 2)
+        # X on qubit 1: |00> -> |10>
+        state = np.zeros(4)
+        state[0] = 1.0
+        assert np.isclose(abs((full @ state)[2]), 1.0)
+
+    def test_expand_matches_kron(self):
+        h = gate_matrix("h")
+        full = expand_operator(h, (0,), 2)
+        assert np.allclose(full, np.kron(np.eye(2), h))
+
+    def test_expand_two_qubit(self):
+        cx = gate_matrix("cx")
+        full = expand_operator(cx, (0, 1), 2)
+        # control qubit 0 (first arg): |01> -> |11>
+        state = np.zeros(4)
+        state[1] = 1.0
+        assert np.isclose(abs((full @ state)[3]), 1.0)
+
+    def test_dimension_check(self):
+        with pytest.raises(SimulationError):
+            expand_operator(np.eye(2), (0, 1), 2)
+
+
+class TestApplyGateAgainstOracle:
+    """The reshape/moveaxis kernel against the expand_operator embedding."""
+
+    def _random_state(self, rng, n):
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        return state / np.linalg.norm(state)
+
+    @pytest.mark.parametrize("qubits", [(0,), (2,), (0, 1), (3, 1), (2, 0)])
+    def test_matches_oracle_on_random_operators(self, qubits):
+        rng = np.random.default_rng(7)
+        n = 4
+        state = self._random_state(rng, n)
+        k = len(qubits)
+        op = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(
+            size=(1 << k, 1 << k)
+        )
+        want = expand_operator(op, qubits, n) @ state
+        got = apply_gate(state, op, qubits, n)
+        assert np.allclose(got, want, atol=1e-12)
+
+    def test_matches_oracle_on_gates(self):
+        rng = np.random.default_rng(3)
+        state = self._random_state(rng, 3)
+        for name, qubits in [("h", (1,)), ("cx", (0, 2)), ("swap", (2, 1))]:
+            op = gate_matrix(name)
+            want = expand_operator(op, qubits, 3) @ state
+            got = apply_gate(state, op, qubits, 3)
+            assert np.allclose(got, want, atol=1e-12), name
 
 
 class TestIdealPmf:

@@ -1,14 +1,70 @@
-"""Tests for the Pauli-trajectory simulator — and the validation of the
-fast noise model's locality abstraction against it."""
+"""Pauli-trajectory validation of the fast noise model's locality abstraction.
+
+The fast sampler (:mod:`repro.noise.sampler`) abstracts a gate failure as
+"flip each measured bit with probability ``gate_failure_flip_rate``".
+The trajectory reference below grounds that abstraction: each failing
+gate injects an actual random Pauli on its operands and the statevector
+is re-run, so the corruption of failing trials can be measured against
+the ideal outcomes.
+"""
 
 import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.exceptions import SimulationError
+from repro.circuits.gates import Gate
 from repro.noise import NoiseModel
-from repro.sim import StatevectorSimulator
-from repro.sim.trajectory import PauliTrajectorySimulator
+from repro.sim import StatevectorSimulator, marginal_probabilities
+
+_PAULIS = ("x", "y", "z")
+
+
+def sample_pattern(circuit, rng, error_1q, error_2q):
+    """One trial's failing gates, each with a random Pauli per operand."""
+    gates = [ins for ins in circuit.instructions if ins.is_gate]
+    pattern = []
+    for index, ins in enumerate(gates):
+        rate = error_1q if len(ins.qubits) == 1 else error_2q
+        if rng.random() < rate:
+            paulis = tuple((q, _PAULIS[rng.integers(3)]) for q in ins.qubits)
+            pattern.append((index, paulis))
+    return tuple(pattern)
+
+
+def measured_probabilities(circuit, pattern):
+    """Measured-qubit marginal with the pattern's Paulis injected."""
+    injections = dict(pattern)
+    noisy = QuantumCircuit(circuit.num_qubits)
+    gates = [ins for ins in circuit.instructions if ins.is_gate]
+    for index, ins in enumerate(gates):
+        noisy.apply_gate(ins.gate, *ins.qubits)
+        for qubit, pauli in injections.get(index, ()):
+            noisy.apply_gate(Gate(pauli), qubit)
+    probs = StatevectorSimulator().probabilities(noisy)
+    keep = sorted(circuit.measurement_map)
+    return marginal_probabilities(probs, keep, circuit.num_qubits)
+
+
+def failure_statistics(circuit, shots, seed, error_1q=0.001, error_2q=0.05):
+    """Hamming distances of ``shots`` failing trials to the ideal outcomes."""
+    rng = np.random.default_rng(seed)
+    ideal = np.flatnonzero(measured_probabilities(circuit, ()) > 1e-9)
+    distances = []
+    while len(distances) < shots:
+        pattern = sample_pattern(circuit, rng, error_1q, error_2q)
+        if not pattern:
+            continue
+        marg = measured_probabilities(circuit, pattern)
+        outcome = int(rng.choice(len(marg), p=marg / marg.sum()))
+        distances.append(min(bin(outcome ^ int(s)).count("1") for s in ideal))
+    distances = np.asarray(distances, dtype=float)
+    mean = float(distances.mean())
+    return {
+        "num_failures": float(len(distances)),
+        "mean_hamming_distance": mean,
+        "per_bit_flip_rate": mean / len(circuit.measurement_map),
+        "max_hamming_distance": float(distances.max()),
+    }
 
 
 @pytest.fixture
@@ -18,49 +74,6 @@ def ghz6():
     for i in range(5):
         qc.cx(i, i + 1)
     return qc.measure_all()
-
-
-class TestBasics:
-    def test_zero_error_matches_ideal(self, bell):
-        sim = PauliTrajectorySimulator(error_1q=0.0, error_2q=0.0, seed=0)
-        counts = sim.sample(bell, shots=2000)
-        total = sum(counts.values())
-        ideal = StatevectorSimulator().ideal_distribution(bell)
-        for key, prob in ideal.items():
-            assert counts.get(key, 0) / total == pytest.approx(prob, abs=0.05)
-
-    def test_counts_sum_to_shots(self, ghz6):
-        sim = PauliTrajectorySimulator(error_2q=0.02, seed=1)
-        counts = sim.sample(ghz6, shots=500)
-        assert sum(counts.values()) == 500
-
-    def test_errors_reduce_pst(self, ghz6):
-        clean = PauliTrajectorySimulator(error_2q=0.0, seed=2)
-        noisy = PauliTrajectorySimulator(error_2q=0.08, seed=2)
-        clean_counts = clean.sample(ghz6, 1500)
-        noisy_counts = noisy.sample(ghz6, 1500)
-
-        def pst(counts):
-            total = sum(counts.values())
-            return (
-                counts.get("000000", 0) + counts.get("111111", 0)
-            ) / total
-
-        assert pst(noisy_counts) < pst(clean_counts)
-
-    def test_requires_measurements(self):
-        sim = PauliTrajectorySimulator(seed=0)
-        with pytest.raises(SimulationError):
-            sim.sample(QuantumCircuit(2).h(0), 10)
-
-    def test_invalid_rates(self):
-        with pytest.raises(SimulationError):
-            PauliTrajectorySimulator(error_1q=1.5)
-
-    def test_pattern_cache_cap(self, ghz6):
-        sim = PauliTrajectorySimulator(error_1q=0.5, error_2q=0.5, seed=3)
-        with pytest.raises(SimulationError):
-            sim.sample(ghz6, shots=5000, max_cached_patterns=4)
 
 
 class TestLocalityValidation:
@@ -73,14 +86,12 @@ class TestLocalityValidation:
         of ~3 to the nearest of the two GHZ outcomes; single-Pauli
         trajectories stay well below that.
         """
-        sim = PauliTrajectorySimulator(error_2q=0.05, seed=4)
-        stats = sim.failure_statistics(ghz6, shots=200)
+        stats = failure_statistics(ghz6, shots=200, seed=4)
         assert stats["mean_hamming_distance"] < 2.6
 
     def test_per_bit_flip_rate_near_fast_model_default(self, ghz6):
         """The fast model's default flip rate sits in the trajectory range."""
-        sim = PauliTrajectorySimulator(error_2q=0.05, seed=5)
-        stats = sim.failure_statistics(ghz6, shots=300)
+        stats = failure_statistics(ghz6, shots=300, seed=5)
         default = NoiseModel.__dataclass_fields__[
             "gate_failure_flip_rate"
         ].default
@@ -91,8 +102,7 @@ class TestLocalityValidation:
         ]
 
     def test_failure_statistics_fields(self, ghz6):
-        sim = PauliTrajectorySimulator(error_2q=0.05, seed=6)
-        stats = sim.failure_statistics(ghz6, shots=50)
+        stats = failure_statistics(ghz6, shots=50, seed=6)
         assert stats["num_failures"] == 50
         assert 0 <= stats["per_bit_flip_rate"] <= 1
         assert stats["max_hamming_distance"] <= 6

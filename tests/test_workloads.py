@@ -15,7 +15,6 @@ from repro.workloads import (
     paper_suite,
     probe_circuit,
     qaoa_maxcut,
-    small_suite,
     workload_by_name,
 )
 from repro.workloads.qaoa import cut_values, path_graph_edges, ring_graph_edges
@@ -192,9 +191,6 @@ class TestSuite:
     def test_paper_suite_complete(self):
         suite = paper_suite()
         assert [w.name for w in suite] == list(PAPER_SUITE_NAMES)
-
-    def test_small_suite_loads(self):
-        assert len(small_suite()) >= 3
 
     def test_workload_by_name_unknown(self):
         with pytest.raises(WorkloadError):

@@ -571,20 +571,26 @@ def _cmd_stats(args: argparse.Namespace) -> str:
         )
     histograms = document.get("histograms", {})
     if histograms:
-        lines.append("latency:")
+        lines.append("histograms:")
         for name in sorted(histograms):
             hist = histograms[name]
             if not hist.get("count"):
                 continue
+            # Latencies print in ms, other units (e.g. rounds) as counted.
+            unit = next(
+                (k[len("mean_"):] for k in hist if k.startswith("mean_")),
+                "seconds",
+            )
+            scale, suffix = (1e3, "ms") if unit == "seconds" else (1.0, f" {unit}")
             quantiles = hist.get("quantiles", {})
             rendered = " ".join(
-                f"{key}={quantiles[key] * 1e3:.3f}ms"
+                f"{key}={quantiles[key] * scale:.3f}{suffix}"
                 for key in ("p50", "p95", "p99")
                 if quantiles.get(key) is not None
             )
             lines.append(
                 f"  {name}: count={hist['count']} "
-                f"mean={(hist.get('mean_seconds') or 0) * 1e3:.3f}ms "
+                f"mean={(hist.get(f'mean_{unit}') or 0) * scale:.3f}{suffix} "
                 + rendered
             )
     return "\n".join(lines) if lines else "(empty snapshot)"

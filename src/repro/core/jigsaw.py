@@ -25,6 +25,8 @@ allocated trials.  Compilation runs on the runner's
 
 from __future__ import annotations
 
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,7 +38,7 @@ from repro.core.pmf import PMF, Marginal
 from repro.core.reconstruction import (
     DEFAULT_MAX_ROUNDS,
     DEFAULT_TOLERANCE,
-    bayesian_reconstruction,
+    iterate_reconstruction,
 )
 from repro.core.subsets import (
     random_subsets,
@@ -60,6 +62,10 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.random import SeedLike, as_generator, spawn
 
 __all__ = ["JigSawConfig", "JigSawResult", "JigSaw", "measured_positions_map"]
+
+#: ``reconstruct.rounds`` buckets: one per round up to the default cap
+#: (rounds past it land in the overflow bucket).
+_ROUND_BUCKETS = tuple(range(1, DEFAULT_MAX_ROUNDS + 1))
 
 
 def measured_positions_map(circuit: QuantumCircuit) -> Dict[int, int]:
@@ -127,6 +133,25 @@ class JigSawConfig:
         if self.subset_method not in {"sliding", "random"}:
             raise ReconstructionError(
                 f"unknown subset method: {self.subset_method!r}"
+            )
+        tolerance = self.tolerance
+        if (
+            isinstance(tolerance, bool)
+            or not isinstance(tolerance, numbers.Real)
+            or not math.isfinite(tolerance)
+            or tolerance < 0.0
+        ):
+            raise ReconstructionError(
+                f"tolerance must be a finite number >= 0, got {tolerance!r}"
+            )
+        rounds = self.max_rounds
+        if (
+            isinstance(rounds, bool)
+            or not isinstance(rounds, numbers.Integral)
+            or rounds < 1
+        ):
+            raise ReconstructionError(
+                f"max_rounds must be an int >= 1, got {rounds!r}"
             )
 
 
@@ -541,12 +566,7 @@ class JigSaw:
         marginals = [
             Marginal(subset, pmf) for subset, pmf in zip(subsets, pmfs[1:])
         ]
-        output = bayesian_reconstruction(
-            global_pmf,
-            marginals,
-            tolerance=self.config.tolerance,
-            max_rounds=self.config.max_rounds,
-        )
+        output = self._bayesian_reconstruction(global_pmf, marginals)
         return JigSawResult(
             output_pmf=output,
             global_pmf=global_pmf,
@@ -558,6 +578,24 @@ class JigSaw:
             trials_per_cpm=plan.trials_per_cpm,
             plan=plan,
         )
+
+    def _bayesian_reconstruction(
+        self, prior: PMF, marginals: Sequence[Marginal]
+    ) -> PMF:
+        """Reconstruct under this runner's knobs, counted into its registry.
+
+        Observes the round count into the ``reconstruct.rounds``
+        histogram and adds 1 to ``reconstruct.capped`` when the round
+        cap, not the tolerance, ended the loop.
+        """
+        output, rounds, capped = iterate_reconstruction(
+            prior, marginals, self.config.tolerance, self.config.max_rounds
+        )
+        self.metrics.histogram(
+            "reconstruct.rounds", _ROUND_BUCKETS, unit="rounds"
+        ).observe(rounds)
+        self.metrics.counter("reconstruct.capped").add(int(capped))
+        return output
 
     # ------------------------------------------------------------------
     # Convenience: the historical one-call pipeline

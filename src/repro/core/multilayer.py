@@ -26,7 +26,7 @@ pool — every CPM beyond that is retarget+EPS only (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.pipeline import ExecutableCircuit
@@ -135,6 +135,21 @@ def ordered_reconstruction(
     max_rounds: int,
 ) -> PMF:
     """Hierarchical reconstruction, largest subset size first (§4.4.2)."""
+    return _largest_first(
+        global_pmf,
+        marginals_by_size,
+        lambda prior, layer: bayesian_reconstruction(
+            prior, layer, tolerance=tolerance, max_rounds=max_rounds
+        ),
+    )
+
+
+def _largest_first(
+    global_pmf: PMF,
+    marginals_by_size: Dict[int, List[Marginal]],
+    reconstruct: Callable[[PMF, List[Marginal]], PMF],
+) -> PMF:
+    """Apply ``reconstruct`` layer by layer, largest subset size first."""
     if not marginals_by_size:
         raise ReconstructionError("no marginals to reconstruct from")
     current = global_pmf
@@ -142,9 +157,7 @@ def ordered_reconstruction(
         layer = marginals_by_size[size]
         if not layer:
             continue
-        current = bayesian_reconstruction(
-            current, layer, tolerance=tolerance, max_rounds=max_rounds
-        )
+        current = reconstruct(current, layer)
     return current
 
 
@@ -217,11 +230,8 @@ class JigSawM(JigSaw):
                 cursor += 1
             marginals_by_size[layer.subset_size] = marginals
             executables_by_size[layer.subset_size] = list(layer.executables)
-        output = ordered_reconstruction(
-            global_pmf,
-            marginals_by_size,
-            tolerance=self.config.tolerance,
-            max_rounds=self.config.max_rounds,
+        output = _largest_first(
+            global_pmf, marginals_by_size, self._bayesian_reconstruction
         )
         return JigSawMResult(
             output_pmf=output,

@@ -174,9 +174,11 @@ def prometheus_text(
         total = hist.get("count", 0)
         if not parsed or parsed[-1][0] != float("inf"):
             lines.append(f'{metric}_bucket{{le="+Inf"}} {total}')
-        lines.append(
-            f"{metric}_sum {_prom_number(hist.get('total_seconds', 0.0))}"
+        total_sum = next(
+            (value for key, value in hist.items() if key.startswith("total_")),
+            0.0,
         )
+        lines.append(f"{metric}_sum {_prom_number(total_sum)}")
         lines.append(f"{metric}_count {total}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -68,15 +68,20 @@ class Histogram:
     Buckets are non-cumulative (each observation lands in exactly one
     bucket, keyed by its upper bound; overflows land in ``inf``), which
     keeps snapshots human-readable in ``--stats-json`` output.  The
-    snapshot carries count, sum, mean, min/max, the buckets, and a
-    ``quantiles`` block (p50/p95/p99, linearly interpolated within the
-    landing bucket).
+    snapshot carries count, sum, mean, min/max (keyed by ``unit``:
+    ``total_seconds`` for a latency, ``total_rounds`` for
+    ``reconstruct.rounds``), the buckets, and a ``quantiles`` block
+    (p50/p95/p99, linearly interpolated within the landing bucket).
     """
 
     def __init__(
-        self, bounds: Optional[Iterable[float]] = None, name: str = ""
+        self,
+        bounds: Optional[Iterable[float]] = None,
+        name: str = "",
+        unit: str = "seconds",
     ) -> None:
         self.name = name
+        self.unit = unit
         self.bounds = (
             tuple(bounds) if bounds is not None else DEFAULT_LATENCY_BOUNDS
         )
@@ -196,12 +201,13 @@ class Histogram:
         }
         if counts[-1]:
             buckets["inf"] = counts[-1]
+        unit = self.unit
         return {
             "count": count,
-            "total_seconds": total,
-            "mean_seconds": (total / count if count else None),
-            "min_seconds": lo_seen,
-            "max_seconds": hi_seen,
+            f"total_{unit}": total,
+            f"mean_{unit}": (total / count if count else None),
+            f"min_{unit}": lo_seen,
+            f"max_{unit}": hi_seen,
             "buckets": buckets,
             "quantiles": {
                 f"p{round(q * 100):d}": self._quantile_locked_free(
@@ -245,13 +251,16 @@ class MetricsRegistry:
             return instrument
 
     def histogram(
-        self, name: str, bounds: Optional[Iterable[float]] = None
+        self,
+        name: str,
+        bounds: Optional[Iterable[float]] = None,
+        unit: str = "seconds",
     ) -> Histogram:
         with self._lock:
             instrument = self._histograms.get(name)
             if instrument is None:
                 instrument = self._histograms[name] = Histogram(
-                    bounds, name=name
+                    bounds, name=name, unit=unit
                 )
             return instrument
 
@@ -297,7 +306,7 @@ class MetricsRegistry:
             merged = histograms.get(key)
             if merged is None:
                 merged = histograms[key] = Histogram(
-                    histogram.bounds, name=key
+                    histogram.bounds, name=key, unit=histogram.unit
                 )
             merged.merge(histogram)
         for child_prefix, child in children:

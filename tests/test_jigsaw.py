@@ -51,6 +51,26 @@ class TestConfig:
         with pytest.raises(ReconstructionError):
             JigSawConfig(subset_method="fancy")
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"tolerance": -1.0},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"tolerance": "1e-4"},
+            {"max_rounds": 0},
+            {"max_rounds": 2.5},
+            {"max_rounds": True},
+            {"max_rounds": 0, "tolerance": -1.0},
+        ],
+    )
+    def test_invalid_reconstruction_knobs(self, knobs):
+        """Rejected at construction, before any compile or execution."""
+        with pytest.raises(ReconstructionError):
+            JigSawConfig(**knobs)
+        with pytest.raises(ReconstructionError):
+            JigSawMConfig(**knobs)
+
     def test_jigsawm_size_validation(self):
         with pytest.raises(ReconstructionError):
             JigSawMConfig(min_subset_size=1)
@@ -218,3 +238,47 @@ class TestJigSawM:
         result = multi.run(ghz6, 32_768)
         for size, marginals in result.marginals_by_size.items():
             assert all(m.subset_size == size for m in marginals)
+
+
+class TestReconstructionCounters:
+    """``reconstruct.rounds`` and ``reconstruct.capped`` in the registry."""
+
+    @staticmethod
+    def counts(snapshot):
+        rounds = snapshot["histograms"]["reconstruct.rounds"]
+        return rounds, snapshot["counters"]["reconstruct.capped"]
+
+    def test_cap_counts_every_reconstruction(self, device, ghz6):
+        plain = JigSaw(device, JigSawConfig(exact=True, max_rounds=1), seed=5)
+        multi = JigSawM(device, JigSawMConfig(exact=True, max_rounds=1), seed=5)
+        plain.run(ghz6, 16_384)
+        result = multi.run(ghz6, 16_384)
+        rounds, capped = self.counts(plain.metrics.snapshot())
+        assert (rounds["count"], rounds["max_rounds"], capped) == (1, 1, 1)
+        rounds, capped = self.counts(multi.metrics.snapshot())
+        layers = len(result.marginals_by_size)
+        assert (rounds["count"], rounds["max_rounds"], capped) == (layers, 1, layers)
+
+    def test_exact_marginals_stop_after_one_round(self, device, ghz6):
+        jigsaw = JigSaw(device, JigSawConfig(exact=True), seed=5)
+        plan = jigsaw.plan(ghz6, 16_384)
+        ideal = PMF({"000000": 0.5, "111111": 0.5})
+        pmfs = [ideal] + [ideal.marginal(subset) for subset in plan.subsets]
+        jigsaw.reconstruct(plan, pmfs)
+        rounds, capped = self.counts(jigsaw.metrics.snapshot())
+        assert rounds["count"] == 1
+        assert rounds["buckets"] == {"le_1": 1}
+        assert capped == 0
+
+    def test_session_snapshot_shows_counters(self):
+        from repro.runtime import Session
+        from repro.workloads import workload_by_name
+
+        workload = workload_by_name("GHZ-6")
+        with Session(make_line_device(8), seed=0, exact=True) as session:
+            session.run_scheme("jigsaw", workload)
+            session.run_scheme("jigsaw_m", workload)
+            rounds, capped = self.counts(session.telemetry_snapshot())
+        # One JigSaw reconstruction plus one per JigSaw-M layer (2..5).
+        assert rounds["count"] == 1 + 4
+        assert 0 <= capped <= rounds["count"]

@@ -1,12 +1,17 @@
 """Tests for the Bayesian Reconstruction algorithm (paper Algorithm 1).
 
-Includes a slow dictionary-based reference implementation that mirrors the
-paper's pseudocode line by line; the vectorised production code must agree
-with it on random inputs.
+Two references live here.  A slow dictionary-based one mirrors the
+paper's pseudocode line by line and pins the Fig. 6 worked example.  An
+array-based one updates the prior marginal by marginal on the support and
+accumulates the posteriors one at a time; the bin-space production round
+(both its stacked and its dense side) must agree with it to 1e-12
+relative and stop at the same round.
 """
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +24,9 @@ from repro.core import (
     bayesian_update,
     hellinger_distance,
 )
+from repro.core import reconstruction
 from repro.exceptions import ReconstructionError
-from repro.utils.bits import extract_bits
+from repro.utils.bits import extract_bits, gather_code_bits
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +60,106 @@ def reference_round(prior: PMF, marginals) -> PMF:
         for key, value in posterior.items():
             accumulator[key] = accumulator.get(key, 0.0) + value
     return PMF(accumulator, normalize=True)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation (per marginal on the support, array-based)
+# ---------------------------------------------------------------------------
+
+RTOL = 1e-12
+
+
+def reference_update_probs(codes, probs, marginal):
+    """One update of normalised ``probs`` on the support ``codes``."""
+    vec = np.zeros(1 << marginal.subset_size)
+    vec[marginal.pmf.codes] = marginal.pmf.probs
+    observed = vec > 0.0
+    clipped = np.minimum(vec, 1.0 - 1e-12)
+    odds = np.where(observed, clipped / (1.0 - clipped), 0.0)
+    projections = gather_code_bits(codes, marginal.qubits)
+    group_mass = np.bincount(projections, weights=probs, minlength=len(vec))
+    mass = group_mass[projections]
+    mass_positive = mass > 0.0
+    updated = np.where(
+        observed[projections] & mass_positive,
+        probs / np.where(mass_positive, mass, 1.0) * odds[projections],
+        probs,
+    )
+    total = updated.sum()
+    if total <= 0.0:
+        raise ReconstructionError("Bayesian update produced a zero posterior")
+    return updated / total
+
+
+def reference_round_probs(codes, probs, marginals):
+    """Prior plus every posterior, accumulated marginal by marginal."""
+    accumulator = probs.copy()
+    for marginal in marginals:
+        accumulator += reference_update_probs(codes, probs, marginal)
+    return accumulator / accumulator.sum()
+
+
+def reference_reconstruction(prior, marginals, tolerance, max_rounds):
+    """Reference output probabilities, rounds run and whether it converged."""
+    current = prior.probs / prior.probs.sum()
+    for rounds in range(1, max_rounds + 1):
+        updated = reference_round_probs(prior.codes, current, marginals)
+        diff = np.sqrt(current) - np.sqrt(updated)
+        current = updated
+        if math.sqrt(np.dot(diff, diff) / 2.0) <= tolerance:
+            return current, rounds, True
+    return current, rounds, False
+
+
+def assert_matches(pmf, codes, expected):
+    np.testing.assert_array_equal(pmf.codes, codes)
+    np.testing.assert_allclose(pmf.probs, expected / expected.sum(), rtol=RTOL, atol=0)
+
+
+def dense_side_from(num_bits):
+    """Route supports of ``num_bits`` or more dense bits to the dense side."""
+    return mock.patch.object(reconstruction, "_DENSE_MIN_BITS", num_bits)
+
+
+@st.composite
+def reconstruction_inputs(draw):
+    """A prior on a sparse or dense support and 1-4 marginals over it.
+
+    Sparse supports miss whole projection groups; zero marginal entries
+    leave bins unobserved.
+    """
+    num_bits = draw(st.integers(1, 10))
+    # Up to 2**10 prior entries: drawn from a seeded generator to keep
+    # hypothesis's own buffer small.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.arange(1 << num_bits)
+    if not draw(st.booleans()):
+        count = draw(st.integers(1, codes.size))
+        codes = np.sort(rng.choice(codes, size=count, replace=False))
+    probs = rng.uniform(1e-3, 1.0, size=codes.size)
+    prior = PMF.from_codes(codes, probs, num_bits)
+    weights = st.floats(min_value=1e-3, max_value=1.0)
+    marginals = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, min(5, num_bits)))
+        qubits = draw(st.permutations(range(num_bits)))[:width]
+        entries = draw(
+            st.lists(
+                st.one_of(st.just(0.0), weights),
+                min_size=1 << width,
+                max_size=1 << width,
+            )
+        )
+        if not any(entries):
+            entries[0] = 1.0
+        marginals.append(
+            Marginal(
+                qubits,
+                PMF.from_codes(np.arange(1 << width), np.array(entries), width),
+            )
+        )
+    shuffled = draw(st.permutations(marginals))
+    return prior, marginals, shuffled
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +349,110 @@ class TestReconstruction:
         with pytest.raises(ReconstructionError):
             bayesian_reconstruction(prior, [marginal], max_rounds=0)
 
+    def test_nan_tolerance_rejected(self):
+        """A NaN tolerance would never stop the loop before the cap."""
+        prior = PMF({"000": 0.5, "111": 0.5})
+        marginals = exact_marginals_of(prior, [(0, 1), (1, 2)])
+        _, rounds, capped = reconstruction.iterate_reconstruction(
+            prior, marginals, 1e-4, 32
+        )
+        assert (rounds, capped) == (1, False)
+        with pytest.raises(ReconstructionError):
+            bayesian_reconstruction(prior, marginals, tolerance=float("nan"))
+
     def test_support_never_grows(self):
         """§7.1: only outcomes observed in the global PMF are stored."""
         prior = PMF({"000": 0.6, "011": 0.4})
         marginal = Marginal((0, 1), PMF({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}))
         output = bayesian_reconstruction(prior, [marginal])
         assert set(output) <= {"000", "011"}
+
+
+class TestAgainstReference:
+    """The bin-space round against the per-marginal reference."""
+
+    @pytest.mark.parametrize("dense_min_bits", [1, reconstruction._DENSE_MIN_BITS])
+    @settings(max_examples=60, deadline=None)
+    @given(reconstruction_inputs())
+    def test_property(self, dense_min_bits, inputs):
+        """Update, round and stop round agree on either side."""
+        prior, marginals, shuffled = inputs
+        codes = prior.codes
+        probs = prior.probs / prior.probs.sum()
+        with dense_side_from(dense_min_bits):
+            for marginal in marginals:
+                assert_matches(
+                    bayesian_update(prior, marginal),
+                    codes,
+                    reference_update_probs(codes, probs, marginal),
+                )
+            assert_matches(
+                bayesian_reconstruction_round(prior, shuffled),
+                codes,
+                reference_round_probs(codes, probs, marginals),
+            )
+            output, rounds, capped = reconstruction.iterate_reconstruction(
+                prior, shuffled, 1e-4, 16
+            )
+        expected, expected_rounds, converged = reference_reconstruction(
+            prior, marginals, 1e-4, 16
+        )
+        assert (rounds, capped) == (expected_rounds, not converged)
+        assert_matches(output, codes, expected)
+
+    def test_dense_16_bit_windows(self):
+        """The dense side's bin order: asymmetric width-2 and width-4
+        windows, wrapping around, on a dense 2**16 support."""
+        num_bits = 16
+        assert num_bits >= reconstruction._DENSE_MIN_BITS
+        rng = np.random.default_rng(16)
+        codes = np.arange(1 << num_bits)
+        prior = PMF.from_codes(codes, rng.random(codes.size) + 0.01, num_bits)
+        probs = prior.probs
+        marginals = []
+        for width in (2, 4):
+            for start in range(num_bits):
+                qubits = [(start + k) % num_bits for k in range(width)]
+                entries = rng.random(1 << width) ** 3
+                entries[rng.integers(1 << width)] = 0.0
+                marginals.append(
+                    Marginal(
+                        qubits,
+                        PMF.from_codes(np.arange(1 << width), entries, width),
+                    )
+                )
+        assert_matches(
+            bayesian_update(prior, marginals[-1]),
+            codes,
+            reference_update_probs(codes, probs, marginals[-1]),
+        )
+        expected = reference_round_probs(codes, probs, marginals)
+        assert_matches(
+            bayesian_reconstruction_round(prior, marginals), codes, expected
+        )
+        with dense_side_from(num_bits + 1):
+            stacked = bayesian_reconstruction_round(prior, marginals)
+        assert_matches(stacked, codes, expected)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("num_bits", [3, reconstruction._DENSE_MIN_BITS])
+    def test_zero_posterior_raises(self, num_bits):
+        """A prior whose total overflows normalises to all zeros, so no
+        update has mass left to rescale (3 bits: stacked side, the dense
+        cut-over: dense side)."""
+        codes = np.arange(1 << num_bits)
+        prior = PMF.from_codes(
+            codes, np.full(codes.size, 1e308), num_bits, normalize=False
+        )
+        marginal = Marginal((0, 1), PMF({"00": 0.5, "11": 0.5}))
+        with pytest.raises(ReconstructionError, match="zero posterior"):
+            reference_update_probs(
+                codes, prior.probs / prior.probs.sum(), marginal
+            )
+        with pytest.raises(ReconstructionError, match="zero posterior"):
+            bayesian_update(prior, marginal)
+        with pytest.raises(ReconstructionError, match="zero posterior"):
+            bayesian_reconstruction(prior, [marginal, marginal])
 
 
 class TestHellinger:

@@ -14,7 +14,6 @@ Run:  python examples/reconstruction_diagnostics.py
 
 from repro.circuits import draw
 from repro.core import (
-    PMF,
     JigSaw,
     JigSawConfig,
     bayesian_reconstruction_round,
@@ -37,7 +36,7 @@ def main() -> None:
 
     print("\n1. CPM marginal quality (TVD to the ideal marginal):")
     print(f"   {'subset':10s} {'CPM':>8s} {'from global':>12s}  verdict")
-    ideal = PMF(workload.ideal_distribution())
+    ideal = workload.ideal_distribution()
     for marginal in result.marginals:
         ideal_marginal = ideal.marginal(marginal.qubits)
         cpm = total_variation_distance(marginal.pmf, ideal_marginal)

@@ -30,9 +30,7 @@ def main() -> None:
 
     def energy(pmf) -> float:
         """Negative expected cut of one measured distribution."""
-        return -sum(
-            mass * cuts[int(bits, 2)] for bits, mass in pmf.as_dict().items()
-        )
+        return -float(cuts[pmf.codes] @ pmf.probs)
 
     with Session(device, seed=5, exact=True, total_trials=8_192) as session:
         sweep = session.parameter_sweep(workload, scheme="jigsaw")

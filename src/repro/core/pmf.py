@@ -6,10 +6,14 @@ bounded by the number of trials, not by ``2**n``.
 
 The storage format is **array-native**: a PMF is a pair of aligned numpy
 arrays — ``codes`` (int64 outcome codes, sorted ascending) and ``probs``
-(float64) — plus the register width.  Bitstrings are a lazy *view* used at
-the edges (construction from hardware-style counts dicts, CLI rendering,
-serialization); the hot paths (marginalisation, metrics, sampling,
-reconstruction) never materialise a string.  Outcome codes use the IBM-order
+(float64) — plus the register width.  A PMF is *not* a
+``Mapping[str, float]``: it cannot be indexed or iterated by bitstring, so
+a per-outcome string loop fails with ``TypeError`` instead of running
+slowly.  Strings appear only at explicit edges — ``PMF(dict)`` (from
+hardware-style counts) and :meth:`PMF.uniform`, :meth:`PMF.as_dict`,
+:meth:`PMF.prob`, :meth:`PMF.restrict` and :meth:`PMF.top` /
+:meth:`PMF.mode` — and the hot paths (marginalisation, metrics, sampling,
+reconstruction) never materialise one.  Outcome codes use the IBM-order
 encoding of :mod:`repro.utils.bits`: bit ``c`` of a code is classical bit
 ``c``, so ``format(code, "0{n}b")`` prints the bitstring directly.
 
@@ -26,7 +30,6 @@ from typing import (
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -46,7 +49,7 @@ from repro.utils.bits import (
     strings_to_codes,
 )
 
-__all__ = ["PMF", "Marginal", "aligned_probs", "hellinger_pmfs"]
+__all__ = ["PMF", "Marginal", "aligned_probs", "hellinger_pmfs", "require_pmf"]
 
 
 def _is_int(value: Any) -> bool:
@@ -62,14 +65,15 @@ def _is_finite_real(value: Any) -> bool:
         return False
 
 
-class PMF(Mapping[str, float]):
+class PMF:
     """An immutable sparse PMF over fixed-width bitstrings.
 
-    Backed by aligned ``codes``/``probs`` arrays sorted by outcome code;
-    the ``Mapping[str, float]`` interface renders bitstring keys lazily.
+    Backed by aligned ``codes``/``probs`` arrays sorted by outcome code.
+    Two PMFs are equal when their width, codes and probabilities are.
     """
 
-    __slots__ = ("_codes", "_probs", "_num_bits", "_keys")
+    __slots__ = ("_codes", "_probs", "_num_bits")
+    __hash__ = None  # type: ignore[assignment]  # equal by value
 
     def __init__(
         self,
@@ -147,7 +151,6 @@ class PMF(Mapping[str, float]):
         self._codes = codes
         self._probs = probs
         self._num_bits = num_bits
-        self._keys: Optional[List[str]] = None
 
     @classmethod
     def from_codes(
@@ -261,45 +264,34 @@ class PMF(Mapping[str, float]):
         return cls({key: 1.0 for key in outcomes})
 
     # ------------------------------------------------------------------
-    # Mapping protocol (bitstring view)
+    # Value protocol
     # ------------------------------------------------------------------
 
-    def _string_keys(self) -> List[str]:
-        """Bitstring keys, rendered lazily once and cached."""
-        if self._keys is None:
-            self._keys = codes_to_strings(self._codes, self._num_bits)
-        return self._keys
-
-    def _lookup(self, key: str) -> int:
-        """Index of ``key`` in the code arrays, or -1 when absent/invalid."""
-        if (
-            not isinstance(key, str)
-            or len(key) != self._num_bits
-            or not set(key) <= {"0", "1"}
-        ):
-            return -1
-        code = int(key, 2)
-        index = int(np.searchsorted(self._codes, code))
-        if index < len(self._codes) and self._codes[index] == code:
-            return index
-        return -1
-
-    def __getitem__(self, key: str) -> float:
-        index = self._lookup(key)
-        if index < 0:
-            raise KeyError(key)
-        return float(self._probs[index])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._string_keys())
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PMF):
+            return NotImplemented
+        return (
+            self._num_bits == other._num_bits
+            and np.array_equal(self._codes, other._codes)
+            and np.array_equal(self._probs, other._probs)
+        )
 
     def __len__(self) -> int:
         return len(self._codes)
 
     def prob(self, key: str) -> float:
-        """Probability of ``key`` (0.0 when unobserved)."""
-        index = self._lookup(key)
-        return float(self._probs[index]) if index >= 0 else 0.0
+        """Probability of bitstring ``key`` (0.0 when unobserved)."""
+        if (
+            not isinstance(key, str)
+            or len(key) != self._num_bits
+            or not set(key) <= {"0", "1"}
+        ):
+            return 0.0
+        code = int(key, 2)
+        index = int(np.searchsorted(self._codes, code))
+        if index < len(self._codes) and self._codes[index] == code:
+            return float(self._probs[index])
+        return 0.0
 
     # ------------------------------------------------------------------
     # Queries
@@ -380,10 +372,9 @@ class PMF(Mapping[str, float]):
         )
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            key: float(prob)
-            for key, prob in zip(self._string_keys(), self._probs)
-        }
+        """The bitstring-keyed view, rendered on each call (an edge)."""
+        keys = codes_to_strings(self._codes, self._num_bits)
+        return {key: float(prob) for key, prob in zip(keys, self._probs)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         preview = ", ".join(f"{k}: {v:.4f}" for k, v in self.top(3))
@@ -415,8 +406,15 @@ def aligned_probs(p: PMF, q: PMF) -> Tuple[np.ndarray, np.ndarray]:
     metrics: both supports are already sorted, so the union is one sort of
     the concatenation (near-linear on two sorted runs) plus two
     ``searchsorted`` scatters — the cost tracks the observed supports,
-    never ``2**n``.
+    never ``2**n``.  PMFs of different widths raise :class:`PMFError`:
+    their codes name different outcomes (code 1 is ``"1"`` in a 1-bit PMF
+    but ``"01"`` in a 2-bit one).
     """
+    if p.num_bits != q.num_bits:
+        raise PMFError(
+            f"cannot compare a {p.num_bits}-bit PMF with a "
+            f"{q.num_bits}-bit one"
+        )
     merged = np.concatenate([p.codes, q.codes])
     merged.sort(kind="stable")
     keep = np.empty(merged.size, dtype=bool)
@@ -430,11 +428,26 @@ def aligned_probs(p: PMF, q: PMF) -> Tuple[np.ndarray, np.ndarray]:
     return p_aligned, q_aligned
 
 
+def require_pmf(value: Any, metric: str) -> PMF:
+    """``value`` when it is a :class:`PMF`, else :class:`TypeError`.
+
+    Every metric takes PMFs: a string-keyed dict would need a per-outcome
+    loop, so it is refused here and converted at the edge with
+    ``PMF(counts)`` instead.
+    """
+    if not isinstance(value, PMF):
+        raise TypeError(
+            f"{metric} takes a PMF, got {type(value).__name__}; "
+            "convert a counts dict with PMF(counts)"
+        )
+    return value
+
+
 def hellinger_pmfs(p: PMF, q: PMF) -> float:
     """Hellinger distance between two PMFs via the sorted-support merge.
 
     The single vectorised implementation behind both
-    :func:`repro.metrics.distances.hellinger` (for PMF operands) and
+    :func:`repro.metrics.distances.hellinger` and
     :func:`repro.core.reconstruction.hellinger_distance`.  It lives here —
     not in :mod:`repro.metrics` — so the reconstruction layer can share it
     without importing the metrics package (which imports this module).
@@ -450,9 +463,10 @@ class Marginal:
 
     ``qubits`` are positions in the global outcome string (for a fully
     measured program the classical bit of qubit ``q`` is ``q``, so these
-    are simply the measured qubit indices).  ``pmf`` keys are IBM-order
-    bitstrings over those positions: bit ``j`` of a key is the value of the
-    ``j``-th smallest position.
+    are simply the measured qubit indices).  ``pmf`` outcomes are IBM-order
+    codes over those positions: bit ``j`` of a code is the value of the
+    ``j``-th smallest position.  Equality compares ``qubits`` and ``pmf``
+    by value.
     """
 
     qubits: Tuple[int, ...]

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.compiler.layout import Layout
 from repro.compiler.pipeline import CompilerPipeline
+from repro.core.pmf import PMF
 from repro.devices.device import Device
 from repro.devices.library import google_sycamore, ibmq_paris, ibmq_toronto
 from repro.metrics.distances import total_variation_distance
@@ -93,8 +94,8 @@ def _probe_fidelity(
     p1_noisy = sum(v for k, v in noisy.items() if k[-1] == "1")
     p1_ideal = workload.metadata["probe_ideal_p1"]
     return 1.0 - total_variation_distance(
-        {"1": p1_noisy, "0": 1.0 - p1_noisy},
-        {"1": p1_ideal, "0": 1.0 - p1_ideal},
+        PMF({"1": p1_noisy, "0": 1.0 - p1_noisy}, normalize=False),
+        PMF({"1": p1_ideal, "0": 1.0 - p1_ideal}, normalize=False),
     )
 
 

@@ -69,11 +69,10 @@ def figure10_per_qubit(
 
     ideal = workload.ideal_distribution()
     num_bits = workload.num_outcome_bits
-    ideal_pmf = PMF(ideal)
 
     rows: List[PerQubitReadout] = []
     for position in range(num_bits):
-        ideal_bit_p1 = ideal_pmf.marginal([position]).prob("1")
+        ideal_bit_p1 = ideal.marginal([position]).prob("1")
         baseline_success = _bit_success(result.global_pmf, position, ideal_bit_p1)
         # Success of this bit inside every CPM that measures it.
         cpm_successes = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.pmf import PMF
 from repro.devices.device import Device
 from repro.devices.library import ibmq_paris
 from repro.experiments.render import format_table
@@ -60,9 +61,13 @@ def run_trials_sweep(
             workload = workload_by_name(name)
             executable = runner.global_executable(workload)
             for trials in trial_ladder:
-                counts = sampler.run(executable, trials)
+                counts = sampler.run_codes(executable, trials)
+                histogram = PMF.from_codes(
+                    counts.codes, counts.counts, counts.num_bits,
+                    normalize=False,
+                )
                 pst = probability_of_successful_trial(
-                    counts, workload.correct_outcomes
+                    histogram, workload.correct_outcomes
                 )
                 points.append(TrialsPoint(name, trials, pst))
     return points

@@ -8,7 +8,6 @@ from repro.metrics.distances import (
 from repro.metrics.qaoa_metrics import (
     approximation_ratio,
     approximation_ratio_gap,
-    cut_size,
     expected_cut,
     workload_arg,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "probability_of_successful_trial",
     "inference_strength",
     "relative",
-    "cut_size",
     "expected_cut",
     "approximation_ratio",
     "approximation_ratio_gap",

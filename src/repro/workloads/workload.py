@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.core.pmf import PMF
 from repro.exceptions import WorkloadError
 from repro.sim.statevector import StatevectorSimulator
 
@@ -25,7 +26,8 @@ class Workload:
         name: display name, e.g. ``"GHZ-14"``.
         circuit: the program, ending in measurements.  Always fully
             bound — metrics and ideal distributions need numeric angles.
-        correct_outcomes: outcome bitstrings counted as success for PST.
+        correct_outcomes: distinct outcome bitstrings counted as success
+            for PST/IST, each as wide as the measured register.
         metadata: workload-specific extras (QAOA graph, BV secret, ...).
         template_circuit: optional parameterized twin of ``circuit``
             (same structure, symbolic rotation angles).  Variational
@@ -41,7 +43,7 @@ class Workload:
     metadata: Dict[str, Any] = field(default_factory=dict)
     template_circuit: Optional[QuantumCircuit] = None
     default_parameters: Optional[Dict[str, float]] = None
-    _ideal: Optional[Dict[str, float]] = field(default=None, repr=False)
+    _ideal: Optional[PMF] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.circuit.num_measurements:
@@ -65,11 +67,19 @@ class Workload:
                 )
         width = self.circuit.num_measurements
         for outcome in self.correct_outcomes:
-            if len(outcome) != width:
+            if (
+                not isinstance(outcome, str)
+                or len(outcome) != width
+                or not set(outcome) <= {"0", "1"}
+            ):
                 raise WorkloadError(
-                    f"correct outcome {outcome!r} does not match the "
+                    f"correct outcome {outcome!r} is not a bitstring of the "
                     f"{width}-bit output of {self.name}"
                 )
+        if len(set(self.correct_outcomes)) != len(self.correct_outcomes):
+            raise WorkloadError(
+                f"workload {self.name} lists a correct outcome twice"
+            )
 
     @property
     def num_qubits(self) -> int:
@@ -81,16 +91,16 @@ class Workload:
         """Width of the outcome bitstrings (number of measured qubits)."""
         return self.circuit.num_measurements
 
-    def ideal_distribution(self) -> Dict[str, float]:
+    def ideal_distribution(self) -> PMF:
         """Noise-free outcome distribution (cached)."""
         if self._ideal is None:
-            self._ideal = StatevectorSimulator().ideal_distribution(self.circuit)
+            self._ideal = StatevectorSimulator().ideal_pmf(self.circuit)
         return self._ideal
 
     def ideal_success_probability(self) -> float:
         """Probability mass the ideal distribution puts on correct outcomes."""
         ideal = self.ideal_distribution()
-        return sum(ideal.get(outcome, 0.0) for outcome in self.correct_outcomes)
+        return sum(ideal.prob(outcome) for outcome in self.correct_outcomes)
 
     @property
     def is_sweepable(self) -> bool:

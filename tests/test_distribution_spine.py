@@ -12,7 +12,6 @@ view.  These tests pin the spine down from three directions:
   collapse) and conserves every trial.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -38,6 +37,8 @@ from repro.utils.bits import (
     strings_to_codes,
 )
 from tests.conftest import make_line_device
+from tests.metrics_oracle import hellinger as dict_hellinger
+from tests.metrics_oracle import tvd as dict_tvd
 from tests.test_noise import compile_identity
 
 
@@ -137,20 +138,6 @@ def dict_marginal(dist, positions):
     return {k: v / total for k, v in grouped.items()}
 
 
-def dict_tvd(p, q):
-    return 0.5 * sum(
-        abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q)
-    )
-
-
-def dict_hellinger(p, q):
-    total = 0.0
-    for key in set(p) | set(q):
-        diff = math.sqrt(p.get(key, 0.0)) - math.sqrt(q.get(key, 0.0))
-        total += diff * diff
-    return math.sqrt(total / 2.0)
-
-
 def dict_bayesian_update(prior, marginal):
     """Per-key Algorithm 1 reference: group, coefficients, odds, normalise."""
     groups = {}
@@ -193,21 +180,20 @@ def test_metrics_match_dict_reference(seed):
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_metrics_mixed_pmf_and_dict_operands(seed):
-    # One PMF + one plain bitstring dict must ride the same merge.
+    # A plain bitstring dict converts at the edge, then rides the same
+    # merge; passed raw it is refused.
     rng = np.random.default_rng(seed)
     p = random_sparse_pmf(rng, width=10, support=100)
     q = random_sparse_pmf(rng, width=10, support=100)
     qd = q.as_dict()
-    assert total_variation_distance(p, qd) == pytest.approx(
-        dict_tvd(p.as_dict(), qd)
+    assert total_variation_distance(
+        p, PMF(qd, normalize=False)
+    ) == pytest.approx(dict_tvd(p.as_dict(), qd))
+    assert hellinger(PMF(qd, normalize=False), p) == pytest.approx(
+        dict_hellinger(qd, p.as_dict())
     )
-    assert hellinger(qd, p) == pytest.approx(dict_hellinger(qd, p.as_dict()))
-
-
-def test_metrics_fall_back_for_non_bitstring_keys():
-    # Arbitrary string-keyed mappings keep the legacy dict semantics.
-    assert total_variation_distance({"a": 1.0}, {"a": 1.0}) == 0.0
-    assert hellinger({"a": 1.0}, {"b": 1.0}) == pytest.approx(1.0)
+    with pytest.raises(TypeError, match="PMF"):
+        total_variation_distance(p, qd)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -218,15 +204,6 @@ def test_bayesian_update_matches_dict_reference(seed):
     marginal = Marginal(qubits, prior.marginal(qubits))
     expected = dict_bayesian_update(prior.as_dict(), marginal)
     assert bayesian_update(prior, marginal).as_dict() == pytest.approx(expected)
-
-
-def test_metrics_width_mismatch_keeps_string_semantics():
-    # Same code, different widths: "1" and "01" are different outcomes and
-    # must not collide through the integer fast path.
-    narrow = PMF({"1": 1.0})
-    wide = PMF({"01": 1.0})
-    assert total_variation_distance(narrow, wide) == pytest.approx(1.0)
-    assert hellinger(narrow, wide) == pytest.approx(1.0)
 
 
 def test_bayesian_update_normalises_unnormalised_prior():

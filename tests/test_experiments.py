@@ -40,7 +40,7 @@ def runner(device):
 class TestSessionSchemes:
     def test_baseline_pmf_normalised(self, runner):
         pmf = runner.run_baseline(ghz(4))
-        assert sum(pmf.values()) == pytest.approx(1.0)
+        assert pmf.probs.sum() == pytest.approx(1.0)
 
     def test_global_executable_cached(self, runner):
         workload = ghz(4)
@@ -91,7 +91,7 @@ class TestSessionSchemes:
     def test_sampled_mode(self, device):
         runner = Session(device, seed=1, exact=False, total_trials=8_192)
         pmf = runner.run_baseline(ghz(4))
-        assert sum(pmf.values()) == pytest.approx(1.0)
+        assert pmf.probs.sum() == pytest.approx(1.0)
 
     def test_mbm_width_guard(self, device):
         runner = Session(device, seed=1, exact=True)

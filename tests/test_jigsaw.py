@@ -188,7 +188,7 @@ class TestJigSawEndToEnd:
         workload = ghz(6)
         jigsaw = JigSaw(device, JigSawConfig(exact=True), seed=30)
         result = jigsaw.run(workload.circuit, total_trials=32_768)
-        ideal = PMF(workload.ideal_distribution())
+        ideal = workload.ideal_distribution()
         wins = 0
         for marginal in result.marginals:
             ideal_marginal = ideal.marginal(marginal.qubits)

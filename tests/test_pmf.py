@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from repro.exceptions import PayloadError, PMFError, ReproError
 class TestConstruction:
     def test_normalises_by_default(self):
         pmf = PMF({"0": 1.0, "1": 3.0})
-        assert pmf["1"] == pytest.approx(0.75)
+        assert pmf.prob("1") == pytest.approx(0.75)
 
     def test_no_normalise_keeps_values(self):
         pmf = PMF({"0": 0.2, "1": 0.2}, normalize=False)
@@ -23,7 +24,7 @@ class TestConstruction:
 
     def test_zero_entries_dropped(self):
         pmf = PMF({"00": 0.5, "01": 0.0, "11": 0.5})
-        assert "01" not in pmf
+        assert "01" not in pmf.as_dict()
         assert pmf.support_size == 2
 
     def test_empty_rejected(self):
@@ -52,11 +53,11 @@ class TestConstruction:
 
     def test_from_counts(self):
         pmf = PMF({"00": 750, "11": 250})
-        assert pmf["00"] == pytest.approx(0.75)
+        assert pmf.prob("00") == pytest.approx(0.75)
 
     def test_uniform(self):
         pmf = PMF.uniform(["00", "01", "10"])
-        assert pmf["01"] == pytest.approx(1 / 3)
+        assert pmf.prob("01") == pytest.approx(1 / 3)
 
 
 class TestQueries:
@@ -66,7 +67,7 @@ class TestQueries:
 
     def test_getitem_raises_for_missing(self):
         with pytest.raises(KeyError):
-            PMF({"0": 1.0})["1"]
+            PMF({"0": 1.0}).as_dict()["1"]
 
     def test_top_and_mode(self):
         pmf = PMF({"00": 0.5, "01": 0.3, "10": 0.2})
@@ -80,7 +81,52 @@ class TestQueries:
     def test_len_and_iter(self):
         pmf = PMF({"0": 0.4, "1": 0.6})
         assert len(pmf) == 2
-        assert set(pmf) == {"0", "1"}
+        assert set(pmf.as_dict()) == {"0", "1"}
+
+
+class TestValueNotMapping:
+    """A PMF compares by value but has no bitstring-indexed view."""
+
+    def test_equal_three_ways(self):
+        from_dict = PMF({"00": 0.25, "10": 0.75})
+        from_codes = PMF.from_codes(np.array([2, 0]), np.array([0.75, 0.25]), 2)
+        from_payload = PMF.from_payload(
+            {"codes": [0, 2], "probs": [0.25, 0.75], "num_bits": 2}
+        )
+        assert from_dict == from_codes
+        assert from_codes == from_payload
+        assert from_payload == from_dict
+        assert not from_dict != from_codes
+
+    def test_width_codes_or_probs_differ(self):
+        base = PMF({"00": 0.25, "10": 0.75})
+        assert base != PMF({"000": 0.25, "010": 0.75})
+        assert base != PMF({"00": 0.25, "11": 0.75})
+        assert base != PMF({"00": 0.5, "10": 0.5})
+        assert base != base.as_dict()
+
+    def test_marginal_equality_follows(self):
+        marginal = Marginal((0, 2), PMF({"01": 0.5, "10": 0.5}))
+        same = PMF.from_codes(np.array([2, 1]), np.array([0.5, 0.5]), 2)
+        assert marginal == Marginal((2, 0), same)
+        assert marginal != Marginal((0, 2), PMF({"01": 0.25, "10": 0.75}))
+        assert marginal != Marginal((0, 1), marginal.pmf)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(PMF({"0": 1.0}))
+
+    def test_not_a_mapping(self):
+        assert not issubclass(PMF, Mapping)
+
+    @pytest.mark.parametrize(
+        "use",
+        [lambda pmf: pmf["0"], iter, dict, list, PMF, lambda pmf: "0" in pmf],
+        ids=["getitem", "iter", "dict", "list", "PMF", "contains"],
+    )
+    def test_string_view_raises(self, use):
+        with pytest.raises(TypeError):
+            use(PMF({"0": 0.5, "1": 0.5}))
 
 
 class TestMarginalisation:
@@ -92,7 +138,7 @@ class TestMarginalisation:
                 "100": 0.10, "101": 0.05, "110": 0.15, "111": 0.20,
             }
         )
-        marg = pmf.marginal([1, 0])
+        marg = pmf.marginal([1, 0]).as_dict()
         assert marg["00"] == pytest.approx(0.20)
         assert marg["01"] == pytest.approx(0.15)
         assert marg["10"] == pytest.approx(0.30)
@@ -122,12 +168,12 @@ class TestMarginalisation:
     def test_marginal_mass_conserved(self, raw):
         pmf = PMF(raw)
         marg = pmf.marginal([2, 0])
-        assert sum(marg.values()) == pytest.approx(1.0)
+        assert marg.probs.sum() == pytest.approx(1.0)
 
     def test_restrict(self):
         pmf = PMF({"00": 0.5, "01": 0.3, "10": 0.2})
         sub = pmf.restrict(["00", "10"])
-        assert sub["00"] == pytest.approx(0.5 / 0.7)
+        assert sub.prob("00") == pytest.approx(0.5 / 0.7)
 
     def test_restrict_empty_rejected(self):
         with pytest.raises(PMFError):

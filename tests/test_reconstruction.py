@@ -35,21 +35,22 @@ from repro.utils.bits import extract_bits, gather_code_bits
 
 
 def reference_bayesian_update(prior: PMF, marginal: Marginal) -> PMF:
-    posterior = dict(prior.as_dict())
+    prior_dist = prior.as_dict()
+    posterior = dict(prior_dist)
     groups = {}
     mass = {}
-    for key, value in prior.items():
+    for key, value in prior_dist.items():
         projection = extract_bits(key, marginal.qubits)
         groups.setdefault(projection, []).append(key)
         mass[projection] = mass.get(projection, 0.0) + value
-    for projection, pry in marginal.pmf.items():
+    for projection, pry in marginal.pmf.as_dict().items():
         candidates = groups.get(projection)
         if not candidates or mass[projection] <= 0:
             continue
         pry = min(pry, 1.0 - 1e-12)
         odds = pry / (1.0 - pry)
         for key in candidates:
-            posterior[key] = (prior[key] / mass[projection]) * odds
+            posterior[key] = (prior_dist[key] / mass[projection]) * odds
     return PMF(posterior, normalize=True)
 
 
@@ -57,7 +58,7 @@ def reference_round(prior: PMF, marginals) -> PMF:
     accumulator = dict(prior.as_dict())
     for marginal in marginals:
         posterior = reference_bayesian_update(prior, marginal)
-        for key, value in posterior.items():
+        for key, value in posterior.as_dict().items():
             accumulator[key] = accumulator.get(key, 0.0) + value
     return PMF(accumulator, normalize=True)
 
@@ -185,14 +186,14 @@ class TestFigure6:
         posterior = bayesian_update(prior, marginal)
         total = sum(FIG6_RAW_POSTERIOR.values())
         for key, raw in FIG6_RAW_POSTERIOR.items():
-            assert posterior[key] == pytest.approx(raw / total, abs=2e-3)
+            assert posterior.prob(key) == pytest.approx(raw / total, abs=2e-3)
 
     def test_correct_answer_amplified(self):
         """Fig. 6: the probability of 111 increases substantially."""
         prior = PMF(FIG6_GLOBAL)
         marginal = Marginal((0, 1), PMF(FIG6_MARGINAL))
         posterior = bayesian_update(prior, marginal)
-        assert posterior["111"] > 2.0 * prior["111"]
+        assert posterior.prob("111") > 2.0 * prior.prob("111")
 
     def test_reference_agrees_on_fig6(self):
         prior = PMF(FIG6_GLOBAL)
@@ -200,7 +201,7 @@ class TestFigure6:
         fast = bayesian_update(prior, marginal)
         slow = reference_bayesian_update(prior, marginal)
         for key in FIG6_GLOBAL:
-            assert fast[key] == pytest.approx(slow[key], abs=1e-12)
+            assert fast.prob(key) == pytest.approx(slow.prob(key), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ class TestBayesianUpdate:
         prior = PMF(FIG6_GLOBAL)
         marginal = Marginal((1, 2), PMF({"00": 0.4, "11": 0.6}))
         posterior = bayesian_update(prior, marginal)
-        assert sum(posterior.values()) == pytest.approx(1.0)
+        assert posterior.probs.sum() == pytest.approx(1.0)
 
     def test_unseen_projection_keeps_prior_value(self):
         """Entries whose projection is absent from the marginal keep P[x]."""
@@ -223,21 +224,21 @@ class TestBayesianUpdate:
         # "00" projects to "0", unseen in the marginal: raw value stays 0.5
         # while "01"/"11" get odds-scaled; after normalisation "00" shrinks
         # but remains strictly positive.
-        assert posterior["00"] > 0.0
+        assert posterior.prob("00") > 0.0
 
     def test_marginal_probability_one_is_clipped(self):
         prior = PMF({"00": 0.5, "01": 0.5})
         marginal = Marginal((0,), PMF({"1": 1.0}))
         posterior = bayesian_update(prior, marginal)
-        assert math.isfinite(posterior["01"])
-        assert posterior["01"] > 0.99
+        assert math.isfinite(posterior.prob("01"))
+        assert posterior.prob("01") > 0.99
 
     def test_uniform_marginal_over_balanced_prior_is_neutral(self):
         prior = PMF({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25})
         marginal = Marginal((0,), PMF({"0": 0.5, "1": 0.5}))
         posterior = bayesian_update(prior, marginal)
-        for key in prior:
-            assert posterior[key] == pytest.approx(0.25)
+        for key in prior.as_dict():
+            assert posterior.prob(key) == pytest.approx(0.25)
 
     def test_out_of_range_marginal_rejected(self):
         prior = PMF({"00": 1.0})
@@ -268,7 +269,7 @@ class TestBayesianUpdate:
         )
         fast = bayesian_update(prior, marginal)
         slow = reference_bayesian_update(prior, marginal)
-        for key in prior:
+        for key in prior.as_dict():
             assert fast.prob(key) == pytest.approx(slow.prob(key), abs=1e-10)
 
 
@@ -291,7 +292,7 @@ class TestReconstruction:
         fast = bayesian_reconstruction_round(prior, marginals)
         slow = reference_round(prior, marginals)
         for key in FIG6_GLOBAL:
-            assert fast[key] == pytest.approx(slow[key], abs=1e-12)
+            assert fast.prob(key) == pytest.approx(slow.prob(key), abs=1e-12)
 
     def test_marginal_order_does_not_matter(self):
         """§4.3: updates are computed from the same prior, then summed."""
@@ -301,7 +302,7 @@ class TestReconstruction:
         forward = bayesian_reconstruction(prior, [m1, m2])
         backward = bayesian_reconstruction(prior, [m2, m1])
         for key in FIG6_GLOBAL:
-            assert forward[key] == pytest.approx(backward[key], abs=1e-12)
+            assert forward.prob(key) == pytest.approx(backward.prob(key), abs=1e-12)
 
     def test_sharp_marginals_amplify_truth(self):
         """Noisy uniform-ish prior + clean GHZ marginals -> GHZ-like output."""
@@ -314,8 +315,8 @@ class TestReconstruction:
             Marginal(s, PMF({"00": 0.5, "11": 0.5})) for s in subsets
         ]
         output = bayesian_reconstruction(prior, marginals)
-        correct_mass = output["0000"] + output["1111"]
-        prior_mass = prior["0000"] + prior["1111"]
+        correct_mass = output.prob("0000") + output.prob("1111")
+        prior_mass = prior.prob("0000") + prior.prob("1111")
         assert correct_mass > 1.5 * prior_mass
 
     def test_exact_marginals_preserve_correct_distribution(self):
@@ -323,8 +324,8 @@ class TestReconstruction:
         prior = PMF({"000": 0.5, "111": 0.5})
         marginals = exact_marginals_of(prior, [(0, 1), (1, 2)])
         output = bayesian_reconstruction(prior, marginals)
-        assert output["000"] == pytest.approx(0.5, abs=1e-6)
-        assert output["111"] == pytest.approx(0.5, abs=1e-6)
+        assert output.prob("000") == pytest.approx(0.5, abs=1e-6)
+        assert output.prob("111") == pytest.approx(0.5, abs=1e-6)
 
     def test_converges_within_max_rounds(self):
         prior = PMF(FIG6_GLOBAL)
@@ -365,7 +366,7 @@ class TestReconstruction:
         prior = PMF({"000": 0.6, "011": 0.4})
         marginal = Marginal((0, 1), PMF({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}))
         output = bayesian_reconstruction(prior, [marginal])
-        assert set(output) <= {"000", "011"}
+        assert set(output.as_dict()) <= {"000", "011"}
 
 
 class TestAgainstReference:

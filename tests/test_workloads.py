@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import WorkloadError
-from repro.metrics import cut_size
 from repro.workloads import (
     PAPER_SUITE_NAMES,
     Workload,
@@ -18,6 +17,7 @@ from repro.workloads import (
     workload_by_name,
 )
 from repro.workloads.qaoa import cut_values, path_graph_edges, ring_graph_edges
+from tests.metrics_oracle import cut_size
 
 
 class TestBv:
@@ -28,12 +28,12 @@ class TestBv:
 
     def test_ideal_distribution_deterministic(self):
         workload = bv(4)
-        assert workload.ideal_distribution() == {"1111": 1.0}
+        assert workload.ideal_distribution().as_dict() == {"1111": 1.0}
         assert workload.ideal_success_probability() == pytest.approx(1.0)
 
     def test_custom_secret(self):
         workload = bv(4, secret="1010")
-        assert workload.ideal_distribution() == {"1010": 1.0}
+        assert workload.ideal_distribution().as_dict() == {"1010": 1.0}
 
     def test_gate_counts_table2(self):
         """Table 2: BV-n has n two-qubit gates for the all-ones secret."""
@@ -58,8 +58,8 @@ class TestGhz:
 
     def test_ideal_fifty_fifty(self):
         dist = ghz(4).ideal_distribution()
-        assert dist["0000"] == pytest.approx(0.5)
-        assert dist["1111"] == pytest.approx(0.5)
+        assert dist.prob("0000") == pytest.approx(0.5)
+        assert dist.prob("1111") == pytest.approx(0.5)
 
     def test_gate_counts_table2(self):
         """Table 2: GHZ-n has 1 single-qubit and n-1 two-qubit gates."""
@@ -77,7 +77,7 @@ class TestGraycode:
         workload = graycode(8)
         dist = workload.ideal_distribution()
         assert len(dist) == 1
-        assert set(dist) == set(workload.correct_outcomes)
+        assert set(dist.as_dict()) == set(workload.correct_outcomes)
 
     def test_gate_counts_table2(self):
         """Table 2: Graycode-n has n/2 1Q gates and n-1 2Q gates."""
@@ -110,9 +110,9 @@ class TestIsing:
     def test_correct_outcomes_are_dominant(self):
         workload = ising(6)
         ideal = workload.ideal_distribution()
-        peak = max(ideal.values())
+        peak = ideal.probs.max()
         for outcome in workload.correct_outcomes:
-            assert ideal[outcome] >= 0.5 * peak
+            assert ideal.prob(outcome) >= 0.5 * peak
 
     def test_too_small(self):
         with pytest.raises(WorkloadError):
@@ -204,3 +204,27 @@ class TestSuite:
         qc = QuantumCircuit(2).measure_all()
         with pytest.raises(WorkloadError):
             Workload("bad", qc, ("0",))  # wrong outcome width
+
+    @pytest.mark.parametrize(
+        "correct", [("0x",), (1,), ("01", "10", "01")]
+    )
+    def test_bad_correct_outcomes_rejected(self, correct):
+        from repro.circuits import QuantumCircuit
+
+        qc = QuantumCircuit(2).measure_all()
+        with pytest.raises(WorkloadError):
+            Workload("bad", qc, correct)
+
+    def test_qasm_import_validates_correct_outcomes(self, tmp_path):
+        from repro.workloads import from_qasm_file
+
+        path = tmp_path / "pair.qasm"
+        path.write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
+            "h q[0];\ncx q[0],q[1];\nmeasure q -> c;\n"
+        )
+        for correct in (["0x"], ["11", "11"]):
+            with pytest.raises(WorkloadError):
+                from_qasm_file(str(path), correct_outcomes=correct, register=False)
+        workload = from_qasm_file(str(path), register=False)
+        assert workload.correct_outcomes == ("00", "11")

@@ -37,21 +37,32 @@ f_j[proj_j])``.  The support-sized steps — the masses and the factor
 ``sum_j f_j[proj_j]`` — have two implementations, chosen from the input:
 
 * a dense support of at least ``_DENSE_MIN_BITS`` bits (exact mode, where
-  the codes are ``arange(2**n)``) views the probabilities as a ``(2,)*n``
-  tensor: masses are axis sums, and each ``f_j`` is added to the factor by
-  broadcasting, so a round holds O(support) temporaries and no projection
-  arrays;
+  the codes are ``arange(2**n)``) shares partial sums across marginals.
+  Level ``t`` is the support with every bit above ``t`` summed out.  The
+  masses walk halves from the full support down, ``level[:h] +
+  level[h:]``, and reduces each marginal from the level of its highest
+  qubit, so a marginal whose highest qubit is ``t`` costs ``2**(t + 1)``,
+  not ``2**n``.  The factor walk mirrors it: it doubles the running sum
+  one level up per step and adds each ``f_j`` at its level.  A round
+  holds O(support) temporaries and no projection arrays;
 * every other support stacks its marginals: one ``bincount`` over offset
   projections gives every mass, and one gather plus one row sum the
   factor, a fixed number of numpy calls per round whatever the marginal
   count.
 
-The dense side's per-marginal reductions lose to the stacked side's few
-calls on small supports and win once the stacked side's (marginals x
-support) temporaries dominate: measured per round, the stacked side is
-faster up to 13 bits and the dense side from 14 bits on.  Both sides
-agree with the per-marginal reference in ``tests/`` to 1e-12 relative:
-they only reorder floating-point sums.
+Every dense reduction and add is 1-D or over the innermost axis: a
+dropped run of bits below the kept ones is a row sum, and a kept run
+below dropped ones (the wrap-around windows, which keep the top and the
+bottom qubit) splits the level into one strided 1-D view per value of
+its bits.  numpy's multi-axis sums over a ``(2,)*n`` view run 10-20x
+slower at 2**18, and no such view is made, so no rank cap applies.  The
+dense side's per-marginal calls lose to the stacked side's few calls on
+small supports and win once the stacked side's (marginals x support)
+temporaries dominate: measured per round over sliding windows of widths
+2-5 on a 2-core host, the dense side wins every width from 13 bits on
+and loses at width 5 at 12 bits.  Both sides agree with the per-marginal
+reference in ``tests/`` to 1e-12 relative: they only reorder
+floating-point sums.
 
 :class:`~repro.core.pmf.PMF` *is* the integer-coded array representation
 — ``prior.codes`` / ``prior.probs`` are consumed directly and results are
@@ -62,6 +73,7 @@ independent of ``2**n`` for a sparse support (§7).
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -88,11 +100,8 @@ DEFAULT_TOLERANCE = 1e-4
 #: Default cap on reconstruction rounds (each round is one full pass).
 DEFAULT_MAX_ROUNDS = 32
 
-#: Dense supports of at least this many bits take the axis-sum side.
-_DENSE_MIN_BITS = 14
-
-#: numpy 1.x caps an array's rank at 32, the rank of the dense side's view.
-_MAX_DENSE_BITS = 32
+#: Dense supports of at least this many bits take the dense side.
+_DENSE_MIN_BITS = 13
 
 
 def hellinger_distance(p: PMF, q: PMF) -> float:
@@ -176,47 +185,102 @@ class _StackedSupport:
         return factors[self.projections].reshape(self.count, -1).sum(axis=0)
 
 
-class _DenseSupport:
-    """Support-sized steps for a dense ``arange(2**n)`` support.
+def _runs(qubits: Sequence[int]) -> List[Tuple[bool, int]]:
+    """``(kept, width)`` runs of bits ``0 .. qubits[-1]``, lowest first.
 
-    Axis ``a`` of the ``(2,)*n`` view is bit ``n - 1 - a`` of the code, so
-    summing out every axis but a marginal's leaves its masses with the
-    highest qubit first — the bin order of its codes.
+    The last run is kept: it holds the highest qubit.
+    """
+    kept = set(qubits)
+    return [
+        (flag, len(list(group)))
+        for flag, group in groupby(bit in kept for bit in range(qubits[-1] + 1))
+    ]
+
+
+def _reduce(level: np.ndarray, runs: Sequence[Tuple[bool, int]]) -> np.ndarray:
+    """A marginal's masses from the level holding bits ``0 .. top``.
+
+    Lowest run first: a dropped run is an innermost row sum, a kept run
+    splits every piece into strided 1-D views, one per value of its bits,
+    so the pieces end up indexed by the bins' lower bits.
+    """
+    pieces = [level]
+    for kept, width in runs[:-1]:
+        count = 1 << width
+        if kept:
+            pieces = [piece[b::count] for b in range(count) for piece in pieces]
+        else:
+            pieces = [piece.reshape(-1, count).sum(axis=1) for piece in pieces]
+    return np.stack(pieces, axis=1).ravel()
+
+
+def _scatter(
+    target: np.ndarray, runs: Sequence[Tuple[bool, int]], values: np.ndarray
+) -> None:
+    """``target[c] += values[bin(c)]`` over a level: :func:`_reduce` mirrored."""
+    (kept, width), rest = runs[0], runs[1:]
+    count = 1 << width
+    if not rest:
+        target += values
+    elif kept:
+        columns = values.reshape(-1, count)
+        for b in range(count):
+            _scatter(target[b::count], rest, columns[:, b])
+    else:
+        if len(rest) > 1:
+            spread = np.zeros(target.size >> width)
+            _scatter(spread, rest, values)
+            values = spread
+        rows = target.reshape(-1, count)
+        rows += values[:, None]
+
+
+class _DenseSupport:
+    """Support-sized steps for a dense ``arange(2**n)`` support: the
+    halving and doubling walks of the module docstring.
+
+    Level ``t`` holds bits ``0 .. t`` (``2**(t + 1)`` entries); ``levels``
+    maps each marginal's highest qubit to its bin range and bit runs.
     """
 
-    __slots__ = ("shape", "dropped", "broadcast", "bounds")
+    __slots__ = ("num_bits", "num_bins", "lowest", "levels")
 
     def __init__(
         self, num_bits: int, marginals: Sequence[Marginal], bins: _Bins
     ) -> None:
-        self.shape = (2,) * num_bits
-        self.dropped = []
-        self.broadcast = []
-        for marginal in marginals:
-            kept = {num_bits - 1 - q for q in marginal.qubits}
-            self.dropped.append(
-                tuple(a for a in range(num_bits) if a not in kept)
+        self.num_bits = num_bits
+        self.num_bins = len(bins.odds)
+        self.levels: dict = {}
+        for marginal, start, size in zip(marginals, bins.starts, bins.sizes):
+            self.levels.setdefault(marginal.qubits[-1], []).append(
+                (slice(int(start), int(start + size)), _runs(marginal.qubits))
             )
-            self.broadcast.append(
-                tuple(2 if a in kept else 1 for a in range(num_bits))
-            )
-        self.bounds = [
-            (int(start), int(start + size))
-            for start, size in zip(bins.starts, bins.sizes)
-        ]
+        self.lowest = min(self.levels)
 
     def masses(self, probs: np.ndarray) -> np.ndarray:
-        view = probs.reshape(self.shape)
-        return np.concatenate(
-            [view.sum(axis=dropped).ravel() for dropped in self.dropped]
-        )
+        masses = np.empty(self.num_bins)
+        halves = np.empty(probs.size // 2)
+        level = probs
+        for top in range(self.num_bits - 1, self.lowest - 1, -1):
+            if top < self.num_bits - 1:
+                half = level.size // 2
+                level = np.add(level[:half], level[half:], out=halves[:half])
+            for bins, runs in self.levels.get(top, ()):
+                masses[bins] = _reduce(level, runs)
+        return masses
 
     def factor(self, factors: np.ndarray) -> np.ndarray:
         """``sum_j f_j[proj_j]`` over the support."""
-        total = np.zeros(self.shape)
-        for (start, stop), shape in zip(self.bounds, self.broadcast):
-            total += factors[start:stop].reshape(shape)
-        return total.reshape(-1)
+        total = np.empty(1 << self.num_bits)
+        size = 2 << self.lowest
+        total[:size] = 0.0
+        for top in range(self.lowest, self.num_bits):
+            if top > self.lowest:
+                total[size : 2 * size] = total[:size]
+                size *= 2
+            for bins, runs in self.levels.get(top, ()):
+                _scatter(total[:size], runs, factors[bins])
+        return total
 
 
 def _prepare(prior: PMF, marginals: Sequence[Marginal]):
@@ -224,7 +288,7 @@ def _prepare(prior: PMF, marginals: Sequence[Marginal]):
     bins = _Bins(marginals)
     codes, num_bits = prior.codes, prior.num_bits
     dense = len(codes) == 1 << num_bits and int(codes[-1]) == len(codes) - 1
-    if dense and _DENSE_MIN_BITS <= num_bits <= _MAX_DENSE_BITS:
+    if dense and num_bits >= _DENSE_MIN_BITS:
         return bins, _DenseSupport(num_bits, marginals, bins)
     return bins, _StackedSupport(codes, marginals, bins)
 
@@ -261,11 +325,13 @@ def _round(probs: np.ndarray, bins: _Bins, support) -> np.ndarray:
     out = support.factor(bins.factors(support.masses(probs)))
     out += 1.0
     out *= probs
-    return out / out.sum()
+    out /= out.sum()
+    return out
 
 
-def _hellinger_arrays(p: np.ndarray, q: np.ndarray) -> float:
-    diff = np.sqrt(p) - np.sqrt(q)
+def _hellinger_roots(p_root: np.ndarray, q_root: np.ndarray) -> float:
+    """Hellinger distance from the square roots of two probability arrays."""
+    diff = p_root - q_root
     return float(np.sqrt(np.dot(diff, diff) / 2.0))
 
 
@@ -281,12 +347,14 @@ def iterate_reconstruction(
     marginals = _check_marginals(marginals, prior.num_bits)
     bins, support = _prepare(prior, marginals)
     current = _normalized(prior)
+    root = np.sqrt(current)
     converged = False
     rounds = 0
     while rounds < max_rounds and not converged:
-        updated = _round(current, bins, support)
-        converged = _hellinger_arrays(current, updated) <= tolerance
-        current = updated
+        current = _round(current, bins, support)
+        updated_root = np.sqrt(current)
+        converged = _hellinger_roots(root, updated_root) <= tolerance
+        root = updated_root
         rounds += 1
     output = PMF.from_codes(prior.codes, current, prior.num_bits, normalize=True)
     return output, rounds, not converged

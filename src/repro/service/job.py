@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
+import numbers
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -48,6 +50,41 @@ SERVICE_SCHEMES = (
 )
 
 
+def _integer(value: Any, name: str, minimum: Optional[int] = None) -> int:
+    """``value`` as an ``int``; a bool, a float or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ServiceError(f"{name} must be an integer, not {value!r}")
+    if minimum is not None and value < minimum:
+        raise ServiceError(f"{name} must be >= {minimum}, not {value!r}")
+    return int(value)
+
+
+def _finite_real(value: Any, name: str) -> float:
+    """``value`` as a finite ``float``; a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ServiceError(f"{name} must be a real number, not {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real):
+        raise ServiceError(f"{name} must be finite, not {value!r}")
+    return real
+
+
+def _entry_fields(payload: Any, known: set, what: str) -> Dict[str, Any]:
+    """A JSON job entry's fields; a non-object or an unknown key raises."""
+    if not isinstance(payload, Mapping):
+        raise ServiceError(f"a {what} entry must be a JSON object, not {payload!r}")
+    unknown = set(payload) - known
+    if unknown:
+        raise ServiceError(
+            f"unknown {what} fields: {sorted(unknown, key=str)}; known: "
+            f"{sorted(known)}"
+        )
+    return dict(payload)
+
+
 class JobStatus(str, enum.Enum):
     """Lifecycle of a job inside the service.
 
@@ -77,11 +114,18 @@ class JobSpec:
         device: device short name (see
             :data:`repro.devices.DEVICE_FACTORIES`).
         scheme: one of :data:`SERVICE_SCHEMES`.
-        total_trials: trial budget of the run.
-        seed: the job's root seed — results are bit-for-bit those of
-            ``Session(device, seed=seed, ...)`` run solo.
-        exact: closed-form noisy distributions vs sampled trials.
-        priority: queue priority (higher drains first among pending).
+        total_trials: trial budget of the run (an integer >= 1).
+        seed: the job's root seed (an integer >= 0) — results are
+            bit-for-bit those of ``Session(device, seed=seed, ...)`` run
+            solo.
+        exact: closed-form noisy distributions vs sampled trials (a
+            ``bool``: the JSON string ``"false"`` is refused, not truthy).
+        priority: queue priority (an integer; higher drains first among
+            pending).
+
+    Every field is type-checked at construction, so a mistyped JSON entry
+    raises :class:`~repro.exceptions.ServiceError` before it is queued.
+    Integer fields refuse ``bool``.
     """
 
     tenant: str
@@ -95,8 +139,14 @@ class JobSpec:
     priority: int = 0
 
     def __post_init__(self) -> None:
-        if not self.tenant:
-            raise ServiceError("a job needs a tenant")
+        if not isinstance(self.tenant, str) or not self.tenant:
+            raise ServiceError("a job needs a tenant (a non-empty string)")
+        if not isinstance(self.device, str):
+            raise ServiceError(f"device must be a string, not {self.device!r}")
+        for name in ("workload", "qasm"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ServiceError(f"{name} must be a string, not {value!r}")
         if (self.workload is None) == (self.qasm is None):
             raise ServiceError(
                 "a job needs exactly one of 'workload' (a suite name) or "
@@ -106,8 +156,12 @@ class JobSpec:
             raise ServiceError(
                 f"unknown scheme {self.scheme!r}; known: {SERVICE_SCHEMES}"
             )
-        if self.total_trials <= 0:
-            raise ServiceError("total_trials must be positive")
+        if not isinstance(self.exact, bool):
+            raise ServiceError(f"exact must be true or false, not {self.exact!r}")
+        for name, minimum in (("total_trials", 1), ("seed", 0), ("priority", None)):
+            object.__setattr__(
+                self, name, _integer(getattr(self, name), name, minimum)
+            )
 
     # ------------------------------------------------------------------
 
@@ -136,19 +190,17 @@ class JobSpec:
         resolves to :class:`SweepJobSpec` (so job files mix plain and
         sweep entries freely).
         """
-        if cls is JobSpec and "parameter_sets" in payload:
+        if (
+            cls is JobSpec
+            and isinstance(payload, Mapping)
+            and "parameter_sets" in payload
+        ):
             return SweepJobSpec.from_dict(payload)
         known = {
             "tenant", "workload", "qasm", "device", "scheme",
             "total_trials", "seed", "exact", "priority",
         }
-        unknown = set(payload) - known
-        if unknown:
-            raise ServiceError(
-                f"unknown job-spec fields: {sorted(unknown)}; known: "
-                f"{sorted(known)}"
-            )
-        return cls(**dict(payload))
+        return cls(**_entry_fields(payload, known, "job-spec"))
 
     def with_tenant(self, tenant: str) -> "JobSpec":
         return replace(self, tenant=tenant)
@@ -175,10 +227,15 @@ class SweepJobSpec(JobSpec):
                 "sweep jobs need a registered workload (inline QASM "
                 "carries no parameters)"
             )
+        if not isinstance(self.parameter_sets, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in self.parameter_sets
+        ):
+            raise ServiceError("sweep parameter sets must be a list of rows")
         if not self.parameter_sets:
             raise ServiceError("a sweep job needs at least one parameter set")
         rows = tuple(
-            tuple(float(v) for v in row) for row in self.parameter_sets
+            tuple(_finite_real(v, "a sweep parameter") for v in row)
+            for row in self.parameter_sets
         )
         widths = {len(row) for row in rows}
         if len(widths) != 1 or widths == {0}:
@@ -186,9 +243,9 @@ class SweepJobSpec(JobSpec):
                 "sweep parameter sets must be non-empty rows of one width"
             )
         object.__setattr__(self, "parameter_sets", rows)
-        if (
-            self.eps_rescore_threshold is not None
-            and self.eps_rescore_threshold <= 0
+        if self.eps_rescore_threshold is not None and (
+            _finite_real(self.eps_rescore_threshold, "eps_rescore_threshold")
+            <= 0
         ):
             raise ServiceError("eps_rescore_threshold must be positive")
 
@@ -206,13 +263,7 @@ class SweepJobSpec(JobSpec):
             "total_trials", "seed", "exact", "priority",
             "parameter_sets", "eps_rescore_threshold",
         }
-        unknown = set(payload) - known
-        if unknown:
-            raise ServiceError(
-                f"unknown sweep-job fields: {sorted(unknown)}; known: "
-                f"{sorted(known)}"
-            )
-        return cls(**dict(payload))
+        return cls(**_entry_fields(payload, known, "sweep-job"))
 
 
 def job_fingerprint(spec: JobSpec, circuit: QuantumCircuit, device_key: str,

@@ -67,24 +67,31 @@ def _read_segment(
 ) -> Iterator[Tuple[str, Dict[str, Any]]]:
     """Yield ``(fingerprint, payload)`` records of one segment file.
 
-    A torn final line is skipped when ``tolerate_torn_tail`` (the active
-    segment — a crash interrupted an append); anywhere else it raises
-    :class:`PayloadError`, as does any structural defect.
+    A final line that is not UTF-8 JSON is a torn tail and skipped when
+    ``tolerate_torn_tail`` (the active segment — a crash interrupted an
+    append); anywhere else it raises :class:`PayloadError`, as does any
+    structural defect, a record that is not a JSON object included.
     """
-    with open(path) as handle:
+    with open(path, "rb") as handle:
         lines = handle.readlines()
-    for line_number, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_number, raw in enumerate(lines, 1):
         try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep
+        # nesting exhausts the decoder's recursion.
+        except (ValueError, RecursionError) as exc:
             if tolerate_torn_tail and line_number == len(lines):
                 return
             raise PayloadError(
                 f"{path}:{line_number}: corrupt journal record: {exc}"
             ) from exc
+        if not isinstance(record, dict):
+            raise PayloadError(
+                f"{path}:{line_number}: journal record is not a JSON object"
+            )
         check_payload_version(record, what=f"{path}:{line_number}")
         fingerprint = record.get("fingerprint")
         payload = record.get("payload")

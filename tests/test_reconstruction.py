@@ -23,6 +23,8 @@ from repro.core import (
     bayesian_reconstruction_round,
     bayesian_update,
     hellinger_distance,
+    random_subsets,
+    sliding_window_subsets,
 )
 from repro.core import reconstruction
 from repro.exceptions import ReconstructionError
@@ -434,6 +436,62 @@ class TestAgainstReference:
         with dense_side_from(num_bits + 1):
             stacked = bayesian_reconstruction_round(prior, marginals)
         assert_matches(stacked, codes, expected)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            pytest.param(
+                lambda width: sliding_window_subsets(18, width), id="sliding"
+            ),
+            pytest.param(
+                lambda width: random_subsets(18, width, 9, seed=width),
+                id="random",
+            ),
+        ],
+    )
+    def test_dense_18_bit_layers(self, family):
+        """JigSaw-M's four layers (widths 2-5) on a dense 2**18 support:
+        sliding windows that wrap around keep the top and the bottom
+        qubits, random subsets leave several dropped runs between kept
+        ones.  Each layer's round matches the reference and the stacked
+        side, and two iterated rounds match the reference loop."""
+        num_bits = 18
+        rng = np.random.default_rng(18)
+        codes = np.arange(1 << num_bits)
+        prior = PMF.from_codes(codes, rng.random(codes.size) + 0.01, num_bits)
+        probs = prior.probs
+        for width in (2, 3, 4, 5):
+            marginals = []
+            for qubits in family(width):
+                entries = rng.random(1 << width) ** 3
+                entries[rng.integers(1 << width)] = 0.0
+                marginals.append(
+                    Marginal(
+                        qubits,
+                        PMF.from_codes(np.arange(1 << width), entries, width),
+                    )
+                )
+            assert isinstance(
+                reconstruction._prepare(prior, marginals)[1],
+                reconstruction._DenseSupport,
+            )
+            expected = reference_round_probs(codes, probs, marginals)
+            dense = bayesian_reconstruction_round(prior, marginals)
+            assert_matches(dense, codes, expected)
+            with dense_side_from(num_bits + 1):
+                stacked = bayesian_reconstruction_round(prior, marginals)
+            assert_matches(stacked, codes, expected)
+            np.testing.assert_allclose(
+                dense.probs, stacked.probs, rtol=RTOL, atol=0
+            )
+            output, rounds, capped = reconstruction.iterate_reconstruction(
+                prior, marginals, 1e-4, 2
+            )
+            expected, expected_rounds, converged = reference_reconstruction(
+                prior, marginals, 1e-4, 2
+            )
+            assert (rounds, capped) == (expected_rounds, not converged)
+            assert_matches(output, codes, expected)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("num_bits", [3, reconstruction._DENSE_MIN_BITS])

@@ -11,10 +11,14 @@ before it starts, so the batches it drains are fixed by ``max_batch``.
 from __future__ import annotations
 
 import contextlib
+import json
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import ibmq_toronto
 from repro.exceptions import AdmissionError, ServiceError
@@ -76,6 +80,90 @@ class TestJobSpec:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ServiceError, match="unknown scheme"):
             JobSpec(tenant="a", workload="GHZ-4", scheme="magic")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("priority", "high"),
+            ("priority", True),
+            ("priority", 1.0),
+            ("exact", "false"),
+            ("exact", 0),
+            ("total_trials", 1.5),
+            ("total_trials", True),
+            ("total_trials", 0),
+            ("seed", -1),
+            ("seed", "abc"),
+            ("seed", None),
+            ("tenant", 5),
+            ("tenant", ""),
+            ("workload", 5),
+            ("qasm", ["OPENQASM 2.0;"]),
+            ("device", None),
+            ("scheme", ["jigsaw"]),
+        ],
+    )
+    def test_rejects_mistyped_fields(self, field, value):
+        """A mistyped JSON entry fails with ServiceError before it is
+        queued, instead of crashing the queue (a string priority), running
+        on a truthy string (``exact: "false"``) or failing inside the
+        worker (a negative seed)."""
+        entry = {"tenant": "a", "workload": "GHZ-4", field: value}
+        with pytest.raises(ServiceError, match=field):
+            JobSpec.from_dict(entry)
+
+    @pytest.mark.parametrize("entry", [5, None, "GHZ-4", [1], {1: "a", "b": 2}])
+    def test_rejects_entries_that_are_not_objects(self, entry):
+        """A job-file entry that is not a JSON object raises ServiceError,
+        not TypeError."""
+        with pytest.raises(ServiceError):
+            JobSpec.from_dict(entry)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        """numpy integers become ints, so the spec stays JSON-ready."""
+        spec = JobSpec(
+            tenant="a", workload="GHZ-4", seed=np.int64(3), total_trials=np.int32(64)
+        )
+        assert type(spec.seed) is int and type(spec.total_trials) is int
+        assert json.loads(json.dumps(spec.to_dict()))["seed"] == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(
+            [
+                {"tenant": "a", "workload": "GHZ-4"},
+                {"tenant": "a", "workload": "QAOA-5 p1", "parameter_sets": [[0.1, 0.2]]},
+            ]
+        ),
+        st.sampled_from(
+            [
+                "tenant", "workload", "qasm", "device", "scheme", "total_trials",
+                "seed", "exact", "priority", "parameter_sets",
+                "eps_rescore_threshold",
+            ]
+        ),
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats()
+            | st.text(max_size=8)
+            | st.sampled_from(["jigsaw", "edm", "GHZ-4", "toronto"]),
+            lambda children: st.lists(children, max_size=3)
+            | st.dictionaries(st.text(max_size=4), children, max_size=3),
+            max_leaves=8,
+        ),
+    )
+    def test_from_dict_round_trips_or_raises_service_error(self, base, field, value):
+        """Any JSON value in any field: either a spec that survives a JSON
+        round trip unchanged, or ServiceError — never another exception."""
+        try:
+            spec = JobSpec.from_dict({**base, field: value})
+        except ServiceError:
+            return
+        again = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert type(again) is type(spec)
+        assert again == spec
 
     def test_fingerprint_ignores_tenant_and_priority(self):
         base = JobSpec(tenant="a", workload="GHZ-4", priority=0)

@@ -181,6 +181,27 @@ class TestSweepJobs:
         with pytest.raises(ServiceError):
             SweepJobSpec.from_dict({**self.spec().to_dict(), "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"parameter_sets": [[1, "a"]]},
+            {"parameter_sets": [[float("nan"), 0.2]]},
+            {"parameter_sets": [[float("inf"), 0.2]]},
+            {"parameter_sets": [[10**400, 0.2]]},
+            {"parameter_sets": [[True, 0.2]]},
+            {"parameter_sets": "ab"},
+            {"parameter_sets": [0.1, 0.2]},
+            {"eps_rescore_threshold": "x"},
+            {"eps_rescore_threshold": float("nan")},
+            {"eps_rescore_threshold": True},
+        ],
+    )
+    def test_rejects_mistyped_fields(self, overrides):
+        """Non-numeric or non-finite points and thresholds raise
+        ServiceError, not ValueError or TypeError."""
+        with pytest.raises(ServiceError):
+            SweepJobSpec.from_dict({**self.spec().to_dict(), **overrides})
+
     def test_fingerprint_covers_points(self):
         from repro.service.job import spec_circuit
 

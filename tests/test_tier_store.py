@@ -4,15 +4,20 @@ Covers the serving tier's :class:`SegmentedResultStore` durability
 contract: shard routing by device fingerprint, size-triggered segment
 rolls, compaction (count- and dead-ratio-triggered, and forced), restart
 replay with later-records-win, torn-tail tolerance on the active segment
-only, and payload-version checks.
+only, payload-version checks, and a property over truncated and garbled
+segment bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.payload import PAYLOAD_VERSION
 from repro.exceptions import PayloadError, ServiceError
@@ -205,3 +210,96 @@ class TestReplay:
                 "fp1", {"payload_version": PAYLOAD_VERSION + 1}, shard="devA"
             )
 
+
+    @pytest.mark.parametrize("line", [b"[1, 2]", b"42", b"null", b'"fp"'])
+    def test_record_that_is_not_an_object_is_fatal(self, tmp_path, line):
+        """Valid JSON that is not an object is a defect, not a torn tail,
+        even as the active segment's last line."""
+        root = str(tmp_path / "j")
+        SegmentedResultStore(root=root).put("fp1", payload(1), shard="devA")
+        (name,) = segments_of(root, "devA")
+        with open(os.path.join(root, "devA", name), "ab") as handle:
+            handle.write(line + b"\n")
+        with pytest.raises(PayloadError, match="not a JSON object"):
+            SegmentedResultStore(root=root)
+
+    def test_undecodable_torn_tail_tolerated_on_active_segment(self, tmp_path):
+        root = str(tmp_path / "j")
+        SegmentedResultStore(root=root).put("fp1", payload(1), shard="devA")
+        (name,) = segments_of(root, "devA")
+        with open(os.path.join(root, "devA", name), "ab") as handle:
+            handle.write(b'{"fingerprint": "\xc3')
+        assert SegmentedResultStore(root=root).get("fp1")["value"] == 1
+
+    def test_undecodable_line_mid_file_is_fatal(self, tmp_path):
+        root = str(tmp_path / "j")
+        SegmentedResultStore(root=root).put("fp1", payload(1), shard="devA")
+        (name,) = segments_of(root, "devA")
+        path = os.path.join(root, "devA", name)
+        with open(path, "rb") as handle:
+            good = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(b"\xff\xfe\n" + good)
+        with pytest.raises(PayloadError, match="corrupt"):
+            SegmentedResultStore(root=root)
+
+
+#: Byte strings a crash or a bad disk could leave in a segment.
+_GARBAGE = st.binary(min_size=1, max_size=6) | st.sampled_from(
+    [b"\n", b"\xff", b"\xc3", b"[1, 2]\n", b"42\n", b"null\n", b"[" * 3000]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    segment=st.integers(0, 7),
+    edits=st.lists(
+        st.tuples(st.integers(0, 1 << 20), _GARBAGE, st.booleans()), max_size=3
+    ),
+    cut=st.none() | st.integers(0, 1 << 20),
+)
+def test_damaged_segment_replays_intact_records_or_raises(segment, edits, cut):
+    """Truncate or garble one segment's bytes: opening the store either
+    succeeds and serves every record whose line is intact, or raises
+    PayloadError, never another exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "j")
+        store = SegmentedResultStore(root=root, segment_bytes=250)
+        # Fingerprints far apart: no small edit turns one into another.
+        records = {
+            hashlib.sha256(str(i).encode()).hexdigest(): payload(i)
+            for i in range(6)
+        }
+        for fingerprint, record in records.items():
+            store.put(fingerprint, record, shard="devA")
+        names = segments_of(root, "devA")
+        assert len(names) >= 2
+        home = {}
+        for name in names:
+            with open(os.path.join(root, "devA", name), "rb") as handle:
+                for line in handle.read().splitlines():
+                    home[json.loads(line)["fingerprint"]] = (name, line)
+        damaged = names[segment % len(names)]
+        path = os.path.join(root, "devA", damaged)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        for position, chunk, insert in edits:
+            position %= len(data) + 1
+            stop = position if insert else position + len(chunk)
+            data[position:stop] = chunk
+        if cut is not None:
+            del data[cut % (len(data) + 1) :]
+        with open(path, "wb") as handle:
+            handle.write(data)
+        intact = set(bytes(data).split(b"\n"))
+        try:
+            reopened = SegmentedResultStore(root=root)
+        except PayloadError:
+            return
+        for fingerprint, record in records.items():
+            name, line = home[fingerprint]
+            if name != damaged or line in intact:
+                assert reopened.get(fingerprint) == {
+                    **record,
+                    "payload_version": PAYLOAD_VERSION,
+                }

@@ -50,7 +50,7 @@ from repro.compiler.placement import candidate_layouts, pool_layouts
 from repro.compiler.sabre import emit_measurements, route
 from repro.devices.device import Device
 from repro.exceptions import CompilationError
-from repro.runtime.cache import CompilationCache
+from repro.runtime.cache import CompilationCache, IdealStore
 from repro.runtime.fingerprint import (
     body_fingerprint,
     device_fingerprint,
@@ -92,6 +92,12 @@ class ExecutableCircuit:
             after routing.
         num_swaps: SWAPs inserted by the router.
         eps: expected probability of success of the physical schedule.
+
+    An executable the pipeline compiles links to its cache's
+    :class:`~repro.runtime.cache.IdealStore`, where the backend finds the
+    body's ideal vector if the cache has seen the body.  The link is
+    process-local: a pickled executable (a plan, a process-pool payload)
+    crosses without it.
     """
 
     logical: QuantumCircuit
@@ -104,6 +110,13 @@ class ExecutableCircuit:
     _ideal_probabilities: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
+    _ideal_store: Optional[IdealStore] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # The store holds a lock and other bodies' vectors; it stays home.
+        return dict(self.__dict__, _ideal_store=None)
 
     @property
     def measured_physical_qubits(self) -> List[int]:
@@ -599,6 +612,7 @@ class CompilerPipeline:
             device=self.device,
             num_swaps=candidate.routed.num_swaps,
             eps=candidate.plain_eps,
+            _ideal_store=self.cache.ideal,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

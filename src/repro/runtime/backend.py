@@ -6,9 +6,11 @@ returns one :class:`~repro.core.pmf.PMF` per request.  Batching is what
 makes the JigSaw pipeline cheap on a simulator and natural on hardware:
 
 * every executable in a JigSaw batch shares one unitary body, so the
-  local backend computes **one statevector per body** for the whole batch
-  (grouped by :func:`~repro.runtime.fingerprint.unitary_body_fingerprint`)
-  instead of one per circuit;
+  local backend computes **one statevector per body** (grouped by
+  :func:`~repro.runtime.fingerprint.unitary_body_fingerprint`) instead of
+  one per circuit — and, through the compiling cache's
+  :class:`~repro.runtime.cache.IdealStore`, once per cache rather than
+  once per batch;
 * a single entry point per batch is the seam where a remote backend would
   submit one job with many circuits instead of round-tripping per CPM.
 
@@ -285,16 +287,18 @@ class LocalBackend:
     def share_statevectors(
         requests: Sequence[ExecutionRequest],
     ) -> Tuple[int, int, int]:
-        """Compute the ideal statevectors of a batch, stacked where possible.
+        """Give every executable of a batch its ideal probabilities.
 
         Executables that already carry (shared) ideal probabilities are
-        left untouched; the rest are grouped by unitary-body fingerprint
-        (one simulation per unique body) and bodies sharing a gate
-        *structure* evolve as one stacked contraction.  Returns
-        ``(contractions, stacked_evals, stacked_circuits)``: the number
-        of simulator calls (one per gate structure), how many of them ran
-        with batch > 1, and how many unique bodies those covered.  The
-        batch saving is ``len(requests) - contractions``.
+        left untouched; the rest are grouped by unitary-body fingerprint.
+        A body whose vector the compiling cache's
+        :class:`~repro.runtime.cache.IdealStore` holds is served from it;
+        the others are simulated once each, and bodies sharing a gate
+        *structure* evolve as one stacked contraction whose rows are
+        recorded in the store.  Returns ``(contractions, stacked_evals,
+        stacked_circuits)``: the number of simulator calls (one per gate
+        structure), how many of them ran with batch > 1, and how many
+        unique bodies those covered.
         """
         pending: Dict[str, List[ExecutableCircuit]] = {}
         for request in requests:
@@ -303,24 +307,38 @@ class LocalBackend:
                 continue
             key = unitary_body_fingerprint(executable.logical)
             pending.setdefault(key, []).append(executable)
-        by_structure: Dict[tuple, List[List[ExecutableCircuit]]] = {}
-        for group in pending.values():
+        by_structure: Dict[tuple, List[tuple]] = {}
+        for key, group in pending.items():
+            # A body's executables come from one compilation cache.
+            store = group[0]._ideal_store
+            vector = store.get(key) if store is not None else None
+            if vector is not None:
+                for executable in group:
+                    executable.share_ideal_probabilities(vector)
+                continue
             by_structure.setdefault(
                 structure_key(group[0].logical), []
-            ).append(group)
+            ).append((key, group, store))
         simulator = StatevectorSimulator()
         stacked_evals = 0
         stacked_circuits = 0
         for body_groups in by_structure.values():
             rows = simulator.probabilities_stacked(
-                [group[0].logical for group in body_groups]
+                [group[0].logical for _, group, _ in body_groups]
             )
-            if len(body_groups) > 1:
+            stacked = len(body_groups) > 1
+            if stacked:
                 stacked_evals += 1
                 stacked_circuits += len(body_groups)
-            for row, group in zip(rows, body_groups):
+            for row, (key, group, store) in zip(rows, body_groups):
+                vector = row
+                if store is not None:
+                    # A stacked row is a view of the whole stack: a kept
+                    # copy lets the stack go and the bound count true bytes.
+                    vector = row.copy() if stacked else row
+                    store.put(key, vector)
                 for executable in group:
-                    executable.share_ideal_probabilities(row)
+                    executable.share_ideal_probabilities(vector)
         return len(by_structure), stacked_evals, stacked_circuits
 
     def request_streams(self, count: int) -> List[Optional[object]]:

@@ -3,8 +3,8 @@
 Compilation (placement search + SABRE routing + EPS scoring, times one
 global circuit plus every CPM) dominates the cost of a JigSaw run on a
 simulator and is pure overhead when a sweep or a scheme comparison
-re-plans an identical program.  :class:`CompilationCache` stores two
-kinds of artifacts, both keyed by **content**:
+re-plans an identical program.  :class:`CompilationCache` stores three
+kinds of artifacts, all keyed by **content**:
 
 * whole :class:`~repro.runtime.plan.ExecutionPlan`\\ s — circuit
   fingerprint, device name, config fingerprint (plus the caller's seed
@@ -16,18 +16,28 @@ kinds of artifacts, both keyed by **content**:
   keyed by placement inputs.  Stage entries have their own namespace and
   their own hit/miss counters (``cache.stage.<stage>.hits``) — they never
   perturb the plan-level ``cache.plan_hits``/``cache.plan_misses`` that
-  sweeps assert on.
+  sweeps assert on; and
+* **ideal probability vectors** (:class:`IdealStore`, ``cache.ideal``)
+  keyed by :func:`~repro.runtime.fingerprint.unitary_body_fingerprint`.
+  Every executable the pipeline compiles through the cache links to it,
+  so a backend simulates a unitary body once per cache — across every
+  scheme runner of a session, every batch and worker of a serving tier —
+  instead of once per batch.  Lookups count under ``cache.ideal.hits`` /
+  ``cache.ideal.misses``.
 
-Both stores are bounded LRUs.  Every counter lives in the cache's
-telemetry registry, so tests and benchmarks assert reuse on
-``telemetry_snapshot()`` instead of guessing at it.
+Every store is a bounded LRU: plans and stage artifacts by entry count,
+ideal vectors by bytes (:data:`IDEAL_STORE_BYTES`).  Every counter lives
+in the cache's telemetry registry, so tests and benchmarks assert reuse
+on ``telemetry_snapshot()`` instead of guessing at it.
 
 Determinism note: a cached plan replays the compilation of the *first*
 planning call for its key.  Planning is seeded, so sharing a cache across
 equally-seeded sessions is bit-for-bit safe; the seed salt in the default
 key construction keeps differently-seeded sessions from sharing entries.
 Stage entries are stronger: routing is a pure function of its content key
-(the route-once invariant), so sharing routed bodies is always safe.
+(the route-once invariant), so sharing routed bodies is always safe.  So
+are ideal vectors: a vector is a pure function of the unitary body, and
+stacked and per-circuit simulations agree bit for bit.
 """
 
 from __future__ import annotations
@@ -36,10 +46,75 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
+import numpy as np
+
 from repro.runtime.plan import ExecutionPlan
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = ["CompilationCache"]
+__all__ = ["CompilationCache", "IdealStore", "IDEAL_STORE_BYTES"]
+
+#: Bytes of ideal probability vectors one cache's :class:`IdealStore`
+#: keeps, least recently used out first.  A vector at the simulator's
+#: 24-qubit cap is 128 MiB, so the two largest possible bodies fit.
+IDEAL_STORE_BYTES = 256 << 20
+
+
+class IdealStore:
+    """Ideal probability vectors by unitary-body fingerprint, bounded in
+    bytes (the least recently used vector is evicted first).
+
+    Executables compiled through a :class:`CompilationCache` link to its
+    store (``ExecutableCircuit._ideal_store``), and
+    :meth:`~repro.runtime.backend.LocalBackend.share_statevectors` looks a
+    body up here before simulating it and records what it simulates.
+    Each :meth:`get` counts one ``cache.ideal.hits`` or
+    ``cache.ideal.misses``.  A store of ``max_bytes == 0`` (a disabled
+    cache's) keeps nothing, and a vector larger than ``max_bytes`` is
+    never kept.  Stored vectors are read-only: every holder shares them.
+    """
+
+    def __init__(self, max_bytes: int, metrics: MetricsRegistry) -> None:
+        self.max_bytes = max_bytes
+        self._vectors: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self._hits = metrics.counter("cache.ideal.hits")
+        self._misses = metrics.counter("cache.ideal.misses")
+
+    def get(self, key: str) -> Optional[np.ndarray]:
+        """The vector of the body ``key``, or ``None`` (counted)."""
+        with self._lock:
+            vector = self._vectors.get(key)
+            if vector is None:
+                self._misses.add()
+                return None
+            self._vectors.move_to_end(key)
+            self._hits.add()
+            return vector
+
+    def put(self, key: str, vector: np.ndarray) -> None:
+        """Keep ``vector`` for the body ``key``, evicting by bytes."""
+        if vector.nbytes > self.max_bytes:
+            return
+        vector.flags.writeable = False
+        with self._lock:
+            previous = self._vectors.pop(key, None)
+            if previous is not None:
+                self._bytes -= previous.nbytes
+            self._vectors[key] = vector
+            self._bytes += vector.nbytes
+            while self._bytes > self.max_bytes:
+                _, evicted = self._vectors.popitem(last=False)
+                self._bytes -= evicted.nbytes
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._vectors)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._vectors.clear()
+            self._bytes = 0
 
 
 class CompilationCache:
@@ -52,7 +127,9 @@ class CompilationCache:
             benchmarks compare cached compilation against compiling
             from scratch.
         max_stage_entries: maximum per-stage artifacts kept (routed
-            bodies dominate; they are small relative to plans).
+            bodies dominate; they are small relative to plans).  Ideal
+            vectors are bounded by :data:`IDEAL_STORE_BYTES` instead; a
+            cache disabled by either bound keeps none.
         metrics: the telemetry registry the hit/miss counters live in
             (``cache.plan_hits``, ``cache.stage.route.hits`` ...);
             defaults to a private one.  Attach it to a session's or
@@ -88,6 +165,11 @@ class CompilationCache:
         self._inflight_guard = threading.Lock()
         self._hits = self.metrics.counter("cache.plan_hits")
         self._misses = self.metrics.counter("cache.plan_misses")
+        disabled = max_entries == 0 or max_stage_entries == 0
+        #: Ideal probability vectors by unitary body (see :class:`IdealStore`).
+        self.ideal = IdealStore(
+            0 if disabled else IDEAL_STORE_BYTES, self.metrics
+        )
 
     # ------------------------------------------------------------------
 
@@ -138,10 +220,12 @@ class CompilationCache:
                     self._plans.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every entry, plans and stage artifacts (counters are kept)."""
+        """Drop every entry: plans, stage artifacts and ideal vectors
+        (counters are kept)."""
         with self._lock:
             self._plans.clear()
             self._stage_data.clear()
+        self.ideal.clear()
 
     # ------------------------------------------------------------------
     # Stage store (compiler-pipeline artifacts)
@@ -237,5 +321,6 @@ class CompilationCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CompilationCache(entries={len(self._plans)}, "
-            f"stage_entries={len(self._stage_data)})"
+            f"stage_entries={len(self._stage_data)}, "
+            f"ideal_vectors={len(self.ideal)})"
         )

@@ -98,7 +98,8 @@ def unitary_body_fingerprint(circuit: "QuantumCircuit") -> str:
 
     The global circuit and all of its CPMs share one unitary body
     (paper §4.2.1), so they share this fingerprint — the backends use it
-    to compute one statevector per body across a whole batch.
+    to compute one statevector per body, and the compilation cache's
+    ideal store keys the vectors by it.
     """
     parts = [f"body|{circuit.num_qubits}"]
     parts.extend(

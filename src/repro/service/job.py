@@ -243,11 +243,15 @@ class SweepJobSpec(JobSpec):
                 "sweep parameter sets must be non-empty rows of one width"
             )
         object.__setattr__(self, "parameter_sets", rows)
-        if self.eps_rescore_threshold is not None and (
-            _finite_real(self.eps_rescore_threshold, "eps_rescore_threshold")
-            <= 0
-        ):
-            raise ServiceError("eps_rescore_threshold must be positive")
+        if self.eps_rescore_threshold is not None:
+            # Stored as the float, like the rows: an equal spec written
+            # with ``1`` or ``1.0`` must fingerprint the same.
+            threshold = _finite_real(
+                self.eps_rescore_threshold, "eps_rescore_threshold"
+            )
+            if threshold <= 0:
+                raise ServiceError("eps_rescore_threshold must be positive")
+            object.__setattr__(self, "eps_rescore_threshold", threshold)
 
     def to_dict(self) -> Dict[str, Any]:
         payload = super().to_dict()
@@ -361,12 +365,15 @@ class Job:
 
 
 def spec_circuit(spec: JobSpec) -> QuantumCircuit:
-    """Just the circuit a spec names — cheap, no ideal-state simulation.
+    """Just the circuit a spec names — all :func:`job_fingerprint` needs.
 
-    This is all :func:`job_fingerprint` needs, so the submit path (and
-    in particular a memoized resubmission) never pays the statevector
-    simulation that :func:`resolve_spec_circuit`'s default
-    correct-outcome computation performs for inline-QASM specs.
+    A suite name resolves through :func:`~repro.workloads.workload_by_name`,
+    whose process-wide memo builds each built-in once: the first mention
+    of a name pays its build (an ``Ising-n`` build includes an ideal-state
+    simulation), every later one — the worker's
+    :func:`resolve_spec_circuit` of the same job included — is a lookup.
+    Inline QASM is parsed on every call, with no ideal-state simulation;
+    that is left to :func:`resolve_spec_circuit`.
     """
     if spec.workload is not None:
         from repro.workloads.suite import workload_by_name
@@ -381,9 +388,10 @@ def spec_circuit(spec: JobSpec) -> QuantumCircuit:
 def resolve_spec_circuit(spec: JobSpec) -> Workload:
     """The full workload a spec names (suite lookup or inline-QASM import).
 
-    For inline QASM this computes the default correct-outcome set (the
-    modal ideal outcomes) — an ideal-state simulation — so callers that
-    only need content identity should use :func:`spec_circuit` instead.
+    A suite name returns the shared, memoized workload — the object whose
+    circuit :func:`spec_circuit` returned.  Inline QASM is imported afresh
+    on every call, and its default correct-outcome set (the modal ideal
+    outcomes) costs an ideal-state simulation each time.
     """
     if spec.workload is not None:
         from repro.workloads.suite import workload_by_name

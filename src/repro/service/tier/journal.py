@@ -3,9 +3,11 @@
 Results are keyed by :func:`~repro.service.job.job_fingerprint` — a
 content hash over everything that can influence the output — so a stored
 payload can be served for *any* later job with the same fingerprint,
-from any tenant, bit for bit.  :class:`SegmentedResultStore` keeps them
-in a bounded in-memory LRU and, given a ``root`` directory, journals
-them to disk:
+from any tenant, bit for bit.  :class:`SegmentedResultStore` encodes a
+payload once, on ``put``, as sorted-key JSON text; that text is both the
+journal line's payload and the entry of a bounded in-memory LRU, and
+each ``get`` decodes it into a fresh copy.  Given a ``root`` directory,
+the store journals to disk:
 
 * **Sharding** — the journal is partitioned into per-shard directories
   keyed by the *device fingerprint* (the ``shard`` hint
@@ -60,6 +62,26 @@ def _segment_name(number: int) -> str:
 def _shard_dir_name(shard: str) -> str:
     """A filesystem-safe directory name for a shard key."""
     return re.sub(r"[^A-Za-z0-9_.-]", "_", shard)[:64] or "_"
+
+
+def _journal_line(fingerprint: str, payload_version: Any, text: str) -> str:
+    """One journal line around a payload already encoded as ``text``.
+
+    Byte-identical to ``json.dumps({"fingerprint": ..., "payload_version":
+    ..., "payload": payload}, sort_keys=True)`` when ``text`` is
+    ``json.dumps(payload, sort_keys=True)``: sorted, the wrapper's keys
+    come as fingerprint, payload, payload_version, and a nested object
+    encodes exactly as it does alone.
+    """
+    return (
+        f'{{"fingerprint": {json.dumps(fingerprint)}, "payload": {text}, '
+        f'"payload_version": {json.dumps(payload_version)}}}\n'
+    )
+
+
+def _encode(payload: Mapping[str, Any]) -> str:
+    """The store's one encoding of a payload: sorted-key JSON text."""
+    return json.dumps(payload, sort_keys=True)
 
 
 def _read_segment(
@@ -163,24 +185,14 @@ class _Shard:
     def append(
         self,
         fingerprint: str,
-        payload: Dict[str, Any],
+        line: str,
         segment_bytes: int,
         max_segments: int,
         max_dead_ratio: float,
     ) -> bool:
-        """Append one record; roll and compact by the shard's triggers.
-        Returns whether the append compacted the shard."""
-        line = (
-            json.dumps(
-                {
-                    "fingerprint": fingerprint,
-                    "payload_version": payload["payload_version"],
-                    "payload": payload,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        """Append one encoded journal line; roll and compact by the
+        shard's triggers.  Returns whether the append compacted the
+        shard."""
         with self._lock:
             if self._active_number == 0 or self._active_bytes >= segment_bytes:
                 self._active_number += 1
@@ -220,18 +232,11 @@ class _Shard:
         path = self._segment_path(snapshot)
         with open(path, "w") as handle:
             for fingerprint in sorted(payloads):
+                payload = payloads[fingerprint]
                 handle.write(
-                    json.dumps(
-                        {
-                            "fingerprint": fingerprint,
-                            "payload_version": payloads[fingerprint][
-                                "payload_version"
-                            ],
-                            "payload": payloads[fingerprint],
-                        },
-                        sort_keys=True,
+                    _journal_line(
+                        fingerprint, payload["payload_version"], _encode(payload)
                     )
-                    + "\n"
                 )
             handle.flush()
             os.fsync(handle.fileno())
@@ -304,7 +309,8 @@ class SegmentedResultStore:
         self.segment_bytes = segment_bytes
         self.max_segments = max_segments
         self.max_dead_ratio = max_dead_ratio
-        self._data: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        #: fingerprint -> the payload's encoded JSON text (the memory tier).
+        self._data: "OrderedDict[str, str]" = OrderedDict()
         #: fingerprint -> shard key (to find evicted entries on disk;
         #: journaled stores only).
         self._shard_of: Dict[str, str] = {}
@@ -336,8 +342,9 @@ class SegmentedResultStore:
             # sanitised at creation; routing only needs consistency).
             self.shards[name] = shard
             for fingerprint, payload in shard._replay().items():
+                text = _encode(payload)
                 with self._lock:
-                    self._remember(fingerprint, payload, name)
+                    self._remember(fingerprint, text, name)
                     self._loaded.add()
 
     # ------------------------------------------------------------------
@@ -355,10 +362,8 @@ class SegmentedResultStore:
                 shard = self.shards[key] = _Shard(self.root, key)
             return shard
 
-    def _remember(
-        self, fingerprint: str, payload: Dict[str, Any], shard_key: str
-    ) -> None:
-        self._data[fingerprint] = payload
+    def _remember(self, fingerprint: str, text: str, shard_key: str) -> None:
+        self._data[fingerprint] = text
         self._data.move_to_end(fingerprint)
         if self.root is not None:
             self._shard_of[fingerprint] = shard_key
@@ -372,27 +377,31 @@ class SegmentedResultStore:
     # ------------------------------------------------------------------
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        """The stored payload, or ``None`` (counted).  Falls back to the
-        owning shard's segment files when the LRU evicted the entry."""
+        """A fresh copy of the stored payload, or ``None`` (counted).
+        Falls back to the owning shard's segment files when the LRU
+        evicted the entry."""
         with self._lock:
-            payload = self._data.get(fingerprint)
-            if payload is not None:
+            text = self._data.get(fingerprint)
+            if text is not None:
                 self._data.move_to_end(fingerprint)
                 self._hits.add()
-                return json.loads(json.dumps(payload))
-            shard_key = self._shard_of.get(fingerprint)
+            else:
+                shard_key = self._shard_of.get(fingerprint)
+        if text is not None:
+            return json.loads(text)
         if shard_key is None:
             self._misses.add()
             return None
         payload = self._shard_for(shard_key).load(fingerprint)
+        if payload is None:
+            self._misses.add()
+            return None
+        text = _encode(payload)
         with self._lock:
-            if payload is None:
-                self._misses.add()
-                return None
             self._reloads.add()
             self._hits.add()
-            self._remember(fingerprint, payload, shard_key)
-            return json.loads(json.dumps(payload))
+            self._remember(fingerprint, text, shard_key)
+        return payload
 
     def put(
         self,
@@ -401,22 +410,24 @@ class SegmentedResultStore:
         shard: Optional[str] = None,
     ) -> None:
         """Store ``payload``; journal it into the shard ``shard`` routes
-        to (the engine passes the device fingerprint)."""
+        to (the engine passes the device fingerprint).  The payload is
+        encoded once; the journal line and the memory tier share that
+        text."""
         record = dict(payload)
         record.setdefault("payload_version", PAYLOAD_VERSION)
         check_payload_version(record, what="result payload")
-        canonical = json.loads(json.dumps(record, sort_keys=True))
+        text = _encode(record)
         shard_key = self._shard_key(shard, fingerprint)
         if self.root is not None and self._shard_for(shard_key).append(
             fingerprint,
-            canonical,
+            _journal_line(fingerprint, record["payload_version"], text),
             segment_bytes=self.segment_bytes,
             max_segments=self.max_segments,
             max_dead_ratio=self.max_dead_ratio,
         ):
             self._compactions.add()
         with self._lock:
-            self._remember(fingerprint, canonical, shard_key)
+            self._remember(fingerprint, text, shard_key)
 
     def compact(self) -> None:
         """Force-compact every shard (one segment each afterwards)."""

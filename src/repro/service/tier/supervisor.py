@@ -40,7 +40,7 @@ import threading
 import time
 from typing import Any, AsyncIterator, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from repro.exceptions import ServiceError
+from repro.exceptions import AdmissionError, ReproError, ServiceError
 from repro.runtime.backend import EXECUTORS
 from repro.service.engine import DeviceRegistry, ExecutionEngine, compiler_salt
 from repro.service.job import Job, JobSpec, JobStatus, job_fingerprint, spec_circuit
@@ -200,6 +200,7 @@ class ServiceSupervisor:
         self._memoized = self.metrics.counter("tier.memoized")
         self._executed = self.metrics.counter("tier.executed")
         self._failed = self.metrics.counter("tier.failed")
+        self._unbuildable = self.metrics.counter("tier.rejected_unbuildable")
         self._retried = self.metrics.counter("tier.retried")
         self._store_errors = self.metrics.counter("tier.store_errors")
         self._crashes = self.metrics.counter("tier.worker_crashes")
@@ -306,14 +307,20 @@ class ServiceSupervisor:
         :class:`~repro.exceptions.RateLimitError` (bucket empty — carries
         ``retry_after``), :class:`~repro.exceptions.QuotaExceededError`
         (trial budget gone for good), or plain
-        :class:`~repro.exceptions.AdmissionError` (queue backpressure).
+        :class:`~repro.exceptions.AdmissionError` (queue backpressure, or
+        a program that cannot be built: an unknown workload name, a
+        build over the simulator's qubit cap, unparsable QASM).
         """
         if isinstance(spec, Mapping):
             spec = JobSpec.from_dict(spec)
         # Rate limiting meters the front door — before memoization, which
         # is free only in *execution* cost, not in request pressure.
         self.admission.check_rate(spec.tenant)
-        circuit = spec_circuit(spec)
+        try:
+            circuit = spec_circuit(spec)
+        except ReproError as exc:
+            self._unbuildable.add(1)
+            raise AdmissionError(str(exc)) from exc
         device_key = self.registry.device_key(spec.device)
         fingerprint = job_fingerprint(
             spec, circuit, device_key, self.config_salt

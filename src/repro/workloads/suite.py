@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Dict, List, Optional, Sequence
+import threading
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.qasm import from_qasm
 from repro.exceptions import WorkloadError
@@ -55,6 +57,15 @@ _NAME_PATTERN = re.compile(
 #: resolvable through :func:`workload_by_name` alongside the built-ins.
 _REGISTERED: Dict[str, Workload] = {}
 
+#: Built-in workloads :func:`workload_by_name` keeps per process, least
+#: recently used first out.  A serving tier resolves each job's name at
+#: admission and again in its worker, and an ``Ising-n`` build runs a
+#: statevector, so a repeated name must not rebuild.
+WORKLOAD_MEMO_SIZE = 64
+
+_BUILT: "OrderedDict[Tuple[str, int, int], Workload]" = OrderedDict()
+_BUILT_LOCK = threading.Lock()
+
 
 def register_workload(workload: Workload) -> Workload:
     """Register ``workload`` so :func:`workload_by_name` can resolve it.
@@ -79,13 +90,19 @@ def registered_workloads() -> List[str]:
 
 
 def workload_by_name(name: str) -> Workload:
-    """Instantiate a benchmark by its paper name (or a registered import).
+    """The benchmark of a paper name (or a registered import), shared.
 
     Names follow the paper's convention: ``"BV-6"``, ``"GHZ-14"``,
     ``"Graycode-18"``, ``"Ising-10"``, and ``"QAOA-12 p4"`` (depth
     defaults to 1 when the ``pK`` suffix is omitted).  Workloads
     registered via :func:`register_workload` / :func:`from_qasm_file`
-    resolve by their registered name first.
+    resolve by their registered name first and are never memoized, since
+    a later registration may replace them.
+
+    A built-in is built once per process and kept in a
+    :data:`WORKLOAD_MEMO_SIZE`-entry LRU, so every call naming it returns
+    the same :class:`Workload` object — as a registered name always did.
+    Treat it as read-only: it is shared by every caller in the process.
     """
     registered = _REGISTERED.get(name.strip())
     if registered is not None:
@@ -97,9 +114,29 @@ def workload_by_name(name: str) -> Workload:
             f"'QAOA-10 p2', or a registered name "
             f"(registered: {registered_workloads() or 'none'})"
         )
-    family = match.group("family")
-    size = int(match.group("size"))
-    depth = int(match.group("depth") or 1)
+    key = (
+        match.group("family"),
+        int(match.group("size")),
+        int(match.group("depth") or 1),
+    )
+    with _BUILT_LOCK:
+        workload = _BUILT.get(key)
+        if workload is not None:
+            _BUILT.move_to_end(key)
+            return workload
+    # Built outside the lock: a slow build never blocks other names.  Two
+    # first callers may both build; the first to store wins, and both
+    # builds are equal (a build is a pure function of the name).
+    workload = _build(*key)
+    with _BUILT_LOCK:
+        workload = _BUILT.setdefault(key, workload)
+        _BUILT.move_to_end(key)
+        while len(_BUILT) > WORKLOAD_MEMO_SIZE:
+            _BUILT.popitem(last=False)
+    return workload
+
+
+def _build(family: str, size: int, depth: int) -> Workload:
     if family == "BV":
         return bv(size)
     if family == "GHZ":

@@ -240,6 +240,29 @@ class TestServe:
         assert code == 0
         assert "2 rejected" in out and "queue full" in out
 
+    def test_serve_rejects_unbuildable_entries_and_runs_the_rest(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "jobs.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"tenant": "a", "workload": name, "total_trials": 1024}
+                    for name in ("Ising-30", "GHZ-6", "QAOA-30", "Nope-3")
+                ]
+            )
+        )
+        assert main(["serve", "--jobs", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 executed" in out and "3 rejected" in out
+        assert "rejected jobs[0]: 30-qubit statevector exceeds" in out
+        assert "rejected jobs[2]: QAOA workloads are limited" in out
+        assert "rejected jobs[3]: unknown workload 'Nope-3'" in out
+        (row,) = [line for line in out.splitlines() if "GHZ-6" in line]
+        assert "done" in row
+
     def test_serve_rejects_bad_file(self, tmp_path, capsys):
         path = tmp_path / "jobs.json"
         path.write_text("[]")

@@ -125,7 +125,10 @@ class TestBackends:
         ).execute([ExecutionRequest(a, 400), ExecutionRequest(c, 200)])
         assert first[0].as_dict() == second[0].as_dict()
 
-    def test_one_statevector_per_unitary_body(self, pipeline, noise_model, ghz6):
+    def test_one_statevector_per_unitary_body(self, device, noise_model, ghz6):
+        # Its own pipeline: the module's shared one may already hold the
+        # body's vector in its cache's ideal store.
+        pipeline = CompilerPipeline(device)
         executables = [
             pipeline.compile(ghz6, seed=0),
             pipeline.compile(ghz6.with_measured_subset([0, 1]), seed=1),
@@ -396,3 +399,143 @@ class TestParallelCompile:
         assert result_s.output_pmf.as_dict() == pytest.approx(
             result_t.output_pmf.as_dict()
         )
+
+
+def ideal_counts(cache):
+    """(ideal hits, ideal misses) from the cache's telemetry registry."""
+    counters = cache.metrics.snapshot()["counters"]
+    return counters["cache.ideal.hits"], counters["cache.ideal.misses"]
+
+
+class TestIdealStore:
+    def test_second_batch_of_a_body_is_served_from_the_cache(
+        self, device, ghz6
+    ):
+        pipeline = CompilerPipeline(device)
+        first = [pipeline.compile(ghz6, seed=0)]
+        second = [
+            pipeline.compile(ghz6.with_measured_subset([0, 1]), seed=1),
+            pipeline.compile(ghz6.with_measured_subset([2, 3]), seed=2),
+        ]
+        assert LocalBackend.share_statevectors(
+            [ExecutionRequest(e, 64) for e in first]
+        ) == (1, 0, 0)
+        assert LocalBackend.share_statevectors(
+            [ExecutionRequest(e, 64) for e in second]
+        ) == (0, 0, 0)
+        vector = first[0]._ideal_probabilities
+        assert all(e._ideal_probabilities is vector for e in second)
+        assert not vector.flags.writeable
+        assert ideal_counts(pipeline.cache) == (1, 1)
+        assert len(pipeline.cache.ideal) == 1
+
+    def test_keyed_by_unitary_body_not_angle_free_structure(self, device):
+        from repro.runtime.fingerprint import body_fingerprint
+        from repro.sim.statevector import StatevectorSimulator
+        from repro.workloads import qaoa_maxcut
+
+        workload = qaoa_maxcut(6, depth=1)
+        point = dict(workload.default_parameters)
+        shifted = {name: value + 0.3 for name, value in point.items()}
+        pipeline = CompilerPipeline(device)
+        a = pipeline.compile(workload.bound_circuit(point), seed=0)
+        b = pipeline.compile(workload.bound_circuit(shifted), seed=0)
+        assert body_fingerprint(a.logical) == body_fingerprint(b.logical)
+        for executable in (a, b):
+            LocalBackend.share_statevectors([ExecutionRequest(executable, 64)])
+        simulator = StatevectorSimulator()
+        for executable in (a, b):
+            assert (
+                executable._ideal_probabilities
+                == simulator.probabilities(executable.logical)
+            ).all()
+        assert not (a._ideal_probabilities == b._ideal_probabilities).all()
+        assert len(pipeline.cache.ideal) == 2
+        assert ideal_counts(pipeline.cache) == (0, 2)
+
+    def test_lookups_count_once_each(self, device, ghz6, monkeypatch):
+        from repro.runtime.cache import IdealStore
+
+        calls = []
+        original = IdealStore.get
+
+        def spy(store, key):
+            calls.append(key)
+            return original(store, key)
+
+        monkeypatch.setattr(IdealStore, "get", spy)
+        pipeline = CompilerPipeline(device)
+        other = ghz(5).circuit
+        for seed in range(3):
+            LocalBackend.share_statevectors(
+                [
+                    ExecutionRequest(pipeline.compile(ghz6, seed=seed), 8),
+                    ExecutionRequest(pipeline.compile(other, seed=seed), 8),
+                ]
+            )
+        hits, misses = ideal_counts(pipeline.cache)
+        assert (hits, misses) == (4, 2)
+        assert hits + misses == len(calls)
+
+    def test_byte_bound_evicts_least_recently_used(self):
+        import numpy as np
+
+        from repro.runtime.cache import IdealStore
+        from repro.telemetry.metrics import MetricsRegistry
+
+        store = IdealStore(max_bytes=2 * 64 * 8, metrics=MetricsRegistry())
+        vectors = {key: np.full(64, float(i)) for i, key in enumerate("abc")}
+        store.put("a", vectors["a"])
+        store.put("b", vectors["b"])
+        assert store.get("a") is vectors["a"]  # "b" is now the LRU
+        store.put("c", vectors["c"])
+        assert store.get("b") is None
+        assert store.get("a") is vectors["a"]
+        assert store.get("c") is vectors["c"]
+        assert len(store) == 2 and store._bytes == 2 * 64 * 8
+        store.put("big", np.zeros(3 * 64))  # over the bound: never kept
+        assert store.get("big") is None and len(store) == 2
+
+    def test_byte_bound_evicts_through_the_backend(
+        self, device, ghz6, monkeypatch
+    ):
+        from repro.runtime import cache as cache_module
+
+        # Room for one 6-qubit vector (64 float64s) only.
+        monkeypatch.setattr(cache_module, "IDEAL_STORE_BYTES", 64 * 8)
+        pipeline = CompilerPipeline(device, cache=CompilationCache())
+        other = ghz6.copy()
+        other.x(0)
+
+        def evaluate(circuit, seed):
+            executable = pipeline.compile(circuit, seed=seed)
+            return LocalBackend.share_statevectors(
+                [ExecutionRequest(executable, 8)]
+            )[0]
+
+        assert evaluate(ghz6, 0) == 1
+        assert evaluate(ghz6, 1) == 0
+        assert evaluate(other, 0) == 1  # evicts the GHZ body
+        assert evaluate(ghz6, 2) == 1
+        assert len(pipeline.cache.ideal) == 1
+        assert pipeline.cache.ideal._bytes == 64 * 8
+
+    def test_disabled_cache_shares_nothing(self, device, ghz6):
+        pipeline = CompilerPipeline(device, cache=CompilationCache.disabled())
+        for seed in range(2):
+            executable = pipeline.compile(ghz6, seed=seed)
+            assert LocalBackend.share_statevectors(
+                [ExecutionRequest(executable, 8)]
+            ) == (1, 0, 0)
+        assert len(pipeline.cache.ideal) == 0
+        assert ideal_counts(pipeline.cache) == (0, 2)
+
+    def test_executable_pickles_without_its_store(self, device, ghz6):
+        pipeline = CompilerPipeline(device)
+        executable = pipeline.compile(ghz6, seed=0)
+        LocalBackend.share_statevectors([ExecutionRequest(executable, 8)])
+        assert executable._ideal_store is pipeline.cache.ideal
+        clone = pickle.loads(pickle.dumps(executable))
+        assert clone._ideal_store is None
+        assert (clone._ideal_probabilities == executable._ideal_probabilities).all()
+        assert executable._ideal_store is pipeline.cache.ideal

@@ -165,6 +165,24 @@ class TestJobSpec:
         assert type(again) is type(spec)
         assert again == spec
 
+    def test_equal_sweep_specs_share_a_fingerprint(self):
+        """A threshold written as 1 or 1.0 is one spec and one memo key."""
+        from repro.service import SweepJobSpec
+
+        fields = {
+            "tenant": "a", "workload": "QAOA-5 p1",
+            "parameter_sets": [[0.1, 0.2]],
+        }
+        whole = SweepJobSpec(**fields, eps_rescore_threshold=1)
+        real = SweepJobSpec(**fields, eps_rescore_threshold=1.0)
+        assert whole == real
+        assert type(whole.eps_rescore_threshold) is float
+        assert type(whole.to_dict()["eps_rescore_threshold"]) is float
+        circuit = resolve_spec_circuit(whole).circuit
+        assert job_fingerprint(whole, circuit, "dev", "salt") == job_fingerprint(
+            real, circuit, "dev", "salt"
+        )
+
     def test_fingerprint_ignores_tenant_and_priority(self):
         base = JobSpec(tenant="a", workload="GHZ-4", priority=0)
         other = JobSpec(tenant="b", workload="GHZ-4", priority=9)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices import ibmq_toronto
+from repro.devices import ibmq_paris, ibmq_toronto
 from repro.exceptions import (
     AdmissionError,
     QuotaExceededError,
@@ -240,6 +240,88 @@ class TestCrashReplay:
         assert all(job.done for job in jobs)
         assert sup.open_jobs == 0
         sup.close()
+
+
+class TestSharedIdealStates:
+    """One ideal statevector per unitary body per device cache, however
+    the tier batches and places the jobs of that body."""
+
+    SPECS = [
+        JobSpec(tenant=f"t{i % 2}", workload="Ising-6", scheme=scheme,
+                seed=i, device=device)
+        for device in ("toronto", "paris")
+        for i, scheme in enumerate(("jigsaw", "baseline", "edm", "jigsaw_m"))
+    ]
+    TWO_DEVICES = {"toronto": ibmq_toronto, "paris": ibmq_paris}
+
+    def _check(self, sup, jobs):
+        for s, job in zip(self.SPECS, jobs):
+            assert job.status is JobStatus.DONE, job.error
+            factory = self.TWO_DEVICES[s.device]
+            kwargs = sup._engine_kwargs
+            with Session(
+                factory(), seed=s.seed, total_trials=s.total_trials,
+                exact=s.exact, compile_attempts=kwargs["compile_attempts"],
+                cpm_attempts=kwargs["cpm_attempts"],
+                ensemble_size=kwargs["ensemble_size"],
+            ) as session:
+                prepared = session.prepare_scheme(
+                    s.scheme, workload_by_name(s.workload)
+                )
+                solo = session._run_prepared(prepared)
+            assert job.result == ExecutionEngine._payload(s, solo)
+        counters = sup.telemetry_snapshot()["counters"]
+        assert counters["tier.batches"] >= 2
+        # Two devices, so two shared caches: one simulation each.
+        assert counters["backend.statevector_evals"] == 2
+        assert counters["cache.ideal.misses"] == 2
+        assert counters["cache.ideal.hits"] == len(self.SPECS) - 2
+
+    def test_one_batch_per_job(self):
+        sup = ServiceSupervisor(
+            devices=self.TWO_DEVICES, workers=1, max_batch=1
+        )
+        try:
+            jobs = [sup.submit(s) for s in self.SPECS]
+            sup.start()
+            sup.stop(drain=True, timeout=300)
+            self._check(sup, jobs)
+        finally:
+            sup.close()
+
+    def test_across_workers(self):
+        """Round-robin placement deals consecutive jobs to different
+        workers, whose engines and backends are private; waiting for each
+        job keeps the two from racing on a body's first batch."""
+        with ServiceSupervisor(
+            devices=self.TWO_DEVICES, workers=2, placement="round_robin"
+        ) as sup:
+            jobs = []
+            for s in self.SPECS:
+                jobs.append(sup.submit(s))
+                sup.wait(jobs[-1], timeout=300)
+            self._check(sup, jobs)
+
+
+class TestUnbuildableWorkloads:
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("Ising-30", "exceeds the 24-qubit limit"),
+            ("QAOA-30", "limited to 24 qubits"),
+            ("Nope-3", "unknown workload"),
+        ],
+    )
+    def test_submit_rejects_with_admission_error(self, name, reason):
+        with ServiceSupervisor(devices=DEVICES, workers=1) as sup:
+            with pytest.raises(AdmissionError, match=reason):
+                sup.submit(spec(0, workload=name))
+            job = sup.submit(spec(0))
+            sup.wait(job, timeout=300)
+            assert job.status is JobStatus.DONE, job.error
+            counters = sup.telemetry_snapshot()["counters"]
+            assert counters["tier.submitted"] == 1
+            assert counters["tier.rejected_unbuildable"] == 1
 
 
 class TestEventsAndAsync:

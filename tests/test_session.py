@@ -283,3 +283,39 @@ class TestPayloadVersioning:
                     {"payload_version": True}):
             with pytest.raises(PayloadError):
                 check_payload_version(bad)
+
+
+class TestIdealSharing:
+    SCHEMES = ("baseline", "edm", "jigsaw", "jigsaw_nr", "jigsaw_m")
+
+    def test_five_schemes_simulate_one_statevector(self, device):
+        from repro.workloads import ising
+
+        workload = ising(6)
+        session = Session(device, seed=0, exact=True)
+        outputs = {
+            scheme: session.run_scheme(scheme, workload)
+            for scheme in self.SCHEMES
+        }
+        counters = session.telemetry_snapshot()["counters"]
+        assert counters["backend.statevector_evals"] == 1
+        assert counters["cache.ideal.misses"] == 1
+        assert counters["cache.ideal.hits"] == len(self.SCHEMES) - 1
+        # Same outputs as sessions that share nothing, scheme by scheme.
+        for scheme, output in outputs.items():
+            alone = Session(
+                device, seed=0, exact=True, cache=CompilationCache.disabled()
+            )
+            assert alone.run_scheme(scheme, workload) == output, scheme
+
+    def test_disabled_cache_simulates_every_run(self, device):
+        workload = ghz(6)
+        session = Session(
+            device, seed=0, exact=True, cache=CompilationCache.disabled()
+        )
+        for scheme in ("baseline", "jigsaw"):
+            session.run_scheme(scheme, workload)
+        counters = session.telemetry_snapshot()["counters"]
+        assert counters["backend.statevector_evals"] == 2
+        assert counters.get("cache.ideal.hits", 0) == 0
+        assert len(session.cache.ideal) == 0

@@ -303,3 +303,124 @@ def test_damaged_segment_replays_intact_records_or_raises(segment, edits, cut):
                     **record,
                     "payload_version": PAYLOAD_VERSION,
                 }
+
+
+def _parent_line(fingerprint: str, record: dict) -> bytes:
+    """A journal line as the store wrote it before encoding once: the
+    record canonicalized through a JSON round trip, then the wrapper
+    encoded with sorted keys."""
+    record = dict(record)
+    record.setdefault("payload_version", PAYLOAD_VERSION)
+    canonical = json.loads(json.dumps(record, sort_keys=True))
+    wrapper = {
+        "fingerprint": fingerprint,
+        "payload_version": canonical["payload_version"],
+        "payload": canonical,
+    }
+    return (json.dumps(wrapper, sort_keys=True) + "\n").encode("utf-8")
+
+
+class TestEncodeOnce:
+    def _journal_bytes(self, root: str, shard: str) -> bytes:
+        (name,) = segments_of(root, shard)
+        with open(os.path.join(root, shard, name), "rb") as handle:
+            return handle.read()
+
+    def test_journal_line_bytes_match_the_wrapper_encoding(self, tmp_path):
+        root = str(tmp_path / "j")
+        tricky = {
+            "scheme": "jigsaw",
+            "zeta": {"b": [1, 2.5, -0.0, 1e-300], "a": None, "ü": "naïve ☃"},
+            "alpha": [{"y": True, "x": False}, "tab\tquote\"slash\\"],
+            "huge": 1.7976931348623157e308,
+            "tiny": 5e-324,
+            "int": -(2**70),
+        }
+        store = SegmentedResultStore(root=root)
+        store.put("fp-tricky", tricky, shard="devA")
+        assert self._journal_bytes(root, "devA") == _parent_line(
+            "fp-tricky", tricky
+        )
+
+    def test_served_payload_line_bytes_match(self, tmp_path):
+        from repro.devices import ibmq_toronto
+        from repro.runtime import Session
+        from repro.workloads import workload_by_name
+
+        session = Session(ibmq_toronto(), seed=3, exact=True)
+        record = session.run_jigsaw(workload_by_name("GHZ-6")).to_dict()
+        root = str(tmp_path / "j")
+        SegmentedResultStore(root=root).put("fp-ghz", record, shard="devB")
+        line = self._journal_bytes(root, "devB")
+        assert line == _parent_line("fp-ghz", record)
+        # Replay and compaction read it back and rewrite the same bytes.
+        reopened = SegmentedResultStore(root=root)
+        assert reopened.get("fp-ghz") == json.loads(line)["payload"]
+        reopened.compact()
+        assert self._journal_bytes(root, "devB") == line
+
+    def test_put_copies_the_callers_payload(self):
+        store = SegmentedResultStore()
+        record = {"value": [1, 2]}
+        store.put("fp1", record)
+        record["value"].append(3)
+        assert store.get("fp1")["value"] == [1, 2]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**64), 2**64)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+_PAYLOADS = st.dictionaries(
+    st.text(max_size=6).filter(lambda key: key != "payload_version"),
+    _JSON,
+    max_size=5,
+)
+
+
+def _mutate_everywhere(value) -> None:
+    """Change every container reachable from ``value`` in place."""
+    if isinstance(value, dict):
+        for child in list(value.values()):
+            _mutate_everywhere(child)
+        value["\x00mutated"] = True
+    elif isinstance(value, list):
+        for child in value:
+            _mutate_everywhere(child)
+        value.append("mutated")
+
+
+@settings(max_examples=100, deadline=None)
+@given(payloads=st.lists(_PAYLOADS, min_size=1, max_size=4))
+def test_put_get_returns_equal_independent_copies(payloads):
+    """``get`` returns what ``put`` stored, as a fresh object every call:
+    mutating one copy leaves the next ``get`` unchanged, and a reopened
+    journal serves the same payloads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "j")
+        store = SegmentedResultStore(root=root)
+        expected = {}
+        for index, record in enumerate(payloads):
+            fingerprint = f"fp{index}"
+            store.put(fingerprint, record, shard="devA")
+            expected[fingerprint] = dict(
+                record, payload_version=PAYLOAD_VERSION
+            )
+        for fingerprint, want in expected.items():
+            first = store.get(fingerprint)
+            assert first == want
+            _mutate_everywhere(first)
+            second = store.get(fingerprint)
+            assert second == want and second is not first
+        reopened = SegmentedResultStore(root=root)
+        for fingerprint, want in expected.items():
+            assert reopened.get(fingerprint) == want

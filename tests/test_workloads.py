@@ -228,3 +228,89 @@ class TestSuite:
                 from_qasm_file(str(path), correct_outcomes=correct, register=False)
         workload = from_qasm_file(str(path), register=False)
         assert workload.correct_outcomes == ("00", "11")
+
+
+class TestWorkloadMemo:
+    def test_repeated_name_returns_the_same_object(self):
+        first = workload_by_name("Ising-6")
+        assert workload_by_name("Ising-6") is first
+        # One key per (family, size, depth): spellings of one build share.
+        assert workload_by_name("QAOA-6") is workload_by_name(" QAOA-6 p1 ")
+
+    def test_registered_name_wins_and_is_not_memoized(self, monkeypatch):
+        from repro.circuits import QuantumCircuit
+        from repro.workloads import suite
+
+        monkeypatch.setattr(suite, "_REGISTERED", {})
+        first = Workload(
+            "memo-probe", QuantumCircuit(1).measure_all(), ("0",)
+        )
+        suite.register_workload(first)
+        assert workload_by_name("memo-probe") is first
+        second = Workload(
+            "memo-probe", QuantumCircuit(2).measure_all(), ("00",)
+        )
+        suite.register_workload(second)
+        assert workload_by_name("memo-probe") is second
+        assert all(w is not second for w in suite._BUILT.values())
+
+    def test_memo_is_a_bounded_lru(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.workloads import suite
+
+        monkeypatch.setattr(suite, "_BUILT", OrderedDict())
+        monkeypatch.setattr(suite, "WORKLOAD_MEMO_SIZE", 2)
+        ghz3 = workload_by_name("GHZ-3")
+        workload_by_name("GHZ-4")
+        assert workload_by_name("GHZ-3") is ghz3  # now most recent
+        workload_by_name("GHZ-5")  # evicts GHZ-4, the least recent
+        assert list(suite._BUILT) == [("GHZ", 3, 1), ("GHZ", 5, 1)]
+        assert workload_by_name("GHZ-3") is ghz3
+        rebuilt = workload_by_name("GHZ-4")
+        assert rebuilt == ghz(4) and len(suite._BUILT) == 2
+
+    def test_failed_build_is_not_memoized(self):
+        from repro.workloads import suite
+
+        with pytest.raises(WorkloadError):
+            workload_by_name("GHZ-1")
+        assert ("GHZ", 1, 1) not in suite._BUILT
+
+    def test_concurrent_first_calls_get_equal_workloads(self, monkeypatch):
+        import sys
+        import threading
+        from collections import OrderedDict
+
+        from repro.workloads import suite
+
+        monkeypatch.setattr(suite, "_BUILT", OrderedDict())
+        names = ["Ising-8", "QAOA-8 p1", "BV-8", "GHZ-8"] * 3
+        results = {}
+        barrier = threading.Barrier(len(names))
+
+        def resolve(index, name):
+            barrier.wait(timeout=30)
+            results[index] = workload_by_name(name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=resolve, args=(i, n))
+                for i, n in enumerate(names)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(names)
+        for index, name in enumerate(names):
+            workload = results[index]
+            assert workload.name == workload_by_name(name).name
+            assert workload == workload_by_name(name)
+        # After the race every name resolves to one stored object.
+        assert len(suite._BUILT) == 4

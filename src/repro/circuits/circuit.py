@@ -353,14 +353,6 @@ class QuantumCircuit:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def num_two_qubit_gates(self) -> int:
-        return sum(1 for ins in self._instructions if ins.is_two_qubit_gate)
-
-    def num_single_qubit_gates(self) -> int:
-        return sum(
-            1 for ins in self._instructions if ins.is_gate and len(ins.qubits) == 1
-        )
-
     def depth(self) -> int:
         """Circuit depth counting gates and measurements (barriers excluded)."""
         level: Dict[int, int] = {}

@@ -68,10 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample trials instead of the exact noisy distribution",
     )
     run.add_argument(
-        "--workers", type=int, default=None,
-        help="thread count for CPM compilation fan-out",
-    )
-    run.add_argument(
         "--exec-workers", type=int, default=None,
         help="worker count for sharded batch execution "
         "(bit-for-bit identical to serial at any count)",
@@ -239,8 +235,8 @@ def _cmd_run(args: argparse.Namespace) -> str:
     # even when a run raises mid-way.
     with Session(
         device, seed=args.seed, total_trials=args.trials,
-        exact=not args.sampled, compile_workers=args.workers,
-        workers=args.exec_workers, cpm_attempts=args.cpm_attempts,
+        exact=not args.sampled, workers=args.exec_workers,
+        cpm_attempts=args.cpm_attempts,
     ) as session:
         result = session.run(session.plan(workload, scheme="jigsaw"))
         before = session.evaluate(workload, result.global_pmf)

@@ -56,9 +56,6 @@ class Layout:
                 f"physical qubit {physical} hosts no logical qubit"
             ) from exc
 
-    def hosts_logical(self, physical: int) -> bool:
-        return physical in self._physical_to_logical
-
     @property
     def physical_qubits(self) -> Tuple[int, ...]:
         """All physical qubits in use, sorted."""

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -116,11 +115,6 @@ class JigSawConfig:
     max_rounds: int = DEFAULT_MAX_ROUNDS
     #: Use closed-form noisy distributions instead of sampling trials.
     exact: bool = False
-    #: Thread count for fanning CPM compilation out over
-    #: ``concurrent.futures``; ``None``/``1`` compiles serially.  Results
-    #: are identical either way: every CPM compiles from its own
-    #: pre-spawned seed.
-    compile_workers: Optional[int] = None
     #: Worker count for sharding *execution* batches (the ``workers`` of
     #: :class:`~repro.runtime.backend.LocalBackend`); ``None``/``1``
     #: evaluates in-process.  Results are bit-for-bit identical at any
@@ -230,7 +224,6 @@ class JigSaw:
         "tolerance",
         "max_rounds",
         "exact",
-        "compile_workers",
         "execute_workers",
     )
 
@@ -382,29 +375,22 @@ class JigSaw:
         measurement-free body, so the candidate routings (the global
         layout plus the deterministic pool) are computed once through the
         runner's pipeline and each CPM only retargets its measured subset
-        onto them.  CPM compilation is content-deterministic, so the
-        optional thread fan-out (``config.compile_workers``) produces
-        bit-identical executables in the same order as the serial loop.
-        One seed per CPM is still spawned (and never drawn) to keep this
-        runner's seed stream, and cached plans' ``compile_spawns``
-        replay, aligned with the historical discipline.
+        onto them.  One seed per CPM is still spawned (and never drawn)
+        to keep this runner's seed stream, and cached plans'
+        ``compile_spawns`` replay, aligned with the historical
+        discipline.
         """
         spawn(self._rng, len(subsets))
-
-        def _compile_one(subset: Tuple[int, ...]) -> ExecutableCircuit:
-            return self.pipeline.compile_cpm(
+        return [
+            self.pipeline.compile_cpm(
                 self.build_cpm_circuit(circuit, subset),
                 global_executable,
                 recompile=self.config.recompile_cpms,
                 pool_size=self.config.cpm_attempts,
                 vulnerable_percentile=self.config.vulnerable_percentile,
             )
-
-        workers = self.config.compile_workers
-        if workers and workers > 1 and len(subsets) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_compile_one, subsets))
-        return [_compile_one(subset) for subset in subsets]
+            for subset in subsets
+        ]
 
     # ------------------------------------------------------------------
     # Stage 1: plan & compile

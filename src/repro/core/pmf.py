@@ -51,6 +51,11 @@ from repro.utils.bits import (
 
 __all__ = ["PMF", "Marginal", "aligned_probs", "hellinger_pmfs", "require_pmf"]
 
+#: A decoded payload whose probabilities sum to 1 within this distance
+#: is kept as given: a normalized PMF sums to 1 only up to rounding, and
+#: renormalizing it would move its values by an ulp.
+_PAYLOAD_SUM_TOLERANCE = 1e-12
+
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -142,6 +147,12 @@ class PMF:
                 probs = probs[order]
         if normalize:
             probs = probs / probs.sum()
+            if not probs.all():
+                # A mass too small beside the total underflows to zero,
+                # and a PMF holds no zero probabilities.
+                kept = probs > 0.0
+                codes = codes[kept]
+                probs = probs[kept]
         if codes is in_codes and codes.flags.writeable:
             codes = codes.copy()
         if probs is in_probs and probs.flags.writeable:
@@ -219,7 +230,10 @@ class PMF:
         Decoded data comes from outside the process (a journal, a file),
         so a payload that is not a mapping, lacks a key, carries a
         non-integer code or width, or a non-finite probability raises
-        :class:`~repro.exceptions.PayloadError`.
+        :class:`~repro.exceptions.PayloadError`.  Probabilities that
+        already sum to 1 (up to rounding) are kept bit for bit, so
+        ``PMF.from_payload(pmf.to_payload()) == pmf``; any others are
+        normalized.
         """
         if not isinstance(payload, Mapping):
             raise PayloadError(
@@ -247,10 +261,14 @@ class PMF:
             )
         probs = np.asarray(probs, dtype=np.float64)
         with np.errstate(over="ignore"):
-            if not np.isfinite(probs.sum()):
-                raise PayloadError("PMF payload probabilities overflow")
+            total = probs.sum()
+        if not np.isfinite(total):
+            raise PayloadError("PMF payload probabilities overflow")
         return cls.from_codes(
-            np.asarray(codes, dtype=np.int64), probs, num_bits, normalize=True
+            np.asarray(codes, dtype=np.int64),
+            probs,
+            num_bits,
+            normalize=abs(total - 1.0) > _PAYLOAD_SUM_TOLERANCE,
         )
 
     # ------------------------------------------------------------------

@@ -7,7 +7,7 @@ shortest-path distances (the routing heuristic's main lookup).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -81,14 +81,6 @@ class Device:
 
     def vulnerable_qubits(self, percentile: float = 75.0) -> List[int]:
         return [int(q) for q in self.calibration.vulnerable_qubits(percentile)]
-
-    def gate_error(self, qubits: Sequence[int]) -> float:
-        """Calibrated error of a gate on one or two physical qubits."""
-        if len(qubits) == 1:
-            return float(self.calibration.gate_error_1q[qubits[0]])
-        if len(qubits) == 2:
-            return self.calibration.two_qubit_error(qubits[0], qubits[1])
-        raise DeviceError("gates on more than two physical qubits are not native")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.readout_stats().as_percent()

@@ -65,27 +65,6 @@ class ServiceError(ReproError):
 
 
 class AdmissionError(ServiceError):
-    """Raised when the job service rejects a submission (backpressure or
-    a tenant exceeding its fair share of the pending queue)."""
-
-
-class RateLimitError(AdmissionError):
-    """Raised when a tenant submits faster than its token-bucket rate.
-
-    ``retry_after`` is the seconds until the bucket refills enough to
-    admit one more submission — the client backoff hint.
-    """
-
-    def __init__(self, message: str, retry_after: float = 0.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class QuotaExceededError(AdmissionError):
-    """Raised when a submission would push a tenant past its cumulative
-    trial-budget quota.  Unlike a rate limit, a quota never refills."""
-
-
-class WorkerCrashError(ServiceError):
-    """Raised (or recorded as a job error) when a drain worker died while
-    the job was in flight and the retry budget is exhausted."""
+    """Raised when the job service rejects a submission (backpressure, a
+    tenant exceeding its fair share of the pending queue, or a job that
+    cannot be built)."""

@@ -151,8 +151,8 @@ class CompilationCache:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._plans: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
         self._stage_data: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
-        # Guards both stores: pipelines share a cache across the CPM
-        # compilation thread fan-out (``compile_workers``).
+        # Guards both stores: the serving tier's drain workers share one
+        # cache per device across their threads.
         self._lock = threading.RLock()
         # Per-(stage, key) in-flight locks for stage_get_or_compute, as
         # [lock, callers holding or waiting on it]: a concurrent miss

@@ -146,7 +146,6 @@ class Session:
             the infinite-trials limit) instead of sampling.
         compile_attempts / cpm_attempts: compiler candidate counts.
         ensemble_size: mappings in the EDM comparison scheme.
-        compile_workers: optional thread fan-out for CPM compilation.
         workers: optional worker fan-out for *execution* batches: the
             ``workers`` of the default
             :class:`~repro.runtime.backend.LocalBackend`, threaded into
@@ -170,7 +169,6 @@ class Session:
         compile_attempts: int = 4,
         cpm_attempts: int = 3,
         ensemble_size: int = 4,
-        compile_workers: Optional[int] = None,
         workers: Optional[int] = None,
         backend: Optional[Backend] = None,
         cache: Optional[CompilationCache] = None,
@@ -182,7 +180,6 @@ class Session:
         self.compile_attempts = compile_attempts
         self.cpm_attempts = cpm_attempts
         self.ensemble_size = ensemble_size
-        self.compile_workers = compile_workers
         self.workers = workers
         #: The session's unified telemetry registry: the default backend
         #: and the session pipeline record straight into it; each
@@ -292,7 +289,6 @@ class Session:
             compile_attempts=self.compile_attempts,
             cpm_attempts=self.cpm_attempts,
             exact=self.exact,
-            compile_workers=self.compile_workers,
             execute_workers=self.workers,
         )
 
@@ -302,7 +298,6 @@ class Session:
             compile_attempts=self.compile_attempts,
             cpm_attempts=self.cpm_attempts,
             exact=self.exact,
-            compile_workers=self.compile_workers,
             execute_workers=self.workers,
         )
 
@@ -642,10 +637,6 @@ class Session:
     def run_mbm(self, workload: Workload) -> PMF:
         """IBM matrix-based mitigation applied to the baseline output."""
         return self._run_prepared(self.prepare_scheme("mbm", workload))
-
-    def run_jigsaw_mbm(self, workload: Workload) -> PMF:
-        """JigSaw + MBM composition (Fig. 14)."""
-        return self._run_prepared(self.prepare_scheme("jigsaw_mbm", workload))
 
     def run_scheme(self, scheme: str, workload: Workload) -> PMF:
         """Dispatch by scheme name; returns the final output PMF."""

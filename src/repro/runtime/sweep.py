@@ -400,7 +400,3 @@ class ParameterSweep:
                 pmfs = prepared.backend.execute(prepared.requests)
             with tracer.span("sweep.finish"):
                 return prepared.finish(pmfs)
-
-    def run_point(self, values: ParameterValues) -> object:
-        """One iteration (an optimizer step); still template-compiled."""
-        return self.run([values]).results[0]

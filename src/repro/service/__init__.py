@@ -11,7 +11,7 @@ This package is the serving layer over the runtime API:
              content-identical executables across jobs, executes one
              merged batch, and fans results back;
 ``tier``     :class:`~repro.service.tier.ServiceSupervisor`, the front
-             end (drain workers, quotas, retries, events), and
+             end (drain workers, retries, events), and
              :class:`~repro.service.tier.SegmentedResultStore`, the
              fingerprint-keyed result store.
 

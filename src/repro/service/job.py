@@ -18,7 +18,7 @@ import itertools
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
@@ -201,9 +201,6 @@ class JobSpec:
             "total_trials", "seed", "exact", "priority",
         }
         return cls(**_entry_fields(payload, known, "job-spec"))
-
-    def with_tenant(self, tenant: str) -> "JobSpec":
-        return replace(self, tenant=tenant)
 
 
 @dataclass(frozen=True)

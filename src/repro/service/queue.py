@@ -44,7 +44,7 @@ class FairShareQueue:
             in ``(0, 1]``; the per-tenant cap is
             ``max(1, ceil(capacity * fair_share))``.
         lanes: independent drain lanes (the serving tier gives each drain
-            worker its own lane under ``placement="round_robin"``).
+            worker its own lane and deals submissions over them).
             Admission accounting — capacity, fair share, counters — is
             **global** across lanes; only the drain order is per-lane, so
             a flooding tenant is capped by the whole queue's fair share no

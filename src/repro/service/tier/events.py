@@ -5,8 +5,8 @@ gets one :class:`JobEventLog`.  Producers (the front end, drain workers,
 the retry scheduler) append :class:`JobEvent`\\ s; consumers stream them
 through :meth:`JobEventLog.watch`, a blocking iterator that yields
 events in order as they arrive and terminates after the job's terminal
-event (``done`` or ``failed``).  The supervisor's ``watch()``/
-``awatch()`` APIs are thin wrappers over this.
+event (``done`` or ``failed``).  The supervisor's ``watch()`` is a thin
+wrapper over this.
 
 The log is bounded: a small *head* (the job's birth certificate —
 ``queued``, first ``running`` ...) is kept forever, and the remainder is
@@ -119,12 +119,6 @@ class JobEventLog:
         """How many events the ring has dropped."""
         with self._lock:
             return self._truncated
-
-    @property
-    def last_seq(self) -> int:
-        """The seq of the newest event (0 when empty)."""
-        with self._lock:
-            return self._last_seq
 
     def snapshot(self) -> List[JobEvent]:
         """Every retained event, in order (head + ring tail)."""

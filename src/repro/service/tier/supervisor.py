@@ -3,42 +3,41 @@
 :class:`ServiceSupervisor` is the job service's only front end (one
 worker is the single-drain deployment).  One supervisor owns:
 
-* the **admission path** — per-tenant rate limiting and trial-budget
-  quotas (:mod:`repro.service.tier.quota`) in front of the fair-share
-  queue, rejecting with typed
-  :class:`~repro.exceptions.AdmissionError` subclasses;
+* the **admission path** — the memo check against the result store,
+  then the fair-share queue, rejecting with
+  :class:`~repro.exceptions.AdmissionError` (queue backpressure, or a
+  program that cannot be built);
 * a pool of **drain workers** (:mod:`repro.service.tier.worker`), each
-  with a private execution engine, all sharing one device registry
-  (stage caches span workers) and one result store;
+  with a private execution engine and its own queue lane (submissions
+  are dealt round-robin over the lanes), all sharing one device
+  registry (stage caches span workers) and one result store;
 * the **retry state machine** — a worker crash or a retryable batch
   failure re-queues the job with exponential backoff, bounded by
-  ``max_retries`` attempts and a per-job ``retry_timeout`` deadline,
-  after which the job fails terminally with
-  :class:`~repro.exceptions.WorkerCrashError` semantics (the error text
-  names the crash);
+  ``max_retries`` attempts and a per-job deadline of
+  :data:`RETRY_TIMEOUT_S` from admission, after which the job fails
+  terminally (the error text names the crash);
 * a **monitor thread** that detects dead workers, re-queues their
   in-flight jobs, respawns the lane, and delivers delayed (backed-off)
   re-queues when they come due;
 * the **status surface** — per-job event logs
-  (:mod:`repro.service.tier.events`) streamed through ``watch()`` /
-  ``awatch()``, and :meth:`telemetry_snapshot` with every counter and
-  latency histogram of the tier (job, queue, admission, store, engine,
-  backend and cache counts under their dotted names).
+  (:mod:`repro.service.tier.events`) streamed through ``watch()``, and
+  :meth:`telemetry_snapshot` with every counter and latency histogram of
+  the tier (job, queue, store, engine, backend and cache counts under
+  their dotted names).
 
 Determinism: none of this machinery can change what a job computes.
 Every job runs through the same engine seam as a solo ``Session.run`` —
 its own session, its own seed streams — so results are bit-for-bit
-identical at any worker count, any placement, any arrival order, and
+identical at any worker count, any arrival order, and
 across any crash/retry schedule (a retry replays the same inputs).  The
 tier tests assert exactly that.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
-from typing import Any, AsyncIterator, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import AdmissionError, ReproError, ServiceError
 from repro.runtime.backend import EXECUTORS
@@ -47,8 +46,11 @@ from repro.service.job import Job, JobSpec, JobStatus, job_fingerprint, spec_cir
 from repro.service.queue import FairShareQueue
 from repro.service.tier.events import JobEvent, JobEventLog
 from repro.service.tier.journal import SegmentedResultStore
-from repro.service.tier.quota import AdmissionController, TenantPolicy
-from repro.service.tier.worker import DrainWorker, FaultInjector
+from repro.service.tier.worker import (
+    POLL_INTERVAL_S,
+    DrainWorker,
+    FaultInjector,
+)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import NULL_TRACER, Span, Tracer
 
@@ -56,10 +58,12 @@ __all__ = ["ServiceSupervisor"]
 
 _SpecLike = Union[JobSpec, Mapping[str, Any]]
 
-#: Queue placement strategies: every worker drains one shared lane, or
-#: each worker owns a lane and submissions round-robin over them (the
-#: deterministic placement the throughput benchmark relies on).
-PLACEMENTS = ("shared", "round_robin")
+#: Queue placement: each worker owns a lane and submissions are dealt
+#: round-robin over them (deterministic per-worker workloads).
+PLACEMENTS = ("round_robin",)
+
+#: Per-job wall-clock deadline for retries, in seconds from admission.
+RETRY_TIMEOUT_S = 60.0
 
 
 class ServiceSupervisor:
@@ -71,25 +75,18 @@ class ServiceSupervisor:
             :class:`~repro.service.tier.SegmentedResultStore` (pass one
             with a ``root`` directory to memoize across restarts).
         workers: drain-worker count.
-        placement: ``"shared"`` (one lane, workers race) or
-            ``"round_robin"`` (one lane per worker, submissions dealt in
-            order — deterministic per-worker workloads).
+        placement: ``"round_robin"``, the only placement (one lane per
+            worker, submissions dealt in order).
         capacity / fair_share: fair-share queue knobs.
         max_batch: jobs per drained batch (the coalescing window).
-        policies / default_policy: per-tenant rate/quota limits
-            (:class:`TenantPolicy`).
         max_retries: re-queues allowed per job after retryable failures.
         backoff_base: first retry delay (doubles per attempt).
-        retry_timeout: per-job wall-clock deadline for retries, measured
-            from admission.
         compile_attempts / cpm_attempts / ensemble_size: compiler knobs,
             applied identically by every worker's engine.
         backend_workers / executor: each engine's private backend
             fan-out (``backend_workers >= 0``; ``executor`` one of
             ``"thread"``/``"process"``).
         fault_injector: test hook, see :mod:`repro.service.tier.worker`.
-        clock: injectable monotonic clock (rate limiter + backoff
-            schedule; tests step it deterministically).
         tracing: collect hierarchical spans for every job (admission ->
             queue_wait -> prepare -> compile stages -> execute ->
             reconstruct -> finish); retrieve with :meth:`job_trace`.
@@ -101,25 +98,19 @@ class ServiceSupervisor:
         self,
         devices: Optional[Mapping[str, Any]] = None,
         store: Optional[Any] = None,
-        registry: Optional[DeviceRegistry] = None,
         workers: int = 2,
         placement: str = "round_robin",
         capacity: int = 256,
         fair_share: float = 0.5,
         max_batch: int = 8,
-        policies: Optional[Dict[str, TenantPolicy]] = None,
-        default_policy: Optional[TenantPolicy] = None,
         max_retries: int = 2,
         backoff_base: float = 0.05,
-        retry_timeout: float = 60.0,
         compile_attempts: int = 4,
         cpm_attempts: int = 3,
         ensemble_size: int = 4,
         backend_workers: Optional[int] = None,
         executor: str = "thread",
         fault_injector: Optional[FaultInjector] = None,
-        poll_interval: float = 0.02,
-        clock=time.monotonic,
         tracing: bool = False,
     ) -> None:
         if workers < 1:
@@ -136,17 +127,13 @@ class ServiceSupervisor:
             raise ServiceError(
                 f"unknown executor {executor!r}; options: {EXECUTORS}"
             )
-        self.registry = registry or DeviceRegistry(devices)
+        self.registry = DeviceRegistry(devices)
         self.store = store if store is not None else SegmentedResultStore()
         self.workers_count = workers
-        self.placement = placement
         self.max_batch = max_batch
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.retry_timeout = retry_timeout
         self.fault_injector = fault_injector
-        self.poll_interval = poll_interval
-        self._clock = clock
         self.config_salt = compiler_salt(
             compile_attempts, cpm_attempts, ensemble_size
         )
@@ -157,22 +144,15 @@ class ServiceSupervisor:
             workers=backend_workers,
             executor=executor,
         )
-        lanes = workers if placement == "round_robin" else 1
         self.queue = FairShareQueue(
-            capacity=capacity, fair_share=fair_share, lanes=lanes
-        )
-        self.admission = AdmissionController(
-            self.queue,
-            policies=policies,
-            default_policy=default_policy,
-            clock=clock,
+            capacity=capacity, fair_share=fair_share, lanes=workers
         )
         #: Unified telemetry root: tier counters + latency histograms
-        #: live here; the queue's, admission's and store's registries and
-        #: every worker engine's are attached, so
-        #: :meth:`telemetry_snapshot` is one atomic view of the tier.
+        #: live here; the queue's and store's registries and every worker
+        #: engine's are attached, so :meth:`telemetry_snapshot` is one
+        #: atomic view of the tier.
         self.metrics = MetricsRegistry()
-        for part in (self.queue, self.admission, self.store):
+        for part in (self.queue, self.store):
             self.metrics.attach(part.metrics)
         self.tracer = Tracer() if tracing else NULL_TRACER
         self._jobs: Dict[str, Job] = {}
@@ -216,7 +196,6 @@ class ServiceSupervisor:
     # ------------------------------------------------------------------
 
     def _spawn_worker(self, index: int, generation: int = 0) -> DrainWorker:
-        lane = index if self.placement == "round_robin" else 0
         engine = ExecutionEngine(self.registry, self.store, **self._engine_kwargs)
         # Fold the lane's counters (engine + backend pool + shared
         # caches) into the tier registry; the merge dedups the shared
@@ -225,10 +204,8 @@ class ServiceSupervisor:
         worker = DrainWorker(
             self,
             index=index,
-            lane=lane,
             engine=engine,
             fault_injector=self.fault_injector,
-            poll_interval=self.poll_interval,
             generation=generation,
         )
         worker.start()
@@ -300,28 +277,22 @@ class ServiceSupervisor:
     # ------------------------------------------------------------------
 
     def submit(self, spec: _SpecLike) -> Job:
-        """Admit one job through rate limit -> memoization -> quota ->
-        fair share; returns its handle (events start flowing at once).
+        """Admit one job through memoization -> fair share; returns its
+        handle (events start flowing at once).
 
-        Raises the typed admission family on rejection:
-        :class:`~repro.exceptions.RateLimitError` (bucket empty — carries
-        ``retry_after``), :class:`~repro.exceptions.QuotaExceededError`
-        (trial budget gone for good), or plain
-        :class:`~repro.exceptions.AdmissionError` (queue backpressure, or
-        a program that cannot be built: an unknown workload name, a
-        build over the simulator's qubit cap, unparsable QASM).
+        Raises :class:`~repro.exceptions.AdmissionError` on rejection:
+        queue backpressure, or a job that cannot be built (an unknown
+        workload name or device, a build over the simulator's qubit cap,
+        unparsable QASM).
         """
         if isinstance(spec, Mapping):
             spec = JobSpec.from_dict(spec)
-        # Rate limiting meters the front door — before memoization, which
-        # is free only in *execution* cost, not in request pressure.
-        self.admission.check_rate(spec.tenant)
         try:
             circuit = spec_circuit(spec)
+            device_key = self.registry.device_key(spec.device)
         except ReproError as exc:
             self._unbuildable.add(1)
             raise AdmissionError(str(exc)) from exc
-        device_key = self.registry.device_key(spec.device)
         fingerprint = job_fingerprint(
             spec, circuit, device_key, self.config_salt
         )
@@ -351,25 +322,21 @@ class ServiceSupervisor:
             self.finish(job, cached, source="memoized")
             return job
         with self._lock:
-            lane = (
-                self._placement_counter % self.workers_count
-                if self.placement == "round_robin"
-                else 0
-            )
+            lane = self._placement_counter % self.workers_count
         try:
-            self.admission.admit(job, lane=lane)  # raises on rejection
+            self.queue.push(job, lane=lane)  # raises on rejection
         except Exception as exc:
             tracer.end_span(admission_span, rejected=type(exc).__name__)
             tracer.end_span(job.trace, status="rejected")
             raise
-        now = self._clock()
+        now = time.monotonic()
         with self._lock:
             self._placement_counter += 1
             self._jobs[job.job_id] = job
             self._events[job.job_id] = log
             self._lane_of[job.job_id] = lane
             self._enqueued_at[job.job_id] = now
-            self._deadline_of[job.job_id] = now + self.retry_timeout
+            self._deadline_of[job.job_id] = now + RETRY_TIMEOUT_S
             self.open_jobs += 1
         self._submitted.add(1)
         tracer.end_span(admission_span, memoized=False, lane=lane)
@@ -448,50 +415,11 @@ class ServiceSupervisor:
             return list(self._jobs.values())
 
     # ------------------------------------------------------------------
-    # Asyncio surface (thin executor wrappers over the blocking API)
-    # ------------------------------------------------------------------
-
-    async def asubmit(self, spec: _SpecLike) -> Job:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.submit, spec)
-
-    async def await_job(
-        self, job_or_id: Union[Job, str], timeout: Optional[float] = None
-    ) -> Job:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.wait, job_or_id, timeout)
-
-    async def aresult(
-        self, job_or_id: Union[Job, str], timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        job = await self.await_job(job_or_id, timeout)
-        return self.result(job)
-
-    async def awatch(
-        self,
-        job_or_id: Union[Job, str],
-        after_seq: int = 0,
-        timeout: Optional[float] = None,
-    ) -> AsyncIterator[JobEvent]:
-        """Async event stream (each blocking ``next`` runs in the
-        default executor, so the event loop never blocks)."""
-        loop = asyncio.get_running_loop()
-        iterator = self.watch(job_or_id, after_seq=after_seq, timeout=timeout)
-        sentinel = object()
-        while True:
-            event = await loop.run_in_executor(
-                None, next, iterator, sentinel
-            )
-            if event is sentinel:
-                return
-            yield event
-
-    # ------------------------------------------------------------------
     # Worker callbacks (in-flight registry)
     # ------------------------------------------------------------------
 
     def _begin_batch(self, worker: DrainWorker, batch: List[Job]) -> None:
-        now = self._clock()
+        now = time.monotonic()
         self._batches.add(1)
         self._batch_jobs.add(len(batch))
         with self._lock:
@@ -515,7 +443,7 @@ class ServiceSupervisor:
     # ------------------------------------------------------------------
 
     def finish(self, job: Job, payload: Dict[str, Any], source: str) -> None:
-        now = self._clock()
+        now = time.monotonic()
         if source == "memoized":
             self._memoized.add(1)
         else:
@@ -563,9 +491,9 @@ class ServiceSupervisor:
         """Queue a backed-off re-queue; False when the budget is gone.
 
         Budget: at most ``max_retries`` re-queues per job, and never past
-        the job's ``retry_timeout`` deadline (measured from admission).
+        the job's deadline (:data:`RETRY_TIMEOUT_S` from admission).
         """
-        now = self._clock()
+        now = time.monotonic()
         with self._lock:
             deadline = self._deadline_of.get(job.job_id)
             if job.attempts >= self.max_retries:
@@ -592,12 +520,12 @@ class ServiceSupervisor:
         while not self._stop_flag.is_set():
             self._deliver_due_requeues()
             self._reap_crashed_workers()
-            time.sleep(self.poll_interval / 2)
+            time.sleep(POLL_INTERVAL_S / 2)
         # One final sweep so a drain-stop never strands a due re-queue.
         self._deliver_due_requeues()
 
     def _deliver_due_requeues(self) -> None:
-        now = self._clock()
+        now = time.monotonic()
         with self._lock:
             due = [entry for entry in self._delayed if entry[0] <= now]
             self._delayed = [
@@ -605,7 +533,9 @@ class ServiceSupervisor:
             ]
         for _, job in sorted(due, key=lambda entry: entry[0]):
             lane = self._lane_of.get(job.job_id, 0)
-            self.admission.requeue(job, lane=lane)
+            # A retried job was admitted once: a full queue must never
+            # lose it, so the capacity and fair-share checks are skipped.
+            self.queue.push(job, lane=lane, force=True)
             # A re-queued job waits again: a fresh queue_wait interval.
             job.queue_span = self.tracer.start_span(
                 "queue_wait", parent=job.trace, attempt=job.attempts
@@ -641,7 +571,7 @@ class ServiceSupervisor:
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
         """The unified registry view: every counter and histogram of the
-        tier (supervisor + queue + admission + store + workers' engines
+        tier (supervisor + queue + store + workers' engines
         + backend pools + shared caches), merged.  State that is not an
         event count (queue depth, open jobs, worker liveness) is read
         from the object holding it; per-lane counts from each worker's
@@ -660,7 +590,4 @@ class ServiceSupervisor:
         return self.tracer.spans_for(job.trace.trace_id)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ServiceSupervisor(workers={self.workers_count}, "
-            f"placement={self.placement!r})"
-        )
+        return f"ServiceSupervisor(workers={self.workers_count})"

@@ -2,9 +2,10 @@
 
 A :class:`DrainWorker` is one thread in the supervisor's pool.  Each
 worker owns a **private** :class:`~repro.service.engine.ExecutionEngine`
-(its own backend pool, its own work counters) while sharing the
-supervisor's device registry (so stage caches span workers), result
-store, and admission queue.  The loop is deliberately small:
+(its own backend pool, its own work counters) and drains its own lane
+of the supervisor's fair-share queue, while sharing the supervisor's
+device registry (so stage caches span workers) and result store.  The
+loop is deliberately small:
 
     pop a batch from my lane -> register it in-flight -> process it
     through my engine -> clear the in-flight registration.
@@ -31,6 +32,10 @@ from repro.telemetry.trace import use_tracer
 
 __all__ = ["DrainWorker"]
 
+#: Seconds a worker blocks on its empty lane before rechecking its stop
+#: flag (the supervisor's monitor polls at half this interval).
+POLL_INTERVAL_S = 0.02
+
 #: A test hook called with ``(worker_name, batch)`` before each batch; it
 #: may raise to simulate the worker dying mid-flight.
 FaultInjector = Callable[[str, List[Job]], None]
@@ -42,11 +47,10 @@ class DrainWorker:
     Args:
         supervisor: the owning ``ServiceSupervisor`` (provides the queue,
             the sink, and the in-flight registry).
-        index: stable lane index (survives respawns — the respawned
-            worker keeps its predecessor's lane and name generation).
-        lane: the :class:`~repro.service.queue.FairShareQueue` lane this
-            worker drains (equal to ``index`` under round-robin
-            placement, ``0`` when the queue is shared).
+        index: stable lane index, and the
+            :class:`~repro.service.queue.FairShareQueue` lane this worker
+            drains (survives respawns — the respawned worker keeps its
+            predecessor's lane and name generation).
         engine: this worker's private execution engine.
         generation: respawn count (names are ``worker-<index>`` for
             generation 0, ``worker-<index>.r<generation>`` after).
@@ -56,18 +60,14 @@ class DrainWorker:
         self,
         supervisor: Any,
         index: int,
-        lane: int,
         engine: ExecutionEngine,
         fault_injector: Optional[FaultInjector] = None,
-        poll_interval: float = 0.02,
         generation: int = 0,
     ) -> None:
         self.supervisor = supervisor
         self.index = index
-        self.lane = lane
         self.engine = engine
         self.fault_injector = fault_injector
-        self.poll_interval = poll_interval
         self.generation = generation
         self.name = (
             f"worker-{index}" if generation == 0
@@ -101,8 +101,8 @@ class DrainWorker:
         while not self._stop.is_set():
             batch = self.supervisor.queue.pop_batch(
                 self.supervisor.max_batch,
-                timeout=self.poll_interval,
-                lane=self.lane,
+                timeout=POLL_INTERVAL_S,
+                lane=self.index,
             )
             if not batch:
                 continue
@@ -130,4 +130,4 @@ class DrainWorker:
             "crashed" if self.crashed is not None
             else "alive" if self.alive else "stopped"
         )
-        return f"DrainWorker({self.name}, lane={self.lane}, {state})"
+        return f"DrainWorker({self.name}, {state})"

@@ -1,8 +1,8 @@
 """The central metrics registry: counters and histograms.
 
 The one place every count the stack produces lives.  Components
-(compiler pipeline, stage cache, backends, engine, queue, admission,
-result store, supervisor) each own a :class:`MetricsRegistry` and bump
+(compiler pipeline, stage cache, backends, engine, queue, result
+store, supervisor) each own a :class:`MetricsRegistry` and bump
 dotted-name metrics into it (``compiler.route_calls``,
 ``backend.stacked_evals``, ``tier.queue_wait`` ...).  Owners compose
 views by *attaching* child registries: ``snapshot()`` walks the tree and

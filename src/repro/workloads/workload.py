@@ -97,24 +97,8 @@ class Workload:
             self._ideal = StatevectorSimulator().ideal_pmf(self.circuit)
         return self._ideal
 
-    def ideal_success_probability(self) -> float:
-        """Probability mass the ideal distribution puts on correct outcomes."""
-        ideal = self.ideal_distribution()
-        return sum(ideal.prob(outcome) for outcome in self.correct_outcomes)
-
     @property
     def is_sweepable(self) -> bool:
         """Whether variational sweeps can rebind this workload."""
         return self.template_circuit is not None
 
-    def bound_circuit(self, values) -> QuantumCircuit:
-        """The template circuit at one parameter point.
-
-        ``values`` follows :meth:`QuantumCircuit.bind` (mapping by
-        name/Parameter, or a sequence in template parameter order).
-        """
-        if self.template_circuit is None:
-            raise WorkloadError(
-                f"workload {self.name} has no template_circuit to bind"
-            )
-        return self.template_circuit.bind(values)

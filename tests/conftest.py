@@ -7,6 +7,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.devices import Calibration, Device, ibmq_toronto, line_topology, ring_topology
+from repro.metrics import probability_of_successful_trial
 
 
 def counts(owner) -> dict:
@@ -14,6 +15,20 @@ def counts(owner) -> dict:
     (``owner.metrics``): a cache, store, queue, backend, pipeline or
     runner."""
     return owner.metrics.snapshot()["counters"]
+
+
+def gate_counts(circuit: QuantumCircuit) -> tuple:
+    """(single-qubit, two-qubit) gate counts of ``circuit``."""
+    arities = [len(ins.qubits) for ins in circuit.instructions if ins.is_gate]
+    return arities.count(1), arities.count(2)
+
+
+def ideal_success_mass(workload) -> float:
+    """The mass a workload's ideal distribution puts on its correct
+    outcomes."""
+    return probability_of_successful_trial(
+        workload.ideal_distribution(), workload.correct_outcomes
+    )
 
 
 def make_line_device(

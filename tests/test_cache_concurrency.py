@@ -1,8 +1,9 @@
 """Thread-hammering the shared caches: consistent counters, no dup work.
 
 The service layer shares one :class:`CompilationCache` per device across
-every job session (and ``compile_workers`` fans CPM compilation out over
-threads), so the stage store must keep two promises under contention:
+every job session, and the serving tier's drain workers compile on their
+own threads against it, so the stage store must keep two promises under
+contention:
 
 * **counters consistent** — ``hits + misses`` equals the number of
   lookups, entry counts match what was stored, no lost updates;

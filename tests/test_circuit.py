@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuits import Gate, Instruction, QuantumCircuit, draw
 from repro.exceptions import CircuitError
+from tests.conftest import gate_counts
 
 
 class TestInstruction:
@@ -82,8 +83,7 @@ class TestQueries:
         assert ops == {"h": 1, "cx": 3, "measure": 4}
 
     def test_gate_counts(self, ghz4):
-        assert ghz4.num_two_qubit_gates() == 3
-        assert ghz4.num_single_qubit_gates() == 1
+        assert gate_counts(ghz4) == (1, 3)
 
     def test_depth_linear_chain(self, ghz4):
         # h, cx, cx, cx, measures: depth = 1 + 3 + 1 = 5

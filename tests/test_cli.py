@@ -50,16 +50,6 @@ class TestMain:
         assert "JigSaw output" in out
         assert "CPMs:" in out
 
-    def test_run_with_workers(self, capsys):
-        code = main(
-            [
-                "run", "--workload", "GHZ-4", "--trials", "2048",
-                "--workers", "2",
-            ]
-        )
-        assert code == 0
-        assert "JigSaw output" in capsys.readouterr().out
-
     def test_run_with_exec_workers_matches_serial(self, capsys):
         # The sharded path is a pure fan-out: same seed, same report.
         argv = [
@@ -261,6 +251,26 @@ class TestServe:
         assert "rejected jobs[2]: QAOA workloads are limited" in out
         assert "rejected jobs[3]: unknown workload 'Nope-3'" in out
         (row,) = [line for line in out.splitlines() if "GHZ-6" in line]
+        assert "done" in row
+
+    def test_serve_rejects_unknown_device_and_runs_the_rest(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "jobs.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"tenant": "a", "workload": "GHZ-4", "device": device,
+                     "total_trials": 1024}
+                    for device in ("toronto", "nowhere")
+                ]
+            )
+        )
+        assert main(["serve", "--jobs", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 executed" in out and "1 rejected" in out
+        assert "rejected jobs[1]: unknown device 'nowhere'" in out
+        (row,) = [line for line in out.splitlines() if "GHZ-4" in line]
         assert "done" in row
 
     def test_serve_rejects_bad_file(self, tmp_path, capsys):

@@ -52,7 +52,7 @@ class TestLayout:
         layout = Layout({0: 10})
         layout.apply_swap(10, 12)
         assert layout.physical(0) == 12
-        assert not layout.hosts_logical(10)
+        assert 10 not in layout.physical_qubits
 
     def test_missing_lookups_raise(self):
         layout = Layout({0: 5})

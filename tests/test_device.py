@@ -36,14 +36,6 @@ class TestDeviceBasics:
         assert line_device.distance(2, 2) == 0
         assert np.all(np.isfinite(line_device.distances))
 
-    def test_gate_error_lookup(self, line_device):
-        assert line_device.gate_error([2]) == pytest.approx(0.0005)
-        assert line_device.gate_error([2, 3]) == pytest.approx(0.01)
-
-    def test_gate_error_three_qubits_rejected(self, line_device):
-        with pytest.raises(DeviceError):
-            line_device.gate_error([0, 1, 2])
-
     def test_calibration_size_must_match(self, line_device):
         from repro.devices.topology import line_topology
 

@@ -6,7 +6,7 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PMF, Marginal
@@ -225,6 +225,29 @@ _PAYLOADS = st.one_of(
 )
 
 
+@st.composite
+def _normalized_pmfs(draw):
+    """A PMF built through ``from_codes(..., normalize=True)``."""
+    num_bits = draw(st.integers(1, 16))
+    codes = draw(
+        st.lists(st.integers(0, (1 << num_bits) - 1), min_size=1, max_size=32)
+    )
+    probs = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0),
+            min_size=len(codes),
+            max_size=len(codes),
+        )
+    )
+    assume(any(probs))
+    return PMF.from_codes(
+        np.asarray(codes, dtype=np.int64),
+        np.asarray(probs),
+        num_bits,
+        normalize=True,
+    )
+
+
 class TestPayload:
     @pytest.mark.parametrize(
         "payload",
@@ -254,3 +277,22 @@ class TestPayload:
             return
         assert np.all(np.isfinite(pmf.probs))
         assert pmf.probs.sum() == pytest.approx(1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_normalized_pmfs())
+    def test_normalized_pmf_round_trips_to_an_equal_pmf(self, pmf):
+        payload = json.loads(json.dumps(pmf.to_payload()))
+        assert PMF.from_payload(payload) == pmf
+
+    def test_served_edm_output_round_trips_bit_for_bit(self):
+        """This output sums to 1 + 2.2e-16: renormalizing it on decode
+        would move its values by up to an ulp."""
+        from repro.devices import ibmq_toronto
+        from repro.runtime import Session
+        from repro.workloads import workload_by_name
+
+        with Session(ibmq_toronto(), seed=48) as session:
+            pmf = session.run_scheme("edm", workload_by_name("BV-12"))
+        assert pmf.probs.sum() != 1.0
+        payload = json.loads(json.dumps(pmf.to_payload()))
+        assert PMF.from_payload(payload) == pmf

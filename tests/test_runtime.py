@@ -281,17 +281,15 @@ class TestCompilationCache:
         )
 
     def test_execution_knobs_do_not_defeat_cache(self, device, ghz6):
-        # tolerance/max_rounds/exact/compile_workers cannot change the
-        # compiled artifact, so sweeps over them must hit.
+        # tolerance/max_rounds/exact cannot change the compiled
+        # artifact, so sweeps over them must hit.
         cache = CompilationCache()
         JigSaw(device, JigSawConfig(exact=True), seed=5, cache=cache).plan(
             ghz6, total_trials=16_384
         )
         swept = JigSaw(
             device,
-            JigSawConfig(
-                exact=False, tolerance=0.5, max_rounds=3, compile_workers=2
-            ),
+            JigSawConfig(exact=False, tolerance=0.5, max_rounds=3),
             seed=5,
             cache=cache,
         ).plan(ghz6, total_trials=16_384)
@@ -384,23 +382,6 @@ class TestCompilationCache:
         assert plan.allocated_trials == 32_768
 
 
-class TestParallelCompile:
-    def test_thread_fanout_bit_identical(self, device, ghz6):
-        serial = JigSaw(device, JigSawConfig(exact=True), seed=5)
-        threaded = JigSaw(
-            device, JigSawConfig(exact=True, compile_workers=4), seed=5
-        )
-        plan_s = serial.plan(ghz6, total_trials=16_384)
-        plan_t = threaded.plan(ghz6, total_trials=16_384)
-        for a, b in zip(plan_s.cpm_executables, plan_t.cpm_executables):
-            assert executable_fingerprint(a) == executable_fingerprint(b)
-        result_s = serial.execute(plan_s)
-        result_t = threaded.execute(plan_t)
-        assert result_s.output_pmf.as_dict() == pytest.approx(
-            result_t.output_pmf.as_dict()
-        )
-
-
 def ideal_counts(cache):
     """(ideal hits, ideal misses) from the cache's telemetry registry."""
     counters = cache.metrics.snapshot()["counters"]
@@ -438,8 +419,8 @@ class TestIdealStore:
         point = dict(workload.default_parameters)
         shifted = {name: value + 0.3 for name, value in point.items()}
         pipeline = CompilerPipeline(device)
-        a = pipeline.compile(workload.bound_circuit(point), seed=0)
-        b = pipeline.compile(workload.bound_circuit(shifted), seed=0)
+        a = pipeline.compile(workload.template_circuit.bind(point), seed=0)
+        b = pipeline.compile(workload.template_circuit.bind(shifted), seed=0)
         assert body_fingerprint(a.logical) == body_fingerprint(b.logical)
         for executable in (a, b):
             LocalBackend.share_statevectors([ExecutionRequest(executable, 64)])

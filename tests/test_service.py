@@ -11,6 +11,7 @@ before it starts, so the batches it drains are fixed by ``max_batch``.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import threading
 import time
@@ -380,7 +381,7 @@ class TestServiceDeterminism:
 class TestServiceBehaviour:
     def test_memoization_within_and_across_drains(self):
         spec = JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
-        with drained_tier([spec, spec.with_tenant("b")]) as (
+        with drained_tier([spec, dataclasses.replace(spec, tenant="b")]) as (
             supervisor, (first, duplicate)
         ):
             assert first.source == "executed"
@@ -469,22 +470,31 @@ class TestServiceBehaviour:
     def test_memoized_result_is_isolated_from_caller_mutation(self):
         spec = JobSpec(tenant="a", workload="GHZ-4", total_trials=1024)
         with drained_tier([spec]) as (supervisor, (first,)):
-            pristine = supervisor.submit(spec.with_tenant("b")).result
+            pristine = supervisor.submit(
+                dataclasses.replace(spec, tenant="b")
+            ).result
             # Vandalise the served copy; the store entry must not notice.
             pristine["output_pmf"]["probs"][0] = 123.0
-            again = supervisor.submit(spec.with_tenant("c")).result
+            again = supervisor.submit(
+                dataclasses.replace(spec, tenant="c")
+            ).result
             assert again["output_pmf"]["probs"][0] != 123.0
             assert again == first.result
 
     def test_unknown_device_rejected_at_submit(self):
         with ServiceSupervisor(workers=1) as supervisor:
-            with pytest.raises(ServiceError, match="unknown device"):
+            with pytest.raises(AdmissionError, match="unknown device"):
                 supervisor.submit(
                     JobSpec(tenant="a", workload="GHZ-4", device="nope")
                 )
 
     @pytest.mark.parametrize(
-        "knobs", [{"backend_workers": -1}, {"executor": "rayon"}]
+        "knobs",
+        [
+            {"backend_workers": -1},
+            {"executor": "rayon"},
+            {"placement": "shared"},
+        ],
     )
     def test_bad_backend_knobs_rejected_at_construction(self, knobs):
         # Refused up front, not as a backend error that every job then

@@ -1,22 +1,21 @@
-"""The serving tier: N-worker determinism, crash-replay, quotas, events.
+"""The serving tier: N-worker determinism, crash-replay, admission, events.
 
-The load-bearing claims (ISSUE acceptance criteria):
+The load-bearing claims:
 
-* Results from N concurrent drain workers — any placement, any arrival
-  order, any crash/retry schedule — are **bit-for-bit** equal to a solo
+* Results from N concurrent drain workers — any arrival order, any
+  crash/retry schedule — are **bit-for-bit** equal to a solo
   ``Session.run`` of the same spec, for every scheme.
 * A worker crash mid-batch re-queues its jobs (bounded retries with
-  backoff) and the tier converges; retry exhaustion fails the job with a
-  typed terminal error rather than hanging it.
-* Per-tenant rate limits and quotas reject with typed
-  :class:`~repro.exceptions.AdmissionError` subclasses, and a flooding
-  tenant can never starve the others past the fair-share cap — asserted
-  by a property test over random submission schedules.
+  backoff) and the tier converges; retry exhaustion fails the job
+  terminally rather than hanging it.
+* A job that cannot be built is refused at admission with
+  :class:`~repro.exceptions.AdmissionError`, and a flooding tenant can
+  never starve the others past the fair-share cap — asserted by a
+  property test over random submission schedules.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 
 import pytest
@@ -24,23 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices import ibmq_paris, ibmq_toronto
-from repro.exceptions import (
-    AdmissionError,
-    QuotaExceededError,
-    RateLimitError,
-    ServiceError,
-)
+from repro.exceptions import AdmissionError, ServiceError
 from repro.runtime import Session
 from repro.service import JobSpec
 from repro.service.engine import ExecutionEngine
 from repro.service.job import SERVICE_SCHEMES, JobStatus
 from repro.service.queue import FairShareQueue
-from repro.service.tier import (
-    AdmissionController,
-    ServiceSupervisor,
-    TenantPolicy,
-    TokenBucket,
-)
+from repro.service.tier import ServiceSupervisor
 from repro.workloads import workload_by_name
 
 DEVICES = {"toronto": ibmq_toronto}
@@ -72,7 +61,7 @@ def spec(i=0, tenant="a", workload="GHZ-4", scheme="baseline", **kw):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("placement", ["shared", "round_robin"])
+    @pytest.mark.parametrize("placement", ["round_robin"])
     def test_all_schemes_bitforbit_solo_at_three_workers(self, placement):
         """Every scheme through 3 concurrent workers == solo session."""
         specs = [
@@ -121,6 +110,23 @@ class TestDeterminism:
                         job.fingerprint, job.result
                     )
                     assert job.result == expected
+
+    def test_each_worker_drains_its_own_lane(self):
+        """Submissions are dealt round-robin: job i waits on lane
+        i mod N, and only worker-(i mod N) runs it."""
+        sup = ServiceSupervisor(devices=DEVICES, workers=2, max_batch=1)
+        try:
+            jobs = [sup.submit(spec(i, tenant=f"t{i % 2}")) for i in range(4)]
+            sup.start()
+            sup.stop(drain=True, timeout=120)
+            for index, job in enumerate(jobs):
+                assert job.status is JobStatus.DONE, job.error
+                events = sup.events(job)
+                assert events[0].detail["lane"] == index % 2
+                (running,) = [e for e in events if e.kind == "running"]
+                assert running.detail["worker"] == f"worker-{index % 2}"
+        finally:
+            sup.close()
 
     def test_cross_worker_memoization_via_shared_store(self):
         with ServiceSupervisor(devices=DEVICES, workers=2) as sup:
@@ -181,6 +187,38 @@ class TestCrashReplay:
             assert kinds[-1] == "failed"
         finally:
             sup.stop(drain=False)
+
+    def test_retry_requeue_is_never_refused_by_a_full_queue(self):
+        """A crashed job goes back on its lane even when newer jobs have
+        filled the queue meanwhile: it was admitted once, and a retry
+        must never lose it."""
+        sup = ServiceSupervisor(
+            devices=DEVICES, workers=1, capacity=1, max_retries=1,
+            backoff_base=0.0,
+        )
+        try:
+            crashed = sup.submit(spec(20))
+            # A worker pops the job, the queue fills up behind it, and
+            # the worker dies holding it.
+            assert sup.queue.pop_batch(1, timeout=0) == [crashed]
+            blocker = sup.submit(spec(21))
+            with pytest.raises(AdmissionError, match="queue full"):
+                sup.submit(spec(22))
+            sup.fail(crashed, "worker-0 crashed", retryable=True)
+            # The monitor's delivery step; the zero backoff is due at once.
+            sup._deliver_due_requeues()
+            assert len(sup.queue) == 2
+            sup.start()
+            sup.stop(drain=True, timeout=300)
+            for job in (crashed, blocker):
+                assert job.status is JobStatus.DONE, job.error
+                assert job.result == solo_payload(job.spec, sup)
+            assert crashed.attempts == 1
+            assert [e.kind for e in sup.events(crashed)] == [
+                "queued", "retrying", "requeued", "running", "done"
+            ]
+        finally:
+            sup.close()
 
     def test_deterministic_failure_is_not_retried(self):
         """A bad spec fails identically every time: no retry burned."""
@@ -348,20 +386,6 @@ class TestEventsAndAsync:
             kinds = [e.kind for e in sup.watch(second, timeout=5)]
             assert kinds == ["queued", "done"]
 
-    def test_asyncio_surface(self):
-        async def scenario(sup):
-            job = await sup.asubmit(spec(6, scheme="edm"))
-            kinds = []
-            async for event in sup.awatch(job, timeout=300):
-                kinds.append(event.kind)
-            payload = await sup.aresult(job, timeout=5)
-            return job, kinds, payload
-
-        with ServiceSupervisor(devices=DEVICES, workers=2) as sup:
-            job, kinds, payload = asyncio.run(scenario(sup))
-            assert kinds[-1] == "done"
-            assert payload == job.result == solo_payload(job.spec, sup)
-
     def test_poll_reports_status_row(self):
         with ServiceSupervisor(devices=DEVICES, workers=1) as sup:
             job = sup.submit(spec(7))
@@ -391,79 +415,6 @@ class TestEventsAndAsync:
                 assert telemetry["histograms"][f"tier.{stage}"]["count"] >= 1
 
 
-class TestAdmission:
-    def test_rate_limit_is_typed_and_carries_retry_after(self):
-        fake = {"t": 0.0}
-        sup = ServiceSupervisor(
-            devices=DEVICES, workers=1,
-            policies={"a": TenantPolicy(rate=1.0, burst=1)},
-            clock=lambda: fake["t"],
-        )
-        sup.start()
-        try:
-            sup.submit(spec(10))
-            with pytest.raises(RateLimitError) as err:
-                sup.submit(spec(11))
-            assert isinstance(err.value, AdmissionError)
-            assert err.value.retry_after == pytest.approx(1.0)
-            fake["t"] += 2.0  # the bucket refills; quota would not
-            sup.submit(spec(12))
-        finally:
-            sup.stop(drain=True, timeout=300)
-            sup.close()
-
-    def test_quota_is_typed_and_never_refills(self):
-        fake = {"t": 0.0}
-        sup = ServiceSupervisor(
-            devices=DEVICES, workers=1,
-            policies={"a": TenantPolicy(trial_budget=40_000)},
-            clock=lambda: fake["t"],
-        )
-        sup.start()
-        try:
-            sup.submit(spec(13))  # 32768 of the 40000 budget
-            with pytest.raises(QuotaExceededError) as err:
-                sup.submit(spec(14))
-            assert isinstance(err.value, AdmissionError)
-            fake["t"] += 1e6  # time cannot refill a quota
-            with pytest.raises(QuotaExceededError):
-                sup.submit(spec(15))
-            counters = sup.telemetry_snapshot()["counters"]
-            assert counters["admission.rejected_quota"] == 2
-            assert sup.admission.trials_used["a"] == 32_768
-        finally:
-            sup.stop(drain=True, timeout=300)
-            sup.close()
-
-    def test_memoized_resubmission_is_quota_free(self):
-        sup = ServiceSupervisor(
-            devices=DEVICES, workers=1,
-            policies={"a": TenantPolicy(trial_budget=40_000)},
-        )
-        sup.start()
-        try:
-            first = sup.submit(spec(16))
-            sup.wait(first, timeout=300)
-            # Identical resubmission is served from the store: free.
-            for _ in range(3):
-                assert sup.submit(spec(16)).source == "memoized"
-            assert sup.admission.trials_used["a"] == 32_768
-        finally:
-            sup.stop(drain=True, timeout=300)
-            sup.close()
-
-    def test_token_bucket_refills_to_burst(self):
-        fake = {"t": 0.0}
-        bucket = TokenBucket(rate=2.0, burst=4, clock=lambda: fake["t"])
-        for _ in range(4):
-            bucket.consume()
-        with pytest.raises(RateLimitError) as err:
-            bucket.consume()
-        assert err.value.retry_after == pytest.approx(0.5)
-        fake["t"] += 100.0
-        assert bucket.available() == pytest.approx(4.0)  # capped at burst
-
-
 class TestFairnessProperty:
     """Adversarial tenancy: a flooder cannot starve others, ever."""
 
@@ -480,10 +431,6 @@ class TestFairnessProperty:
         flooder never exceeds the fair-share cap, and *every* small
         tenant submission within its own cap is admitted."""
         queue = FairShareQueue(capacity=16, fair_share=0.25, lanes=2)
-        controller = AdmissionController(
-            queue,
-            policies={"flood": TenantPolicy(trial_budget=10_000_000)},
-        )
         flood_specs = iter(range(flood))
         other_specs = iter(others)
         schedule = list(interleave)
@@ -497,7 +444,7 @@ class TestFairnessProperty:
                     break
                 job = _job("flood", seed=index)
                 try:
-                    controller.admit(job, lane=lane % 2)
+                    queue.push(job, lane=lane % 2)
                     admitted_flood += 1
                 except AdmissionError:
                     rejected_flood += 1
@@ -510,10 +457,10 @@ class TestFairnessProperty:
                 held = queue.pending_by_tenant().get(tenant, 0)
                 job = _job(tenant, seed=lane)
                 if held < queue.tenant_cap and len(queue) < queue.capacity:
-                    controller.admit(job, lane=lane % 2)
+                    queue.push(job, lane=lane % 2)
                 else:
                     with pytest.raises(AdmissionError):
-                        controller.admit(job, lane=lane % 2)
+                        queue.push(job, lane=lane % 2)
             lane += 1
             # Invariant: the flooder never holds more than the cap.
             assert (

@@ -49,7 +49,7 @@ class TestSweepEqualsPerIteration:
 
         session = Session(device, seed=13, exact=exact, total_trials=TRIALS)
         sweep = session.parameter_sweep(workload, scheme=scheme)
-        one_at_a_time = [sweep.run_point(point) for point in POINTS]
+        one_at_a_time = [sweep.run([point]).results[0] for point in POINTS]
 
         assert pmf_dicts(coalesced) == [
             (r.output_pmf if hasattr(r, "output_pmf") else r).as_dict()
@@ -139,7 +139,7 @@ class TestWorkloadTemplates:
 
         workload = factory()
         assert workload.is_sweepable
-        rebound = workload.bound_circuit(workload.default_parameters)
+        rebound = workload.template_circuit.bind(workload.default_parameters)
         assert circuit_fingerprint(rebound) == circuit_fingerprint(
             workload.circuit
         )

@@ -403,7 +403,7 @@ class TestEventLogRing:
         # Head: the first two events. Tail: the last three appended.
         assert [e.seq for e in events] == [1, 2, 9, 10, 11]
         assert log.truncated == 6
-        assert log.last_seq == 11
+        assert log.snapshot()[-1].seq == 11
         assert log.closed
 
     def test_watch_skips_dropped_middle(self):

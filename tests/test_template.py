@@ -189,7 +189,7 @@ class TestTemplateBindEqualsFullCompile:
         session_b = Session(device, seed=17, exact=True)
         bound_workload = Workload(
             name=workload.name,
-            circuit=workload.bound_circuit(point),
+            circuit=workload.template_circuit.bind(point),
             correct_outcomes=workload.correct_outcomes,
             metadata=workload.metadata,
         )

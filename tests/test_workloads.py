@@ -17,6 +17,7 @@ from repro.workloads import (
     workload_by_name,
 )
 from repro.workloads.qaoa import cut_values, path_graph_edges, ring_graph_edges
+from tests.conftest import gate_counts, ideal_success_mass
 from tests.metrics_oracle import cut_size
 
 
@@ -29,7 +30,7 @@ class TestBv:
     def test_ideal_distribution_deterministic(self):
         workload = bv(4)
         assert workload.ideal_distribution().as_dict() == {"1111": 1.0}
-        assert workload.ideal_success_probability() == pytest.approx(1.0)
+        assert ideal_success_mass(workload) == pytest.approx(1.0)
 
     def test_custom_secret(self):
         workload = bv(4, secret="1010")
@@ -38,7 +39,7 @@ class TestBv:
     def test_gate_counts_table2(self):
         """Table 2: BV-n has n two-qubit gates for the all-ones secret."""
         workload = bv(6)
-        assert workload.circuit.num_two_qubit_gates() == 6
+        assert gate_counts(workload.circuit)[1] == 6
 
     def test_invalid_secret(self):
         with pytest.raises(WorkloadError):
@@ -64,8 +65,7 @@ class TestGhz:
     def test_gate_counts_table2(self):
         """Table 2: GHZ-n has 1 single-qubit and n-1 two-qubit gates."""
         workload = ghz(14)
-        assert workload.circuit.num_single_qubit_gates() == 1
-        assert workload.circuit.num_two_qubit_gates() == 13
+        assert gate_counts(workload.circuit) == (1, 13)
 
     def test_too_small(self):
         with pytest.raises(WorkloadError):
@@ -82,8 +82,7 @@ class TestGraycode:
     def test_gate_counts_table2(self):
         """Table 2: Graycode-n has n/2 1Q gates and n-1 2Q gates."""
         workload = graycode(18)
-        assert workload.circuit.num_single_qubit_gates() == 9
-        assert workload.circuit.num_two_qubit_gates() == 17
+        assert gate_counts(workload.circuit) == (9, 17)
 
     def test_decode_matches_classical(self):
         """Circuit output equals the classical Gray decode of the input."""
@@ -105,7 +104,7 @@ class TestIsing:
     def test_gate_counts_table2(self):
         """Table 2: Ising-n has n(n-1) two-qubit gates (2 Trotter steps)."""
         workload = ising(10)
-        assert workload.circuit.num_two_qubit_gates() == 90
+        assert gate_counts(workload.circuit)[1] == 90
 
     def test_correct_outcomes_are_dominant(self):
         workload = ising(6)
@@ -146,10 +145,7 @@ class TestQaoa:
         """Higher p concentrates more mass on the solutions."""
         shallow = qaoa_maxcut(8, depth=1)
         deep = qaoa_maxcut(8, depth=4)
-        assert (
-            deep.ideal_success_probability()
-            > shallow.ideal_success_probability()
-        )
+        assert ideal_success_mass(deep) > ideal_success_mass(shallow)
 
     def test_angles_cached(self):
         a = qaoa_maxcut(6, depth=2)
@@ -159,7 +155,7 @@ class TestQaoa:
     def test_two_qubit_gate_count_table2(self):
         """Table 2: QAOA-n at depth p has p*(n-1) two-qubit gates."""
         workload = qaoa_maxcut(10, depth=2)
-        assert workload.circuit.num_two_qubit_gates() == 2 * 9
+        assert gate_counts(workload.circuit)[1] == 2 * 9
 
     def test_invalid_parameters(self):
         with pytest.raises(WorkloadError):

@@ -398,16 +398,19 @@ class CompilerPipeline:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if self.cache.metrics is not self.metrics:
             self.metrics.attach(self.cache.metrics)
+        #: ``(num_qubits, instructions, body_fingerprint)`` of the last
+        #: body hashed (see :meth:`_body_fingerprint`).
+        self._last_body: Optional[Tuple[int, Tuple[object, ...], str]] = None
 
     def _stage_cached(self, stage: str, key: str, hit_counter: str, compute):
         """Per-key-locked stage-store lookup: compute at most once per key.
 
         Delegates to :meth:`CompilationCache.stage_get_or_compute`, whose
-        per-key in-flight locks make concurrent misses under the CPM
-        compilation thread fan-out run the compute once — the second
-        thread waits and replays the first's result, keeping the
-        route-once invariant (and the route_calls == stage-entries
-        accounting) true at any worker count.
+        per-key in-flight locks make concurrent misses from drain workers
+        that share a cache run the compute once — the second thread waits
+        and replays the first's result, keeping the route-once invariant
+        (and the route_calls == stage-entries accounting) true at any
+        worker count.
         """
         value, hit = self.cache.stage_get_or_compute(stage, key, compute)
         if hit:
@@ -417,6 +420,27 @@ class CompilerPipeline:
             attr = "cache_hits" if hit else "cache_misses"
             span.attrs[attr] = span.attrs.get(attr, 0) + 1
         return value
+
+    def _body_fingerprint(self, body: QuantumCircuit) -> str:
+        """:func:`body_fingerprint` of ``body``, hashed once per program.
+
+        A program's global compile and all of its CPMs strip their
+        measurements off the very same (immutable) instruction objects, so
+        a body whose width and instructions are identical, object for
+        object, to the last body hashed gets that body's string back.
+        """
+        instructions = body.instructions
+        last = self._last_body
+        if (
+            last is not None
+            and last[0] == body.num_qubits
+            and len(last[1]) == len(instructions)
+            and all(a is b for a, b in zip(last[1], instructions))
+        ):
+            return last[2]
+        key = body_fingerprint(body)
+        self._last_body = (body.num_qubits, instructions, key)
+        return key
 
     # ------------------------------------------------------------------
     # Entry points
@@ -459,7 +483,7 @@ class CompilerPipeline:
             attempts=attempts,
             initial_layouts=initial_layouts,
         )
-        state.body_fingerprint = body_fingerprint(state.body)
+        state.body_fingerprint = self._body_fingerprint(state.body)
         return self._run(state, _TRANSPILE_STAGES)
 
     def compile_cpm(
@@ -508,7 +532,7 @@ class CompilerPipeline:
             global_executable=global_executable,
             recompile=recompile,
         )
-        state.body_fingerprint = body_fingerprint(state.body)
+        state.body_fingerprint = self._body_fingerprint(state.body)
         return self._run(state, _CPM_STAGES)
 
     def _run(

@@ -13,6 +13,14 @@ reports for each machine (e.g. Toronto readout: mean 4.70 %, median 2.76 %,
 min 0.85 %, max 22.2 % — Fig. 3).  The generator is deterministic in its
 seed, and the spatial placement deliberately scatters the best qubits so
 that, as on the real devices, low-error qubits are not co-located (§3.2).
+
+The readout profile takes evenly spaced lognormal quantiles as
+``exp(sigma * ndtri(q)) * median`` and ranks qubits by a double stable
+``argsort``: the same bits as ``scipy.stats``' ``lognorm.ppf`` and
+``rankdata(method="ordinal")``, which stay the reference in the tests, for
+none of ``scipy.stats``' import cost.  ``scipy.special.ndtri`` itself stays:
+any other inverse normal CDF differs in the last ulp, which moves placement
+and routing choices downstream.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 import networkx as nx
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtri
 
 from repro.exceptions import DeviceError
 from repro.utils.random import SeedLike, as_generator
@@ -198,6 +206,26 @@ class Calibration:
 # ---------------------------------------------------------------------------
 
 
+def _lognormal_quantiles(
+    quantiles: np.ndarray, sigma: float, median: float
+) -> np.ndarray:
+    """Quantiles of the lognormal with shape ``sigma`` and median ``median``.
+
+    The expression ``scipy.stats.lognorm.ppf(quantiles, s=sigma,
+    scale=median)`` evaluates, bit for bit, without importing
+    ``scipy.stats``.
+    """
+    return np.exp(sigma * ndtri(quantiles)) * median
+
+
+def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
+    """0-based ranks, ties broken by position.
+
+    Equal to ``scipy.stats.rankdata(values, method="ordinal") - 1``.
+    """
+    return np.argsort(np.argsort(values, kind="stable"), kind="stable")
+
+
 def _lognormal_profile(
     count: int,
     median: float,
@@ -220,7 +248,7 @@ def _lognormal_profile(
     ratio = mean / median
     sigma = float(np.sqrt(max(2.0 * np.log(ratio), 1e-6)))
     quantiles = (np.arange(count) + 0.5) / count
-    values = scipy_stats.lognorm.ppf(quantiles, s=sigma, scale=median)
+    values = _lognormal_quantiles(quantiles, sigma, median)
     values = np.clip(values, minimum, maximum)
     values[0] = minimum
     values[-1] = maximum
@@ -331,7 +359,7 @@ def synthesize_calibration(
     )
     # Assign draws by a blended rank: a qubit's crosstalk rank tracks its
     # readout-error rank with the requested correlation strength.
-    readout_rank = scipy_stats.rankdata(readout, method="ordinal") - 1
+    readout_rank = _ordinal_ranks(readout)
     random_rank = rng.permutation(count)
     blended = (
         crosstalk_rank_correlation * readout_rank

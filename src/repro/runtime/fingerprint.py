@@ -34,11 +34,9 @@ __all__ = [
 
 
 def _hash(parts) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    # SHA-256 over every part followed by a NUL byte, hashed in one update.
+    text = "\x00".join(parts) + "\x00"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def content_hash(parts: Sequence[str]) -> str:
@@ -75,11 +73,18 @@ def _structure_token(instruction) -> str:
 
     Bound and symbolic instances of one rotation collapse to the same
     token, so structure-keyed fingerprints are parameter-independent.
+    Cached on the instance, as :func:`_instruction_token` is.
     """
+    token = instruction.__dict__.get("_structure_token")
+    if token is not None:
+        return token
     if instruction.is_gate:
         gate = instruction.gate
-        return f"g|{gate.name}|<{len(gate.params)}>|{instruction.qubits}"
-    return f"{instruction.kind}|{instruction.qubits}|{instruction.clbits}"
+        token = f"g|{gate.name}|<{len(gate.params)}>|{instruction.qubits}"
+    else:
+        token = f"{instruction.kind}|{instruction.qubits}|{instruction.clbits}"
+    object.__setattr__(instruction, "_structure_token", token)
+    return token
 
 
 def circuit_fingerprint(circuit: "QuantumCircuit") -> str:

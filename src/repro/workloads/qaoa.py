@@ -8,12 +8,29 @@ diagonal, so one expectation evaluation is a few vector operations), which
 makes the workloads deterministic and reasonably close to optimal — good
 enough that the ideal distribution concentrates on the true MaxCut
 solutions, which become the PST-correct outcomes.
+
+The search is a 24 x 12 (gamma, beta) grid at depth 1, and at depth p an
+interpolation of the depth-(p-1) schedule; each is then refined by
+coordinate descent.  It is paid once per process and shape:
+
+* every depth level is memoized per ``(num_qubits, depth, edges)``, so
+  QAOA-10 p4 reuses QAOA-10 p2's levels instead of searching them again;
+* the phase separator is gathered from the distinct cut values (at most
+  E + 1 of them), and a depth-1 grid gamma's phased state serves all of
+  its betas;
+* the mixer is one 2x2 ``np.dot`` per qubit on a chained layout (see
+  :func:`_apply_mixer`).
+
+None of this changes a bit: every product, exponential and comparison is
+the one the plain search makes, so the angles, and with them every circuit
+and output downstream, are unchanged.  ``tests/qaoa_oracle.py`` keeps the
+plain search (``moveaxis`` + ``tensordot``, an uncached recursion), and
+``tests/test_qaoa_search.py`` holds this one to it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -57,61 +74,126 @@ def cut_values(num_qubits: int, edges: Sequence[Tuple[int, int]]) -> np.ndarray:
 
 
 def _apply_mixer(state: np.ndarray, beta: float, num_qubits: int) -> np.ndarray:
-    """Apply RX(2*beta) on every qubit via per-axis 2x2 contractions."""
+    """Apply RX(2*beta) on every qubit: one 2x2 ``np.dot`` per qubit.
+
+    Qubit axis ``k`` of the ``(2,) * n`` tensor (axis 0 is the most
+    significant index bit) is contracted as ``mixer @ operand``, where
+    ``operand`` is the C-contiguous ``(2, 2**(n-1))`` matrix whose row is
+    axis ``k`` and whose columns run over the other axes in their original
+    order: the operand ``np.tensordot`` builds after a ``moveaxis``, so
+    every product is the same zgemm on the same bits.  Each product keeps
+    its contracted axis in front, which puts the next operand one 4-D
+    transpose (one copy) away; a final transpose restores the axis order.
+    """
     cos = math.cos(beta)
     sin = math.sin(beta)
     mixer = np.array([[cos, -1j * sin], [-1j * sin, cos]], dtype=complex)
-    tensor = state.reshape((2,) * num_qubits)
-    for axis in range(num_qubits):
-        tensor = np.moveaxis(tensor, axis, 0)
-        tensor = np.tensordot(mixer, tensor, axes=([1], [0]))
-        tensor = np.moveaxis(tensor, 0, axis)
-    return tensor.reshape(-1)
+    tensor = np.dot(mixer, state.reshape(2, -1))
+    for axis in range(1, num_qubits):
+        # Rows: axis - 1.  Columns: axes 0..axis-2, then axis, axis+1, ...
+        operand = tensor.reshape(2, 1 << (axis - 1), 2, -1).transpose(2, 1, 0, 3)
+        tensor = np.dot(mixer, operand.reshape(2, -1))
+    return tensor.T.reshape(-1)
+
+
+class _PhaseTable:
+    """The diagonal phase separator ``exp(i * gamma * cut)``, gathered.
+
+    A MaxCut instance with E edges has at most E + 1 distinct cut values,
+    so each phase vector is the complex exponential of those few values
+    gathered out to every basis state: the same bits as exponentiating the
+    full cut vector, for a fraction of the work.
+    """
+
+    def __init__(self, cuts: np.ndarray) -> None:
+        self.cuts = cuts
+        self.values, self.index = np.unique(cuts, return_inverse=True)
+
+    def phase(self, gamma: float) -> np.ndarray:
+        return np.exp(1j * gamma * self.values)[self.index]
+
+
+def _uniform_state(num_qubits: int) -> np.ndarray:
+    size = 1 << num_qubits
+    return np.full(size, 1.0 / math.sqrt(size), dtype=complex)
 
 
 def _qaoa_state(
     gammas: Sequence[float],
     betas: Sequence[float],
-    cuts: np.ndarray,
+    table: _PhaseTable,
     num_qubits: int,
 ) -> np.ndarray:
     """Final QAOA statevector using the diagonal phase separator."""
-    size = 1 << num_qubits
-    state = np.full(size, 1.0 / math.sqrt(size), dtype=complex)
+    state = _uniform_state(num_qubits)
     for gamma, beta in zip(gammas, betas):
-        state = state * np.exp(1j * gamma * cuts)
+        state = state * table.phase(gamma)
         state = _apply_mixer(state, beta, num_qubits)
     return state
 
 
-def _expected_cut(
-    params: np.ndarray, cuts: np.ndarray, num_qubits: int, depth: int
-) -> float:
-    gammas = params[:depth]
-    betas = params[depth:]
-    state = _qaoa_state(gammas, betas, cuts, num_qubits)
+def _cut_expectation(state: np.ndarray, cuts: np.ndarray) -> float:
     probabilities = np.abs(state) ** 2
     return float(probabilities @ cuts)
 
 
-def _optimize_angles(
-    cuts: np.ndarray, num_qubits: int, depth: int
-) -> Tuple[np.ndarray, float]:
-    """Deterministic grid + coordinate-descent angle optimisation."""
+def _expected_cut(
+    params: np.ndarray, table: _PhaseTable, num_qubits: int, depth: int
+) -> float:
+    state = _qaoa_state(params[:depth], params[depth:], table, num_qubits)
+    return _cut_expectation(state, table.cuts)
+
+
+#: Optimised ``(gammas, betas)`` per ``(num_qubits, depth, edges)``.  Every
+#: depth level is searched once per process: a depth-p search starts from
+#: the memoized depth-(p-1) schedule, which QAOA-n at p = 2 and 4 share.
+_ANGLES: Dict[
+    Tuple[int, int, Tuple[Tuple[int, int], ...]],
+    Tuple[Tuple[float, ...], Tuple[float, ...]],
+] = {}
+
+
+def _memoized_angles(
+    cuts: np.ndarray,
+    num_qubits: int,
+    depth: int,
+    edges: Tuple[Tuple[int, int], ...],
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """:func:`_search_level`, once per key; ``cuts`` are ``edges``' cut values."""
+    key = (num_qubits, depth, edges)
+    angles = _ANGLES.get(key)
+    if angles is None:
+        params = _search_level(_PhaseTable(cuts), num_qubits, depth, edges)
+        angles = (tuple(params[:depth]), tuple(params[depth:]))
+        _ANGLES[key] = angles
+    return angles
+
+
+def _search_level(
+    table: _PhaseTable,
+    num_qubits: int,
+    depth: int,
+    edges: Tuple[Tuple[int, int], ...],
+) -> np.ndarray:
+    """Deterministic grid + coordinate-descent search of one depth level."""
     if depth == 1:
+        # Each grid gamma's phased state is shared by its 12 betas.
         best_params, best_value = None, -1.0
+        uniform = _uniform_state(num_qubits)
+        betas = np.linspace(0.05, math.pi / 2 - 0.05, 12)
         for gamma in np.linspace(0.05, math.pi - 0.05, 24):
-            for beta in np.linspace(0.05, math.pi / 2 - 0.05, 12):
-                params = np.array([gamma, beta])
-                value = _expected_cut(params, cuts, num_qubits, depth)
+            phased = uniform * table.phase(gamma)
+            for beta in betas:
+                state = _apply_mixer(phased, beta, num_qubits)
+                value = _cut_expectation(state, table.cuts)
                 if value > best_value:
                     best_value = value
-                    best_params = params
+                    best_params = np.array([gamma, beta])
     else:
         # INTERP-style initialisation: linearly stretch the (p-1) schedule.
-        prev_params, _ = _optimize_angles(cuts, num_qubits, depth - 1)
-        prev_gammas = prev_params[: depth - 1]
-        prev_betas = prev_params[depth - 1:]
+        prev_gammas, prev_betas = _memoized_angles(
+            table.cuts, num_qubits, depth - 1, edges
+        )
         positions_old = np.linspace(0, 1, depth - 1) if depth > 2 else np.array([0.5])
         positions_new = np.linspace(0, 1, depth)
         best_params = np.concatenate(
@@ -120,7 +202,7 @@ def _optimize_angles(
                 np.interp(positions_new, positions_old, prev_betas),
             ]
         )
-        best_value = _expected_cut(best_params, cuts, num_qubits, depth)
+        best_value = _expected_cut(best_params, table, num_qubits, depth)
 
     # Coordinate descent with shrinking step sizes.
     step = 0.3
@@ -130,23 +212,14 @@ def _optimize_angles(
             for direction in (+1.0, -1.0):
                 candidate = best_params.copy()
                 candidate[index] += direction * step
-                value = _expected_cut(candidate, cuts, num_qubits, depth)
+                value = _expected_cut(candidate, table, num_qubits, depth)
                 if value > best_value + 1e-9:
                     best_value = value
                     best_params = candidate
                     improved = True
         if not improved:
             step /= 2.0
-    return best_params, best_value
-
-
-@lru_cache(maxsize=None)
-def _cached_angles(
-    num_qubits: int, depth: int, edges: Tuple[Tuple[int, int], ...]
-) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    cuts = cut_values(num_qubits, edges)
-    params, _ = _optimize_angles(cuts, num_qubits, depth)
-    return tuple(params[:depth]), tuple(params[depth:])
+    return best_params
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +258,8 @@ def qaoa_maxcut(
         if not (0 <= a < num_qubits and 0 <= b < num_qubits) or a == b:
             raise WorkloadError(f"invalid edge ({a}, {b})")
 
-    gammas, betas = _cached_angles(num_qubits, depth, edges)
+    cuts = cut_values(num_qubits, edges)
+    gammas, betas = _memoized_angles(cuts, num_qubits, depth, edges)
     # The program is built symbolically (gamma_l / beta_l per layer) and
     # bound at the optimised angles: existing callers see the identical
     # numeric circuit, while variational sweeps rebind the template.
@@ -210,7 +284,6 @@ def qaoa_maxcut(
     }
     bound = qc.bind(defaults)
 
-    cuts = cut_values(num_qubits, edges)
     max_cut = float(cuts.max())
     winners = np.flatnonzero(cuts >= max_cut - 1e-9)
     correct = tuple(

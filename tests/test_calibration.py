@@ -2,9 +2,22 @@
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
-from repro.devices import synthesize_calibration
-from repro.devices.calibration import Calibration, _lognormal_profile
+from repro.devices import calibration as calibration_module
+from repro.devices import (
+    google_sycamore,
+    ibmq_manhattan,
+    ibmq_paris,
+    ibmq_toronto,
+    synthesize_calibration,
+)
+from repro.devices.calibration import (
+    Calibration,
+    _lognormal_profile,
+    _lognormal_quantiles,
+    _ordinal_ranks,
+)
 from repro.devices.topology import falcon27, line_topology
 from repro.exceptions import DeviceError
 
@@ -201,3 +214,87 @@ class TestSynthesizeCalibration:
                 line_topology(6), 0.02, 0.03, 0.01, 0.1,
                 crosstalk_rank_correlation=1.5,
             )
+
+
+# ---------------------------------------------------------------------------
+# scipy.stats is the reference the synthesis is held to, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def scipy_quantiles(quantiles, sigma, median):
+    return scipy_stats.lognorm.ppf(quantiles, s=sigma, scale=median)
+
+
+def scipy_ranks(values):
+    return scipy_stats.rankdata(values, method="ordinal") - 1
+
+
+@pytest.fixture
+def scipy_reference(monkeypatch):
+    """Run the synthesis on the ``scipy.stats`` calls it replaced."""
+
+    def install():
+        monkeypatch.setattr(calibration_module, "_lognormal_quantiles", scipy_quantiles)
+        monkeypatch.setattr(calibration_module, "_ordinal_ranks", scipy_ranks)
+
+    return install
+
+
+def calibration_bytes(calibration):
+    return (
+        calibration.p01.tobytes(),
+        calibration.p10.tobytes(),
+        calibration.crosstalk.tobytes(),
+        calibration.gate_error_1q.tobytes(),
+        sorted(calibration.gate_error_2q.items()),
+    )
+
+
+#: Shapes sigma over [1e-3, 2.0]: the 1e-6 variance floor, then evenly.
+SIGMAS = (1e-3,) + tuple(np.linspace(0.08, 2.0, 25))
+
+
+class TestScipyStatsReference:
+    def test_quantiles_equal_lognorm_ppf(self):
+        cases = 0
+        for count in range(4, 201):
+            quantiles = (np.arange(count) + 0.5) / count
+            for sigma in SIGMAS:
+                got = _lognormal_quantiles(quantiles, sigma, 0.0276)
+                want = scipy_quantiles(quantiles, sigma, 0.0276)
+                assert got.tobytes() == want.tobytes(), (count, sigma)
+                cases += 1
+        assert cases == 197 * 26
+
+    @pytest.mark.parametrize("sigma", SIGMAS[::5])
+    def test_profile_equals_the_scipy_profile(self, sigma, scipy_reference):
+        median = 0.02
+        mean = median * float(np.exp(sigma * sigma / 2.0))
+        counts = range(4, 201)
+        got = [_lognormal_profile(c, median, mean, 0.005, 0.4) for c in counts]
+        scipy_reference()
+        want = [_lognormal_profile(c, median, mean, 0.005, 0.4) for c in counts]
+        for count, a, b in zip(counts, got, want):
+            assert a.tobytes() == b.tobytes(), count
+
+    def test_ordinal_ranks_equal_rankdata(self):
+        rng = np.random.default_rng(7)
+        for size in range(1, 120):
+            for values in (
+                rng.random(size),
+                rng.integers(0, 4, size).astype(float),  # many ties
+            ):
+                assert np.array_equal(_ordinal_ranks(values), scipy_ranks(values))
+
+    @pytest.mark.parametrize(
+        "factory", [ibmq_toronto, ibmq_paris, ibmq_manhattan, google_sycamore]
+    )
+    @pytest.mark.parametrize("seed", [None, 0, 1, 7, 99])
+    def test_library_calibrations_equal_the_scipy_reference(
+        self, factory, seed, scipy_reference
+    ):
+        build = factory if seed is None else (lambda: factory(seed))
+        got = calibration_bytes(build().calibration)
+        scipy_reference()
+        want = calibration_bytes(build().calibration)
+        assert got == want

@@ -1,4 +1,5 @@
-"""The package declares every third-party module it imports.
+"""The package declares every third-party module it imports, and
+importing it stays lean.
 
 ``pip install -e .[test]`` builds an environment from ``pyproject.toml``
 alone, so an import that no declared dependency provides fails there
@@ -6,8 +7,10 @@ even when the developer's own environment happens to have it.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -47,3 +50,20 @@ def test_every_third_party_import_is_declared():
     )
     missing = sorted(third_party - declared_dependencies())
     assert not missing, f"missing: {missing}"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second and 45 MB to import; calibration
+    # synthesis spells out the two calls it used to make, so no fresh
+    # process (a CLI call, a worker) should load it.
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.service.tier\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

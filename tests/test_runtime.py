@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.compiler import CompilerPipeline
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
 from repro.exceptions import ReconstructionError, SimulationError
@@ -18,7 +19,8 @@ from repro.runtime import (
     executable_fingerprint,
     unitary_body_fingerprint,
 )
-from repro.workloads import ghz
+from repro.runtime.fingerprint import body_fingerprint, structure_fingerprint
+from repro.workloads import ghz, qaoa_maxcut
 from tests.conftest import make_varied_line_device
 
 
@@ -74,6 +76,54 @@ class TestFingerprints:
         a = pipeline.compile(ghz6, seed=3)
         b = pipeline.compile(ghz6, seed=3)
         assert executable_fingerprint(a) == executable_fingerprint(b)
+
+    def test_fingerprint_strings_are_pinned(self, ghz6):
+        # body_fingerprint seeds the router's tie-break jitter (through
+        # routing_fingerprint) and the others key caches and stores, so
+        # their strings must never move; recorded before the structure
+        # token was cached and the parts were hashed in one update.
+        cpm = ghz6.with_measured_subset((1, 4))
+        template = qaoa_maxcut(5).template_circuit
+        bound = qaoa_maxcut(5).circuit
+        assert {
+            name: (body_fingerprint(c), structure_fingerprint(c))
+            for name, c in (("ghz6", ghz6), ("cpm", cpm), ("qaoa5", template))
+        } == {
+            "ghz6": (
+                "5d90525c414ba39ccfccff47dd558d7f9698e9c2520eff87ca405be847030710",
+                "150538920b50edbae0e537f34e47a8b01c0d6ad77ebc9b03174c2c0ec0687bf4",
+            ),
+            "cpm": (
+                "5d90525c414ba39ccfccff47dd558d7f9698e9c2520eff87ca405be847030710",
+                "0f3c429a4e4255f0b08905d1967b7f574f8bce053dc3b559abc3c7f01781cc3a",
+            ),
+            "qaoa5": (
+                "462c10e3e88f930641ad1d6636153b41a6506658fa4e1243e22cf36adec49cb2",
+                "84ba25d08476f5bcc5ed77cc304185e94878130ba8d1428cebfd300412b4237b",
+            ),
+        }
+        # The bound QAOA-5 circuit's tokens carry its optimised angles.
+        assert circuit_fingerprint(bound) == (
+            "7f194b95983f0ac0b4fdad1c76512f37d11d2b115ab55a605eeda3e6d7ee3297"
+        )
+        assert unitary_body_fingerprint(cpm) == (
+            "2600e7f57c7d3f2467d6455ec8a41f33cff3cdb62f2d9748508c288315d44edf"
+        )
+
+    def test_pipeline_reuses_a_body_fingerprint_only_for_the_same_body(
+        self, device, ghz6
+    ):
+        pipeline = CompilerPipeline(device)
+        body = ghz6.remove_measurements()
+        prefix = QuantumCircuit(6)
+        wider = QuantumCircuit(7)
+        for ins in body.instructions[:-1]:
+            prefix.append(ins)
+        for ins in body.instructions:
+            wider.append(ins)
+        cpm_body = ghz6.with_measured_subset((0, 5)).remove_measurements()
+        for circuit in (body, cpm_body, prefix, body, wider, cpm_body, ghz(5).circuit):
+            assert pipeline._body_fingerprint(circuit) == body_fingerprint(circuit)
 
 
 class TestBackends:

@@ -69,8 +69,8 @@ def _run_reference(noise_model, device, monkeypatch):
 
     Times only the per-plan evaluation — the batch's shared statevectors
     and the oracle's exact channel per request — never the backend's
-    grouping, fingerprinting or sharding.  Returns the seconds, the PMFs
-    and the work counters a backend would have recorded.
+    grouping or fingerprinting.  Returns the seconds, the PMFs and the
+    work counters a backend would have recorded.
     """
     sampler = NoisySampler(noise_model)
     plans = sweep_plans(device)
@@ -189,7 +189,6 @@ def test_stacked_spine_speedup_on_coalesced_sweep(monkeypatch):
             "stacked_statevector_evals": stacked["backend.statevector_evals"],
             "stacked_evals": stacked["backend.stacked_evals"],
             "stacked_circuits": stacked["backend.stacked_circuits"],
-            "shards": stacked["backend.shards"],
             "asserted_min_speedup": MIN_SPEEDUP,
         },
     )

@@ -38,6 +38,7 @@ from repro.experiments import format_table
 from repro.metrics.success import probability_of_successful_trial
 from repro.runtime import Session
 from repro.service import SERVICE_SCHEMES, JobSpec
+from repro.service.job import _finite_real
 from repro.service.tier import SegmentedResultStore, ServiceSupervisor
 from repro.workloads import workload_by_name
 
@@ -68,11 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample trials instead of the exact noisy distribution",
     )
     run.add_argument(
-        "--exec-workers", type=int, default=None,
-        help="worker count for sharded batch execution "
-        "(bit-for-bit identical to serial at any count)",
-    )
-    run.add_argument(
         "--cpm-attempts", type=int, default=3,
         help="CPM candidate-layout pool size; the pool is routed once "
         "per plan and every CPM retargets onto it",
@@ -86,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--trials", type=int, default=32_768)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--sampled", action="store_true")
-    compare.add_argument(
-        "--exec-workers", type=int, default=None,
-        help="worker count for sharded batch execution",
-    )
     compare.add_argument(
         "--cpm-attempts", type=int, default=3,
         help="CPM candidate-layout pool size (see 'run')",
@@ -122,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--sampled", action="store_true")
     sweep.add_argument(
-        "--exec-workers", type=int, default=None,
-        help="worker count for sharded batch execution",
-    )
-    sweep.add_argument(
         "--eps-rescore-threshold", type=float, default=None,
         help="max parameter drift (radians) before the template "
         "re-scores EPS for a bind",
@@ -146,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         "each spec is e.g. {'tenant': 'a', 'workload': 'GHZ-8', "
         "'device': 'toronto', 'scheme': 'jigsaw', 'total_trials': 4096, "
         "'seed': 0}",
-    )
-    serve.add_argument(
-        "--exec-workers", type=int, default=None,
-        help="worker count for each drain worker's sharded execution "
-        "(bit-for-bit identical to serial at any count)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=32,
@@ -231,12 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> str:
     device = _device(args.device)
     workload = workload_by_name(args.workload)
-    # The context manager guarantees sharded worker pools are released
-    # even when a run raises mid-way.
     with Session(
         device, seed=args.seed, total_trials=args.trials,
-        exact=not args.sampled, workers=args.exec_workers,
-        cpm_attempts=args.cpm_attempts,
+        exact=not args.sampled, cpm_attempts=args.cpm_attempts,
     ) as session:
         result = session.run(session.plan(workload, scheme="jigsaw"))
         before = session.evaluate(workload, result.global_pmf)
@@ -263,8 +243,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
     workload = workload_by_name(args.workload)
     with Session(
         device, seed=args.seed, total_trials=args.trials,
-        exact=not args.sampled, workers=args.exec_workers,
-        cpm_attempts=args.cpm_attempts,
+        exact=not args.sampled, cpm_attempts=args.cpm_attempts,
     ) as session:
         rows: List[List[object]] = []
         base = None
@@ -320,7 +299,12 @@ def _parse_points(text: str) -> List[List[float]]:
         raise ReproError(
             "--points: expected a non-empty JSON list of non-empty rows"
         )
-    return [[float(value) for value in row] for row in document]
+    # The job service's check, so a point the CLI accepts is one a
+    # sweep job spec accepts too.
+    return [
+        [_finite_real(value, "a sweep parameter") for value in row]
+        for row in document
+    ]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
@@ -334,7 +318,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
     points = _parse_points(args.points)
     with Session(
         device, seed=args.seed, total_trials=args.trials,
-        exact=not args.sampled, workers=args.exec_workers,
+        exact=not args.sampled,
     ) as session:
         result = session.run_sweep(
             args.scheme, workload, points,
@@ -402,7 +386,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         capacity=args.capacity,
         fair_share=args.fair_share,
         max_batch=args.max_batch,
-        backend_workers=args.exec_workers,
         tracing=bool(args.trace),
     )
     trace_files = 0

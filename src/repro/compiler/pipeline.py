@@ -96,8 +96,8 @@ class ExecutableCircuit:
     An executable the pipeline compiles links to its cache's
     :class:`~repro.runtime.cache.IdealStore`, where the backend finds the
     body's ideal vector if the cache has seen the body.  The link is
-    process-local: a pickled executable (a plan, a process-pool payload)
-    crosses without it.
+    process-local: a pickled executable (in a pickled plan) crosses
+    without it.
     """
 
     logical: QuantumCircuit

@@ -115,11 +115,6 @@ class JigSawConfig:
     max_rounds: int = DEFAULT_MAX_ROUNDS
     #: Use closed-form noisy distributions instead of sampling trials.
     exact: bool = False
-    #: Worker count for sharding *execution* batches (the ``workers`` of
-    #: :class:`~repro.runtime.backend.LocalBackend`); ``None``/``1``
-    #: evaluates in-process.  Results are bit-for-bit identical at any
-    #: worker count: every request draws from its own per-index stream.
-    execute_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.global_fraction < 1.0:
@@ -224,7 +219,6 @@ class JigSaw:
         "tolerance",
         "max_rounds",
         "exact",
-        "execute_workers",
     )
 
     def __init__(
@@ -264,20 +258,18 @@ class JigSaw:
     def _resolve_backend(self) -> Backend:
         """The configured backend, or the local default for this config.
 
-        The default is a :class:`~repro.runtime.backend.LocalBackend`
-        sharded over ``config.execute_workers`` — bit-for-bit identical
-        at any worker count.  The resolved backend is cached (until the
-        relevant config knobs change) so its worker pool persists across
-        runs; every backend counts into the runner's :attr:`metrics`.
+        The default is a :class:`~repro.runtime.backend.LocalBackend` in
+        ``config.exact``'s mode.  The resolved backend is cached (until
+        ``config.exact`` changes); every backend counts into the runner's
+        :attr:`metrics`.
         """
         if self.backend is not None:
             return self.backend
-        key = (self.config.exact, self.config.execute_workers)
+        key = self.config.exact
         if self._resolved_backend is None or self._resolved_backend_key != key:
             self._resolved_backend = LocalBackend(
                 self.sampler,
                 exact=self.config.exact,
-                workers=self.config.execute_workers,
                 metrics=self.metrics,
             )
             self._resolved_backend_key = key
@@ -303,11 +295,6 @@ class JigSaw:
         batches) use it to finish the run identically to :meth:`execute`.
         """
         return self._reconstruct(plan, list(pmfs))
-
-    def close(self) -> None:
-        """Release the resolved backend's worker pool, if it has one."""
-        if self._resolved_backend is not None:
-            self._resolved_backend.close()
 
     # ------------------------------------------------------------------
     # Planning helpers
@@ -519,12 +506,11 @@ class JigSaw:
 
         This is the multi-plan submission path for sweeps: all plans'
         requests are concatenated into a single batch, so the
-        :class:`~repro.runtime.backend.LocalBackend` can spread the whole
-        sweep across its workers and coalesce duplicate executables
-        *across plans* (scheme/budget sweeps repeat programs).  Request
-        order is plan order, so per-request seed streams — and therefore
-        sampled results — are a deterministic function of the submitted
-        sequence.
+        :class:`~repro.runtime.backend.LocalBackend` can coalesce
+        duplicate executables *across plans* (scheme/budget sweeps repeat
+        programs).  Request order is plan order, so per-request seed
+        streams — and therefore sampled results — are a deterministic
+        function of the submitted sequence.
         """
         plans = list(plans)
         for plan in plans:

@@ -261,9 +261,9 @@ class CompilationCache:
         Returns ``(value, hit)``.  The fast path is a plain
         :meth:`stage_get`.  On a miss, a per-``(stage, key)`` lock makes
         concurrent callers run ``compute`` exactly once — the others block
-        and replay the stored value — so e.g. the CPM compilation thread
-        fan-out can never route one body twice (the route-once invariant
-        holds at any worker count).  A failing ``compute`` propagates and
+        and replay the stored value — so e.g. two drain workers compiling
+        one body can never route it twice (the route-once invariant holds
+        at any worker count).  A failing ``compute`` propagates and
         releases the key, so a later caller retries cleanly.
 
         On a disabled cache (``max_entries == 0`` or

@@ -162,8 +162,8 @@ def config_fingerprint(config, exclude: Sequence[str] = ()) -> str:
     :class:`JigSawMConfig` with coincidentally equal fields never collide.
     ``exclude`` drops named fields from the hash — cache keys use it to
     ignore knobs that cannot affect the compiled artifact (reconstruction
-    tolerance, exact vs sampled, thread counts), so e.g. a tolerance
-    sweep still hits the compilation cache.
+    tolerance, exact vs sampled), so e.g. a tolerance sweep still hits
+    the compilation cache.
     """
     if not is_dataclass(config):
         raise TypeError(f"expected a dataclass config, got {type(config)!r}")

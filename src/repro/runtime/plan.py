@@ -114,8 +114,8 @@ class ExecutionPlan:
         Batch order is **seed provenance**: sampling backends spawn one
         RNG child per batch position, so a request's position here — the
         global circuit at 0, then CPMs in layer order — pins down exactly
-        which stream it draws, no matter how many workers execute the
-        batch or how plans are concatenated into larger batches.  Tags
+        which stream it draws, no matter which other plans or jobs share
+        its batch.  Tags
         record which plan slot each position carries.
         """
         batch = [

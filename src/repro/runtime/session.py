@@ -146,13 +146,6 @@ class Session:
             the infinite-trials limit) instead of sampling.
         compile_attempts / cpm_attempts: compiler candidate counts.
         ensemble_size: mappings in the EDM comparison scheme.
-        workers: optional worker fan-out for *execution* batches: the
-            ``workers`` of the default
-            :class:`~repro.runtime.backend.LocalBackend`, threaded into
-            every JigSaw runner.  Bit-for-bit identical at any worker
-            count (per-request seed streams); ignored when a custom
-            ``backend`` is supplied.  A negative count raises
-            :class:`~repro.exceptions.SimulationError`.
         backend: custom execution engine; default is local simulation
             matching ``exact``.  JigSaw runs inherit it.
         cache: the plan cache; defaults to a fresh
@@ -169,7 +162,6 @@ class Session:
         compile_attempts: int = 4,
         cpm_attempts: int = 3,
         ensemble_size: int = 4,
-        workers: Optional[int] = None,
         backend: Optional[Backend] = None,
         cache: Optional[CompilationCache] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -180,7 +172,6 @@ class Session:
         self.compile_attempts = compile_attempts
         self.cpm_attempts = cpm_attempts
         self.ensemble_size = ensemble_size
-        self.workers = workers
         #: The session's unified telemetry registry: the default backend
         #: and the session pipeline record straight into it; each
         #: runner's registry and the (possibly shared) cache's are
@@ -233,13 +224,8 @@ class Session:
     # ------------------------------------------------------------------
 
     def _default_backend(self) -> Backend:
-        """Local simulation, sharded when a worker fan-out is configured."""
-        return LocalBackend(
-            self.sampler,
-            exact=self.exact,
-            workers=self.workers,
-            metrics=self.metrics,
-        )
+        """Local simulation in the session's mode."""
+        return LocalBackend(self.sampler, exact=self.exact, metrics=self.metrics)
 
     def global_executable(
         self, workload: Union[Workload, QuantumCircuit]
@@ -289,7 +275,6 @@ class Session:
             compile_attempts=self.compile_attempts,
             cpm_attempts=self.cpm_attempts,
             exact=self.exact,
-            execute_workers=self.workers,
         )
 
     def _jigsawm_config(self) -> JigSawMConfig:
@@ -298,7 +283,6 @@ class Session:
             compile_attempts=self.compile_attempts,
             cpm_attempts=self.cpm_attempts,
             exact=self.exact,
-            execute_workers=self.workers,
         )
 
     def _jigsaw_runner(self, recompile: bool = True) -> JigSaw:
@@ -662,23 +646,17 @@ class Session:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release worker pools held by the session and its runners.
+        """Release nothing: a session holds no pool, thread or file.
 
-        Pools are created lazily, so this is only meaningful after
-        sharded runs (``workers > 1``); the session stays usable — pools
-        re-materialise on the next execute.
+        :meth:`__exit__` calls it, so the ``with Session(...) as s:``
+        form works; the session stays usable afterwards.
         """
-        if hasattr(self.backend, "close"):
-            self.backend.close()
-        for runner in self._runners.values():
-            runner.close()
 
     def __enter__(self) -> "Session":
         """Sessions are context managers: ``with Session(...) as s: ...``.
 
-        ``__exit__`` delegates to :meth:`close`, so backend worker pools
-        can never leak on error paths; the session itself
-        stays usable afterwards (pools re-materialise lazily).
+        ``__exit__`` delegates to :meth:`close`; the session stays usable
+        afterwards.
         """
         return self
 

@@ -1,9 +1,9 @@
 """The batch-execution engine: the splice-and-reconstruct core.
 
 The serving tier (:mod:`repro.service.tier`) runs one or more concurrent
-drain workers, each of which needs its own engine — its own backend
-pool, its own work counters — while sharing the registries and the
-result store.  This module is that split:
+drain workers, each of which needs its own engine — its own backends,
+its own work counters — while sharing the registries and the result
+store.  This module is that split:
 
 ``DeviceRegistry``
     Thread-safe name -> :class:`~repro.devices.device.Device` resolution
@@ -166,16 +166,15 @@ class ExecutionEngine:
             ``shard`` routing hint).
         compile_attempts / cpm_attempts / ensemble_size: compiler knobs
             applied to every job's session.
-        workers / executor: fan-out of this engine's **private**
-            :class:`LocalBackend` pools (one backend per device+mode
-            lane).  Engines never share backends, so concurrent drain
-            workers never contend on a pool.
 
-    The engine's counters (``engine.batches`` ...) and its stage latency
-    histograms (``tier.prepare``/``tier.execute``/``tier.finish``) live
-    in its private :attr:`metrics` registry, to which the shared
-    :class:`DeviceRegistry` registry and every backend pool's registry
-    are attached, so one atomic snapshot covers the whole lane.
+    Each engine keeps **private** :class:`LocalBackend` executors (one
+    per device+mode lane), so concurrent drain workers never share a
+    backend's counters.  The engine's counters (``engine.batches`` ...)
+    and its stage latency histograms (``tier.prepare``/``tier.execute``/
+    ``tier.finish``) live in its private :attr:`metrics` registry, to
+    which the shared :class:`DeviceRegistry` registry and every
+    executor's registry are attached, so one atomic snapshot covers the
+    whole lane.
     """
 
     def __init__(
@@ -185,16 +184,12 @@ class ExecutionEngine:
         compile_attempts: int = 4,
         cpm_attempts: int = 3,
         ensemble_size: int = 4,
-        workers: Optional[int] = None,
-        executor: str = "thread",
     ) -> None:
         self.registry = registry
         self.store = store
         self.compile_attempts = compile_attempts
         self.cpm_attempts = cpm_attempts
         self.ensemble_size = ensemble_size
-        self.workers = workers
-        self.executor = executor
         self.config_salt = compiler_salt(
             compile_attempts, cpm_attempts, ensemble_size
         )
@@ -215,21 +210,19 @@ class ExecutionEngine:
     def _executor_for(self, device: Device, exact: bool) -> LocalBackend:
         """The spliced-batch executor of one (device, mode) lane.
 
-        It only supplies the mode, the worker pool and the work counters
-        — spliced parts bring their own samplers and seed streams — so
-        one executor serves every batch of the lane.
+        It only supplies the mode and the work counters — spliced parts
+        bring their own samplers and seed streams — so one executor
+        serves every batch of the lane.
         """
         key = (device_fingerprint(device), exact)
         with self._lock:
             executor = self._executors.get(key)
             if executor is None:
-                # Each pool keeps its own single-writer registry;
+                # Each executor keeps its own single-writer registry;
                 # attaching folds it into the engine's snapshot, where
                 # merge sums same-named counters across lanes.
                 executor = LocalBackend(
                     exact=exact,
-                    workers=self.workers,
-                    executor=self.executor,
                     noise_model=NoiseModel.from_device(device),
                     seed=0,
                 )
@@ -305,131 +298,125 @@ class ExecutionEngine:
     ) -> None:
         """Plan every job of one (device, mode) lane, splice, reconstruct."""
         tracer = get_tracer()
-        sessions: List[Session] = []
         prepared_jobs: List[tuple] = []
         device: Optional[Device] = None
+        prepare_start = time.perf_counter()
+        for job in jobs:
+            job.status = JobStatus.RUNNING
+            # Context-activating the span makes the compiler's
+            # ``compile``/``compile.<stage>`` spans (and a sweep's
+            # ``sweep.*`` spans) nest under this job's tree.
+            with tracer.span(
+                "prepare", parent=job.trace, scheme=job.spec.scheme
+            ):
+                try:
+                    if job.workload is None:
+                        job.workload = resolve_spec_circuit(job.spec)
+                    # Refuse an over-cap circuit here, where the
+                    # failure is this job's alone; inside the merged
+                    # batch it would fail every groupmate too.
+                    check_qubit_cap(
+                        job.workload.circuit.num_qubits,
+                        default_max_qubits(),
+                    )
+                    device = self.registry.device(job.spec.device)
+                    session = Session(
+                        device,
+                        seed=job.spec.seed,
+                        total_trials=job.spec.total_trials,
+                        exact=job.spec.exact,
+                        compile_attempts=self.compile_attempts,
+                        cpm_attempts=self.cpm_attempts,
+                        ensemble_size=self.ensemble_size,
+                        cache=self.registry.cache_for(device_key),
+                    )
+                    if isinstance(job.spec, SweepJobSpec):
+                        # The sweep seam is shape-compatible with the
+                        # scheme seam: one request batch plus a
+                        # finisher, so sweep jobs splice into merged
+                        # batches like any other job.
+                        prepared = session.prepare_sweep(
+                            job.spec.scheme,
+                            job.workload,
+                            job.spec.parameter_sets,
+                            eps_rescore_threshold=(
+                                job.spec.eps_rescore_threshold
+                            ),
+                        )
+                    else:
+                        prepared = session.prepare_scheme(
+                            job.spec.scheme, job.workload
+                        )
+                except Exception as exc:
+                    # ReproError is the expected shape (bad scheme
+                    # inputs, MBM or simulator width, ...); anything
+                    # else is a defect — either way it fails this
+                    # job deterministically (retrying replays the
+                    # same inputs), never its groupmates.
+                    sink.fail(job, str(exc) or repr(exc), retryable=False)
+                    continue
+                prepared_jobs.append((job, prepared))
+        self._prepare_seconds.observe(time.perf_counter() - prepare_start)
+        if not prepared_jobs:
+            return
+        executor = self._executor_for(device, exact)
+        execute_start = time.perf_counter()
         try:
-            prepare_start = time.perf_counter()
-            for job in jobs:
-                job.status = JobStatus.RUNNING
-                # Context-activating the span makes the compiler's
-                # ``compile``/``compile.<stage>`` spans (and a sweep's
-                # ``sweep.*`` spans) nest under this job's tree.
-                with tracer.span(
-                    "prepare", parent=job.trace, scheme=job.spec.scheme
-                ):
-                    try:
-                        if job.workload is None:
-                            job.workload = resolve_spec_circuit(job.spec)
-                        # Refuse an over-cap circuit here, where the
-                        # failure is this job's alone; inside the merged
-                        # batch it would fail every groupmate too.
-                        check_qubit_cap(
-                            job.workload.circuit.num_qubits,
-                            default_max_qubits(),
-                        )
-                        device = self.registry.device(job.spec.device)
-                        session = Session(
-                            device,
-                            seed=job.spec.seed,
-                            total_trials=job.spec.total_trials,
-                            exact=job.spec.exact,
-                            compile_attempts=self.compile_attempts,
-                            cpm_attempts=self.cpm_attempts,
-                            ensemble_size=self.ensemble_size,
-                            cache=self.registry.cache_for(device_key),
-                        )
-                        sessions.append(session)
-                        if isinstance(job.spec, SweepJobSpec):
-                            # The sweep seam is shape-compatible with the
-                            # scheme seam: one request batch plus a
-                            # finisher, so sweep jobs splice into merged
-                            # batches like any other job.
-                            prepared = session.prepare_sweep(
-                                job.spec.scheme,
-                                job.workload,
-                                job.spec.parameter_sets,
-                                eps_rescore_threshold=(
-                                    job.spec.eps_rescore_threshold
-                                ),
-                            )
-                        else:
-                            prepared = session.prepare_scheme(
-                                job.spec.scheme, job.workload
-                            )
-                    except Exception as exc:
-                        # ReproError is the expected shape (bad scheme
-                        # inputs, MBM or simulator width, ...); anything
-                        # else is a defect — either way it fails this
-                        # job deterministically (retrying replays the
-                        # same inputs), never its groupmates.
-                        sink.fail(job, str(exc) or repr(exc), retryable=False)
-                        continue
-                    prepared_jobs.append((job, prepared))
-            self._prepare_seconds.observe(time.perf_counter() - prepare_start)
-            if not prepared_jobs:
-                return
-            executor = self._executor_for(device, exact)
-            execute_start = time.perf_counter()
-            try:
-                pmf_lists = executor.execute_spliced(
-                    [
-                        (prepared.backend, prepared.requests)
-                        for _, prepared in prepared_jobs
-                    ]
+            pmf_lists = executor.execute_spliced(
+                [
+                    (prepared.backend, prepared.requests)
+                    for _, prepared in prepared_jobs
+                ]
+            )
+        except Exception as exc:
+            # The merged batch is all-or-nothing: a backend-level
+            # failure fails every job it carried — retryable, because
+            # re-running the jobs re-derives every input.
+            self._execute_seconds.observe(
+                time.perf_counter() - execute_start
+            )
+            for job, _ in prepared_jobs:
+                sink.fail(
+                    job, f"batch execution failed: {exc}", retryable=True
                 )
-            except Exception as exc:
-                # The merged batch is all-or-nothing: a backend-level
-                # failure fails every job it carried — retryable, because
-                # re-running the jobs re-derives every input.
-                self._execute_seconds.observe(
-                    time.perf_counter() - execute_start
+            return
+        execute_elapsed = time.perf_counter() - execute_start
+        self._execute_seconds.observe(execute_elapsed)
+        if tracer.enabled:
+            # The merged batch runs once for the whole lane; each
+            # job's tree gets a post-hoc "execute" span covering it,
+            # stamped with how much company the job had.
+            for job, prepared in prepared_jobs:
+                tracer.record(
+                    "execute",
+                    parent=job.trace,
+                    start=execute_start,
+                    duration=execute_elapsed,
+                    batch_jobs=len(prepared_jobs),
+                    requests=len(prepared.requests),
                 )
-                for job, _ in prepared_jobs:
-                    sink.fail(
-                        job, f"batch execution failed: {exc}", retryable=True
+        finish_start = time.perf_counter()
+        for (job, prepared), pmfs in zip(prepared_jobs, pmf_lists):
+            with tracer.span("reconstruct", parent=job.trace):
+                try:
+                    result = prepared.finish(list(pmfs))
+                    payload = self._payload(job.spec, result)
+                except Exception as exc:
+                    sink.fail(job, str(exc) or repr(exc), retryable=False)
+                    continue
+            with tracer.span("finish", parent=job.trace):
+                try:
+                    self.store.put(
+                        job.fingerprint, payload, shard=device_key
                     )
-                return
-            execute_elapsed = time.perf_counter() - execute_start
-            self._execute_seconds.observe(execute_elapsed)
-            if tracer.enabled:
-                # The merged batch runs once for the whole lane; each
-                # job's tree gets a post-hoc "execute" span covering it,
-                # stamped with how much company the job had.
-                for job, prepared in prepared_jobs:
-                    tracer.record(
-                        "execute",
-                        parent=job.trace,
-                        start=execute_start,
-                        duration=execute_elapsed,
-                        batch_jobs=len(prepared_jobs),
-                        requests=len(prepared.requests),
-                    )
-            finish_start = time.perf_counter()
-            for (job, prepared), pmfs in zip(prepared_jobs, pmf_lists):
-                with tracer.span("reconstruct", parent=job.trace):
-                    try:
-                        result = prepared.finish(list(pmfs))
-                        payload = self._payload(job.spec, result)
-                    except Exception as exc:
-                        sink.fail(job, str(exc) or repr(exc), retryable=False)
-                        continue
-                with tracer.span("finish", parent=job.trace):
-                    try:
-                        self.store.put(
-                            job.fingerprint, payload, shard=device_key
-                        )
-                    except Exception:
-                        # A store that cannot persist (full disk, bad
-                        # path) costs memoization, never the computed
-                        # result.
-                        sink.store_error(job)
-                    self._executed.add(1)
-                    sink.finish(job, payload, source="executed")
-            self._finish_seconds.observe(time.perf_counter() - finish_start)
-        finally:
-            for session in sessions:
-                session.close()
+                except Exception:
+                    # A store that cannot persist (full disk, bad
+                    # path) costs memoization, never the computed
+                    # result.
+                    sink.store_error(job)
+                self._executed.add(1)
+                sink.finish(job, payload, source="executed")
+        self._finish_seconds.observe(time.perf_counter() - finish_start)
 
     @staticmethod
     def _payload(spec: JobSpec, result: object) -> Dict[str, Any]:
@@ -447,14 +434,3 @@ class ExecutionEngine:
                 "total_trials": spec.total_trials,
             }
         return result.to_dict()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release every backend worker pool this engine created."""
-        with self._lock:
-            executors = list(self._executors.values())
-        for executor in executors:
-            executor.close()

@@ -40,7 +40,6 @@ import time
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import AdmissionError, ReproError, ServiceError
-from repro.runtime.backend import EXECUTORS
 from repro.service.engine import DeviceRegistry, ExecutionEngine, compiler_salt
 from repro.service.job import Job, JobSpec, JobStatus, job_fingerprint, spec_circuit
 from repro.service.queue import FairShareQueue
@@ -83,9 +82,8 @@ class ServiceSupervisor:
         backoff_base: first retry delay (doubles per attempt).
         compile_attempts / cpm_attempts / ensemble_size: compiler knobs,
             applied identically by every worker's engine.
-        backend_workers / executor: each engine's private backend
-            fan-out (``backend_workers >= 0``; ``executor`` one of
-            ``"thread"``/``"process"``).
+        executor: ``"thread"``, the only drain-worker kind (any other
+            value raises :class:`~repro.exceptions.ServiceError`).
         fault_injector: test hook, see :mod:`repro.service.tier.worker`.
         tracing: collect hierarchical spans for every job (admission ->
             queue_wait -> prepare -> compile stages -> execute ->
@@ -108,7 +106,6 @@ class ServiceSupervisor:
         compile_attempts: int = 4,
         cpm_attempts: int = 3,
         ensemble_size: int = 4,
-        backend_workers: Optional[int] = None,
         executor: str = "thread",
         fault_injector: Optional[FaultInjector] = None,
         tracing: bool = False,
@@ -119,13 +116,14 @@ class ServiceSupervisor:
             raise ServiceError(
                 f"unknown placement {placement!r}; options: {PLACEMENTS}"
             )
+        if max_batch < 1:
+            raise ServiceError("max_batch must be >= 1")
         if max_retries < 0:
             raise ServiceError("max_retries must be >= 0")
-        if backend_workers is not None and backend_workers < 0:
-            raise ServiceError("backend_workers must be >= 0")
-        if executor not in EXECUTORS:
+        if executor != "thread":
             raise ServiceError(
-                f"unknown executor {executor!r}; options: {EXECUTORS}"
+                f"unknown executor {executor!r}; drain workers are threads "
+                "(executor='thread')"
             )
         self.registry = DeviceRegistry(devices)
         self.store = store if store is not None else SegmentedResultStore()
@@ -141,8 +139,6 @@ class ServiceSupervisor:
             compile_attempts=compile_attempts,
             cpm_attempts=cpm_attempts,
             ensemble_size=ensemble_size,
-            workers=backend_workers,
-            executor=executor,
         )
         self.queue = FairShareQueue(
             capacity=capacity, fair_share=fair_share, lanes=workers
@@ -197,7 +193,7 @@ class ServiceSupervisor:
 
     def _spawn_worker(self, index: int, generation: int = 0) -> DrainWorker:
         engine = ExecutionEngine(self.registry, self.store, **self._engine_kwargs)
-        # Fold the lane's counters (engine + backend pool + shared
+        # Fold the lane's counters (engine + backends + shared
         # caches) into the tier registry; the merge dedups the shared
         # DeviceRegistry child by identity across lanes.
         self.metrics.attach(engine.metrics)
@@ -259,10 +255,8 @@ class ServiceSupervisor:
             self._started = False
 
     def close(self) -> None:
-        """Graceful stop + release every worker engine's backend pools."""
+        """Graceful stop; the supervisor cannot be restarted after it."""
         self.stop(drain=True)
-        for worker in self.drain_workers:
-            worker.engine.close()
         self.drain_workers = []
         self._closed = True
 
@@ -560,7 +554,6 @@ class ServiceSupervisor:
                     f"worker {worker.name} crashed: {worker.crashed!r}",
                     retryable=True,
                 )
-            worker.engine.close()
             self.drain_workers[position] = self._spawn_worker(
                 worker.index, generation=worker.generation + 1
             )
@@ -572,7 +565,7 @@ class ServiceSupervisor:
     def telemetry_snapshot(self) -> Dict[str, Any]:
         """The unified registry view: every counter and histogram of the
         tier (supervisor + queue + store + workers' engines
-        + backend pools + shared caches), merged.  State that is not an
+        + backends + shared caches), merged.  State that is not an
         event count (queue depth, open jobs, worker liveness) is read
         from the object holding it; per-lane counts from each worker's
         ``engine.metrics``."""

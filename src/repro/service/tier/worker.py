@@ -1,11 +1,12 @@
 """Drain workers: the concurrent execution lanes of the serving tier.
 
-A :class:`DrainWorker` is one thread in the supervisor's pool.  Each
-worker owns a **private** :class:`~repro.service.engine.ExecutionEngine`
-(its own backend pool, its own work counters) and drains its own lane
-of the supervisor's fair-share queue, while sharing the supervisor's
-device registry (so stage caches span workers) and result store.  The
-loop is deliberately small:
+A :class:`DrainWorker` is one thread of the supervisor.  Each worker
+owns a **private** :class:`~repro.service.engine.ExecutionEngine` (its
+own backends, its own work counters) and drains its own lane of the
+supervisor's fair-share queue, while sharing the supervisor's device
+registry (so stage caches span workers) and result store.  Every batch
+it pops is evaluated in-process on this thread.  The loop is
+deliberately small:
 
     pop a batch from my lane -> register it in-flight -> process it
     through my engine -> clear the in-flight registration.

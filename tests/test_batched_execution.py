@@ -3,7 +3,7 @@
 The contract under test: every stacked/batched path — kernels, sampler,
 backends, full scheme runs — is **bit-for-bit** identical to the
 per-circuit oracle kernels of :mod:`tests.kernel_oracle`, for every
-scheme, batch composition, and worker count.  No ``allclose`` anywhere:
+scheme and batch composition.  No ``allclose`` anywhere:
 stacking batches only deterministic transforms, so exact equality is the
 specification, not an aspiration.
 """
@@ -333,7 +333,7 @@ class TestSamplerStacking:
 
 
 # ---------------------------------------------------------------------------
-# Backend layer: stacked spine == oracle at any worker count
+# Backend layer: stacked spine == oracle
 # ---------------------------------------------------------------------------
 
 
@@ -364,25 +364,17 @@ class TestBackendOracleEquality:
             ],
         )
 
-        for workers in (None, 1, 2, 4):
-            backend = LocalBackend(workers=workers, noise_model=noise_model)
-            assert [
-                p.as_dict() for p in backend.execute(requests)
-            ] == reference, workers
-            counters = backend.metrics.snapshot()["counters"]
-            # Stacking engages whenever a shard holds several same-width
-            # groups; at workers=4 the four coalesced groups land one per
-            # shard, so there is nothing left to stack — equality above is
-            # the invariant, stacking the optimisation.
-            if workers != 4:
-                assert counters["backend.stacked_evals"] >= 1, workers
-                assert (
-                    counters["backend.stacked_circuits"]
-                    > counters["backend.stacked_evals"]
-                )
-            assert counters["backend.shards"] >= 1
-            # Coalescing still collapses the duplicated batch.
-            assert counters["backend.channel_evals"] == len(requests) // 2
+        backend = LocalBackend(noise_model=noise_model)
+        assert [p.as_dict() for p in backend.execute(requests)] == reference
+        counters = backend.metrics.snapshot()["counters"]
+        # Same-width coalesced groups evaluate as one stacked contraction.
+        assert counters["backend.stacked_evals"] >= 1
+        assert (
+            counters["backend.stacked_circuits"]
+            > counters["backend.stacked_evals"]
+        )
+        # Coalescing still collapses the duplicated batch.
+        assert counters["backend.channel_evals"] == len(requests) // 2
 
     def test_sampled_stacked_matches_reference_across_workers(
         self, noise_model, executables, monkeypatch
@@ -397,13 +389,8 @@ class TestBackendOracleEquality:
                 ).execute(requests)
             ],
         )
-        for workers in (None, 1, 2, 4):
-            backend = LocalBackend(
-                exact=False, workers=workers, noise_model=noise_model, seed=11
-            )
-            assert [
-                p.as_dict() for p in backend.execute(requests)
-            ] == reference, workers
+        backend = LocalBackend(exact=False, noise_model=noise_model, seed=11)
+        assert [p.as_dict() for p in backend.execute(requests)] == reference
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +398,7 @@ class TestBackendOracleEquality:
 # ---------------------------------------------------------------------------
 
 
-def run_all_schemes(device, workload, exact, workers):
+def run_all_schemes(device, workload, exact):
     session = Session(
         device,
         seed=7,
@@ -420,7 +407,6 @@ def run_all_schemes(device, workload, exact, workers):
         compile_attempts=2,
         cpm_attempts=1,
         ensemble_size=2,
-        workers=workers,
     )
     return {
         scheme: session.run_scheme(scheme, workload).as_dict()
@@ -435,9 +421,6 @@ class TestSchemeOracleEquality:
     ):
         workload = ghz(5)
         oracle = on_oracle(
-            monkeypatch,
-            lambda: run_all_schemes(device, workload, exact, workers=None),
+            monkeypatch, lambda: run_all_schemes(device, workload, exact)
         )
-        for workers in (None, 2):
-            stacked = run_all_schemes(device, workload, exact, workers)
-            assert stacked == oracle, (exact, workers)
+        assert run_all_schemes(device, workload, exact) == oracle, exact

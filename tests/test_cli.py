@@ -38,6 +38,24 @@ class TestParser:
                 ["run", "--workload", "GHZ-4", "--device", "nonexistent"]
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--workload", "GHZ-4"],
+            ["compare", "--workload", "GHZ-4"],
+            ["sweep", "--workload", "QAOA-4", "--points", "[[0.3, 0.4]]"],
+            ["serve", "--jobs", "jobs.json"],
+        ],
+        ids=["run", "compare", "sweep", "serve"],
+    )
+    def test_exec_workers_is_refused(self, argv, capsys):
+        # Every batch evaluates in-process: argparse refuses the flag
+        # that used to shard it, like any unknown option.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--exec-workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--exec-workers" in capsys.readouterr().err
+
 
 class TestMain:
     def test_run_smoke(self, capsys):
@@ -49,17 +67,6 @@ class TestMain:
         assert "JigSaw on GHZ-4 / ibmq_toronto" in out
         assert "JigSaw output" in out
         assert "CPMs:" in out
-
-    def test_run_with_exec_workers_matches_serial(self, capsys):
-        # The sharded path is a pure fan-out: same seed, same report.
-        argv = [
-            "run", "--workload", "GHZ-4", "--trials", "2048",
-            "--seed", "1", "--sampled",
-        ]
-        assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert main(argv + ["--exec-workers", "4"]) == 0
-        assert capsys.readouterr().out == serial_out
 
     def test_compare_smoke(self, capsys):
         code = main(
@@ -112,6 +119,25 @@ class TestMain:
         )
         assert code == 0
         assert "2 points" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "points, reason",
+        [
+            ('[["a", 0.4]]', "a real number, not 'a'"),
+            ("[[true, 0.4]]", "a real number, not True"),
+            ("[[NaN, 0.1]]", "finite, not nan"),
+            ("[[1e999, 0.1]]", "finite, not inf"),
+        ],
+        ids=["string", "bool", "nan", "overflow"],
+    )
+    def test_sweep_rejects_bad_points(self, points, reason, capsys):
+        # The sweep job spec's check: refused before anything compiles.
+        code = main(["sweep", "--workload", "QAOA-4", "--points", points])
+        assert code == 1
+        assert (
+            f"error: a sweep parameter must be {reason}"
+            in capsys.readouterr().err
+        )
 
     def test_sweep_rejects_unparameterized_workload(self, capsys):
         code = main(
@@ -278,6 +304,13 @@ class TestServe:
         path.write_text("[]")
         assert main(["serve", "--jobs", str(path)]) == 1
         assert "non-empty" in capsys.readouterr().err
+
+    def test_serve_rejects_zero_max_batch(self, tmp_path, capsys):
+        # Refused when the tier is built: a drain worker asked for
+        # batches of 0 jobs would die on every pop and never drain.
+        jobs = str(self._jobs_file(tmp_path))
+        assert main(["serve", "--jobs", jobs, "--max-batch", "0"]) == 1
+        assert "error: max_batch must be >= 1" in capsys.readouterr().err
 
     def test_serve_subprocess_hard_timeout(self, tmp_path):
         """The end-to-end smoke the CI workflow mirrors: drive the real

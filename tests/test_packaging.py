@@ -55,11 +55,13 @@ def test_every_third_party_import_is_declared():
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second and 45 MB to import; calibration
     # synthesis spells out the two calls it used to make, so no fresh
-    # process (a CLI call, a worker) should load it.
+    # process (a CLI call, a worker) should load it.  Every batch
+    # evaluates in-process, so nothing loads multiprocessing either.
     code = (
         "import sys\n"
         "import repro, repro.cli, repro.service.tier\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('scipy.stats', 'multiprocessing'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(

@@ -1,10 +1,9 @@
-"""Tests for sharded execution: determinism, coalescing, budget accounting.
+"""Tests for batch execution: validation, coalescing counters,
+multi-plan batches and budget accounting.
 
-The contract under test: :class:`~repro.runtime.backend.LocalBackend`
-runs every batch through one body, and produces **bit-for-bit** the same
-PMFs under a fixed seed in-process (``workers`` None/1) and at any
-sharded worker count, because seed streams are spawned per request
-index — never per worker.
+:class:`~repro.runtime.backend.LocalBackend` evaluates every batch
+in-process through one body; exact mode coalesces duplicate executables
+into one evaluation group.
 """
 
 import pytest
@@ -22,7 +21,7 @@ from repro.compiler import CompilerPipeline
 from repro.exceptions import SimulationError
 from repro.noise.model import NoiseModel
 from repro.runtime import ExecutionRequest, LocalBackend, Session
-from repro.workloads import ghz, workload_by_name
+from repro.workloads import ghz
 from tests.conftest import counts, make_varied_line_device
 
 
@@ -52,156 +51,6 @@ def make_requests(device, ghz6, trials=400):
     return [ExecutionRequest(e, trials) for e in executables]
 
 
-def exact_dicts(pmfs):
-    return [pmf.as_dict() for pmf in pmfs]
-
-
-class TestShardedDeterminism:
-    """in-process == workers=1 == workers=4, bit-for-bit (no approx)."""
-
-    def test_sampled_serial_vs_sharded_worker_counts(
-        self, device, noise_model, ghz6
-    ):
-        requests = make_requests(device, ghz6)
-        serial = LocalBackend(
-            exact=False, noise_model=noise_model, seed=11
-        ).execute(requests)
-        for workers in (1, 4):
-            sharded = LocalBackend(
-                exact=False, workers=workers, noise_model=noise_model, seed=11
-            ).execute(requests)
-            assert exact_dicts(sharded) == exact_dicts(serial), workers
-
-    def test_exact_serial_vs_sharded_with_coalescing(
-        self, device, noise_model, ghz6
-    ):
-        requests = make_requests(device, ghz6)
-        # Duplicate the batch so coalescing has something to merge.
-        requests = requests + make_requests(device, ghz6)
-        serial = LocalBackend(noise_model=noise_model).execute(requests)
-        for workers in (1, 4):
-            backend = LocalBackend(workers=workers, noise_model=noise_model)
-            sharded = backend.execute(requests)
-            assert exact_dicts(sharded) == exact_dicts(serial), workers
-            counters = counts(backend)
-            assert counters["backend.groups"] < counters["backend.requests"]
-
-    def test_worker_counts_record_equal_counters(self, device):
-        # One execution body at every worker count: a session's backend
-        # coalesces, counts requests/groups/batches and evaluates the
-        # same work whether it runs in-process or sharded.  Only the
-        # shard and stacking counters follow the shard count.
-        parity = (
-            "backend.requests",
-            "backend.groups",
-            "backend.channel_evals",
-            "backend.statevector_evals",
-            "backend.batches",
-        )
-        runs = []
-        for workers in (None, 1, 2):
-            with Session(device, seed=4, workers=workers) as session:
-                # Every request of the plan twice; fresh plans per
-                # session, so no statevector is pre-shared.
-                requests = session.plan(ghz(6)).requests() * 2
-                pmfs = session.backend.execute(requests)
-                counters = session.telemetry_snapshot()["counters"]
-            runs.append(
-                (
-                    exact_dicts(pmfs),
-                    {name: counters.get(name, 0) for name in parity},
-                )
-            )
-        reference_pmfs, reference_counters = runs[0]
-        # The in-process session coalesces the duplicated plan as well.
-        assert reference_counters["backend.requests"] == len(requests)
-        assert reference_counters["backend.groups"] * 2 == len(requests)
-        for pmfs, counters in runs[1:]:
-            assert pmfs == reference_pmfs
-            assert counters == reference_counters
-
-    def test_process_executor_matches_thread(self, device, noise_model, ghz6):
-        requests = make_requests(device, ghz6, trials=100)
-        by_executor = []
-        for executor in ("thread", "process"):
-            backend = LocalBackend(
-                exact=False,
-                workers=2,
-                executor=executor,
-                noise_model=noise_model,
-                seed=13,
-            )
-            by_executor.append(exact_dicts(backend.execute(requests)))
-        assert by_executor[0] == by_executor[1]
-
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_process_pool_matches_serial_on_jigsaw_batches(
-        self, toronto, exact
-    ):
-        # Jigsaw batches of two programs on a paper device, pickled to a
-        # two-process pool: every PMF equals the in-process backend's.
-        noise_model = NoiseModel.from_device(toronto)
-
-        def requests():
-            batch = []
-            for name in ("BV-6", "GHZ-8"):
-                runner = JigSaw(toronto, JigSawConfig(exact=exact), seed=0)
-                plan = runner.plan(
-                    workload_by_name(name).circuit, total_trials=8_192
-                )
-                batch.extend(plan.requests())
-            return batch
-
-        def backend(**sharding):
-            return LocalBackend(
-                exact=exact, noise_model=noise_model, seed=17, **sharding
-            )
-
-        serial = exact_dicts(backend().execute(requests()))
-        with backend(workers=2, executor="process") as pooled:
-            sharded = exact_dicts(pooled.execute(requests()))
-            assert counts(pooled)["backend.shards"] == 2
-        assert sharded == serial
-
-    def test_sampled_jigsaw_run_with_execute_workers(self, device, ghz6):
-        serial = JigSaw(device, JigSawConfig(exact=False), seed=7)
-        sharded = JigSaw(
-            device, JigSawConfig(exact=False, execute_workers=4), seed=7
-        )
-        a = serial.run(ghz6, total_trials=4_096)
-        b = sharded.run(ghz6, total_trials=4_096)
-        assert a.output_pmf.as_dict() == b.output_pmf.as_dict()
-        assert a.global_pmf.as_dict() == b.global_pmf.as_dict()
-
-    def test_sampled_session_with_workers(self, device):
-        workload = ghz(6)
-        plain = Session(device, seed=3, exact=False, total_trials=4_096)
-        fanned = Session(
-            device, seed=3, exact=False, total_trials=4_096, workers=4
-        )
-        for scheme in ("baseline", "edm", "jigsaw", "jigsaw_m"):
-            assert (
-                plain.run_scheme(scheme, workload).as_dict()
-                == fanned.run_scheme(scheme, workload).as_dict()
-            ), scheme
-        # close() releases every lazily created pool; the session stays
-        # usable afterwards (pools re-materialise on demand).
-        fanned.close()
-        assert (
-            plain.run_scheme("jigsaw", workload).as_dict()
-            == fanned.run_scheme("jigsaw", workload).as_dict()
-        )
-
-    def test_sampled_jigsaw_m_with_workers(self, device, ghz6):
-        serial = JigSawM(device, JigSawMConfig(exact=False), seed=9)
-        sharded = JigSawM(
-            device, JigSawMConfig(exact=False, execute_workers=3), seed=9
-        )
-        a = serial.run(ghz6, total_trials=8_192)
-        b = sharded.run(ghz6, total_trials=8_192)
-        assert a.output_pmf.as_dict() == b.output_pmf.as_dict()
-
-
 class TestShardedValidation:
     def test_rejects_non_local_inner(self, noise_model):
         # A splice takes local-backend parts only: their samplers and
@@ -210,15 +59,9 @@ class TestShardedValidation:
         with pytest.raises(SimulationError):
             backend.execute_spliced([(object(), [])])
 
-    def test_rejects_unknown_executor(self, noise_model):
-        with pytest.raises(SimulationError):
-            LocalBackend(noise_model=noise_model, executor="rayon")
-
     def test_zero_trials_sampled_rejected(self, device, noise_model, ghz6):
         executable = CompilerPipeline(device).compile(ghz6, seed=0)
-        backend = LocalBackend(
-            exact=False, workers=2, noise_model=noise_model, seed=1
-        )
+        backend = LocalBackend(exact=False, noise_model=noise_model, seed=1)
         with pytest.raises(SimulationError):
             backend.execute([ExecutionRequest(executable, 0)])
 
@@ -228,10 +71,8 @@ class TestShardedValidation:
 
     def test_runner_backend_stats_persist_across_runs(self, device, ghz6):
         # The runner caches its resolved backend, so cumulative counters
-        # (and the worker pool) survive across execute calls.
-        runner = JigSaw(
-            device, JigSawConfig(exact=True, execute_workers=2), seed=5
-        )
+        # survive across execute calls.
+        runner = JigSaw(device, JigSawConfig(exact=True), seed=5)
         runner.run(ghz6, total_trials=8_192)
         runner.run(ghz6, total_trials=8_192)
         backend = runner._resolve_backend()
@@ -240,12 +81,24 @@ class TestShardedValidation:
 
     def test_stats_counters(self, device, noise_model, ghz6):
         requests = make_requests(device, ghz6) + make_requests(device, ghz6)
-        backend = LocalBackend(workers=2, noise_model=noise_model)
-        backend.execute(requests)
+        backend = LocalBackend(noise_model=noise_model)
+        pmfs = backend.execute(requests)
         counters = counts(backend)
         assert counters["backend.requests"] == 8
         assert counters["backend.groups"] == 4  # duplicates coalesced
         assert counters["backend.channel_evals"] == 4
+        # A coalesced group shares one PMF object.
+        assert all(pmfs[i] is pmfs[i + 4] for i in range(4))
+        assert len({id(pmf) for pmf in pmfs}) == 4
+
+        # A session's backend coalesces a JigSaw plan's batch submitted
+        # twice the same way: one group per distinct executable.
+        with Session(device, seed=4) as session:
+            requests = session.plan(ghz(6)).requests() * 2
+            session.backend.execute(requests)
+            counters = session.telemetry_snapshot()["counters"]
+        assert counters["backend.requests"] == len(requests)
+        assert counters["backend.groups"] * 2 == len(requests)
 
 
 class TestExecuteMany:

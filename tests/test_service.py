@@ -348,11 +348,6 @@ class TestServiceDeterminism:
             self.run_service(exact_specs, max_batch=1) == solo_payloads
         )
 
-    def test_worker_count_irrelevant(self, exact_specs, solo_payloads):
-        assert (
-            self.run_service(exact_specs, backend_workers=4) == solo_payloads
-        )
-
     def test_sampled_mode_matches_solo(self):
         specs = [
             JobSpec(tenant="a", workload="GHZ-4", total_trials=1024,
@@ -361,7 +356,7 @@ class TestServiceDeterminism:
                     seed=5, exact=False, scheme="baseline"),
         ]
         solos = [solo_payload(spec) for spec in specs]
-        assert self.run_service(specs, backend_workers=3) == solos
+        assert self.run_service(specs) == solos
         # And merged vs per-job batches agree in sampled mode too.
         assert self.run_service(specs, max_batch=1) == solos
 
@@ -491,9 +486,10 @@ class TestServiceBehaviour:
     @pytest.mark.parametrize(
         "knobs",
         [
-            {"backend_workers": -1},
             {"executor": "rayon"},
             {"placement": "shared"},
+            {"executor": "process"},
+            {"max_batch": 0},
         ],
     )
     def test_bad_backend_knobs_rejected_at_construction(self, knobs):

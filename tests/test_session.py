@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
-from repro.exceptions import ExperimentError, SimulationError
+from repro.exceptions import ExperimentError
 from repro.runtime import (
     CompilationCache,
     ExecutionRequest,
@@ -210,39 +210,28 @@ class TestMetricsEvaluation:
 
 
 class TestSessionContextManager:
-    def test_enter_returns_session_and_exit_closes(self, device):
-        with Session(device, seed=0, workers=2) as session:
+    def test_enter_returns_session_and_exit_closes(self, device, monkeypatch):
+        closed = []
+        monkeypatch.setattr(Session, "close", lambda self: closed.append(self))
+        with Session(device, seed=0) as session:
             assert isinstance(session, Session)
             session.run(session.plan(ghz(6), scheme="jigsaw"))
-            runner = session._runners[("jigsaw", True)]
-            # The sharded runner backend materialised a pool during run.
-            backend = runner._resolved_backend
-            assert backend is not None and backend._pool is not None
-        # __exit__ -> close(): every pool released.
-        assert backend._pool is None
+        # __exit__ -> close().
+        assert closed == [session]
 
-    def test_exit_closes_on_error_paths(self, device):
-        backend = None
+    def test_exit_closes_on_error_paths(self, device, monkeypatch):
+        closed = []
+        monkeypatch.setattr(Session, "close", lambda self: closed.append(self))
         with pytest.raises(ExperimentError):
-            with Session(device, seed=0, workers=2) as session:
-                session.run(session.plan(ghz(6), scheme="jigsaw"))
-                backend = session._runners[("jigsaw", True)]._resolved_backend
-                assert backend._pool is not None
+            with Session(device, seed=0) as session:
                 raise ExperimentError("boom")
-        assert backend._pool is None
+        assert closed == [session]
 
     def test_session_usable_after_close(self, device):
         with Session(device, seed=0) as session:
             first = session.run_scheme("baseline", ghz(6))
-        # Pools re-materialise lazily; the session still works.
         again = session.run_scheme("baseline", ghz(6))
         assert first.as_dict() == again.as_dict()
-
-    def test_negative_workers_rejected_at_construction(self, device):
-        # The default backend validates its fan-out when the session
-        # builds it, instead of silently running in-process.
-        with pytest.raises(SimulationError, match="workers"):
-            Session(device, seed=0, workers=-1)
 
 
 class TestPayloadVersioning:

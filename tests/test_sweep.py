@@ -3,7 +3,8 @@
 The contract: ``Session.run_sweep`` submits all K bound iterations as
 one backend batch and its results are **bit-for-bit equal** to running
 the iterations one at a time in an equally seeded session — for every
-scheme, exact and sampled, at any worker count.
+scheme, exact and sampled, and at any drain-worker count of the serving
+tier.
 """
 
 import json
@@ -57,17 +58,29 @@ class TestSweepEqualsPerIteration:
         ]
 
     @pytest.mark.parametrize("scheme", ["jigsaw", "edm", "baseline"])
-    def test_worker_count_invariance(self, device, workload, scheme):
-        results = {}
-        for workers in (1, 4):
-            with Session(
-                device, seed=13, exact=False, total_trials=TRIALS,
-                workers=workers,
-            ) as session:
-                results[workers] = pmf_dicts(
-                    session.run_sweep(scheme, workload, POINTS)
-                )
-        assert results[1] == results[4]
+    def test_worker_count_invariance(self, device, scheme):
+        # A batch evaluates in-process; the worker count left is the
+        # serving tier's drain workers.  Sampled sweep jobs dealt over
+        # two lanes carry the payloads one lane computes.
+        specs = [
+            SweepJobSpec(
+                tenant=tenant, workload="QAOA-5 p1", device="line",
+                scheme=scheme, parameter_sets=POINTS, total_trials=TRIALS,
+                seed=seed, exact=False,
+            )
+            for tenant, seed in (("a", 13), ("b", 14))
+        ]
+        payloads = {}
+        for workers in (1, 2):
+            with ServiceSupervisor(
+                devices={"line": device}, workers=workers
+            ) as supervisor:
+                jobs = [supervisor.submit(spec) for spec in specs]
+                payloads[workers] = [
+                    supervisor.result(supervisor.wait(job, timeout=300))
+                    for job in jobs
+                ]
+        assert payloads[1] == payloads[2]
 
     def test_sweep_of_bare_parameterized_circuit(self, device, workload):
         session_a = Session(device, seed=9, exact=True, total_trials=TRIALS)

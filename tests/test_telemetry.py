@@ -675,13 +675,12 @@ class TestDisabledPath:
 
 
 class TestStatsConsistency:
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_session_execution_counted_by_backends_only(self, workers):
+    def test_session_execution_counted_by_backends_only(self):
         # Sampling and the exact channel are counted once, by the
         # backends (``backend.*``); the sampler keeps no counters of its
         # own, so no ``sim.*`` name can sit in the snapshot stuck at 0.
         device = device_by_name("toronto")
-        with Session(device, seed=0, workers=workers) as session:
+        with Session(device, seed=0) as session:
             for name in ("BV-6", "GHZ-8"):
                 workload = workload_by_name(name)
                 for scheme in ("baseline", "edm", "jigsaw"):

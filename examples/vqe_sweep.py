@@ -74,8 +74,7 @@ def main() -> None:
             f"\ncompile-once: {counters.get('compiler.route_calls', 0)} "
             "route calls for "
             f"{counters.get('compiler.template_binds', 0)} parameter binds "
-            f"({counters.get('compiler.template_eps_rescores', 0)} EPS "
-            "re-scores) — the optimizer never recompiled."
+            "— the optimizer never recompiled."
         )
 
 

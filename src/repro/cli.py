@@ -36,8 +36,8 @@ from repro.devices import DEVICE_FACTORIES, Device, device_by_name
 from repro.exceptions import AdmissionError, ReproError
 from repro.experiments import format_table
 from repro.metrics.success import probability_of_successful_trial
-from repro.runtime import Session
-from repro.service import SERVICE_SCHEMES, JobSpec
+from repro.runtime import SCHEME_NAMES, Session
+from repro.service import JobSpec
 from repro.service.job import _finite_real
 from repro.service.tier import SegmentedResultStore, ServiceSupervisor
 from repro.workloads import workload_by_name
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--device", default="toronto", choices=sorted(_DEVICES))
     sweep.add_argument(
-        "--scheme", default="jigsaw", choices=list(SERVICE_SCHEMES)
+        "--scheme", default="jigsaw", choices=list(SCHEME_NAMES)
     )
     sweep.add_argument(
         "--points", required=True,
@@ -113,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--sampled", action="store_true")
-    sweep.add_argument(
-        "--eps-rescore-threshold", type=float, default=None,
-        help="max parameter drift (radians) before the template "
-        "re-scores EPS for a bind",
-    )
     sweep.add_argument(
         "--json", dest="json_out", default=None,
         help="write the sweep result payload as JSON to this path "
@@ -320,10 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         device, seed=args.seed, total_trials=args.trials,
         exact=not args.sampled,
     ) as session:
-        result = session.run_sweep(
-            args.scheme, workload, points,
-            eps_rescore_threshold=args.eps_rescore_threshold,
-        )
+        result = session.run_sweep(args.scheme, workload, points)
         rows: List[List[object]] = []
         for index, (point, pmf) in enumerate(
             zip(result.parameter_sets, result.output_pmfs)
@@ -356,9 +348,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         ),
     ) + (
         f"\ncompile-once: {counters.get('compiler.route_calls', 0)} route "
-        f"calls for {counters.get('compiler.template_binds', 0)} binds "
-        f"({counters.get('compiler.template_eps_rescores', 0)} EPS "
-        "re-scores)"
+        f"calls for {counters.get('compiler.template_binds', 0)} binds"
     )
 
 

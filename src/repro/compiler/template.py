@@ -13,44 +13,31 @@ pure parameter substitution over the compiled executables — bit-for-bit
 identical to recompiling the bound circuit from scratch, at none of the
 cost.
 
-EPS re-scoring: expected-probability-of-success is *also* parameter
-independent (gate EPS multiplies per-gate success rates looked up by
-arity and qubit, readout EPS reads measured physical qubits), so the
-selection made at compile time stays optimal for every binding.  The
-template still re-scores EPS when the parameter vector drifts further
-than ``eps_rescore_threshold`` from the last scored point — cheap
-insurance that keeps the machinery honest if a future noise model gains
-angle sensitivity — and counts epochs on the pipeline's registry
-(``compiler.template_binds`` / ``compiler.template_eps_rescores``, read
-through ``Session.telemetry_snapshot()``).
+EPS is *also* parameter independent (gate EPS multiplies per-gate
+success rates looked up by arity and qubit, readout EPS reads measured
+physical qubits), so the scores and the CPM selection made at compile
+time hold for every binding: a bound executable keeps its prototype's
+EPS.  Each bind counts ``compiler.template_binds`` on the pipeline's
+registry (read through ``Session.telemetry_snapshot()``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameter import Parameter
-from repro.compiler.eps import gate_eps, readout_eps_targets
 from repro.compiler.pipeline import CompilerPipeline, ExecutableCircuit
 from repro.exceptions import CompilationError
 from repro.runtime.fingerprint import circuit_fingerprint, structure_fingerprint
 from repro.runtime.plan import ExecutionPlan, PlanLayer
 
 __all__ = [
-    "DEFAULT_EPS_RESCORE_THRESHOLD",
     "PlanTemplate",
     "ParameterValues",
     "normalize_values",
     "bind_executable",
 ]
-
-#: Maximum per-parameter drift (radians) from the last scored point before
-#: a bind re-runs EPS scoring over the template's executables.
-DEFAULT_EPS_RESCORE_THRESHOLD = 0.5
 
 #: One iteration's parameter assignment: a mapping by name/Parameter, or a
 #: sequence aligned with the template's parameter order.
@@ -90,45 +77,32 @@ def normalize_values(
     return by_name
 
 
-def _bind_circuit(
-    circuit: QuantumCircuit,
-    by_name: Mapping[str, float],
-    memo: Optional[dict] = None,
-) -> QuantumCircuit:
-    """Substitute parameters into a circuit (compiled circuits included).
-
-    Unlike :meth:`QuantumCircuit.bind` this never validates coverage:
-    compiled physical schedules and CPM bodies legitimately reference a
-    subset of the template's parameters.
-    """
-    return circuit.bind_resolved(by_name, memo)
-
-
 def bind_executable(
     executable: ExecutableCircuit,
     by_name: Mapping[str, float],
-    eps: Optional[float] = None,
     memo: Optional[dict] = None,
 ) -> ExecutableCircuit:
     """One compiled artifact at one parameter point.
 
-    The logical and physical circuits get their angles substituted; the
-    layouts, SWAP count, and (unless ``eps`` overrides it) the EPS score
-    are reused verbatim — routing and scoring are parameter independent,
-    so this equals recompiling the bound circuit through the pipeline.
-    ``memo`` (one per parameter point) deduplicates the bound copies of
-    instructions shared across a plan's executables — the global body
-    and its CPM variants are the same routed body, so each shared
-    rotation binds once per point instead of once per executable.
+    The logical and physical circuits get their angles substituted by
+    :meth:`~repro.circuits.circuit.QuantumCircuit.bind_resolved`, which
+    never checks coverage (compiled schedules and CPM bodies reference a
+    subset of the template's parameters); the layouts, SWAP count and EPS
+    score are reused verbatim — routing and scoring are parameter
+    independent, so this equals recompiling the bound circuit through the
+    pipeline.  ``memo`` (one per parameter point) deduplicates the bound
+    copies of instructions shared across a plan's executables — the
+    global body and its CPM variants are the same routed body, so each
+    shared rotation binds once per point instead of once per executable.
     """
     return ExecutableCircuit(
-        logical=_bind_circuit(executable.logical, by_name, memo),
-        physical=_bind_circuit(executable.physical, by_name, memo),
+        logical=executable.logical.bind_resolved(by_name, memo),
+        physical=executable.physical.bind_resolved(by_name, memo),
         initial_layout=executable.initial_layout.copy(),
         final_layout=executable.final_layout.copy(),
         device=executable.device,
         num_swaps=executable.num_swaps,
-        eps=executable.eps if eps is None else eps,
+        eps=executable.eps,
     )
 
 
@@ -148,26 +122,20 @@ class PlanTemplate:
         structure_key: :func:`structure_fingerprint` of the symbolic
             circuit — the angle-free cache identity shared by the
             template and every binding.
-        eps_rescore_threshold: max per-parameter drift (radians) from the
-            last scored point before a bind re-runs EPS scoring.
-        pipeline: the compiler pipeline whose registry counts template
-            activity (``compiler.template_binds`` /
-            ``compiler.template_eps_rescores``).
+        pipeline: the compiler pipeline whose registry counts binds
+            (``compiler.template_binds``).
     """
 
     prototype: ExecutionPlan
     parameters: Tuple[Parameter, ...]
     structure_key: str
-    eps_rescore_threshold: float = DEFAULT_EPS_RESCORE_THRESHOLD
     pipeline: Optional[CompilerPipeline] = None
-    _last_scored: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def from_plan(
         cls,
         plan: ExecutionPlan,
         pipeline: Optional[CompilerPipeline] = None,
-        eps_rescore_threshold: float = DEFAULT_EPS_RESCORE_THRESHOLD,
     ) -> "PlanTemplate":
         """Wrap a plan compiled from a parameterized circuit."""
         parameters = plan.circuit.parameters
@@ -176,13 +144,10 @@ class PlanTemplate:
                 "PlanTemplate needs a parameterized circuit; "
                 "the plan's circuit has no unbound parameters"
             )
-        if eps_rescore_threshold <= 0:
-            raise CompilationError("eps_rescore_threshold must be positive")
         return cls(
             prototype=plan,
             parameters=parameters,
             structure_key=structure_fingerprint(plan.circuit),
-            eps_rescore_threshold=eps_rescore_threshold,
             pipeline=pipeline,
         )
 
@@ -191,34 +156,6 @@ class PlanTemplate:
     @property
     def scheme(self) -> str:
         return self.prototype.scheme
-
-    def _bump(self, name: str, by: int = 1) -> None:
-        if self.pipeline is not None:
-            self.pipeline.metrics.counter("compiler." + name).add(by)
-
-    def _should_rescore(self, point: np.ndarray) -> bool:
-        if self._last_scored is None:
-            return True
-        return bool(
-            np.max(np.abs(point - self._last_scored))
-            > self.eps_rescore_threshold
-        )
-
-    def _rescore_eps(
-        self, executable: ExecutableCircuit, by_name: Mapping[str, float]
-    ) -> float:
-        """Recompute EPS of one executable at one parameter point.
-
-        Gate and readout EPS are angle independent, so this always
-        reproduces the compile-time score — it exists so the re-score
-        policy exercises real scoring machinery (and would surface any
-        future angle-sensitive noise term), not as an optimisation.
-        """
-        physical = _bind_circuit(executable.physical, by_name)
-        device = executable.device
-        return gate_eps(physical, device) * readout_eps_targets(
-            executable.measured_physical_qubits, device
-        )
 
     # ------------------------------------------------------------------
 
@@ -233,25 +170,11 @@ class PlanTemplate:
         ``tests/test_template.py``).
         """
         by_name = normalize_values(self.parameters, values)
-        point = np.array(
-            [by_name[p.name] for p in self.parameters], dtype=np.float64
-        )
-        rescore = self._should_rescore(point)
-        self._bump("template_binds")
-        if rescore:
-            self._bump("template_eps_rescores")
-            self._last_scored = point
-
+        if self.pipeline is not None:
+            self.pipeline.metrics.counter("compiler.template_binds").add(1)
         memo: dict = {}
-
-        def _bind_exe(executable: ExecutableCircuit) -> ExecutableCircuit:
-            eps = (
-                self._rescore_eps(executable, by_name) if rescore else None
-            )
-            return bind_executable(executable, by_name, eps=eps, memo=memo)
-
         proto = self.prototype
-        circuit = _bind_circuit(proto.circuit, by_name, memo)
+        circuit = proto.circuit.bind_resolved(by_name, memo)
         if circuit.is_parameterized:  # pragma: no cover - guarded above
             raise CompilationError("bind left unresolved parameters")
         layers = tuple(
@@ -259,7 +182,8 @@ class PlanTemplate:
                 subset_size=layer.subset_size,
                 subsets=layer.subsets,
                 executables=tuple(
-                    _bind_exe(exe) for exe in layer.executables
+                    bind_executable(exe, by_name, memo)
+                    for exe in layer.executables
                 ),
             )
             for layer in proto.layers
@@ -268,7 +192,9 @@ class PlanTemplate:
             proto,
             circuit=circuit,
             circuit_fingerprint=circuit_fingerprint(circuit),
-            global_executable=_bind_exe(proto.global_executable),
+            global_executable=bind_executable(
+                proto.global_executable, by_name, memo
+            ),
             layers=layers,
         )
 

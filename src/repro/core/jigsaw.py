@@ -10,16 +10,16 @@
    — serializable, inspectable, and cacheable through a
    :class:`~repro.runtime.cache.CompilationCache`.
 2. :meth:`JigSaw.execute` — **batch-execute & reconstruct**: evaluate
-   the plan's batch (global circuit + every CPM) on a
-   :class:`~repro.runtime.backend.Backend` and Bayesian-update the
-   global PMF with every local PMF until convergence.
+   the plan's batch (global circuit + every CPM) on the runner's
+   :class:`~repro.runtime.backend.LocalBackend`, then
+   :meth:`JigSaw.reconstruct` Bayesian-updates the global PMF with every
+   local PMF until convergence.
 
 :meth:`JigSaw.run` chains the two and remains the convenient entry
-point.  The default backend is the one local engine,
-:class:`~repro.runtime.backend.LocalBackend`: exact mode evaluates the
-closed-form noisy distributions (the infinite-trials limit; the paper
-notes fidelity saturates in trials, Fig. 7), sampling mode draws the
-allocated trials.  Compilation runs on the runner's
+point.  The backend's exact mode evaluates the closed-form noisy
+distributions (the infinite-trials limit; the paper notes fidelity
+saturates in trials, Fig. 7), sampling mode draws the allocated trials.
+Compilation runs on the runner's
 :class:`~repro.compiler.pipeline.CompilerPipeline`.
 """
 
@@ -49,7 +49,7 @@ from repro.devices.device import Device
 from repro.exceptions import ReconstructionError
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
-from repro.runtime.backend import Backend, LocalBackend
+from repro.runtime.backend import LocalBackend
 from repro.runtime.cache import CompilationCache
 from repro.runtime.fingerprint import (
     circuit_fingerprint,
@@ -196,8 +196,6 @@ class JigSaw:
         device: the target device.
         config: pipeline knobs (see :class:`JigSawConfig`).
         seed: RNG seed; drives compilation exploration and sampling.
-        backend: execution engine; defaults to local simulation matching
-            ``config.exact``.
         cache: optional :class:`CompilationCache`; when set, ``plan`` and
             ``run`` reuse compiled plans for identical (circuit, device,
             config) keys instead of recompiling.
@@ -226,7 +224,6 @@ class JigSaw:
         device: Device,
         config: Optional[JigSawConfig] = None,
         seed: SeedLike = None,
-        backend: Optional[Backend] = None,
         cache: Optional[CompilationCache] = None,
         cache_salt: str = "",
     ) -> None:
@@ -235,13 +232,18 @@ class JigSaw:
         self._rng = as_generator(seed)
         self.noise_model = NoiseModel.from_device(device)
         self.sampler = NoisySampler(self.noise_model, seed=spawn(self._rng, 1)[0])
-        self.backend = backend
         self.cache = cache
         self.cache_salt = cache_salt
-        #: The runner's telemetry registry: its pipeline and every
-        #: backend it resolves count into it (``compiler.*``,
-        #: ``backend.*``), so an owner attaches it once.
+        #: The runner's telemetry registry: its pipeline and its backend
+        #: count into it (``compiler.*``, ``backend.*``), so an owner
+        #: attaches it once.
         self.metrics = MetricsRegistry()
+        #: Local simulation in ``config.exact``'s mode.  Its counters are
+        #: cumulative across runs; the service splices its seed streams
+        #: into merged batches (see ``LocalBackend.execute_spliced``).
+        self.backend = LocalBackend(
+            self.sampler, exact=self.config.exact, metrics=self.metrics
+        )
         # The staged compiler pipeline (see repro.compiler.pipeline).  Its
         # stage cache holds routed bodies: with an attached plan cache the
         # stage store is shared (sweeps reuse routings across runners);
@@ -252,49 +254,6 @@ class JigSaw:
         self.pipeline = CompilerPipeline(
             device, cache=cache, metrics=self.metrics
         )
-        self._resolved_backend: Optional[Backend] = None
-        self._resolved_backend_key = None
-
-    def _resolve_backend(self) -> Backend:
-        """The configured backend, or the local default for this config.
-
-        The default is a :class:`~repro.runtime.backend.LocalBackend` in
-        ``config.exact``'s mode.  The resolved backend is cached (until
-        ``config.exact`` changes); every backend counts into the runner's
-        :attr:`metrics`.
-        """
-        if self.backend is not None:
-            return self.backend
-        key = self.config.exact
-        if self._resolved_backend is None or self._resolved_backend_key != key:
-            self._resolved_backend = LocalBackend(
-                self.sampler,
-                exact=self.config.exact,
-                metrics=self.metrics,
-            )
-            self._resolved_backend_key = key
-        return self._resolved_backend
-
-    def execution_backend(self) -> Backend:
-        """The backend :meth:`execute` would use right now (public view).
-
-        The service layer uses this to collect a plan's requests and the
-        runner's local backend, then splice many jobs' batches
-        into one merged execution — spawning each job's seed streams from
-        its own backend exactly as a solo :meth:`execute` would.
-        """
-        return self._resolve_backend()
-
-    def reconstruct(self, plan: ExecutionPlan, pmfs: List[PMF]) -> JigSawResult:
-        """Build the result from a plan's already-executed batch PMFs.
-
-        ``pmfs`` must be the PMFs of ``plan.requests()`` in batch order
-        (the global distribution first).  This is the execution tail of
-        :meth:`execute` without the backend call — callers that execute a
-        plan's batch elsewhere (e.g. the service layer's cross-job merged
-        batches) use it to finish the run identically to :meth:`execute`.
-        """
-        return self._reconstruct(plan, list(pmfs))
 
     # ------------------------------------------------------------------
     # Planning helpers
@@ -498,41 +457,25 @@ class JigSaw:
     # ------------------------------------------------------------------
 
     def execute(self, plan: ExecutionPlan) -> JigSawResult:
-        """Evaluate a plan's batch on the backend and reconstruct."""
-        return self.execute_many([plan])[0]
+        """Evaluate a plan's batch on :attr:`backend` and reconstruct."""
+        if plan.scheme != self.scheme:
+            raise ReconstructionError(
+                f"{type(self).__name__} cannot execute a "
+                f"{plan.scheme!r} plan"
+            )
+        return self.reconstruct(plan, self.backend.execute(plan.requests()))
 
-    def execute_many(self, plans: Sequence[ExecutionPlan]) -> List[JigSawResult]:
-        """Evaluate several plans as **one** backend batch, then reconstruct.
+    def reconstruct(
+        self, plan: ExecutionPlan, pmfs: Sequence[PMF]
+    ) -> JigSawResult:
+        """Build the result from a plan's already-executed batch PMFs.
 
-        This is the multi-plan submission path for sweeps: all plans'
-        requests are concatenated into a single batch, so the
-        :class:`~repro.runtime.backend.LocalBackend` can coalesce
-        duplicate executables *across plans* (scheme/budget sweeps repeat
-        programs).  Request order is plan order, so per-request seed
-        streams — and therefore sampled results — are a deterministic
-        function of the submitted sequence.
+        ``pmfs`` must be the PMFs of ``plan.requests()`` in batch order
+        (the global distribution first).  :meth:`execute` ends here, and
+        callers that execute a plan's batch elsewhere (a sweep's batch,
+        the service layer's cross-job merged batches) use it to finish
+        the run identically.
         """
-        plans = list(plans)
-        for plan in plans:
-            if plan.scheme != self.scheme:
-                raise ReconstructionError(
-                    f"{type(self).__name__} cannot execute a "
-                    f"{plan.scheme!r} plan"
-                )
-        requests = []
-        bounds = []
-        for plan in plans:
-            start = len(requests)
-            requests.extend(plan.requests())
-            bounds.append((start, len(requests)))
-        pmfs = self._resolve_backend().execute(requests)
-        return [
-            self._reconstruct(plan, pmfs[start:stop])
-            for plan, (start, stop) in zip(plans, bounds)
-        ]
-
-    def _reconstruct(self, plan: ExecutionPlan, pmfs: List[PMF]) -> JigSawResult:
-        """Build the result for one plan from its slice of batch PMFs."""
         global_pmf = pmfs[0]
         subsets = plan.subsets
         marginals = [

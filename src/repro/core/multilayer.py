@@ -13,9 +13,9 @@ marginals then sharpen the result.
 
 Like :class:`~repro.core.jigsaw.JigSaw`, the runner factors into
 :meth:`JigSawM.plan` (compile one plan layer per subset size) and
-:meth:`JigSawM.execute` (batch-evaluate on a backend, reconstruct
-largest-first); ``run``, inherited from ``JigSaw``, chains the two and
-returns a :class:`JigSawMResult`.  Planning rides the staged
+``execute`` (batch-evaluate on the runner's backend), which ends in
+:meth:`JigSawM.reconstruct` (largest-first); ``run``, inherited from
+``JigSaw``, chains them and returns a :class:`JigSawMResult`.  Planning rides the staged
 compiler pipeline: all layers share one measurement-free body, so the
 multiplied CPM count (sizes 2..5 each contribute a full subset sweep)
 costs one routing of the global layout plus one of the deterministic
@@ -37,7 +37,6 @@ from repro.core.reconstruction import bayesian_reconstruction
 from repro.core.subsets import sliding_window_subsets
 from repro.devices.device import Device
 from repro.exceptions import ReconstructionError
-from repro.runtime.backend import Backend
 from repro.runtime.cache import CompilationCache
 from repro.runtime.plan import ExecutionPlan
 from repro.utils.random import SeedLike
@@ -171,7 +170,6 @@ class JigSawM(JigSaw):
         device: Device,
         config: Optional[JigSawMConfig] = None,
         seed: SeedLike = None,
-        backend: Optional[Backend] = None,
         cache: Optional[CompilationCache] = None,
         cache_salt: str = "",
     ) -> None:
@@ -179,7 +177,6 @@ class JigSawM(JigSaw):
             device,
             config or JigSawMConfig(),
             seed=seed,
-            backend=backend,
             cache=cache,
             cache_salt=cache_salt,
         )
@@ -213,11 +210,13 @@ class JigSawM(JigSaw):
 
     # ------------------------------------------------------------------
 
-    def _reconstruct(self, plan: ExecutionPlan, pmfs: List[PMF]) -> JigSawMResult:
+    def reconstruct(
+        self, plan: ExecutionPlan, pmfs: Sequence[PMF]
+    ) -> JigSawMResult:
         """Reconstruct one JigSaw-M plan largest-first from its batch PMFs.
 
-        ``run``, ``execute`` and ``execute_many`` (multi-plan submission)
-        are inherited from :class:`~repro.core.jigsaw.JigSaw`.
+        ``run`` and ``execute`` are inherited from
+        :class:`~repro.core.jigsaw.JigSaw`.
         """
         global_pmf = pmfs[0]
         marginals_by_size: Dict[int, List[Marginal]] = {}

@@ -80,7 +80,7 @@ def build_cpm_pool(
             pool_size=2,
         )
         requests.append(ExecutionRequest(executable, per_cpm))
-    global_pmf, *pair_pmfs = jigsaw.execution_backend().execute(requests)
+    global_pmf, *pair_pmfs = jigsaw.backend.execute(requests)
     marginals: Dict[Tuple[int, ...], Marginal] = {
         pair: Marginal(pair, pmf) for pair, pmf in zip(pairs, pair_pmfs)
     }

@@ -20,11 +20,11 @@ milliseconds:
 sweeps; the test suite checks its readout part against a full-register
 unitary-evolution oracle.
 
-Both bodies are stacked: sampling runs one coalesced group's allocations
-through one inverse CDF, and the exact channel evaluates every
-executable of one measured width as one ``(B, 2**k)`` contraction.  The
-per-circuit loops they replaced live on in the test suite as the oracle
-the stacked bodies are asserted bit-for-bit equal to.
+Sampling draws one allocation chunk by chunk through one inverse CDF;
+the exact channel is stacked, evaluating every executable of one
+measured width as one ``(B, 2**k)`` contraction.  Simple per-circuit
+references of both live on in the test suite as the oracle these bodies
+are asserted bit-for-bit equal to.
 """
 
 from __future__ import annotations
@@ -140,10 +140,9 @@ class NoisySampler:
         """``count`` independent child RNG streams off this sampler's stream.
 
         The local backend uses this to give every request in a batch its
-        own stream (spawned per request *index*), which is what makes
-        every worker count bit-for-bit identical: a request's draws
-        depend only on its position in the batch, never on which worker
-        evaluates it.  Spawning advances the generator's spawn
+        own stream (spawned per request *index*), so a request's draws
+        depend only on its position in the batch, never on which other
+        requests share it.  Spawning advances the generator's spawn
         counter, not its draw stream, so it is deterministic per seed.
         """
         return spawn(self._rng, count)
@@ -185,40 +184,15 @@ class NoisySampler:
     ) -> CodeCounts:
         """Sample ``shots`` noisy trials; returns an array-native histogram.
 
-        :meth:`run_many_codes` with a single allocation.
+        The trials are cut into chunks of at most ``chunk_shots``, each
+        drawn from the stream in order — the failure draws, the outcome
+        uniforms, the failure masks, then the readout draws — and then
+        transformed (one ``searchsorted`` against the CDF, failure masks,
+        readout flips, code packing).  The chunk size bounds peak memory
+        whatever the total shot count.
         """
-        (result,) = self.run_many_codes(executable, [shots], rng=rng)
-        return result
-
-    def run_many_codes(
-        self,
-        executable: ExecutableCircuit,
-        shots_list: Sequence[int],
-        rng: SeedLike = None,
-    ) -> List[CodeCounts]:
-        """Sample several allocations of one executable from one stream.
-
-        Returns one array-native histogram per allocation, in order.  All
-        allocations share the measurement setup (statevector
-        marginalisation) and one inverse CDF, so the backends sample a
-        whole coalesced group here.
-
-        Each allocation is cut into chunks of at most ``chunk_shots``
-        trials, drawn from the stream in order: per chunk the failure
-        draws, the outcome uniforms, the failure masks, then the readout
-        draws.  Runs of consecutive chunks holding at most ``chunk_shots``
-        trials together form a *block*, whose deterministic transforms
-        (one ``searchsorted`` against the CDF, failure masks, readout
-        flips, code packing) run as one stacked pass.  A block bounds
-        peak memory by the chunk size whatever the total shot count, and
-        since blocks only batch row-independent transforms, the draws
-        and counts do not depend on how chunks are blocked.
-        """
-        for shots in shots_list:
-            if shots <= 0:
-                raise SimulationError("shots must be positive")
-        if not shots_list:
-            return []
+        if shots <= 0:
+            raise SimulationError("shots must be positive")
         rng = as_generator(rng) if rng is not None else self._rng
         ideal, physical_by_clbit, k = self._measured_setup(executable)
         ideal = ideal / ideal.sum()
@@ -230,74 +204,43 @@ class NoisySampler:
         cdf = ideal.cumsum()
         cdf /= cdf[-1]
 
-        # Chunk plan: (allocation, chunk) rows in draw order, cut into
-        # blocks of at most chunk_shots trials.
-        blocks: List[List[Tuple[int, int]]] = []
-        block_shots = self.chunk_shots
-        for allocation, shots in enumerate(shots_list):
-            for start in range(0, shots, self.chunk_shots):
-                chunk = min(shots - start, self.chunk_shots)
-                if block_shots + chunk > self.chunk_shots:
-                    blocks.append([])
-                    block_shots = 0
-                blocks[-1].append((allocation, chunk))
-                block_shots += chunk
-
-        parts_by_allocation: List[List[Tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in shots_list
-        ]
-        for block in blocks:
-            size = sum(chunk for _, chunk in block)
-            failure_draws = np.empty(size)
-            uniforms = np.empty(size)
-            readout_draws = np.empty((size, k))
-            mask_rows: List[np.ndarray] = []
-            cursor = 0
-            for _, chunk in block:
-                rows = slice(cursor, cursor + chunk)
-                failures = rng.random(out=failure_draws[rows]) < p_fail
-                rng.random(out=uniforms[rows])
-                num_fail = int(failures.sum())
-                if num_fail:
-                    # Gate failures corrupt the outcome locally: each
-                    # measured bit of a failing trial flips with the
-                    # model's flip rate (see NoiseModel).
-                    mask_rows.append(
-                        (rng.random((num_fail, k)) < flip_rate).astype(np.uint8)
-                    )
-                rng.random(out=readout_draws[rows])
-                cursor += chunk
-
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        for start in range(0, shots, self.chunk_shots):
+            chunk = min(shots - start, self.chunk_shots)
+            failures = rng.random(chunk) < p_fail
+            uniforms = rng.random(chunk)
+            num_fail = int(failures.sum())
+            if num_fail:
+                # Gate failures corrupt the outcome locally: each
+                # measured bit of a failing trial flips with the model's
+                # flip rate (see NoiseModel).
+                mask = (rng.random((num_fail, k)) < flip_rate).astype(np.uint8)
+            readout_draws = rng.random((chunk, k))
             bits = indices_to_bit_array(
                 cdf.searchsorted(uniforms, side="right"), k
             )
-            if mask_rows:
-                bits[failure_draws < p_fail] ^= np.vstack(mask_rows)
+            if num_fail:
+                bits[failures] ^= mask
             flip = np.where(
                 bits == 0,
                 readout_draws < p01[None, :],
                 readout_draws < p10[None, :],
             )
-            codes = bit_array_to_indices(bits ^ flip.astype(np.uint8))
-
-            cursor = 0
-            for allocation, chunk in block:
-                parts_by_allocation[allocation].append(
-                    np.unique(codes[cursor : cursor + chunk], return_counts=True)
+            parts.append(
+                np.unique(
+                    bit_array_to_indices(bits ^ flip.astype(np.uint8)),
+                    return_counts=True,
                 )
-                cursor += chunk
+            )
 
-        results: List[CodeCounts] = []
-        for parts in parts_by_allocation:
-            if len(parts) == 1:
-                codes, counts = parts[0]
-            else:
-                merged = np.concatenate([codes for codes, _ in parts])
-                weights = np.concatenate([counts for _, counts in parts])
-                codes, counts = group_code_sums(merged, weights)
-                counts = counts.astype(np.int64)
-            results.append(CodeCounts(codes, counts, k))
-        return results
+        if len(parts) == 1:
+            codes, counts = parts[0]
+        else:
+            merged = np.concatenate([codes for codes, _ in parts])
+            weights = np.concatenate([counts for _, counts in parts])
+            codes, counts = group_code_sums(merged, weights)
+            counts = counts.astype(np.int64)
+        return CodeCounts(codes, counts, k)
 
     # ------------------------------------------------------------------
 
@@ -306,7 +249,7 @@ class NoisySampler:
     ) -> List[Tuple[np.ndarray, np.ndarray, int]]:
         """Closed-form noisy distributions of several executables, stacked.
 
-        The "infinite shots" limit of :meth:`run_many_codes`: executables
+        The "infinite shots" limit of :meth:`run_codes`: executables
         measuring the same number of bits evaluate the full noise channel
         (failure mixing + readout confusion) as **one** batched
         contraction over a ``(B, 2**k)`` stack, at any ``B`` including 1.

@@ -7,16 +7,15 @@ pipeline factored into first-class, cacheable stages —
             :class:`~repro.runtime.plan.ExecutionPlan`;
 ``cache``   reuse plans across runs via
             :class:`~repro.runtime.cache.CompilationCache`;
-``execute`` evaluate a plan's batch on a
-            :class:`~repro.runtime.backend.Backend` — by default the one
-            local engine, :class:`~repro.runtime.backend.LocalBackend`;
+``execute`` evaluate a plan's batch on the one execution engine,
+            :class:`~repro.runtime.backend.LocalBackend`;
 ``session`` bind device + backend + cache in a
             :class:`~repro.runtime.session.Session`.
 
 See ``docs/ARCHITECTURE.md`` for the full design.
 """
 
-from repro.runtime.backend import Backend, ExecutionRequest, LocalBackend
+from repro.runtime.backend import ExecutionRequest, LocalBackend
 from repro.runtime.cache import CompilationCache
 from repro.runtime.fingerprint import (
     circuit_fingerprint,
@@ -49,7 +48,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Backend",
     "ExecutionRequest",
     "LocalBackend",
     "CompilationCache",

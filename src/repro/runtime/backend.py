@@ -1,30 +1,26 @@
 """Execution backend: batch evaluation of compiled circuits into PMFs.
 
-A :class:`Backend` takes a **batch** of :class:`ExecutionRequest`s — the
-global executable plus every CPM, each with its trial allocation — and
-returns one :class:`~repro.core.pmf.PMF` per request.  Batching is what
-makes the JigSaw pipeline cheap on a simulator and natural on hardware:
+:class:`LocalBackend` takes a **batch** of :class:`ExecutionRequest`s —
+the global executable plus every CPM, each with its trial allocation —
+and returns one :class:`~repro.core.pmf.PMF` per request.  Every
+executable in a JigSaw batch shares one unitary body, so the backend
+computes **one statevector per body** (grouped by
+:func:`~repro.runtime.fingerprint.unitary_body_fingerprint`) instead of
+one per circuit — and, through the compiling cache's
+:class:`~repro.runtime.cache.IdealStore`, once per cache rather than
+once per batch.
 
-* every executable in a JigSaw batch shares one unitary body, so the
-  local backend computes **one statevector per body** (grouped by
-  :func:`~repro.runtime.fingerprint.unitary_body_fingerprint`) instead of
-  one per circuit — and, through the compiling cache's
-  :class:`~repro.runtime.cache.IdealStore`, once per cache rather than
-  once per batch;
-* a single entry point per batch is the seam where a remote backend would
-  submit one job with many circuits instead of round-tripping per CPM.
-
-:class:`LocalBackend` is the one local engine; every batch — a solo
-session's, a multi-plan sweep's, the serving tier's merged splice — is
-evaluated in-process through the same body:
+It is the one execution engine; every batch — a solo session's, a
+sweep's, the serving tier's merged splice — is evaluated in-process
+through the same body, and every request of a batch evaluates on the
+backend's own :class:`~repro.noise.sampler.NoisySampler`:
 
 * **Exact or sampled** — ``exact=True`` evaluates the closed-form noisy
   distribution (the infinite-trials limit, deterministic and RNG-free);
   ``exact=False`` samples the allocated trials through **per-request
   seed streams**: each batch spawns one child stream per request *index*
-  off the :class:`~repro.noise.sampler.NoisySampler` stream before any
-  evaluation, so a request's draws depend only on its position in the
-  batch.
+  off the sampler's stream before any evaluation, so a request's draws
+  depend only on its position in the batch.
 * **Coalescing** — exact mode merges requests whose executables share a
   content fingerprint (JigSaw's global circuit and its CPMs share one
   body, and sweeps repeat whole programs) into one evaluation group and
@@ -41,16 +37,7 @@ a snapshot instead of guessing at it from wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pmf import PMF
 from repro.exceptions import SimulationError
@@ -70,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "ExecutionRequest",
-    "Backend",
     "LocalBackend",
 ]
 
@@ -97,15 +83,15 @@ def stacked_channel_counts(
 class ExecutionRequest:
     """One circuit execution: a compiled artifact plus its trial budget.
 
-    ``trials == 0`` is a valid request for backends that do not sample
-    (exact mode evaluates the closed-form distribution regardless of the
-    allocation); sampling backends reject it at execution time.
+    ``trials == 0`` is a valid request in exact mode (which evaluates the
+    closed-form distribution regardless of the allocation); a sampling
+    backend rejects it at execution time.
 
     ``tag`` is free-form provenance (e.g. ``"global"``, ``"cpm[3]"``)
     carried into logs.  A request's *seed stream* is not part of the
-    request: sampling backends spawn one child stream per batch position,
-    so the position of a request in its batch — not its tag — determines
-    its draws.
+    request: a sampling backend spawns one child stream per batch
+    position, so the position of a request in its batch — not its tag —
+    determines its draws.
     """
 
     executable: ExecutableCircuit
@@ -117,21 +103,6 @@ class ExecutionRequest:
             raise SimulationError(
                 f"trials must be non-negative, got {self.trials}"
             )
-
-
-@runtime_checkable
-class Backend(Protocol):
-    """Anything that turns a batch of execution requests into PMFs.
-
-    Implementations must return exactly one PMF per request, in request
-    order.  ``name`` identifies the engine in plan summaries and logs.
-    """
-
-    name: str
-
-    def execute(self, requests: Sequence[ExecutionRequest]) -> List[PMF]:
-        """Evaluate every request; one PMF per request, in order."""
-        ...  # pragma: no cover - protocol
 
 
 class LocalBackend:
@@ -279,9 +250,8 @@ class LocalBackend:
             return []
         # Seed streams are spawned per request index *before* evaluation —
         # the whole determinism story.
-        streams = self.request_streams(len(requests))
         return self._execute_prepared(
-            requests, streams, [self.sampler] * len(requests)
+            requests, self.request_streams(len(requests))
         )
 
     def execute_spliced(
@@ -294,18 +264,19 @@ class LocalBackend:
         (:mod:`repro.service`): each part is one job's ``(local backend,
         requests)`` pair.  Every part spawns its seed streams from *its
         own* backend, exactly as a solo ``execute`` of just that part
-        would, and its requests evaluate on its own sampler — so a part's
-        draws are independent of which other parts share the merged batch
-        — while statevector sharing and (in exact mode) coalescing by
-        executable fingerprint operate across the whole splice.  Returns
-        one PMF list per part, in part order.
+        would — so a part's draws are independent of which other parts
+        share the merged batch — while every request evaluates on this
+        backend's sampler, and statevector sharing and (in exact mode)
+        coalescing by executable fingerprint operate across the whole
+        splice.  Returns one PMF list per part, in part order.
 
-        Preconditions (the service enforces them by grouping jobs by
-        device fingerprint and mode): every part's backend must share
-        this backend's mode (exact vs sampling), and all parts must share
-        one noise model by content, because exact-mode coalescing keys on
-        the executable alone.  Under them, coalescing across parts is
-        bit-for-bit safe: exact evaluation is content-pure and RNG-free.
+        A part must share this backend's mode (exact vs sampling) and
+        ``chunk_shots`` — the one sampler setting that moves sampled
+        bits — or :class:`SimulationError` is raised.  All parts must
+        also share this backend's noise model by content, which the
+        service guarantees by grouping jobs by device fingerprint and
+        mode.  Under these preconditions every part's PMFs equal a solo
+        ``execute`` of it, bit for bit.
         """
         prepared: List[Tuple[LocalBackend, List[ExecutionRequest]]] = []
         for part, requests in parts:
@@ -319,33 +290,33 @@ class LocalBackend:
                     "spliced parts must all share the backend mode "
                     "(exact vs sampling)"
                 )
+            if part.sampler.chunk_shots != self.sampler.chunk_shots:
+                raise SimulationError(
+                    "spliced parts must share the executor's chunk_shots "
+                    f"({self.sampler.chunk_shots}); got "
+                    f"{part.sampler.chunk_shots}"
+                )
             prepared.append((part, list(requests)))
         all_requests: List[ExecutionRequest] = []
         all_streams: List[object] = []
-        all_samplers: List[NoisySampler] = []
         bounds = []
         for part, requests in prepared:
             start = len(all_requests)
             all_streams.extend(part.request_streams(len(requests)))
             all_requests.extend(requests)
-            all_samplers.extend([part.sampler] * len(requests))
             bounds.append((start, len(all_requests)))
         self._spliced_parts.add(len(prepared))
         if not all_requests:
             return [[] for _ in prepared]
-        results = self._execute_prepared(all_requests, all_streams, all_samplers)
+        results = self._execute_prepared(all_requests, all_streams)
         return [results[start:stop] for start, stop in bounds]
 
     def _execute_prepared(
-        self,
-        requests: List[ExecutionRequest],
-        streams: Sequence[object],
-        samplers: Sequence[NoisySampler],
+        self, requests: List[ExecutionRequest], streams: Sequence[object]
     ) -> List[PMF]:
         """Shared tail of ``execute``/``execute_spliced``: share the ideal
-        vectors, group, evaluate; PMFs in batch order.  ``streams`` and
-        ``samplers`` are aligned per request (spliced batches carry one
-        sampler per job)."""
+        vectors, group, evaluate on this backend's sampler; PMFs in batch
+        order.  ``streams`` is aligned per request."""
         self._batches.add(1)
         self._requests_seen.add(len(requests))
         contractions, stacked, circuits = self.share_statevectors(requests)
@@ -358,46 +329,33 @@ class LocalBackend:
         self._groups_evaluated.add(len(groups))
         self._channel_evals.add(len(groups))
         if self.exact:
-            return self._exact_pmfs(requests, groups, samplers)
+            return self._exact_pmfs(requests, groups)
         # Sampling: one group, and one stream, per request.
         return [
-            sampler.run_codes(
+            self.sampler.run_codes(
                 request.executable, request.trials, rng=stream
             ).to_pmf()
-            for request, stream, sampler in zip(requests, streams, samplers)
+            for request, stream in zip(requests, streams)
         ]
 
     def _exact_pmfs(
-        self,
-        requests: List[ExecutionRequest],
-        groups: List[List[int]],
-        samplers: Sequence[NoisySampler],
+        self, requests: List[ExecutionRequest], groups: List[List[int]]
     ) -> List[PMF]:
         """One closed-form PMF per coalesced group, shared by its members.
 
-        Groups are partitioned by sampler configuration (spliced parts
-        may carry distinct noise-model instances); each partition's
-        leaders evaluate as one stacked channel contraction per measured
-        width (:meth:`NoisySampler.exact_group_distributions`).
+        The groups' leaders evaluate as one stacked channel contraction
+        per measured width (:meth:`NoisySampler.exact_group_distributions`).
         """
-        partitions: Dict[Tuple[int, int], List[List[int]]] = {}
-        for group in groups:
-            sampler = samplers[group[0]]
-            key = (id(sampler.noise_model), sampler.chunk_shots)
-            partitions.setdefault(key, []).append(group)
+        executables = [requests[group[0]].executable for group in groups]
+        distributions = self.sampler.exact_group_distributions(executables)
+        stacked, circuits = stacked_channel_counts(executables)
+        self._stacked_evals.add(stacked)
+        self._stacked_circuits.add(circuits)
         results: List[Optional[PMF]] = [None] * len(requests)
-        for members in partitions.values():
-            executables = [requests[group[0]].executable for group in members]
-            distributions = samplers[members[0][0]].exact_group_distributions(
-                executables
-            )
-            stacked, circuits = stacked_channel_counts(executables)
-            self._stacked_evals.add(stacked)
-            self._stacked_circuits.add(circuits)
-            for group, (codes, probs, num_bits) in zip(members, distributions):
-                pmf = PMF.from_codes(codes, probs, num_bits)
-                for index in group:
-                    results[index] = pmf
+        for group, (codes, probs, num_bits) in zip(groups, distributions):
+            pmf = PMF.from_codes(codes, probs, num_bits)
+            for index in group:
+                results[index] = pmf
         return results  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -130,17 +130,17 @@ class CompilationCache:
             bodies dominate; they are small relative to plans).  Ideal
             vectors are bounded by :data:`IDEAL_STORE_BYTES` instead; a
             cache disabled by either bound keeps none.
-        metrics: the telemetry registry the hit/miss counters live in
-            (``cache.plan_hits``, ``cache.stage.route.hits`` ...);
-            defaults to a private one.  Attach it to a session's or
-            service's registry to fold the cache into a unified snapshot.
+
+    The hit/miss counters (``cache.plan_hits``,
+    ``cache.stage.route.hits`` ...) live in the cache's own
+    :attr:`metrics` registry; a session or the service attaches it to
+    fold the cache into a unified snapshot.
     """
 
     def __init__(
         self,
         max_entries: Optional[int] = 256,
         max_stage_entries: Optional[int] = 4096,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_entries is not None and max_entries < 0:
             raise ValueError("max_entries must be >= 0 or None")
@@ -148,7 +148,7 @@ class CompilationCache:
             raise ValueError("max_stage_entries must be >= 0 or None")
         self.max_entries = max_entries
         self.max_stage_entries = max_stage_entries
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._plans: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
         self._stage_data: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
         # Guards both stores: the serving tier's drain workers share one

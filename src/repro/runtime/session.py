@@ -34,11 +34,7 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.edm import ensemble_of_diverse_mappings
 from repro.compiler.pipeline import CompilerPipeline, ExecutableCircuit
-from repro.compiler.template import (
-    DEFAULT_EPS_RESCORE_THRESHOLD,
-    ParameterValues,
-    PlanTemplate,
-)
+from repro.compiler.template import ParameterValues, PlanTemplate
 from repro.core.jigsaw import JigSaw, JigSawConfig, JigSawResult
 from repro.core.multilayer import JigSawM, JigSawMConfig, JigSawMResult
 from repro.core.pmf import PMF
@@ -55,7 +51,7 @@ from repro.mitigation.mbm import MAX_MBM_QUBITS
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
 from repro.telemetry.metrics import MetricsRegistry
-from repro.runtime.backend import Backend, ExecutionRequest, LocalBackend
+from repro.runtime.backend import ExecutionRequest, LocalBackend
 from repro.runtime.cache import CompilationCache
 from repro.runtime.fingerprint import circuit_fingerprint, structure_fingerprint
 from repro.runtime.plan import ExecutionPlan
@@ -123,7 +119,7 @@ class PreparedSchemeRun:
 
     scheme: str
     workload: Workload
-    backend: Backend
+    backend: LocalBackend
     requests: List[ExecutionRequest]
     #: PMFs (request order) -> the scheme result: a :class:`PMF` for the
     #: distribution schemes, a JigSaw(M)Result for the plan-based ones.
@@ -146,8 +142,6 @@ class Session:
             the infinite-trials limit) instead of sampling.
         compile_attempts / cpm_attempts: compiler candidate counts.
         ensemble_size: mappings in the EDM comparison scheme.
-        backend: custom execution engine; default is local simulation
-            matching ``exact``.  JigSaw runs inherit it.
         cache: the plan cache; defaults to a fresh
             :class:`CompilationCache`.  Pass ``CompilationCache.disabled()``
             to compile every plan from scratch.
@@ -162,9 +156,7 @@ class Session:
         compile_attempts: int = 4,
         cpm_attempts: int = 3,
         ensemble_size: int = 4,
-        backend: Optional[Backend] = None,
         cache: Optional[CompilationCache] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.device = device
         self.total_trials = total_trials
@@ -172,11 +164,11 @@ class Session:
         self.compile_attempts = compile_attempts
         self.cpm_attempts = cpm_attempts
         self.ensemble_size = ensemble_size
-        #: The session's unified telemetry registry: the default backend
+        #: The session's unified telemetry registry: the session backend
         #: and the session pipeline record straight into it; each
         #: runner's registry and the (possibly shared) cache's are
         #: attached, so :meth:`telemetry_snapshot` is one tree.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._rng = as_generator(seed)
         (
             self._baseline_seed,
@@ -188,12 +180,11 @@ class Session:
         ) = spawn(self._rng, 6)
         self.noise_model = NoiseModel.from_device(device)
         self.sampler = NoisySampler(self.noise_model, seed=self._sampler_seed)
-        self._backend_override = backend
-        self.backend: Backend = backend or self._default_backend()
-        if backend is not None:
-            backend_metrics = getattr(backend, "metrics", None)
-            if backend_metrics is not None and backend_metrics is not self.metrics:
-                self.metrics.attach(backend_metrics)
+        #: Local simulation in the session's mode; the baseline, MBM and
+        #: EDM schemes execute here, the JigSaw family on its runner's.
+        self.backend = LocalBackend(
+            self.sampler, exact=self.exact, metrics=self.metrics
+        )
         self.cache = CompilationCache() if cache is None else cache
         self._cache_salt = f"session:{seed!r}"
         # Session-level staged compiler pipeline, bound to the session
@@ -214,7 +205,7 @@ class Session:
         # pair would diverge from run_scheme in sampled mode.
         self._runners: Dict[object, JigSaw] = {}
         # Compile-once/bind-many state for variational sweeps: plan
-        # templates keyed by (scheme, structure, budget, threshold) and
+        # templates keyed by (scheme, structure, content, budget) and
         # EDM ensembles keyed by circuit content.
         self._templates: Dict[tuple, PlanTemplate] = {}
         self._edm_ensembles: Dict[str, List[ExecutableCircuit]] = {}
@@ -222,10 +213,6 @@ class Session:
     # ------------------------------------------------------------------
     # Shared pieces
     # ------------------------------------------------------------------
-
-    def _default_backend(self) -> Backend:
-        """Local simulation in the session's mode."""
-        return LocalBackend(self.sampler, exact=self.exact, metrics=self.metrics)
 
     def global_executable(
         self, workload: Union[Workload, QuantumCircuit]
@@ -293,7 +280,6 @@ class Session:
                 self.device,
                 self._jigsaw_config(recompile),
                 seed=seed,
-                backend=self._backend_override,
                 cache=self.cache,
                 cache_salt=self._cache_salt,
             )
@@ -306,7 +292,6 @@ class Session:
                 self.device,
                 self._jigsawm_config(),
                 seed=self._jigsawm_seed,
-                backend=self._backend_override,
                 cache=self.cache,
                 cache_salt=self._cache_salt,
             )
@@ -371,7 +356,6 @@ class Session:
         workload: Union[Workload, QuantumCircuit],
         scheme: str = "jigsaw",
         total_trials: Optional[int] = None,
-        eps_rescore_threshold: Optional[float] = None,
     ) -> PlanTemplate:
         """Compile a parameterized program into a reusable plan template.
 
@@ -379,8 +363,8 @@ class Session:
         compile stage is parameter independent); ``template.bind(p)``
         then yields each iteration's :class:`ExecutionPlan` by pure
         substitution.  Templates are cached per (scheme, structure,
-        budget, threshold), so repeated sweeps of one structure share one
-        compilation — and one set of re-score epoch counters.
+        content, budget), so repeated sweeps of one program share one
+        compilation.
 
         Mirrors :meth:`plan`'s seed discipline: a :class:`Workload`
         compiles its global through the session baseline stream, a bare
@@ -388,17 +372,11 @@ class Session:
         """
         circuit = resolve_template_circuit(workload)
         trials = total_trials or self.total_trials
-        threshold = (
-            DEFAULT_EPS_RESCORE_THRESHOLD
-            if eps_rescore_threshold is None
-            else eps_rescore_threshold
-        )
         key = (
             scheme,
             structure_fingerprint(circuit),
             circuit_fingerprint(circuit),
             trials,
-            threshold,
         )
         if key not in self._templates:
             global_executable = (
@@ -420,9 +398,7 @@ class Session:
                 total_trials=trials,
                 global_executable=global_executable,
             )
-            self._templates[key] = PlanTemplate.from_plan(
-                plan, runner.pipeline, eps_rescore_threshold=threshold
-            )
+            self._templates[key] = PlanTemplate.from_plan(plan, runner.pipeline)
         return self._templates[key]
 
     def parameter_sweep(
@@ -430,15 +406,10 @@ class Session:
         workload: Union[Workload, QuantumCircuit],
         scheme: str = "jigsaw",
         total_trials: Optional[int] = None,
-        eps_rescore_threshold: Optional[float] = None,
     ) -> ParameterSweep:
         """A reusable sweep runner over this session (optimizer loops)."""
         return ParameterSweep(
-            self,
-            workload,
-            scheme=scheme,
-            total_trials=total_trials,
-            eps_rescore_threshold=eps_rescore_threshold,
+            self, workload, scheme=scheme, total_trials=total_trials
         )
 
     def prepare_sweep(
@@ -447,7 +418,6 @@ class Session:
         workload: Union[Workload, QuantumCircuit],
         parameter_sets: Sequence[ParameterValues],
         total_trials: Optional[int] = None,
-        eps_rescore_threshold: Optional[float] = None,
     ) -> PreparedSweep:
         """Compile/bind a K-iteration sweep down to its execution seam.
 
@@ -457,10 +427,7 @@ class Session:
         its merged batches instead and finishes identically.
         """
         return self.parameter_sweep(
-            workload,
-            scheme=scheme,
-            total_trials=total_trials,
-            eps_rescore_threshold=eps_rescore_threshold,
+            workload, scheme=scheme, total_trials=total_trials
         ).prepare(parameter_sets)
 
     def run_sweep(
@@ -469,7 +436,6 @@ class Session:
         workload: Union[Workload, QuantumCircuit],
         parameter_sets: Sequence[ParameterValues],
         total_trials: Optional[int] = None,
-        eps_rescore_threshold: Optional[float] = None,
     ) -> SweepResult:
         """Run all K parameter points as one coalesced stacked batch.
 
@@ -479,10 +445,7 @@ class Session:
         Bit-for-bit equal to running the iterations one at a time.
         """
         sweep = self.parameter_sweep(
-            workload,
-            scheme=scheme,
-            total_trials=total_trials,
-            eps_rescore_threshold=eps_rescore_threshold,
+            workload, scheme=scheme, total_trials=total_trials
         )
         return sweep.run(parameter_sets)
 
@@ -566,7 +529,7 @@ class Session:
             return PreparedSchemeRun(
                 scheme=scheme,
                 workload=workload,
-                backend=runner.execution_backend(),
+                backend=runner.backend,
                 requests=plan.requests(),
                 finish=finish,
             )

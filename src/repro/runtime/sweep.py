@@ -21,7 +21,7 @@ spawn counter — so one coalesced sweep batch draws exactly the streams
 that executing the K bound iterations one at a time (in the same
 session, in the same order) would draw.  Sweep results are therefore
 bit-for-bit equal to the unbatched per-iteration path, exact or
-sampled, at any worker count.
+sampled.
 
 The execution seam mirrors ``Session.prepare_scheme``:
 :meth:`ParameterSweep.prepare` returns a :class:`PreparedSweep` whose
@@ -55,7 +55,7 @@ from repro.core.pmf import PMF
 from repro.exceptions import ExperimentError
 from repro.mitigation.combos import jigsaw_with_mbm, mitigate_executable_pmf
 from repro.mitigation.mbm import MAX_MBM_QUBITS
-from repro.runtime.backend import Backend, ExecutionRequest
+from repro.runtime.backend import ExecutionRequest, LocalBackend
 from repro.telemetry.trace import get_tracer
 from repro.workloads.workload import Workload
 
@@ -150,7 +150,7 @@ class PreparedSweep:
     scheme: str
     parameter_names: Tuple[str, ...]
     parameter_sets: Tuple[Tuple[float, ...], ...]
-    backend: Backend
+    backend: LocalBackend
     requests: List[ExecutionRequest]
     #: Request-index span of each iteration, in submission order.
     bounds: Tuple[Tuple[int, int], ...]
@@ -171,7 +171,6 @@ class ParameterSweep:
             parameterized :class:`QuantumCircuit`.
         scheme: any of the session's seven schemes.
         total_trials: per-iteration trial budget (session default).
-        eps_rescore_threshold: forwarded to the plan template.
     """
 
     def __init__(
@@ -180,7 +179,6 @@ class ParameterSweep:
         workload: Union[Workload, QuantumCircuit],
         scheme: str = "jigsaw",
         total_trials: Optional[int] = None,
-        eps_rescore_threshold: Optional[float] = None,
     ) -> None:
         from repro.runtime.session import SCHEME_NAMES
 
@@ -192,7 +190,6 @@ class ParameterSweep:
         self.workload = workload
         self.scheme = scheme
         self.total_trials = total_trials or session.total_trials
-        self.eps_rescore_threshold = eps_rescore_threshold
         self.circuit = resolve_template_circuit(workload)
         self.parameters: Tuple[Parameter, ...] = self.circuit.parameters
         if not self.parameters:
@@ -225,10 +222,7 @@ class ParameterSweep:
         session = self.session
         plan_scheme = "jigsaw" if self.scheme == "jigsaw_mbm" else self.scheme
         template = session.plan_template(
-            self.workload,
-            scheme=plan_scheme,
-            total_trials=self.total_trials,
-            eps_rescore_threshold=self.eps_rescore_threshold,
+            self.workload, scheme=plan_scheme, total_trials=self.total_trials
         )
         with get_tracer().span("sweep.bind", points=len(parameter_sets)):
             plans = template.bind_many(parameter_sets)
@@ -254,7 +248,7 @@ class ParameterSweep:
             scheme=self.scheme,
             parameter_names=self.parameter_names,
             parameter_sets=parameter_sets,
-            backend=runner.execution_backend(),
+            backend=runner.backend,
             requests=requests,
             bounds=tuple(bounds),
             finish=finish,

@@ -19,7 +19,6 @@ See the "Job service" section of ``docs/ARCHITECTURE.md``.
 """
 
 from repro.service.job import (
-    SERVICE_SCHEMES,
     Job,
     JobSpec,
     JobStatus,
@@ -33,7 +32,6 @@ __all__ = [
     "JobSpec",
     "SweepJobSpec",
     "JobStatus",
-    "SERVICE_SCHEMES",
     "job_fingerprint",
     "FairShareQueue",
 ]

@@ -210,9 +210,11 @@ class ExecutionEngine:
     def _executor_for(self, device: Device, exact: bool) -> LocalBackend:
         """The spliced-batch executor of one (device, mode) lane.
 
-        It only supplies the mode and the work counters — spliced parts
-        bring their own samplers and seed streams — so one executor
-        serves every batch of the lane.
+        It supplies the mode, the work counters and the sampler every
+        request of a merged batch evaluates on (the device's noise model
+        at the default chunk size, as in every job's session); spliced
+        parts bring only their seed streams, so one executor serves every
+        batch of the lane.
         """
         key = (device_fingerprint(device), exact)
         with self._lock:
@@ -339,9 +341,6 @@ class ExecutionEngine:
                             job.spec.scheme,
                             job.workload,
                             job.spec.parameter_sets,
-                            eps_rescore_threshold=(
-                                job.spec.eps_rescore_threshold
-                            ),
                         )
                     else:
                         prepared = session.prepare_scheme(

@@ -25,6 +25,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.qasm import from_qasm
 from repro.exceptions import ServiceError
 from repro.runtime.fingerprint import circuit_fingerprint, content_hash
+from repro.runtime.session import SCHEME_NAMES
 from repro.workloads.workload import Workload
 
 __all__ = [
@@ -35,19 +36,7 @@ __all__ = [
     "job_fingerprint",
     "resolve_spec_circuit",
     "spec_circuit",
-    "SERVICE_SCHEMES",
 ]
-
-#: Schemes the service can run (every scheme a `Session` compares).
-SERVICE_SCHEMES = (
-    "baseline",
-    "edm",
-    "jigsaw",
-    "jigsaw_nr",
-    "jigsaw_m",
-    "mbm",
-    "jigsaw_mbm",
-)
 
 
 def _integer(value: Any, name: str, minimum: Optional[int] = None) -> int:
@@ -113,7 +102,7 @@ class JobSpec:
         qasm: inline OpenQASM 2.0 text for ad-hoc programs.
         device: device short name (see
             :data:`repro.devices.DEVICE_FACTORIES`).
-        scheme: one of :data:`SERVICE_SCHEMES`.
+        scheme: one of :data:`~repro.runtime.session.SCHEME_NAMES`.
         total_trials: trial budget of the run (an integer >= 1).
         seed: the job's root seed (an integer >= 0) — results are
             bit-for-bit those of ``Session(device, seed=seed, ...)`` run
@@ -152,9 +141,9 @@ class JobSpec:
                 "a job needs exactly one of 'workload' (a suite name) or "
                 "'qasm' (inline OpenQASM text)"
             )
-        if self.scheme not in SERVICE_SCHEMES:
+        if self.scheme not in SCHEME_NAMES:
             raise ServiceError(
-                f"unknown scheme {self.scheme!r}; known: {SERVICE_SCHEMES}"
+                f"unknown scheme {self.scheme!r}; known: {SCHEME_NAMES}"
             )
         if not isinstance(self.exact, bool):
             raise ServiceError(f"exact must be true or false, not {self.exact!r}")
@@ -215,7 +204,6 @@ class SweepJobSpec(JobSpec):
     """
 
     parameter_sets: Tuple[Tuple[float, ...], ...] = ()
-    eps_rescore_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -240,21 +228,10 @@ class SweepJobSpec(JobSpec):
                 "sweep parameter sets must be non-empty rows of one width"
             )
         object.__setattr__(self, "parameter_sets", rows)
-        if self.eps_rescore_threshold is not None:
-            # Stored as the float, like the rows: an equal spec written
-            # with ``1`` or ``1.0`` must fingerprint the same.
-            threshold = _finite_real(
-                self.eps_rescore_threshold, "eps_rescore_threshold"
-            )
-            if threshold <= 0:
-                raise ServiceError("eps_rescore_threshold must be positive")
-            object.__setattr__(self, "eps_rescore_threshold", threshold)
 
     def to_dict(self) -> Dict[str, Any]:
         payload = super().to_dict()
         payload["parameter_sets"] = [list(row) for row in self.parameter_sets]
-        if self.eps_rescore_threshold is not None:
-            payload["eps_rescore_threshold"] = self.eps_rescore_threshold
         return payload
 
     @classmethod
@@ -262,7 +239,7 @@ class SweepJobSpec(JobSpec):
         known = {
             "tenant", "workload", "qasm", "device", "scheme",
             "total_trials", "seed", "exact", "priority",
-            "parameter_sets", "eps_rescore_threshold",
+            "parameter_sets",
         }
         return cls(**_entry_fields(payload, known, "sweep-job"))
 
@@ -282,8 +259,8 @@ def job_fingerprint(spec: JobSpec, circuit: QuantumCircuit, device_key: str,
 
     Tenant and priority are deliberately excluded: they affect *when* a
     job runs, never *what* it computes.  Sweep specs additionally fold
-    in every parameter point and the EPS re-score threshold — the sweep
-    result is a function of the whole point list.
+    in every parameter point — the sweep result is a function of the
+    whole point list.
     """
     parts = [
         "job",
@@ -297,7 +274,8 @@ def job_fingerprint(spec: JobSpec, circuit: QuantumCircuit, device_key: str,
     ]
     if isinstance(spec, SweepJobSpec):
         parts.append("sweep")
-        parts.append(f"eps_rescore={spec.eps_rescore_threshold!r}")
+        # Kept as a constant so stored sweep results keep their keys.
+        parts.append("eps_rescore=None")
         parts.extend(
             ",".join(repr(v) for v in row) for row in spec.parameter_sets
         )

@@ -14,12 +14,13 @@ deliberately small:
 Outcomes flow through the supervisor's :class:`BatchSink` implementation,
 which is where retry policy lives — the worker itself has none.
 
-Crash semantics: any exception escaping the loop (the engine's backstop
-makes that rare in production; the test ``fault_injector`` hook makes it
-deliberate) marks the worker crashed and exits the thread **without**
+Crash semantics: any exception escaping the loop — popping the lane,
+registering the batch, or processing it (the engine's backstop makes
+that rare in production; the test ``fault_injector`` hook makes it
+deliberate) — marks the worker crashed and exits the thread **without**
 clearing the in-flight registration.  The supervisor's monitor detects
-the dead worker, re-queues its unsettled jobs through the retry path,
-and respawns the lane.
+the dead worker, re-queues the unsettled jobs of a batch it had
+registered through the retry path, and respawns the lane.
 """
 
 from __future__ import annotations
@@ -100,15 +101,15 @@ class DrainWorker:
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            batch = self.supervisor.queue.pop_batch(
-                self.supervisor.max_batch,
-                timeout=POLL_INTERVAL_S,
-                lane=self.index,
-            )
-            if not batch:
-                continue
-            self.supervisor._begin_batch(self, batch)
             try:
+                batch = self.supervisor.queue.pop_batch(
+                    self.supervisor.max_batch,
+                    timeout=POLL_INTERVAL_S,
+                    lane=self.index,
+                )
+                if not batch:
+                    continue
+                self.supervisor._begin_batch(self, batch)
                 if self.fault_injector is not None:
                     self.fault_injector(self.name, batch)
                 # The engine's backstop settles every job on an internal

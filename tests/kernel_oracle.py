@@ -139,37 +139,33 @@ def _sample_chunk(sampler, rng, shots, ideal, readout_rates, k, p_fail):
     return np.unique(bit_array_to_indices(bits), return_counts=True)
 
 
-def run_many_codes(
-    sampler: NoisySampler, executable, shots_list: Sequence[int], rng=None
-) -> List[CodeCounts]:
-    """Reference of :meth:`NoisySampler.run_many_codes`: chunk by chunk."""
-    for shots in shots_list:
-        if shots <= 0:
-            raise SimulationError("shots must be positive")
+def run_codes(
+    sampler: NoisySampler, executable, shots: int, rng=None
+) -> CodeCounts:
+    """Reference of :meth:`NoisySampler.run_codes`: chunk by chunk."""
+    if shots <= 0:
+        raise SimulationError("shots must be positive")
     rng = as_generator(rng) if rng is not None else sampler._rng
     ideal, physical_by_clbit, k = _measured_setup(executable)
     p_fail = sampler.noise_model.circuit_failure_probability(executable.physical)
     readout_rates = sampler.noise_model.readout_rates(physical_by_clbit, k)
-    results: List[CodeCounts] = []
-    for shots in shots_list:
-        parts = []
-        remaining = shots
-        while remaining > 0:
-            chunk = min(remaining, sampler.chunk_shots)
-            parts.append(
-                _sample_chunk(sampler, rng, chunk, ideal, readout_rates, k, p_fail)
-            )
-            remaining -= chunk
-        if len(parts) == 1:
-            codes, counts = parts[0]
-        else:
-            codes, counts = group_code_sums(
-                np.concatenate([codes for codes, _ in parts]),
-                np.concatenate([counts for _, counts in parts]),
-            )
-            counts = counts.astype(np.int64)
-        results.append(CodeCounts(codes, counts, k))
-    return results
+    parts = []
+    remaining = shots
+    while remaining > 0:
+        chunk = min(remaining, sampler.chunk_shots)
+        parts.append(
+            _sample_chunk(sampler, rng, chunk, ideal, readout_rates, k, p_fail)
+        )
+        remaining -= chunk
+    if len(parts) == 1:
+        codes, counts = parts[0]
+    else:
+        codes, counts = group_code_sums(
+            np.concatenate([codes for codes, _ in parts]),
+            np.concatenate([counts for _, counts in parts]),
+        )
+        counts = counts.astype(np.int64)
+    return CodeCounts(codes, counts, k)
 
 
 def exact_distribution(
@@ -216,7 +212,7 @@ def install(monkeypatch) -> None:
     ``Session`` (or any backend) evaluates per circuit until the
     monkeypatch is undone.
     """
-    monkeypatch.setattr(NoisySampler, "run_many_codes", run_many_codes)
+    monkeypatch.setattr(NoisySampler, "run_codes", run_codes)
     monkeypatch.setattr(
         NoisySampler, "exact_group_distributions", exact_group_distributions
     )

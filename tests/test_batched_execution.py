@@ -265,32 +265,29 @@ class TestQubitCapAndNamespaces:
 
 
 class TestSamplerStacking:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        shots_list=st.lists(st.integers(1, 4_000), min_size=0, max_size=5),
-        chunk_shots=st.sampled_from([257, 1_000, 1_000_000]),
+        shots=st.integers(1, 4_000),
+        chunk_shots=st.sampled_from([1, 257, 1_000, 1_000_000]),
     )
-    @example(seed=0, shots_list=[], chunk_shots=257)
-    @example(seed=1, shots_list=[4_000, 1, 257], chunk_shots=257)
-    def test_run_many_codes_matches_oracle(
-        self, noise_model, executables, seed, shots_list, chunk_shots
+    @example(seed=1, shots=4_000, chunk_shots=257)
+    @example(seed=2, shots=257, chunk_shots=257)
+    @example(seed=3, shots=1, chunk_shots=1)
+    def test_run_codes_matches_oracle(
+        self, noise_model, executables, seed, shots, chunk_shots
     ):
         sampler = NoisySampler(
             noise_model, seed=0, chunk_shots=chunk_shots
         )
-        oracle = kernel_oracle.run_many_codes(
-            sampler,
-            executables[0],
-            shots_list,
-            rng=np.random.default_rng(seed),
+        oracle = kernel_oracle.run_codes(
+            sampler, executables[0], shots, rng=np.random.default_rng(seed)
         )
-        stacked = sampler.run_many_codes(
-            executables[0], shots_list, rng=np.random.default_rng(seed)
+        sampled = sampler.run_codes(
+            executables[0], shots, rng=np.random.default_rng(seed)
         )
-        assert len(stacked) == len(oracle) == len(shots_list)
-        for left, right in zip(stacked, oracle):
-            assert_code_counts_equal(left, right)
+        assert sampled.total == shots
+        assert_code_counts_equal(sampled, oracle)
 
     def test_run_codes_draws_from_the_sampler_stream(
         self, noise_model, executables
@@ -300,7 +297,7 @@ class TestSamplerStacking:
         for shots in (2_500, 700):
             assert_code_counts_equal(
                 stacked.run_codes(executables[1], shots),
-                *kernel_oracle.run_many_codes(oracle, executables[1], [shots]),
+                kernel_oracle.run_codes(oracle, executables[1], shots),
             )
 
     @settings(max_examples=20, deadline=None)

@@ -205,22 +205,6 @@ class TestSamplerAgainstOracle:
         with pytest.raises(SimulationError):
             NoisySampler(noise, chunk_shots=0)
 
-    def test_run_many_shares_one_stream(self, device, noise, ghz4):
-        # run_many_codes(exe, [a, b]) is exactly run(a) then run(b) on the
-        # same stream — the coalesced-sampling contract.
-        executable = compile_identity(ghz4, device)
-        merged = NoisySampler(noise, seed=6).run_many_codes(
-            executable, [700, 300]
-        )
-        reference = NoisySampler(noise, seed=6)
-        assert merged[0].to_dict() == reference.run(executable, 700)
-        assert merged[1].to_dict() == reference.run(executable, 300)
-
-    def test_run_many_rejects_zero_allocation(self, device, noise, ghz4):
-        executable = compile_identity(ghz4, device)
-        with pytest.raises(SimulationError):
-            NoisySampler(noise, seed=6).run_many_codes(executable, [700, 0])
-
     def test_exact_distribution_normalised(self, device, noise, ghz4):
         executable = compile_identity(ghz4, device)
         dist = NoisySampler(noise).exact_distribution(executable)

@@ -1,5 +1,5 @@
-"""Tests for batch execution: validation, coalescing counters,
-multi-plan batches and budget accounting.
+"""Tests for batch execution: validation, coalescing counters and
+budget accounting.
 
 :class:`~repro.runtime.backend.LocalBackend` evaluates every batch
 in-process through one body; exact mode coalesces duplicate executables
@@ -20,6 +20,7 @@ from repro.core import (
 from repro.compiler import CompilerPipeline
 from repro.exceptions import SimulationError
 from repro.noise.model import NoiseModel
+from repro.noise.sampler import NoisySampler
 from repro.runtime import ExecutionRequest, LocalBackend, Session
 from repro.workloads import ghz
 from tests.conftest import counts, make_varied_line_device
@@ -53,11 +54,30 @@ def make_requests(device, ghz6, trials=400):
 
 class TestShardedValidation:
     def test_rejects_non_local_inner(self, noise_model):
-        # A splice takes local-backend parts only: their samplers and
-        # seed streams are what keep every part bit-for-bit solo.
+        # A splice takes local-backend parts only: their seed streams
+        # are what keep every part bit-for-bit solo.
         backend = LocalBackend(noise_model=noise_model)
         with pytest.raises(SimulationError):
             backend.execute_spliced([(object(), [])])
+
+    def test_rejects_part_with_other_chunk_shots(
+        self, device, noise_model, ghz6
+    ):
+        # Every request of a splice samples on the executor's sampler,
+        # and the chunk size is the sampler setting that moves bits.
+        executor = LocalBackend(exact=False, noise_model=noise_model)
+        part = LocalBackend(
+            NoisySampler(noise_model, seed=1, chunk_shots=1_000), exact=False
+        )
+        requests = make_requests(device, ghz6)
+        with pytest.raises(SimulationError, match="chunk_shots"):
+            executor.execute_spliced([(part, requests)])
+        same = LocalBackend(NoisySampler(noise_model, seed=1), exact=False)
+        (pmfs,) = executor.execute_spliced([(same, requests)])
+        solo = LocalBackend(NoisySampler(noise_model, seed=1), exact=False)
+        assert [pmf.as_dict() for pmf in pmfs] == [
+            pmf.as_dict() for pmf in solo.execute(requests)
+        ]
 
     def test_zero_trials_sampled_rejected(self, device, noise_model, ghz6):
         executable = CompilerPipeline(device).compile(ghz6, seed=0)
@@ -70,14 +90,14 @@ class TestShardedValidation:
         assert backend.execute([]) == []
 
     def test_runner_backend_stats_persist_across_runs(self, device, ghz6):
-        # The runner caches its resolved backend, so cumulative counters
+        # The runner builds its backend once, so cumulative counters
         # survive across execute calls.
         runner = JigSaw(device, JigSawConfig(exact=True), seed=5)
+        backend = runner.backend
         runner.run(ghz6, total_trials=8_192)
         runner.run(ghz6, total_trials=8_192)
-        backend = runner._resolve_backend()
         assert counts(runner)["backend.batches"] == 2
-        assert backend is runner._resolve_backend()
+        assert runner.backend is backend
 
     def test_stats_counters(self, device, noise_model, ghz6):
         requests = make_requests(device, ghz6) + make_requests(device, ghz6)
@@ -99,29 +119,6 @@ class TestShardedValidation:
             counters = session.telemetry_snapshot()["counters"]
         assert counters["backend.requests"] == len(requests)
         assert counters["backend.groups"] * 2 == len(requests)
-
-
-class TestExecuteMany:
-    def test_combined_batch_matches_per_plan_exact(self, device, ghz6):
-        a = JigSaw(device, JigSawConfig(exact=True), seed=5)
-        b = JigSaw(device, JigSawConfig(exact=True), seed=5)
-        plans_a = [a.plan(ghz6, total_trials=t) for t in (8_192, 16_384)]
-        plans_b = [b.plan(ghz6, total_trials=t) for t in (8_192, 16_384)]
-        separate = [a.execute(plan) for plan in plans_a]
-        combined = b.execute_many(plans_b)
-        assert len(combined) == 2
-        for lhs, rhs in zip(separate, combined):
-            assert lhs.output_pmf.as_dict() == rhs.output_pmf.as_dict()
-            assert rhs.total_trials == lhs.total_trials
-
-    def test_execute_many_rejects_foreign_plan(self, device, ghz6):
-        jigsaw = JigSaw(device, JigSawConfig(exact=True), seed=5)
-        jigsaw_m = JigSawM(device, JigSawMConfig(exact=True), seed=5)
-        plan = jigsaw.plan(ghz6, total_trials=16_384)
-        from repro.exceptions import ReconstructionError
-
-        with pytest.raises(ReconstructionError):
-            jigsaw_m.execute_many([plan])
 
 
 class TestBudgetConservation:

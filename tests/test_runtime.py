@@ -431,6 +431,30 @@ class TestCompilationCache:
         assert plan.total_trials == 32_768
         assert plan.allocated_trials == 32_768
 
+    def test_session_plan_key_is_pinned(self):
+        # A session plan's cache key, as the string it is: scheme,
+        # circuit, device, config (execution-only knobs excluded), the
+        # shared global executable and the session's seed salt.
+        from repro.devices import ibmq_toronto
+        from repro.runtime import Session
+
+        session = Session(ibmq_toronto(), seed=0)
+        session.plan(ghz(4))
+        assert len(session.cache) == 1
+        assert CompilationCache.make_key(
+            (
+                "jigsaw",
+                "d55f32819bf5c5a6e84c518272f891ae"
+                "e5137722d6789be46b71ab6af363c735",
+                "ibmq_toronto",
+                "291df1785ea6f6670ce7e43325648ed7"
+                "429dbee4f22ff385938975bdd3f2212e",
+                "285b72569241043b17b9e32c215e1e93"
+                "f8c72737169c11934eb78cab5a4b3a02",
+                "session:0",
+            )
+        ) in session.cache
+
 
 def ideal_counts(cache):
     """(ideal hits, ideal misses) from the cache's telemetry registry."""

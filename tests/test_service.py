@@ -167,22 +167,52 @@ class TestJobSpec:
         assert again == spec
 
     def test_equal_sweep_specs_share_a_fingerprint(self):
-        """A threshold written as 1 or 1.0 is one spec and one memo key."""
+        """Rows written as ints or floats are one spec and one memo key."""
         from repro.service import SweepJobSpec
 
-        fields = {
-            "tenant": "a", "workload": "QAOA-5 p1",
-            "parameter_sets": [[0.1, 0.2]],
-        }
-        whole = SweepJobSpec(**fields, eps_rescore_threshold=1)
-        real = SweepJobSpec(**fields, eps_rescore_threshold=1.0)
+        fields = {"tenant": "a", "workload": "QAOA-5 p1"}
+        whole = SweepJobSpec(**fields, parameter_sets=[[1, 0], [2, -1]])
+        real = SweepJobSpec(**fields, parameter_sets=[[1.0, 0.0], [2.0, -1.0]])
         assert whole == real
-        assert type(whole.eps_rescore_threshold) is float
-        assert type(whole.to_dict()["eps_rescore_threshold"]) is float
+        assert all(
+            type(value) is float
+            for row in whole.to_dict()["parameter_sets"]
+            for value in row
+        )
         circuit = resolve_spec_circuit(whole).circuit
         assert job_fingerprint(whole, circuit, "dev", "salt") == job_fingerprint(
             real, circuit, "dev", "salt"
         )
+
+    def test_fingerprint_strings_are_pinned(self):
+        """The memo keys of stored results, as the strings they are.
+
+        Stored payloads are found by these keys, so a change to any input
+        of :func:`job_fingerprint` (or to its literal parts, such as the
+        sweep spec's constant ``eps_rescore=None``) orphans every stored
+        result; the equality tests above cannot see that.
+        """
+        from repro.service import SweepJobSpec
+        from repro.service.job import spec_circuit
+
+        fields = {
+            "tenant": "acme", "device": "toronto", "scheme": "jigsaw",
+            "total_trials": 1_024, "seed": 7,
+        }
+        plain = JobSpec(**fields, workload="GHZ-4")
+        sweep = SweepJobSpec(
+            **fields, workload="QAOA-5 p1",
+            parameter_sets=((0.3, 0.4), (0.5, 0.2)),
+        )
+        pins = [
+            (plain, "c18b6a2fcfdbb7e6763e16a4af88685c"
+                    "18725038ebdce78c725ae8e532e9f3b3"),
+            (sweep, "1e4806d050fedb046c504bcc13b3f9b1"
+                    "81e916a2bf42d5f0c4bb054f8d181cc3"),
+        ]
+        for spec, pinned in pins:
+            key = job_fingerprint(spec, spec_circuit(spec), "devkey", "salt")
+            assert key == pinned
 
     def test_fingerprint_ignores_tenant_and_priority(self):
         base = JobSpec(tenant="a", workload="GHZ-4", priority=0)

@@ -24,10 +24,10 @@ from hypothesis import strategies as st
 
 from repro.devices import ibmq_paris, ibmq_toronto
 from repro.exceptions import AdmissionError, ServiceError
-from repro.runtime import Session
+from repro.runtime import SCHEME_NAMES, Session
 from repro.service import JobSpec
 from repro.service.engine import ExecutionEngine
-from repro.service.job import SERVICE_SCHEMES, JobStatus
+from repro.service.job import JobStatus
 from repro.service.queue import FairShareQueue
 from repro.service.tier import ServiceSupervisor
 from repro.workloads import workload_by_name
@@ -68,7 +68,7 @@ class TestDeterminism:
             JobSpec(
                 tenant=f"t{i % 2}", workload="GHZ-6", scheme=scheme, seed=5
             )
-            for i, scheme in enumerate(SERVICE_SCHEMES)
+            for i, scheme in enumerate(SCHEME_NAMES)
         ]
         with ServiceSupervisor(
             devices=DEVICES, workers=3, placement=placement
@@ -166,6 +166,33 @@ class TestCrashReplay:
             assert counters["tier.retried"] >= 1
             # Crashed lanes were respawned: the pool is whole again.
             assert all(worker.alive for worker in sup.drain_workers)
+
+    def test_crash_outside_a_batch_respawns_the_lane(self, monkeypatch):
+        """A worker that dies popping its lane, before any batch is
+        registered in flight, is reaped and respawned like one that dies
+        mid-batch, and the job it had not yet popped still runs."""
+        sup = ServiceSupervisor(devices=DEVICES, workers=1)
+        pop_batch = sup.queue.pop_batch
+        failures = {"left": 1}
+
+        def pop_batch_failing_once(*args, **kwargs):
+            if failures["left"]:
+                failures["left"] -= 1
+                raise RuntimeError("injected pop failure")
+            return pop_batch(*args, **kwargs)
+
+        monkeypatch.setattr(sup.queue, "pop_batch", pop_batch_failing_once)
+        job = sup.submit(spec(4))
+        sup.start()
+        try:
+            sup.wait(job, timeout=60)
+            assert job.status is JobStatus.DONE, job.error
+            assert job.result == solo_payload(job.spec, sup)
+            counters = sup.telemetry_snapshot()["counters"]
+            assert counters["tier.worker_crashes"] == 1
+            assert all(worker.alive for worker in sup.drain_workers)
+        finally:
+            sup.stop(drain=False)
 
     def test_retry_exhaustion_fails_terminally(self):
         def injector(worker, batch):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.circuits import Parameter, ParameterExpression, QuantumCircuit
 from repro.circuits.parameter import bind_value, is_symbolic
 from repro.compiler.template import (
-    DEFAULT_EPS_RESCORE_THRESHOLD,
     PlanTemplate,
     bind_executable,
     normalize_values,
@@ -226,14 +225,6 @@ class TestTemplateMechanics:
         with pytest.raises(CompilationError):
             PlanTemplate.from_plan(plan)
 
-    def test_threshold_must_be_positive(self, device):
-        workload = qaoa_maxcut(5)
-        session = Session(device, seed=0, exact=True)
-        with pytest.raises(Exception):
-            session.plan_template(
-                workload, scheme="jigsaw", eps_rescore_threshold=0.0
-            )
-
     def test_normalize_values_validates(self):
         qc, (gamma, beta) = symbolic_pair()
         with pytest.raises(CompilationError):
@@ -246,45 +237,6 @@ class TestTemplateMechanics:
             "gamma": 0.1,
             "beta": 0.2,
         }
-
-    def test_rescore_policy_epochs(self, device):
-        workload = qaoa_maxcut(5)
-        session = Session(device, seed=17, exact=True)
-        template = session.plan_template(
-            workload, scheme="jigsaw", eps_rescore_threshold=0.5
-        )
-
-        def binds_and_rescores():
-            counters = session.telemetry_snapshot()["counters"]
-            return (
-                counters["compiler.template_binds"],
-                counters["compiler.template_eps_rescores"],
-            )
-
-        template.bind([0.3, 0.4])  # first bind always scores
-        assert binds_and_rescores() == (1, 1)
-        template.bind([0.35, 0.45])  # small drift: no re-score
-        assert binds_and_rescores() == (2, 1)
-        template.bind([1.0, 0.4])  # 0.7 drift > threshold
-        assert binds_and_rescores() == (3, 2)
-
-    def test_rescore_reproduces_compile_time_eps(self, device):
-        # EPS is angle independent, so a re-score epoch must land on the
-        # exact scores the compile-time selection used.
-        workload = qaoa_maxcut(5)
-        session = Session(device, seed=17, exact=True)
-        template = session.plan_template(
-            workload, scheme="jigsaw", eps_rescore_threshold=1e-9
-        )
-        first = template.bind([0.3, 0.4])
-        far = template.bind([3.0, -3.0])  # forced re-score epoch
-        counters = session.telemetry_snapshot()["counters"]
-        assert counters["compiler.template_eps_rescores"] == 2
-        assert first.global_executable.eps == far.global_executable.eps
-        for layer_a, layer_b in zip(first.layers, far.layers):
-            assert [e.eps for e in layer_a.executables] == [
-                e.eps for e in layer_b.executables
-            ]
 
     def test_bind_executable_reuses_layouts(self, device):
         workload = qaoa_maxcut(5)
@@ -303,6 +255,3 @@ class TestTemplateMechanics:
         template = session.plan_template(workload, scheme="jigsaw")
         text = template.describe()
         assert "gamma_0" in text and "jigsaw" in text
-
-    def test_default_threshold_exported(self):
-        assert DEFAULT_EPS_RESCORE_THRESHOLD > 0

@@ -1,5 +1,5 @@
-"""Tests for batch execution: validation, coalescing counters and
-budget accounting.
+"""Tests for batch execution: validation, coalescing counters, spliced
+multi-plan batches and budget accounting.
 
 :class:`~repro.runtime.backend.LocalBackend` evaluates every batch
 in-process through one body; exact mode coalesces duplicate executables
@@ -119,6 +119,52 @@ class TestShardedValidation:
             counters = session.telemetry_snapshot()["counters"]
         assert counters["backend.requests"] == len(requests)
         assert counters["backend.groups"] * 2 == len(requests)
+
+
+class TestExecuteMany:
+    """Several plans' batches executed as one spliced batch."""
+
+    def test_combined_batch_matches_per_plan_exact(self, device, ghz6):
+        a = JigSaw(device, JigSawConfig(exact=True), seed=5)
+        b = JigSaw(device, JigSawConfig(exact=True), seed=5)
+        plans_a = [a.plan(ghz6, total_trials=t) for t in (8_192, 16_384)]
+        plans_b = [b.plan(ghz6, total_trials=t) for t in (8_192, 16_384)]
+        separate = [a.execute(plan) for plan in plans_a]
+        pmf_lists = b.backend.execute_spliced(
+            [(b.backend, plan.requests()) for plan in plans_b]
+        )
+        combined = [
+            b.reconstruct(plan, pmfs) for plan, pmfs in zip(plans_b, pmf_lists)
+        ]
+        assert len(combined) == 2
+        for lhs, rhs in zip(separate, combined):
+            assert lhs.output_pmf.as_dict() == rhs.output_pmf.as_dict()
+            assert rhs.total_trials == lhs.total_trials
+
+    def test_spliced_parts_stack_like_one_batch(self, device, ghz6):
+        # Every request of a splice evaluates on the executor's sampler,
+        # so parts whose noise models are equal by content but distinct
+        # objects share channel contractions exactly as one plain batch
+        # of all their requests does.
+        requests = make_requests(device, ghz6)
+
+        def backend():
+            return LocalBackend(noise_model=NoiseModel.from_device(device))
+
+        executor, plain = backend(), backend()
+        spliced = executor.execute_spliced(
+            [(backend(), requests[:2]), (backend(), requests[2:])]
+        )
+        pmfs = plain.execute(requests)
+        assert [pmf.as_dict() for part in spliced for pmf in part] == [
+            pmf.as_dict() for pmf in pmfs
+        ]
+        for key in (
+            "backend.channel_evals",
+            "backend.stacked_evals",
+            "backend.stacked_circuits",
+        ):
+            assert counts(executor)[key] == counts(plain)[key], key
 
 
 class TestBudgetConservation:

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.devices import ibmq_toronto
 from repro.exceptions import AdmissionError, ServiceError
-from repro.runtime import Session
+import repro.service
+from repro.runtime import SCHEME_NAMES, Session
 from repro.service import FairShareQueue, Job, JobSpec, JobStatus
 from repro.service.engine import ExecutionEngine
 from repro.service.job import job_fingerprint, resolve_spec_circuit
@@ -81,6 +82,14 @@ class TestJobSpec:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ServiceError, match="unknown scheme"):
             JobSpec(tenant="a", workload="GHZ-4", scheme="magic")
+
+    def test_accepts_every_session_scheme(self):
+        # Jobs validate against the session's one tuple of scheme names;
+        # the service keeps no copy of its own.
+        for scheme in SCHEME_NAMES:
+            spec = JobSpec(tenant="a", workload="GHZ-4", scheme=scheme)
+            assert spec.scheme == scheme
+        assert not hasattr(repro.service, "SERVICE_SCHEMES")
 
     @pytest.mark.parametrize(
         "field, value",

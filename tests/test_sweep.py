@@ -208,11 +208,15 @@ class TestSweepJobs:
             {"parameter_sets": [[True, 0.2]]},
             {"parameter_sets": "ab"},
             {"parameter_sets": [0.1, 0.2]},
+            {"eps_rescore_threshold": "x"},
+            {"eps_rescore_threshold": float("nan")},
+            {"eps_rescore_threshold": True},
         ],
     )
     def test_rejects_mistyped_fields(self, overrides):
         """Non-numeric or non-finite points raise ServiceError, not
-        ValueError or TypeError."""
+        ValueError or TypeError; so does a stale job file's re-score
+        threshold, whatever its type, as an unknown field."""
         with pytest.raises(ServiceError):
             SweepJobSpec.from_dict({**self.spec().to_dict(), **overrides})
 

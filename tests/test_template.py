@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import Parameter, ParameterExpression, QuantumCircuit
 from repro.circuits.parameter import bind_value, is_symbolic
+from repro.compiler.eps import gate_eps, readout_eps_targets
 from repro.compiler.template import (
     PlanTemplate,
     bind_executable,
@@ -237,6 +238,32 @@ class TestTemplateMechanics:
             "gamma": 0.1,
             "beta": 0.2,
         }
+
+    def test_rescore_reproduces_compile_time_eps(self, device):
+        # EPS is angle independent, so re-scoring a bound executable at
+        # any point lands on the compile-time score the bind carries over
+        # from the prototype: binds need no re-score of their own.
+        workload = qaoa_maxcut(5)
+        session = Session(device, seed=17, exact=True)
+        template = session.plan_template(workload, scheme="jigsaw")
+        first = template.bind([0.3, 0.4])
+        far = template.bind([3.0, -3.0])
+
+        def executables(plan):
+            return [plan.global_executable] + [
+                exe for layer in plan.layers for exe in layer.executables
+            ]
+
+        def rescore(exe):
+            return gate_eps(exe.physical, exe.device) * readout_eps_targets(
+                exe.measured_physical_qubits, exe.device
+            )
+
+        prototype = executables(template.prototype)
+        for plan in (first, far):
+            bound = executables(plan)
+            assert [exe.eps for exe in bound] == [exe.eps for exe in prototype]
+            assert [rescore(exe) for exe in bound] == [exe.eps for exe in bound]
 
     def test_bind_executable_reuses_layouts(self, device):
         workload = qaoa_maxcut(5)

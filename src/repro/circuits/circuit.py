@@ -106,13 +106,25 @@ class Instruction:
         new_gate = object.__new__(Gate)
         object.__setattr__(new_gate, "name", gate.name)
         object.__setattr__(new_gate, "params", params)
-        out = object.__new__(Instruction)
-        object.__setattr__(out, "kind", "gate")
-        object.__setattr__(out, "gate", new_gate)
-        object.__setattr__(out, "qubits", self.qubits)
-        object.__setattr__(out, "clbits", self.clbits)
+        out = Instruction.unchecked_gate(new_gate, self.qubits)
         if memo is not None:
             memo[id(self)] = out
+        return out
+
+    @staticmethod
+    def unchecked_gate(gate: Gate, qubits: Tuple[int, ...]) -> "Instruction":
+        """A gate instruction built without ``__post_init__``'s checks.
+
+        For callers that guarantee them — ``qubits`` distinct and as many
+        as ``gate`` takes — because they copy an instruction that passed
+        them: a bind keeps the wiring, a router maps distinct logical
+        qubits to distinct physical ones.
+        """
+        out = object.__new__(Instruction)
+        object.__setattr__(out, "kind", "gate")
+        object.__setattr__(out, "gate", gate)
+        object.__setattr__(out, "qubits", qubits)
+        object.__setattr__(out, "clbits", ())
         return out
 
     @property
@@ -299,8 +311,18 @@ class QuantumCircuit:
 
     @property
     def measurements(self) -> Tuple[Instruction, ...]:
-        """All measurement instructions, in circuit order."""
-        return tuple(ins for ins in self._instructions if ins.is_measure)
+        """All measurement instructions, in circuit order.
+
+        Cached per length, as :meth:`_parameterized_sites` is: the list
+        is append-only, and the compiler and the backend read one
+        executable's measurements several times.
+        """
+        cached = getattr(self, "_measures", None)
+        if cached is not None and cached[0] == len(self._instructions):
+            return cached[1]
+        measures = tuple(ins for ins in self._instructions if ins.is_measure)
+        self._measures = (len(self._instructions), measures)
+        return measures
 
     @property
     def measured_qubits(self) -> Tuple[int, ...]:

@@ -1,15 +1,18 @@
-"""Dependency-DAG view of a circuit, used by the SABRE router.
+"""Dependency-DAG view of a circuit: instructions as nodes, per-qubit
+data dependencies as edges.
 
-SABRE [Li, Ding, Xie 2018] processes a circuit as a DAG whose nodes are
-instructions and whose edges are per-qubit data dependencies.  The router
-repeatedly executes the *front layer* (nodes with no unresolved
-predecessors) and inserts SWAPs when a two-qubit gate's operands are not
-adjacent on the device.
+SABRE [Li, Ding, Xie 2018] processes a circuit as such a DAG, repeatedly
+executing the *front layer* (nodes with no unresolved predecessors) and
+inserting SWAPs when a two-qubit gate's operands are not adjacent on the
+device.  The compiler's router walks the same dependencies in array form
+(:class:`~repro.compiler.sabre.RoutingBody`); this object view gives the
+circuit drawing its layers and the reference router in the test suite
+its nodes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 
@@ -93,22 +96,6 @@ class CircuitDAG:
             ready = sorted(ready + newly_ready, key=lambda n: n.index)
         if emitted != len(self.nodes):  # pragma: no cover - defensive
             raise RuntimeError("cycle detected in circuit DAG")
-
-    def two_qubit_interactions(self) -> List[Tuple[int, int]]:
-        """Ordered list of (q0, q1) pairs for every two-qubit gate."""
-        return [
-            (n.qubits[0], n.qubits[1])
-            for n in self.nodes
-            if n.instruction.is_two_qubit_gate
-        ]
-
-    def interaction_counts(self) -> Dict[Tuple[int, int], int]:
-        """Histogram of undirected two-qubit interactions."""
-        counts: Dict[Tuple[int, int], int] = {}
-        for q0, q1 in self.two_qubit_interactions():
-            key = (min(q0, q1), max(q0, q1))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
 
     def layers(self) -> List[List[DAGNode]]:
         """Partition nodes into ASAP layers (barriers occupy their own slot)."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.compiler.sabre import SWAP, RoutedSchedule, RoutingBody
+from repro.devices.calibration import SWAP_CNOT_FACTOR
 from repro.devices.device import Device
 from repro.exceptions import CompilationError
 
@@ -20,10 +22,8 @@ __all__ = [
     "gate_eps",
     "readout_eps",
     "readout_eps_targets",
+    "schedule_gate_eps",
 ]
-
-#: A SWAP decomposes into three CNOTs on IBM hardware.
-_SWAP_CNOT_FACTOR = 3
 
 
 def gate_eps(physical_circuit: QuantumCircuit, device: Device) -> float:
@@ -38,11 +38,37 @@ def gate_eps(physical_circuit: QuantumCircuit, device: Device) -> float:
         elif len(ins.qubits) == 2:
             error = cal.two_qubit_error(*ins.qubits)
             if ins.gate.name == "swap":
-                eps *= (1.0 - error) ** _SWAP_CNOT_FACTOR
+                eps *= (1.0 - error) ** SWAP_CNOT_FACTOR
             else:
                 eps *= 1.0 - error
         else:
             raise CompilationError("physical circuits allow at most 2-qubit gates")
+    return eps
+
+
+def schedule_gate_eps(
+    schedule: RoutedSchedule, body: RoutingBody, device: Device
+) -> float:
+    """:func:`gate_eps` of a routed schedule, read off its arrays.
+
+    The physical circuit a schedule materialises into runs its gates in
+    schedule order, so this is the same product — the same factors in the
+    same order, so the same bits — without building the circuit.  An
+    inserted SWAP and a ``swap`` gate of the program both cost three
+    CNOTs.
+    """
+    eps = 1.0
+    cal = device.calibration
+    errors_1q = cal.gate_error_1q
+    for op, qubits in zip(schedule.ops, schedule.qubits):
+        if len(qubits) == 1:
+            eps *= 1.0 - float(errors_1q[qubits[0]])
+        else:
+            error = cal.two_qubit_error(*qubits)
+            if op == SWAP or op in body.swap_gates:
+                eps *= (1.0 - error) ** SWAP_CNOT_FACTOR
+            else:
+                eps *= 1.0 - error
     return eps
 
 

@@ -13,20 +13,34 @@ explicit stages over a shared :class:`CompilationState`:
 
 * **Placement** proposes initial layouts (noise-aware exploration for the
   global compile; a deterministic, measured-set-agnostic *pool* for CPMs).
-* **Route** runs SABRE on the **measurement-free body** only.  The
-  router's tie-break stream is seeded from
+* **Route** runs SABRE (:mod:`~repro.compiler.sabre`) on the array form
+  of the **measurement-free body**, built once per body fingerprint and
+  kept in the :class:`~repro.runtime.cache.CompilationCache` stage store.
+  The router's tie-break stream is seeded from
   :func:`~repro.runtime.fingerprint.routing_fingerprint`, making routing a
   pure function of ``(device, body, initial layout)`` — the *route-once
-  invariant*: a ``(body, layout)`` pair is routed at most once per plan
-  and cached/shared through the
-  :class:`~repro.runtime.cache.CompilationCache` stage store.
-* **MeasureRetarget** is the cheap per-CPM stage: it appends measurements
-  of the circuit's measured qubits on their final physical positions,
-  never touching the routed body.
+  invariant*: a ``(body, layout)`` pair is routed at most once per cache
+  and shared through the stage store.  A :class:`RoutedBody` is
+  angle-free — body-instruction indices and SWAPs on physical qubits —
+  so programs that differ only in their rotation angles share it, and
+  each executable's physical schedule is materialised from *its own*
+  body's gates.
+* **MeasureRetarget** is the cheap per-CPM stage: it resolves the
+  circuit's measured qubits onto their final physical positions, never
+  touching the routed body.
 * **EpsScore** computes plain and readout-emphasised EPS; the gate factor
   is a property of the routed body and is computed once per routing.
 * **Select** picks the best candidate (for CPMs: subject to the paper's
   no-extra-SWAPs rule against the global compilation, §4.2.2).
+
+What a program body fixes is worked out once per pipeline and body, not
+once per CPM: its fingerprints, its array form, the routing key of each
+layout and each routed body's physical gates (:class:`_BodyMemo`).  The
+vulnerable-qubit set is taken once per percentile, and placement's
+coupler-error means once per device.  Each executable keeps the routed
+body it was materialised from, so the backend reads the gate-failure
+product and builds the exact-mode coalescing key
+(:meth:`ExecutableCircuit.coalescing_key`) from content already in hand.
 
 ``JigSaw.plan``/``JigSawM.plan`` compile dozens of CPMs by reusing cached
 routed bodies and only re-running retarget+EPS per subset; the stages
@@ -39,22 +53,35 @@ misses (``cache.stage.<stage>.hits``), all read through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.eps import gate_eps, readout_eps_targets
+from repro.circuits.circuit import Instruction, QuantumCircuit
+from repro.compiler.eps import readout_eps_targets, schedule_gate_eps
 from repro.compiler.layout import Layout
-from repro.compiler.placement import candidate_layouts, pool_layouts
-from repro.compiler.sabre import emit_measurements, route
+from repro.compiler.placement import (
+    candidate_layouts,
+    edge_error_means,
+    pool_layouts,
+    qubit_badness,
+)
+from repro.compiler.sabre import (
+    RoutedSchedule,
+    RoutingBody,
+    emit_measurements,
+    materialise,
+    route_schedule,
+)
 from repro.devices.device import Device
 from repro.exceptions import CompilationError
 from repro.runtime.cache import CompilationCache, IdealStore
 from repro.runtime.fingerprint import (
     body_fingerprint,
     device_fingerprint,
+    executable_fingerprint,
     routing_fingerprint,
+    unitary_body_fingerprint,
 )
 from repro.sim.statevector import StatevectorSimulator
 from repro.telemetry.metrics import MetricsRegistry
@@ -66,13 +93,17 @@ __all__ = [
     "RoutedBody",
     "CompilationState",
     "CompilerPipeline",
+    "STAGE_BODY",
     "STAGE_PLACE",
     "STAGE_ROUTE",
 ]
 
 #: Stage names used for cache namespaces and counters.
+STAGE_BODY = "body"
 STAGE_PLACE = "place"
 STAGE_ROUTE = "route"
+#: Stage-store namespace of per-device placement inputs.
+_STAGE_DEVICE = "device"
 
 
 # ----------------------------------------------------------------------
@@ -92,6 +123,10 @@ class ExecutableCircuit:
             after routing.
         num_swaps: SWAPs inserted by the router.
         eps: expected probability of success of the physical schedule.
+        routed: the angle-free :class:`RoutedBody` ``physical`` was
+            materialised from (``None`` for a hand-built executable).
+            It carries the routing key and the gate-success product, so
+            the backend reads both once per routed body.
 
     An executable the pipeline compiles links to its cache's
     :class:`~repro.runtime.cache.IdealStore`, where the backend finds the
@@ -113,6 +148,12 @@ class ExecutableCircuit:
     _ideal_store: Optional[IdealStore] = field(
         default=None, repr=False, compare=False
     )
+    routed: Optional["RoutedBody"] = field(
+        default=None, repr=False, compare=False
+    )
+    _unitary_key: Optional[str] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __getstate__(self) -> dict:
         # The store holds a lock and other bodies' vectors; it stays home.
@@ -125,6 +166,35 @@ class ExecutableCircuit:
             ins.clbits[0]: ins.qubits[0] for ins in self.physical.measurements
         }
         return [by_clbit[c] for c in sorted(by_clbit)]
+
+    @property
+    def unitary_key(self) -> str:
+        """:func:`unitary_body_fingerprint` of the logical circuit, once."""
+        if self._unitary_key is None:
+            self._unitary_key = unitary_body_fingerprint(self.logical)
+        return self._unitary_key
+
+    def coalescing_key(self) -> Hashable:
+        """Equal keys mean equal closed-form noisy distributions on one
+        noise model — the exact-mode backend evaluates each key once.
+
+        The exact channel reads the logical unitary body (the ideal
+        vector), its measurement map, the physical gates (the failure
+        product) and the physical qubit behind each clbit (readout).  A
+        compiled executable has them in hand: the unitary key, the map,
+        the routed body's routing key (device, body structure and
+        initial layout fix the physical gates) and the measured qubits.
+        A hand-built executable falls back to
+        :func:`~repro.runtime.fingerprint.executable_fingerprint`.
+        """
+        if self.routed is None:
+            return ("executable", executable_fingerprint(self))
+        return (
+            self.unitary_key,
+            tuple(sorted(self.logical.measurement_map.items())),
+            self.routed.routing_key,
+            tuple(self.measured_physical_qubits),
+        )
 
     def ideal_probabilities(self) -> np.ndarray:
         """Exact probabilities of the logical circuit over all basis states.
@@ -146,22 +216,64 @@ class ExecutableCircuit:
         self._ideal_probabilities = probabilities
 
 
-@dataclass
-class RoutedBody:
+@dataclass(frozen=True)
+class RoutedBody(RoutedSchedule):
     """The Route stage's artifact: one body routed from one initial layout.
 
-    Measured-set agnostic — any CPM of the program retargets onto it.
-    ``gate_eps`` is the gate-success factor of the physical body; the
-    readout factor is a property of the retargeted measurements, not of
-    the routing, so EPS scoring reuses this value across every subset.
+    A :class:`~repro.compiler.sabre.RoutedSchedule` — body-instruction
+    indices and SWAPs on physical qubits, the layouts and the SWAP count —
+    plus its routing key.  It holds no gate object, so it is
+    measured-set agnostic (any CPM of the program retargets onto it) and
+    angle-free (every program with the body's structure materialises it
+    with its own rotation angles).  ``gate_eps`` is the gate-success
+    product of the physical body; the readout factor is a property of the
+    retargeted measurements, not of the routing, so EPS scoring reuses
+    this value across every subset, and the noise model reuses it as the
+    gate-survival probability of every executable on this routing.
     """
 
-    body_fingerprint: str
-    physical_body: QuantumCircuit
-    initial_layout: Layout
-    final_layout: Layout
-    num_swaps: int
+    routing_key: str
     gate_eps: float
+
+
+class _BodyMemo:
+    """What one program body fixes, worked out once per pipeline.
+
+    A program's global compile and all of its CPMs strip their
+    measurements off the very same (immutable) instruction objects, so
+    the pipeline keeps this for the last body it saw and recognises the
+    body by the identity of its instructions.  It holds the body
+    fingerprint, the array form (shared through the stage store), the
+    unitary fingerprint, the routing key of each layout, and each routed
+    body's physical gates built from *this* body's instructions.
+    """
+
+    __slots__ = (
+        "num_qubits", "instructions", "fingerprint", "routing",
+        "unitary_key", "routing_keys", "physical",
+    )
+
+    def __init__(
+        self,
+        body: QuantumCircuit,
+        instructions: Tuple[Instruction, ...],
+        fingerprint: str,
+        routing: RoutingBody,
+    ) -> None:
+        self.num_qubits = body.num_qubits
+        self.instructions = instructions
+        self.fingerprint = fingerprint
+        self.routing = routing
+        self.unitary_key = unitary_body_fingerprint(body)
+        self.routing_keys: Dict[Tuple[Tuple[int, int], ...], str] = {}
+        self.physical: Dict[str, Tuple[Instruction, ...]] = {}
+
+    def matches(self, body: QuantumCircuit, instructions) -> bool:
+        return (
+            self.num_qubits == body.num_qubits
+            and len(self.instructions) == len(instructions)
+            and all(a is b for a, b in zip(self.instructions, instructions))
+        )
 
 
 @dataclass
@@ -187,7 +299,7 @@ class CompilationState:
 
     circuit: QuantumCircuit
     body: QuantumCircuit
-    body_fingerprint: str
+    memo: _BodyMemo
     readout_emphasis: float
     avoid_qubits: Tuple[int, ...]
     rng: Optional[np.random.Generator] = None
@@ -238,6 +350,8 @@ class PlacementStage:
             readout_weight=state.readout_emphasis,
             avoid_qubits=state.avoid_qubits,
             seed=state.rng,
+            interactions=state.memo.routing.interactions,
+            badness=pipeline._badness(state),
         )
 
 
@@ -252,8 +366,7 @@ class RouteStage:
 
     def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
         state.routed = [
-            pipeline.routed_body(state.body, state.body_fingerprint, layout)
-            for layout in state.layouts
+            pipeline._routed(state.memo, layout) for layout in state.layouts
         ]
 
 
@@ -314,7 +427,7 @@ class SelectStage:
         for candidate in state.candidates:
             if best is None or candidate.score > best.score:
                 best = candidate
-        state.selected = pipeline._finalize(best, state.circuit)
+        state.selected = pipeline._finalize(best, state)
 
 
 class CpmSelectStage:
@@ -340,7 +453,7 @@ class CpmSelectStage:
             chosen = max([baseline] + pool, key=lambda c: c.plain_eps)
         else:
             chosen = baseline
-        state.selected = pipeline._finalize(chosen, state.circuit)
+        state.selected = pipeline._finalize(chosen, state)
 
 
 #: The canonical stage graphs.
@@ -398,9 +511,10 @@ class CompilerPipeline:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if self.cache.metrics is not self.metrics:
             self.metrics.attach(self.cache.metrics)
-        #: ``(num_qubits, instructions, body_fingerprint)`` of the last
-        #: body hashed (see :meth:`_body_fingerprint`).
-        self._last_body: Optional[Tuple[int, Tuple[object, ...], str]] = None
+        #: What the last program body fixes (see :class:`_BodyMemo`).
+        self._last_body: Optional[_BodyMemo] = None
+        #: Vulnerable-qubit sets by percentile (the device is fixed).
+        self._vulnerable: Dict[float, Tuple[int, ...]] = {}
 
     def _stage_cached(self, stage: str, key: str, hit_counter: str, compute):
         """Per-key-locked stage-store lookup: compute at most once per key.
@@ -421,26 +535,25 @@ class CompilerPipeline:
             span.attrs[attr] = span.attrs.get(attr, 0) + 1
         return value
 
-    def _body_fingerprint(self, body: QuantumCircuit) -> str:
-        """:func:`body_fingerprint` of ``body``, hashed once per program.
+    def _body(self, body: QuantumCircuit) -> _BodyMemo:
+        """The :class:`_BodyMemo` of ``body``, worked out once per program.
 
-        A program's global compile and all of its CPMs strip their
-        measurements off the very same (immutable) instruction objects, so
-        a body whose width and instructions are identical, object for
-        object, to the last body hashed gets that body's string back.
+        A body whose width and instructions are identical, object for
+        object, to the last body seen gets that body's memo back; any
+        other body is hashed, and its array form comes from the stage
+        store (built on a miss).
         """
         instructions = body.instructions
         last = self._last_body
-        if (
-            last is not None
-            and last[0] == body.num_qubits
-            and len(last[1]) == len(instructions)
-            and all(a is b for a, b in zip(last[1], instructions))
-        ):
-            return last[2]
-        key = body_fingerprint(body)
-        self._last_body = (body.num_qubits, instructions, key)
-        return key
+        if last is not None and last.matches(body, instructions):
+            return last
+        fingerprint = body_fingerprint(body)
+        routing, _ = self.cache.stage_get_or_compute(
+            STAGE_BODY, fingerprint, lambda: RoutingBody.from_circuit(body)
+        )
+        memo = _BodyMemo(body, instructions, fingerprint, routing)
+        self._last_body = memo
+        return memo
 
     # ------------------------------------------------------------------
     # Entry points
@@ -473,17 +586,17 @@ class CompilerPipeline:
         if attempts < 1:
             raise CompilationError("attempts must be >= 1")
         self.metrics.counter("compiler.compiles").add()
+        body = circuit.remove_measurements()
         state = CompilationState(
             circuit=circuit,
-            body=circuit.remove_measurements(),
-            body_fingerprint="",
+            body=body,
+            memo=self._body(body),
             readout_emphasis=readout_emphasis,
             avoid_qubits=tuple(int(q) for q in avoid_qubits),
             rng=as_generator(seed),
             attempts=attempts,
             initial_layouts=initial_layouts,
         )
-        state.body_fingerprint = self._body_fingerprint(state.body)
         return self._run(state, _TRANSPILE_STAGES)
 
     def compile_cpm(
@@ -517,22 +630,24 @@ class CompilerPipeline:
                 a physical qubit is avoided.
         """
         self.metrics.counter("compiler.compiles").add()
-        vulnerable = (
-            self.device.vulnerable_qubits(vulnerable_percentile)
-            if recompile
-            else ()
-        )
+        avoid: Tuple[int, ...] = ()
+        if recompile:
+            avoid = self._vulnerable.get(vulnerable_percentile)
+            if avoid is None:
+                avoid = self._vulnerable[vulnerable_percentile] = tuple(
+                    self.device.vulnerable_qubits(vulnerable_percentile)
+                )
+        body = cpm_circuit.remove_measurements()
         state = CompilationState(
             circuit=cpm_circuit,
-            body=cpm_circuit.remove_measurements(),
-            body_fingerprint="",
+            body=body,
+            memo=self._body(body),
             readout_emphasis=readout_emphasis,
-            avoid_qubits=tuple(int(q) for q in vulnerable),
+            avoid_qubits=avoid,
             attempts=pool_size,
             global_executable=global_executable,
             recompile=recompile,
         )
-        state.body_fingerprint = self._body_fingerprint(state.body)
         return self._run(state, _CPM_STAGES)
 
     def _run(
@@ -553,28 +668,38 @@ class CompilerPipeline:
     # Stage helpers (cache-aware primitives the stages build on)
     # ------------------------------------------------------------------
 
-    def routed_body(
-        self, body: QuantumCircuit, body_fingerprint: str, layout: Layout
-    ) -> RoutedBody:
+    def routed_body(self, body: QuantumCircuit, layout: Layout) -> RoutedBody:
         """Route ``body`` from ``layout`` — at most once per content key.
 
         The router's tie-break jitter is seeded from the routing
         fingerprint itself, so the result is a pure function of
-        ``(device, body, layout)``: cache hits and recomputes are
-        bit-for-bit interchangeable.
+        ``(device, body structure, layout)``: cache hits and recomputes
+        are bit-for-bit interchangeable.
         """
-        key = routing_fingerprint(self.device_key, body_fingerprint, layout)
+        return self._routed(self._body(body), layout)
+
+    def _routed(self, memo: _BodyMemo, layout: Layout) -> RoutedBody:
+        layout_key = tuple(layout.items())
+        key = memo.routing_keys.get(layout_key)
+        if key is None:
+            key = memo.routing_keys[layout_key] = routing_fingerprint(
+                self.device_key, memo.fingerprint, layout
+            )
+        routing = memo.routing
 
         def _route() -> RoutedBody:
             self.metrics.counter("compiler.route_calls").add()
-            routed = route(body, self.device, layout, seed=int(key[:16], 16))
+            schedule = route_schedule(
+                routing, self.device, layout, seed=int(key[:16], 16)
+            )
             return RoutedBody(
-                body_fingerprint=body_fingerprint,
-                physical_body=routed.physical,
-                initial_layout=routed.initial_layout,
-                final_layout=routed.final_layout,
-                num_swaps=routed.num_swaps,
-                gate_eps=gate_eps(routed.physical, self.device),
+                ops=schedule.ops,
+                qubits=schedule.qubits,
+                initial_layout=schedule.initial_layout,
+                final_layout=schedule.final_layout,
+                num_swaps=schedule.num_swaps,
+                routing_key=key,
+                gate_eps=schedule_gate_eps(schedule, routing, self.device),
             )
 
         return self._stage_cached(
@@ -584,27 +709,58 @@ class CompilerPipeline:
     def retarget(
         self, routed: RoutedBody, circuit: QuantumCircuit
     ) -> QuantumCircuit:
-        """Materialise the physical schedule: routed body plus ``circuit``'s
-        measurements on its resting positions, preserving clbits.  The
-        routed body is shared, never mutated — the result is a fresh
-        circuit.  Only selected candidates pay this copy; scoring works
-        from the measurement targets alone."""
+        """Materialise the physical schedule of ``circuit`` on ``routed``.
+
+        The routed body's gates come from ``circuit``'s own instructions —
+        its rotation angles, whichever program routed the body first —
+        followed by its measurements on their resting positions,
+        preserving clbits.  The routed body is shared, never mutated — the
+        result is a fresh circuit.  Only selected candidates pay this;
+        scoring works from the measurement targets alone.
+        """
+        return self._physical(
+            routed, self._body(circuit.remove_measurements()), circuit
+        )
+
+    def _physical(
+        self, routed: RoutedBody, memo: _BodyMemo, circuit: QuantumCircuit
+    ) -> QuantumCircuit:
+        # Every CPM of a program that selects this routing shares one
+        # tuple of physical gate instructions.
+        gates = memo.physical.get(routed.routing_key)
+        if gates is None:
+            gates = memo.physical[routed.routing_key] = materialise(
+                routed, memo.instructions
+            )
         physical = QuantumCircuit(
             self.device.num_qubits,
             circuit.num_clbits,
             f"{circuit.name}@{self.device.name}",
         )
-        for ins in routed.physical_body.instructions:
-            physical.append(ins)
+        physical._instructions = list(gates)
         emit_measurements(physical, circuit, routed.final_layout)
         return physical
+
+    def _badness(self, state: CompilationState) -> np.ndarray:
+        """Placement's per-qubit badness at the state's weight and avoid
+        set, from the device's coupler-error means (kept once per device
+        in the stage store)."""
+        edge_means, _ = self.cache.stage_get_or_compute(
+            _STAGE_DEVICE, self.device_key, lambda: edge_error_means(self.device)
+        )
+        return qubit_badness(
+            self.device,
+            state.readout_emphasis,
+            state.avoid_qubits,
+            edge_means=edge_means,
+        )
 
     def _cpm_pool(self, state: CompilationState) -> List[Layout]:
         """The deterministic CPM layout pool (cached per content key)."""
         key = CompilationCache.make_key(
             (
                 self.device_key,
-                state.body_fingerprint,
+                state.memo.fingerprint,
                 f"size={state.attempts}",
                 f"weight={state.readout_emphasis!r}",
                 f"avoid={sorted(state.avoid_qubits)!r}",
@@ -618,6 +774,8 @@ class CompilerPipeline:
                 pool_size=state.attempts,
                 readout_weight=state.readout_emphasis,
                 avoid_qubits=state.avoid_qubits,
+                interactions=state.memo.routing.interactions,
+                badness=self._badness(state),
             )
 
         return self._stage_cached(
@@ -625,18 +783,21 @@ class CompilerPipeline:
         )
 
     def _finalize(
-        self, candidate: CompiledCandidate, circuit: QuantumCircuit
+        self, candidate: CompiledCandidate, state: CompilationState
     ) -> ExecutableCircuit:
         """Freeze the winning candidate into an :class:`ExecutableCircuit`."""
+        routed = candidate.routed
         return ExecutableCircuit(
-            logical=circuit,
-            physical=self.retarget(candidate.routed, circuit),
-            initial_layout=candidate.routed.initial_layout.copy(),
-            final_layout=candidate.routed.final_layout.copy(),
+            logical=state.circuit,
+            physical=self._physical(routed, state.memo, state.circuit),
+            initial_layout=routed.initial_layout.copy(),
+            final_layout=routed.final_layout.copy(),
             device=self.device,
-            num_swaps=candidate.routed.num_swaps,
+            num_swaps=routed.num_swaps,
             eps=candidate.plain_eps,
             _ideal_store=self.cache.ideal,
+            routed=routed,
+            _unitary_key=state.memo.unitary_key,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

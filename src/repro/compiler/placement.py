@@ -16,38 +16,75 @@ candidates.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import CircuitDAG
 from repro.compiler.layout import Layout
+from repro.compiler.sabre import RoutingBody
 from repro.devices.device import Device
 from repro.exceptions import CompilationError
 from repro.utils.random import SeedLike, as_generator
 
-__all__ = ["candidate_layouts", "grow_region", "embed_in_region", "pool_layouts"]
+__all__ = [
+    "candidate_layouts",
+    "grow_region",
+    "embed_in_region",
+    "pool_layouts",
+    "edge_error_means",
+    "qubit_badness",
+]
 
 _AVOID_PENALTY = 0.25
 
+#: A two-qubit interaction histogram: sorted qubit pair -> gate count.
+Interactions = Mapping[Tuple[int, int], int]
 
-def _qubit_quality(
+
+def edge_error_means(device: Device) -> np.ndarray:
+    """Mean two-qubit gate error over each qubit's couplers."""
+    cal = device.calibration
+    return np.array(
+        [
+            float(
+                np.mean(
+                    [cal.two_qubit_error(q, nbr) for nbr in device.neighbors(q)]
+                )
+            )
+            for q in range(device.num_qubits)
+        ]
+    )
+
+
+def qubit_badness(
     device: Device,
     readout_weight: float,
-    avoid_qubits: FrozenSet[int],
+    avoid_qubits: Iterable[int] = (),
+    edge_means: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-physical-qubit badness score used when growing regions."""
-    cal = device.calibration
-    quality = np.zeros(device.num_qubits)
-    for q in range(device.num_qubits):
-        edge_errors = [cal.two_qubit_error(q, nbr) for nbr in device.neighbors(q)]
-        quality[q] = (
-            readout_weight * cal.readout_error[q]
-            + float(np.mean(edge_errors))
-            + (_AVOID_PENALTY if q in avoid_qubits else 0.0)
-        )
-    return quality
+    """Per-physical-qubit badness score used when growing regions.
+
+    ``readout_weight * readout error + mean coupler error + avoid
+    penalty``, per qubit.  ``edge_means`` is :func:`edge_error_means` of
+    the device when the caller keeps it (the compiler pipeline does, once
+    per device in its stage store).
+    """
+    if edge_means is None:
+        edge_means = edge_error_means(device)
+    penalty = np.zeros(device.num_qubits)
+    penalty[sorted({int(q) for q in avoid_qubits})] = _AVOID_PENALTY
+    return readout_weight * device.calibration.readout_error + edge_means + penalty
 
 
 def grow_region(
@@ -88,22 +125,29 @@ def embed_in_region(
     readout_weight: float,
     avoid_qubits: FrozenSet[int],
     measured_qubits: Optional[Iterable[int]] = None,
+    interactions: Optional[Interactions] = None,
 ) -> Layout:
     """Map logical qubits onto a region, interaction-heavy qubits first.
 
     ``measured_qubits`` overrides which logical qubits attract the readout
     term; by default the circuit's own measurements are used.  The CPM
     layout pool passes *every* qubit, producing measured-set-agnostic
-    layouts that any subset can retarget onto.
+    layouts that any subset can retarget onto.  ``interactions`` is the
+    circuit's two-qubit interaction histogram (first-use order) when the
+    caller already has it.
     """
     n = circuit.num_qubits
     if len(region) < n:
         raise CompilationError("region smaller than the program")
-    interactions = CircuitDAG(circuit).interaction_counts()
+    if interactions is None:
+        interactions = RoutingBody.from_circuit(circuit).interactions
     degree: Dict[int, int] = {q: 0 for q in range(n)}
+    partners: Dict[int, List[Tuple[int, int]]] = {q: [] for q in range(n)}
     for (a, b), count in interactions.items():
         degree[a] += count
         degree[b] += count
+        partners[a].append((b, count))
+        partners[b].append((a, count))
     measured = (
         set(circuit.measured_qubits)
         if measured_qubits is None
@@ -117,16 +161,11 @@ def embed_in_region(
     placed: Dict[int, int] = {}
 
     for logical in order:
-        partners = [
-            (other, count)
-            for (a, b), count in interactions.items()
-            for other in ((b,) if a == logical else (a,) if b == logical else ())
-        ]
         best_node = None
         best_cost = None
         for node in free:
             cost = 0.0
-            for partner, count in partners:
+            for partner, count in partners[logical]:
                 if partner in placed:
                     cost += count * float(distances[node, placed[partner]])
             if logical in measured:
@@ -148,11 +187,17 @@ def candidate_layouts(
     readout_weight: float = 1.0,
     avoid_qubits: Sequence[int] = (),
     seed: SeedLike = None,
+    interactions: Optional[Interactions] = None,
+    badness: Optional[np.ndarray] = None,
 ) -> List[Layout]:
     """Generate up to ``num_candidates`` initial layouts for routing.
 
     Half the candidates grow from the device's best-readout qubits, half
     from random seeds, so the router sees both exploitation and exploration.
+    A device has as many distinct seed qubits as qubits, so at most that
+    many candidates are drawn.  ``interactions`` and ``badness`` (the
+    circuit's interaction histogram and :func:`qubit_badness` at this
+    weight and avoid set) may be passed in when the caller has them.
     """
     n = circuit.num_qubits
     if n > device.num_qubits:
@@ -161,12 +206,13 @@ def candidate_layouts(
         )
     rng = as_generator(seed)
     avoid = frozenset(int(q) for q in avoid_qubits)
-    badness = _qubit_quality(device, readout_weight, avoid)
+    if badness is None:
+        badness = qubit_badness(device, readout_weight, avoid)
 
     seeds: List[int] = []
     ranked = [int(q) for q in np.argsort(badness, kind="stable")]
     seeds.extend(ranked[: max(1, num_candidates // 2)])
-    while len(seeds) < num_candidates:
+    while len(seeds) < min(num_candidates, device.num_qubits):
         candidate = int(rng.integers(device.num_qubits))
         if candidate not in seeds:
             seeds.append(candidate)
@@ -177,7 +223,10 @@ def candidate_layouts(
         region = grow_region(device, n, seed_qubit, badness)
         if region is None:
             continue
-        layout = embed_in_region(circuit, device, region, readout_weight, avoid)
+        layout = embed_in_region(
+            circuit, device, region, readout_weight, avoid,
+            interactions=interactions,
+        )
         key = tuple(sorted(layout.as_dict().items()))
         if key not in seen:
             seen.add(key)
@@ -193,6 +242,8 @@ def pool_layouts(
     pool_size: int,
     readout_weight: float = 1.0,
     avoid_qubits: Sequence[int] = (),
+    interactions: Optional[Interactions] = None,
+    badness: Optional[np.ndarray] = None,
 ) -> List[Layout]:
     """Deterministic, measured-set-agnostic layout pool for CPM retargeting.
 
@@ -207,6 +258,7 @@ def pool_layouts(
     May return fewer than ``pool_size`` layouts (duplicate embeddings,
     fragmented devices) and, unlike :func:`candidate_layouts`, an empty
     list — the CPM compiler then falls back to the global mapping alone.
+    ``interactions`` and ``badness`` are as for :func:`candidate_layouts`.
     """
     if pool_size < 1:
         raise CompilationError("pool_size must be >= 1")
@@ -216,7 +268,8 @@ def pool_layouts(
             f"{n}-qubit program does not fit on {device.num_qubits}-qubit device"
         )
     avoid = frozenset(int(q) for q in avoid_qubits)
-    badness = _qubit_quality(device, readout_weight, avoid)
+    if badness is None:
+        badness = qubit_badness(device, readout_weight, avoid)
     ranked = [int(q) for q in np.argsort(badness, kind="stable")]
 
     layouts: List[Layout] = []
@@ -227,7 +280,7 @@ def pool_layouts(
             continue
         layout = embed_in_region(
             body, device, region, readout_weight, avoid,
-            measured_qubits=range(n),
+            measured_qubits=range(n), interactions=interactions,
         )
         key = tuple(sorted(layout.as_dict().items()))
         if key not in seen:

@@ -93,9 +93,11 @@ def bind_executable(
     pipeline.  ``memo`` (one per parameter point) deduplicates the bound
     copies of instructions shared across a plan's executables — the
     global body and its CPM variants are the same routed body, so each
-    shared rotation binds once per point instead of once per executable.
+    shared rotation binds once per point instead of once per executable —
+    and the bound body's unitary fingerprint.  The bound executable keeps
+    its prototype's routed body: routing reads no angle.
     """
-    return ExecutableCircuit(
+    bound = ExecutableCircuit(
         logical=executable.logical.bind_resolved(by_name, memo),
         physical=executable.physical.bind_resolved(by_name, memo),
         initial_layout=executable.initial_layout.copy(),
@@ -103,7 +105,17 @@ def bind_executable(
         device=executable.device,
         num_swaps=executable.num_swaps,
         eps=executable.eps,
+        routed=executable.routed,
     )
+    if memo is not None:
+        # Prototypes with one unitary body bind, at one point, to one
+        # bound body: its fingerprint is hashed once per point.
+        slot = ("unitary", executable.unitary_key)
+        if slot in memo:
+            bound._unitary_key = memo[slot]
+        else:
+            memo[slot] = bound.unitary_key
+    return bound
 
 
 @dataclass

@@ -35,10 +35,20 @@ from scipy.special import ndtri
 from repro.exceptions import DeviceError
 from repro.utils.random import SeedLike, as_generator
 
-__all__ = ["Calibration", "ReadoutStats", "synthesize_calibration"]
+__all__ = [
+    "Calibration",
+    "ReadoutStats",
+    "SWAP_CNOT_FACTOR",
+    "synthesize_calibration",
+]
 
 #: Hard ceiling for any effective error probability.
 _MAX_ERROR = 0.5
+
+#: A SWAP decomposes into three CNOTs on IBM hardware, so its failure
+#: compounds three two-qubit gate errors (compile-time EPS and the noise
+#: model's gate part both charge it so).
+SWAP_CNOT_FACTOR = 3
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,17 @@ benches use to isolate effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.devices.calibration import Calibration
+from repro.devices.calibration import SWAP_CNOT_FACTOR, Calibration
 from repro.devices.device import Device
 from repro.exceptions import NoiseModelError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.compiler.pipeline import ExecutableCircuit
 
 __all__ = ["NoiseModel"]
 
@@ -45,7 +48,7 @@ class NoiseModel:
     readout_noise_enabled: bool = True
     #: SWAPs decompose into three CNOTs on hardware; their failure rate is
     #: compounded accordingly.
-    swap_cnot_factor: int = 3
+    swap_cnot_factor: int = SWAP_CNOT_FACTOR
     #: Probability that a gate failure flips each measured bit of the
     #: trial's outcome (0.5 would be a fully uniform scramble; real-device
     #: corruption is local, keeping the observed support small — §7.1).
@@ -102,6 +105,30 @@ class NoiseModel:
     def circuit_failure_probability(self, physical_circuit: QuantumCircuit) -> float:
         """Probability that at least one gate fails in a trial."""
         return 1.0 - self.gate_survival_probability(physical_circuit)
+
+    def executable_failure_probability(
+        self, executable: "ExecutableCircuit"
+    ) -> float:
+        """:meth:`circuit_failure_probability` of ``executable.physical``,
+        taken once per routed body.
+
+        The compiler takes the same product when it scores a routing —
+        the device's calibration, a SWAP as ``SWAP_CNOT_FACTOR`` CNOTs,
+        the same factors in the same order — and keeps it on the routed
+        body every executable of that routing carries.  A model with gate
+        noise on that calibration at that SWAP cost reads it from there,
+        bit for bit the loop's value; any other model, and a hand-built
+        executable, runs the loop.
+        """
+        routed = executable.routed
+        if (
+            routed is not None
+            and self.gate_noise_enabled
+            and self.swap_cnot_factor == SWAP_CNOT_FACTOR
+            and self.calibration is executable.device.calibration
+        ):
+            return 1.0 - routed.gate_eps
+        return self.circuit_failure_probability(executable.physical)
 
     # ------------------------------------------------------------------
     # Readout part

@@ -196,7 +196,7 @@ class NoisySampler:
         rng = as_generator(rng) if rng is not None else self._rng
         ideal, physical_by_clbit, k = self._measured_setup(executable)
         ideal = ideal / ideal.sum()
-        p_fail = self.noise_model.circuit_failure_probability(executable.physical)
+        p_fail = self.noise_model.executable_failure_probability(executable)
         p01, p10 = self.noise_model.readout_rates(physical_by_clbit, k)
         flip_rate = self.noise_model.gate_failure_flip_rate
         # Generator.choice(n, size, p) is exactly searchsorted of uniform
@@ -274,8 +274,8 @@ class NoisySampler:
             )
             p_fail = np.array(
                 [
-                    self.noise_model.circuit_failure_probability(
-                        executables[i].physical
+                    self.noise_model.executable_failure_probability(
+                        executables[i]
                     )
                     for i in indices
                 ]

@@ -5,8 +5,9 @@ the global executable plus every CPM, each with its trial allocation —
 and returns one :class:`~repro.core.pmf.PMF` per request.  Every
 executable in a JigSaw batch shares one unitary body, so the backend
 computes **one statevector per body** (grouped by
-:func:`~repro.runtime.fingerprint.unitary_body_fingerprint`) instead of
-one per circuit — and, through the compiling cache's
+:func:`~repro.runtime.fingerprint.unitary_body_fingerprint`, which the
+pipeline hands each executable it compiles) instead of one per circuit —
+and, through the compiling cache's
 :class:`~repro.runtime.cache.IdealStore`, once per cache rather than
 once per batch.
 
@@ -22,11 +23,17 @@ backend's own :class:`~repro.noise.sampler.NoisySampler`:
   off the sampler's stream before any evaluation, so a request's draws
   depend only on its position in the batch.
 * **Coalescing** — exact mode merges requests whose executables share a
-  content fingerprint (JigSaw's global circuit and its CPMs share one
-  body, and sweeps repeat whole programs) into one evaluation group and
-  shares its PMF: output unchanged, one channel evaluation per *unique*
-  executable.  Sampling keeps one group per request, so every request
-  keeps its own stream.
+  coalescing key (sweeps and scheme comparisons repeat whole programs)
+  into one evaluation group and shares its PMF: output unchanged, one
+  channel evaluation per *unique* executable.  The key
+  (:meth:`~repro.compiler.pipeline.ExecutableCircuit.coalescing_key`)
+  is built from what the executable already carries — the logical
+  unitary fingerprint and measurement map, the routed body's routing key
+  and the measured physical qubits — not hashed over the physical
+  circuit per request, and it tells apart programs that share a routed
+  body but not their angles.  The channel's gate-failure product comes
+  off the routed body as well, once per routing.  Sampling keeps one
+  group per request, so every request keeps its own stream.
 
 Work counters (``backend.requests``, ``backend.groups``,
 ``backend.statevector_evals``, ``backend.channel_evals`` ...) live in the
@@ -43,10 +50,6 @@ from repro.core.pmf import PMF
 from repro.exceptions import SimulationError
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
-from repro.runtime.fingerprint import (
-    executable_fingerprint,
-    unitary_body_fingerprint,
-)
 from repro.sim.kernels import structure_key
 from repro.telemetry.metrics import MetricsRegistry
 from repro.sim.statevector import StatevectorSimulator
@@ -180,8 +183,7 @@ class LocalBackend:
             executable = request.executable
             if executable._ideal_probabilities is not None:
                 continue
-            key = unitary_body_fingerprint(executable.logical)
-            pending.setdefault(key, []).append(executable)
+            pending.setdefault(executable.unitary_key, []).append(executable)
         by_structure: Dict[tuple, List[tuple]] = {}
         for key, group in pending.items():
             # A body's executables come from one compilation cache.
@@ -229,19 +231,20 @@ class LocalBackend:
     def _group_indices(
         self, requests: Sequence[ExecutionRequest]
     ) -> List[List[int]]:
-        """Batch positions grouped by executable content (order-stable).
+        """Batch positions grouped by coalescing key (order-stable).
 
-        Only exact mode coalesces: its evaluation is content-pure, so a
-        group's shared PMF is every member's.  Sampling keeps one group
-        (and therefore one stream) per request.
+        Only exact mode coalesces: its evaluation is content-pure, and the
+        key covers everything it reads, so a group's shared PMF is every
+        member's.  Sampling keeps one group (and therefore one stream)
+        per request.
         """
         if not self.exact:
             return [[index] for index in range(len(requests))]
-        by_fingerprint: Dict[str, List[int]] = {}
+        groups: Dict[object, List[int]] = {}
         for index, request in enumerate(requests):
-            key = executable_fingerprint(request.executable)
-            by_fingerprint.setdefault(key, []).append(index)
-        return list(by_fingerprint.values())
+            key = request.executable.coalescing_key()
+            groups.setdefault(key, []).append(index)
+        return list(groups.values())
 
     def execute(self, requests: Sequence[ExecutionRequest]) -> List[PMF]:
         """Evaluate the batch; one PMF per request, in order."""
@@ -267,8 +270,7 @@ class LocalBackend:
         would — so a part's draws are independent of which other parts
         share the merged batch — while every request evaluates on this
         backend's sampler, and statevector sharing and (in exact mode)
-        coalescing by executable fingerprint operate across the whole
-        splice.  Returns one PMF list per part, in part order.
+        coalescing by coalescing key operate across the whole splice.  Returns one PMF list per part, in part order.
 
         A part must share this backend's mode (exact vs sampling) and
         ``chunk_shots`` — the one sampler setting that moves sampled

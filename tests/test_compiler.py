@@ -1,5 +1,7 @@
 """Tests for layout, placement, SABRE routing, EPS, and compilation."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from repro.compiler import (
     readout_eps,
     route,
 )
+from repro.compiler.placement import qubit_badness
+from repro.devices import ibmq_manhattan, ibmq_toronto
 from repro.exceptions import CompilationError
 from repro.sim import StatevectorSimulator
 from tests.conftest import make_line_device
@@ -123,6 +127,39 @@ class TestPlacement:
         best = layouts[0]
         overlap = set(best.physical_qubits) & {0, 1, 2, 3}
         assert len(overlap) <= 2
+
+    def test_more_candidates_than_qubits_terminates(self, device, ghz4):
+        # A device has only as many seed qubits as qubits: asking a
+        # 6-qubit device for 7 candidates used to draw seeds forever.
+        def expire(signum, frame):
+            raise TimeoutError("candidate_layouts did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        try:
+            layouts = candidate_layouts(ghz4, device, num_candidates=7, seed=0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert 1 <= len(layouts) <= device.num_qubits
+        assert layouts == candidate_layouts(
+            ghz4, device, num_candidates=device.num_qubits, seed=0
+        )
+
+    @pytest.mark.parametrize("weight", [1.0, 4.0])
+    def test_badness_is_the_per_qubit_loop(self, weight):
+        for device in (ibmq_toronto(), ibmq_manhattan()):
+            avoid = {0, 3, 11}
+            cal = device.calibration
+            loop = np.zeros(device.num_qubits)
+            for q in range(device.num_qubits):
+                errors = [cal.two_qubit_error(q, n) for n in device.neighbors(q)]
+                loop[q] = (
+                    weight * cal.readout_error[q]
+                    + float(np.mean(errors))
+                    + (0.25 if q in avoid else 0.0)
+                )
+            assert qubit_badness(device, weight, avoid).tobytes() == loop.tobytes()
 
 
 class TestRouting:

@@ -216,20 +216,22 @@ class TestMeasureRetarget:
         body, layout = pair
         device = make_varied_line_device(num_qubits=8)
         pipeline = CompilerPipeline(device)
-        routed = pipeline.routed_body(body, body_fingerprint(body), layout)
-        before = routed.physical_body.instructions
+        routed = pipeline.routed_body(body, layout)
+        before = (routed.ops, routed.qubits, routed.final_layout.as_dict())
+        gates = pipeline.retarget(routed, body).instructions
         qubits = list(range(min(subset_size, body.num_qubits)))
         circuit = body.copy()
         for clbit, qubit in enumerate(qubits):
             circuit.measure(qubit, clbit)
         physical = pipeline.retarget(routed, circuit)
-        # The routed body is untouched: same instruction tuple, still
-        # measurement-free.
-        assert routed.physical_body.instructions == before
-        assert not routed.physical_body.measurements
-        # The retargeted schedule is the body plus terminal measurements
-        # on each logical qubit's resting position.
-        assert physical.instructions[: len(before)] == before
+        # The routed body is untouched: same schedule, same layouts.
+        assert (
+            routed.ops, routed.qubits, routed.final_layout.as_dict()
+        ) == before
+        assert not any(ins.is_measure for ins in gates)
+        # The retargeted schedule is the body's physical gates plus
+        # terminal measurements on each logical qubit's resting position.
+        assert physical.instructions[: len(gates)] == gates
         for ins in physical.measurements:
             logical = routed.final_layout.logical(ins.qubits[0])
             assert logical == qubits[ins.clbits[0]]
@@ -239,12 +241,12 @@ class TestMeasureRetarget:
     def test_routing_is_pure_function_of_content(self, pair):
         body, layout = pair
         device = make_varied_line_device(num_qubits=8)
-        fp = body_fingerprint(body)
         a = CompilerPipeline(device, cache=CompilationCache.disabled())
         b = CompilerPipeline(device, cache=CompilationCache.disabled())
-        routed_a = a.routed_body(body, fp, layout)
-        routed_b = b.routed_body(body, fp, layout)
-        assert routed_a.physical_body == routed_b.physical_body
+        routed_a = a.routed_body(body, layout)
+        routed_b = b.routed_body(body, layout)
+        assert a.retarget(routed_a, body) == b.retarget(routed_b, body)
+        assert routed_a.routing_key == routed_b.routing_key
         assert routed_a.final_layout == routed_b.final_layout
         assert routed_a.num_swaps == routed_b.num_swaps
         assert routed_a.gate_eps == routed_b.gate_eps

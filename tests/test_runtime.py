@@ -6,6 +6,7 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler import CompilerPipeline
+from repro.compiler.sabre import RoutingBody
 from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
 from repro.exceptions import ReconstructionError, SimulationError
 from repro.noise.model import NoiseModel
@@ -123,7 +124,10 @@ class TestFingerprints:
             wider.append(ins)
         cpm_body = ghz6.with_measured_subset((0, 5)).remove_measurements()
         for circuit in (body, cpm_body, prefix, body, wider, cpm_body, ghz(5).circuit):
-            assert pipeline._body_fingerprint(circuit) == body_fingerprint(circuit)
+            memo = pipeline._body(circuit)
+            assert memo.fingerprint == body_fingerprint(circuit)
+            assert memo.routing == RoutingBody.from_circuit(circuit)
+            assert memo.unitary_key == unitary_body_fingerprint(circuit)
 
 
 class TestBackends:

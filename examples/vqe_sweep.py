@@ -2,14 +2,15 @@
 
 A VQE/QAOA-style optimizer evaluates the same parameterized circuit at
 many parameter points.  The naive loop recompiles the circuit every
-iteration; :class:`~repro.runtime.ParameterSweep` compiles the symbolic
-template once and evaluates each optimizer *wave* of candidate points as
-one coalesced stacked batch — identical results, O(1) route calls.
+iteration; ``Session.run_sweep`` compiles the symbolic template once
+(the session caches it, so later waves only bind) and evaluates each
+optimizer *wave* of candidate points as one coalesced stacked batch —
+identical results, O(1) route calls.
 
 This example maximises the expected MaxCut value of a depth-1 QAOA
 ansatz with batched coordinate descent: each round proposes a wave of
 neighbours of the incumbent, scores the whole wave in a single
-``sweep.run`` call (the energy callback reads cut values off each output
+``run_sweep`` call (the energy callback reads cut values off each output
 distribution), and keeps the best.
 
 Run:  python examples/vqe_sweep.py
@@ -33,14 +34,13 @@ def main() -> None:
         return -float(cuts[pmf.codes] @ pmf.probs)
 
     with Session(device, seed=5, exact=True, total_trials=8_192) as session:
-        sweep = session.parameter_sweep(workload, scheme="jigsaw")
-        names = sweep.parameter_names
+        names = [p.name for p in workload.template_circuit.parameters]
 
         # Start from the workload's pre-optimised angles, deliberately
         # perturbed so the optimizer has work to do.
         point = [workload.default_parameters[name] - 0.4 for name in names]
         step = 0.2
-        result = sweep.run([point])
+        result = session.run_sweep("jigsaw", workload, [point])
         best = energy(result.output_pmfs[0])
         print(f"Workload: {workload.name}, parameters: {', '.join(names)}")
         print(f"round 0: expected cut {-best:.3f} / {max_cut:.0f}\n")
@@ -56,7 +56,7 @@ def main() -> None:
                 for axis in range(len(point))
                 for direction in (+1.0, -1.0)
             ]
-            result = sweep.run(wave)
+            result = session.run_sweep("jigsaw", workload, wave)
             energies = [energy(pmf) for pmf in result.output_pmfs]
             wave_best = min(range(len(wave)), key=energies.__getitem__)
             if energies[wave_best] < best:

@@ -58,7 +58,7 @@ from repro.runtime.fingerprint import (
 )
 from repro.runtime.plan import ExecutionPlan, PlanLayer
 from repro.telemetry.metrics import MetricsRegistry
-from repro.utils.random import SeedLike, as_generator, spawn
+from repro.utils.random import SeedLike, as_generator, skip_spawns, spawn
 
 __all__ = ["JigSawConfig", "JigSawResult", "JigSaw", "measured_positions_map"]
 
@@ -321,12 +321,12 @@ class JigSaw:
         measurement-free body, so the candidate routings (the global
         layout plus the deterministic pool) are computed once through the
         runner's pipeline and each CPM only retargets its measured subset
-        onto them.  One seed per CPM is still spawned (and never drawn)
-        to keep this runner's seed stream, and cached plans'
-        ``compile_spawns`` replay, aligned with the historical
-        discipline.
+        onto them.  The runner's spawn counter still advances by one
+        per CPM (no generator is built) to keep its seed stream, and
+        cached plans' ``compile_spawns`` replay, aligned with the
+        historical discipline.
         """
-        spawn(self._rng, len(subsets))
+        skip_spawns(self._rng, len(subsets))
         return [
             self.pipeline.compile_cpm(
                 self.build_cpm_circuit(circuit, subset),
@@ -424,8 +424,9 @@ class JigSaw:
         When a :class:`CompilationCache` is attached and the subsets are
         deterministic (the default sliding method, no explicit subsets),
         an identical prior plan is reused with only the trial split
-        recomputed; the RNG children the skipped compilation would have
-        consumed are discarded so downstream seed streams stay aligned.
+        recomputed; the spawn counter skips the RNG children the skipped
+        compilation would have consumed, so downstream seed streams stay
+        aligned.
         """
         cache = self.cache
         key = None
@@ -437,7 +438,7 @@ class JigSaw:
             key = self._plan_cache_key(circuit, global_executable)
             cached = cache.get(key)
             if cached is not None:
-                spawn(self._rng, cached.compile_spawns)
+                skip_spawns(self._rng, cached.compile_spawns)
                 global_trials, per_cpm = self.split_trials(
                     total_trials, cached.num_cpms
                 )

@@ -10,7 +10,9 @@ pipeline factored into first-class, cacheable stages —
 ``execute`` evaluate a plan's batch on the one execution engine,
             :class:`~repro.runtime.backend.LocalBackend`;
 ``session`` bind device + backend + cache in a
-            :class:`~repro.runtime.session.Session`.
+            :class:`~repro.runtime.session.Session`, whose scheme runs
+            and variational sweeps split at one execution seam, a
+            :class:`~repro.runtime.session.PreparedRun`.
 
 See ``docs/ARCHITECTURE.md`` for the full design.
 """
@@ -33,8 +35,7 @@ _SESSION_EXPORTS = (
     "Session",
     "Metrics",
     "SCHEME_NAMES",
-    "ParameterSweep",
-    "PreparedSweep",
+    "PreparedRun",
     "SweepResult",
 )
 
@@ -56,8 +57,7 @@ __all__ = [
     "Session",
     "Metrics",
     "SCHEME_NAMES",
-    "ParameterSweep",
-    "PreparedSweep",
+    "PreparedRun",
     "SweepResult",
     "circuit_fingerprint",
     "config_fingerprint",

@@ -22,19 +22,37 @@ Typical use::
     plan = session.plan(ghz(8))            # compile once, inspect, cache
     result = session.run(plan)             # batch-execute + reconstruct
     pmf = session.run_scheme("jigsaw_m", ghz(8))   # or by scheme name
+
+Every scheme run and every variational sweep splits at one execution
+seam, a :class:`PreparedRun`: :meth:`Session.prepare_scheme` compiles
+one program, :meth:`Session.prepare_sweep` compiles a parameterized
+program once and binds it at K points, and both hand the compiled
+artifacts to one recipe that builds the batch and its finisher.
+
+Sweep determinism boundary: batch order is point order, and sampling
+backends spawn one RNG child per batch position with a *cumulative*
+spawn counter — so one coalesced sweep batch draws exactly the streams
+that running the K points one at a time (in the same session, in the
+same order) would draw.  Sweep results are therefore bit-for-bit equal
+to the per-point path, exact or sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.edm import ensemble_of_diverse_mappings
 from repro.compiler.pipeline import CompilerPipeline, ExecutableCircuit
-from repro.compiler.template import ParameterValues, PlanTemplate
+from repro.compiler.template import (
+    ParameterValues,
+    PlanTemplate,
+    bind_executable,
+    normalize_values,
+)
 from repro.core.jigsaw import JigSaw, JigSawConfig, JigSawResult
 from repro.core.multilayer import JigSawM, JigSawMConfig, JigSawMResult
 from repro.core.pmf import PMF
@@ -51,27 +69,21 @@ from repro.mitigation.mbm import MAX_MBM_QUBITS
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.trace import get_tracer
 from repro.runtime.backend import ExecutionRequest, LocalBackend
 from repro.runtime.cache import CompilationCache
 from repro.runtime.fingerprint import circuit_fingerprint, structure_fingerprint
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.sweep import (
-    ParameterSweep,
-    PreparedSweep,
-    SweepResult,
-    resolve_template_circuit,
-)
 from repro.utils.random import SeedLike, as_generator, spawn
 from repro.workloads.workload import Workload
 
 __all__ = [
     "Session",
     "Metrics",
-    "PreparedSchemeRun",
-    "ParameterSweep",
-    "PreparedSweep",
+    "PreparedRun",
     "SweepResult",
     "SCHEME_NAMES",
+    "resolve_template_circuit",
 ]
 
 SCHEME_NAMES = (
@@ -83,6 +95,10 @@ SCHEME_NAMES = (
     "mbm",
     "jigsaw_mbm",
 )
+
+#: Schemes that run an :class:`ExecutionPlan` (jigsaw_mbm plans as plain
+#: jigsaw and post-processes with MBM).
+PLAN_SCHEMES = ("jigsaw", "jigsaw_nr", "jigsaw_m", "jigsaw_mbm")
 
 
 @dataclass(frozen=True)
@@ -104,30 +120,94 @@ class Metrics:
         }
 
 
-@dataclass
-class PreparedSchemeRun:
-    """A scheme run split at the execution seam: requests + a finisher.
+def _output_pmf(result: object) -> PMF:
+    """A scheme result's output distribution (a PMF is its own)."""
+    return result.output_pmf if hasattr(result, "output_pmf") else result
 
-    Produced by :meth:`Session.prepare_scheme`.  ``backend`` is the
-    engine whose seed streams the requests draw from — executing
-    ``requests`` on it and handing the PMFs (in request order) to
-    ``finish`` is *exactly* what ``Session.run_scheme`` does, so any
-    caller that executes the requests elsewhere with the same per-request
+
+def resolve_template_circuit(
+    workload: Union[Workload, QuantumCircuit]
+) -> QuantumCircuit:
+    """The symbolic circuit a sweep compiles once.
+
+    A bare circuit must be parameterized; a :class:`Workload` must carry
+    a ``template_circuit`` (the parameterized twin of its bound default
+    circuit — see ``workloads.qaoa.qaoa_maxcut``).
+    """
+    if isinstance(workload, Workload):
+        circuit = workload.template_circuit
+        if circuit is None:
+            raise ExperimentError(
+                f"workload {workload.name!r} has no template_circuit; "
+                "sweeps need a parameterized program"
+            )
+        return circuit
+    if not workload.is_parameterized:
+        raise ExperimentError(
+            f"circuit {workload.name!r} has no unbound parameters; "
+            "sweeps need a parameterized program"
+        )
+    return workload
+
+
+@dataclass
+class SweepResult:
+    """All K points of one sweep, in submission order."""
+
+    scheme: str
+    parameter_names: Tuple[str, ...]
+    parameter_sets: Tuple[Tuple[float, ...], ...]
+    #: Per-point scheme results: :class:`PMF` for the distribution
+    #: schemes, JigSaw(M)Result for the plan schemes.
+    results: List[object]
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    @property
+    def output_pmfs(self) -> List[PMF]:
+        """Each point's final output distribution."""
+        return [_output_pmf(result) for result in self.results]
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-ready summary (payloads, not bitstrings)."""
+        from repro.core.payload import PAYLOAD_VERSION
+
+        return {
+            "scheme": self.scheme,
+            "payload_version": PAYLOAD_VERSION,
+            "parameter_names": list(self.parameter_names),
+            "parameter_sets": [list(p) for p in self.parameter_sets],
+            "num_iterations": len(self.results),
+            "output_pmfs": [pmf.to_payload() for pmf in self.output_pmfs],
+        }
+
+
+@dataclass
+class PreparedRun:
+    """A scheme run or a sweep split at the execution seam.
+
+    Produced by :meth:`Session.prepare_scheme` and
+    :meth:`Session.prepare_sweep`.  ``backend`` is the engine whose seed
+    streams the requests draw from — executing ``requests`` on it and
+    handing the PMFs (in request order) to ``finish`` is *exactly* what
+    ``Session.run_scheme`` and ``Session.run_sweep`` do, so any caller
+    that executes the requests elsewhere with the same per-request
     streams (the service layer's cross-job merged batches) reproduces the
     solo result bit for bit.
     """
 
     scheme: str
-    workload: Workload
     backend: LocalBackend
     requests: List[ExecutionRequest]
-    #: PMFs (request order) -> the scheme result: a :class:`PMF` for the
-    #: distribution schemes, a JigSaw(M)Result for the plan-based ones.
+    #: PMFs (request order) -> the result: a :class:`PMF` for the
+    #: distribution schemes, a JigSaw(M)Result for the plan-based ones,
+    #: a :class:`SweepResult` for a sweep.
     finish: Callable[[List[PMF]], object] = field(repr=False)
 
     def output_pmf(self, result: object) -> PMF:
-        """Project a finished result onto its output distribution."""
-        return result.output_pmf if hasattr(result, "output_pmf") else result
+        """Project a finished scheme result onto its output distribution."""
+        return _output_pmf(result)
 
 
 class Session:
@@ -205,8 +285,8 @@ class Session:
         # pair would diverge from run_scheme in sampled mode.
         self._runners: Dict[object, JigSaw] = {}
         # Compile-once/bind-many state for variational sweeps: plan
-        # templates keyed by (scheme, structure, content, budget) and
-        # EDM ensembles keyed by circuit content.
+        # templates keyed by (scheme, structure, content, budget, global
+        # source) and EDM ensembles keyed by circuit content.
         self._templates: Dict[tuple, PlanTemplate] = {}
         self._edm_ensembles: Dict[str, List[ExecutableCircuit]] = {}
 
@@ -219,8 +299,8 @@ class Session:
     ) -> ExecutableCircuit:
         """The baseline (Noise-Aware SABRE) compilation, shared per program.
 
-        Accepts a workload or a bare circuit (the sweep layer compiles
-        *symbolic* template circuits through the same baseline stream).
+        Accepts a workload or a bare circuit (sweeps compile *symbolic*
+        template circuits through the same baseline stream).
         """
         circuit = workload.circuit if isinstance(workload, Workload) else workload
         key = circuit_fingerprint(circuit)
@@ -233,27 +313,30 @@ class Session:
             self._global_executables[key] = executable
         return self._global_executables[key]
 
+    def _edm_mappings(self, circuit: QuantumCircuit) -> List[ExecutableCircuit]:
+        """A fresh EDM mapping ensemble, compiled on the EDM stream."""
+        return ensemble_of_diverse_mappings(
+            circuit,
+            self.compile_pipeline,
+            ensemble_size=self.ensemble_size,
+            attempts=self.compile_attempts,
+            seed=self._edm_seed,
+        )
+
     def edm_ensemble(
         self, circuit: QuantumCircuit
     ) -> List[ExecutableCircuit]:
         """The EDM mapping ensemble for ``circuit``, compiled once per
         content key.
 
-        Used by the sweep layer: a K-iteration EDM sweep compiles the
-        symbolic ensemble a single time and binds it per iteration.
-        (``prepare_scheme("edm", ...)`` deliberately keeps its historical
-        uncached behaviour — caching would shift the EDM seed stream of
-        repeated solo runs.)
+        Used by sweeps: a K-point EDM sweep compiles the symbolic ensemble
+        a single time and binds it per point.  (``prepare_scheme("edm",
+        ...)`` deliberately compiles a fresh ensemble per call — caching
+        would shift the EDM seed stream of repeated solo runs.)
         """
         key = circuit_fingerprint(circuit)
         if key not in self._edm_ensembles:
-            self._edm_ensembles[key] = ensemble_of_diverse_mappings(
-                circuit,
-                self.compile_pipeline,
-                ensemble_size=self.ensemble_size,
-                attempts=self.compile_attempts,
-                seed=self._edm_seed,
-            )
+            self._edm_ensembles[key] = self._edm_mappings(circuit)
         return self._edm_ensembles[key]
 
     def _jigsaw_config(self, recompile: bool) -> JigSawConfig:
@@ -303,14 +386,19 @@ class Session:
     # Plan-level API
     # ------------------------------------------------------------------
 
-    def plan(
+    def _plan(
         self,
-        workload: Union[Workload, QuantumCircuit],
-        scheme: str = "jigsaw",
-        total_trials: Optional[int] = None,
+        scheme: str,
+        circuit: QuantumCircuit,
+        total_trials: Optional[int],
+        session_global: bool,
     ) -> ExecutionPlan:
-        """Plan (and cache) a JigSaw or JigSaw-M run without executing it."""
-        circuit = workload.circuit if isinstance(workload, Workload) else workload
+        """Plan ``circuit`` on the runner of ``scheme``.
+
+        With ``session_global`` the global mapping is the session's shared
+        baseline compilation (every scheme compares on one mapping);
+        without it the runner compiles its own.
+        """
         if scheme == "jigsaw_m":
             runner: JigSaw = self._jigsawm_runner()
         elif scheme in {"jigsaw", "jigsaw_nr"}:
@@ -320,16 +408,28 @@ class Session:
                 f"cannot plan scheme {scheme!r}; planable: "
                 "('jigsaw', 'jigsaw_nr', 'jigsaw_m')"
             )
-        global_executable = (
-            self.global_executable(workload)
-            if isinstance(workload, Workload)
-            else None
-        )
         return runner.plan(
             circuit,
             total_trials=total_trials or self.total_trials,
-            global_executable=global_executable,
+            global_executable=(
+                self.global_executable(circuit) if session_global else None
+            ),
         )
+
+    def plan(
+        self,
+        workload: Union[Workload, QuantumCircuit],
+        scheme: str = "jigsaw",
+        total_trials: Optional[int] = None,
+    ) -> ExecutionPlan:
+        """Plan (and cache) a JigSaw or JigSaw-M run without executing it.
+
+        A :class:`Workload` compiles its global through the session
+        baseline stream, a bare circuit lets the scheme runner compile it.
+        """
+        is_workload = isinstance(workload, Workload)
+        circuit = workload.circuit if is_workload else workload
+        return self._plan(scheme, circuit, total_trials, is_workload)
 
     def runner_for(self, plan: ExecutionPlan) -> JigSaw:
         """The scheme runner that executes ``plan`` in this session.
@@ -347,10 +447,6 @@ class Session:
         """Batch-execute a plan on this session's backend and reconstruct."""
         return self.runner_for(plan).execute(plan)
 
-    # ------------------------------------------------------------------
-    # Variational sweeps (compile once, bind many, execute stacked)
-    # ------------------------------------------------------------------
-
     def plan_template(
         self,
         workload: Union[Workload, QuantumCircuit],
@@ -361,101 +457,127 @@ class Session:
 
         The full pipeline runs once on the *symbolic* circuit (every
         compile stage is parameter independent); ``template.bind(p)``
-        then yields each iteration's :class:`ExecutionPlan` by pure
+        then yields each point's :class:`ExecutionPlan` by pure
         substitution.  Templates are cached per (scheme, structure,
-        content, budget), so repeated sweeps of one program share one
-        compilation.
+        content, budget, global source), so repeated sweeps of one
+        program share one compilation.
 
         Mirrors :meth:`plan`'s seed discipline: a :class:`Workload`
         compiles its global through the session baseline stream, a bare
-        circuit lets the scheme runner auto-compile it.
+        circuit lets the scheme runner compile it — two different
+        mappings, so the key records which one the template holds.
         """
         circuit = resolve_template_circuit(workload)
         trials = total_trials or self.total_trials
+        session_global = isinstance(workload, Workload)
         key = (
             scheme,
             structure_fingerprint(circuit),
             circuit_fingerprint(circuit),
             trials,
+            "session-global" if session_global else "auto-global",
         )
         if key not in self._templates:
-            global_executable = (
-                self.global_executable(circuit)
-                if isinstance(workload, Workload)
-                else None
+            plan = self._plan(scheme, circuit, trials, session_global)
+            self._templates[key] = PlanTemplate.from_plan(
+                plan, self.runner_for(plan).pipeline
             )
-            if scheme == "jigsaw_m":
-                runner: JigSaw = self._jigsawm_runner()
-            elif scheme in {"jigsaw", "jigsaw_nr"}:
-                runner = self._jigsaw_runner(recompile=scheme == "jigsaw")
-            else:
-                raise ExperimentError(
-                    f"cannot template scheme {scheme!r}; planable: "
-                    "('jigsaw', 'jigsaw_nr', 'jigsaw_m')"
-                )
-            plan = runner.plan(
-                circuit,
-                total_trials=trials,
-                global_executable=global_executable,
-            )
-            self._templates[key] = PlanTemplate.from_plan(plan, runner.pipeline)
         return self._templates[key]
 
-    def parameter_sweep(
-        self,
-        workload: Union[Workload, QuantumCircuit],
-        scheme: str = "jigsaw",
-        total_trials: Optional[int] = None,
-    ) -> ParameterSweep:
-        """A reusable sweep runner over this session (optimizer loops)."""
-        return ParameterSweep(
-            self, workload, scheme=scheme, total_trials=total_trials
-        )
-
-    def prepare_sweep(
-        self,
-        scheme: str,
-        workload: Union[Workload, QuantumCircuit],
-        parameter_sets: Sequence[ParameterValues],
-        total_trials: Optional[int] = None,
-    ) -> PreparedSweep:
-        """Compile/bind a K-iteration sweep down to its execution seam.
-
-        The sweep twin of :meth:`prepare_scheme`: executing the returned
-        requests on the prepared backend and finishing is exactly
-        :meth:`run_sweep` — the service tier splices the requests into
-        its merged batches instead and finishes identically.
-        """
-        return self.parameter_sweep(
-            workload, scheme=scheme, total_trials=total_trials
-        ).prepare(parameter_sets)
-
-    def run_sweep(
-        self,
-        scheme: str,
-        workload: Union[Workload, QuantumCircuit],
-        parameter_sets: Sequence[ParameterValues],
-        total_trials: Optional[int] = None,
-    ) -> SweepResult:
-        """Run all K parameter points as one coalesced stacked batch.
-
-        Compiles once (route calls O(1) in K), binds per iteration, and
-        submits every bound instance in a single backend batch so the
-        stacked kernels evaluate the whole wave in ``(K, 2^n)`` stacks.
-        Bit-for-bit equal to running the iterations one at a time.
-        """
-        sweep = self.parameter_sweep(
-            workload, scheme=scheme, total_trials=total_trials
-        )
-        return sweep.run(parameter_sets)
-
     # ------------------------------------------------------------------
-    # Schemes
+    # Schemes and sweeps: compile, then one recipe to the execution seam
     # ------------------------------------------------------------------
 
-    def prepare_scheme(
-        self, scheme: str, workload: Workload
-    ) -> PreparedSchemeRun:
+    @staticmethod
+    def _check_scheme(scheme: str, circuit: QuantumCircuit) -> None:
+        """Refuse an unknown scheme, or MBM on an over-wide output, before
+        anything compiles (a compile would advance a seed stream)."""
+        if scheme not in SCHEME_NAMES:
+            raise ExperimentError(
+                f"unknown scheme {scheme!r}; known: {SCHEME_NAMES}"
+            )
+        if scheme == "mbm" and circuit.num_measurements > MAX_MBM_QUBITS:
+            raise ExperimentError(
+                f"MBM limited to {MAX_MBM_QUBITS}-bit outputs"
+            )
+
+    def _recipe(
+        self, scheme: str, artifact: object, total_trials: int
+    ) -> Tuple[LocalBackend, List[ExecutionRequest], Callable]:
+        """(backend, requests, finisher) of one program compiled for
+        ``scheme``.
+
+        ``artifact`` is an :class:`ExecutableCircuit` (baseline, mbm), an
+        EDM ensemble (a list of them) or an :class:`ExecutionPlan` (the
+        JigSaw family); the finisher maps the requests' PMFs to the
+        scheme result.
+        """
+        if scheme in PLAN_SCHEMES:
+            runner = self.runner_for(artifact)
+            if scheme == "jigsaw_mbm":
+                finish = lambda pmfs: jigsaw_with_mbm(  # noqa: E731
+                    runner.reconstruct(artifact, pmfs), self.noise_model
+                )
+            else:
+                finish = lambda pmfs: runner.reconstruct(artifact, pmfs)  # noqa: E731
+            return runner.backend, artifact.requests(), finish
+        if scheme == "edm":
+            per_mapping = total_trials // len(artifact)
+            allocations = [per_mapping] * len(artifact)
+            # Fold the integer-division remainder into the first mapping
+            # so the whole budget is spent.
+            allocations[0] += total_trials - per_mapping * len(artifact)
+            requests = [
+                ExecutionRequest(executable, trials, tag=f"edm[{index}]")
+                for index, (executable, trials) in enumerate(
+                    zip(artifact, allocations)
+                )
+            ]
+            return (
+                self.backend,
+                requests,
+                lambda pmfs: self._pool_edm(pmfs, allocations),
+            )
+        if scheme == "mbm":
+            finish = lambda pmfs: mitigate_executable_pmf(  # noqa: E731
+                pmfs[0], artifact, self.noise_model
+            )
+        else:
+            finish = lambda pmfs: pmfs[0]  # noqa: E731
+        return self.backend, [ExecutionRequest(artifact, total_trials)], finish
+
+    def _prepare(
+        self,
+        scheme: str,
+        artifacts: Sequence[object],
+        total_trials: int,
+        collect: Callable[[List[object]], object],
+    ) -> PreparedRun:
+        """One batch over compiled programs, in order: the requests of
+        each artifact's :meth:`_recipe`, and a finisher that hands the
+        per-artifact results to ``collect``."""
+        recipes = [
+            self._recipe(scheme, artifact, total_trials)
+            for artifact in artifacts
+        ]
+        requests = [request for _, part, _ in recipes for request in part]
+
+        def finish(pmfs: List[PMF]) -> object:
+            results: List[object] = []
+            start = 0
+            for _, part, finish_one in recipes:
+                results.append(finish_one(list(pmfs[start:start + len(part)])))
+                start += len(part)
+            return collect(results)
+
+        return PreparedRun(
+            scheme=scheme,
+            backend=recipes[0][0],
+            requests=requests,
+            finish=finish,
+        )
+
+    def prepare_scheme(self, scheme: str, workload: Workload) -> PreparedRun:
         """Compile a scheme run down to its execution seam.
 
         Everything *before* the backend call happens here (baseline/EDM
@@ -466,74 +588,109 @@ class Session:
         runs into one merged batch (spawning each one's seed streams from
         its own backend), which is why the two paths cannot drift.
         """
-        if scheme == "baseline":
-            executable = self.global_executable(workload)
-            return PreparedSchemeRun(
-                scheme=scheme,
-                workload=workload,
-                backend=self.backend,
-                requests=[ExecutionRequest(executable, self.total_trials)],
-                finish=lambda pmfs: pmfs[0],
-            )
-        if scheme == "mbm":
-            if workload.num_outcome_bits > MAX_MBM_QUBITS:
-                raise ExperimentError(
-                    f"MBM limited to {MAX_MBM_QUBITS}-bit outputs"
-                )
-            executable = self.global_executable(workload)
-            return PreparedSchemeRun(
-                scheme=scheme,
-                workload=workload,
-                backend=self.backend,
-                requests=[ExecutionRequest(executable, self.total_trials)],
-                finish=lambda pmfs: mitigate_executable_pmf(
-                    pmfs[0], executable, self.noise_model
-                ),
-            )
-        if scheme == "edm":
-            executables = ensemble_of_diverse_mappings(
-                workload.circuit,
-                self.compile_pipeline,
-                ensemble_size=self.ensemble_size,
-                attempts=self.compile_attempts,
-                seed=self._edm_seed,
-            )
-            per_mapping = self.total_trials // len(executables)
-            allocations = [per_mapping] * len(executables)
-            # Fold the integer-division remainder into the first mapping
-            # so the whole budget is spent.
-            allocations[0] += self.total_trials - per_mapping * len(executables)
-            return PreparedSchemeRun(
-                scheme=scheme,
-                workload=workload,
-                backend=self.backend,
-                requests=[
-                    ExecutionRequest(executable, trials, tag=f"edm[{index}]")
-                    for index, (executable, trials) in enumerate(
-                        zip(executables, allocations)
-                    )
-                ],
-                finish=lambda pmfs: self._pool_edm(pmfs, allocations),
-            )
-        if scheme in {"jigsaw", "jigsaw_nr", "jigsaw_m", "jigsaw_mbm"}:
-            plan = self.plan(
+        circuit = workload.circuit if isinstance(workload, Workload) else workload
+        self._check_scheme(scheme, circuit)
+        if scheme in PLAN_SCHEMES:
+            artifact: object = self.plan(
                 workload, scheme="jigsaw" if scheme == "jigsaw_mbm" else scheme
             )
-            runner = self.runner_for(plan)
-            if scheme == "jigsaw_mbm":
-                finish = lambda pmfs: jigsaw_with_mbm(  # noqa: E731
-                    runner.reconstruct(plan, pmfs), self.noise_model
+        elif scheme == "edm":
+            artifact = self._edm_mappings(circuit)
+        else:
+            artifact = self.global_executable(workload)
+        return self._prepare(
+            scheme, [artifact], self.total_trials, lambda results: results[0]
+        )
+
+    def prepare_sweep(
+        self,
+        scheme: str,
+        workload: Union[Workload, QuantumCircuit],
+        parameter_sets: Sequence[ParameterValues],
+        total_trials: Optional[int] = None,
+    ) -> PreparedRun:
+        """Compile once, bind every point, down to one execution seam.
+
+        The symbolic circuit compiles once (a :class:`PlanTemplate` for
+        the JigSaw family, the shared baseline executable or the cached
+        EDM ensemble otherwise, so route calls are O(1) in K) and each
+        point binds it by substitution.  The K points' requests form one
+        batch in point order; ``finish`` returns a :class:`SweepResult`.
+        """
+        circuit = resolve_template_circuit(workload)
+        self._check_scheme(scheme, circuit)
+        if not len(parameter_sets):
+            raise ExperimentError("a sweep needs at least one parameter set")
+        parameters = circuit.parameters
+        names = tuple(p.name for p in parameters)
+        bindings = [
+            normalize_values(parameters, values) for values in parameter_sets
+        ]
+        points = tuple(
+            tuple(by_name[name] for name in names) for by_name in bindings
+        )
+        trials = total_trials or self.total_trials
+        tracer = get_tracer()
+        with tracer.span("sweep.prepare", scheme=scheme, points=len(points)):
+            if scheme in PLAN_SCHEMES:
+                template = self.plan_template(
+                    workload,
+                    scheme="jigsaw" if scheme == "jigsaw_mbm" else scheme,
+                    total_trials=trials,
                 )
+                with tracer.span("sweep.bind", points=len(points)):
+                    artifacts: List[object] = template.bind_many(points)
+            elif scheme == "edm":
+                ensemble = self.edm_ensemble(circuit)
+                with tracer.span("sweep.bind", points=len(points)):
+                    artifacts = [
+                        [bind_executable(exe, by_name) for exe in ensemble]
+                        for by_name in bindings
+                    ]
             else:
-                finish = lambda pmfs: runner.reconstruct(plan, pmfs)  # noqa: E731
-            return PreparedSchemeRun(
-                scheme=scheme,
-                workload=workload,
-                backend=runner.backend,
-                requests=plan.requests(),
-                finish=finish,
+                prototype = self.global_executable(circuit)
+                with tracer.span("sweep.bind", points=len(points)):
+                    artifacts = [
+                        bind_executable(prototype, by_name)
+                        for by_name in bindings
+                    ]
+            return self._prepare(
+                scheme,
+                artifacts,
+                trials,
+                lambda results: SweepResult(scheme, names, points, results),
             )
-        raise ExperimentError(f"unknown scheme {scheme!r}; known: {SCHEME_NAMES}")
+
+    def run_sweep(
+        self,
+        scheme: str,
+        workload: Union[Workload, QuantumCircuit],
+        parameter_sets: Sequence[ParameterValues],
+        total_trials: Optional[int] = None,
+    ) -> SweepResult:
+        """Run all K parameter points as one coalesced stacked batch.
+
+        Compiles once (route calls O(1) in K), binds per point, and
+        submits every bound instance in a single backend batch so the
+        stacked kernels evaluate the whole wave in ``(K, 2^n)`` stacks.
+        Bit-for-bit equal to running the points one at a time.
+        """
+        tracer = get_tracer()
+        # A root span keeps prepare/execute/finish in one connected
+        # trace even when no caller (service job, test harness) has an
+        # active span to parent onto.
+        with tracer.span("sweep", scheme=scheme, points=len(parameter_sets)):
+            prepared = self.prepare_sweep(
+                scheme, workload, parameter_sets, total_trials
+            )
+            with tracer.span(
+                "sweep.execute",
+                requests=len(prepared.requests),
+                points=len(parameter_sets),
+            ):
+                pmfs = prepared.backend.execute(prepared.requests)
+            with tracer.span("sweep.finish"):
+                return prepared.finish(pmfs)
 
     @staticmethod
     def _pool_edm(pmfs: Sequence[PMF], allocations: Sequence[int]) -> PMF:
@@ -558,7 +715,7 @@ class Session:
             pooled_codes, pooled_mass, pmfs[0].num_bits, normalize=True
         )
 
-    def _run_prepared(self, prepared: PreparedSchemeRun) -> object:
+    def _run_prepared(self, prepared: PreparedRun) -> object:
         """Execute a prepared run on its own backend and finish it."""
         return prepared.finish(prepared.backend.execute(prepared.requests))
 

@@ -333,9 +333,9 @@ class ExecutionEngine:
                         cache=self.registry.cache_for(device_key),
                     )
                     if isinstance(job.spec, SweepJobSpec):
-                        # The sweep seam is shape-compatible with the
-                        # scheme seam: one request batch plus a
-                        # finisher, so sweep jobs splice into merged
+                        # A sweep ends at the same seam as a scheme
+                        # run (one PreparedRun: a request batch plus a
+                        # finisher), so sweep jobs splice into merged
                         # batches like any other job.
                         prepared = session.prepare_sweep(
                             job.spec.scheme,

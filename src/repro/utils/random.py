@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn", "SeedLike"]
+__all__ = ["as_generator", "spawn", "skip_spawns", "SeedLike"]
 
 SeedLike = Union[None, int, np.random.Generator]
 
@@ -34,3 +34,12 @@ def spawn(rng: np.random.Generator, count: int) -> list:
     except AttributeError:  # numpy < 1.25
         seed_seq = rng.bit_generator.seed_seq
         return [np.random.default_rng(s) for s in seed_seq.spawn(count)]
+
+
+def skip_spawns(rng: np.random.Generator, count: int) -> None:
+    """Advance ``rng``'s spawn counter by ``count`` without building children.
+
+    The next :func:`spawn` then yields the child it would have yielded
+    after ``spawn(rng, count)``: both draw from the same seed sequence.
+    """
+    rng.bit_generator.seed_seq.spawn(count)

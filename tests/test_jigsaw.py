@@ -1,5 +1,6 @@
 """End-to-end tests for the JigSaw and JigSaw-M runners."""
 
+import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
@@ -12,6 +13,8 @@ from repro.core import (
     measured_positions_map,
 )
 from repro.exceptions import ReconstructionError
+from repro.runtime import CompilationCache
+from repro.utils.random import spawn
 from repro.metrics import (
     probability_of_successful_trial,
     total_variation_distance,
@@ -131,6 +134,24 @@ class TestPlanning:
         jigsaw = JigSaw(device, seed=0)
         with pytest.raises(ReconstructionError):
             jigsaw.split_trials(4, 8)
+
+    def test_plan_keeps_the_runner_spawn_stream(self, device, ghz6):
+        # A fresh plan and a plan-cache hit both advance the runner's
+        # spawn counter by the plan's compile_spawns (the global compile
+        # plus one per CPM); the next spawn is then the child that
+        # building every one of those generators gives.
+        cache = CompilationCache()
+        runner = JigSaw(device, seed=7, cache=cache)
+        reference = np.random.default_rng(7)
+        spawn(reference, 1)  # the runner's sampler stream
+        for hits in (0, 1):
+            plan = runner.plan(ghz6)
+            counters = cache.metrics.snapshot()["counters"]
+            assert counters["cache.plan_hits"] == hits
+            spawn(reference, plan.compile_spawns)
+            ours = spawn(runner._rng, 1)[0].integers(2**62, size=4)
+            theirs = spawn(reference, 1)[0].integers(2**62, size=4)
+            assert ours.tolist() == theirs.tolist()
 
 
 class TestJigSawEndToEnd:

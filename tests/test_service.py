@@ -47,7 +47,7 @@ def solo_payload(spec: JobSpec) -> dict:
     ) as session:
         workload = workload_by_name(spec.workload)
         prepared = session.prepare_scheme(spec.scheme, workload)
-        result = session._run_prepared(prepared)
+        result = prepared.finish(prepared.backend.execute(prepared.requests))
         return ExecutionEngine._payload(spec, result)
 
 

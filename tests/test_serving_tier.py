@@ -50,7 +50,7 @@ def solo_payload(spec: JobSpec, supervisor: ServiceSupervisor) -> dict:
     ) as session:
         workload = workload_by_name(spec.workload)
         prepared = session.prepare_scheme(spec.scheme, workload)
-        result = session._run_prepared(prepared)
+        result = prepared.finish(prepared.backend.execute(prepared.requests))
         return ExecutionEngine._payload(spec, result)
 
 
@@ -333,7 +333,9 @@ class TestSharedIdealStates:
                 prepared = session.prepare_scheme(
                     s.scheme, workload_by_name(s.workload)
                 )
-                solo = session._run_prepared(prepared)
+                solo = prepared.finish(
+                    prepared.backend.execute(prepared.requests)
+                )
             assert job.result == ExecutionEngine._payload(s, solo)
         counters = sup.telemetry_snapshot()["counters"]
         assert counters["tier.batches"] >= 2

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.devices import ibmq_toronto
 from repro.exceptions import ExperimentError, ServiceError
 from repro.runtime import SCHEME_NAMES, Session
 from repro.service import JobSpec, SweepJobSpec, job_fingerprint
@@ -27,6 +28,11 @@ TRIALS = 2_048
 @pytest.fixture(scope="module")
 def device():
     return make_varied_line_device(num_qubits=8)
+
+
+@pytest.fixture(scope="module")
+def toronto():
+    return ibmq_toronto()
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +55,27 @@ class TestSweepEqualsPerIteration:
         ).run_sweep(scheme, workload, POINTS)
 
         session = Session(device, seed=13, exact=exact, total_trials=TRIALS)
-        sweep = session.parameter_sweep(workload, scheme=scheme)
-        one_at_a_time = [sweep.run([point]).results[0] for point in POINTS]
-
-        assert pmf_dicts(coalesced) == [
-            (r.output_pmf if hasattr(r, "output_pmf") else r).as_dict()
-            for r in one_at_a_time
+        one_at_a_time = [
+            session.run_sweep(scheme, workload, [point]).output_pmfs[0]
+            for point in POINTS
         ]
+
+        assert pmf_dicts(coalesced) == [pmf.as_dict() for pmf in one_at_a_time]
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    def test_solo_run_equals_one_point_sweep(self, toronto, scheme, exact):
+        # prepare_scheme and prepare_sweep hand their compiled programs to
+        # one recipe; at the workload's default point a fresh session
+        # compiles the same mapping on the same streams either way.
+        workload = qaoa_maxcut(5)
+        solo = Session(
+            toronto, seed=13, exact=exact, total_trials=TRIALS
+        ).run_scheme(scheme, workload)
+        swept = Session(
+            toronto, seed=13, exact=exact, total_trials=TRIALS
+        ).run_sweep(scheme, workload, [workload.default_parameters])
+        assert swept.output_pmfs[0].as_dict() == solo.as_dict()
 
     @pytest.mark.parametrize("scheme", ["jigsaw", "edm", "baseline"])
     def test_worker_count_invariance(self, device, scheme):
@@ -103,6 +123,20 @@ class TestSweepMechanics:
             counts[k] = counters["compiler.route_calls"]
             assert counters["compiler.template_binds"] == k
         assert counts[1] == counts[6]
+
+    def test_template_key_records_the_global_source(self, toronto):
+        # A bare circuit's template holds a mapping its runner compiled;
+        # the workload's global comes from the session baseline stream,
+        # so a later workload sweep must not replay the bare one's.
+        workload = qaoa_maxcut(6)
+        points = [[0.3, 0.4], [0.5, 0.2]]
+        session = Session(toronto, seed=3, exact=True, total_trials=TRIALS)
+        session.run_sweep("jigsaw", workload.template_circuit, points)
+        after_bare = session.run_sweep("jigsaw", workload, points)
+        fresh = Session(
+            toronto, seed=3, exact=True, total_trials=TRIALS
+        ).run_sweep("jigsaw", workload, points)
+        assert pmf_dicts(after_bare) == pmf_dicts(fresh)
 
     def test_sweep_result_to_dict(self, device, workload):
         session = Session(device, seed=13, exact=True, total_trials=TRIALS)

@@ -1,4 +1,4 @@
-"""Compiler substrate: staged pipeline, placement, SABRE routing, EPS, EDM."""
+"""Compiler substrate: compile procedures, placement, SABRE, EPS, EDM."""
 
 from repro.compiler.edm import ensemble_of_diverse_mappings
 from repro.compiler.eps import (
@@ -8,7 +8,6 @@ from repro.compiler.eps import (
 )
 from repro.compiler.layout import Layout
 from repro.compiler.pipeline import (
-    CompilationState,
     CompilerPipeline,
     ExecutableCircuit,
     RoutedBody,
@@ -27,7 +26,6 @@ __all__ = [
     "RoutedCircuit",
     "ExecutableCircuit",
     "CompilerPipeline",
-    "CompilationState",
     "RoutedBody",
     "expected_probability_of_success",
     "gate_eps",

@@ -1,19 +1,20 @@
-"""Staged compiler pipeline: route-once/retarget-many CPM compilation.
+"""The compiler: Noise-Aware SABRE and CPM recompilation, routed once.
 
-:class:`CompilerPipeline` is the one compile entry: ``compile`` is the
-paper's baseline flow (Noise-Aware SABRE — several noise-aware initial
-layouts, each routed, the best by Expected Probability of Success kept)
-and ``compile_cpm`` the CPM recompiler (§4.2.2).  Every CPM of a program
-shares the *same unitary body* and differs only in which qubits are
-measured — and SABRE emits measurements as a final layer on each logical
-qubit's resting position anyway — so compilation is factored into
-explicit stages over a shared :class:`CompilationState`:
+:class:`CompilerPipeline` is the one compile entry.  ``compile`` is the
+paper's baseline flow (Noise-Aware SABRE, §4.1: several noise-aware
+initial layouts, each routed, the best by Expected Probability of
+Success kept) and ``compile_cpm`` the CPM recompiler (§4.2.2).  Every
+CPM of a program shares the *same unitary body* and differs only in
+which qubits are measured — and SABRE emits measurements as a final
+layer on each logical qubit's resting position anyway — so both run the
+same five steps in line, each under its own ``compile.*`` span:
 
-``Placement -> Route -> MeasureRetarget -> EpsScore -> Select``
+``place -> route -> retarget -> eps -> select``
 
-* **Placement** proposes initial layouts (noise-aware exploration for the
-  global compile; a deterministic, measured-set-agnostic *pool* for CPMs).
-* **Route** runs SABRE (:mod:`~repro.compiler.sabre`) on the array form
+* **place** proposes initial layouts (noise-aware exploration for the
+  global compile; the global layout plus a deterministic,
+  measured-set-agnostic *pool* for a CPM).
+* **route** runs SABRE (:mod:`~repro.compiler.sabre`) on the array form
   of the **measurement-free body**, built once per body fingerprint and
   kept in the :class:`~repro.runtime.cache.CompilationCache` stage store.
   The router's tie-break stream is seeded from
@@ -25,13 +26,14 @@ explicit stages over a shared :class:`CompilationState`:
   so programs that differ only in their rotation angles share it, and
   each executable's physical schedule is materialised from *its own*
   body's gates.
-* **MeasureRetarget** is the cheap per-CPM stage: it resolves the
-  circuit's measured qubits onto their final physical positions, never
-  touching the routed body.
-* **EpsScore** computes plain and readout-emphasised EPS; the gate factor
-  is a property of the routed body and is computed once per routing.
-* **Select** picks the best candidate (for CPMs: subject to the paper's
-  no-extra-SWAPs rule against the global compilation, §4.2.2).
+* **retarget** is the cheap per-CPM step: it resolves the circuit's
+  measured qubits onto their final physical positions, never touching
+  the routed body.
+* **eps** computes plain and readout-emphasised EPS; the gate factor is
+  a property of the routed body and is computed once per routing.
+* **select** picks the best candidate: the emphasised-EPS argmax for the
+  global compile, the no-extra-SWAPs rule against the global
+  compilation for a CPM (:meth:`CompilerPipeline.compile_cpm`).
 
 What a program body fixes is worked out once per pipeline and body, not
 once per CPM: its fingerprints, its array form, the routing key of each
@@ -43,8 +45,8 @@ product and builds the exact-mode coalescing key
 (:meth:`ExecutableCircuit.coalescing_key`) from content already in hand.
 
 ``JigSaw.plan``/``JigSawM.plan`` compile dozens of CPMs by reusing cached
-routed bodies and only re-running retarget+EPS per subset; the stages
-count into the pipeline's registry (``compiler.route_calls``,
+routed bodies and only re-running retarget+EPS per subset; each step
+counts into the pipeline's registry (``compiler.route_calls``,
 ``compiler.retargets`` ...) and the stage store counts its hits and
 misses (``cache.stage.<stage>.hits``), all read through
 ``Session.telemetry_snapshot()``.
@@ -53,7 +55,7 @@ misses (``cache.stage.<stage>.hits``), all read through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,7 +93,6 @@ from repro.utils.random import SeedLike, as_generator
 __all__ = [
     "ExecutableCircuit",
     "RoutedBody",
-    "CompilationState",
     "CompilerPipeline",
     "STAGE_BODY",
     "STAGE_PLACE",
@@ -104,6 +105,12 @@ STAGE_PLACE = "place"
 STAGE_ROUTE = "route"
 #: Stage-store namespace of per-device placement inputs.
 _STAGE_DEVICE = "device"
+#: Exponent on the readout factor of the global compile's objective: it
+#: maximises plain EPS.
+GLOBAL_READOUT_EMPHASIS = 1.0
+#: Exponent on the readout factor of the CPM objective: a CPM reads only
+#: 2-5 qubits, so its measurement fidelity dominates (§4.2.2).
+CPM_READOUT_EMPHASIS = 4.0
 
 
 # ----------------------------------------------------------------------
@@ -276,201 +283,18 @@ class _BodyMemo:
         )
 
 
-@dataclass
-class CompiledCandidate:
-    """One (routed body, retargeted measurements) candidate mid-pipeline.
+class _Candidate(NamedTuple):
+    """One routed layout, scored for the circuit's measurements.
 
-    ``measured_qubits`` lists the physical qubit behind each of the
-    circuit's measurements (circuit order) under the routed body's final
-    layout — all EpsScore needs.  The full physical schedule is only
-    materialised for the *selected* candidate (see
-    :meth:`CompilerPipeline.retarget`), keeping the per-CPM stages cheap.
+    ``eps`` is the plain EPS of the circuit on ``routed`` with its
+    measurements retargeted; ``score`` is the procedure's objective (the
+    readout factor raised to its emphasis).  Only the selected candidate
+    is materialised into a physical schedule.
     """
 
     routed: RoutedBody
-    measured_qubits: List[int]
-    plain_eps: float = float("nan")
-    score: float = float("nan")
-
-
-@dataclass
-class CompilationState:
-    """Shared state the stages operate on, one instance per compilation."""
-
-    circuit: QuantumCircuit
-    body: QuantumCircuit
-    memo: _BodyMemo
-    readout_emphasis: float
-    avoid_qubits: Tuple[int, ...]
-    rng: Optional[np.random.Generator] = None
-    attempts: int = 1
-    initial_layouts: Optional[Sequence[Layout]] = None
-    #: CPM mode only: the global compilation (layout fallback, SWAP budget).
-    global_executable: Optional["ExecutableCircuit"] = None
-    recompile: bool = True
-    # Stage outputs:
-    layouts: List[Layout] = field(default_factory=list)
-    routed: List[RoutedBody] = field(default_factory=list)
-    candidates: List[CompiledCandidate] = field(default_factory=list)
-    selected: Optional["ExecutableCircuit"] = None
-
-
-# ----------------------------------------------------------------------
-# Stages
-# ----------------------------------------------------------------------
-
-
-class PlacementStage:
-    """Propose initial layouts: explicit list, noise-aware exploration, or
-    the deterministic CPM pool (global layout first, pool behind it)."""
-
-    name = STAGE_PLACE
-
-    def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline.metrics.counter("compiler.place_runs").add()
-        if state.global_executable is not None:
-            base = state.global_executable.initial_layout
-            state.layouts = [base]
-            if state.recompile:
-                state.layouts += [
-                    layout
-                    for layout in pipeline._cpm_pool(state)
-                    if layout != base
-                ]
-            return
-        if state.initial_layouts is not None:
-            state.layouts = list(state.initial_layouts)
-            if not state.layouts:
-                raise CompilationError("initial_layouts must not be empty")
-            return
-        state.layouts = candidate_layouts(
-            state.circuit,
-            pipeline.device,
-            num_candidates=state.attempts,
-            readout_weight=state.readout_emphasis,
-            avoid_qubits=state.avoid_qubits,
-            seed=state.rng,
-            interactions=state.memo.routing.interactions,
-            badness=pipeline._badness(state),
-        )
-
-
-class RouteStage:
-    """Route the measurement-free body from every proposed layout.
-
-    Delegates to the pipeline's content-keyed routing cache, so equal
-    ``(body, layout)`` pairs are routed at most once per cache lifetime.
-    """
-
-    name = STAGE_ROUTE
-
-    def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        state.routed = [
-            pipeline._routed(state.memo, layout) for layout in state.layouts
-        ]
-
-
-class MeasureRetargetStage:
-    """Resolve the circuit's measurements onto each routed body's resting
-    positions — the only per-CPM work; the routed body is never altered."""
-
-    name = "retarget"
-
-    def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        measures = state.circuit.measurements
-        candidates = []
-        for routed in state.routed:
-            pipeline.metrics.counter("compiler.retargets").add()
-            candidates.append(
-                CompiledCandidate(
-                    routed=routed,
-                    measured_qubits=[
-                        routed.final_layout.physical(ins.qubits[0])
-                        for ins in measures
-                    ],
-                )
-            )
-        state.candidates = candidates
-
-
-class EpsScoreStage:
-    """Score candidates: plain EPS plus the readout-emphasised objective.
-
-    The gate factor rides along from the routed body; only the readout
-    factor (a function of the retargeted measurements) is recomputed.
-    """
-
-    name = "eps"
-
-    def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        if state.readout_emphasis < 0:
-            raise CompilationError("readout_emphasis must be non-negative")
-        for candidate in state.candidates:
-            pipeline.metrics.counter("compiler.eps_evals").add()
-            readout = readout_eps_targets(
-                candidate.measured_qubits, pipeline.device
-            )
-            candidate.plain_eps = candidate.routed.gate_eps * readout
-            candidate.score = candidate.routed.gate_eps * (
-                readout ** state.readout_emphasis
-            )
-
-
-class SelectStage:
-    """Keep the candidate with the best emphasised EPS (first wins ties)."""
-
-    name = "select"
-
-    def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline.metrics.counter("compiler.selects").add()
-        best: Optional[CompiledCandidate] = None
-        for candidate in state.candidates:
-            if best is None or candidate.score > best.score:
-                best = candidate
-        state.selected = pipeline._finalize(best, state)
-
-
-class CpmSelectStage:
-    """Selection under the paper's no-extra-SWAPs rule (§4.2.2).
-
-    Candidate 0 is always the global-layout baseline.  Pool candidates
-    within the global SWAP budget compete with the baseline on the
-    readout-emphasised EPS; when none is SWAP-neutral, the fallback picks
-    whichever candidate maximises plain EPS.
-    """
-
-    name = "select"
-
-    def run(self, state: CompilationState, pipeline: "CompilerPipeline") -> None:
-        pipeline.metrics.counter("compiler.selects").add()
-        baseline = state.candidates[0]
-        pool = state.candidates[1:]
-        budget = state.global_executable.num_swaps
-        qualified = [c for c in pool if c.routed.num_swaps <= budget]
-        if qualified:
-            chosen = max([baseline] + qualified, key=lambda c: c.score)
-        elif pool:
-            chosen = max([baseline] + pool, key=lambda c: c.plain_eps)
-        else:
-            chosen = baseline
-        state.selected = pipeline._finalize(chosen, state)
-
-
-#: The canonical stage graphs.
-_TRANSPILE_STAGES = (
-    PlacementStage(),
-    RouteStage(),
-    MeasureRetargetStage(),
-    EpsScoreStage(),
-    SelectStage(),
-)
-_CPM_STAGES = (
-    PlacementStage(),
-    RouteStage(),
-    MeasureRetargetStage(),
-    EpsScoreStage(),
-    CpmSelectStage(),
-)
+    eps: float
+    score: float
 
 
 # ----------------------------------------------------------------------
@@ -479,7 +303,7 @@ _CPM_STAGES = (
 
 
 class CompilerPipeline:
-    """Staged compilation bound to one device and one stage cache.
+    """The two compile procedures, bound to one device and one stage cache.
 
     Args:
         device: the compilation target.
@@ -489,7 +313,7 @@ class CompilerPipeline:
             runners, or ``CompilationCache.disabled()`` to route every
             candidate afresh — results are bit-for-bit identical either
             way, because routing is a pure function of its content key.
-        metrics: the registry the stages count into (``compiler.*``);
+        metrics: the registry compilation counts into (``compiler.*``);
             defaults to a private one.  The cache's registry is attached
             to it, so one snapshot covers the pipeline and its stage
             store.
@@ -564,11 +388,10 @@ class CompilerPipeline:
         circuit: QuantumCircuit,
         seed: SeedLike = None,
         attempts: int = 4,
-        readout_emphasis: float = 1.0,
         avoid_qubits: Sequence[int] = (),
         initial_layouts: Optional[Sequence[Layout]] = None,
     ) -> ExecutableCircuit:
-        """Compile ``circuit`` maximising (emphasised) EPS.
+        """Compile ``circuit`` maximising EPS (Noise-Aware SABRE, §4.1).
 
         Args:
             circuit: logical program; must end in measurements for
@@ -576,8 +399,6 @@ class CompilerPipeline:
             seed: RNG seed controlling placement exploration (routing is
                 a pure function of content).
             attempts: number of placement+routing candidates to evaluate.
-            readout_emphasis: exponent on the readout term of EPS; > 1
-                steers the measurements onto strong readout qubits.
             avoid_qubits: physical qubits to penalise during placement
                 (EDM diversity, vulnerable-qubit avoidance).
             initial_layouts: optional explicit layouts to route
@@ -586,18 +407,37 @@ class CompilerPipeline:
         if attempts < 1:
             raise CompilationError("attempts must be >= 1")
         self.metrics.counter("compiler.compiles").add()
-        body = circuit.remove_measurements()
-        state = CompilationState(
-            circuit=circuit,
-            body=body,
-            memo=self._body(body),
-            readout_emphasis=readout_emphasis,
-            avoid_qubits=tuple(int(q) for q in avoid_qubits),
-            rng=as_generator(seed),
-            attempts=attempts,
-            initial_layouts=initial_layouts,
-        )
-        return self._run(state, _TRANSPILE_STAGES)
+        memo = self._body(circuit.remove_measurements())
+        tracer = get_tracer()
+        with tracer.span("compile", circuit=circuit.name):
+            with tracer.span("compile.place"):
+                self.metrics.counter("compiler.place_runs").add()
+                if initial_layouts is None:
+                    avoid = tuple(int(q) for q in avoid_qubits)
+                    layouts = candidate_layouts(
+                        circuit,
+                        self.device,
+                        num_candidates=attempts,
+                        readout_weight=GLOBAL_READOUT_EMPHASIS,
+                        avoid_qubits=avoid,
+                        seed=as_generator(seed),
+                        interactions=memo.routing.interactions,
+                        badness=self._badness(GLOBAL_READOUT_EMPHASIS, avoid),
+                    )
+                else:
+                    layouts = list(initial_layouts)
+                    if not layouts:
+                        raise CompilationError(
+                            "initial_layouts must not be empty"
+                        )
+            candidates = self._candidates(
+                circuit, memo, layouts, GLOBAL_READOUT_EMPHASIS
+            )
+            with tracer.span("compile.select"):
+                self.metrics.counter("compiler.selects").add()
+                # max keeps the first of equal scores.
+                best = max(candidates, key=lambda c: c.score)
+                return self._finalize(best, circuit, memo)
 
     def compile_cpm(
         self,
@@ -605,67 +445,101 @@ class CompilerPipeline:
         global_executable: ExecutableCircuit,
         recompile: bool = True,
         pool_size: int = 4,
-        readout_emphasis: float = 4.0,
         vulnerable_percentile: float = 75.0,
     ) -> ExecutableCircuit:
-        """Compile one CPM by retargeting the shared routed bodies.
+        """Compile one CPM by retargeting the shared routed bodies (§4.2.2).
 
-        The candidate set is the global mapping (the no-recompilation
-        baseline) plus the deterministic layout pool; all of them route
-        through the stage cache, so across a whole plan the pool is routed
-        once and each CPM only pays retarget + EPS + select.
+        The candidates are the global layout (the no-recompilation
+        baseline) and, with ``recompile``, the deterministic layout pool
+        behind it; all of them route through the stage cache, so across a
+        whole plan the pool is routed once and each CPM only pays
+        retarget + EPS + select.  Selection follows the paper's
+        no-extra-SWAPs rule: pool layouts whose routing needs no more
+        SWAPs than the global compilation compete with the global layout
+        on readout-emphasised EPS; when no pool layout fits that budget,
+        the candidate with the best plain EPS wins, whatever its SWAP
+        count (the global layout included).  Ties keep the earlier
+        candidate, the global layout first.
 
         Args:
             cpm_circuit: the program body with a measured subset.
             global_executable: the global-mode compilation; its initial
                 layout is the no-recompilation fallback and its SWAP
-                count the budget no candidate may exceed.
+                count the budget pool layouts must meet.
             recompile: ``False`` reuses the global layout (the paper's
                 "JigSaw w/o recompilation" ablation, Fig. 11).
             pool_size: size of the candidate layout pool.
-            readout_emphasis: readout-EPS exponent of the objective;
-                measurement fidelity dominates, since a CPM reads only
-                2-5 qubits.
             vulnerable_percentile: readout-error percentile above which
                 a physical qubit is avoided.
         """
         self.metrics.counter("compiler.compiles").add()
-        avoid: Tuple[int, ...] = ()
-        if recompile:
-            avoid = self._vulnerable.get(vulnerable_percentile)
-            if avoid is None:
-                avoid = self._vulnerable[vulnerable_percentile] = tuple(
-                    self.device.vulnerable_qubits(vulnerable_percentile)
-                )
         body = cpm_circuit.remove_measurements()
-        state = CompilationState(
-            circuit=cpm_circuit,
-            body=body,
-            memo=self._body(body),
-            readout_emphasis=readout_emphasis,
-            avoid_qubits=avoid,
-            attempts=pool_size,
-            global_executable=global_executable,
-            recompile=recompile,
-        )
-        return self._run(state, _CPM_STAGES)
-
-    def _run(
-        self, state: CompilationState, stages: Tuple[object, ...]
-    ) -> ExecutableCircuit:
+        memo = self._body(body)
         tracer = get_tracer()
-        if not tracer.enabled:
-            for stage in stages:
-                stage.run(state, self)
-            return state.selected
-        with tracer.span("compile", circuit=state.circuit.name):
-            for stage in stages:
-                with tracer.span(f"compile.{stage.name}"):
-                    stage.run(state, self)
-        return state.selected
+        with tracer.span("compile", circuit=cpm_circuit.name):
+            with tracer.span("compile.place"):
+                self.metrics.counter("compiler.place_runs").add()
+                base = global_executable.initial_layout
+                layouts = [base]
+                if recompile:
+                    layouts += [
+                        layout
+                        for layout in self._cpm_pool(
+                            body, memo, pool_size, vulnerable_percentile
+                        )
+                        if layout != base
+                    ]
+            baseline, *pool = self._candidates(
+                cpm_circuit, memo, layouts, CPM_READOUT_EMPHASIS
+            )
+            with tracer.span("compile.select"):
+                self.metrics.counter("compiler.selects").add()
+                budget = global_executable.num_swaps
+                qualified = [c for c in pool if c.routed.num_swaps <= budget]
+                if qualified:
+                    chosen = max([baseline] + qualified, key=lambda c: c.score)
+                else:
+                    chosen = max([baseline] + pool, key=lambda c: c.eps)
+                return self._finalize(chosen, cpm_circuit, memo)
+
+    def _candidates(
+        self,
+        circuit: QuantumCircuit,
+        memo: _BodyMemo,
+        layouts: Sequence[Layout],
+        emphasis: float,
+    ) -> List[_Candidate]:
+        """Route ``circuit``'s body from every layout, retarget its
+        measurements onto each routing and score each candidate: plain
+        EPS and ``gate EPS * readout EPS ** emphasis``.  The gate factor
+        rides along from the routed body; only the readout factor (a
+        function of the retargeted measurements) is computed here."""
+        tracer = get_tracer()
+        with tracer.span("compile.route"):
+            routings = [self._routed(memo, layout) for layout in layouts]
+        with tracer.span("compile.retarget"):
+            self.metrics.counter("compiler.retargets").add(len(routings))
+            measures = circuit.measurements
+            targets = [
+                [routed.final_layout.physical(m.qubits[0]) for m in measures]
+                for routed in routings
+            ]
+        with tracer.span("compile.eps"):
+            self.metrics.counter("compiler.eps_evals").add(len(routings))
+            candidates = []
+            for routed, qubits in zip(routings, targets):
+                readout = readout_eps_targets(qubits, self.device)
+                candidates.append(
+                    _Candidate(
+                        routed,
+                        routed.gate_eps * readout,
+                        routed.gate_eps * readout ** emphasis,
+                    )
+                )
+        return candidates
 
     # ------------------------------------------------------------------
-    # Stage helpers (cache-aware primitives the stages build on)
+    # Cache-aware primitives
     # ------------------------------------------------------------------
 
     def routed_body(self, body: QuantumCircuit, layout: Layout) -> RoutedBody:
@@ -741,41 +615,50 @@ class CompilerPipeline:
         emit_measurements(physical, circuit, routed.final_layout)
         return physical
 
-    def _badness(self, state: CompilationState) -> np.ndarray:
-        """Placement's per-qubit badness at the state's weight and avoid
+    def _badness(
+        self, weight: float, avoid: Tuple[int, ...]
+    ) -> np.ndarray:
+        """Placement's per-qubit badness at readout ``weight`` and avoid
         set, from the device's coupler-error means (kept once per device
         in the stage store)."""
         edge_means, _ = self.cache.stage_get_or_compute(
             _STAGE_DEVICE, self.device_key, lambda: edge_error_means(self.device)
         )
-        return qubit_badness(
-            self.device,
-            state.readout_emphasis,
-            state.avoid_qubits,
-            edge_means=edge_means,
-        )
+        return qubit_badness(self.device, weight, avoid, edge_means=edge_means)
 
-    def _cpm_pool(self, state: CompilationState) -> List[Layout]:
-        """The deterministic CPM layout pool (cached per content key)."""
+    def _cpm_pool(
+        self,
+        body: QuantumCircuit,
+        memo: _BodyMemo,
+        size: int,
+        vulnerable_percentile: float,
+    ) -> List[Layout]:
+        """The deterministic CPM layout pool, avoiding the vulnerable
+        qubits (cached per content key)."""
+        avoid = self._vulnerable.get(vulnerable_percentile)
+        if avoid is None:
+            avoid = self._vulnerable[vulnerable_percentile] = tuple(
+                self.device.vulnerable_qubits(vulnerable_percentile)
+            )
         key = CompilationCache.make_key(
             (
                 self.device_key,
-                state.memo.fingerprint,
-                f"size={state.attempts}",
-                f"weight={state.readout_emphasis!r}",
-                f"avoid={sorted(state.avoid_qubits)!r}",
+                memo.fingerprint,
+                f"size={size}",
+                f"weight={CPM_READOUT_EMPHASIS!r}",
+                f"avoid={sorted(avoid)!r}",
             )
         )
 
         def _place() -> List[Layout]:
             return pool_layouts(
-                state.body,
+                body,
                 self.device,
-                pool_size=state.attempts,
-                readout_weight=state.readout_emphasis,
-                avoid_qubits=state.avoid_qubits,
-                interactions=state.memo.routing.interactions,
-                badness=self._badness(state),
+                pool_size=size,
+                readout_weight=CPM_READOUT_EMPHASIS,
+                avoid_qubits=avoid,
+                interactions=memo.routing.interactions,
+                badness=self._badness(CPM_READOUT_EMPHASIS, avoid),
             )
 
         return self._stage_cached(
@@ -783,21 +666,21 @@ class CompilerPipeline:
         )
 
     def _finalize(
-        self, candidate: CompiledCandidate, state: CompilationState
+        self, candidate: _Candidate, circuit: QuantumCircuit, memo: _BodyMemo
     ) -> ExecutableCircuit:
-        """Freeze the winning candidate into an :class:`ExecutableCircuit`."""
+        """Freeze the selected candidate into an :class:`ExecutableCircuit`."""
         routed = candidate.routed
         return ExecutableCircuit(
-            logical=state.circuit,
-            physical=self._physical(routed, state.memo, state.circuit),
+            logical=circuit,
+            physical=self._physical(routed, memo, circuit),
             initial_layout=routed.initial_layout.copy(),
             final_layout=routed.final_layout.copy(),
             device=self.device,
             num_swaps=routed.num_swaps,
-            eps=candidate.plain_eps,
+            eps=candidate.eps,
             _ideal_store=self.cache.ideal,
             routed=routed,
-            _unitary_key=state.memo.unitary_key,
+            _unitary_key=memo.unitary_key,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

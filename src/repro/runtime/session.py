@@ -643,10 +643,17 @@ class Session:
             elif scheme == "edm":
                 ensemble = self.edm_ensemble(circuit)
                 with tracer.span("sweep.bind", points=len(points)):
-                    artifacts = [
-                        [bind_executable(exe, by_name) for exe in ensemble]
-                        for by_name in bindings
-                    ]
+                    # The mappings share one logical body: one memo per
+                    # point binds and hashes it once.
+                    artifacts = []
+                    for by_name in bindings:
+                        memo: dict = {}
+                        artifacts.append(
+                            [
+                                bind_executable(exe, by_name, memo)
+                                for exe in ensemble
+                            ]
+                        )
             else:
                 prototype = self.global_executable(circuit)
                 with tracer.span("sweep.bind", points=len(points)):

@@ -129,12 +129,16 @@ class JobEventLog:
     def closed(self) -> bool:
         """Whether a terminal event has been appended."""
         with self._lock:
-            newest = (
-                self._tail[-1]
-                if self._tail
-                else (self._head[-1] if self._head else None)
-            )
-            return newest is not None and newest.kind in TERMINAL_EVENTS
+            return self._closed()
+
+    def _closed(self) -> bool:
+        """:attr:`closed`, for a caller that holds the lock."""
+        newest = (
+            self._tail[-1]
+            if self._tail
+            else (self._head[-1] if self._head else None)
+        )
+        return newest is not None and newest.kind in TERMINAL_EVENTS
 
     def watch(
         self, after_seq: int = 0, timeout: Optional[float] = None
@@ -144,18 +148,22 @@ class JobEventLog:
         *each* event; a lapse raises ``TimeoutError`` (a hung job must
         fail loudly, not hang its watchers too).  Events the ring
         dropped before the watcher caught up are skipped (``seq`` gaps
-        mark them).
+        mark them).  Resuming at or past the terminal event of a closed
+        log yields nothing and returns at once.
         """
         last_seen = after_seq
         while True:
             with self._appended:
                 if not self._appended.wait_for(
-                    lambda: self._last_seq > last_seen, timeout=timeout
+                    lambda: self._last_seq > last_seen or self._closed(),
+                    timeout=timeout,
                 ):
                     raise TimeoutError(
                         f"no event on job {self.job_id} within {timeout}s "
                         f"(after seq {last_seen})"
                     )
+                if self._last_seq <= last_seen:
+                    return
                 batch = [
                     event
                     for event in self._head + list(self._tail)

@@ -191,21 +191,22 @@ class ServiceSupervisor:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn_worker(self, index: int, generation: int = 0) -> DrainWorker:
+    def _new_worker(self, index: int, generation: int = 0) -> DrainWorker:
+        """A drain worker for lane ``index``, not yet started: callers
+        list it in :attr:`drain_workers` first, so no job it runs can
+        finish while the pool does not list it."""
         engine = ExecutionEngine(self.registry, self.store, **self._engine_kwargs)
         # Fold the lane's counters (engine + backends + shared
         # caches) into the tier registry; the merge dedups the shared
         # DeviceRegistry child by identity across lanes.
         self.metrics.attach(engine.metrics)
-        worker = DrainWorker(
+        return DrainWorker(
             self,
             index=index,
             engine=engine,
             fault_injector=self.fault_injector,
             generation=generation,
         )
-        worker.start()
-        return worker
 
     def start(self) -> "ServiceSupervisor":
         """Spawn the worker pool and the monitor thread (idempotent)."""
@@ -217,8 +218,10 @@ class ServiceSupervisor:
             self._started = True
             self._stop_flag.clear()
         self.drain_workers = [
-            self._spawn_worker(index) for index in range(self.workers_count)
+            self._new_worker(index) for index in range(self.workers_count)
         ]
+        for worker in self.drain_workers:
+            worker.start()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="tier-monitor", daemon=True
         )
@@ -243,10 +246,12 @@ class ServiceSupervisor:
                     raise ServiceError(
                         f"drain timed out with {self.open_jobs} open jobs"
                     )
-        self._stop_flag.set()
-        for worker in self.drain_workers:
+        with self._lock:
+            self._stop_flag.set()
+            workers = list(self.drain_workers)
+        for worker in workers:
             worker.stop()
-        for worker in self.drain_workers:
+        for worker in workers:
             worker.join()
         if self._monitor is not None:
             self._monitor.join()
@@ -554,9 +559,16 @@ class ServiceSupervisor:
                     f"worker {worker.name} crashed: {worker.crashed!r}",
                     retryable=True,
                 )
-            self.drain_workers[position] = self._spawn_worker(
-                worker.index, generation=worker.generation + 1
-            )
+            with self._lock:
+                # stop() reads the pool under this lock after raising the
+                # flag, so it stops and joins every worker that starts.
+                if self._stop_flag.is_set():
+                    return
+                replacement = self._new_worker(
+                    worker.index, generation=worker.generation + 1
+                )
+                self.drain_workers[position] = replacement
+                replacement.start()
 
     # ------------------------------------------------------------------
     # Introspection

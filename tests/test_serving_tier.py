@@ -30,6 +30,7 @@ from repro.service.engine import ExecutionEngine
 from repro.service.job import JobStatus
 from repro.service.queue import FairShareQueue
 from repro.service.tier import ServiceSupervisor
+from repro.service.tier.worker import DrainWorker
 from repro.workloads import workload_by_name
 
 DEVICES = {"toronto": ibmq_toronto}
@@ -170,7 +171,21 @@ class TestCrashReplay:
     def test_crash_outside_a_batch_respawns_the_lane(self, monkeypatch):
         """A worker that dies popping its lane, before any batch is
         registered in flight, is reaped and respawned like one that dies
-        mid-batch, and the job it had not yet popped still runs."""
+        mid-batch, and the job it had not yet popped still runs.  The
+        respawned worker is listed in ``drain_workers`` before it takes
+        the job, so the pool never lists the dead one after the job."""
+        listed = []
+        popped = threading.Event()
+        start = DrainWorker.start
+
+        def start_and_hold(worker):
+            start(worker)
+            if worker.generation:
+                # Keep the respawning thread here until the new worker
+                # has taken the job: the widest window a slow host gives.
+                popped.wait(timeout=10)
+
+        monkeypatch.setattr(DrainWorker, "start", start_and_hold)
         sup = ServiceSupervisor(devices=DEVICES, workers=1)
         pop_batch = sup.queue.pop_batch
         failures = {"left": 1}
@@ -179,7 +194,12 @@ class TestCrashReplay:
             if failures["left"]:
                 failures["left"] -= 1
                 raise RuntimeError("injected pop failure")
-            return pop_batch(*args, **kwargs)
+            batch = pop_batch(*args, **kwargs)
+            if batch and not popped.is_set():
+                me = threading.current_thread()
+                listed.append(any(w._thread is me for w in sup.drain_workers))
+                popped.set()
+            return batch
 
         monkeypatch.setattr(sup.queue, "pop_batch", pop_batch_failing_once)
         job = sup.submit(spec(4))
@@ -190,6 +210,7 @@ class TestCrashReplay:
             assert job.result == solo_payload(job.spec, sup)
             counters = sup.telemetry_snapshot()["counters"]
             assert counters["tier.worker_crashes"] == 1
+            assert listed == [True]
             assert all(worker.alive for worker in sup.drain_workers)
         finally:
             sup.stop(drain=False)
@@ -406,6 +427,14 @@ class TestEventsAndAsync:
             # Resume from a midpoint.
             tail = [e.kind for e in sup.watch(job, after_seq=1, timeout=1)]
             assert tail == kinds[1:]
+
+    def test_watch_resumed_after_the_last_event_returns(self):
+        with ServiceSupervisor(devices=DEVICES, workers=1) as sup:
+            job = sup.submit(spec(4))
+            events = list(sup.watch(job, timeout=300))
+            assert [e.kind for e in events] == ["queued", "running", "done"]
+            last = events[-1].seq
+            assert list(sup.watch(job, after_seq=last, timeout=1.0)) == []
 
     def test_memoized_submit_emits_terminal_events(self):
         with ServiceSupervisor(devices=DEVICES, workers=1) as sup:

@@ -124,6 +124,26 @@ class TestSweepMechanics:
             assert counters["compiler.template_binds"] == k
         assert counts[1] == counts[6]
 
+    def test_edm_point_hashes_its_bound_body_once(
+        self, device, workload, monkeypatch
+    ):
+        # The ensemble's mappings share one logical body, so each point
+        # binds and fingerprints it once, not once per mapping.
+        import repro.compiler.pipeline as pipeline
+
+        session = Session(device, seed=13, exact=True, total_trials=TRIALS)
+        session.edm_ensemble(workload.template_circuit)
+        calls = []
+        original = pipeline.unitary_body_fingerprint
+
+        def counted(circuit):
+            calls.append(circuit)
+            return original(circuit)
+
+        monkeypatch.setattr(pipeline, "unitary_body_fingerprint", counted)
+        session.run_sweep("edm", workload, POINTS)
+        assert len(calls) == len(POINTS)
+
     def test_template_key_records_the_global_source(self, toronto):
         # A bare circuit's template holds a mapping its runner compiled;
         # the workload's global comes from the session baseline stream,

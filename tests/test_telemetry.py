@@ -423,6 +423,15 @@ class TestEventLogRing:
         with pytest.raises(TimeoutError):
             next(stream)
 
+    def test_watch_resumed_at_the_terminal_event_returns(self):
+        # A closed log holds nothing past its terminal event: resuming
+        # there, or past it, must end at once instead of waiting.
+        log = JobEventLog("job-v")
+        for kind in ("queued", "running", "done"):
+            log.append(kind)
+        for after_seq in (3, 7):
+            assert list(log.watch(after_seq=after_seq, timeout=1.0)) == []
+
     def test_unbounded_semantics_within_cap(self):
         log = JobEventLog("job-w")
         for _ in range(5):

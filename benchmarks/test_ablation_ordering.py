@@ -9,12 +9,7 @@ pass over all marginals together.
 import functools
 
 from _shared import save_result
-from repro.core import (
-    JigSawM,
-    JigSawMConfig,
-    bayesian_reconstruction,
-    ordered_reconstruction,
-)
+from repro.core import JigSaw, JigSawMConfig, bayesian_reconstruction
 from repro.devices import ibmq_toronto
 from repro.experiments import format_table
 from repro.metrics import probability_of_successful_trial
@@ -25,14 +20,13 @@ from repro.workloads import ghz
 def sweep():
     device = ibmq_toronto()
     workload = ghz(12)
-    runner = JigSawM(device, JigSawMConfig(exact=True), seed=26)
+    runner = JigSaw(device, JigSawMConfig(exact=True), seed=26)
     result = runner.run(workload.circuit, 65_536)
     marginals_by_size = result.marginals_by_size
     correct = workload.correct_outcomes
 
-    largest_first = ordered_reconstruction(
-        result.global_pmf, marginals_by_size, tolerance=1e-4, max_rounds=32
-    )
+    # Largest-first is the runner's own reconstruction.
+    largest_first = result.output_pmf
     # Smallest-first: reverse the layer order.
     smallest_first = result.global_pmf
     for size in sorted(marginals_by_size):

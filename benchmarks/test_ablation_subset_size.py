@@ -10,7 +10,7 @@ single size.
 import functools
 
 from _shared import save_result
-from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
+from repro.core import JigSaw, JigSawConfig, JigSawMConfig
 from repro.devices import ibmq_toronto
 from repro.experiments import format_table
 from repro.metrics import probability_of_successful_trial
@@ -40,7 +40,7 @@ def sweep():
         results[f"size {size}"] = probability_of_successful_trial(
             result.output_pmf, workload.correct_outcomes
         )
-    multi = JigSawM(device, JigSawMConfig(exact=True), seed=20)
+    multi = JigSaw(device, JigSawMConfig(exact=True), seed=20)
     result_m = multi.run(workload.circuit, 65_536, global_executable=shared)
     results["sizes 2-5 (JigSaw-M)"] = probability_of_successful_trial(
         result_m.output_pmf, workload.correct_outcomes

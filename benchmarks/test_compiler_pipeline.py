@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 
-from repro.core import JigSawM, JigSawMConfig
+from repro.core import JigSaw, JigSawMConfig
 from repro.compiler.pipeline import STAGE_ROUTE
 from repro.devices import ibmq_toronto
 from repro.runtime import CompilationCache, executable_fingerprint
@@ -39,7 +39,7 @@ def _plan_workloads(make_cache):
     rows = []
     plans = []
     for name in WORKLOAD_NAMES:
-        runner = JigSawM(
+        runner = JigSaw(
             ibmq_toronto(),
             JigSawMConfig(exact=True),
             seed=SEED,

@@ -52,7 +52,7 @@ def main() -> None:
 
     print(f"\nGlobal mapping: {result.global_executable.final_layout}")
     print(f"CPMs compiled:  {len(result.cpm_executables)} (size 2), "
-          f"{result_m.num_cpms} (sizes 2-5)")
+          f"{len(result_m.cpm_executables)} (sizes 2-5)")
     print("\n                    PST       vs baseline")
     print(f"Baseline (global)   {baseline_pst:.4f}    1.00x")
     print(f"JigSaw              {jigsaw_pst:.4f}    "

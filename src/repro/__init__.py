@@ -9,15 +9,17 @@ reconstruct) and how the legacy entry points map onto it.
 
 Public API highlights::
 
-    from repro import QuantumCircuit, JigSaw, JigSawM
+    from repro import QuantumCircuit, JigSaw, JigSawMConfig
     from repro.devices import ibmq_toronto
     from repro.runtime import Session
     from repro.workloads import ghz
 
     device = ibmq_toronto(seed=7)
-    program = ghz(4)
+    program = ghz(4).circuit
     result = JigSaw(device, seed=11).run(program, total_trials=8192)
     print(result.output_pmf.top(3))
+    multi = JigSaw(device, JigSawMConfig(), seed=11)   # JigSaw-M
+    print(multi.run(program, total_trials=8192).marginals_by_size.keys())
 
     session = Session(device, seed=11)          # device + backend + cache
     plan = session.plan(ghz(4))                 # compile once, inspect
@@ -28,7 +30,7 @@ from repro.circuits import Gate, Instruction, QuantumCircuit
 from repro.core import (
     PMF,
     JigSaw,
-    JigSawM,
+    JigSawMConfig,
     Marginal,
     bayesian_reconstruction,
     bayesian_update,
@@ -45,7 +47,7 @@ __all__ = [
     "PMF",
     "Marginal",
     "JigSaw",
-    "JigSawM",
+    "JigSawMConfig",
     "bayesian_reconstruction",
     "bayesian_update",
     "Session",

@@ -44,9 +44,9 @@ body it was materialised from, so the backend reads the gate-failure
 product and builds the exact-mode coalescing key
 (:meth:`ExecutableCircuit.coalescing_key`) from content already in hand.
 
-``JigSaw.plan``/``JigSawM.plan`` compile dozens of CPMs by reusing cached
-routed bodies and only re-running retarget+EPS per subset; each step
-counts into the pipeline's registry (``compiler.route_calls``,
+``JigSaw.plan`` compiles dozens of CPMs (more for JigSaw-M) by reusing
+cached routed bodies and only re-running retarget+EPS per subset; each
+step counts into the pipeline's registry (``compiler.route_calls``,
 ``compiler.retargets`` ...) and the stage store counts its hits and
 misses (``cache.stage.<stage>.hits``), all read through
 ``Session.telemetry_snapshot()``.

@@ -3,14 +3,9 @@
 from repro.core.jigsaw import (
     JigSaw,
     JigSawConfig,
+    JigSawMConfig,
     JigSawResult,
     measured_positions_map,
-)
-from repro.core.multilayer import (
-    JigSawM,
-    JigSawMConfig,
-    JigSawMResult,
-    ordered_reconstruction,
 )
 from repro.core.payload import PAYLOAD_VERSION, check_payload_version
 from repro.core.pmf import PMF, Marginal
@@ -51,11 +46,8 @@ __all__ = [
     "hellinger_distance",
     "JigSaw",
     "JigSawConfig",
-    "JigSawResult",
-    "JigSawM",
     "JigSawMConfig",
-    "JigSawMResult",
-    "ordered_reconstruction",
+    "JigSawResult",
     "measured_positions_map",
     "sliding_window_subsets",
     "random_subsets",

@@ -1,22 +1,34 @@
-"""The JigSaw framework (paper §4).
+"""The JigSaw framework (paper §4) and JigSaw-M, its multi-layer form (§4.4).
 
 :class:`JigSaw` orchestrates the full pipeline as two first-class stages:
 
 1. :meth:`JigSaw.plan` — **plan & compile**: choose the measurement
-   subsets (sliding window of size 2 by default), compile the program
-   with the noise-aware baseline compiler, build and recompile one
-   Circuit with Partial Measurements per subset, and split the trial
-   budget.  The result is an :class:`~repro.runtime.plan.ExecutionPlan`
-   — serializable, inspectable, and cacheable through a
+   subsets, compile the program with the noise-aware baseline compiler,
+   build and recompile one Circuit with Partial Measurements per subset,
+   and split the trial budget.  The result is an
+   :class:`~repro.runtime.plan.ExecutionPlan` with one
+   :class:`~repro.runtime.plan.PlanLayer` per subset size — serializable,
+   inspectable, and cacheable through a
    :class:`~repro.runtime.cache.CompilationCache`.
 2. :meth:`JigSaw.execute` — **batch-execute & reconstruct**: evaluate
    the plan's batch (global circuit + every CPM) on the runner's
    :class:`~repro.runtime.backend.LocalBackend`, then
-   :meth:`JigSaw.reconstruct` Bayesian-updates the global PMF with every
-   local PMF until convergence.
+   :meth:`JigSaw.reconstruct` Bayesian-updates the global PMF with the
+   local PMFs until convergence, one layer at a time.
 
-:meth:`JigSaw.run` chains the two and remains the convenient entry
-point.  The backend's exact mode evaluates the closed-form noisy
+The config names the layers.  :class:`JigSawConfig` is plain JigSaw: one
+layer, a sliding window of size 2 by default (random or explicit subsets
+on request).  :class:`JigSawMConfig` is JigSaw-M: JigSaw's gains saturate
+once more same-size CPMs stop adding unique information (§6.5), so it
+plans one sliding-window layer per size 2..5 — small CPMs read more
+reliably, large ones capture more correlation.  Reconstruction runs
+**largest size first** (§4.4.2): the most-correlated marginals shape the
+PMF before the smaller, higher-fidelity ones sharpen it.  All layers
+share one measurement-free body, so the extra CPMs cost retarget + EPS
+only (see :mod:`repro.compiler.pipeline`).
+
+:meth:`JigSaw.run` chains the two stages and remains the convenient
+entry point.  The backend's exact mode evaluates the closed-form noisy
 distributions (the infinite-trials limit; the paper notes fidelity
 saturates in trials, Fig. 7), sampling mode draws the allocated trials.
 Compilation runs on the runner's
@@ -28,7 +40,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.pipeline import CompilerPipeline, ExecutableCircuit
@@ -60,7 +73,13 @@ from repro.runtime.plan import ExecutionPlan, PlanLayer
 from repro.telemetry.metrics import MetricsRegistry
 from repro.utils.random import SeedLike, as_generator, skip_spawns, spawn
 
-__all__ = ["JigSawConfig", "JigSawResult", "JigSaw", "measured_positions_map"]
+__all__ = [
+    "JigSawConfig",
+    "JigSawMConfig",
+    "JigSawResult",
+    "JigSaw",
+    "measured_positions_map",
+]
 
 #: ``reconstruct.rounds`` buckets: one per round up to the default cap
 #: (rounds past it land in the overflow bucket).
@@ -90,6 +109,9 @@ def measured_positions_map(circuit: QuantumCircuit) -> Dict[int, int]:
 @dataclass
 class JigSawConfig:
     """Tunable knobs of the JigSaw pipeline (defaults follow the paper)."""
+
+    #: Scheme tag of the plans and result payloads this config produces.
+    scheme: ClassVar[str] = "jigsaw"
 
     #: Number of qubits each CPM measures.  2 is the smallest subset that
     #: still captures correlation (§4.2.1).
@@ -143,25 +165,116 @@ class JigSawConfig:
                 f"max_rounds must be an int >= 1, got {rounds!r}"
             )
 
+    def sizes_for(self, num_outcome_bits: int) -> List[int]:
+        """Subset size of each plan layer, ascending: JigSaw's one size,
+        clipped to the program width."""
+        return [min(self.subset_size, num_outcome_bits)]
+
+
+@dataclass
+class JigSawMConfig(JigSawConfig):
+    """JigSaw-M configuration: one sliding-window layer per subset size
+    in ``min_subset_size..max_subset_size`` (default 2..5).
+
+    The one-layer knobs ``subset_size``, ``subset_method`` and
+    ``num_subsets`` do not apply, so a value other than their default is
+    refused.
+    """
+
+    scheme: ClassVar[str] = "jigsaw_m"
+
+    min_subset_size: int = 2
+    max_subset_size: int = 5
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name in ("subset_size", "subset_method", "num_subsets"):
+            value = getattr(self, name)
+            if value != getattr(JigSawConfig, name):
+                raise ReconstructionError(
+                    f"JigSaw-M plans sliding windows of sizes "
+                    f"min_subset_size..max_subset_size; {name}={value!r} "
+                    "does not apply"
+                )
+        if self.min_subset_size < 2:
+            raise ReconstructionError("min_subset_size must be >= 2")
+        if self.max_subset_size < self.min_subset_size:
+            raise ReconstructionError("max_subset_size < min_subset_size")
+
+    def sizes_for(self, num_outcome_bits: int) -> List[int]:
+        """Subset sizes applicable to a program with that many outcome bits.
+
+        Sizes are clipped to the program width; a size equal to the full
+        width is excluded (it would duplicate the global mode).
+        """
+        upper = min(self.max_subset_size, num_outcome_bits - 1)
+        sizes = list(range(self.min_subset_size, upper + 1))
+        if not sizes:
+            raise ReconstructionError(
+                f"no valid subset sizes for a {num_outcome_bits}-bit program"
+            )
+        return sizes
+
+
+def _by_layer(
+    plan: ExecutionPlan, marginals: Sequence[Marginal]
+) -> List[Tuple[int, List[Marginal]]]:
+    """(subset size, its marginals) per plan layer, in plan order."""
+    rest = iter(marginals)
+    return [
+        (layer.subset_size, list(islice(rest, layer.num_cpms)))
+        for layer in plan.layers
+    ]
+
+
+def _marginal_payloads(marginals: Sequence[Marginal]) -> List[Dict[str, object]]:
+    return [
+        {"qubits": list(m.qubits), "pmf": m.pmf.to_payload()} for m in marginals
+    ]
+
 
 @dataclass
 class JigSawResult:
-    """Everything produced by one JigSaw execution."""
+    """Everything one JigSaw or JigSaw-M execution produced.
+
+    The distributions are the result's own; the subsets, executables and
+    trial split are read off the plan it ran.
+    """
 
     output_pmf: PMF
     global_pmf: PMF
+    #: One marginal per CPM, in plan (batch) order.
     marginals: List[Marginal]
-    subsets: List[Tuple[int, ...]]
-    global_executable: ExecutableCircuit
-    cpm_executables: List[ExecutableCircuit]
-    global_trials: int
-    trials_per_cpm: int
-    #: The plan this result was executed from (when run via plan/execute).
-    plan: Optional[ExecutionPlan] = None
+    plan: ExecutionPlan
+
+    @property
+    def subsets(self) -> List[Tuple[int, ...]]:
+        return self.plan.subsets
+
+    @property
+    def global_executable(self) -> ExecutableCircuit:
+        return self.plan.global_executable
+
+    @property
+    def cpm_executables(self) -> List[ExecutableCircuit]:
+        return self.plan.cpm_executables
+
+    @property
+    def global_trials(self) -> int:
+        return self.plan.global_trials
+
+    @property
+    def trials_per_cpm(self) -> int:
+        return self.plan.trials_per_cpm
 
     @property
     def total_trials(self) -> int:
-        return self.global_trials + self.trials_per_cpm * len(self.cpm_executables)
+        return self.plan.allocated_trials
+
+    @property
+    def marginals_by_size(self) -> Dict[int, List[Marginal]]:
+        """The marginals grouped by plan layer, keyed by subset size."""
+        return dict(_by_layer(self.plan, self.marginals))
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready result payload.
@@ -172,29 +285,41 @@ class JigSawResult:
         a bitstring.  The payload carries a ``payload_version`` (see
         :mod:`repro.core.payload`) so persisted results — e.g. the job
         service's journal records — can evolve without silent misreads.
+
+        A JigSaw payload lists its marginals flat beside their subsets; a
+        JigSaw-M payload groups them under ``marginals_by_size``, whose
+        subset sizes are **string** keys: a payload must survive a JSON
+        round-trip byte-identically (the service's on-disk result store
+        relies on it), and JSON object keys are always strings.
         """
-        return {
-            "scheme": "jigsaw",
+        payload: Dict[str, object] = {
+            "scheme": self.plan.scheme,
             "payload_version": PAYLOAD_VERSION,
             "output_pmf": self.output_pmf.to_payload(),
             "global_pmf": self.global_pmf.to_payload(),
-            "marginals": [
-                {"qubits": list(m.qubits), "pmf": m.pmf.to_payload()}
-                for m in self.marginals
-            ],
-            "subsets": [list(subset) for subset in self.subsets],
-            "global_trials": self.global_trials,
-            "trials_per_cpm": self.trials_per_cpm,
-            "total_trials": self.total_trials,
         }
+        if self.plan.scheme == JigSawMConfig.scheme:
+            payload["marginals_by_size"] = {
+                str(size): _marginal_payloads(marginals)
+                for size, marginals in sorted(self.marginals_by_size.items())
+            }
+        else:
+            payload["marginals"] = _marginal_payloads(self.marginals)
+            payload["subsets"] = [list(subset) for subset in self.subsets]
+        payload["global_trials"] = self.global_trials
+        payload["trials_per_cpm"] = self.trials_per_cpm
+        payload["total_trials"] = self.total_trials
+        return payload
 
 
 class JigSaw:
-    """JigSaw runner bound to one device (paper §4, Fig. 4).
+    """JigSaw runner bound to one device (paper §4, Fig. 4); given a
+    :class:`JigSawMConfig`, the JigSaw-M runner (§4.4).
 
     Args:
         device: the target device.
-        config: pipeline knobs (see :class:`JigSawConfig`).
+        config: pipeline knobs (see :class:`JigSawConfig`); its class
+            names the scheme.
         seed: RNG seed; drives compilation exploration and sampling.
         cache: optional :class:`CompilationCache`; when set, ``plan`` and
             ``run`` reuse compiled plans for identical (circuit, device,
@@ -204,9 +329,6 @@ class JigSaw:
             reproducibility matters: a hit replays the compilation of the
             first planning call for that key.
     """
-
-    #: Plan scheme tag; :class:`~repro.core.multilayer.JigSawM` overrides.
-    scheme = "jigsaw"
 
     #: Config knobs that cannot affect the compiled artifact — excluded
     #: from the plan-cache key so e.g. a tolerance sweep or an exact vs
@@ -255,6 +377,11 @@ class JigSaw:
             device, cache=cache, metrics=self.metrics
         )
 
+    @property
+    def scheme(self) -> str:
+        """The plan scheme tag: the config's."""
+        return self.config.scheme
+
     # ------------------------------------------------------------------
     # Planning helpers
     # ------------------------------------------------------------------
@@ -262,17 +389,13 @@ class JigSaw:
     def generate_subsets(
         self, circuit: QuantumCircuit, subsets: Optional[Sequence[Sequence[int]]] = None
     ) -> List[Tuple[int, ...]]:
-        """Subsets of *outcome-bit positions* to be measured by CPMs."""
-        num_bits = len(measured_positions_map(circuit))
-        if subsets is not None:
-            return validate_subsets(subsets, num_bits)
-        size = min(self.config.subset_size, num_bits)
-        if self.config.subset_method == "sliding":
-            return sliding_window_subsets(num_bits, size)
-        count = self.config.num_subsets or num_bits
-        return random_subsets(
-            num_bits, size, count, ensure_coverage=True, seed=self._rng
-        )
+        """Subsets of *outcome-bit positions* to be measured by CPMs, in
+        plan order."""
+        return [
+            subset
+            for _, layer in self._layer_subsets(circuit, subsets)
+            for subset in layer
+        ]
 
     def split_trials(self, total_trials: int, num_cpms: int) -> Tuple[int, int]:
         """(global trials, trials per CPM) under the configured split.
@@ -347,9 +470,29 @@ class JigSaw:
         circuit: QuantumCircuit,
         subsets: Optional[Sequence[Sequence[int]]],
     ) -> List[Tuple[int, List[Tuple[int, ...]]]]:
-        """(subset size, subsets) per plan layer; JigSaw has one layer."""
-        chosen = self.generate_subsets(circuit, subsets)
-        return [(len(chosen[0]), chosen)]
+        """(subset size, subsets) per plan layer, ascending: one layer per
+        size the config names, or one layer of explicit subsets."""
+        config = self.config
+        if subsets is not None and isinstance(config, JigSawMConfig):
+            raise ReconstructionError(
+                "JigSaw-M generates its own multi-size subsets; "
+                "use a JigSawConfig for explicit subsets"
+            )
+        num_bits = len(measured_positions_map(circuit))
+        if subsets is not None:
+            chosen = validate_subsets(subsets, num_bits)
+            return [(len(chosen[0]), chosen)]
+        layers = []
+        for size in config.sizes_for(num_bits):
+            if config.subset_method == "sliding":
+                chosen = sliding_window_subsets(num_bits, size)
+            else:
+                count = config.num_subsets or num_bits
+                chosen = random_subsets(
+                    num_bits, size, count, ensure_coverage=True, seed=self._rng
+                )
+            layers.append((size, chosen))
+        return layers
 
     def _build_plan(
         self,
@@ -461,7 +604,7 @@ class JigSaw:
         """Evaluate a plan's batch on :attr:`backend` and reconstruct."""
         if plan.scheme != self.scheme:
             raise ReconstructionError(
-                f"{type(self).__name__} cannot execute a "
+                f"a {self.scheme!r} runner cannot execute a "
                 f"{plan.scheme!r} plan"
             )
         return self.reconstruct(plan, self.backend.execute(plan.requests()))
@@ -472,28 +615,21 @@ class JigSaw:
         """Build the result from a plan's already-executed batch PMFs.
 
         ``pmfs`` must be the PMFs of ``plan.requests()`` in batch order
-        (the global distribution first).  :meth:`execute` ends here, and
-        callers that execute a plan's batch elsewhere (a sweep's batch,
-        the service layer's cross-job merged batches) use it to finish
-        the run identically.
+        (the global distribution first).  The global PMF is updated one
+        plan layer at a time, largest subset size first (§4.4.2), so a
+        one-layer JigSaw plan is one reconstruction.  :meth:`execute` ends
+        here, and callers that execute a plan's batch elsewhere (a sweep's
+        batch, the service layer's cross-job merged batches) or correct
+        its PMFs first (JigSaw + MBM) use it to finish the run.
         """
         global_pmf = pmfs[0]
-        subsets = plan.subsets
         marginals = [
-            Marginal(subset, pmf) for subset, pmf in zip(subsets, pmfs[1:])
+            Marginal(subset, pmf) for subset, pmf in zip(plan.subsets, pmfs[1:])
         ]
-        output = self._bayesian_reconstruction(global_pmf, marginals)
-        return JigSawResult(
-            output_pmf=output,
-            global_pmf=global_pmf,
-            marginals=marginals,
-            subsets=subsets,
-            global_executable=plan.global_executable,
-            cpm_executables=plan.cpm_executables,
-            global_trials=plan.global_trials,
-            trials_per_cpm=plan.trials_per_cpm,
-            plan=plan,
-        )
+        output = global_pmf
+        for _, layer in reversed(_by_layer(plan, marginals)):
+            output = self._bayesian_reconstruction(output, layer)
+        return JigSawResult(output, global_pmf, marginals, plan)
 
     def _bayesian_reconstruction(
         self, prior: PMF, marginals: Sequence[Marginal]

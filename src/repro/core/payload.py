@@ -1,11 +1,11 @@
 """Result-payload versioning.
 
-Serialized results — :meth:`~repro.core.jigsaw.JigSawResult.to_dict`,
-:meth:`~repro.core.multilayer.JigSawMResult.to_dict`, and every record the
-service's :class:`~repro.service.tier.SegmentedResultStore` journals to
-disk — carry a ``"payload_version"`` field so the on-disk format can evolve:
-a reader confronted with a record written by a newer library refuses it
-loudly instead of misinterpreting it.
+Serialized results — :meth:`~repro.core.jigsaw.JigSawResult.to_dict`
+(JigSaw and JigSaw-M alike) and every record the service's
+:class:`~repro.service.tier.SegmentedResultStore` journals to disk — carry
+a ``"payload_version"`` field so the on-disk format can evolve: a reader
+confronted with a record written by a newer library refuses it loudly
+instead of misinterpreting it.
 
 Version history:
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.jigsaw import JigSawResult
+from repro.core.pmf import PMF
 from repro.devices.device import Device
 from repro.devices.library import ibmq_paris, ibmq_toronto
 from repro.experiments.render import format_table
 from repro.runtime import Session
 from repro.metrics.success import probability_of_successful_trial, relative
-from repro.mitigation.combos import jigsaw_with_mbm, jigsawm_with_mbm
+from repro.mitigation.combos import mbm_corrected
 from repro.utils.random import SeedLike
 from repro.workloads.suite import workload_by_name
 
@@ -39,6 +41,14 @@ class MbmRow:
     jigsaw: float
     jigsaw_mbm: float
     jigsawm_mbm: float
+
+
+def _with_mbm(session: Session, result: JigSawResult) -> PMF:
+    """Reconstruct a JigSaw(-M) run again from its MBM-corrected batch."""
+    plan = result.plan
+    pmfs = [result.global_pmf, *(m.pmf for m in result.marginals)]
+    corrected = mbm_corrected(plan, pmfs, session.noise_model)
+    return session.runner_for(plan).reconstruct(plan, corrected).output_pmf
 
 
 def run_figure14(
@@ -72,12 +82,10 @@ def run_figure14(
                     jigsaw_result.output_pmf, correct
                 )
                 jigsaw_mbm_pst = probability_of_successful_trial(
-                    jigsaw_with_mbm(jigsaw_result, runner.noise_model), correct
+                    _with_mbm(runner, jigsaw_result), correct
                 )
-                jigsawm_result = runner.run_jigsaw_m(workload)
                 jigsawm_mbm_pst = probability_of_successful_trial(
-                    jigsawm_with_mbm(jigsawm_result, runner.noise_model),
-                    correct,
+                    _with_mbm(runner, runner.run_jigsaw_m(workload)), correct
                 )
                 rows.append(
                     MbmRow(

@@ -1,10 +1,6 @@
 """Measurement-error mitigation baselines and combinations."""
 
-from repro.mitigation.combos import (
-    jigsaw_with_mbm,
-    jigsawm_with_mbm,
-    mitigate_executable_pmf,
-)
+from repro.mitigation.combos import mbm_corrected, mitigate_executable_pmf
 from repro.mitigation.mbm import (
     MAX_MBM_QUBITS,
     apply_mitigation,
@@ -20,6 +16,5 @@ __all__ = [
     "mitigate_pmf",
     "MAX_MBM_QUBITS",
     "mitigate_executable_pmf",
-    "jigsaw_with_mbm",
-    "jigsawm_with_mbm",
+    "mbm_corrected",
 ]

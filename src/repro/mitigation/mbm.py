@@ -5,7 +5,8 @@ preparing each basis state and recording the observed distribution) and
 post-processes program output as ``p_true ~ A^{-1} p_observed``.  Its cost
 is exponential in the program size — the contrast the paper draws against
 JigSaw's linear-complexity post-processing — but for the Fig. 14 QAOA
-benchmarks (8-10 qubits) it is exactly computable.
+benchmarks (8-10 qubits) it is exactly computable, and it is refused
+above :data:`MAX_MBM_QUBITS`.
 
 Under our factorised readout channel the true assignment matrix is the
 tensor product of per-qubit confusion matrices, which is what a noiseless
@@ -36,8 +37,10 @@ __all__ = [
     "MAX_MBM_QUBITS",
 ]
 
-#: MBM's 2^n scaling makes >16 qubits impractical (and pointless here).
-MAX_MBM_QUBITS = 16
+#: Widest output MBM corrects.  The dense 2^n x 2^n float64 assignment
+#: matrix is 128 MiB at 12 bits (about 2 s and 340 MB peak to solve on one
+#: thread) and 2 GiB at 14; Fig. 14's widest program has 10 bits.
+MAX_MBM_QUBITS = 12
 
 
 def calibration_matrix(confusions: Sequence[np.ndarray]) -> np.ndarray:

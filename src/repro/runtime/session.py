@@ -53,8 +53,7 @@ from repro.compiler.template import (
     bind_executable,
     normalize_values,
 )
-from repro.core.jigsaw import JigSaw, JigSawConfig, JigSawResult
-from repro.core.multilayer import JigSawM, JigSawMConfig, JigSawMResult
+from repro.core.jigsaw import JigSaw, JigSawConfig, JigSawMConfig, JigSawResult
 from repro.core.pmf import PMF
 from repro.devices.device import Device
 from repro.exceptions import ExperimentError
@@ -64,7 +63,7 @@ from repro.metrics.success import (
     inference_strength,
     probability_of_successful_trial,
 )
-from repro.mitigation.combos import jigsaw_with_mbm, mitigate_executable_pmf
+from repro.mitigation.combos import mbm_corrected, mitigate_executable_pmf
 from repro.mitigation.mbm import MAX_MBM_QUBITS
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
@@ -158,7 +157,8 @@ class SweepResult:
     parameter_names: Tuple[str, ...]
     parameter_sets: Tuple[Tuple[float, ...], ...]
     #: Per-point scheme results: :class:`PMF` for the distribution
-    #: schemes, JigSaw(M)Result for the plan schemes.
+    #: schemes (``jigsaw_mbm`` included), :class:`JigSawResult` for the
+    #: other plan schemes.
     results: List[object]
 
     def __len__(self) -> int:
@@ -201,8 +201,9 @@ class PreparedRun:
     backend: LocalBackend
     requests: List[ExecutionRequest]
     #: PMFs (request order) -> the result: a :class:`PMF` for the
-    #: distribution schemes, a JigSaw(M)Result for the plan-based ones,
-    #: a :class:`SweepResult` for a sweep.
+    #: distribution schemes (``jigsaw_mbm`` included), a
+    #: :class:`JigSawResult` for the other plan schemes, a
+    #: :class:`SweepResult` for a sweep.
     finish: Callable[[List[PMF]], object] = field(repr=False)
 
     def output_pmf(self, result: object) -> PMF:
@@ -253,11 +254,13 @@ class Session:
         (
             self._baseline_seed,
             self._edm_seed,
-            self._jigsaw_seed,
-            self._jigsaw_nr_seed,
-            self._jigsawm_seed,
+            *runner_seeds,
             self._sampler_seed,
         ) = spawn(self._rng, 6)
+        #: Each JigSaw-family runner's seed stream, by scheme.
+        self._runner_seeds = dict(
+            zip(("jigsaw", "jigsaw_nr", "jigsaw_m"), runner_seeds)
+        )
         self.noise_model = NoiseModel.from_device(device)
         self.sampler = NoisySampler(self.noise_model, seed=self._sampler_seed)
         #: Local simulation in the session's mode; the baseline, MBM and
@@ -283,7 +286,7 @@ class Session:
         # One runner per scheme variant: plan(), run(), and run_scheme()
         # must draw from the same per-scheme RNG stream, or a plan+run
         # pair would diverge from run_scheme in sampled mode.
-        self._runners: Dict[object, JigSaw] = {}
+        self._runners: Dict[str, JigSaw] = {}
         # Compile-once/bind-many state for variational sweeps: plan
         # templates keyed by (scheme, structure, content, budget, global
         # source) and EDM ensembles keyed by circuit content.
@@ -339,48 +342,35 @@ class Session:
             self._edm_ensembles[key] = self._edm_mappings(circuit)
         return self._edm_ensembles[key]
 
-    def _jigsaw_config(self, recompile: bool) -> JigSawConfig:
-        return JigSawConfig(
-            recompile_cpms=recompile,
-            compile_attempts=self.compile_attempts,
-            cpm_attempts=self.cpm_attempts,
-            exact=self.exact,
-        )
-
-    def _jigsawm_config(self) -> JigSawMConfig:
-        return JigSawMConfig(
-            recompile_cpms=True,
-            compile_attempts=self.compile_attempts,
-            cpm_attempts=self.cpm_attempts,
-            exact=self.exact,
-        )
-
-    def _jigsaw_runner(self, recompile: bool = True) -> JigSaw:
-        key = ("jigsaw", recompile)
-        if key not in self._runners:
-            seed = self._jigsaw_seed if recompile else self._jigsaw_nr_seed
-            self._runners[key] = JigSaw(
+    def _runner(self, scheme: str) -> JigSaw:
+        """The session's runner of a planable scheme, built once on the
+        scheme's own seed stream."""
+        if scheme not in self._runners:
+            if scheme not in self._runner_seeds:
+                raise ExperimentError(
+                    f"cannot plan scheme {scheme!r}; planable: "
+                    f"{tuple(self._runner_seeds)}"
+                )
+            knobs = dict(
+                compile_attempts=self.compile_attempts,
+                cpm_attempts=self.cpm_attempts,
+                exact=self.exact,
+            )
+            config = (
+                JigSawMConfig(**knobs)
+                if scheme == "jigsaw_m"
+                else JigSawConfig(recompile_cpms=scheme == "jigsaw", **knobs)
+            )
+            runner = JigSaw(
                 self.device,
-                self._jigsaw_config(recompile),
-                seed=seed,
+                config,
+                seed=self._runner_seeds[scheme],
                 cache=self.cache,
                 cache_salt=self._cache_salt,
             )
-            self.metrics.attach(self._runners[key].metrics)
-        return self._runners[key]
-
-    def _jigsawm_runner(self) -> JigSawM:
-        if "jigsaw_m" not in self._runners:
-            self._runners["jigsaw_m"] = JigSawM(
-                self.device,
-                self._jigsawm_config(),
-                seed=self._jigsawm_seed,
-                cache=self.cache,
-                cache_salt=self._cache_salt,
-            )
-            self.metrics.attach(self._runners["jigsaw_m"].metrics)
-        runner: JigSawM = self._runners["jigsaw_m"]  # type: ignore[assignment]
-        return runner
+            self.metrics.attach(runner.metrics)
+            self._runners[scheme] = runner
+        return self._runners[scheme]
 
     # ------------------------------------------------------------------
     # Plan-level API
@@ -399,16 +389,7 @@ class Session:
         baseline compilation (every scheme compares on one mapping);
         without it the runner compiles its own.
         """
-        if scheme == "jigsaw_m":
-            runner: JigSaw = self._jigsawm_runner()
-        elif scheme in {"jigsaw", "jigsaw_nr"}:
-            runner = self._jigsaw_runner(recompile=scheme == "jigsaw")
-        else:
-            raise ExperimentError(
-                f"cannot plan scheme {scheme!r}; planable: "
-                "('jigsaw', 'jigsaw_nr', 'jigsaw_m')"
-            )
-        return runner.plan(
+        return self._runner(scheme).plan(
             circuit,
             total_trials=total_trials or self.total_trials,
             global_executable=(
@@ -438,12 +419,11 @@ class Session:
         service layer's cross-job merged batches) reach the exact runner
         — and therefore the exact seed streams — that :meth:`run` uses.
         """
-        if plan.scheme == "jigsaw_m":
-            return self._jigsawm_runner()
-        recompile = bool(getattr(plan.config, "recompile_cpms", True))
-        return self._jigsaw_runner(recompile=recompile)
+        if plan.scheme == "jigsaw" and not plan.config.recompile_cpms:
+            return self._runner("jigsaw_nr")
+        return self._runner(plan.scheme)
 
-    def run(self, plan: ExecutionPlan) -> Union[JigSawResult, JigSawMResult]:
+    def run(self, plan: ExecutionPlan) -> JigSawResult:
         """Batch-execute a plan on this session's backend and reconstruct."""
         return self.runner_for(plan).execute(plan)
 
@@ -496,9 +476,11 @@ class Session:
             raise ExperimentError(
                 f"unknown scheme {scheme!r}; known: {SCHEME_NAMES}"
             )
-        if scheme == "mbm" and circuit.num_measurements > MAX_MBM_QUBITS:
+        width = circuit.num_measurements
+        if scheme in {"mbm", "jigsaw_mbm"} and width > MAX_MBM_QUBITS:
             raise ExperimentError(
-                f"MBM limited to {MAX_MBM_QUBITS}-bit outputs"
+                f"MBM limited to {MAX_MBM_QUBITS}-bit outputs; "
+                f"{scheme!r} got {width}"
             )
 
     def _recipe(
@@ -515,9 +497,9 @@ class Session:
         if scheme in PLAN_SCHEMES:
             runner = self.runner_for(artifact)
             if scheme == "jigsaw_mbm":
-                finish = lambda pmfs: jigsaw_with_mbm(  # noqa: E731
-                    runner.reconstruct(artifact, pmfs), self.noise_model
-                )
+                finish = lambda pmfs: runner.reconstruct(  # noqa: E731
+                    artifact, mbm_corrected(artifact, pmfs, self.noise_model)
+                ).output_pmf
             else:
                 finish = lambda pmfs: runner.reconstruct(artifact, pmfs)  # noqa: E731
             return runner.backend, artifact.requests(), finish
@@ -741,7 +723,7 @@ class Session:
         scheme = "jigsaw" if recompile else "jigsaw_nr"
         return self._run_prepared(self.prepare_scheme(scheme, workload))
 
-    def run_jigsaw_m(self, workload: Workload) -> JigSawMResult:
+    def run_jigsaw_m(self, workload: Workload) -> JigSawResult:
         """Multi-layer JigSaw (subset sizes 2..5)."""
         return self._run_prepared(self.prepare_scheme("jigsaw_m", workload))
 

@@ -7,7 +7,7 @@ the paper's headline qualitative claims.
 
 import pytest
 
-from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
+from repro.core import JigSaw, JigSawConfig, JigSawMConfig
 from repro.metrics import (
     fidelity,
     inference_strength,
@@ -109,7 +109,7 @@ class TestSampledPipeline:
 
     def test_multilayer_sampled(self, toronto):
         workload = graycode(10)
-        runner = JigSawM(toronto, JigSawMConfig(exact=False), seed=23)
+        runner = JigSaw(toronto, JigSawMConfig(exact=False), seed=23)
         result = runner.run(workload.circuit, total_trials=65_536)
         base_pst = probability_of_successful_trial(
             result.global_pmf, workload.correct_outcomes

@@ -1,4 +1,6 @@
-"""End-to-end tests for the JigSaw and JigSaw-M runners."""
+"""End-to-end tests for the JigSaw runner, plain and JigSaw-M."""
+
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from repro.core import (
     PMF,
     JigSaw,
     JigSawConfig,
-    JigSawM,
     JigSawMConfig,
     measured_positions_map,
 )
@@ -84,6 +85,29 @@ class TestConfig:
         config = JigSawMConfig(min_subset_size=2, max_subset_size=5)
         assert config.sizes_for(4) == [2, 3]
         assert config.sizes_for(10) == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"subset_size": 4},
+            {"subset_method": "random"},
+            {"num_subsets": 3},
+            {"subset_method": "random", "num_subsets": 3, "subset_size": 4},
+        ],
+    )
+    def test_jigsawm_refuses_one_layer_knobs(self, knob):
+        """JigSaw-M plans its own sliding layers, so the one-layer knobs
+        would do nothing; a non-default value is refused."""
+        with pytest.raises(ReconstructionError, match="does not apply"):
+            JigSawMConfig(**knob)
+
+    def test_config_names_the_scheme(self):
+        assert JigSawConfig.scheme == "jigsaw"
+        assert JigSawMConfig.scheme == "jigsaw_m"
+        # The one-layer knobs' defaults, spelled out, are accepted.
+        JigSawMConfig(subset_size=2, subset_method="sliding", num_subsets=None)
+        assert JigSawConfig(subset_size=3).sizes_for(6) == [3]
+        assert JigSawConfig(subset_size=8).sizes_for(6) == [6]
 
 
 class TestMeasuredPositions:
@@ -231,7 +255,7 @@ class TestJigSawEndToEnd:
 class TestJigSawM:
     def test_improves_over_plain_jigsaw(self, device, ghz6):
         plain = JigSaw(device, JigSawConfig(exact=True), seed=5)
-        multi = JigSawM(device, JigSawMConfig(exact=True), seed=5)
+        multi = JigSaw(device, JigSawMConfig(exact=True), seed=5)
         shared = plain.compile_global(ghz6)
         plain_out = plain.run(ghz6, 32_768, global_executable=shared).output_pmf
         multi_out = multi.run(ghz6, 32_768, global_executable=shared).output_pmf
@@ -241,21 +265,21 @@ class TestJigSawM:
 
     def test_pmf_count_matches_paper(self, device, ghz6):
         """§4.4.1: JigSaw-M with S sizes produces SN local PMFs."""
-        multi = JigSawM(device, JigSawMConfig(exact=True), seed=5)
+        multi = JigSaw(device, JigSawMConfig(exact=True), seed=5)
         result = multi.run(ghz6, 32_768)
         sizes = sorted(result.marginals_by_size)
         assert sizes == [2, 3, 4, 5]
         for size in sizes:
             assert len(result.marginals_by_size[size]) == 6
-        assert result.num_cpms == 24
+        assert len(result.cpm_executables) == 24
 
     def test_explicit_subsets_rejected(self, device, ghz6):
-        multi = JigSawM(device, JigSawMConfig(exact=True), seed=5)
+        multi = JigSaw(device, JigSawMConfig(exact=True), seed=5)
         with pytest.raises(ReconstructionError):
             multi.run(ghz6, 16_384, subsets=[(0, 1)])
 
     def test_marginal_sizes_match_layers(self, device, ghz6):
-        multi = JigSawM(device, JigSawMConfig(exact=True), seed=5)
+        multi = JigSaw(device, JigSawMConfig(exact=True), seed=5)
         result = multi.run(ghz6, 32_768)
         for size, marginals in result.marginals_by_size.items():
             assert all(m.subset_size == size for m in marginals)
@@ -271,7 +295,9 @@ class TestReconstructionCounters:
 
     def test_cap_counts_every_reconstruction(self, device, ghz6):
         plain = JigSaw(device, JigSawConfig(exact=True, max_rounds=1), seed=5)
-        multi = JigSawM(device, JigSawMConfig(exact=True, max_rounds=1), seed=5)
+        multi = JigSaw(
+            device, JigSawMConfig(exact=True, max_rounds=1), seed=5
+        )
         plain.run(ghz6, 16_384)
         result = multi.run(ghz6, 16_384)
         rounds, capped = self.counts(plain.metrics.snapshot())
@@ -303,3 +329,67 @@ class TestReconstructionCounters:
         # One JigSaw reconstruction plus one per JigSaw-M layer (2..5).
         assert rounds["count"] == 1 + 4
         assert 0 <= capped <= rounds["count"]
+
+
+class TestPayloadSchema:
+    """The stored result payloads of both plan shapes, pinned by structure
+    and integers only (float bits would tie the test to one BLAS)."""
+
+    PMF_KEYS = ["codes", "probs", "num_bits"]
+    HEAD = ["scheme", "payload_version", "output_pmf", "global_pmf"]
+    TRIALS = ["global_trials", "trials_per_cpm", "total_trials"]
+
+    @pytest.fixture(scope="class")
+    def payloads(self):
+        from repro.devices import ibmq_toronto
+        from repro.runtime import Session
+        from repro.workloads import ghz
+
+        session = Session(ibmq_toronto(), seed=0, exact=True)
+        workload = ghz(6)
+        return {
+            scheme: session.run(session.plan(workload, scheme=scheme)).to_dict()
+            for scheme in ("jigsaw", "jigsaw_nr", "jigsaw_m")
+        }
+
+    def check_marginal(self, entry, num_qubits):
+        assert list(entry) == ["qubits", "pmf"]
+        assert len(entry["qubits"]) == num_qubits
+        assert list(entry["pmf"]) == self.PMF_KEYS
+        assert entry["pmf"]["num_bits"] == num_qubits
+
+    def check_common(self, payload, num_cpms):
+        from repro.core import PAYLOAD_VERSION
+
+        assert payload["payload_version"] == PAYLOAD_VERSION
+        for key in ("output_pmf", "global_pmf"):
+            assert list(payload[key]) == self.PMF_KEYS
+            assert payload[key]["num_bits"] == 6
+        assert all(type(payload[key]) is int for key in self.TRIALS)
+        assert payload["total_trials"] == (
+            payload["global_trials"] + payload["trials_per_cpm"] * num_cpms
+        )
+        assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize("scheme", ["jigsaw", "jigsaw_nr"])
+    def test_one_layer_shape(self, payloads, scheme):
+        payload = payloads[scheme]
+        assert list(payload) == self.HEAD + ["marginals", "subsets"] + self.TRIALS
+        assert payload["scheme"] == "jigsaw"
+        assert len(payload["marginals"]) == len(payload["subsets"]) == 6
+        for entry, subset in zip(payload["marginals"], payload["subsets"]):
+            self.check_marginal(entry, 2)
+            assert entry["qubits"] == subset
+        self.check_common(payload, 6)
+
+    def test_multi_layer_shape(self, payloads):
+        payload = payloads["jigsaw_m"]
+        assert list(payload) == self.HEAD + ["marginals_by_size"] + self.TRIALS
+        assert payload["scheme"] == "jigsaw_m"
+        by_size = payload["marginals_by_size"]
+        assert list(by_size) == ["2", "3", "4", "5"]
+        for size, entries in by_size.items():
+            assert len(entries) == 6
+            for entry in entries:
+                self.check_marginal(entry, int(size))
+        self.check_common(payload, 24)

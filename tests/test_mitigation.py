@@ -3,17 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.core import PMF
-from repro.exceptions import MitigationError
+from repro.core import PMF, Marginal, bayesian_reconstruction
+from repro.core.reconstruction import (
+    DEFAULT_MAX_ROUNDS,
+    DEFAULT_TOLERANCE,
+    iterate_reconstruction,
+)
+from repro.devices import ibmq_toronto
+from repro.exceptions import ExperimentError, MitigationError
 from repro.mitigation import (
     MAX_MBM_QUBITS,
     apply_mitigation,
     calibration_matrix,
-    jigsaw_with_mbm,
+    mbm_corrected,
+    mitigate_executable_pmf,
     mitigate_pmf,
     sampled_calibration_matrix,
 )
+from repro.runtime import Session
 from repro.sim import apply_confusions
+from repro.workloads import ghz, workload_by_name
 
 
 def confusion(p01, p10):
@@ -113,7 +122,6 @@ class TestJigSawWithMbm:
         from repro.core import JigSaw, JigSawConfig
         from repro.metrics import probability_of_successful_trial
         from repro.noise import NoiseModel
-        from repro.workloads import ghz
         from tests.conftest import make_varied_line_device
 
         device = make_varied_line_device(num_qubits=8)
@@ -121,7 +129,10 @@ class TestJigSawWithMbm:
         jigsaw = JigSaw(device, JigSawConfig(exact=True), seed=4)
         result = jigsaw.run(workload.circuit, total_trials=16_384)
         noise = NoiseModel.from_device(device)
-        combined = jigsaw_with_mbm(result, noise)
+        pmfs = [result.global_pmf, *(m.pmf for m in result.marginals)]
+        combined = jigsaw.reconstruct(
+            result.plan, mbm_corrected(result.plan, pmfs, noise)
+        ).output_pmf
         pst_jigsaw = probability_of_successful_trial(
             result.output_pmf, workload.correct_outcomes
         )
@@ -131,10 +142,51 @@ class TestJigSawWithMbm:
         assert pst_combined >= pst_jigsaw * 0.98
 
     def test_rejects_wide_outputs(self):
-        from repro.core import JigSawResult
+        wide = PMF({"0" * (MAX_MBM_QUBITS + 1): 1.0})
+        with pytest.raises(MitigationError, match="12-bit"):
+            mbm_corrected(None, [wide], None)
 
-        class FakeResult:
-            global_pmf = PMF({("0" * 20): 1.0})
+    def test_jigsaw_mbm_reconstructs_once(self):
+        """A jigsaw_mbm run reconstructs once, from the MBM-corrected
+        batch, and the registry observes that pass's rounds."""
+        session = Session(ibmq_toronto(), seed=0, exact=True)
+        workload = ghz(6)
+        plan = session.plan(workload)
+        prepared = session.prepare_scheme("jigsaw_mbm", workload)
+        pmfs = prepared.backend.execute(prepared.requests)
+        output = prepared.finish(pmfs)
 
-        with pytest.raises(ValueError):
-            jigsaw_with_mbm(FakeResult(), None)
+        corrected = [
+            mitigate_executable_pmf(pmf, request.executable, session.noise_model)
+            for pmf, request in zip(pmfs, prepared.requests)
+        ]
+        marginals = [
+            Marginal(subset, pmf)
+            for subset, pmf in zip(plan.subsets, corrected[1:])
+        ]
+        assert output == bayesian_reconstruction(corrected[0], marginals)
+        _, rounds, capped = iterate_reconstruction(
+            corrected[0], marginals, DEFAULT_TOLERANCE, DEFAULT_MAX_ROUNDS
+        )
+        snapshot = session.telemetry_snapshot()
+        observed = snapshot["histograms"]["reconstruct.rounds"]
+        assert observed["count"] == 1
+        assert observed["min_rounds"] == observed["max_rounds"] == rounds
+        assert snapshot["counters"]["reconstruct.capped"] == int(capped)
+
+
+class TestWidthCap:
+    """Both MBM schemes are refused above the cap before anything
+    compiles or executes."""
+
+    @pytest.mark.parametrize(
+        "scheme, name",
+        [("jigsaw_mbm", "GHZ-18"), ("jigsaw_mbm", "GHZ-13"), ("mbm", "GHZ-13")],
+    )
+    def test_over_cap_refused_before_compiling(self, scheme, name):
+        session = Session(ibmq_toronto(), seed=0, exact=True)
+        with pytest.raises(ExperimentError, match="MBM"):
+            session.run_scheme(scheme, workload_by_name(name))
+        counters = session.telemetry_snapshot()["counters"]
+        assert counters.get("compiler.compiles", 0) == 0
+        assert counters.get("backend.channel_evals", 0) == 0

@@ -11,7 +11,6 @@ import pytest
 from repro.core import (
     JigSaw,
     JigSawConfig,
-    JigSawM,
     JigSawMConfig,
     budget_report_for_plan,
     plan_trial_budget,
@@ -189,7 +188,7 @@ class TestBudgetConservation:
         assert report["allocated_trials"] == total
 
     def test_budget_report_describes_executed_plan(self, device, ghz6):
-        runner = JigSawM(device, JigSawMConfig(exact=True), seed=0)
+        runner = JigSaw(device, JigSawMConfig(exact=True), seed=0)
         plan = runner.plan(ghz6, total_trials=16_383)
         report = budget_report_for_plan(plan)
         assert report["global_trials"] == plan.global_trials

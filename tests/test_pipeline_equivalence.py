@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.circuits import QuantumCircuit
 from repro.compiler import CompilerPipeline, Layout, pool_layouts
 from repro.compiler.pipeline import STAGE_ROUTE
-from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
+from repro.core import JigSaw, JigSawConfig, JigSawMConfig
 from repro.runtime import CompilationCache, executable_fingerprint
 from repro.runtime.fingerprint import body_fingerprint, device_fingerprint
 from repro.workloads import bv, ghz, qaoa_maxcut
@@ -107,7 +107,7 @@ class TestPlanEquivalence:
         runner_cls, config_cls = (
             (JigSaw, JigSawConfig)
             if scheme == "jigsaw"
-            else (JigSawM, JigSawMConfig)
+            else (JigSaw, JigSawMConfig)
         )
         for circuit in workload_circuits:
             cached_runner = runner_cls(
@@ -140,7 +140,7 @@ class TestPlanEquivalence:
 
 class TestRouteOnce:
     def test_each_body_layout_pair_routed_at_most_once(self, device):
-        runner = JigSawM(device, JigSawMConfig(exact=True), seed=0)
+        runner = JigSaw(device, JigSawMConfig(exact=True), seed=0)
         runner.plan(ghz(6).circuit, total_trials=16_384)
         counters = counts(runner)
         # Every route call created a distinct stage entry: no key was
@@ -160,7 +160,7 @@ class TestRouteOnce:
         # CPM routing — the bulk — replays from the stage cache, and no
         # key is ever routed twice.
         config = JigSawMConfig(exact=True)
-        runner = JigSawM(device, config, seed=0)
+        runner = JigSaw(device, config, seed=0)
         runner.plan(ghz(6).circuit, total_trials=16_384)
         calls = route_calls(runner)
         runner.plan(ghz(6).circuit, total_trials=4_096)
@@ -171,8 +171,8 @@ class TestRouteOnce:
         )
 
     def test_legacy_path_routes_strictly_more(self, device):
-        cached = JigSawM(device, JigSawMConfig(exact=True), seed=0)
-        legacy = JigSawM(
+        cached = JigSaw(device, JigSawMConfig(exact=True), seed=0)
+        legacy = JigSaw(
             device, JigSawMConfig(exact=True), seed=0,
             cache=CompilationCache.disabled(),
         )

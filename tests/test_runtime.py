@@ -7,7 +7,7 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler import CompilerPipeline
 from repro.compiler.sabre import RoutingBody
-from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
+from repro.core import JigSaw, JigSawConfig, JigSawMConfig
 from repro.exceptions import ReconstructionError, SimulationError
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
@@ -274,7 +274,7 @@ class TestExecutionPlan:
         assert clone.num_cpms == plan.num_cpms
 
     def test_jigsawm_plan_layers_ascending(self, device, ghz6):
-        runner = JigSawM(device, JigSawMConfig(exact=True), seed=5)
+        runner = JigSaw(device, JigSawMConfig(exact=True), seed=5)
         plan = runner.plan(ghz6, total_trials=16_384)
         assert plan.scheme == "jigsaw_m"
         sizes = [layer.subset_size for layer in plan.layers]
@@ -283,7 +283,7 @@ class TestExecutionPlan:
 
     def test_scheme_mismatch_rejected(self, device, ghz6):
         jigsaw = JigSaw(device, JigSawConfig(exact=True), seed=5)
-        jigsaw_m = JigSawM(device, JigSawMConfig(exact=True), seed=5)
+        jigsaw_m = JigSaw(device, JigSawMConfig(exact=True), seed=5)
         plan = jigsaw.plan(ghz6, total_trials=16_384)
         with pytest.raises(ReconstructionError):
             jigsaw_m.execute(plan)

@@ -478,7 +478,7 @@ class TestServiceBehaviour:
             assert job.result == executed_payload
 
     def test_failed_job_reports_error(self):
-        # MBM on an 18-bit output exceeds MAX_MBM_QUBITS (16); the check
+        # MBM on an 18-bit output exceeds MAX_MBM_QUBITS (12); the check
         # fires at preparation, before any compilation happens.
         spec = JobSpec(tenant="a", workload="GHZ-18", scheme="mbm",
                        total_trials=1024)

@@ -273,7 +273,7 @@ class TestCrashReplay:
         with ServiceSupervisor(
             devices=DEVICES, workers=1, max_retries=3
         ) as sup:
-            # MBM on an 18-bit output exceeds MAX_MBM_QUBITS (16); the
+            # MBM on an 18-bit output exceeds MAX_MBM_QUBITS (12); the
             # check fires at preparation — a deterministic failure that
             # must settle terminally without consuming the retry budget.
             job = sup.submit(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import JigSaw, JigSawConfig, JigSawM, JigSawMConfig
+from repro.core import JigSaw, JigSawConfig, JigSawMConfig
 from repro.exceptions import ExperimentError
 from repro.runtime import (
     CompilationCache,
@@ -139,7 +139,7 @@ class TestBudgetConservation:
 
     def test_jigsaw_m_result_conserves_budget(self, device):
         total = 16_383
-        runner = JigSawM(device, JigSawMConfig(exact=True), seed=0)
+        runner = JigSaw(device, JigSawMConfig(exact=True), seed=0)
         result = runner.run(ghz(6).circuit, total_trials=total)
         assert result.total_trials == total
 

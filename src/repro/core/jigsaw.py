@@ -59,7 +59,7 @@ from repro.core.subsets import (
 )
 from repro.core.trials import split_trial_budget
 from repro.devices.device import Device
-from repro.exceptions import ReconstructionError
+from repro.exceptions import CircuitError, ReconstructionError
 from repro.noise.model import NoiseModel
 from repro.noise.sampler import NoisySampler
 from repro.runtime.backend import LocalBackend
@@ -571,6 +571,12 @@ class JigSaw:
         compilation would have consumed, so downstream seed streams stay
         aligned.
         """
+        if not isinstance(circuit, QuantumCircuit):
+            raise CircuitError(
+                f"JigSaw plans a QuantumCircuit, not a "
+                f"{type(circuit).__name__}; pass workload.circuit "
+                "(Session.plan accepts either)"
+            )
         cache = self.cache
         key = None
         if (

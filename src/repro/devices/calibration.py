@@ -17,21 +17,23 @@ that, as on the real devices, low-error qubits are not co-located (§3.2).
 The readout profile takes evenly spaced lognormal quantiles as
 ``exp(sigma * ndtri(q)) * median`` and ranks qubits by a double stable
 ``argsort``: the same bits as ``scipy.stats``' ``lognorm.ppf`` and
-``rankdata(method="ordinal")``, which stay the reference in the tests, for
-none of ``scipy.stats``' import cost.  ``scipy.special.ndtri`` itself stays:
-any other inverse normal CDF differs in the last ulp, which moves placement
-and routing choices downstream.
+``rankdata(method="ordinal")``.  ``ndtri`` is :func:`_ndtri`, a port of the
+Cephes algorithm ``scipy.special.ndtri`` runs, on Python floats.  Any other
+inverse normal CDF (``statistics.NormalDist().inv_cdf``, say) differs in
+the last ulp, which moves placement and routing choices downstream, so the
+tests hold the port and both ``scipy.stats`` calls to scipy bit for bit;
+the package itself imports no scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.special import ndtri
 
+from repro.devices.topology import CouplingGraph
 from repro.exceptions import DeviceError
 from repro.utils.random import SeedLike, as_generator
 
@@ -216,16 +218,109 @@ class Calibration:
 # ---------------------------------------------------------------------------
 
 
+# Cephes ``ndtri`` coefficients, highest power first: ``_P0``/``_Q0`` for
+# the central region, ``_P1``/``_Q1`` for the tails while
+# ``sqrt(-2 log y) < 8``, ``_P2``/``_Q2`` beyond.
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_MINUS_2 = 0.13533528323661269189
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1,
+    -5.66762857469070293439e1, 1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0,
+    8.63602421390890590575e1, -2.25462687854119370527e2,
+    2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1,
+    5.71628192246421288162e1, 4.40805073893200834700e1,
+    1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1,
+    4.13172038254672030440e1, 1.50425385692907503408e1,
+    2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0,
+    3.93881025292474443415e0, 1.33303460815807542389e0,
+    2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0,
+    1.37702099489081330271e0, 2.16236993594496635890e-1,
+    1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: Sequence[float]) -> float:
+    """Horner evaluation, leading coefficient first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: Sequence[float]) -> float:
+    """:func:`_polevl` with an implicit leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF, as Cephes (and scipy) compute it.
+
+    Every operation is the one ``scipy.special.ndtri`` makes, in the same
+    order on IEEE doubles, so the result is the same bits.  Outside
+    ``[0, 1]`` scipy returns NaN; this raises.
+    """
+    if not 0.0 <= y0 <= 1.0:
+        raise DeviceError(f"ndtri needs a probability in [0, 1], got {y0!r}")
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_MINUS_2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 def _lognormal_quantiles(
     quantiles: np.ndarray, sigma: float, median: float
 ) -> np.ndarray:
     """Quantiles of the lognormal with shape ``sigma`` and median ``median``.
 
     The expression ``scipy.stats.lognorm.ppf(quantiles, s=sigma,
-    scale=median)`` evaluates, bit for bit, without importing
-    ``scipy.stats``.
+    scale=median)`` evaluates, bit for bit, without importing scipy.
     """
-    return np.exp(sigma * ndtri(quantiles)) * median
+    normal = np.array([_ndtri(float(q)) for q in quantiles])
+    return np.exp(sigma * normal) * median
 
 
 def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
@@ -282,7 +377,7 @@ def _lognormal_profile(
 
 
 def _scatter_best_qubits(
-    values: np.ndarray, graph: nx.Graph, rng: np.random.Generator
+    values: np.ndarray, graph: CouplingGraph, rng: np.random.Generator
 ) -> np.ndarray:
     """Assign sorted error values to qubits, spreading the best ones apart.
 
@@ -311,7 +406,7 @@ def _scatter_best_qubits(
 
 
 def synthesize_calibration(
-    graph: nx.Graph,
+    graph: CouplingGraph,
     readout_median: float,
     readout_mean: float,
     readout_min: float,

@@ -1,19 +1,21 @@
 """The :class:`Device` abstraction: topology plus calibration.
 
 A :class:`Device` is what the compiler and the noisy sampler run against.
-It owns the coupling graph, the calibration data, and cached all-pairs
-shortest-path distances (the routing heuristic's main lookup).
+It owns the coupling graph (a :class:`~repro.devices.topology.CouplingGraph`,
+or any graph with the same ``nodes``/``edges``/``neighbors``/
+``number_of_nodes`` reads, such as a ``networkx.Graph``), the calibration
+data, and cached all-pairs hop distances (the routing heuristic's main
+lookup).
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.devices.calibration import Calibration, ReadoutStats
-from repro.devices.topology import validate_topology
+from repro.devices.topology import CouplingGraph, hop_counts, validate_topology
 from repro.exceptions import DeviceError
 
 __all__ = ["Device"]
@@ -22,7 +24,9 @@ __all__ = ["Device"]
 class Device:
     """A quantum device: named coupling graph with calibration data."""
 
-    def __init__(self, name: str, graph: nx.Graph, calibration: Calibration) -> None:
+    def __init__(
+        self, name: str, graph: CouplingGraph, calibration: Calibration
+    ) -> None:
         validate_topology(graph)
         if calibration.num_qubits != graph.number_of_nodes():
             raise DeviceError(
@@ -58,12 +62,10 @@ class Device:
     def distances(self) -> np.ndarray:
         """All-pairs shortest-path distance matrix (hop counts)."""
         if self._distances is None:
-            n = self.num_qubits
-            dist = np.full((n, n), np.inf)
-            for source, lengths in nx.all_pairs_shortest_path_length(self.graph):
-                for target, hops in lengths.items():
-                    dist[source, target] = hops
-            self._distances = dist
+            self._distances = np.array(
+                [hop_counts(self.graph, q) for q in range(self.num_qubits)],
+                dtype=float,
+            )
         return self._distances
 
     def distance(self, u: int, v: int) -> int:

@@ -7,19 +7,22 @@ Provides the coupling maps of the machines the paper evaluates on:
 * ``sycamore_grid()`` — Google Sycamore-style 2D grid (Table 1 source);
 
 plus generic generators (line, ring, grid, heavy-hex) used in tests and
-ablation studies.  All topologies are undirected :class:`networkx.Graph`
-objects whose nodes are contiguous integers starting at zero.
+ablation studies.  Every builder returns an undirected :class:`CouplingGraph`
+whose nodes are contiguous integers starting at zero.  The rest of the
+package reads a graph only through ``nodes``, ``edges``, ``neighbors(q)``
+and ``number_of_nodes()``, so a caller's ``networkx.Graph`` works too.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
-
-import networkx as nx
+import math
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.exceptions import DeviceError
 
 __all__ = [
+    "CouplingGraph",
+    "hop_counts",
     "line_topology",
     "ring_topology",
     "grid_topology",
@@ -60,31 +63,85 @@ _HUMMINGBIRD65_EDGES: Tuple[Tuple[int, int], ...] = (
 )
 
 
-def _graph_from_edges(num_qubits: int, edges: Iterable[Tuple[int, int]]) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_qubits))
-    graph.add_edges_from(edges)
-    return graph
+class CouplingGraph:
+    """An undirected coupling map on qubits ``0 .. num_qubits - 1``.
+
+    It iterates the way a ``networkx.Graph`` built from the same nodes and
+    edges does: ``nodes`` in index order, each qubit's ``neighbors`` in the
+    order its edges were first given, and ``edges`` once each, from the
+    endpoint that comes first, in that endpoint's neighbour order.  That is
+    not the input order (``hummingbird65`` gives ``(0, 10)`` after
+    ``(8, 9)``; it is listed second), and calibration synthesis draws its
+    random numbers in it.
+    """
+
+    def __init__(self, num_qubits: int, edges: Iterable[Tuple[int, int]]) -> None:
+        adjacency: List[Dict[int, None]] = [{} for _ in range(num_qubits)]
+        for u, v in edges:
+            if not (0 <= u < num_qubits and 0 <= v < num_qubits):
+                raise DeviceError(
+                    f"edge ({u}, {v}) is outside qubits 0..{num_qubits - 1}"
+                )
+            adjacency[u][v] = None
+            adjacency[v][u] = None
+        self._adjacency = [tuple(neighbours) for neighbours in adjacency]
+        self.edges: Tuple[Tuple[int, int], ...] = tuple(
+            (u, v)
+            for u, neighbours in enumerate(self._adjacency)
+            for v in neighbours
+            if v >= u
+        )
+
+    @property
+    def nodes(self) -> range:
+        return range(len(self._adjacency))
+
+    def number_of_nodes(self) -> int:
+        return len(self._adjacency)
+
+    def neighbors(self, qubit: int) -> Iterator[int]:
+        return iter(self._adjacency[qubit])
 
 
-def line_topology(num_qubits: int) -> nx.Graph:
+def hop_counts(graph: CouplingGraph, source: int) -> List[float]:
+    """Breadth-first hop count from ``source`` to every qubit.
+
+    ``inf`` marks a qubit ``source`` cannot reach.
+    """
+    hops = [math.inf] * graph.number_of_nodes()
+    hops[source] = 0
+    frontier = [source]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = []
+        for qubit in frontier:
+            for neighbour in graph.neighbors(qubit):
+                if hops[neighbour] == math.inf:
+                    hops[neighbour] = depth
+                    reached.append(neighbour)
+        frontier = reached
+    return hops
+
+
+def line_topology(num_qubits: int) -> CouplingGraph:
     """A 1D chain of ``num_qubits`` qubits."""
     if num_qubits < 1:
         raise DeviceError("need at least one qubit")
-    return _graph_from_edges(
+    return CouplingGraph(
         num_qubits, [(i, i + 1) for i in range(num_qubits - 1)]
     )
 
 
-def ring_topology(num_qubits: int) -> nx.Graph:
+def ring_topology(num_qubits: int) -> CouplingGraph:
     """A 1D ring of ``num_qubits`` qubits."""
     if num_qubits < 3:
         raise DeviceError("a ring needs at least three qubits")
     edges = [(i, (i + 1) % num_qubits) for i in range(num_qubits)]
-    return _graph_from_edges(num_qubits, edges)
+    return CouplingGraph(num_qubits, edges)
 
 
-def grid_topology(rows: int, cols: int) -> nx.Graph:
+def grid_topology(rows: int, cols: int) -> CouplingGraph:
     """A ``rows`` x ``cols`` rectangular grid (nearest-neighbour coupling)."""
     if rows < 1 or cols < 1:
         raise DeviceError("grid dimensions must be positive")
@@ -96,10 +153,10 @@ def grid_topology(rows: int, cols: int) -> nx.Graph:
                 edges.append((node, node + 1))
             if r + 1 < rows:
                 edges.append((node, node + cols))
-    return _graph_from_edges(rows * cols, edges)
+    return CouplingGraph(rows * cols, edges)
 
 
-def heavy_hex_topology(rows: int, row_length: int) -> nx.Graph:
+def heavy_hex_topology(rows: int, row_length: int) -> CouplingGraph:
     """A generic heavy-hex-style lattice.
 
     ``rows`` horizontal chains of ``row_length`` qubits are stitched with
@@ -124,20 +181,20 @@ def heavy_hex_topology(rows: int, row_length: int) -> nx.Graph:
             node += 1
             edges.append((row_start[r] + col, bridge))
             edges.append((bridge, row_start[r + 1] + col))
-    return _graph_from_edges(node, edges)
+    return CouplingGraph(node, edges)
 
 
-def falcon27() -> nx.Graph:
+def falcon27() -> CouplingGraph:
     """IBM 27-qubit Falcon coupling map (Toronto / Paris)."""
-    return _graph_from_edges(27, _FALCON27_EDGES)
+    return CouplingGraph(27, _FALCON27_EDGES)
 
 
-def hummingbird65() -> nx.Graph:
+def hummingbird65() -> CouplingGraph:
     """IBM 65-qubit Hummingbird coupling map (Manhattan)."""
-    return _graph_from_edges(65, _HUMMINGBIRD65_EDGES)
+    return CouplingGraph(65, _HUMMINGBIRD65_EDGES)
 
 
-def sycamore_grid() -> nx.Graph:
+def sycamore_grid() -> CouplingGraph:
     """A 53-qubit diagonal-grid topology standing in for Google Sycamore.
 
     Sycamore couples qubits diagonally on a staggered grid; we reproduce the
@@ -145,19 +202,18 @@ def sycamore_grid() -> nx.Graph:
     corner, which is sufficient for the Table 1 readout-crosstalk statistics
     (topology only matters through simultaneous-measurement counts there).
     """
-    graph = grid_topology(6, 9)
-    graph.remove_node(53)
-    return nx.convert_node_labels_to_integers(graph, ordering="sorted")
+    grid = grid_topology(6, 9)
+    return CouplingGraph(53, [edge for edge in grid.edges if 53 not in edge])
 
 
-def validate_topology(graph: nx.Graph) -> None:
+def validate_topology(graph: CouplingGraph) -> None:
     """Raise :class:`DeviceError` unless ``graph`` is a valid device map."""
     nodes = sorted(graph.nodes)
     if not nodes:
         raise DeviceError("topology has no qubits")
     if nodes != list(range(len(nodes))):
         raise DeviceError("topology nodes must be contiguous integers from 0")
-    if len(nodes) > 1 and not nx.is_connected(graph):
+    if math.inf in hop_counts(graph, 0):
         raise DeviceError("topology must be connected")
     if any(u == v for u, v in graph.edges):
         raise DeviceError("topology must not contain self-loops")

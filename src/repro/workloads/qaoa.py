@@ -84,15 +84,22 @@ def _apply_mixer(state: np.ndarray, beta: float, num_qubits: int) -> np.ndarray:
     every product is the same zgemm on the same bits.  Each product keeps
     its contracted axis in front, which puts the next operand one 4-D
     transpose (one copy) away; a final transpose restores the axis order.
+    The copies and products reuse two buffers, so a call allocates three
+    state-sized arrays, not 2n: each fresh large array is fresh pages.
     """
     cos = math.cos(beta)
     sin = math.sin(beta)
     mixer = np.array([[cos, -1j * sin], [-1j * sin, cos]], dtype=complex)
-    tensor = np.dot(mixer, state.reshape(2, -1))
+    tensor = np.empty((2, state.size >> 1), dtype=complex)
+    operand = np.empty_like(tensor)
+    np.dot(mixer, state.reshape(2, -1), out=tensor)
     for axis in range(1, num_qubits):
         # Rows: axis - 1.  Columns: axes 0..axis-2, then axis, axis+1, ...
-        operand = tensor.reshape(2, 1 << (axis - 1), 2, -1).transpose(2, 1, 0, 3)
-        tensor = np.dot(mixer, operand.reshape(2, -1))
+        shape = (2, 1 << (axis - 1), 2, -1)
+        np.copyto(
+            operand.reshape(shape), tensor.reshape(shape).transpose(2, 1, 0, 3)
+        )
+        np.dot(mixer, operand, out=tensor)
     return tensor.T.reshape(-1)
 
 

@@ -1,8 +1,13 @@
 """Tests for calibration data and its synthesis."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import ndtri
 
 from repro.devices import calibration as calibration_module
 from repro.devices import (
@@ -16,6 +21,7 @@ from repro.devices.calibration import (
     Calibration,
     _lognormal_profile,
     _lognormal_quantiles,
+    _ndtri,
     _ordinal_ranks,
 )
 from repro.devices.topology import falcon27, line_topology
@@ -206,7 +212,7 @@ class TestSynthesizeCalibration:
     def test_all_edges_calibrated(self):
         graph = falcon27()
         cal = synthesize_calibration(graph, 0.027, 0.047, 0.009, 0.22, seed=3)
-        assert len(cal.gate_error_2q) == graph.number_of_edges()
+        assert len(cal.gate_error_2q) == len(graph.edges)
 
     def test_invalid_rank_correlation(self):
         with pytest.raises(DeviceError):
@@ -214,6 +220,67 @@ class TestSynthesizeCalibration:
                 line_topology(6), 0.02, 0.03, 0.01, 0.1,
                 crosstalk_rank_correlation=1.5,
             )
+
+
+# ---------------------------------------------------------------------------
+# scipy.special.ndtri is the reference the port is held to, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def assert_ndtri_bits(points):
+    points = np.asarray(points, dtype=float)
+    got = np.array([_ndtri(float(p)) for p in points])
+    want = ndtri(points)
+    mismatched = points[got.view(np.int64) != want.view(np.int64)]
+    assert mismatched.size == 0, mismatched[:5]
+
+
+def around(value, steps=3):
+    """``value`` and its ``steps`` nearest doubles on each side."""
+    below, above = [value], [value]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+EXP_MINUS_2 = math.exp(-2.0)
+
+
+class TestNdtriPort:
+    def test_central_region_edges(self):
+        # y > exp(-2) after folding: the central rational approximation.
+        assert_ndtri_bits(around(EXP_MINUS_2) + around(1.0 - EXP_MINUS_2))
+
+    def test_tail_approximation_switch(self):
+        # sqrt(-2 log y) crosses 8 at y = exp(-32), in both tails.
+        y = math.exp(-32.0)
+        assert_ndtri_bits(around(y) + [1.0 - p for p in around(y)])
+
+    def test_tails_down_to_1e_300(self):
+        assert_ndtri_bits(np.logspace(-300, -1, 30_001))
+        assert_ndtri_bits(1.0 - np.logspace(-16, -1, 15_001))
+        assert_ndtri_bits([1e-300, 5e-324, 2.2250738585072014e-308])
+
+    def test_endpoints_are_infinite(self):
+        assert _ndtri(0.0) == -math.inf
+        assert _ndtri(-0.0) == -math.inf
+        assert _ndtri(1.0) == math.inf
+
+    def test_dense_grid(self):
+        assert_ndtri_bits(np.linspace(0.0, 1.0, 200_001))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_any_probability(self, y):
+        assert_ndtri_bits([y])
+
+    @pytest.mark.parametrize(
+        "y", [-1e-300, -0.5, 1.0000000000000002, 2.0, math.nan, math.inf]
+    )
+    def test_out_of_domain_is_refused(self, y):
+        with pytest.raises(DeviceError):
+            _ndtri(y)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from repro.core import (
     JigSawMConfig,
     measured_positions_map,
 )
-from repro.exceptions import ReconstructionError
+from repro.exceptions import CircuitError, ReconstructionError
 from repro.runtime import CompilationCache
 from repro.utils.random import spawn
+from repro.workloads import ghz
 from repro.metrics import (
     probability_of_successful_trial,
     total_variation_distance,
@@ -176,6 +177,23 @@ class TestPlanning:
             ours = spawn(runner._rng, 1)[0].integers(2**62, size=4)
             theirs = spawn(reference, 1)[0].integers(2**62, size=4)
             assert ours.tolist() == theirs.tolist()
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+    def test_a_workload_is_refused_before_compiling(self, device, cached):
+        cache = CompilationCache() if cached else CompilationCache.disabled()
+        runner = JigSaw(device, seed=11, cache=cache)
+        workload = ghz(4)
+        with pytest.raises(CircuitError, match="workload.circuit"):
+            runner.plan(workload)
+        with pytest.raises(CircuitError, match="workload.circuit"):
+            runner.run(workload, total_trials=8192)
+        counters = runner.metrics.snapshot()["counters"]
+        assert not any(
+            value for name, value in counters.items()
+            if name.startswith("compiler.")
+        )
+        # The circuit itself plans.
+        assert runner.plan(workload.circuit).num_cpms == 4
 
 
 class TestJigSawEndToEnd:
